@@ -5,10 +5,11 @@ GO ?= go
 VERSION ?= dev
 LDFLAGS := -ldflags "-X harmony/internal/obs.Version=$(VERSION)"
 
-.PHONY: check fmt vet build test race ctl-smoke comm-smoke comp-smoke obs-smoke ps-rebalance-smoke fair-smoke place-smoke admit-smoke snapshot-smoke bench-smoke bench-report bench-comm bench-comp bench-rebalance bench-fair bench-place bench-admit trace-demo
+.PHONY: check fmt vet build test race ctl-smoke comm-smoke comp-smoke obs-smoke ps-rebalance-smoke fair-smoke place-smoke admit-smoke snapshot-smoke bench-smoke bench-test bench trace-demo
 
-## check: full local gate — gofmt, vet, build, race-enabled tests, bench smoke run
-check: fmt vet build ctl-smoke comm-smoke comp-smoke obs-smoke ps-rebalance-smoke fair-smoke place-smoke admit-smoke snapshot-smoke race bench-smoke
+## check: full local gate — gofmt, vet, build, race-enabled tests, bench
+## smoke run, and the benchmark harness's own vet + tests
+check: fmt vet build ctl-smoke comm-smoke comp-smoke obs-smoke ps-rebalance-smoke fair-smoke place-smoke admit-smoke snapshot-smoke race bench-smoke bench-test
 
 ## fmt: fail if any file is not gofmt-formatted
 fmt:
@@ -52,7 +53,7 @@ ps-rebalance-smoke:
 	$(GO) test -race -run 'TestMigrat|TestPSRebalanceSmoke' ./internal/ps/
 
 ## fair-smoke: race-enabled pass over the fair scheduler — queue policy
-## unit tests, the deterministic fair-vs-FIFO simulation, and the
+## unit tests, the deterministic two-tenant simulation, and the
 ## concurrent enqueue/cancel/preempt churn property test
 fair-smoke:
 	$(GO) test -race ./internal/fair/
@@ -74,9 +75,9 @@ obs-smoke:
 	$(GO) test -race -run 'TestExecutorRecordsSpans' ./internal/subtask/
 	$(GO) test -race -run 'TestTracedClusterOverHTTP' ./internal/ctl/
 
-## admit-smoke: race-enabled pass over the admission fast path — Scorer
-## bit-identity property tests, fast-vs-legacy decision parity on a live
-## cluster, zero-full-rescore regression, the coalescing drainer, and the
+## admit-smoke: race-enabled pass over the admission path — Scorer
+## bit-identity property tests against the clone-and-rescore oracles,
+## zero-full-rescore regression, the coalescing drainer, and the
 ## concurrent status-reader/enqueue-churn stress test
 admit-smoke:
 	$(GO) test -race -run 'TestScorer|TestIncrementalAdmissionBitIdentical|TestScoreDeltaAllocFree|TestRegroupAfterFinish' ./internal/core/
@@ -98,47 +99,17 @@ bench-smoke:
 	$(GO) test ./internal/ps/ -run XXX -bench BenchmarkPullPush -benchmem -benchtime 3x
 	$(GO) test . -run XXX -bench BenchmarkFig10Parallel -benchtime 1x
 
-## bench-report: machine-readable speedup report (BENCH_schedule.json)
-bench-report:
-	$(GO) run ./cmd/harmony-bench -bench
+## bench-test: vet and test the benchmark harness. benchmarks/ is its
+## own module, so the root `go test ./...` does not reach it; this is what
+## catches an internal/ signature change that breaks the harness.
+bench-test:
+	cd benchmarks && $(GO) vet ./... && $(GO) test ./...
 
-## bench-comm: data-plane report — binary codec vs gob baseline
-## (BENCH_commpath.json)
-bench-comm:
-	$(GO) test ./internal/ps/ -run XXX -bench 'BenchmarkPullPush' -benchmem
-	$(GO) run ./cmd/harmony-bench -bench-comm
-
-## bench-comp: compute-path report — cached binary blocks + fused
-## multicore kernel vs the gob-decode serial baseline (BENCH_comppath.json)
-bench-comp:
-	$(GO) test ./internal/worker/ -run XXX -bench 'BenchmarkComp' -benchmem
-	$(GO) run ./cmd/harmony-bench -bench-comp
-
-## bench-rebalance: elastic-PS report — skewed-access throughput and p99
-## stripe lock-wait with hot-stripe rebalancing off vs on
-## (BENCH_psrebalance.json)
-bench-rebalance:
-	$(GO) test ./internal/ps/ -run XXX -bench 'BenchmarkPSRebalance' -benchtime 2x
-	$(GO) run ./cmd/harmony-bench -bench-rebalance
-
-## bench-fair: fair-scheduler report — two-tenant contention
-## (time-to-fair-share, preemption-to-resume latency) under the fair
-## policy vs the FIFO baseline (BENCH_fair.json)
-bench-fair:
-	$(GO) run ./cmd/harmony-bench -bench-fair
-
-## bench-place: network-aware placement report — comm-heavy two-per-group
-## workload at 100 machines under link-contention physics, scheduler's
-## aggregate-bandwidth model vs the net-aware model with CASSINI-style
-## interleaving (BENCH_placement.json)
-bench-place:
-	$(GO) run ./cmd/harmony-bench -bench-place
-
-## bench-admit: cluster-scale admission report — 1K workers, 10K held
-## arrivals, completion-churn drain passes; incremental fast path vs the
-## clone-and-rescore baseline (BENCH_admit.json)
-bench-admit:
-	$(GO) run ./cmd/harmony-bench -bench-admit
+## bench: the repository benchmark (BENCHMARK.json) — all four workloads
+## untraced for the end-to-end metrics, then traced for the per-layer
+## ones; results under benchmarks/out/ (benchmarks/README.md)
+bench:
+	bash benchmarks/run.sh -trace 1
 
 ## trace-demo: run a traced 2-worker, 2-job live cluster and write
 ## trace.json (open at https://ui.perfetto.dev)

@@ -1,142 +1,115 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"time"
+	"strings"
 
 	"harmony/internal/fair"
 )
 
-// Fair-scheduler benchmark (-bench-fair): the two-tenant contention
-// A/B of DESIGN.md §13. tenantB floods the cluster with long
-// single-worker jobs at tick 0; tenantA's gang jobs arrive one tick
-// later under a 70/30 quota split. The FIFO baseline makes tenantA
-// wait for the flood to drain; the fair policy preempts tenantB back
-// toward its quota, so the headline metric is ticks until tenantA
-// reaches its fair share, alongside preemption-to-resume latency.
-const fairSeeds = 5
+// The fair-share experiment (-run fair-share) is the two-tenant
+// contention comparison of DESIGN.md §13. tenantB floods the cluster with
+// long single-worker jobs at tick 0; tenantA's gang jobs arrive one tick
+// later under a 70/30 quota split. FIFO makes tenantA wait for the flood
+// to drain; the fair policy preempts tenantB back toward its quota, so
+// the headline metric is ticks until tenantA reaches its fair share,
+// alongside preemption-to-resume latency.
+const (
+	fairSeeds   = 5
+	fairWorkers = 10
+)
 
 // fairModeResult aggregates one policy over the seeds.
 type fairModeResult struct {
-	Mode string `json:"mode"`
-	// MeanTimeToShareA / B average ticks-to-quota over seeds where the
-	// queue attained its share; Attained counts those seeds.
-	MeanTimeToShareA float64 `json:"mean_time_to_share_tenant_a"`
-	AttainedA        int     `json:"attained_tenant_a"`
-	MeanTimeToShareB float64 `json:"mean_time_to_share_tenant_b"`
-	AttainedB        int     `json:"attained_tenant_b"`
-	Preemptions      int     `json:"preemptions"`
-	MeanResumeTicks  float64 `json:"mean_resume_ticks"`
-	MeanMakespan     float64 `json:"mean_makespan"`
-	Completed        int     `json:"completed"`
+	mode string
+	// meanTimeToShareA / B average ticks-to-quota over the seeds where
+	// the queue attained its share; attained counts those seeds.
+	meanTimeToShareA, meanTimeToShareB float64
+	attainedA, attainedB               int
+	preemptions                        int
+	meanResumeTicks                    float64
+	meanMakespan                       float64
 }
 
-// fairReport is the machine-readable record written to BENCH_fair.json;
-// future PRs diff against it.
-type fairReport struct {
-	GoMaxProcs int            `json:"gomaxprocs"`
-	GoVersion  string         `json:"go_version"`
-	Timestamp  string         `json:"timestamp"`
-	Workers    int            `json:"workers"`
-	Seeds      int            `json:"seeds"`
-	QuotaA     float64        `json:"quota_tenant_a"`
-	QuotaB     float64        `json:"quota_tenant_b"`
-	FIFO       fairModeResult `json:"fifo"`
-	Fair       fairModeResult `json:"fair"`
-	// ShareSpeedup is FIFO's mean time-to-share for tenantA over the
-	// fair policy's (higher = fair reaches the share that much sooner).
-	ShareSpeedup float64 `json:"time_to_share_fifo_vs_fair"`
+type fairShareResult struct {
+	quotaA, quotaB float64
+	fifo, fair     fairModeResult
 }
 
-func runBenchFair(path string) error {
-	const workers = 10
+// fairShare runs both policies over fairSeeds workloads seeded from
+// seed-1, so the default seed reproduces the figures EXPERIMENTS.md
+// records.
+func fairShare(seed int64) (fmt.Stringer, error) {
 	queues := fair.TwoTenantQueues()
-	report := fairReport{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Workers:    workers,
-		Seeds:      fairSeeds,
-		QuotaA:     queues[0].Quota,
-		QuotaB:     queues[1].Quota,
-	}
-	fmt.Printf("benchmarking fair scheduling: %d workers, quotas %.0f/%.0f, tenantB flood vs tenantA gangs, %d seeds per mode...\n",
-		workers, report.QuotaA*100, report.QuotaB*100, fairSeeds)
-
 	measure := func(fairMode bool) (fairModeResult, error) {
-		out := fairModeResult{Mode: "fifo"}
+		out := fairModeResult{mode: "fifo"}
 		if fairMode {
-			out.Mode = "fair"
+			out.mode = "fair"
 		}
 		var makespans, resumes float64
 		var resumeRuns int
-		for seed := 0; seed < fairSeeds; seed++ {
+		for i := int64(0); i < fairSeeds; i++ {
 			res, err := fair.Experiment{
-				Workers: workers, Queues: queues,
-				Seed: int64(seed), Fair: fairMode,
+				Workers: fairWorkers, Queues: queues,
+				Seed: seed - 1 + i, Fair: fairMode,
 			}.Run()
 			if err != nil {
-				return out, fmt.Errorf("%s seed %d: %w", out.Mode, seed, err)
+				return out, fmt.Errorf("%s seed %d: %w", out.mode, seed-1+i, err)
 			}
 			if t := res.TimeToQuota["tenantA"]; t >= 0 {
-				out.MeanTimeToShareA += float64(t)
-				out.AttainedA++
+				out.meanTimeToShareA += float64(t)
+				out.attainedA++
 			}
 			if t := res.TimeToQuota["tenantB"]; t >= 0 {
-				out.MeanTimeToShareB += float64(t)
-				out.AttainedB++
+				out.meanTimeToShareB += float64(t)
+				out.attainedB++
 			}
-			out.Preemptions += res.Preemptions
+			out.preemptions += res.Preemptions
 			if res.Preemptions > 0 {
 				resumes += res.MeanResumeTicks
 				resumeRuns++
 			}
 			makespans += float64(res.Makespan)
-			out.Completed += res.Completed
 		}
-		if out.AttainedA > 0 {
-			out.MeanTimeToShareA /= float64(out.AttainedA)
+		if out.attainedA > 0 {
+			out.meanTimeToShareA /= float64(out.attainedA)
 		}
-		if out.AttainedB > 0 {
-			out.MeanTimeToShareB /= float64(out.AttainedB)
+		if out.attainedB > 0 {
+			out.meanTimeToShareB /= float64(out.attainedB)
 		}
 		if resumeRuns > 0 {
-			out.MeanResumeTicks = resumes / float64(resumeRuns)
+			out.meanResumeTicks = resumes / float64(resumeRuns)
 		}
-		out.MeanMakespan = makespans / fairSeeds
+		out.meanMakespan = makespans / fairSeeds
 		return out, nil
 	}
 
+	r := &fairShareResult{quotaA: queues[0].Quota, quotaB: queues[1].Quota}
 	var err error
-	if report.FIFO, err = measure(false); err != nil {
-		return err
+	if r.fifo, err = measure(false); err != nil {
+		return nil, err
 	}
-	if report.Fair, err = measure(true); err != nil {
-		return err
+	if r.fair, err = measure(true); err != nil {
+		return nil, err
 	}
-	if report.Fair.MeanTimeToShareA > 0 && report.FIFO.AttainedA > 0 {
-		report.ShareSpeedup = report.FIFO.MeanTimeToShareA / report.Fair.MeanTimeToShareA
-	}
+	return r, nil
+}
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\n  %-4s %16s %16s %9s %13s %10s\n",
+func (r *fairShareResult) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "DESIGN.md §13 — two-tenant fair share: %d workers, quotas %.0f/%.0f, tenantB flood vs tenantA gangs, %d seeds per mode\n",
+		fairWorkers, r.quotaA*100, r.quotaB*100, fairSeeds)
+	fmt.Fprintf(&b, "  %-4s %16s %16s %9s %13s %10s\n",
 		"MODE", "T_SHARE(A)", "T_SHARE(B)", "PREEMPTS", "RESUME_TICKS", "MAKESPAN")
-	for _, r := range []fairModeResult{report.FIFO, report.Fair} {
-		fmt.Printf("  %-4s %11.1f %1d/%-2d %11.1f %1d/%-2d %9d %13.1f %10.1f\n",
-			r.Mode, r.MeanTimeToShareA, r.AttainedA, fairSeeds,
-			r.MeanTimeToShareB, r.AttainedB, fairSeeds,
-			r.Preemptions, r.MeanResumeTicks, r.MeanMakespan)
+	for _, m := range []fairModeResult{r.fifo, r.fair} {
+		fmt.Fprintf(&b, "  %-4s %11.1f %1d/%-2d %11.1f %1d/%-2d %9d %13.1f %10.1f\n",
+			m.mode, m.meanTimeToShareA, m.attainedA, fairSeeds,
+			m.meanTimeToShareB, m.attainedB, fairSeeds,
+			m.preemptions, m.meanResumeTicks, m.meanMakespan)
 	}
-	fmt.Printf("\n  tenantA time-to-share fifo/fair: %.1fx\n", report.ShareSpeedup)
-	fmt.Printf("  wrote %s\n", path)
-	return nil
+	if r.fair.meanTimeToShareA > 0 && r.fifo.attainedA > 0 {
+		fmt.Fprintf(&b, "  tenantA time-to-share fifo/fair: %.1fx\n",
+			r.fifo.meanTimeToShareA/r.fair.meanTimeToShareA)
+	}
+	return b.String()
 }

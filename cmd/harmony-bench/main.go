@@ -4,13 +4,7 @@
 //	harmony-bench -run all
 //	harmony-bench -run fig10 -seed 3
 //	harmony-bench -parallel 1 -run fig10   # single-threaded baseline
-//	harmony-bench -bench                   # speedup report + BENCH_schedule.json
-//	harmony-bench -bench-comm              # data-plane report + BENCH_commpath.json
-//	harmony-bench -bench-comp              # compute-path report + BENCH_comppath.json
-//	harmony-bench -bench-rebalance         # PS hot-stripe rebalance A/B + BENCH_psrebalance.json
-//	harmony-bench -bench-fair              # two-tenant fair-vs-FIFO A/B + BENCH_fair.json
-//	harmony-bench -bench-place             # net-aware placement A/B + BENCH_placement.json
-//	harmony-bench -bench-admit             # cluster-scale admission A/B + BENCH_admit.json
+//	harmony-bench -run fair-share,placement,ps-rebalance   # feature comparisons (DESIGN.md §12-§14)
 //	harmony-bench -list
 package main
 
@@ -84,6 +78,9 @@ func experiments() []experiment {
 		{"reload", "§V-G: dynamic data reloading", func(s int64) (fmt.Stringer, error) {
 			return exp.Reload(s)
 		}},
+		{"fair-share", "DESIGN.md §13: two-tenant fair scheduling vs FIFO", fairShare},
+		{"placement", "DESIGN.md §14: net-aware placement under link contention", placement},
+		{"ps-rebalance", "DESIGN.md §12: PS hot-stripe rebalancing off vs on", psRebalance},
 	}
 }
 
@@ -101,45 +98,10 @@ func run(args []string) error {
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	parallelism := fs.Int("parallel", 0,
 		"worker count for sweeps and the scheduler search (0 = GOMAXPROCS, 1 = sequential; results are identical at any setting)")
-	bench := fs.Bool("bench", false, "measure scheduler and sweep speedups, write BENCH_schedule.json, and exit")
-	benchOut := fs.String("bench-out", "BENCH_schedule.json", "output path for -bench results")
-	benchComm := fs.Bool("bench-comm", false, "measure the pull/push data plane against the gob baseline, write BENCH_commpath.json, and exit")
-	benchCommOut := fs.String("bench-comm-out", "BENCH_commpath.json", "output path for -bench-comm results")
-	benchComp := fs.Bool("bench-comp", false, "measure the fast COMP path against the gob-decode serial baseline, write BENCH_comppath.json, and exit")
-	benchCompOut := fs.String("bench-comp-out", "BENCH_comppath.json", "output path for -bench-comp results")
-	benchRebalance := fs.Bool("bench-rebalance", false, "measure skewed-access PS throughput with hot-stripe rebalancing off vs on, write BENCH_psrebalance.json, and exit")
-	benchRebalanceOut := fs.String("bench-rebalance-out", "BENCH_psrebalance.json", "output path for -bench-rebalance results")
-	benchFair := fs.Bool("bench-fair", false, "measure two-tenant contention under the fair scheduler vs the FIFO baseline, write BENCH_fair.json, and exit")
-	benchFairOut := fs.String("bench-fair-out", "BENCH_fair.json", "output path for -bench-fair results")
-	benchPlace := fs.Bool("bench-place", false, "measure comm-heavy co-location under link contention with the net-aware scheduler vs the aggregate-bandwidth baseline, write BENCH_placement.json, and exit")
-	benchPlaceOut := fs.String("bench-place-out", "BENCH_placement.json", "output path for -bench-place results")
-	benchAdmit := fs.Bool("bench-admit", false, "measure cluster-scale admission (10K held jobs, 1K workers) on the incremental fast path vs the clone-and-rescore baseline, write BENCH_admit.json, and exit")
-	benchAdmitOut := fs.String("bench-admit-out", "BENCH_admit.json", "output path for -bench-admit results")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	exp.SetConcurrency(*parallelism)
-	if *bench {
-		return runBench(*benchOut)
-	}
-	if *benchComm {
-		return runBenchComm(*benchCommOut)
-	}
-	if *benchComp {
-		return runBenchComp(*benchCompOut)
-	}
-	if *benchRebalance {
-		return runBenchRebalance(*benchRebalanceOut)
-	}
-	if *benchFair {
-		return runBenchFair(*benchFairOut)
-	}
-	if *benchPlace {
-		return runBenchPlace(*benchPlaceOut)
-	}
-	if *benchAdmit {
-		return runBenchAdmit(*benchAdmitOut)
-	}
 	exps := experiments()
 	if *list {
 		for _, e := range exps {

@@ -1,27 +1,25 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"time"
+	"strings"
 
 	"harmony/internal/core"
 	"harmony/internal/sim"
 	"harmony/internal/workload"
 )
 
-// Network-aware placement benchmark (-bench-place): the contention A/B
+// The placement experiment (-run placement) is the contention comparison
 // of DESIGN.md §14 at the paper's 100-machine scale. Both arms run the
 // non-work-conserving shared-link physics (sim.Config.LinkContention):
 // comm bursts from different jobs that drive the link concurrently burn
-// CollisionLoss of aggregate goodput and stay phase-locked. The OFF arm
-// schedules with the paper's aggregate-bandwidth model, so co-located
-// comm-heavy jobs collide every iteration; the ON arm adds
+// CollisionLoss of aggregate goodput and stay phase-locked. The baseline
+// arm schedules with the paper's aggregate-bandwidth model, so co-located
+// comm-heavy jobs collide every iteration; the net-aware arm adds
 // core.Options.NetModel — compatibility-aware grouping plus the
 // CASSINI-style phase offsets the simulator enforces by staggering
-// cycle starts. Headline metric: aggregate iteration throughput ON/OFF.
+// cycle starts. Headline metric: aggregate iteration throughput,
+// net-aware over baseline.
 const (
 	placeSeeds    = 5
 	placeMachines = 100
@@ -35,38 +33,23 @@ const (
 
 // placeArmResult aggregates one scheduler arm over the seeds.
 type placeArmResult struct {
-	Mode string `json:"mode"`
-	// MeanThroughput is iterations completed per 1000 simulated seconds,
+	mode string
+	// meanThroughput is iterations completed per 1000 simulated seconds,
 	// averaged over seeds.
-	MeanThroughput float64 `json:"mean_iters_per_1000s"`
-	// MeanIterSeconds is the mean per-job iteration time (run time over
+	meanThroughput float64
+	// meanIterSeconds is the mean per-job iteration time (run time over
 	// iterations), averaged over jobs then seeds.
-	MeanIterSeconds float64 `json:"mean_iter_seconds"`
-	MeanMakespan    float64 `json:"mean_makespan_seconds"`
-	MeanJCT         float64 `json:"mean_jct_seconds"`
-	// MeanCollisionSeconds is link-time per run during which comm bursts
+	meanIterSeconds float64
+	meanMakespan    float64
+	meanJCT         float64
+	// meanCollisionSeconds is link-time per run during which comm bursts
 	// from different jobs collided (Result.LinkCollisionSeconds).
-	MeanCollisionSeconds float64 `json:"mean_collision_seconds"`
-	Completed            int     `json:"completed"`
-	Failed               int     `json:"failed"`
+	meanCollisionSeconds float64
+	completed            int
 }
 
-// placeReport is the machine-readable record written to
-// BENCH_placement.json; future PRs diff against it.
-type placeReport struct {
-	GoMaxProcs int            `json:"gomaxprocs"`
-	GoVersion  string         `json:"go_version"`
-	Timestamp  string         `json:"timestamp"`
-	Machines   int            `json:"machines"`
-	Jobs       int            `json:"jobs"`
-	Seeds      int            `json:"seeds"`
-	Baseline   placeArmResult `json:"baseline"`
-	NetAware   placeArmResult `json:"net_aware"`
-	// ThroughputSpeedup is NetAware throughput over Baseline (higher is
-	// better); IterTimeRatio is NetAware mean T_itr over Baseline (lower
-	// is better).
-	ThroughputSpeedup float64 `json:"throughput_net_aware_vs_baseline"`
-	IterTimeRatio     float64 `json:"iter_time_net_aware_vs_baseline"`
+type placementResult struct {
+	baseline, netAware placeArmResult
 }
 
 // placeScenario builds the comm-heavy contention workload: 24 jobs whose
@@ -95,92 +78,77 @@ func placeScenario() []sim.Job {
 	return sim.Jobs(specs, nil)
 }
 
-func runBenchPlace(path string) error {
-	report := placeReport{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Machines:   placeMachines,
-		Jobs:       placeJobs,
-		Seeds:      placeSeeds,
-	}
-	fmt.Printf("benchmarking net-aware placement: %d machines, %d comm-heavy jobs, link contention on, %d seeds per arm...\n",
-		placeMachines, placeJobs, placeSeeds)
-
+// placement runs both arms over the simulator seeds seed..seed+placeSeeds-1.
+func placement(seed int64) (fmt.Stringer, error) {
 	measure := func(netAware bool) (placeArmResult, error) {
-		out := placeArmResult{Mode: "baseline"}
+		out := placeArmResult{mode: "baseline"}
 		if netAware {
-			out.Mode = "net_aware"
+			out.mode = "net_aware"
 		}
-		for seed := 0; seed < placeSeeds; seed++ {
+		for i := int64(0); i < placeSeeds; i++ {
 			cfg := sim.Config{
 				Machines:       placeMachines,
 				Mode:           sim.ModeHarmony,
-				Seed:           int64(seed + 1),
+				Seed:           seed + i,
 				LinkContention: true,
 				CollisionLoss:  placeCollisionLoss,
 				SchedOpts:      core.Options{NetModel: netAware, MaxJobsPerGroup: 2},
 			}
 			res, err := sim.Run(cfg, placeScenario())
 			if err != nil {
-				return out, fmt.Errorf("%s seed %d: %w", out.Mode, seed, err)
+				return out, fmt.Errorf("%s seed %d: %w", out.mode, seed+i, err)
 			}
-			out.Failed += len(res.Failed)
-			out.Completed += len(res.Records)
+			out.completed += len(res.Records)
 			makespan := res.Summary.Makespan.Seconds()
 			if makespan > 0 {
 				iters := float64(len(res.Records) * placeIters)
-				out.MeanThroughput += iters / makespan * 1000
+				out.meanThroughput += iters / makespan * 1000
 			}
 			var iterSum float64
 			for _, r := range res.Records {
 				iterSum += r.Finish.Sub(r.Start).Seconds() / placeIters
 			}
 			if len(res.Records) > 0 {
-				out.MeanIterSeconds += iterSum / float64(len(res.Records))
+				out.meanIterSeconds += iterSum / float64(len(res.Records))
 			}
-			out.MeanMakespan += makespan
-			out.MeanJCT += res.Summary.MeanJCT.Seconds()
-			out.MeanCollisionSeconds += res.LinkCollisionSeconds
+			out.meanMakespan += makespan
+			out.meanJCT += res.Summary.MeanJCT.Seconds()
+			out.meanCollisionSeconds += res.LinkCollisionSeconds
 		}
-		out.MeanThroughput /= placeSeeds
-		out.MeanIterSeconds /= placeSeeds
-		out.MeanMakespan /= placeSeeds
-		out.MeanJCT /= placeSeeds
-		out.MeanCollisionSeconds /= placeSeeds
+		out.meanThroughput /= placeSeeds
+		out.meanIterSeconds /= placeSeeds
+		out.meanMakespan /= placeSeeds
+		out.meanJCT /= placeSeeds
+		out.meanCollisionSeconds /= placeSeeds
 		return out, nil
 	}
 
+	r := &placementResult{}
 	var err error
-	if report.Baseline, err = measure(false); err != nil {
-		return err
+	if r.baseline, err = measure(false); err != nil {
+		return nil, err
 	}
-	if report.NetAware, err = measure(true); err != nil {
-		return err
+	if r.netAware, err = measure(true); err != nil {
+		return nil, err
 	}
-	if report.Baseline.MeanThroughput > 0 {
-		report.ThroughputSpeedup = report.NetAware.MeanThroughput / report.Baseline.MeanThroughput
-	}
-	if report.Baseline.MeanIterSeconds > 0 {
-		report.IterTimeRatio = report.NetAware.MeanIterSeconds / report.Baseline.MeanIterSeconds
-	}
+	return r, nil
+}
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\n  %-9s %16s %12s %12s %10s %12s %9s\n",
+func (r *placementResult) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "DESIGN.md §14 — net-aware placement: %d machines, %d comm-heavy jobs, link contention on, %d seeds per arm\n",
+		placeMachines, placeJobs, placeSeeds)
+	fmt.Fprintf(&b, "  %-9s %16s %12s %12s %10s %12s %9s\n",
 		"MODE", "ITERS/1000s", "T_ITR(s)", "MAKESPAN(s)", "JCT(s)", "COLLIDED(s)", "DONE")
-	for _, r := range []placeArmResult{report.Baseline, report.NetAware} {
-		fmt.Printf("  %-9s %16.1f %12.1f %12.0f %10.0f %12.0f %6d/%d\n",
-			r.Mode, r.MeanThroughput, r.MeanIterSeconds, r.MeanMakespan, r.MeanJCT,
-			r.MeanCollisionSeconds, r.Completed, placeSeeds*placeJobs)
+	for _, a := range []placeArmResult{r.baseline, r.netAware} {
+		fmt.Fprintf(&b, "  %-9s %16.1f %12.1f %12.0f %10.0f %12.0f %6d/%d\n",
+			a.mode, a.meanThroughput, a.meanIterSeconds, a.meanMakespan, a.meanJCT,
+			a.meanCollisionSeconds, a.completed, placeSeeds*placeJobs)
 	}
-	fmt.Printf("\n  aggregate throughput net-aware/baseline: %.2fx (mean T_itr ratio %.2fx)\n",
-		report.ThroughputSpeedup, report.IterTimeRatio)
-	fmt.Printf("  wrote %s\n", path)
-	return nil
+	if r.baseline.meanThroughput > 0 && r.baseline.meanIterSeconds > 0 {
+		fmt.Fprintf(&b, "  aggregate throughput net-aware/baseline: %.2fx (mean T_itr ratio %.2fx)\n",
+			r.netAware.meanThroughput/r.baseline.meanThroughput,
+			r.netAware.meanIterSeconds/r.baseline.meanIterSeconds)
+	}
+	return b.String()
 }

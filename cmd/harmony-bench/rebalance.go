@@ -1,49 +1,37 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
+	"strings"
 	"time"
 
 	"harmony/internal/ps"
 )
 
-// PS-rebalance benchmark (-bench-rebalance): the skewed-access A/B of
-// DESIGN.md §12. A fixed skew (hot 10% of stripes taking 80% of
-// traffic) lands every hot stripe on one server; with rebalancing off
-// that server is the bottleneck, with rebalancing on the hot stripes
-// live-migrate apart. Offered load sits between one server's capacity
-// and the cluster's, the regime where placement is the bottleneck.
+// The PS-rebalance experiment (-run ps-rebalance) is the skewed-access
+// comparison of DESIGN.md §12 on loopback servers, in wall-clock time. A
+// fixed skew (hot 10% of stripes taking 80% of traffic) lands every hot
+// stripe on one server; with rebalancing off that server is the
+// bottleneck, with rebalancing on the hot stripes live-migrate apart.
+// Offered load sits between one server's capacity and the cluster's, the
+// regime where placement is the bottleneck.
 const rebalanceRounds = 3
 
-// rebalanceModeResult is one mode's aggregate over the A/B rounds.
+// rebalanceModeResult is one mode's aggregate over the rounds.
 type rebalanceModeResult struct {
-	Rebalance bool    `json:"rebalance"`
-	Ops       int64   `json:"ops"`
-	Seconds   float64 `json:"seconds"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	// P99LockWaitMicros is the worst round's p99 per-op stripe wait.
-	P99LockWaitMicros float64 `json:"p99_lock_wait_micros"`
-	Moves             int     `json:"moves"`
+	mode    string
+	ops     int64
+	seconds float64
+	// p99LockWaitMicros is the worst round's p99 per-op stripe wait.
+	p99LockWaitMicros float64
+	moves             int
 }
 
-// rebalanceReport is the machine-readable record written to
-// BENCH_psrebalance.json; future PRs diff against it.
-type rebalanceReport struct {
-	GoMaxProcs int                 `json:"gomaxprocs"`
-	GoVersion  string              `json:"go_version"`
-	Timestamp  string              `json:"timestamp"`
-	Stripes    int                 `json:"stripes"`
-	HotFrac    float64             `json:"hot_frac"`
-	HotShare   float64             `json:"hot_share"`
-	Servers    int                 `json:"servers"`
-	Workers    int                 `json:"workers"`
-	Off        rebalanceModeResult `json:"off"`
-	On         rebalanceModeResult `json:"on"`
-	Speedup    float64             `json:"speedup_on_vs_off"`
-	P99Ratio   float64             `json:"p99_lock_wait_on_vs_off"`
+func (m rebalanceModeResult) opsPerSec() float64 { return float64(m.ops) / m.seconds }
+
+type rebalanceResult struct {
+	cfg     ps.RebalanceExperiment
+	off, on rebalanceModeResult
 }
 
 func rebalanceExperiment(seed int64, on bool) ps.RebalanceExperiment {
@@ -59,72 +47,53 @@ func rebalanceExperiment(seed int64, on bool) ps.RebalanceExperiment {
 	}
 }
 
-func runBenchRebalance(path string) error {
-	cfg := rebalanceExperiment(0, false)
-	report := rebalanceReport{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Stripes:    cfg.Stripes,
-		HotFrac:    cfg.HotFrac,
-		HotShare:   cfg.HotShare,
-		Servers:    cfg.Servers,
-		Workers:    cfg.Workers,
-	}
-	fmt.Printf("benchmarking PS rebalancing: %d stripes, hot %.0f%% take %.0f%% of traffic, %d servers, %d rounds per mode...\n",
-		cfg.Stripes, cfg.HotFrac*100, cfg.HotShare*100, cfg.Servers, rebalanceRounds)
-
+func psRebalance(seed int64) (fmt.Stringer, error) {
 	measure := func(on bool) (rebalanceModeResult, error) {
-		var out rebalanceModeResult
-		out.Rebalance = on
-		for i := 0; i < rebalanceRounds; i++ {
-			res, err := rebalanceExperiment(int64(i), on).Run()
+		out := rebalanceModeResult{mode: "off"}
+		if on {
+			out.mode = "on"
+		}
+		for i := int64(0); i < rebalanceRounds; i++ {
+			res, err := rebalanceExperiment(seed+i, on).Run()
 			if err != nil {
-				return out, fmt.Errorf("rebalance=%v round %d: %w", on, i, err)
+				return out, fmt.Errorf("rebalance %s round %d: %w", out.mode, i, err)
 			}
 			if !res.Verified {
-				return out, fmt.Errorf("rebalance=%v round %d: final state not verified", on, i)
+				return out, fmt.Errorf("rebalance %s round %d: final state not verified", out.mode, i)
 			}
-			out.Ops += res.Ops
-			out.Seconds += res.Duration.Seconds()
-			if p99 := res.P99LockWaitSeconds * 1e6; p99 > out.P99LockWaitMicros {
-				out.P99LockWaitMicros = p99
+			out.ops += res.Ops
+			out.seconds += res.Duration.Seconds()
+			if p99 := res.P99LockWaitSeconds * 1e6; p99 > out.p99LockWaitMicros {
+				out.p99LockWaitMicros = p99
 			}
-			out.Moves += res.Moves
+			out.moves += res.Moves
 		}
-		out.OpsPerSec = float64(out.Ops) / out.Seconds
 		return out, nil
 	}
 
+	r := &rebalanceResult{cfg: rebalanceExperiment(seed, false)}
 	var err error
-	if report.Off, err = measure(false); err != nil {
-		return err
+	if r.off, err = measure(false); err != nil {
+		return nil, err
 	}
-	if report.On, err = measure(true); err != nil {
-		return err
+	if r.on, err = measure(true); err != nil {
+		return nil, err
 	}
-	report.Speedup = report.On.OpsPerSec / report.Off.OpsPerSec
-	if report.Off.P99LockWaitMicros > 0 {
-		report.P99Ratio = report.On.P99LockWaitMicros / report.Off.P99LockWaitMicros
-	}
+	return r, nil
+}
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
+func (r *rebalanceResult) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "DESIGN.md §12 — PS hot-stripe rebalancing: %d stripes, hot %.0f%% take %.0f%% of traffic, %d servers, %d rounds per mode\n",
+		r.cfg.Stripes, r.cfg.HotFrac*100, r.cfg.HotShare*100, r.cfg.Servers, rebalanceRounds)
+	fmt.Fprintf(&b, "  %-4s %12s %16s %7s\n", "MODE", "OPS/S", "P99_LOCK_WAIT", "MOVES")
+	for _, m := range []rebalanceModeResult{r.off, r.on} {
+		fmt.Fprintf(&b, "  %-4s %12.0f %15.0fµs %7d\n", m.mode, m.opsPerSec(), m.p99LockWaitMicros, m.moves)
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
+	fmt.Fprintf(&b, "  throughput on/off: %.2fx", r.on.opsPerSec()/r.off.opsPerSec())
+	if r.off.p99LockWaitMicros > 0 {
+		fmt.Fprintf(&b, "   p99 lock-wait on/off: %.2fx", r.on.p99LockWaitMicros/r.off.p99LockWaitMicros)
 	}
-	fmt.Printf("\n  %-4s %12s %16s %7s\n", "MODE", "OPS/S", "P99_LOCK_WAIT", "MOVES")
-	for _, r := range []rebalanceModeResult{report.Off, report.On} {
-		mode := "off"
-		if r.Rebalance {
-			mode = "on"
-		}
-		fmt.Printf("  %-4s %12.0f %15.0fµs %7d\n", mode, r.OpsPerSec, r.P99LockWaitMicros, r.Moves)
-	}
-	fmt.Printf("\n  throughput on/off: %.2fx   p99 lock-wait on/off: %.2fx\n",
-		report.Speedup, report.P99Ratio)
-	fmt.Printf("  wrote %s\n", path)
-	return nil
+	b.WriteString("\n")
+	return b.String()
 }

@@ -22,11 +22,11 @@ import (
 // bit-identical to cloning the plan, appending the job, and rescoring —
 // float addition is order-sensitive, so the Scorer never subtracts or
 // reorders terms. The property test in score_test.go pins this against
-// the retained clone-and-rescore reference implementations.
+// the clone-and-rescore references of reference_test.go.
 
 // fullScoreCalls counts full-plan Options.Score evaluations. The
 // admission fast path must not perform any (see
-// TestAdmitPerformsZeroFullScoreRecomputations in internal/master); the
+// TestAdmitZeroFullScoreRecomputations in internal/master); the
 // counter is a test hook, incremented in Options.Score.
 var fullScoreCalls atomic.Int64
 
@@ -47,9 +47,9 @@ type GroupPrediction struct {
 	Compatibility float64
 }
 
-// PredictGroup computes a group's journal predictions directly; the slow
-// paths (migration stamps in legacy mode, single-job free-worker
-// placements) use it where no Scorer cache applies.
+// PredictGroup computes a group's journal predictions directly, for
+// callers with no Scorer cache to read (single-job free-worker
+// placements, replay).
 func PredictGroup(g Group, netModel bool) GroupPrediction {
 	uc, un := g.Util()
 	p := GroupPrediction{IterSeconds: g.IterSeconds(), CPUUtil: uc, NetUtil: un}
@@ -165,9 +165,6 @@ func (s *Scorer) scoreWith(gi int, cand groupAgg) float64 {
 	return s.opts.CPUWeight*(wc/m) + (1-s.opts.CPUWeight)*(wn/m)
 }
 
-// NumGroups returns the number of groups in the base plan.
-func (s *Scorer) NumGroups() int { return len(s.groups) }
-
 // Score returns the base plan's score, bit-identical to
 // opts.Score(plan) but without a full-plan recomputation.
 func (s *Scorer) Score() float64 { return s.base }
@@ -233,8 +230,7 @@ func (s *Scorer) ScoreDelta(job JobInfo, gi int) (score float64, pred GroupPredi
 
 // BestAddition applies the §IV-B4 arrival rule over the cached plan:
 // the candidate group maximizing the cluster score, requiring a strict
-// improvement over the base plan. Selection order and tie-breaking are
-// identical to the clone-and-rescore reference (first group wins ties).
+// improvement over the base plan; the first group wins ties.
 func (s *Scorer) BestAddition(job JobInfo) (gi int, pred GroupPrediction, ok bool) {
 	bestScore := s.base
 	bestGroup := -1

@@ -102,8 +102,8 @@ func TestScorerMatchesFullScore(t *testing.T) {
 
 // TestIncrementalAdmissionBitIdentical drives randomized job streams —
 // arrivals, completions, cancels, preemptions — through the incremental
-// §IV-B4 rules and the retained clone-and-rescore references in
-// lock-step, asserting every decision (chosen plan, flags, added jobs) is
+// §IV-B4 rules and the clone-and-rescore references in lock-step,
+// asserting every decision (chosen plan, flags, added jobs) is
 // bit-identical, with the NetModel both off and on.
 func TestIncrementalAdmissionBitIdentical(t *testing.T) {
 	for _, netModel := range []bool{false, true} {

@@ -8,14 +8,14 @@ import (
 )
 
 // Experiment is a deterministic discrete-tick simulation of two-tenant
-// contention, used by `harmony-bench -bench-fair` and by tests. One
+// contention, used by `harmony-bench -run fair-share` and by tests. One
 // tick is one training iteration: admitted jobs burn one unit of work
 // per tick on a fixed-size gang of workers; completions free the gang.
 //
 // Fair=true runs the DESIGN.md §13 policy — deficit-weighted ordering
 // (Scheduler.Order), quota-gated borrowing (BorrowGated), and
 // preemptive reclaim (Victims) with checkpoint-style resumable
-// requeue. Fair=false is the pre-fair baseline: strict FIFO arrival
+// requeue. Fair=false is the comparison policy: strict FIFO arrival
 // order with backfill and no preemption.
 //
 // Everything is a pure function of (Workers, Queues, Jobs|Seed): two

@@ -23,7 +23,7 @@ import (
 
 // DefaultQueue is where jobs without an explicit queue land. It always
 // exists; with no other queues configured it owns the whole cluster,
-// which reproduces the single-tenant FIFO behavior of PR 2.
+// which is single-tenant FIFO admission.
 const DefaultQueue = "default"
 
 // Hold reasons surfaced in JobView.HoldReason and journal notes; they
@@ -161,7 +161,7 @@ func New(cfgs ...QueueConfig) (*Scheduler, error) {
 }
 
 // Default is the single-queue scheduler the master starts with: one
-// uncapped default queue, which degenerates to PR 2's FIFO admission.
+// uncapped default queue, which degenerates to FIFO admission.
 func Default() *Scheduler {
 	s, err := New()
 	if err != nil {
@@ -229,17 +229,6 @@ func (s *Scheduler) Has(name string) bool { _, ok := s.cfgs[name]; return ok }
 func (s *Scheduler) Config(name string) (QueueConfig, bool) {
 	c, ok := s.cfgs[name]
 	return c, ok
-}
-
-// Configs returns every queue's declaration in Names order — the exact
-// inputs New was given, so a snapshot of the policy can rebuild an
-// equivalent Scheduler on the replay side.
-func (s *Scheduler) Configs() []QueueConfig {
-	out := make([]QueueConfig, 0, len(s.names))
-	for _, name := range s.names {
-		out = append(out, s.cfgs[name])
-	}
-	return out
 }
 
 // Share is the queue's resolved fraction of the cluster (0 for unknown

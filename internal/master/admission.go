@@ -323,7 +323,7 @@ func (m *Master) drainQueue() {
 			if cand == nil {
 				continue
 			}
-			if !m.legacyAdmission && cand.rejectEpoch == m.admitEpoch {
+			if cand.rejectEpoch == m.admitEpoch {
 				// Nothing this verdict depended on has changed since the
 				// last pass rejected the job; skip the re-score.
 				continue
@@ -437,12 +437,7 @@ func (m *Master) Cancel(name string) error {
 	m.invalidatePlanLocked()
 	m.counters.canceled++
 	m.qcLocked(j.queue).canceled++
-	for _, bs := range j.barriers {
-		for _, ch := range bs.waiters {
-			ch <- worker.Stop
-		}
-	}
-	j.barriers = make(map[int]*barrierState)
+	j.stopBarriers()
 	close(j.finishedCh)
 	refs := make([]workerRef, len(j.workers))
 	for i, wi := range j.workers {

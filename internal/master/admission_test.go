@@ -2,10 +2,16 @@ package master
 
 import (
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"harmony/internal/core"
 	"harmony/internal/mlapp"
+	"harmony/internal/ps"
+	"harmony/internal/rpc"
+	"harmony/internal/worker"
 )
 
 func TestEnqueueIdleClusterAdmits(t *testing.T) {
@@ -219,5 +225,220 @@ func TestListJobsIncludesPending(t *testing.T) {
 	}
 	if err := m.Cancel("a"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stubWorkers registers n workers ("w0", "w1", ...) served by one RPC
+// server that acks every deployment and teardown call, after asking load
+// and start (either may be nil) whether the call should fail.
+func stubWorkers(t *testing.T, m *Master, n int,
+	load func(worker.LoadJobArgs) error, start func(worker.StartJobArgs) error) {
+	t.Helper()
+	stub := rpc.NewServer()
+	stub.Handle(worker.MethodLoadJob, rpc.Typed(func(a worker.LoadJobArgs) (worker.Ack, error) {
+		if load != nil {
+			return worker.Ack{}, load(a)
+		}
+		return worker.Ack{}, nil
+	}))
+	stub.Handle(worker.MethodStartJob, rpc.Typed(func(a worker.StartJobArgs) (worker.Ack, error) {
+		if start != nil {
+			return worker.Ack{}, start(a)
+		}
+		return worker.Ack{}, nil
+	}))
+	stub.Handle(worker.MethodDropJob, rpc.Typed(func(worker.DropJobArgs) (worker.Ack, error) {
+		return worker.Ack{}, nil
+	}))
+	stub.Handle(ps.MethodDrop, rpc.Typed(func(ps.DropArgs) (ps.Ack, error) {
+		return ps.Ack{}, nil
+	}))
+	addr, err := stub.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { stub.Close() })
+	for i := 0; i < n; i++ {
+		if _, err := m.handleRegister(registerArgs{Name: fmt.Sprintf("w%d", i), Addr: addr}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCancelDuringDrainDeployStaysCanceled pins the cancel-vs-deploy
+// race: a drain pass is loading a held job onto its gang when the
+// operator cancels it, and the late load then fails. The job must stay
+// canceled — not erased, not requeued, not deployed again.
+func TestCancelDuringDrainDeployStaysCanceled(t *testing.T) {
+	m, err := New("127.0.0.1:0", core.Options{MaxJobsPerGroup: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	// Park the background drainer so the test runs each pass itself and
+	// knows when it has ended.
+	m.drainStopOnce.Do(func() { close(m.drainStop) })
+
+	// The first load of "victim" blocks until released and then fails.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var victimLoads atomic.Int32
+	stubWorkers(t, m, 1, func(a worker.LoadJobArgs) error {
+		if a.Job == "victim" && victimLoads.Add(1) == 1 {
+			close(entered)
+			<-release
+			return errors.New("stub: job was dropped")
+		}
+		return nil
+	}, nil)
+
+	if adm, err := m.Enqueue(spec("blocker", mlapp.MLR, 1000), Profile{}); err != nil || !adm.Admitted {
+		t.Fatalf("blocker: %+v, %v", adm, err)
+	}
+	if adm, err := m.Enqueue(spec("victim", mlapp.MLR, 1000), Profile{}); err != nil || adm.Admitted {
+		t.Fatalf("victim: %+v, %v, want held", adm, err)
+	}
+	if err := m.Cancel("blocker"); err != nil {
+		t.Fatal(err)
+	}
+
+	drained := make(chan struct{})
+	go func() {
+		m.drainQueue()
+		close(drained)
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("drain pass never deployed the held job")
+	}
+	if err := m.Cancel("victim"); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("drain pass did not end")
+	}
+	// Whatever wakeups the cancels queued must find nothing to do.
+	m.drainQueue()
+
+	if status, _, _, err := m.Status("victim"); err != nil || status != StatusCanceled {
+		t.Errorf("victim status = %v, %v, want canceled", status, err)
+	}
+	if d := m.QueueDepth(); d != 0 {
+		t.Errorf("queue depth = %d, want 0", d)
+	}
+	if n := victimLoads.Load(); n != 1 {
+		t.Errorf("victim loaded %d times, want 1", n)
+	}
+	states := map[string]int{}
+	for _, v := range m.ListJobs() {
+		states[v.State]++
+	}
+	if states[StatusCanceled.String()] != 2 || len(states) != 1 {
+		t.Errorf("job states = %v, want both submitted jobs canceled", states)
+	}
+	if c := m.Counters(); c.Canceled != 2 {
+		t.Errorf("Canceled counter = %d, want 2", c.Canceled)
+	}
+}
+
+// TestFailedDeployReleasesParkedBarrier: a gang member that started
+// before a later member's start failed may already be parked at the first
+// barrier. Erasing the job must release it, or its barrier call — and
+// Master.Close behind it — waits out the barrier timeout.
+func TestFailedDeployReleasesParkedBarrier(t *testing.T) {
+	m, err := New("127.0.0.1:0", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	secondStart, release := make(chan struct{}), make(chan struct{})
+	var starts atomic.Int32
+	stubWorkers(t, m, 2, nil, func(worker.StartJobArgs) error {
+		if starts.Add(1) == 2 {
+			close(secondStart)
+			<-release
+			return errors.New("stub: worker is shutting down")
+		}
+		return nil
+	})
+
+	submitted := make(chan error, 1)
+	go func() { submitted <- m.Submit(spec("j", mlapp.MLR, 10), nil) }()
+	select {
+	case <-secondStart:
+	case <-time.After(10 * time.Second):
+		t.Fatal("second member never started")
+	}
+	// The first member reaches the barrier while the second is starting.
+	reply := make(chan worker.BarrierReply, 1)
+	go func() {
+		r, _ := m.handleBarrier(worker.BarrierArgs{Job: "j", Worker: "w0", Iteration: 0, Epoch: 1})
+		reply <- r
+	}()
+	waitParked(m, "j", 0)
+	close(release)
+	if err := <-submitted; err == nil {
+		t.Fatal("Submit succeeded although a member failed to start")
+	}
+	select {
+	case r := <-reply:
+		if r.Directive != worker.Stop {
+			t.Errorf("parked member got directive %v, want Stop", r.Directive)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("parked member was not released when the deployment failed")
+	}
+}
+
+// TestRecoverJobReleasesParkedSurvivor: a survivor that was mid-iteration
+// when its group-mate's machine was removed reaches the next barrier
+// alone. The restart must release it rather than strand it there.
+func TestRecoverJobReleasesParkedSurvivor(t *testing.T) {
+	m, err := New("127.0.0.1:0", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	stubWorkers(t, m, 3, nil, nil)
+	if err := m.Submit(spec("j", mlapp.MLR, 10), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RemoveWorker("w2"); err != nil {
+		t.Fatal(err)
+	}
+	reply := make(chan worker.BarrierReply, 1)
+	go func() {
+		r, _ := m.handleBarrier(worker.BarrierArgs{Job: "j", Worker: "w0", Iteration: 0, Epoch: 1})
+		reply <- r
+	}()
+	waitParked(m, "j", 0)
+	if err := m.RecoverJob("j", nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-reply:
+		if r.Directive != worker.Stop {
+			t.Errorf("parked survivor got directive %v, want Stop", r.Directive)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("parked survivor was not released by the restart")
+	}
+}
+
+// waitParked returns once one worker is parked at the job's barrier for
+// the iteration.
+func waitParked(m *Master, job string, iter int) {
+	for {
+		m.mu.RLock()
+		bs := m.jobs[job].barriers[iter]
+		parked := bs != nil && len(bs.waiters) == 1
+		m.mu.RUnlock()
+		if parked {
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

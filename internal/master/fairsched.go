@@ -143,8 +143,7 @@ func (m *Master) runningLocked() []fair.Running {
 //
 // Placement tries, in order: the §IV-B4 arrival rule (the Scorer's
 // incremental BestAddition into a running group that improves the
-// scheduling score — bit-identical to the clone-and-rescore reference,
-// which legacyAdmission re-enables), then a new group on free workers
+// scheduling score), then a new group on free workers
 // (the idle cluster is the degenerate case where every worker is free).
 // Either path is vetoed when the queue is over quota and an under-quota
 // queue has held jobs (borrowing is gated). Caller holds mu's write
@@ -167,30 +166,9 @@ func (m *Master) admitLocked(spec JobSpec, info core.JobInfo) (group []string, p
 	gated := m.fairsched.BorrowGated(queue, held, usage, total)
 	headroom := m.fairsched.QuotaWorkers(queue, total) - usage[queue]
 
-	var plan core.Plan
-	var members [][]string
-	var sc *core.Scorer
-	if m.legacyAdmission {
-		// The baseline pays exactly its historical costs: a fresh plan
-		// build and a clone-and-rescore per candidate group, no Scorer.
-		plan, members = m.livePlanLocked()
-	} else {
-		plan, members, sc = m.planScorerLocked()
-	}
+	plan, members, sc := m.planScorerLocked()
 	if len(plan.Groups) > 0 {
-		gi := -1
-		var pred core.GroupPrediction
-		if m.legacyAdmission {
-			if next, placed := core.TryAddJobReference(plan, info, m.opts); placed {
-				if found, ok := next.FindJob(info.ID); ok {
-					gi = found
-					pred = core.PredictGroup(next.Groups[found], m.opts.NetModel)
-				}
-			}
-		} else if found, p, placed := sc.BestAddition(info); placed {
-			gi, pred = found, p
-		}
-		if gi >= 0 && gi < len(members) {
+		if gi, pred, placed := sc.BestAddition(info); placed && gi < len(members) {
 			g := members[gi]
 			fits := len(g) >= min && (max <= 0 || len(g) <= max)
 			if fits && (!gated || len(g) <= headroom) {

@@ -37,9 +37,7 @@ func (m *Master) invalidatePlanLocked() {
 // workerSetKey packs sorted worker indexes into a compact fixed-width
 // big-endian byte string. Lexicographic order over these keys equals
 // numeric order over the index tuples, so the group order derived from
-// sorting them is deterministic for a fixed cluster state — the property
-// the old fmt.Sprint key provided at ~10x the allocation cost (and, past
-// ten workers, with an order that depended on decimal digit counts).
+// sorting them is deterministic for a fixed cluster state.
 func workerSetKey(idxs []int) string {
 	b := make([]byte, 4*len(idxs))
 	for i, wi := range idxs {
@@ -51,26 +49,28 @@ func workerSetKey(idxs []int) string {
 	return string(b)
 }
 
+// planCacheLocked returns the cached live plan, rebuilding it when an
+// invalidation dropped it. Caller holds planMu and at least mu's read
+// side: builders hold ≥RLock while storing and invalidators hold the
+// write lock, so a stale build can never overwrite a newer invalidation.
+func (m *Master) planCacheLocked() *livePlanCache {
+	if m.planCache == nil {
+		plan, members := m.buildLivePlanLocked()
+		m.planCache = &livePlanCache{plan: plan, members: members}
+	}
+	return m.planCache
+}
+
 // livePlanLocked returns the scheduler's view of the running cluster:
 // jobs sharing a worker set form one group whose DoP is the set size,
-// with a parallel slice mapping each group to its worker names. The
-// result is served from the plan cache when valid and rebuilt under
-// planMu otherwise; callers hold at least mu's read side and must treat
-// the returned plan and members as immutable. Builders hold ≥RLock while
-// storing, and invalidators hold the write lock, so a stale build can
-// never overwrite a newer invalidation.
+// with a parallel slice mapping each group to its worker names. Callers
+// hold at least mu's read side and must treat the returned plan and
+// members as immutable.
 func (m *Master) livePlanLocked() (core.Plan, [][]string) {
-	if m.legacyAdmission {
-		return m.buildLivePlanLocked()
-	}
 	m.planMu.Lock()
 	defer m.planMu.Unlock()
-	if c := m.planCache; c != nil {
-		return c.plan, c.members
-	}
-	plan, members := m.buildLivePlanLocked()
-	m.planCache = &livePlanCache{plan: plan, members: members}
-	return plan, members
+	c := m.planCacheLocked()
+	return c.plan, c.members
 }
 
 // planScorerLocked returns the cached plan together with its Scorer,
@@ -79,21 +79,13 @@ func (m *Master) livePlanLocked() (core.Plan, [][]string) {
 // concurrent use, so only the serialized mutation paths (admission,
 // journal stamping) may touch it.
 func (m *Master) planScorerLocked() (core.Plan, [][]string, *core.Scorer) {
-	plan, members := m.livePlanLocked()
-	if m.legacyAdmission {
-		return plan, members, core.NewScorer(plan, m.opts)
-	}
 	m.planMu.Lock()
 	defer m.planMu.Unlock()
-	if c := m.planCache; c != nil {
-		if c.scorer == nil {
-			c.scorer = core.NewScorer(c.plan, m.opts)
-		}
-		return c.plan, c.members, c.scorer
+	c := m.planCacheLocked()
+	if c.scorer == nil {
+		c.scorer = core.NewScorer(c.plan, m.opts)
 	}
-	// The cache was dropped between the two planMu sections; impossible
-	// while the caller holds the write lock, but rebuild defensively.
-	return plan, members, core.NewScorer(plan, m.opts)
+	return c.plan, c.members, c.scorer
 }
 
 // admitInputsLocked returns the fair-policy inputs of an admission
@@ -109,13 +101,6 @@ func (m *Master) admitInputsLocked() (fair.Usage, []string, []fair.Held) {
 		m.heldCache = m.heldLocked()
 		m.inputEpoch = m.admitEpoch
 	}
-	if m.legacyAdmission {
-		// The baseline pays exactly its historical costs: usage and the
-		// free list were rebuilt for every admission decision, while the
-		// held view was snapshotted once per drain pass (it only changes
-		// when the pending queue does, which also moves the epoch).
-		return m.usageLocked(), m.freeWorkersLocked(), m.heldCache
-	}
 	return m.usageCache, m.freeCache, m.heldCache
 }
 
@@ -126,7 +111,7 @@ func (m *Master) addPendingLocked(p *pendingJob) {
 	m.pending = append(m.pending, p)
 	m.pendingIdx[p.spec.Name] = p
 	m.admitEpoch++
-	if !m.legacyAdmission && m.usageCache != nil && m.inputEpoch == m.admitEpoch-1 {
+	if m.usageCache != nil && m.inputEpoch == m.admitEpoch-1 {
 		// The queue append is the only input this bump covers: extend the
 		// held snapshot in place instead of rebuilding all three inputs on
 		// the next decision. Under an arrival flood this keeps each
@@ -141,8 +126,7 @@ func (m *Master) addPendingLocked(p *pendingJob) {
 
 // wakeDrainer requests a drain pass. The 1-buffered channel coalesces
 // bursts: any number of wakeups while a pass runs collapse into exactly
-// one follow-up pass, replacing the historical goroutine-per-event
-// `go m.drainQueue()` storm.
+// one follow-up pass.
 func (m *Master) wakeDrainer() {
 	select {
 	case m.drainCh <- struct{}{}:
@@ -161,16 +145,4 @@ func (m *Master) drainLoop() {
 			m.drainQueue()
 		}
 	}
-}
-
-// SetLegacyAdmission toggles the pre-§15 clone-and-rescore admission
-// path (full plan rebuild and full-plan rescoring per candidate, fresh
-// fair-policy inputs per decision, no reject-verdict cache). Decisions
-// are bit-identical either way; the A/B benchmark uses the toggle to
-// measure the fast path's speedup against an unchanged baseline.
-func (m *Master) SetLegacyAdmission(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.legacyAdmission = on
-	m.invalidatePlanLocked()
 }

@@ -71,8 +71,7 @@ func TestWakeDrainerCoalesces(t *testing.T) {
 }
 
 // TestWorkerSetKeyOrder pins that the compact group key sorts in numeric
-// index order — the property the old fmt.Sprint key lost past ten
-// workers, where "10" sorted before "9".
+// index order (a decimal-string key would put "10" before "9").
 func TestWorkerSetKeyOrder(t *testing.T) {
 	sets := [][]int{{9}, {10}, {2, 3}, {1, 10}, {1, 9}, {0, 1, 2}, {256}, {129}}
 	keys := make([]string, len(sets))
@@ -89,46 +88,6 @@ func TestWorkerSetKeyOrder(t *testing.T) {
 	if workerSetKey([]int{1, 2}) == workerSetKey([]int{1, 3}) {
 		t.Fatal("distinct sets share a key")
 	}
-}
-
-// TestAdmitLegacyParity evaluates the same candidate stream against the
-// same locked master state through the fast path and through the
-// retained clone-and-rescore baseline, asserting decisions — placement,
-// initial flag, hold reason, and the journal prediction — are
-// bit-identical. Holding mu across both evaluations freezes the live
-// profiles, so the comparison is exact, not timing-dependent.
-func TestAdmitLegacyParity(t *testing.T) {
-	m := cluster(t, 2)
-	if _, err := m.Enqueue(spec("seed", mlapp.MLR, 100000),
-		Profile{CompSeconds: 4, NetSeconds: 1}); err != nil {
-		t.Fatal(err)
-	}
-	m.mu.Lock()
-	for i := 0; i < 8; i++ {
-		s := spec(fmt.Sprintf("cand%d", i), mlapp.MLR, 10)
-		info := Profile{CompSeconds: 0.5 * float64(i), NetSeconds: 0.25}.info(s.Name)
-		m.legacyAdmission = false
-		m.planMu.Lock()
-		m.planCache = nil
-		m.planMu.Unlock()
-		m.admitEpoch++
-		gF, pF, iF, okF, rF := m.admitLocked(s, info)
-		m.legacyAdmission = true
-		gL, pL, iL, okL, rL := m.admitLocked(s, info)
-		m.legacyAdmission = false
-		if okF != okL || iF != iL || rF != rL {
-			t.Fatalf("cand%d verdict diverged: fast (%v,%v,%q), legacy (%v,%v,%q)",
-				i, okF, iF, rF, okL, iL, rL)
-		}
-		if fmt.Sprint(gF) != fmt.Sprint(gL) {
-			t.Fatalf("cand%d placement diverged: fast %v, legacy %v", i, gF, gL)
-		}
-		if pF != pL {
-			t.Fatalf("cand%d prediction diverged: fast %+v, legacy %+v", i, pF, pL)
-		}
-	}
-	m.mu.Unlock()
-	_ = m.Cancel("seed")
 }
 
 // TestAdmitSmokeConcurrentChurn hammers the admission write path while

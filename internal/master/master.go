@@ -90,6 +90,18 @@ type barrierState struct {
 	waiters []chan worker.Directive
 }
 
+// stopBarriers releases every worker parked at one of the job's
+// barriers with Stop and forgets the barriers. Caller holds Master.mu's
+// write side.
+func (j *job) stopBarriers() {
+	for _, bs := range j.barriers {
+		for _, ch := range bs.waiters {
+			ch <- worker.Stop
+		}
+	}
+	j.barriers = make(map[int]*barrierState)
+}
+
 type job struct {
 	spec    JobSpec
 	workers []int // indexes into Master.workers
@@ -148,7 +160,7 @@ type Master struct {
 
 	// mu is a read/write split (DESIGN.md §15): status surfaces
 	// (ListJobs, Job, Cluster, Counters, Queues, queue views, /metrics
-	// scrapes) take the read side and no longer contend with admission,
+	// scrapes) take the read side and do not contend with admission,
 	// which — like every state mutation — holds the write side.
 	mu       sync.RWMutex
 	workers  []workerRef
@@ -174,21 +186,18 @@ type Master struct {
 	// admitInputsLocked are cached on the same key. planMu guards the
 	// cached live plan (planCache), which is built lazily under mu's
 	// read side and cleared by invalidatePlanLocked (lock order:
-	// mu → planMu). legacyAdmission re-enables the pre-fast-path
-	// clone-and-rescore behavior for the A/B benchmark.
-	admitEpoch      uint64
-	planMu          sync.Mutex
-	planCache       *livePlanCache
-	inputEpoch      uint64
-	usageCache      fair.Usage
-	freeCache       []string
-	heldCache       []fair.Held
-	legacyAdmission bool
+	// mu → planMu).
+	admitEpoch uint64
+	planMu     sync.Mutex
+	planCache  *livePlanCache
+	inputEpoch uint64
+	usageCache fair.Usage
+	freeCache  []string
+	heldCache  []fair.Held
 
-	// The single drainer goroutine (drainLoop) replaces the historical
-	// per-event `go m.drainQueue()` spawns: wakeups coalesce through the
-	// 1-buffered drainCh, so a burst of holds and completions triggers
-	// one batched pass instead of a goroutine storm.
+	// The single drainer goroutine (drainLoop): wakeups coalesce through
+	// the 1-buffered drainCh, so a burst of holds and completions
+	// triggers one batched pass.
 	drainCh       chan struct{}
 	drainStop     chan struct{}
 	drainStopOnce sync.Once
@@ -321,7 +330,8 @@ func (m *Master) Submit(spec JobSpec, group []string) error {
 // submitPending deploys a (possibly previously preempted) job onto a
 // worker group. The pendingJob carries the admission path's profile
 // hints, the queue coordinates, and — after a preemption — the
-// checkpoint frame to restore from.
+// checkpoint frame to restore from. A deployment that fails because the
+// job was canceled meanwhile returns nil: the record stays canceled.
 func (m *Master) submitPending(p *pendingJob, group []string) error {
 	spec := p.spec
 	if spec.Name == "" || spec.Iterations <= 0 {
@@ -380,9 +390,18 @@ func (m *Master) submitPending(p *pendingJob, group []string) error {
 
 	if err := m.deploy(j, p.resume, fromIter); err != nil {
 		m.mu.Lock()
+		defer m.mu.Unlock()
+		if j.status == StatusCanceled {
+			// Cancel caught the job mid-deployment and owns the record now
+			// (counted, journaled, workers told to drop it): the job is
+			// gone, not failed, so the caller must not requeue it.
+			return nil
+		}
+		// Members that did start may already be parked at the first
+		// barrier; once the record is gone nothing else would release them.
+		j.stopBarriers()
 		delete(m.jobs, spec.Name)
 		m.invalidatePlanLocked()
-		m.mu.Unlock()
 		return err
 	}
 	return nil
@@ -441,9 +460,7 @@ func (m *Master) deploy(j *job, restore []float64, fromIter int) error {
 		}
 		if i == 0 && restore != nil {
 			// Checkpointed models ride the data plane's float-frame codec:
-			// a gob []float64 would walk every element reflectively, which
-			// for large models would drag migration/recovery back onto the
-			// slow plane PR 3 retired.
+			// a gob []float64 would walk every element reflectively.
 			args.RestoreFrame = rpc.AppendFloats(nil, restore)
 		}
 		if _, err := rpc.Invoke[worker.LoadJobArgs, worker.Ack](r.client,
@@ -686,7 +703,7 @@ func (m *Master) Resume(name string, group []string, checkpoint []float64) error
 	j.workers = idxs
 	j.status = StatusRunning
 	j.pausedCh = make(chan struct{})
-	j.barriers = make(map[int]*barrierState)
+	j.stopBarriers()
 	j.psServers = nil // deploy rebuilds model partitions on the new group
 	j.epoch++         // the pre-migration placement must not reach the new barriers
 	m.counters.migrations++
@@ -867,12 +884,7 @@ func (m *Master) Close() {
 	psStop := m.psStop
 	m.psStop = nil
 	for _, j := range m.jobs {
-		for _, bs := range j.barriers {
-			for _, ch := range bs.waiters {
-				ch <- worker.Stop
-			}
-		}
-		j.barriers = make(map[int]*barrierState)
+		j.stopBarriers()
 	}
 	clients := make([]*rpc.Client, 0, len(m.workers))
 	for _, w := range m.workers {

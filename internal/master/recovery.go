@@ -115,12 +115,7 @@ func (m *Master) RemoveWorker(name string) ([]string, error) {
 		j.status = StatusPaused
 		j.pauseRequested = false
 		// Release any workers blocked at this job's barrier so they stop.
-		for _, bs := range j.barriers {
-			for _, ch := range bs.waiters {
-				ch <- worker.Stop
-			}
-		}
-		j.barriers = make(map[int]*barrierState)
+		j.stopBarriers()
 		j.pausedCh = make(chan struct{})
 	}
 	// Worker indexes shifted and affected jobs left the running set: the
@@ -162,7 +157,10 @@ func (m *Master) RecoverJob(name string, group []string) error {
 	}
 	j.workers = idxs
 	j.status = StatusRunning
-	j.barriers = make(map[int]*barrierState)
+	// A survivor that was mid-iteration when RemoveWorker released the
+	// barriers may have parked at the next one since; nobody else will
+	// arrive there.
+	j.stopBarriers()
 	j.doneFrom = make(map[string]bool)
 	j.psServers = nil // deploy rebuilds model partitions on the new group
 	j.epoch++         // stragglers of the failed placement are now stale

@@ -21,31 +21,6 @@ func (m *mlr) InitModel(rng *rand.Rand) []float64 {
 	return w
 }
 
-func (m *mlr) Compute(model []float64, shard *Shard, rng *rand.Rand) []float64 {
-	return m.ComputeInto(nil, model, shard, rng)
-}
-
-func (m *mlr) ComputeInto(dst, model []float64, shard *Shard, rng *rand.Rand) []float64 {
-	c := m.cfg.withDefaults()
-	grad := deltaBuf(dst, len(model))
-	probs := make([]float64, c.Classes)
-	for _, ex := range shard.Examples {
-		softmax(model, ex.X, c, probs)
-		y := int(ex.Y)
-		for cl := 0; cl < c.Classes; cl++ {
-			coef := probs[cl]
-			if cl == y {
-				coef -= 1
-			}
-			row := cl * c.Features
-			for f, x := range ex.X {
-				grad[row+f] -= c.LearningRate * coef * x / float64(len(shard.Examples))
-			}
-		}
-	}
-	return grad
-}
-
 func (m *mlr) Loss(model []float64, shard *Shard) float64 {
 	c := m.cfg.withDefaults()
 	probs := make([]float64, c.Classes)
@@ -91,30 +66,6 @@ func (l *lasso) Kind() Kind { return Lasso }
 
 func (l *lasso) InitModel(rng *rand.Rand) []float64 {
 	return make([]float64, l.cfg.ModelSize())
-}
-
-func (l *lasso) Compute(model []float64, shard *Shard, rng *rand.Rand) []float64 {
-	return l.ComputeInto(nil, model, shard, rng)
-}
-
-func (l *lasso) ComputeInto(dst, model []float64, shard *Shard, rng *rand.Rand) []float64 {
-	c := l.cfg.withDefaults()
-	grad := deltaBuf(dst, len(model))
-	n := float64(maxInt(len(shard.Examples), 1))
-	for _, ex := range shard.Examples {
-		pred := dot(model, ex.X)
-		resid := pred - ex.Y
-		for f, x := range ex.X {
-			grad[f] -= c.LearningRate * resid * x / n
-		}
-	}
-	// Proximal step: express soft thresholding as an additive delta so
-	// servers can apply it with a plain +=.
-	for f := range grad {
-		next := softThreshold(model[f]+grad[f], c.LearningRate*c.Lambda)
-		grad[f] = next - model[f]
-	}
-	return grad
 }
 
 func (l *lasso) Loss(model []float64, shard *Shard) float64 {
@@ -166,35 +117,6 @@ func (n *nmf) InitModel(rng *rand.Rand) []float64 {
 		v[i] = 0.1 + 0.1*rng.Float64()
 	}
 	return v
-}
-
-func (n *nmf) Compute(model []float64, shard *Shard, rng *rand.Rand) []float64 {
-	return n.ComputeInto(nil, model, shard, rng)
-}
-
-func (n *nmf) ComputeInto(dst, model []float64, shard *Shard, rng *rand.Rand) []float64 {
-	c := n.cfg.withDefaults()
-	grad := deltaBuf(dst, len(model))
-	u := make([]float64, c.Classes)
-	rows := float64(maxInt(len(shard.Examples), 1))
-	for _, ex := range shard.Examples {
-		n.solveUser(model, ex.X, u)
-		// Gradient of ||x - Vᵀu||² with respect to V, projected to keep
-		// factors non-negative.
-		for k := 0; k < c.Classes; k++ {
-			row := k * c.Features
-			for f, x := range ex.X {
-				pred := predictNMF(model, u, f, c)
-				g := -c.LearningRate * (pred - x) * u[k] / rows
-				next := model[row+f] + grad[row+f] + g
-				if next < 0 {
-					g = -(model[row+f] + grad[row+f])
-				}
-				grad[row+f] += g
-			}
-		}
-	}
-	return grad
 }
 
 // solveUser fits the user factors for one row by a few multiplicative
@@ -258,62 +180,6 @@ func (l *lda) InitModel(rng *rand.Rand) []float64 {
 		m[i] = 0.1
 	}
 	return m
-}
-
-func (l *lda) Compute(model []float64, shard *Shard, rng *rand.Rand) []float64 {
-	return l.ComputeInto(nil, model, shard, rng)
-}
-
-func (l *lda) ComputeInto(dst, model []float64, shard *Shard, rng *rand.Rand) []float64 {
-	c := l.cfg.withDefaults()
-	const alphaDirichlet = 0.1
-	delta := deltaBuf(dst, len(model))
-	probs := make([]float64, c.Classes)
-	topicTotals := make([]float64, c.Classes)
-	for k := 0; k < c.Classes; k++ {
-		var t float64
-		for f := 0; f < c.Features; f++ {
-			t += model[k*c.Features+f]
-		}
-		topicTotals[k] = t
-	}
-	for _, doc := range shard.Examples {
-		docCounts := make([]float64, c.Classes)
-		assignments := make([]int, len(doc.Tokens))
-		// Initialize assignments proportional to current word-topic mass.
-		for ti, w := range doc.Tokens {
-			for k := 0; k < c.Classes; k++ {
-				probs[k] = model[k*c.Features+w] / (topicTotals[k] + 1)
-			}
-			assignments[ti] = sample(probs, rng)
-			docCounts[assignments[ti]]++
-		}
-		// One Gibbs sweep.
-		for ti, w := range doc.Tokens {
-			old := assignments[ti]
-			docCounts[old]--
-			for k := 0; k < c.Classes; k++ {
-				wordMass := model[k*c.Features+w] + delta[k*c.Features+w]
-				probs[k] = (docCounts[k] + alphaDirichlet) * wordMass / (topicTotals[k] + 1)
-			}
-			next := sample(probs, rng)
-			assignments[ti] = next
-			docCounts[next]++
-			if next != old {
-				delta[old*c.Features+w]--
-				delta[next*c.Features+w]++
-				topicTotals[old]--
-				topicTotals[next]++
-			}
-		}
-	}
-	// Keep counts non-negative when applied.
-	for i := range delta {
-		if model[i]+delta[i] < 0.01 {
-			delta[i] = 0.01 - model[i]
-		}
-	}
-	return delta
 }
 
 func (l *lda) Loss(model []float64, shard *Shard) float64 {

@@ -19,14 +19,13 @@ import (
 // and the partials are reduced on one goroutine in ascending chunk
 // order. Results are therefore bit-identical at any parallelism.
 //
-// The chunked kernels are the unit of semantics, not an approximation of
-// the serial Compute/Loss pair: per-example work reads only the pulled
-// model (never the partially-accumulated delta), nonlinear steps (Lasso's
-// proximal update, NMF's and LDA's non-negativity floors) run once per
-// pass on the reduced delta, and LDA runs an independent collapsed-Gibbs
-// sweep per chunk from per-chunk seeds (the standard approximate
-// distributed Gibbs formulation). The serial Compute/ComputeInto/Loss
-// methods remain as the reference implementations.
+// The chunked kernels are the unit of semantics: per-example work reads
+// only the pulled model (never the partially-accumulated delta),
+// nonlinear steps (Lasso's proximal update, NMF's and LDA's
+// non-negativity floors) run once per pass on the reduced delta, and LDA
+// runs an independent collapsed-Gibbs sweep per chunk from per-chunk
+// seeds (the standard approximate distributed Gibbs formulation). The
+// serial Loss methods are the reference for the fused objective.
 
 const (
 	// fusedChunkRows is the minimum chunk granularity: chunks never get
@@ -71,24 +70,6 @@ type chunkFn func(lo, hi int, delta []float64, rng *rand.Rand) (lossSum float64,
 // finalizeFn runs once on the reduced delta (nonlinear steps, clamps) and
 // turns the summed loss terms into the objective value.
 type finalizeFn func(delta []float64, lossSum float64, lossN int) float64
-
-// fusedAlgo is implemented by algorithms that provide the fused chunked
-// kernel; ComputeFused falls back to the serial two-pass path otherwise.
-// usesRNG reports whether the chunk function draws from its RNG: seeding
-// a math/rand generator costs microseconds per chunk, so deterministic
-// kernels (MLR, Lasso, NMF) skip RNG setup entirely.
-type fusedAlgo interface {
-	Algorithm
-	fusedPass(shard *Shard, model []float64) (chunk chunkFn, finalize finalizeFn, usesRNG bool)
-}
-
-// All in-tree algorithms provide the fused kernel.
-var (
-	_ fusedAlgo = (*mlr)(nil)
-	_ fusedAlgo = (*lasso)(nil)
-	_ fusedAlgo = (*nmf)(nil)
-	_ fusedAlgo = (*lda)(nil)
-)
 
 // Scratch is the reusable arena for ComputeFused: per-chunk partial
 // deltas, loss terms, and reusable per-chunk RNGs. The zero value is
@@ -158,16 +139,9 @@ func (s *fusedSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 // callers pass a reused Scratch. The delta and loss are bit-identical at
 // any workers setting.
 func ComputeFused(algo Algorithm, dst, model []float64, shard *Shard, rng *rand.Rand, workers int, scratch *Scratch) ([]float64, float64) {
-	fa, ok := algo.(fusedAlgo)
-	if !ok {
-		// Reference path for foreign Algorithm implementations: two passes,
-		// no fusion.
-		dst = algo.ComputeInto(dst, model, shard, rng)
-		return dst, algo.Loss(model, shard)
-	}
 	n := len(shard.Examples)
 	chunks := fusedChunks(n)
-	chunk, finalize, usesRNG := fa.fusedPass(shard, model)
+	chunk, finalize, usesRNG := algo.fusedPass(shard, model)
 	dst = deltaBuf(dst, len(model))
 	if usesRNG && scratch == nil {
 		scratch = &Scratch{}
@@ -281,8 +255,8 @@ func (l *lasso) fusedPass(shard *Shard, model []float64) (chunkFn, finalizeFn, b
 	}
 	finalize := func(delta []float64, lossSum float64, lossN int) float64 {
 		// The proximal step is nonlinear, so it runs once on the reduced
-		// gradient — exactly as the serial kernel applies it after its
-		// accumulation loop.
+		// gradient, expressed as an additive delta so servers can apply it
+		// with a plain +=.
 		for f := range delta {
 			next := softThreshold(model[f]+delta[f], c.LearningRate*c.Lambda)
 			delta[f] = next - model[f]
@@ -310,8 +284,7 @@ func (nm *nmf) fusedPass(shard *Shard, model []float64) (chunkFn, finalizeFn, bo
 			// priced before this example's gradient contribution (the
 			// serial Loss also evaluates at the pulled model). The
 			// prediction depends only on (model, u, f), so the values
-			// computed here feed every topic row of the gradient below —
-			// the serial kernel recomputes the O(Classes) sum per row.
+			// computed here feed every topic row of the gradient below.
 			for f, x := range ex.X {
 				preds[f] = predictNMF(model, u, f, c)
 				r := preds[f] - x
@@ -439,8 +412,8 @@ func (l *lda) fusedPass(shard *Shard, model []float64) (chunkFn, finalizeFn, boo
 		return lossSum, tokens
 	}
 	finalize := func(delta []float64, lossSum float64, lossN int) float64 {
-		// Keep counts non-negative when applied (same floor as the serial
-		// kernel, once on the reduced delta).
+		// Keep counts non-negative when applied (once, on the reduced
+		// delta).
 		for i := range delta {
 			if model[i]+delta[i] < 0.01 {
 				delta[i] = 0.01 - model[i]

@@ -118,7 +118,7 @@ func TestComputeFusedLossMatchesSerialLoss(t *testing.T) {
 }
 
 // TestComputeFusedInvariants: the nonlinear finalizers must uphold the
-// same invariants as the serial kernels.
+// model's sign invariants after the chunk reduction.
 func TestComputeFusedInvariants(t *testing.T) {
 	// NMF: applying the delta keeps factors non-negative.
 	algo, shard, model := fusedSetup(t, NMF)

@@ -130,27 +130,28 @@ func (c Config) ModelSize() int {
 	}
 }
 
-// Algorithm trains one model kind: it computes an additive model update
-// from a shard (the COMP subtask) and evaluates the objective.
+// Algorithm trains one model kind: ComputeFused derives an additive
+// model update and the objective from a shard (the COMP subtask) through
+// the algorithm's fused chunk kernel. The implementations are the four
+// New returns.
 type Algorithm interface {
 	// Kind identifies the algorithm.
 	Kind() Kind
 	// InitModel returns the initial parameter vector.
 	InitModel(rng *rand.Rand) []float64
-	// Compute derives an additive update (same length as model) from the
-	// shard under the current model — the COMP subtask's work.
-	Compute(model []float64, shard *Shard, rng *rand.Rand) []float64
-	// ComputeInto is Compute writing into dst (grown when its capacity is
-	// short, zeroed, and returned), so iterating callers reuse one delta
-	// buffer instead of allocating a model-sized slice every iteration.
-	ComputeInto(dst, model []float64, shard *Shard, rng *rand.Rand) []float64
 	// Loss evaluates the objective on the shard (lower is better; LDA
 	// reports negative log-likelihood).
 	Loss(model []float64, shard *Shard) float64
+	// fusedPass returns the chunk and finalize functions of one fused
+	// gradient+loss pass over shard at model (fused.go). usesRNG reports
+	// whether the chunk function draws from its RNG: seeding a generator
+	// costs microseconds per chunk, so deterministic kernels (MLR, Lasso,
+	// NMF) skip RNG setup entirely.
+	fusedPass(shard *Shard, model []float64) (chunk chunkFn, finalize finalizeFn, usesRNG bool)
 }
 
 // deltaBuf resizes dst to n elements, reusing its capacity when
-// possible, and zeroes it — the shared prologue of every ComputeInto.
+// possible, and zeroes it.
 func deltaBuf(dst []float64, n int) []float64 {
 	if cap(dst) < n {
 		return make([]float64, n)

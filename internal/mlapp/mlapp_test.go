@@ -72,8 +72,15 @@ func TestGenerateShardsDeterministic(t *testing.T) {
 	}
 }
 
+// computeDelta is one COMP subtask's update at model.
+func computeDelta(algo Algorithm, model []float64, shard *Shard, rng *rand.Rand) []float64 {
+	delta, _ := ComputeFused(algo, nil, model, shard, rng, 0, nil)
+	return delta
+}
+
 // TestTrainingReducesLoss is the core sanity check for every algorithm:
-// iterating Compute/apply must reduce the objective on the planted data.
+// iterating ComputeFused/apply must reduce the objective on the planted
+// data.
 func TestTrainingReducesLoss(t *testing.T) {
 	for _, kind := range []Kind{MLR, Lasso, NMF, LDA} {
 		kind := kind
@@ -99,7 +106,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 			}
 			for it := 0; it < iters; it++ {
 				for _, s := range shards {
-					delta := algo.Compute(model, s, rng)
+					delta := computeDelta(algo, model, s, rng)
 					if len(delta) != len(model) {
 						t.Fatalf("delta size %d, want %d", len(delta), len(model))
 					}
@@ -126,7 +133,7 @@ func TestNMFModelStaysNonNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	model := algo.InitModel(rng)
 	for it := 0; it < 10; it++ {
-		delta := algo.Compute(model, shards[0], rng)
+		delta := computeDelta(algo, model, shards[0], rng)
 		for i := range model {
 			model[i] += delta[i]
 		}
@@ -146,7 +153,7 @@ func TestLassoProducesSparseModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	model := algo.InitModel(rng)
 	for it := 0; it < 200; it++ {
-		delta := algo.Compute(model, shards[0], rng)
+		delta := computeDelta(algo, model, shards[0], rng)
 		for i := range model {
 			model[i] += delta[i]
 		}
@@ -171,7 +178,7 @@ func TestLDAKeepsCountsPositive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	model := algo.InitModel(rng)
 	for it := 0; it < 5; it++ {
-		delta := algo.Compute(model, shards[0], rng)
+		delta := computeDelta(algo, model, shards[0], rng)
 		for i := range model {
 			model[i] += delta[i]
 		}

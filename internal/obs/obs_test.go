@@ -87,8 +87,8 @@ func TestRecorderHistograms(t *testing.T) {
 
 // TestNilRecorderZeroAllocs pins the flag-off cost: with tracing
 // disabled the recorder is nil and every instrumentation point must be
-// a nil check — zero allocations — so the PR 3/4 zero-alloc hot paths
-// stay zero-alloc.
+// a nil check — zero allocations — so the zero-alloc PULL/PUSH and COMP
+// hot paths stay zero-alloc.
 func TestNilRecorderZeroAllocs(t *testing.T) {
 	var r *Recorder
 	start := time.Now()

@@ -47,23 +47,6 @@ func (s Sensitivity) TcpuAt(dop int) float64 {
 	return s.CompScalable/float64(dop) + s.CompFloorSeconds
 }
 
-// MarginalPerMachine is the T_itr seconds one extra machine saves at DoP
-// m — the marginal gain the allocation water-fills on. A job dominated by
-// its serial floor reports a near-zero marginal.
-func (s Sensitivity) MarginalPerMachine(dop int) float64 {
-	return s.TcpuAt(dop) - s.TcpuAt(dop+1)
-}
-
-// MarginalPerGbps is the T_itr seconds one extra Gbps of link bandwidth
-// saves, evaluated at the current link capacity: T_net scales inversely
-// with bandwidth, so the marginal at capacity c is NetSeconds/(c+1).
-func (s Sensitivity) MarginalPerGbps(linkGbps float64) float64 {
-	if linkGbps <= 0 {
-		return 0
-	}
-	return s.NetSeconds - s.NetSeconds*linkGbps/(linkGbps+1)
-}
-
 // Sensitivity fits the job's multi-DoP observations; ok is false when the
 // job has never been observed. With observations at fewer than two
 // distinct DoPs the fit degenerates to Eq. 2 (floor zero).

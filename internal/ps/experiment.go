@@ -10,7 +10,7 @@ import (
 )
 
 // RebalanceExperiment is the skewed-access A/B harness behind
-// BenchmarkPSRebalance and `harmony-bench -bench-rebalance`: it brings up
+// BenchmarkPSRebalance and `harmony-bench -run ps-rebalance`: it brings up
 // an in-process PS cluster with a bounded per-server service rate, runs
 // the skew load with rebalancing off or on, and reports throughput plus
 // the p99 of per-op stripe wait. Placement starts even, so the hot

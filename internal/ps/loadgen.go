@@ -11,7 +11,7 @@ import (
 // SkewConfig drives RunSkewLoad: a closed-loop pull/push workload with a
 // hot set — HotFrac of the stripes receive HotShare of the traffic
 // (defaults model the classic 10%/80% skew). The same generator backs
-// BenchmarkPSRebalance and `harmony-bench -bench-rebalance`, so the
+// BenchmarkPSRebalance and `harmony-bench -run ps-rebalance`, so the
 // in-repo number and the CLI number measure the same thing.
 type SkewConfig struct {
 	Addrs       []string

@@ -5,14 +5,14 @@
 //
 // The pull/push path is the live runtime's hot loop (§IV-A: COMM
 // subtasks keep the network busy while co-located COMP runs), so the
-// data plane rides the binary float-frame codec of internal/rpc instead
-// of gob. Since PR 6 the unit of placement is the stripe, not the
-// partition: a job's model is carved into fixed-size stripes, each
-// independently locked, counted (pull/push ops, bytes, lock-wait) and
-// movable between servers while the job runs — the elastic layer of
-// DESIGN.md §12. Clients route per stripe and self-heal: an op that hits
-// a migrated-away stripe gets a "moved" status, refreshes its route
-// table and retries against the new owner.
+// data plane rides the binary float-frame codec of internal/rpc. The
+// unit of placement is the stripe, not the partition: a job's model is
+// carved into fixed-size stripes, each independently locked, counted
+// (pull/push ops, bytes, lock-wait) and movable between servers while
+// the job runs — the elastic layer of DESIGN.md §12. Clients route per
+// stripe and self-heal: an op that hits a migrated-away stripe gets a
+// "moved" status, refreshes its route table and retries against the new
+// owner.
 //
 // Wire layouts (all little-endian; "str" is a u16-length-prefixed
 // string, "floats" a u32 count followed by raw IEEE-754 bit patterns):
@@ -87,36 +87,6 @@ const (
 
 // Stripe-frame flag bits.
 const flagReplica = 1 // install as read replica, version-gated
-
-// The legacy gob wire structs below are no longer what the data plane
-// sends; they remain as the reference schema for the gob-baseline comm
-// benchmark (cmd/harmony-bench -bench-comm) that the binary codec is
-// measured against.
-
-// InitArgs creates (or replaces) a job's partition on one server.
-type InitArgs struct {
-	Job    string
-	Lo     int // global index of Values[0]
-	Values []float64
-}
-
-// PullArgs fetches a job's partition.
-type PullArgs struct {
-	Job string
-}
-
-// PullReply carries the partition back.
-type PullReply struct {
-	Lo     int
-	Values []float64
-}
-
-// PushArgs applies an additive delta to a job's partition.
-type PushArgs struct {
-	Job   string
-	Lo    int
-	Delta []float64
-}
 
 // Ack is an empty success reply.
 type Ack struct{}

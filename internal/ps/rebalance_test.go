@@ -341,7 +341,7 @@ func TestPSRebalanceSmoke(t *testing.T) {
 // placement saturates its one hot server while the balanced placement
 // saturates nothing — the regime where placement is the bottleneck.
 // Compare ops/s and p99µs between the two sub-benchmarks;
-// `harmony-bench -bench-rebalance` emits the same comparison as JSON.
+// `harmony-bench -run ps-rebalance` prints the same comparison.
 func BenchmarkPSRebalance(b *testing.B) {
 	for _, mode := range []struct {
 		name      string

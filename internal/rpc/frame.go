@@ -77,26 +77,6 @@ func AppendFloats(dst []byte, vals []float64) []byte {
 	return dst
 }
 
-// AppendFloatValues appends raw IEEE-754 bit patterns without a count
-// prefix. Streaming producers (the PS pull handler) write one u32 count
-// for the whole frame, then append each stripe's values under that
-// stripe's lock.
-func AppendFloatValues(dst []byte, vals []float64) []byte {
-	off := len(dst)
-	need := 8 * len(vals)
-	if cap(dst)-off < need {
-		grown := make([]byte, off, roundUp(off+need))
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:off+need]
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(v))
-		off += 8
-	}
-	return dst
-}
-
 func roundUp(n int) int {
 	c := minPooledBuffer
 	for c < n {

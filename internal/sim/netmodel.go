@@ -152,16 +152,6 @@ func (lm LinkModel) GroupDemand(jobs []core.JobInfo, machines, slots int) []floa
 	return total
 }
 
-// PredictGroupCompatibility scores how well the jobs' comm windows fit
-// the shared link under the solved interleaving: 1 = no window ever
-// exceeds capacity, lower = the excess share of total demand. It bridges
-// the byte-level capacities onto core's time-domain solver: windows
-// whose seconds-domain demand collides are exactly the windows whose
-// Gbps demand exceeds the shared link.
-func (lm LinkModel) PredictGroupCompatibility(jobs []core.JobInfo, machines int) float64 {
-	return core.SolveInterleave(jobs, machines).Compatibility
-}
-
 // groupPeriod is Eq. 1 over raw JobInfos (matches core.groupIterSeconds).
 func groupPeriod(jobs []core.JobInfo, machines int) float64 {
 	var sumComp, sumNet, maxIter float64

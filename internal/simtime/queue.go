@@ -77,9 +77,6 @@ type Engine struct {
 	sameInstant uint64
 }
 
-// Fired reports how many events have been executed.
-func (e *Engine) Fired() uint64 { return e.fired }
-
 // SameInstant reports how many consecutive events fired without the clock
 // advancing (only tracked when SIMTIME_DEBUG_PROGRESS is set).
 func (e *Engine) SameInstant() uint64 { return e.sameInstant }

@@ -285,75 +285,28 @@ func TestCompPathRaceSmoke(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkComp compares one steady-state COMP subtask on the fast path
-// (decoded-block cache + fused multicore kernel) against a faithful
-// replica of the seed implementation (gob-decode every block per
-// iteration, serial ComputeInto, separate Loss pass). The replica lives
-// here so the comparison survives as the packages evolve.
+// BenchmarkComp measures one steady-state COMP subtask per algorithm:
+// the decoded-block cache plus the fused multicore kernel.
 func BenchmarkComp(b *testing.B) {
 	cfg := mlapp.Config{Features: 32, Classes: 8, Rows: 512}
 	for _, kind := range []mlapp.Kind{mlapp.MLR, mlapp.Lasso, mlapp.NMF, mlapp.LDA} {
 		cfg.Kind = kind
-		b.Run(kind.String()+"/cached_binary_parallel", func(b *testing.B) {
-			benchCompFast(b, cfg, 0)
-		})
-		b.Run(kind.String()+"/seed_gob_single", func(b *testing.B) {
-			benchCompGob(b, cfg)
-		})
-	}
-}
-
-func benchCompFast(b *testing.B, cfg mlapp.Config, workers int) {
-	st := newCompState(b, cfg, 32)
-	rng := newBenchRng()
-	model := st.algo.InitModel(rng)
-	if _, err := st.materializeShard(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		shard, err := st.materializeShard()
-		if err != nil {
-			b.Fatal(err)
-		}
-		st.delta, _ = mlapp.ComputeFused(st.algo, st.delta, model, shard, rng, workers, &st.scratch)
-	}
-}
-
-// benchCompGob replays the seed COMP subtask: gob payloads decoded on
-// every iteration, freshly assembled shard, serial update pass, then a
-// second full pass for the loss.
-func benchCompGob(b *testing.B, cfg mlapp.Config) {
-	st := newCompState(b, cfg, 32)
-	rng := newBenchRng()
-	model := st.algo.InitModel(rng)
-	const rowsPerBlock = 32
-	var payloads [][]byte
-	for lo := 0; lo < len(st.shard.Examples); lo += rowsPerBlock {
-		hi := minInt(lo+rowsPerBlock, len(st.shard.Examples))
-		p, err := rpc.Encode(st.shard.Examples[lo:hi])
-		if err != nil {
-			b.Fatal(err)
-		}
-		payloads = append(payloads, p)
-	}
-	var delta []float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := &mlapp.Shard{Kind: st.shard.Kind, RowOffset: st.shard.RowOffset}
-		for _, p := range payloads {
-			var examples []mlapp.Example
-			if err := rpc.Decode(p, &examples); err != nil {
+		b.Run(kind.String(), func(b *testing.B) {
+			st := newCompState(b, cfg, 32)
+			rng := rand.New(rand.NewSource(7))
+			model := st.algo.InitModel(rng)
+			if _, err := st.materializeShard(); err != nil {
 				b.Fatal(err)
 			}
-			out.Examples = append(out.Examples, examples...)
-		}
-		delta = st.algo.ComputeInto(delta, model, out, rng)
-		_ = st.algo.Loss(model, out)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				shard, err := st.materializeShard()
+				if err != nil {
+					b.Fatal(err)
+				}
+				st.delta, _ = mlapp.ComputeFused(st.algo, st.delta, model, shard, rng, 0, &st.scratch)
+			}
+		})
 	}
-	_ = delta
 }
-
-func newBenchRng() *rand.Rand { return rand.New(rand.NewSource(7)) }

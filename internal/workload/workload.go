@@ -178,11 +178,6 @@ func (s Spec) MemoryGB(m int, alpha float64) float64 {
 	return JVMHeapFactor*(inMem+model) + s.WorkGB
 }
 
-// TotalCompSeconds returns the job's total CPU demand in machine-seconds.
-func (s Spec) TotalCompSeconds() float64 {
-	return s.CompMachineSeconds * float64(s.Iterations)
-}
-
 func (s Spec) String() string {
 	return fmt.Sprintf("%s(%s/%s %s)", s.ID, s.App, s.Data.Name, s.Hyper)
 }
