@@ -37,9 +37,12 @@ ctl-smoke:
 	$(GO) test -race ./internal/ctl/...
 
 ## comm-smoke: short race-enabled pass over the striped pull/push data
-## plane (concurrent jobs, snapshots mid-push)
+## plane (concurrent jobs, snapshots mid-push) and the delta-sync
+## property test (mirror == snapshot bit for bit after every step of a
+## random push/migrate/replicate/restore interleaving; and under
+## concurrent sparse pushes with stripes migrating)
 comm-smoke:
-	$(GO) test -race -run 'TestCommPathRaceSmoke' ./internal/ps/
+	$(GO) test -race -run 'TestCommPathRaceSmoke|TestDeltaSync' ./internal/ps/
 
 ## comp-smoke: short race-enabled pass over the fast COMP path (cache
 ## invalidation vs concurrent spill retunes)
@@ -48,9 +51,11 @@ comp-smoke:
 
 ## ps-rebalance-smoke: race-enabled pass over the elastic PS — live
 ## stripe migration under concurrent pull/push (bit-exact vs a
-## no-migration control) and the skewed-load rebalance loop
+## no-migration control), the skewed-load rebalance loop, and the
+## delta-sync cases that ride on placement (a moved, replicated or
+## restored stripe is answered in full, never with a stale delta)
 ps-rebalance-smoke:
-	$(GO) test -race -run 'TestMigrat|TestPSRebalanceSmoke' ./internal/ps/
+	$(GO) test -race -run 'TestMigrat|TestPSRebalanceSmoke|TestDeltaSync|TestDelta.*FallsBackToFull|TestDeltaReplicaReads' ./internal/ps/
 
 ## fair-smoke: race-enabled pass over the fair scheduler — queue policy
 ## unit tests, the deterministic two-tenant simulation, and the
@@ -96,7 +101,7 @@ snapshot-smoke:
 bench-smoke:
 	$(GO) test ./internal/core/ -run XXX -bench BenchmarkScheduleLarge -benchmem -benchtime 3x
 	$(GO) test ./internal/sim/ -run XXX -bench BenchmarkRunHarmonyBase -benchmem -benchtime 3x
-	$(GO) test ./internal/ps/ -run XXX -bench BenchmarkPullPush -benchmem -benchtime 3x
+	$(GO) test ./internal/ps/ -run XXX -bench 'BenchmarkPullPush(Sparse)?$$' -benchmem -benchtime 3x
 	$(GO) test . -run XXX -bench BenchmarkFig10Parallel -benchtime 1x
 
 ## bench-test: vet and test the benchmark harness. benchmarks/ is its

@@ -75,7 +75,13 @@ func TestEnqueueUnprofiledHeldWhileBusy(t *testing.T) {
 
 func TestQueueDrainOnCompletion(t *testing.T) {
 	m := cluster(t, 2)
-	if err := m.Submit(spec("a", mlapp.MLR, 6), nil); err != nil {
+	// a must still be running when b is enqueued two statements later, or
+	// b is rightly admitted at once and the assertion below is void. An
+	// iteration of this job takes about half a millisecond, so 6 of them
+	// (what this test used to ask for) lost that race whenever the test
+	// goroutine was descheduled for a few milliseconds; 400 leave it a
+	// fifth of a second.
+	if err := m.Submit(spec("a", mlapp.MLR, 400), nil); err != nil {
 		t.Fatal(err)
 	}
 	adm, err := m.Enqueue(spec("b", mlapp.Lasso, 4), Profile{})

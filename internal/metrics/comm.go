@@ -8,16 +8,22 @@ import (
 )
 
 // CommCounters aggregates live data-plane traffic: operation counts,
-// bytes moved and cumulative latency for the PULL and PUSH subtasks.
-// Counters are atomic so every ps.Client in the process (one per loaded
-// job per worker) can record without coordination.
+// bytes moved and cumulative latency for the PULL and PUSH subtasks, how
+// the servers answered the pulled stripes (whole, as a delta, or "not
+// modified") and how many stripes had to be re-sent because they had
+// moved. Counters are atomic so every ps.Client in the process (one per
+// loaded job per worker) can record without coordination.
 type CommCounters struct {
-	pulls     atomic.Int64
-	pushes    atomic.Int64
-	pullBytes atomic.Int64
-	pushBytes atomic.Int64
-	pullNanos atomic.Int64
-	pushNanos atomic.Int64
+	pulls        atomic.Int64
+	pushes       atomic.Int64
+	pullBytes    atomic.Int64
+	pushBytes    atomic.Int64
+	pullNanos    atomic.Int64
+	pushNanos    atomic.Int64
+	fullReplies  atomic.Int64
+	deltaReplies atomic.Int64
+	sameReplies  atomic.Int64
+	movedRetries atomic.Int64
 }
 
 // Comm is the process-wide data-plane counter set; ps.Client records
@@ -34,19 +40,35 @@ var processID = fmt.Sprintf("%d-%d", os.Getpid(), time.Now().UnixNano())
 // aggregation in the master.
 func ProcessID() string { return processID }
 
-// ObservePull records one completed full-model pull: payload bytes moved
-// and wall-clock latency across the server fan-out.
+// ObservePull records one completed pull: the reply bytes that actually
+// moved and wall-clock latency across the server fan-out.
 func (c *CommCounters) ObservePull(bytes int64, d time.Duration) {
 	c.pulls.Add(1)
 	c.pullBytes.Add(bytes)
 	c.pullNanos.Add(int64(d))
 }
 
-// ObservePush records one completed full-delta push.
+// ObservePush records one completed push: the request bytes that
+// actually moved (nothing for stripes the delta left unchanged).
 func (c *CommCounters) ObservePush(bytes int64, d time.Duration) {
 	c.pushes.Add(1)
 	c.pushBytes.Add(bytes)
 	c.pushNanos.Add(int64(d))
+}
+
+// ObservePullReplies records how one pull's stripes were answered: sent
+// whole, as the elements changed since the caller's cursor, or as "not
+// modified".
+func (c *CommCounters) ObservePullReplies(full, delta, notModified int64) {
+	c.fullReplies.Add(full)
+	c.deltaReplies.Add(delta)
+	c.sameReplies.Add(notModified)
+}
+
+// ObserveMovedRetries records stripes an op had to send again because
+// the server it asked no longer held them.
+func (c *CommCounters) ObserveMovedRetries(stripes int64) {
+	c.movedRetries.Add(stripes)
 }
 
 // CommSnapshot is a point-in-time copy of the data-plane counters.
@@ -57,6 +79,12 @@ type CommSnapshot struct {
 	PushBytes   int64
 	PullSeconds float64
 	PushSeconds float64
+	// Per-stripe pull outcomes and moved-stripe retries (gob: fields a
+	// peer does not know decode as zero).
+	FullReplies        int64
+	DeltaReplies       int64
+	NotModifiedReplies int64
+	MovedRetries       int64
 }
 
 // Snapshot copies the counters. The fields are read independently, so a
@@ -70,6 +98,11 @@ func (c *CommCounters) Snapshot() CommSnapshot {
 		PushBytes:   c.pushBytes.Load(),
 		PullSeconds: time.Duration(c.pullNanos.Load()).Seconds(),
 		PushSeconds: time.Duration(c.pushNanos.Load()).Seconds(),
+
+		FullReplies:        c.fullReplies.Load(),
+		DeltaReplies:       c.deltaReplies.Load(),
+		NotModifiedReplies: c.sameReplies.Load(),
+		MovedRetries:       c.movedRetries.Load(),
 	}
 }
 
@@ -82,12 +115,19 @@ func (s CommSnapshot) Add(o CommSnapshot) CommSnapshot {
 		PushBytes:   s.PushBytes + o.PushBytes,
 		PullSeconds: s.PullSeconds + o.PullSeconds,
 		PushSeconds: s.PushSeconds + o.PushSeconds,
+
+		FullReplies:        s.FullReplies + o.FullReplies,
+		DeltaReplies:       s.DeltaReplies + o.DeltaReplies,
+		NotModifiedReplies: s.NotModifiedReplies + o.NotModifiedReplies,
+		MovedRetries:       s.MovedRetries + o.MovedRetries,
 	}
 }
 
 // Samples renders the counters in the Prometheus families
 // harmony_comm_ops_total, harmony_comm_bytes_total and
-// harmony_comm_seconds_total, labeled by op.
+// harmony_comm_seconds_total, labeled by op, plus
+// harmony_ps_pull_replies_total by kind and
+// harmony_ps_moved_retries_total.
 func (c *CommCounters) Samples() []Sample {
 	return CommSamples(c.Snapshot())
 }
@@ -111,5 +151,15 @@ func CommSamples(s CommSnapshot) []Sample {
 			Type: PromCounter, Value: s.PullSeconds},
 		{Name: `harmony_comm_seconds_total{op="push"}`,
 			Type: PromCounter, Value: s.PushSeconds},
+		{Name: `harmony_ps_pull_replies_total{kind="full"}`,
+			Help: "Stripes answered to pulls, by kind: sent whole, as a delta since the caller's cursor, or not modified.",
+			Type: PromCounter, Value: float64(s.FullReplies)},
+		{Name: `harmony_ps_pull_replies_total{kind="delta"}`,
+			Type: PromCounter, Value: float64(s.DeltaReplies)},
+		{Name: `harmony_ps_pull_replies_total{kind="not_modified"}`,
+			Type: PromCounter, Value: float64(s.NotModifiedReplies)},
+		{Name: `harmony_ps_moved_retries_total`,
+			Help: "Stripes a PS client re-sent because the server it asked no longer held them.",
+			Type: PromCounter, Value: float64(s.MovedRetries)},
 	}
 }

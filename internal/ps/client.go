@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -51,7 +52,7 @@ func (r *jobRoute) extent() int {
 
 // overlapping lists the stripes intersecting [lo, lo+n).
 func (r *jobRoute) overlapping(lo, n int) []int {
-	var out []int
+	out := make([]int, 0, len(r.stripes))
 	for s, st := range r.stripes {
 		if st.lo < lo+n && st.lo+st.n > lo {
 			out = append(out, s)
@@ -164,16 +165,13 @@ func (c *Client) SetServers(addrs []string) error {
 	return nil
 }
 
-// snapshotServers copies the current addr list and connection map.
+// snapshotServers returns the current addr list and connection map.
+// Neither is ever modified once published — SetServers and Close swap in
+// fresh ones — so callers share them without copying.
 func (c *Client) snapshotServers() ([]string, map[string]*rpc.Client) {
 	c.mu.RLock()
-	addrs := append([]string(nil), c.addrs...)
-	conns := make(map[string]*rpc.Client, len(c.clients))
-	for a, cl := range c.clients {
-		conns[a] = cl
-	}
-	c.mu.RUnlock()
-	return addrs, conns
+	defer c.mu.RUnlock()
+	return c.addrs, c.clients
 }
 
 func (c *Client) route(job string) *jobRoute {
@@ -383,7 +381,7 @@ func (c *Client) routeCovering(job string, need int, r *jobRoute) (*jobRoute, er
 
 // Pull fetches the full model, stripes gathered concurrently from their
 // owners — the PULL subtask. It allocates a fresh model; iterating
-// callers should prefer PullInto with a reused buffer.
+// callers should prefer Sync with a Mirror.
 func (c *Client) Pull(job string, modelSize int) ([]float64, error) {
 	model := make([]float64, modelSize)
 	if err := c.PullInto(job, model); err != nil {
@@ -394,16 +392,30 @@ func (c *Client) Pull(job string, modelSize int) ([]float64, error) {
 
 // PullInto fetches the full model into the caller's buffer (len(model)
 // is the model size). Each stripe decodes straight into its slice of the
-// buffer, so the steady-state pull allocates nothing.
+// buffer, so the steady-state pull allocates nothing. Every stripe
+// travels whole, whatever the buffer held before.
 func (c *Client) PullInto(job string, model []float64) error {
-	return c.pullStripes(job, MethodPull, 0, model, true)
+	return c.pullStripes(job, MethodPull, 0, model, nil, true)
 }
 
 // PullRange fetches the model elements [lo, lo+len(dst)) into dst.
 // Stripes overlapping the range travel whole; only the overlap lands in
 // dst. Used by range-oriented consumers (the skew load generator).
 func (c *Client) PullRange(job string, lo int, dst []float64) error {
-	return c.pullStripes(job, MethodPull, lo, dst, true)
+	return c.pullStripes(job, MethodPull, lo, dst, nil, true)
+}
+
+// Sync brings the mirror up to date with the servers — the PULL subtask
+// of an iterating job. Per stripe it moves nothing (not modified since
+// the last Sync), the elements pushed since, or the whole stripe; the
+// result is always exactly what PullInto would have produced. After an
+// error the mirror holds no cursors and the next Sync pulls it whole.
+func (c *Client) Sync(m *Mirror) error {
+	err := c.pullStripes(m.job, MethodPull, 0, m.vals, m, true)
+	if err != nil {
+		m.forget()
+	}
+	return err
 }
 
 // Snapshot checkpoints the full model (used when pausing a job). It
@@ -412,111 +424,173 @@ func (c *Client) PullRange(job string, lo int, dst []float64) error {
 // primaries, never replicas: the result is the exact aggregation state.
 func (c *Client) Snapshot(job string, modelSize int) ([]float64, error) {
 	model := make([]float64, modelSize)
-	if err := c.pullStripes(job, MethodSnapshot, 0, model, false); err != nil {
+	if err := c.pullStripes(job, MethodSnapshot, 0, model, nil, false); err != nil {
 		return nil, err
 	}
 	return model, nil
 }
 
-// pullStripes gathers every stripe overlapping [reqLo, reqLo+len(dst))
-// into dst. A moved stripe with a forwarding hint retries directly at
-// the forward target (chasing the stripe through back-to-back
-// migrations); one without a hint triggers a route refresh. Connection
-// errors abort with the server identity attached.
-func (c *Client) pullStripes(job, method string, reqLo int, dst []float64, allowReplicas bool) error {
-	start := time.Now()
-	var movedBytes int64
-	r, err := c.routeCovering(job, reqLo+len(dst), c.route(job))
-	if err != nil {
-		return err
-	}
-	pending := r.overlapping(reqLo, len(dst))
-	forwards := make(map[int]string)
-	useReplicas := allowReplicas && c.readReplicas.Load()
+// stripeGroup is the stripes of one op attempt bound for one server.
+type stripeGroup struct {
+	addr string
+	cl   *rpc.Client
+	idxs []int
+}
+
+// groupResult is one server's answer to a stripeGroup: the stripes it
+// bounced, the bytes that moved, and — for pulls — how it answered the
+// stripes it served.
+type groupResult struct {
+	moved             []movedRef
+	bytes             int64
+	full, delta, same int64
+	err               error
+}
+
+// scatter is the retry loop every data-plane op runs: group the pending
+// stripes by the server to ask, call them (concurrently when there is
+// more than one server to ask), and go round again for the stripes a
+// server bounced. A moved stripe with a forwarding hint retries directly
+// at the forward target (chasing the stripe through back-to-back
+// migrations); one without a hint triggers a route refresh. A
+// connection-level failure aborts the op with the server's identity
+// attached — for a push it is ambiguous (the delta may or may not have
+// been applied) and retrying could double-apply, whereas a bounced stripe
+// is safe to retry: the server verifiably did not touch it.
+func (c *Client) scatter(job, what string, r *jobRoute, lo, n int, useReplicas bool,
+	call func(cl *rpc.Client, r *jobRoute, idxs []int) groupResult) (groupResult, error) {
+	var total groupResult
+	var forwards map[int]string
+	pending := r.overlapping(lo, n)
 	for attempt := 0; len(pending) > 0; attempt++ {
 		if attempt >= maxRouteAttempts {
-			return fmt.Errorf("ps: %s %q: %d stripes unavailable after %d attempts",
-				method, job, len(pending), attempt)
+			return total, fmt.Errorf("ps: %s %q: %d stripes unavailable after %d attempts",
+				what, job, len(pending), attempt)
 		}
-		if attempt > 0 && !allForwarded(pending, forwards) {
-			if r, err = c.routeCovering(job, reqLo+len(dst), nil); err != nil {
-				return err
+		if attempt > 0 {
+			metrics.Comm.ObserveMovedRetries(int64(len(pending)))
+			if !allForwarded(pending, forwards) {
+				var err error
+				if r, err = c.routeCovering(job, lo+n, nil); err != nil {
+					return total, err
+				}
+				time.Sleep(time.Millisecond)
 			}
-			time.Sleep(time.Millisecond)
 		}
 		_, conns := c.snapshotServers()
-		groups := make(map[string][]int)
+		var groups []stripeGroup
 		var stale []int
+	nextStripe:
 		for _, s := range pending {
 			if s >= len(r.stripes) {
 				stale = append(stale, s)
 				continue
 			}
+			// Stripe geometry (lo/n) is immutable across migrations, so a
+			// forwarded op can still build its body from the stale route.
 			st := r.stripes[s]
 			addr := st.owner
 			if fwd := forwards[s]; fwd != "" && conns[fwd] != nil {
 				addr = fwd
 			} else if useReplicas && len(st.replicas) > 0 {
-				cands := append([]string{st.owner}, st.replicas...)
-				addr = cands[int(c.rr.Add(1))%len(cands)]
+				if pick := int(c.rr.Add(1)) % (1 + len(st.replicas)); pick > 0 {
+					addr = st.replicas[pick-1]
+				}
 			}
 			if conns[addr] == nil {
 				stale = append(stale, s)
 				continue
 			}
-			groups[addr] = append(groups[addr], s)
-		}
-		type result struct {
-			addr  string
-			moved []movedRef
-			bytes int64
-			err   error
-		}
-		results := make(chan result, len(groups))
-		for addr, idxs := range groups {
-			go func(addr string, idxs []int) {
-				res := result{addr: addr}
-				body := rpc.GetBuffer(2 + len(job) + 4 + 4*len(idxs))[:0]
-				body = rpc.AppendString(body, job)
-				body = rpc.AppendUint32(body, uint32(len(idxs)))
-				for _, s := range idxs {
-					body = rpc.AppendUint32(body, uint32(s))
+			for g := range groups {
+				if groups[g].addr == addr {
+					groups[g].idxs = append(groups[g].idxs, s)
+					continue nextStripe
 				}
-				reply, err := conns[addr].Call(method, body, c.timeout)
-				rpc.PutBuffer(body)
-				if err != nil {
-					res.err = err
-					results <- res
-					return
-				}
-				res.bytes = int64(len(reply))
-				res.moved, res.err = decodeStripesInto(reply, reqLo, dst)
-				rpc.PutBuffer(reply)
-				results <- res
-			}(addr, idxs)
-		}
-		pending = append([]int(nil), stale...)
-		var callErr error
-		for range groups {
-			res := <-results
-			if res.err != nil {
-				if callErr == nil {
-					callErr = fmt.Errorf("ps: %s from server %s: %w", method, res.addr, res.err)
-				}
-				continue
 			}
-			movedBytes += res.bytes
+			groups = append(groups, stripeGroup{addr: addr, cl: conns[addr],
+				idxs: append(make([]int, 0, len(pending)), s)})
+		}
+		results := make([]groupResult, len(groups))
+		if len(groups) == 1 {
+			results[0] = call(groups[0].cl, r, groups[0].idxs)
+		} else {
+			var wg sync.WaitGroup
+			for g := range groups {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					results[g] = call(groups[g].cl, r, groups[g].idxs)
+				}(g)
+			}
+			wg.Wait()
+		}
+		pending = stale
+		for g, res := range results {
+			if res.err != nil {
+				return total, fmt.Errorf("ps: %s on server %s: %w", what, groups[g].addr, res.err)
+			}
+			total.bytes += res.bytes
+			total.full += res.full
+			total.delta += res.delta
+			total.same += res.same
 			for _, mv := range res.moved {
+				if forwards == nil {
+					forwards = make(map[int]string)
+				}
 				setForward(forwards, mv)
 				pending = append(pending, mv.idx)
 			}
 		}
-		if callErr != nil {
-			return callErr
-		}
 	}
 	c.applyForwards(job, forwards)
-	metrics.Comm.ObservePull(movedBytes, time.Since(start))
+	return total, nil
+}
+
+// pullStripes gathers every stripe overlapping [reqLo, reqLo+len(dst))
+// into dst. With a mirror (whose buffer dst then is) the request carries
+// the mirror's cursors and the servers may answer with less than the
+// whole stripe; without one every stripe travels whole.
+func (c *Client) pullStripes(job, method string, reqLo int, dst []float64, m *Mirror, allowReplicas bool) error {
+	start := time.Now()
+	r, err := c.routeCovering(job, reqLo+len(dst), c.route(job))
+	if err != nil {
+		return err
+	}
+	var cur []stripeCursor
+	if m != nil {
+		cur = m.cursors(len(r.stripes))
+	}
+	total, err := c.scatter(job, method, r, reqLo, len(dst), allowReplicas && c.readReplicas.Load(),
+		func(cl *rpc.Client, _ *jobRoute, idxs []int) groupResult {
+			body := rpc.GetBuffer(2 + len(job) + 4 + 20*len(idxs))[:0]
+			body = rpc.AppendString(body, job)
+			body = rpc.AppendUint32(body, uint32(len(idxs)))
+			for _, s := range idxs {
+				// A stripe beyond the cursor table (the route grew under the
+				// op) is simply asked for whole.
+				var have stripeCursor
+				if s < len(cur) {
+					have = cur[s]
+				}
+				body = rpc.AppendUint32(body, uint32(s))
+				body = rpc.AppendUint64(body, have.epoch)
+				body = rpc.AppendUint64(body, have.version)
+			}
+			reply, err := cl.Call(method, body, c.timeout)
+			rpc.PutBuffer(body)
+			if err != nil {
+				return groupResult{err: err}
+			}
+			res := decodeStripesInto(reply, reqLo, dst, cur)
+			res.bytes = int64(len(reply))
+			rpc.PutBuffer(reply)
+			return res
+		})
+	if err != nil {
+		return err
+	}
+	metrics.Comm.ObservePull(total.bytes, time.Since(start))
+	metrics.Comm.ObservePullReplies(total.full, total.delta, total.same)
 	return nil
 }
 
@@ -573,54 +647,123 @@ func (c *Client) applyForwards(job string, forwards map[int]string) {
 }
 
 // decodeStripesInto places a pull reply's stripes into dst (which holds
-// [reqLo, reqLo+len(dst)) of the model) and returns the stripes the
-// server bounced, each with its forwarding hint.
-func decodeStripesInto(reply []byte, reqLo int, dst []float64) ([]movedRef, error) {
+// [reqLo, reqLo+len(dst)) of the model), advancing the cursors of the
+// stripes it brought up to date, and returns the stripes the server
+// bounced, each with its forwarding hint. cur is indexed by stripe and
+// may be short or nil: a stripe without a cursor can only be answered in
+// full, and anything else for it is a protocol error. A stripe's values
+// and cursor change together or not at all — a delta is checked against
+// the stripe's extent before its first element is written.
+func decodeStripesInto(reply []byte, reqLo int, dst []float64, cur []stripeCursor) (res groupResult) {
+	fail := func(err error) groupResult {
+		res.err = err
+		return res
+	}
 	count32, rest, err := rpc.ReadUint32(reply)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-	var moved []movedRef
 	for i := 0; i < int(count32); i++ {
 		idx32, next, err := rpc.ReadUint32(rest)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		if len(next) < 1 {
-			return nil, fmt.Errorf("rpc: stripe status truncated")
+			return fail(fmt.Errorf("rpc: stripe status truncated"))
 		}
 		status := next[0]
 		rest = next[1:]
-		if status != stripeOK {
+		var held *stripeCursor
+		if int(idx32) < len(cur) {
+			held = &cur[idx32]
+		}
+		switch status {
+		case stripeMoved:
 			fwd, next, err := rpc.ReadString(rest)
 			if err != nil {
-				return nil, err
+				return fail(err)
 			}
 			rest = next
-			moved = append(moved, movedRef{idx: int(idx32), fwd: fwd})
-			continue
-		}
-		lo32, next, err := rpc.ReadUint32(rest)
-		if err != nil {
-			return nil, err
-		}
-		n, data, next, err := rpc.FloatFrame(next)
-		if err != nil {
-			return nil, err
-		}
-		rest = next
-		slo := int(lo32)
-		olo, ohi := maxInt(slo, reqLo), minInt(slo+n, reqLo+len(dst))
-		for k := olo; k < ohi; k++ {
-			dst[k-reqLo] = rpc.FloatAt(data, k-slo)
+			res.moved = append(res.moved, movedRef{idx: int(idx32), fwd: fwd})
+		case stripeOK:
+			lo32, next, err := rpc.ReadUint32(rest)
+			if err != nil {
+				return fail(err)
+			}
+			epoch, next, err := rpc.ReadUint64(next)
+			if err != nil {
+				return fail(err)
+			}
+			version, next, err := rpc.ReadUint64(next)
+			if err != nil {
+				return fail(err)
+			}
+			n, data, next, err := rpc.FloatFrame(next)
+			if err != nil {
+				return fail(err)
+			}
+			rest = next
+			slo := int(lo32)
+			olo, ohi := maxInt(slo, reqLo), minInt(slo+n, reqLo+len(dst))
+			for k := olo; k < ohi; k++ {
+				dst[k-reqLo] = rpc.FloatAt(data, k-slo)
+			}
+			if held != nil {
+				// Only a stripe held whole, at a version its server vouches
+				// for (a replica sends 0), can be the base of a later delta.
+				*held = stripeCursor{}
+				if version != 0 && olo == slo && ohi == slo+n {
+					*held = stripeCursor{epoch: epoch, version: version, lo: slo - reqLo, n: n}
+				}
+			}
+			res.full++
+		case stripeSame:
+			if held == nil || held.version == 0 {
+				return fail(fmt.Errorf("ps: stripe %d: not-modified reply without a cursor", idx32))
+			}
+			res.same++
+		case stripeDelta:
+			if held == nil || held.version == 0 {
+				return fail(fmt.Errorf("ps: stripe %d: delta reply without a cursor", idx32))
+			}
+			version, next, err := rpc.ReadUint64(rest)
+			if err != nil {
+				return fail(err)
+			}
+			nnz32, next, err := rpc.ReadUint32(next)
+			if err != nil {
+				return fail(err)
+			}
+			if uint64(nnz32)*sparseRec > uint64(len(next)) {
+				return fail(fmt.Errorf("rpc: delta reply truncated: %d pairs, %d bytes", nnz32, len(next)))
+			}
+			nnz := int(nnz32)
+			data := next[:nnz*sparseRec]
+			rest = next[nnz*sparseRec:]
+			for k := 0; k < nnz; k++ {
+				if off, _ := sparseAt(data, k); off >= held.n {
+					return fail(fmt.Errorf("ps: stripe %d: delta offset %d beyond %d elements", idx32, off, held.n))
+				}
+			}
+			vals := dst[held.lo : held.lo+held.n]
+			for k := 0; k < nnz; k++ {
+				off, v := sparseAt(data, k)
+				vals[off] = v
+			}
+			held.version = version
+			res.delta++
+		default:
+			return fail(fmt.Errorf("ps: stripe %d: unknown reply status %d", idx32, status))
 		}
 	}
-	return moved, nil
+	return res
 }
 
 // Push scatters an additive delta across the stripe owners — the PUSH
 // subtask. Aggregation happens server-side, in place, at each stripe's
-// primary.
+// primary. Only what the delta changes travels: per stripe the smaller of
+// the dense and the sparse encoding, and nothing for a stripe whose
+// delta is all +0.
 func (c *Client) Push(job string, delta []float64) error {
 	return c.pushStripes(job, 0, delta)
 }
@@ -632,7 +775,6 @@ func (c *Client) PushRange(job string, lo int, delta []float64) error {
 
 func (c *Client) pushStripes(job string, reqLo int, delta []float64) error {
 	start := time.Now()
-	var movedBytes int64
 	if reqLo < 0 {
 		return fmt.Errorf("ps: push %q: negative offset %d", job, reqLo)
 	}
@@ -640,98 +782,41 @@ func (c *Client) pushStripes(job string, reqLo int, delta []float64) error {
 	if err != nil {
 		return err
 	}
-	pending := r.overlapping(reqLo, len(delta))
-	forwards := make(map[int]string)
-	for attempt := 0; len(pending) > 0; attempt++ {
-		if attempt >= maxRouteAttempts {
-			return fmt.Errorf("ps: push %q: %d stripes unapplied after %d attempts",
-				job, len(pending), attempt)
-		}
-		if attempt > 0 && !allForwarded(pending, forwards) {
-			if r, err = c.routeCovering(job, reqLo+len(delta), nil); err != nil {
-				return err
-			}
-			time.Sleep(time.Millisecond)
-		}
-		_, conns := c.snapshotServers()
-		groups := make(map[string][]int)
-		var stale []int
-		for _, s := range pending {
-			if s >= len(r.stripes) {
-				stale = append(stale, s)
-				continue
-			}
-			// Stripe geometry (lo/n) is immutable across migrations, so a
-			// forwarded push can still build its body from the stale route.
-			addr := r.stripes[s].owner
-			if fwd := forwards[s]; fwd != "" && conns[fwd] != nil {
-				addr = fwd
-			}
-			if conns[addr] == nil {
-				stale = append(stale, s)
-				continue
-			}
-			groups[addr] = append(groups[addr], s)
-		}
-		type result struct {
-			addr   string
-			failed []movedRef
-			bytes  int64
-			err    error
-		}
-		results := make(chan result, len(groups))
-		for addr, idxs := range groups {
-			go func(addr string, idxs []int) {
-				res := result{addr: addr}
-				body := rpc.GetBuffer(2 + len(job) + 4)[:0]
-				body = rpc.AppendString(body, job)
-				body = rpc.AppendUint32(body, uint32(len(idxs)))
-				for _, s := range idxs {
-					st := r.stripes[s]
-					olo, ohi := maxInt(st.lo, reqLo), minInt(st.lo+st.n, reqLo+len(delta))
-					body = rpc.AppendUint32(body, uint32(s))
-					body = rpc.AppendUint32(body, uint32(olo))
-					body = rpc.AppendFloats(body, delta[olo-reqLo:ohi-reqLo])
-					res.bytes += int64(8 * (ohi - olo))
+	total, err := c.scatter(job, "push", r, reqLo, len(delta), false,
+		func(cl *rpc.Client, r *jobRoute, idxs []int) groupResult {
+			body := rpc.GetBuffer(2 + len(job) + 4)[:0]
+			body = rpc.AppendString(body, job)
+			countAt := len(body)
+			body = rpc.AppendUint32(body, 0)
+			entries := 0
+			for _, s := range idxs {
+				st := r.stripes[s]
+				olo, ohi := maxInt(st.lo, reqLo), minInt(st.lo+st.n, reqLo+len(delta))
+				var sent bool
+				if body, sent = appendPushEntry(body, s, olo, delta[olo-reqLo:ohi-reqLo]); sent {
+					entries++
 				}
-				reply, err := conns[addr].Call(MethodPush, body, c.timeout)
+			}
+			if entries == 0 {
 				rpc.PutBuffer(body)
-				if err != nil {
-					res.err = err
-					results <- res
-					return
-				}
-				res.failed, res.err = decodePushReply(reply)
-				rpc.PutBuffer(reply)
-				results <- res
-			}(addr, idxs)
-		}
-		pending = append([]int(nil), stale...)
-		var callErr error
-		for range groups {
-			res := <-results
-			if res.err != nil {
-				// A connection-level push failure is ambiguous (the delta may
-				// or may not have been applied); retrying could double-apply,
-				// so the whole op aborts. Per-stripe moved failures are safe
-				// to retry: the server verifiably did not apply them.
-				if callErr == nil {
-					callErr = fmt.Errorf("ps: push on server %s: %w", res.addr, res.err)
-				}
-				continue
+				return groupResult{}
 			}
-			movedBytes += res.bytes
-			for _, mv := range res.failed {
-				setForward(forwards, mv)
-				pending = append(pending, mv.idx)
+			binary.LittleEndian.PutUint32(body[countAt:], uint32(entries))
+			res := groupResult{bytes: int64(len(body))}
+			reply, err := cl.Call(MethodPush, body, c.timeout)
+			rpc.PutBuffer(body)
+			if err != nil {
+				res.err = err
+				return res
 			}
-		}
-		if callErr != nil {
-			return callErr
-		}
+			res.moved, res.err = decodePushReply(reply)
+			rpc.PutBuffer(reply)
+			return res
+		})
+	if err != nil {
+		return err
 	}
-	c.applyForwards(job, forwards)
-	metrics.Comm.ObservePush(movedBytes, time.Since(start))
+	metrics.Comm.ObservePush(total.bytes, time.Since(start))
 	return nil
 }
 

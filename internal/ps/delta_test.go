@@ -1,0 +1,832 @@
+package ps
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"harmony/internal/metrics"
+	"harmony/internal/rpc"
+)
+
+// sameBits fails unless got and want hold the same IEEE-754 bit patterns.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: elem %d = %v (%#x), want %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// replyCounts is how the pulls since the last call were answered.
+type replyCounts struct{ full, delta, same int64 }
+
+func pullReplies(since *metrics.CommSnapshot) replyCounts {
+	now := metrics.Comm.Snapshot()
+	d := replyCounts{now.FullReplies - since.FullReplies, now.DeltaReplies - since.DeltaReplies,
+		now.NotModifiedReplies - since.NotModifiedReplies}
+	*since = now
+	return d
+}
+
+// propertyValue draws delta and model values that make sign and rounding
+// bugs visible: negative zero, values that cancel, and irrational-ish
+// magnitudes next to small integers.
+func propertyValue(rng *rand.Rand) float64 {
+	switch rng.Intn(6) {
+	case 0:
+		return math.Copysign(0, -1)
+	case 1:
+		return 1
+	case 2:
+		return -1
+	case 3:
+		return rng.NormFloat64() * 1e-3
+	default:
+		return rng.NormFloat64()
+	}
+}
+
+// TestDeltaSyncProperty is the proof behind "a cursor can only ever cost
+// a full reply": two clients with mirrors run random interleavings of
+// sparse and dense pushes, range pushes, stripe migrations,
+// replicate/unreplicate, restores, server-list changes and replica
+// reads, each skipping syncs at random so the gaps vary. After every
+// step each mirror that syncs must equal a primaries-only Snapshot bit
+// for bit, and the snapshot must equal the dense control — a plain
+// `control[i] += delta[i]` over every element of every push, zeros
+// included, which is what the dense-only data plane did — under ==. The
+// comparison with the control is == rather than bit-for-bit for one
+// reason: a +0 delta element is not sent, so a -0 on the server keeps
+// its sign where the dense add would have produced -0 + +0 = +0.
+func TestDeltaSyncProperty(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { deltaSyncProperty(t, seed, 160) })
+	}
+}
+
+func deltaSyncProperty(t *testing.T, seed int64, steps int) {
+	const (
+		job         = "job"
+		stripeElems = 160 // change-log budget: 10 records per stripe
+		stripes     = 7
+		size        = stripes*stripeElems - 23 // ragged tail stripe
+	)
+	rng := rand.New(rand.NewSource(seed))
+	servers, addrs := startServers(t, 3)
+	raw := make(map[string]*rpc.Client)
+	for _, a := range addrs {
+		raw[a] = dialRaw(t, a)
+	}
+	clients := []*Client{newClient(t, addrs), newClient(t, addrs)}
+	mirrors := []*Mirror{NewMirror(job, size), NewMirror(job, size)}
+	for _, c := range clients {
+		c.SetStripeElems(stripeElems)
+	}
+	randomModel := func() []float64 {
+		m := make([]float64, size)
+		for i := range m {
+			m[i] = propertyValue(rng)
+		}
+		return m
+	}
+	control := randomModel()
+	if err := clients[0].Init(job, control); err != nil {
+		t.Fatal(err)
+	}
+	control = append([]float64(nil), control...)
+
+	// Placement as the test knows it, refreshed from the servers after a
+	// restore redistributes everything.
+	owner := make([]string, stripes)
+	replicas := make([]map[string]bool, stripes)
+	learnPlacement := func() {
+		for _, a := range addrs {
+			for _, s := range primaryStripes(t, raw[a], job) {
+				owner[s] = a
+			}
+		}
+		for s := range replicas {
+			replicas[s] = make(map[string]bool)
+		}
+	}
+	learnPlacement()
+	otherThan := func(not string) string {
+		for {
+			if a := addrs[rng.Intn(len(addrs))]; a != not {
+				return a
+			}
+		}
+	}
+	readReplicas := false
+	seen := metrics.Comm.Snapshot()
+	var total replyCounts
+
+	for step := 0; step < steps; step++ {
+		c := clients[rng.Intn(2)]
+		var what string
+		switch op := rng.Intn(12); {
+		case op < 4: // sparse push: a few elements, some stripes untouched
+			what = "sparse push"
+			delta := make([]float64, size)
+			for k := rng.Intn(14); k >= 0; k-- {
+				delta[rng.Intn(size)] = propertyValue(rng)
+			}
+			if err := c.Push(job, delta); err != nil {
+				t.Fatalf("step %d %s: %v", step, what, err)
+			}
+			for i, d := range delta {
+				control[i] += d
+			}
+		case op < 6: // dense push
+			what = "dense push"
+			delta := randomModel()
+			if err := c.Push(job, delta); err != nil {
+				t.Fatalf("step %d %s: %v", step, what, err)
+			}
+			for i, d := range delta {
+				control[i] += d
+			}
+		case op < 8: // range push, sparse or dense
+			what = "range push"
+			lo := rng.Intn(size)
+			delta := make([]float64, 1+rng.Intn(size-lo))
+			if rng.Intn(2) == 0 {
+				for i := range delta {
+					delta[i] = propertyValue(rng)
+				}
+			} else {
+				delta[rng.Intn(len(delta))] = propertyValue(rng)
+			}
+			if err := c.PushRange(job, lo, delta); err != nil {
+				t.Fatalf("step %d %s: %v", step, what, err)
+			}
+			for i, d := range delta {
+				control[lo+i] += d
+			}
+		case op == 8: // migrate a stripe
+			what = "migrate"
+			s := rng.Intn(stripes)
+			dest := otherThan(owner[s])
+			if _, err := rpc.Invoke[MigrateArgs, Ack](raw[owner[s]], MethodMigrate,
+				MigrateArgs{Job: job, Stripe: s, Dest: dest}, 2*time.Second); err != nil {
+				t.Fatalf("step %d migrate stripe %d: %v", step, s, err)
+			}
+			owner[s] = dest
+			delete(replicas[s], dest) // a replica at dest was promoted
+		case op == 9: // attach or detach a replica
+			s := rng.Intn(stripes)
+			dest := otherThan(owner[s])
+			if replicas[s][dest] {
+				what = "unreplicate"
+				if _, err := rpc.Invoke[UnreplicateArgs, Ack](raw[owner[s]], MethodUnreplicate,
+					UnreplicateArgs{Job: job, Stripe: s, Dest: dest}, 2*time.Second); err != nil {
+					t.Fatalf("step %d unreplicate stripe %d: %v", step, s, err)
+				}
+				delete(replicas[s], dest)
+			} else {
+				what = "replicate"
+				if _, err := rpc.Invoke[ReplicateArgs, Ack](raw[owner[s]], MethodReplicate,
+					ReplicateArgs{Job: job, Stripe: s, Dest: dest}, 2*time.Second); err != nil {
+					t.Fatalf("step %d replicate stripe %d: %v", step, s, err)
+				}
+				replicas[s][dest] = true
+			}
+		case op == 10: // restore: new values, every stripe a new incarnation
+			what = "restore"
+			control = randomModel()
+			if err := c.Restore(job, control); err != nil {
+				t.Fatalf("step %d restore: %v", step, err)
+			}
+			control = append([]float64(nil), control...)
+			learnPlacement()
+		default: // rewire one client, flip replica reads on the other
+			what = "set servers"
+			shuffled := append([]string(nil), addrs...)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			if err := c.SetServers(shuffled); err != nil {
+				t.Fatalf("step %d set servers: %v", step, err)
+			}
+			readReplicas = !readReplicas
+			clients[1].SetReadReplicas(readReplicas)
+		}
+
+		// Replica reads are exact only once propagation has drained.
+		for _, srv := range servers {
+			if err := srv.FlushReplication(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := clients[0].Snapshot(job, size)
+		if err != nil {
+			t.Fatalf("step %d snapshot after %s: %v", step, what, err)
+		}
+		for i := range control {
+			if snap[i] != control[i] {
+				t.Fatalf("step %d after %s: server elem %d = %v, dense control %v", step, what, i, snap[i], control[i])
+			}
+		}
+		pullReplies(&seen) // the snapshot's own full replies are not the mirrors'
+		for i, m := range mirrors {
+			if step < steps-1 && rng.Intn(3) == 0 {
+				continue // skip: the next sync spans several pushes
+			}
+			if err := clients[i].Sync(m); err != nil {
+				t.Fatalf("step %d sync client %d after %s: %v", step, i, what, err)
+			}
+			sameBits(t, fmt.Sprintf("step %d after %s: mirror %d vs snapshot", step, what, i), m.Values(), snap)
+		}
+		d := pullReplies(&seen)
+		total.full += d.full
+		total.delta += d.delta
+		total.same += d.same
+	}
+	t.Logf("mirror syncs were answered: %d full, %d delta, %d not-modified stripes", total.full, total.delta, total.same)
+	if total.full == 0 || total.delta == 0 || total.same == 0 {
+		t.Fatalf("property run did not see all three answers: %+v", total)
+	}
+}
+
+// TestDeltaSyncUnderLoad is the concurrent half of the proof: four
+// workers, each with its own client and mirror, sync and push sparse +1s
+// at once while a migrator shuttles stripes between the servers — so
+// delta replies are cut from a stripe's change log while other pushes
+// are appending to it, and cursors meet stripes that have just moved.
+// Integer increments sum exactly in any order, so once the load stops
+// every mirror must equal the final snapshot bit for bit, and the
+// snapshot must equal the tally of what was pushed. Run under -race.
+func TestDeltaSyncUnderLoad(t *testing.T) {
+	const (
+		job         = "job"
+		stripeElems = 256 // change-log budget: 16 records per stripe
+		size        = 6 * stripeElems
+		workers     = 4
+		iters       = 60
+	)
+	_, addrs := startServers(t, 2)
+	boot := newClient(t, addrs)
+	boot.SetStripeElems(stripeElems)
+	if err := boot.Init(job, make([]float64, size)); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var migrator sync.WaitGroup
+	conns := []*rpc.Client{dialRaw(t, addrs[0]), dialRaw(t, addrs[1])}
+	migrator.Add(1)
+	go func() {
+		defer migrator.Done()
+		rng := rand.New(rand.NewSource(42))
+		for from := 0; ; from = 1 - from {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			routes, err := rpc.Invoke[RoutesArgs, RoutesReply](conns[from], MethodRoutes, RoutesArgs{Job: job}, 2*time.Second)
+			if err == nil && len(routes.Stripes) > 0 {
+				s := routes.Stripes[rng.Intn(len(routes.Stripes))].Index
+				_, _ = rpc.Invoke[MigrateArgs, Ack](conns[from], MethodMigrate,
+					MigrateArgs{Job: job, Stripe: s, Dest: addrs[1-from]}, 2*time.Second)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	seen := metrics.Comm.Snapshot()
+	tally := make([]atomic.Int64, size)
+	mirrors := make([]*Mirror, workers)
+	clients := make([]*Client, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		clients[w] = newClient(t, addrs)
+		mirrors[w] = NewMirror(job, size)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			delta := make([]float64, size)
+			for it := 0; it < iters; it++ {
+				if err := clients[w].Sync(mirrors[w]); err != nil {
+					t.Errorf("worker %d iter %d sync: %v", w, it, err)
+					return
+				}
+				for i := range delta {
+					delta[i] = 0
+				}
+				for k := 0; k < 8; k++ {
+					e := rng.Intn(size)
+					delta[e]++
+					tally[e].Add(1)
+				}
+				if err := clients[w].Push(job, delta); err != nil {
+					t.Errorf("worker %d iter %d push: %v", w, it, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	migrator.Wait()
+	if t.Failed() {
+		return
+	}
+	if got := pullReplies(&seen); got.delta == 0 || got.full <= int64(workers*size/stripeElems) {
+		t.Fatalf("load was answered %+v: want deltas, and full replies beyond each mirror's first fill", got)
+	}
+	snap, err := boot.Snapshot(job, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := range tally {
+		if snap[e] != float64(tally[e].Load()) {
+			t.Fatalf("elem %d = %v, want %d (push lost or double-applied)", e, snap[e], tally[e].Load())
+		}
+	}
+	for w, m := range mirrors {
+		if err := clients[w].Sync(m); err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, fmt.Sprintf("mirror %d vs snapshot", w), m.Values(), snap)
+	}
+}
+
+// deltaRig is one client pushing and another syncing a mirror of a
+// 4-stripe model on two servers, for the fallback cases below.
+type deltaRig struct {
+	servers []*Server
+	addrs   []string
+	pusher  *Client
+	syncer  *Client
+	mirror  *Mirror
+	size    int
+	seen    metrics.CommSnapshot
+}
+
+const rigStripeElems = 64 // change-log budget: 4 records per stripe
+
+func newDeltaRig(t *testing.T) *deltaRig {
+	t.Helper()
+	r := &deltaRig{size: 4 * rigStripeElems}
+	r.servers, r.addrs = startServers(t, 2)
+	r.pusher, r.syncer = newClient(t, r.addrs), newClient(t, r.addrs)
+	r.pusher.SetStripeElems(rigStripeElems)
+	r.syncer.SetStripeElems(rigStripeElems)
+	if err := r.pusher.Init("job", seqModel(r.size)); err != nil {
+		t.Fatal(err)
+	}
+	r.mirror = NewMirror("job", r.size)
+	r.sync(t)
+	return r
+}
+
+// sync syncs the mirror, checks it against a snapshot bit for bit and
+// returns how its stripes were answered.
+func (r *deltaRig) sync(t *testing.T) replyCounts {
+	t.Helper()
+	r.seen = metrics.Comm.Snapshot()
+	if err := r.syncer.Sync(r.mirror); err != nil {
+		t.Fatal(err)
+	}
+	got := pullReplies(&r.seen)
+	snap, err := r.pusher.Snapshot("job", r.size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "mirror vs snapshot", r.mirror.Values(), snap)
+	return got
+}
+
+// pushAt pushes +1 to the given elements in one push.
+func (r *deltaRig) pushAt(t *testing.T, elems ...int) {
+	t.Helper()
+	delta := make([]float64, r.size)
+	for _, e := range elems {
+		delta[e] = 1
+	}
+	if err := r.pusher.Push("job", delta); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestDeltaSteadyState(t *testing.T) {
+	r := newDeltaRig(t)
+	if got := r.sync(t); got != (replyCounts{same: 4}) {
+		t.Fatalf("idle sync = %+v, want 4 not-modified", got)
+	}
+	r.pushAt(t, 3, 70) // stripes 0 and 1
+	r.pushAt(t, 3)     // stripe 0 again: the delta repeats element 3
+	if got := r.sync(t); got != (replyCounts{delta: 2, same: 2}) {
+		t.Fatalf("sync after two sparse pushes = %+v, want 2 delta + 2 not-modified", got)
+	}
+}
+
+func TestDeltaLogOverflowFallsBackToFull(t *testing.T) {
+	r := newDeltaRig(t)
+	// One push over the stripe's budget of 4 records is logged as
+	// "everything changed".
+	r.pushAt(t, 0, 1, 2, 3, 4)
+	if got := r.sync(t); got != (replyCounts{full: 1, same: 3}) {
+		t.Fatalf("sync after an over-budget push = %+v, want 1 full + 3 not-modified", got)
+	}
+	// Five one-element pushes wrap the 4-record ring: the oldest is gone,
+	// so a cursor from before it cannot be served from the log.
+	for e := 0; e < 5; e++ {
+		r.pushAt(t, 64+e)
+	}
+	if got := r.sync(t); got != (replyCounts{full: 1, same: 3}) {
+		t.Fatalf("sync after the ring wrapped = %+v, want 1 full + 3 not-modified", got)
+	}
+	// Four fit exactly.
+	for e := 0; e < 4; e++ {
+		r.pushAt(t, 128+e)
+	}
+	if got := r.sync(t); got != (replyCounts{delta: 1, same: 3}) {
+		t.Fatalf("sync after four logged pushes = %+v, want 1 delta + 3 not-modified", got)
+	}
+	// A dense push logs "everything" too.
+	dense := make([]float64, r.size)
+	for i := range dense {
+		dense[i] = 0.5
+	}
+	if err := r.pusher.Push("job", dense); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.sync(t); got != (replyCounts{full: 4}) {
+		t.Fatalf("sync after a dense push = %+v, want 4 full", got)
+	}
+}
+
+func TestDeltaOlderIncarnationFallsBackToFull(t *testing.T) {
+	r := newDeltaRig(t)
+	// Restore different values. Every stripe restarts at the version the
+	// mirror's cursors already name, so only the epoch tells the two
+	// incarnations apart: "not modified" here would leave the mirror on
+	// the old values.
+	restored := make([]float64, r.size)
+	for i := range restored {
+		restored[i] = -float64(i)
+	}
+	if err := r.pusher.Restore("job", restored); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.sync(t); got != (replyCounts{full: 4}) {
+		t.Fatalf("sync after restore = %+v, want 4 full", got)
+	}
+	// Migration installs the stripe on its new owner as a new incarnation
+	// too: one full reply from there, deltas again afterwards.
+	src := dialRaw(t, r.addrs[0])
+	s := primaryStripes(t, src, "job")[0]
+	if _, err := rpc.Invoke[MigrateArgs, Ack](src, MethodMigrate,
+		MigrateArgs{Job: "job", Stripe: s, Dest: r.addrs[1]}, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	retries := metrics.Comm.Snapshot().MovedRetries
+	r.pushAt(t, s*rigStripeElems)
+	if got := r.sync(t); got != (replyCounts{full: 1, same: 3}) {
+		t.Fatalf("sync after migration = %+v, want 1 full + 3 not-modified", got)
+	}
+	// The push and the sync each bounced off the old owner once.
+	if got := metrics.Comm.Snapshot().MovedRetries - retries; got != 2 {
+		t.Fatalf("%d moved-stripe retries counted, want 2", got)
+	}
+	r.pushAt(t, s*rigStripeElems)
+	if got := r.sync(t); got != (replyCounts{delta: 1, same: 3}) {
+		t.Fatalf("second sync after migration = %+v, want 1 delta + 3 not-modified", got)
+	}
+}
+
+func TestDeltaReplicaReadsAreFull(t *testing.T) {
+	r := newDeltaRig(t)
+	src := dialRaw(t, r.addrs[0])
+	s := primaryStripes(t, src, "job")[0]
+	if _, err := rpc.Invoke[ReplicateArgs, Ack](src, MethodReplicate,
+		ReplicateArgs{Job: "job", Stripe: s, Dest: r.addrs[1]}, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Drop the cached route so the syncer learns of the replica, then read
+	// round-robin across owner and replica.
+	if err := r.syncer.SetServers(r.addrs); err != nil {
+		t.Fatal(err)
+	}
+	r.syncer.SetReadReplicas(true)
+	var got replyCounts
+	for round := 0; round < 6; round++ {
+		r.pushAt(t, s*rigStripeElems+round%3)
+		if err := r.servers[0].FlushReplication(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		c := r.sync(t)
+		if c.same != 3 {
+			t.Fatalf("round %d: %+v, want the 3 unreplicated stripes not-modified", round, c)
+		}
+		got.full += c.full
+		got.delta += c.delta
+	}
+	// Half the reads went to the replica: each was answered in full and
+	// left no cursor, so the owner's next answer was full as well. A
+	// delta is only ever served owner-to-owner.
+	if got.full < 3 || got.full+got.delta != 6 {
+		t.Fatalf("replicated stripe over 6 rounds: %d full, %d delta", got.full, got.delta)
+	}
+	// Asked directly with the owner's cursor, the replica still answers in
+	// full and hands out no cursor of its own.
+	cur := append([]stripeCursor(nil), r.mirror.cur...)
+	if cur[s].version == 0 {
+		r.syncer.SetReadReplicas(false)
+		r.sync(t)
+		cur = append([]stripeCursor(nil), r.mirror.cur...)
+	}
+	body := rpc.AppendString(nil, "job")
+	body = rpc.AppendUint32(body, 1)
+	body = rpc.AppendUint32(body, uint32(s))
+	body = rpc.AppendUint64(body, cur[s].epoch)
+	body = rpc.AppendUint64(body, cur[s].version)
+	reply, err := r.servers[1].handlePull(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := decodeStripesInto(reply, 0, make([]float64, r.size), cur)
+	if res.err != nil || res.full != 1 || cur[s] != (stripeCursor{}) {
+		t.Fatalf("replica answered %+v and left cursor %+v; want one full reply and no cursor", res, cur[s])
+	}
+}
+
+// TestPushEntryEncoding pins the "fewer bytes" rule, including the two
+// segments whose head misleads the encoder's first guess.
+func TestPushEntryEncoding(t *testing.T) {
+	const n = 300
+	fill := func(from, to int) []float64 {
+		seg := make([]float64, n)
+		for i := from; i < to; i++ {
+			seg[i] = 1.5
+		}
+		return seg
+	}
+	negZero := make([]float64, n)
+	negZero[7] = math.Copysign(0, -1)
+	tests := []struct {
+		name string
+		seg  []float64
+		enc  int // -1: not sent
+		nnz  int
+	}{
+		{"all +0", make([]float64, n), -1, 0},
+		{"-0 travels", negZero, encSparse, 1},
+		{"one element", fill(10, 11), encSparse, 1},
+		{"just under two thirds", fill(0, 199), encSparse, 199},
+		{"exactly two thirds", fill(0, 200), encDense, 0},
+		{"dense head, sparse overall", fill(0, 100), encSparse, 100},
+		{"sparse head, dense overall", fill(80, 300), encDense, 0},
+		{"full", fill(0, n), encDense, 0},
+	}
+	for _, tt := range tests {
+		body, sent := appendPushEntry(nil, 5, 1000, tt.seg)
+		if tt.enc < 0 {
+			if sent || len(body) != 0 {
+				t.Errorf("%s: sent %d bytes, want nothing", tt.name, len(body))
+			}
+			continue
+		}
+		if !sent {
+			t.Errorf("%s: not sent", tt.name)
+			continue
+		}
+		e, rest, err := readPushEntry(body)
+		if err != nil || len(rest) != 0 {
+			t.Errorf("%s: does not parse back: %v, %d trailing bytes", tt.name, err, len(rest))
+			continue
+		}
+		if int(e.enc) != tt.enc || e.idx != 5 || e.lo != 1000 {
+			t.Errorf("%s: enc %d idx %d lo %d, want enc %d idx 5 lo 1000", tt.name, e.enc, e.idx, e.lo, tt.enc)
+			continue
+		}
+		got := make([]float64, n)
+		if e.enc == encDense {
+			if e.n != n {
+				t.Errorf("%s: dense entry of %d elements, want %d", tt.name, e.n, n)
+				continue
+			}
+			for k := range got {
+				got[k] = rpc.FloatAt(e.data, k)
+			}
+		} else {
+			if e.n != tt.nnz {
+				t.Errorf("%s: %d pairs, want %d", tt.name, e.n, tt.nnz)
+			}
+			for k := 0; k < e.n; k++ {
+				off, v := sparseAt(e.data, k)
+				got[off] = v
+			}
+		}
+		sameBits(t, tt.name, got, tt.seg)
+		if dense, sparse := rpc.FloatsLen(n), 4+sparseRec*tt.nnz; e.enc == encSparse && sparse >= dense {
+			t.Errorf("%s: sparse form (%d bytes) sent although dense is %d", tt.name, sparse, dense)
+		}
+	}
+}
+
+// pushFuzzServer holds job "job" as one 64-element primary stripe (log
+// budget 4), directly installed.
+func pushFuzzServer(tb testing.TB) (*Server, *stripeBlock) {
+	tb.Helper()
+	s := NewServer()
+	body := rpc.AppendString(nil, "job")
+	body = rpc.AppendUint32(body, 1)
+	body = appendStripeFrame(body, 0, 128, 0, 1, nil, seqModel(64))
+	if _, err := s.handleInstall(body, true); err != nil {
+		tb.Fatal(err)
+	}
+	return s, s.lookup("job").get(0)
+}
+
+// pushBody frames a push request of pre-encoded entries.
+func pushBody(entries ...[]byte) []byte {
+	body := rpc.AppendString(nil, "job")
+	body = rpc.AppendUint32(body, uint32(len(entries)))
+	for _, e := range entries {
+		body = append(body, e...)
+	}
+	return body
+}
+
+// sparseEntry hand-encodes a sparse push entry, valid or not.
+func sparseEntry(idx, lo uint32, nnz uint32, offs ...uint32) []byte {
+	e := rpc.AppendUint32(nil, idx)
+	e = rpc.AppendUint32(e, lo)
+	e = append(e, encSparse)
+	e = rpc.AppendUint32(e, nnz)
+	for _, off := range offs {
+		e = rpc.AppendUint32(e, off)
+		e = rpc.AppendUint64(e, math.Float64bits(1))
+	}
+	return e
+}
+
+func denseEntry(idx, lo uint32, vals ...float64) []byte {
+	e := rpc.AppendUint32(nil, idx)
+	e = rpc.AppendUint32(e, lo)
+	e = append(e, encDense)
+	return rpc.AppendFloats(e, vals)
+}
+
+// malformedPushes are requests the server must reject whole. Each pairs
+// a valid first entry with a broken second one, so "rejected" has
+// something it must not have applied.
+func malformedPushes() map[string][]byte {
+	ok := sparseEntry(0, 128, 2, 3, 9)
+	return map[string][]byte{
+		"offset beyond stripe":   pushBody(ok, sparseEntry(0, 128, 1, 64)),
+		"entry below stripe":     pushBody(ok, sparseEntry(0, 100, 1, 0)),
+		"dense beyond stripe":    pushBody(ok, denseEntry(0, 190, 1, 2, 3)),
+		"nnz overflow":           pushBody(ok, sparseEntry(0, 128, math.MaxUint32, 1)),
+		"nnz beyond body":        pushBody(ok, sparseEntry(0, 128, 3, 1, 2)),
+		"unsorted offsets":       pushBody(ok, sparseEntry(0, 128, 2, 9, 3)),
+		"duplicate offsets":      pushBody(ok, sparseEntry(0, 128, 2, 3, 3)),
+		"unknown encoding":       pushBody(ok, append(sparseEntry(0, 128, 0)[:8], 7)),
+		"entry count over body":  append(pushBody(ok)[:5], append([]byte{255, 255, 255, 255}, ok...)...),
+		"truncated second entry": pushBody(ok, sparseEntry(0, 128, 1, 5)[:15]),
+	}
+}
+
+func TestPushRejectedChangesNothing(t *testing.T) {
+	for name, body := range malformedPushes() {
+		s, st := pushFuzzServer(t)
+		before := append([]float64(nil), st.vals...)
+		if _, err := s.handlePush(body); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		sameBits(t, name, st.vals, before)
+		if st.version != 1 || st.stats.pushOps.Load() != 0 {
+			t.Errorf("%s: version %d, %d push ops after a rejected push", name, st.version, st.stats.pushOps.Load())
+		}
+	}
+	// Every strict prefix of a valid two-entry request is rejected too.
+	valid := pushBody(sparseEntry(0, 128, 2, 3, 9), denseEntry(0, 130, 1, 2))
+	for n := 0; n < len(valid); n++ {
+		s, st := pushFuzzServer(t)
+		before := append([]float64(nil), st.vals...)
+		if _, err := s.handlePush(valid[:n]); err == nil {
+			t.Fatalf("truncation at %d/%d bytes accepted", n, len(valid))
+		}
+		sameBits(t, "truncated push", st.vals, before)
+	}
+	s, st := pushFuzzServer(t)
+	if _, err := s.handlePush(valid); err != nil {
+		t.Fatalf("valid push rejected: %v", err)
+	}
+	if st.vals[2] != 2+1 || st.vals[3] != 3+1+2 || st.vals[9] != 9+1 || st.version != 3 {
+		t.Fatalf("valid push misapplied: vals[2,3,9] = %v %v %v, version %d", st.vals[2], st.vals[3], st.vals[9], st.version)
+	}
+}
+
+// FuzzPushEntry feeds arbitrary bytes to the push handler: it must never
+// panic or read out of bounds, and a request it rejects must leave the
+// stripe exactly as it was.
+func FuzzPushEntry(f *testing.F) {
+	f.Add(pushBody(sparseEntry(0, 128, 2, 3, 9), denseEntry(0, 130, 1, 2)))
+	for _, body := range malformedPushes() {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, st := pushFuzzServer(t)
+		before := append([]float64(nil), st.vals...)
+		if _, err := s.handlePush(data); err != nil {
+			sameBits(t, "rejected push", st.vals, before)
+			if st.version != 1 {
+				t.Fatalf("rejected push left version %d", st.version)
+			}
+		}
+	})
+}
+
+// deltaReply hand-encodes a one-stripe delta pull reply, valid or not.
+func deltaReply(idx uint32, version uint64, nnz uint32, offs ...uint32) []byte {
+	b := rpc.AppendUint32(nil, 1)
+	b = rpc.AppendUint32(b, idx)
+	b = append(b, stripeDelta)
+	b = rpc.AppendUint64(b, version)
+	b = rpc.AppendUint32(b, nnz)
+	for _, off := range offs {
+		b = rpc.AppendUint32(b, off)
+		b = rpc.AppendUint64(b, math.Float64bits(-7))
+	}
+	return b
+}
+
+// pullFuzzMirror is a 16-element buffer of two 8-element stripes: the
+// first held at version 3, the second not held.
+func pullFuzzMirror() ([]float64, []stripeCursor) {
+	return seqModel(16), []stripeCursor{{epoch: 11, version: 3, lo: 0, n: 8}, {}}
+}
+
+func TestDeltaReplyRejectedChangesNothing(t *testing.T) {
+	bad := map[string][]byte{
+		"offset beyond stripe":    deltaReply(0, 4, 1, 8),
+		"nnz overflow":            deltaReply(0, 4, math.MaxUint32, 1),
+		"nnz beyond body":         deltaReply(0, 4, 3, 1, 2),
+		"truncated":               deltaReply(0, 4, 1, 5)[:20],
+		"delta without a cursor":  deltaReply(1, 4, 1, 0),
+		"delta for unknown index": deltaReply(9, 4, 1, 0),
+		"not-modified, no cursor": append(rpc.AppendUint32(rpc.AppendUint32(nil, 1), 1), stripeSame),
+		"unknown status":          append(rpc.AppendUint32(rpc.AppendUint32(nil, 1), 0), 9),
+	}
+	for name, reply := range bad {
+		dst, cur := pullFuzzMirror()
+		if res := decodeStripesInto(reply, 0, dst, cur); res.err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		sameBits(t, name, dst, seqModel(16))
+		if cur[0] != (stripeCursor{epoch: 11, version: 3, lo: 0, n: 8}) || cur[1] != (stripeCursor{}) {
+			t.Errorf("%s: cursors moved to %+v", name, cur)
+		}
+	}
+	// Unsorted and repeated offsets are fine in a reply: each names the
+	// element's current value.
+	dst, cur := pullFuzzMirror()
+	if res := decodeStripesInto(deltaReply(0, 5, 3, 6, 2, 6), 0, dst, cur); res.err != nil || res.delta != 1 {
+		t.Fatalf("valid delta rejected: %+v", res)
+	}
+	if dst[6] != -7 || dst[2] != -7 || dst[3] != 3 || cur[0].version != 5 {
+		t.Fatalf("valid delta misapplied: %v, cursor %+v", dst[:8], cur[0])
+	}
+}
+
+// FuzzPullReply feeds arbitrary bytes to the pull-reply decoder: it must
+// never panic or index outside the buffer, and whatever it makes of the
+// reply, every cursor must still describe a range inside the buffer —
+// the range a later delta is bounds-checked against.
+func FuzzPullReply(f *testing.F) {
+	f.Add(deltaReply(0, 5, 3, 6, 2, 6))
+	f.Add(deltaReply(0, 4, 1, 8))
+	f.Add(deltaReply(0, 4, math.MaxUint32, 1))
+	f.Add(deltaReply(1, 4, 1, 0))
+	full := rpc.AppendUint32(nil, 2)
+	full = rpc.AppendUint32(full, 1)
+	full = append(full, stripeOK)
+	full = rpc.AppendUint32(full, 8)
+	full = rpc.AppendUint64(full, 42)
+	full = rpc.AppendUint64(full, 6)
+	full = rpc.AppendFloats(full, seqModel(8))
+	full = rpc.AppendUint32(full, 0)
+	full = append(full, stripeSame)
+	f.Add(full)
+	f.Add(full[:len(full)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dst, cur := pullFuzzMirror()
+		decodeStripesInto(data, 0, dst, cur)
+		for i, c := range cur {
+			if c.lo < 0 || c.n < 0 || c.lo+c.n > len(dst) {
+				t.Fatalf("cursor %d describes [%d,%d) of a %d-element buffer", i, c.lo, c.lo+c.n, len(dst))
+			}
+		}
+	})
+}

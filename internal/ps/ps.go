@@ -22,14 +22,36 @@
 //	  stripe-frame: u32 idx | u32 lo | u8 flags | u64 version |
 //	                u16 nrep | nrep × str addr | floats vals
 //	pull/snapshot request:
-//	  str job | u32 count | count × u32 idx
+//	  str job | u32 count | count × (u32 idx | u64 epoch | u64 have)
 //	pull/snapshot reply:
-//	  u32 count | count × (u32 idx | u8 status |
-//	                       ok: u32 lo | floats vals | moved: str fwd)
+//	  u32 count | count × (u32 idx | u8 status | ...)
+//	    full:         u32 lo | u64 epoch | u64 version | floats vals
+//	    moved:        str fwd
+//	    not-modified: nothing
+//	    delta:        u64 version | u32 nnz | nnz × (u32 off | f64 val)
 //	push request:
-//	  str job | u32 count | count × (u32 idx | u32 lo | floats delta)
+//	  str job | u32 count | count × (u32 idx | u32 lo | u8 enc | ...)
+//	    dense:  floats delta
+//	    sparse: u32 nnz | nnz × (u32 off | f64 delta)
 //	push reply:
 //	  u32 nfail | nfail × (u32 idx | str fwd)
+//
+// Both directions move what changed. A push entry travels in whichever
+// encoding is fewer bytes (sparse offsets count from the entry's lo and
+// ascend strictly), and a stripe whose delta is all +0 is not sent. A
+// pull names, per stripe, the (epoch, version) its caller already holds —
+// have 0 means "nothing", which is all PullInto, PullRange and Snapshot
+// ever send — and the server answers not-modified, a delta (the current
+// values of the elements pushed since, offsets counting from the
+// stripe's lo, in any order, repeats allowed) or the full stripe. The
+// epoch is the stripe block's incarnation: a fresh random 64-bit value
+// whenever the block's values are installed rather than pushed to (init,
+// restore, migration, replica propagation), so a cursor taken before any
+// of those can only match by a 2^-64 accident and is otherwise answered
+// in full, as is a cursor the bounded change log no longer reaches and
+// every read of a replica. There is no density or log-depth setting: the
+// push rule is "fewer bytes", and the log is a fixed 1/8 of the stripe's
+// own bytes (delta.go).
 //
 // "fwd" is the forwarding hint of a migrated-away stripe — the address
 // its handoff went to, empty when unknown (never owned here, replica
@@ -46,6 +68,7 @@ package ps
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,10 +102,12 @@ const (
 	MethodDropStripe = "ps.dropStripe"
 )
 
-// Per-stripe status bytes in pull/push replies.
+// Per-stripe status bytes in pull replies.
 const (
-	stripeOK    = 0
+	stripeOK    = 0 // the full stripe follows
 	stripeMoved = 1 // not owned here (migrated away or never installed)
+	stripeSame  = 2 // not modified since the caller's cursor
+	stripeDelta = 3 // the elements pushed since the caller's cursor follow
 )
 
 // Stripe-frame flag bits.
@@ -207,6 +232,12 @@ type stripeBlock struct {
 	// version counts mutations; replica installs are gated on it so a
 	// stale propagation can never roll a replica backwards. Guarded by mu.
 	version uint64
+	// epoch names this incarnation of the block's values: drawn afresh
+	// whenever they are installed rather than pushed to, so version
+	// numbers of different incarnations are never compared. log records
+	// what the pushes of this incarnation touched. Both guarded by mu.
+	epoch uint64
+	log   changeLog
 	// primary: pushes apply here and propagate outward; false marks a
 	// read replica. Guarded by mu.
 	primary  bool
@@ -377,17 +408,18 @@ func (s *Server) lockStripe(st *stripeBlock, write bool) {
 	}
 }
 
-// tombstone reports whether the stripe has migrated away, and where to.
-// It takes only the stripe lock — never a service-gate slot or the
-// modeled service delay — so bouncing off a forwarding tombstone costs
-// the source server essentially nothing: a migrated-away hot stripe
-// stops consuming the old owner's service capacity immediately. During
-// the fence the write lock is held, so the check inherently waits out
-// the handoff and then reports the fresh placement.
-func (st *stripeBlock) tombstone() (string, bool) {
+// peek reads what an op needs to know before it queues for the stripe:
+// whether the block has migrated away (and where to), and the element
+// range it holds. It takes only the stripe lock — never a service-gate
+// slot or the modeled service delay — so bouncing off a forwarding
+// tombstone costs the source server essentially nothing: a migrated-away
+// hot stripe stops consuming the old owner's service capacity
+// immediately. During the fence the write lock is held, so the check
+// inherently waits out the handoff and then reports the fresh placement.
+func (st *stripeBlock) peek() (fwd string, moved bool, lo, n int) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return st.movedTo, st.moved
+	return st.movedTo, st.moved, st.lo, len(st.vals)
 }
 
 func (s *Server) unlockStripe(st *stripeBlock, write bool) {
@@ -497,10 +529,9 @@ func (s *Server) handleInstall(raw []byte, replace bool) ([]byte, error) {
 	if replace {
 		p := newPartition()
 		for _, f := range frames {
-			p.stripes[f.idx] = &stripeBlock{
-				idx: f.idx, lo: f.lo, vals: f.vals, version: f.version,
-				primary: f.flags&flagReplica == 0, replicas: f.replicas,
-			}
+			st := &stripeBlock{idx: f.idx}
+			st.install(f)
+			p.stripes[f.idx] = st
 		}
 		s.mu.Lock()
 		s.parts[job] = p
@@ -529,10 +560,9 @@ func (s *Server) installStripe(p *partition, f stripeFrame) {
 	p.mu.Lock()
 	st := p.stripes[f.idx]
 	if st == nil {
-		p.stripes[f.idx] = &stripeBlock{
-			idx: f.idx, lo: f.lo, vals: f.vals, version: f.version,
-			primary: incomingPrimary, replicas: f.replicas,
-		}
+		st = &stripeBlock{idx: f.idx}
+		st.install(f)
+		p.stripes[f.idx] = st
 		p.mu.Unlock()
 		return
 	}
@@ -542,18 +572,29 @@ func (s *Server) installStripe(p *partition, f stripeFrame) {
 		st.mu.Unlock()
 		return // stale propagation
 	}
-	st.lo, st.vals, st.version = f.lo, f.vals, f.version
-	st.primary = incomingPrimary
-	st.replicas = f.replicas
-	st.moved = false
-	st.movedTo = ""
+	st.install(f)
 	st.mu.Unlock()
+}
+
+// install makes the block hold a handoff frame's state as a new
+// incarnation: a fresh epoch and an empty change log, so no cursor taken
+// from earlier values — here or on the server the frame came from — is
+// ever answered with a delta. The caller holds mu or owns the block.
+func (st *stripeBlock) install(f stripeFrame) {
+	st.lo, st.vals, st.version = f.lo, f.vals, f.version
+	st.primary = f.flags&flagReplica == 0
+	st.replicas = f.replicas
+	st.moved, st.movedTo = false, ""
+	st.epoch = rand.Uint64()
+	st.log = changeLog{floor: f.version}
 }
 
 // handlePull streams the requested stripes out one by one: each stripe
 // is encoded under its own read lock, so a snapshot of a large job never
-// stalls co-located jobs' pushes. Stripes this server no longer owns
-// come back with a moved status the client uses to refresh its routes.
+// stalls co-located jobs' pushes. Per stripe the caller names the cursor
+// it holds and gets back the least that brings it up to date (see
+// appendPull). Stripes this server no longer owns come back with a moved
+// status the client uses to refresh its routes.
 func (s *Server) handlePull(raw []byte) ([]byte, error) {
 	job, rest, err := rpc.ReadString(raw)
 	if err != nil {
@@ -563,29 +604,30 @@ func (s *Server) handlePull(raw []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ps: pull %q: %w", job, err)
 	}
+	const reqEntry = 4 + 8 + 8
 	count := int(count32)
+	if count > len(rest)/reqEntry {
+		return nil, fmt.Errorf("ps: pull %q: stripe count %d exceeds body", job, count)
+	}
 	p := s.lookup(job)
 	reply := rpc.GetBuffer(4096)[:0]
 	reply = rpc.AppendUint32(reply, count32)
 	for i := 0; i < count; i++ {
-		idx32, next, err := rpc.ReadUint32(rest)
-		if err != nil {
-			rpc.PutBuffer(reply)
-			return nil, fmt.Errorf("ps: pull %q: %w", job, err)
-		}
-		rest = next
+		idx32 := binary.LittleEndian.Uint32(rest)
+		epoch := binary.LittleEndian.Uint64(rest[4:])
+		have := binary.LittleEndian.Uint64(rest[12:])
+		rest = rest[reqEntry:]
+		reply = rpc.AppendUint32(reply, idx32)
 		var st *stripeBlock
 		if p != nil {
 			st = p.get(int(idx32))
 		}
 		if st == nil {
-			reply = rpc.AppendUint32(reply, idx32)
 			reply = append(reply, stripeMoved)
 			reply = rpc.AppendString(reply, "")
 			continue
 		}
-		if fwd, moved := st.tombstone(); moved {
-			reply = rpc.AppendUint32(reply, idx32)
+		if fwd, moved, _, _ := st.peek(); moved {
 			reply = append(reply, stripeMoved)
 			reply = rpc.AppendString(reply, fwd)
 			continue
@@ -594,26 +636,70 @@ func (s *Server) handlePull(raw []byte) ([]byte, error) {
 		if st.moved {
 			fwd := st.movedTo
 			s.unlockStripe(st, false)
-			reply = rpc.AppendUint32(reply, idx32)
 			reply = append(reply, stripeMoved)
 			reply = rpc.AppendString(reply, fwd)
 			continue
 		}
-		reply = rpc.AppendUint32(reply, idx32)
-		reply = append(reply, stripeOK)
-		reply = rpc.AppendUint32(reply, uint32(st.lo))
-		reply = rpc.AppendFloats(reply, st.vals)
+		var moved int
+		reply, moved = st.appendPull(reply, epoch, have)
 		st.stats.pullOps.Add(1)
-		st.stats.pullBytes.Add(int64(8 * len(st.vals)))
+		st.stats.pullBytes.Add(int64(moved))
 		s.unlockStripe(st, false)
 	}
 	return reply, nil
 }
 
+// appendPull appends the status byte and payload that bring a caller
+// holding (epoch, have) up to date, and returns the payload bytes moved.
+// Not-modified and delta are answered only when this block can prove
+// them exact: it is the primary, the caller's values are of this
+// incarnation, and the change log reaches back to have. Everything else
+// — have 0, a replica, another incarnation, a cursor from the future, a
+// gap the log has dropped — gets the full stripe. A replica's full reply
+// carries a zero cursor: its values trail the primary's by the
+// propagation delay and must never be the base of a later delta. The
+// caller holds the stripe's read lock.
+func (st *stripeBlock) appendPull(dst []byte, epoch, have uint64) ([]byte, int) {
+	if have != 0 && st.primary && epoch == st.epoch {
+		if have == st.version {
+			return append(dst, stripeSame), 0
+		}
+		if have < st.version && have >= st.log.floor {
+			dst = append(dst, stripeDelta)
+			dst = rpc.AppendUint64(dst, st.version)
+			dst, nnz := st.log.appendSince(dst, have, st.vals)
+			return dst, sparseRec * nnz
+		}
+	}
+	epoch, version := st.epoch, st.version
+	if !st.primary {
+		epoch, version = 0, 0
+	}
+	dst = append(dst, stripeOK)
+	dst = rpc.AppendUint32(dst, uint32(st.lo))
+	dst = rpc.AppendUint64(dst, epoch)
+	dst = rpc.AppendUint64(dst, version)
+	return rpc.AppendFloats(dst, st.vals), 8 * len(st.vals)
+}
+
+// misfit returns the error for an entry that touches elements outside
+// [lo, lo+n), the range its stripe holds, and nil for one that fits.
+func (e *pushEntry) misfit(job string, lo, n int) error {
+	if e.lo >= lo && e.lo-lo+e.span <= n {
+		return nil
+	}
+	return fmt.Errorf("ps: push shape mismatch for job %q: [%d,%d) vs stripe %d [%d,%d)",
+		job, e.lo, e.lo+e.span, e.idx, lo, lo+n)
+}
+
 // handlePush accumulates deltas straight off the wire, stripe by stripe.
 // Sub-stripe ranges are accepted. Stripes this server no longer owns are
-// reported back unapplied; a delta that does not fit its stripe is a
-// caller bug and fails the whole call.
+// reported back unapplied. A malformed request, or an entry that does
+// not fit its stripe, is a caller bug and fails the whole call — before
+// anything is applied: the first pass parses every entry and checks it
+// against its stripe's range, the second applies. (The range is checked
+// again under the write lock; only a restore racing this very push can
+// make that fail after earlier entries were applied.)
 func (s *Server) handlePush(raw []byte) ([]byte, error) {
 	job, rest, err := rpc.ReadString(raw)
 	if err != nil {
@@ -624,38 +710,47 @@ func (s *Server) handlePush(raw []byte) ([]byte, error) {
 		return nil, fmt.Errorf("ps: push %q: %w", job, err)
 	}
 	count := int(count32)
+	if count > len(rest) { // cheap sanity bound: every entry takes > 1 byte
+		return nil, fmt.Errorf("ps: push %q: entry count %d exceeds body", job, count)
+	}
 	p := s.lookup(job)
 	type bounce struct {
 		idx uint32
 		fwd string
 	}
+	type target struct {
+		pushEntry
+		st *stripeBlock
+	}
 	var failed []bounce
+	var stack [32]target // a job's stripes on one server; more spills to the heap
+	targets := stack[:0]
 	for i := 0; i < count; i++ {
-		idx32, next, err := rpc.ReadUint32(rest)
+		var e pushEntry
+		e, rest, err = readPushEntry(rest)
 		if err != nil {
-			return nil, fmt.Errorf("ps: push %q: %w", job, err)
+			return nil, fmt.Errorf("ps: push %q entry %d/%d: %w", job, i, count, err)
 		}
-		lo32, next, err := rpc.ReadUint32(next)
-		if err != nil {
-			return nil, fmt.Errorf("ps: push %q: %w", job, err)
-		}
-		n, data, next, err := rpc.FloatFrame(next)
-		if err != nil {
-			return nil, fmt.Errorf("ps: push %q stripe %d: %w", job, idx32, err)
-		}
-		rest = next
 		var st *stripeBlock
 		if p != nil {
-			st = p.get(int(idx32))
+			st = p.get(int(e.idx))
 		}
 		if st == nil {
-			failed = append(failed, bounce{idx32, ""})
+			failed = append(failed, bounce{e.idx, ""})
 			continue
 		}
-		if fwd, moved := st.tombstone(); moved {
-			failed = append(failed, bounce{idx32, fwd})
+		fwd, moved, lo, n := st.peek()
+		if moved {
+			failed = append(failed, bounce{e.idx, fwd})
 			continue
 		}
+		if err := e.misfit(job, lo, n); err != nil {
+			return nil, err
+		}
+		targets = append(targets, target{e, st})
+	}
+	for i := range targets {
+		e, st := &targets[i].pushEntry, targets[i].st
 		s.lockStripe(st, true)
 		if st.moved || !st.primary {
 			// Writes aggregate at the owner; a replica bounces the push so
@@ -663,25 +758,22 @@ func (s *Server) handlePush(raw []byte) ([]byte, error) {
 			// bounce (a replica does not track its primary's address).
 			fwd := st.movedTo
 			s.unlockStripe(st, true)
-			failed = append(failed, bounce{idx32, fwd})
+			failed = append(failed, bounce{e.idx, fwd})
 			continue
 		}
-		start := int(lo32) - st.lo
-		if start < 0 || start+n > len(st.vals) {
+		if err := e.misfit(job, st.lo, len(st.vals)); err != nil {
 			s.unlockStripe(st, true)
-			return nil, fmt.Errorf("ps: push shape mismatch for job %q: [%d,%d) vs stripe %d [%d,%d)",
-				job, lo32, int(lo32)+n, st.idx, st.lo, st.lo+len(st.vals))
+			return nil, err
 		}
-		for k := 0; k < n; k++ {
-			st.vals[start+k] += rpc.FloatAt(data, k)
+		if e.n == 0 {
+			s.unlockStripe(st, true)
+			continue // nothing to add: the stripe is not touched
 		}
-		st.version++
+		st.apply(e)
 		propagate := len(st.replicas) > 0
-		st.stats.pushOps.Add(1)
-		st.stats.pushBytes.Add(int64(8 * n))
 		s.unlockStripe(st, true)
 		if propagate {
-			s.markDirty(job, int(idx32))
+			s.markDirty(job, int(e.idx))
 		}
 	}
 	reply := rpc.GetBuffer(4 + 8*len(failed))[:0]
@@ -691,6 +783,34 @@ func (s *Server) handlePush(raw []byte) ([]byte, error) {
 		reply = rpc.AppendString(reply, b.fwd)
 	}
 	return reply, nil
+}
+
+// apply adds a validated, non-empty push entry to the stripe, bumps its
+// version and logs what was touched: the offsets of a sparse entry that
+// fits the log's budget, "everything" otherwise. The caller holds the
+// stripe's write lock.
+func (st *stripeBlock) apply(e *pushEntry) {
+	start := e.lo - st.lo
+	st.version++
+	st.stats.pushOps.Add(1)
+	if e.enc == encDense {
+		vals := st.vals[start : start+e.n]
+		for k := range vals {
+			vals[k] += rpc.FloatAt(e.data, k)
+		}
+		st.log.reset(st.version)
+		st.stats.pushBytes.Add(int64(8 * e.n))
+		return
+	}
+	logged := st.log.begin(st.version, e.n, len(st.vals))
+	for k := 0; k < e.n; k++ {
+		off, v := sparseAt(e.data, k)
+		st.vals[start+off] += v
+		if logged {
+			st.log.put(st.version, start+off)
+		}
+	}
+	st.stats.pushBytes.Add(int64(sparseRec * e.n))
 }
 
 func (s *Server) handleDrop(a DropArgs) (Ack, error) {
@@ -823,6 +943,7 @@ func (s *Server) handleMigrate(a MigrateArgs) (Ack, error) {
 	st.movedTo = a.Dest
 	st.replicas = nil
 	st.vals = nil
+	st.log = changeLog{}
 	return Ack{}, nil
 }
 
@@ -911,6 +1032,7 @@ func (s *Server) handleDropStripe(a DropStripeArgs) (Ack, error) {
 	st.movedTo = "" // replica teardown: the primary's address is not known here
 	st.replicas = nil
 	st.vals = nil
+	st.log = changeLog{}
 	st.mu.Unlock()
 	return Ack{}, nil
 }

@@ -285,6 +285,40 @@ func TestCompPathRaceSmoke(t *testing.T) {
 	wg.Wait()
 }
 
+// TestCompNeverWritesModel pins the contract the delta-synced mirror
+// rests on: COMP only reads the pulled model. A stripe nobody pushed to
+// is not sent again, so a kernel that scribbled on the buffer (a clamp
+// or a normalisation done in place) would silently train on its own
+// scribbles from the next iteration on.
+func TestCompNeverWritesModel(t *testing.T) {
+	cfg := mlapp.Config{Features: 32, Classes: 8, Rows: 256}
+	for _, kind := range []mlapp.Kind{mlapp.MLR, mlapp.Lasso, mlapp.NMF, mlapp.LDA} {
+		cfg.Kind = kind
+		t.Run(kind.String(), func(t *testing.T) {
+			st := newCompState(t, cfg, 32)
+			rng := rand.New(rand.NewSource(7))
+			model := st.algo.InitModel(rng)
+			model[1] = math.Copysign(0, -1) // a sign an in-place `+= 0` would flip
+			want := append([]float64(nil), model...)
+			for iter := 0; iter < 3; iter++ {
+				shard, err := st.materializeShard()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{1, 4} {
+					st.delta, _ = mlapp.ComputeFused(st.algo, st.delta, model, shard, rng, workers, &st.scratch)
+					for i := range want {
+						if math.Float64bits(model[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("iteration %d, %d workers: COMP changed model[%d] from %v to %v",
+								iter, workers, i, want[i], model[i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkComp measures one steady-state COMP subtask per algorithm:
 // the decoded-block cache plus the fused multicore kernel.
 func BenchmarkComp(b *testing.B) {

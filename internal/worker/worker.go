@@ -186,12 +186,15 @@ type jobState struct {
 	stopCh   chan struct{}
 	running  bool
 	lastIter int
-	// model and delta are reused across iterations: PullInto decodes the
-	// pulled parameters straight into model and the fused COMP kernel
-	// writes the update into delta, so the steady-state cycle allocates
-	// nothing.
-	model []float64
-	delta []float64
+	// mirror and delta are reused across iterations. mirror is this
+	// worker's copy of the model plus the per-stripe versions it holds:
+	// PULL syncs it (moving only what other pushes changed) and COMP reads
+	// it — and must only read it, because a stripe nobody pushed to is
+	// not sent again. The fused COMP kernel writes the update into delta.
+	// Only the drive goroutine touches either; the steady-state cycle
+	// allocates nothing.
+	mirror *ps.Mirror
+	delta  []float64
 	// The fast COMP path (DESIGN.md §9): cache holds per-block decoded
 	// examples, assembled is the stitched shard view valid while
 	// assembledGen matches the cache generation, examplesBuf is its
@@ -386,11 +389,10 @@ func (w *Worker) drive(job string, st *jobState, from, iterations, epoch int) {
 		st.running = false
 		w.mu.Unlock()
 	}()
-	modelSize := st.cfg.ModelSize()
-	if cap(st.model) < modelSize {
-		st.model = make([]float64, modelSize)
+	if st.mirror == nil {
+		st.mirror = ps.NewMirror(job, st.cfg.ModelSize())
 	}
-	st.model = st.model[:modelSize]
+	model := st.mirror.Values()
 	for iter := from; iter < iterations; iter++ {
 		select {
 		case <-st.stopCh:
@@ -400,13 +402,12 @@ func (w *Worker) drive(job string, st *jobState, from, iterations, epoch int) {
 		var pullErr error
 		var compSecs, netSecs float64
 		var loss float64
-		model := st.model
 
-		// PULL subtask: decode straight into the reused model buffer.
+		// PULL subtask: bring the mirror up to date.
 		stepDone := make(chan struct{})
 		start := time.Now()
 		if err := w.exec.SubmitAt(subtask.Pull, job, iter, func() {
-			pullErr = st.client.PullInto(job, model)
+			pullErr = st.client.Sync(st.mirror)
 		}, func() { close(stepDone) }); err != nil {
 			return
 		}

@@ -2,16 +2,24 @@ package worker
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"harmony/internal/mlapp"
+	"harmony/internal/ps"
 	"harmony/internal/rpc"
 )
 
-// fakeMaster is a minimal barrier-free master endpoint for driving a
-// worker directly.
+// fakeMaster is a minimal master endpoint for driving a worker directly:
+// every barrier says Continue.
 func fakeMaster(t *testing.T) string {
+	return fakeMasterWith(t, func(BarrierArgs) Directive { return Continue }, func() {})
+}
+
+// fakeMasterWith is fakeMaster with the barrier's answer and the
+// job-done notification left to the test.
+func fakeMasterWith(t *testing.T, barrier func(BarrierArgs) Directive, done func()) string {
 	t.Helper()
 	srv := rpc.NewServer()
 	type registerArgs struct {
@@ -22,9 +30,10 @@ func fakeMaster(t *testing.T) string {
 		return Ack{}, nil
 	}))
 	srv.Handle(MethodBarrier, rpc.Typed(func(a BarrierArgs) (BarrierReply, error) {
-		return BarrierReply{Directive: Continue}, nil
+		return BarrierReply{Directive: barrier(a)}, nil
 	}))
 	srv.Handle(MethodJobDone, rpc.Typed(func(a JobDoneArgs) (Ack, error) {
+		done()
 		return Ack{}, nil
 	}))
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -152,6 +161,140 @@ func TestSetAlphaAndDrop(t *testing.T) {
 	if st.Jobs != 0 {
 		t.Errorf("jobs = %d after drop", st.Jobs)
 	}
+}
+
+// scriptedMaster is a master endpoint that records every barrier's loss
+// and answers Pause once, at iteration pauseAt (-1: never). ended
+// receives a value when a run stops: at the pause, or when the worker
+// reports the job done.
+type scriptedMaster struct {
+	addr    string
+	pauseAt int
+	mu      sync.Mutex
+	losses  []float64
+	ended   chan struct{}
+}
+
+func newScriptedMaster(t *testing.T, pauseAt int) *scriptedMaster {
+	t.Helper()
+	m := &scriptedMaster{pauseAt: pauseAt, ended: make(chan struct{}, 2)} // one pause + one done
+	m.addr = fakeMasterWith(t, func(a BarrierArgs) Directive {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		m.losses = append(m.losses, a.Loss)
+		if a.Iteration == m.pauseAt {
+			m.pauseAt = -1
+			m.ended <- struct{}{}
+			return Pause
+		}
+		return Continue
+	}, func() { m.ended <- struct{}{} })
+	return m
+}
+
+func (m *scriptedMaster) waitEnded(t *testing.T) {
+	t.Helper()
+	select {
+	case <-m.ended:
+	case <-time.After(20 * time.Second):
+		t.Fatal("run neither paused nor finished")
+	}
+}
+
+// TestPauseResumeLossesMatchControl runs each algorithm twice on its own
+// worker — once straight through, once paused mid-run and resumed on the
+// same loaded job, so the resumed run syncs a mirror that still holds
+// cursors from before the pause — and requires the two loss sequences to
+// be float-equal. While the paused run is stopped its servers are
+// checkpointed, pushed to by an outsider and restored from the
+// checkpoint (what a migration does): the values are back where the
+// mirror left them, but under a new incarnation that must be pulled
+// whole, not patched.
+func TestPauseResumeLossesMatchControl(t *testing.T) {
+	const iterations, pauseAt = 12, 4
+	for _, kind := range []mlapp.Kind{mlapp.MLR, mlapp.Lasso, mlapp.NMF, mlapp.LDA} {
+		t.Run(kind.String(), func(t *testing.T) {
+			run := func(pause int) []float64 {
+				m := newScriptedMaster(t, pause)
+				w, addr, err := New("unit", "127.0.0.1:0", m.addr, t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer w.Close()
+				ctl, err := rpc.Dial(addr, time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ctl.Close()
+				args := loadArgs(w, []string{addr})
+				args.Config = mlapp.Config{Kind: kind, Features: 24, Classes: 4, Rows: 96}
+				if _, err := rpc.Invoke[LoadJobArgs, Ack](ctl, MethodLoadJob, args, 5*time.Second); err != nil {
+					t.Fatal(err)
+				}
+				start := StartJobArgs{Job: "j1", Iterations: iterations}
+				if _, err := rpc.Invoke[StartJobArgs, Ack](ctl, MethodStartJob, start, time.Second); err != nil {
+					t.Fatal(err)
+				}
+				m.waitEnded(t)
+				if pause >= 0 {
+					waitStopped(t, w, "j1")
+					c, err := ps.NewClient([]string{addr}, time.Second)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer c.Close()
+					size := args.Config.ModelSize()
+					checkpoint, err := c.Snapshot("j1", size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					scribble := make([]float64, size)
+					for i := range scribble {
+						scribble[i] = 1
+					}
+					if err := c.Push("j1", scribble); err != nil {
+						t.Fatal(err)
+					}
+					if err := c.Restore("j1", checkpoint); err != nil {
+						t.Fatal(err)
+					}
+					start.FromIteration = pause + 1
+					if _, err := rpc.Invoke[StartJobArgs, Ack](ctl, MethodStartJob, start, time.Second); err != nil {
+						t.Fatal(err)
+					}
+					m.waitEnded(t)
+				}
+				m.mu.Lock()
+				defer m.mu.Unlock()
+				return append([]float64(nil), m.losses...)
+			}
+			control, paused := run(-1), run(pauseAt)
+			if len(control) != iterations || len(paused) != iterations {
+				t.Fatalf("%d control and %d paused losses, want %d each", len(control), len(paused), iterations)
+			}
+			for i := range control {
+				if paused[i] != control[i] {
+					t.Fatalf("iteration %d: loss %v after pause/resume, %v uninterrupted", i, paused[i], control[i])
+				}
+			}
+		})
+	}
+}
+
+// waitStopped waits for a job's drive goroutine to have returned.
+func waitStopped(t *testing.T, w *Worker, job string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		w.mu.Lock()
+		running := w.jobs[job].running
+		w.mu.Unlock()
+		if !running {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("job %s still running", job)
 }
 
 func TestWorkerDoubleClose(t *testing.T) {
