@@ -5,11 +5,12 @@ GO ?= go
 VERSION ?= dev
 LDFLAGS := -ldflags "-X harmony/internal/obs.Version=$(VERSION)"
 
-.PHONY: check fmt vet build test race ctl-smoke comm-smoke comp-smoke obs-smoke ps-rebalance-smoke fair-smoke place-smoke admit-smoke snapshot-smoke bench-smoke bench-test bench trace-demo
+.PHONY: check fmt vet build test race ctl-smoke comm-smoke comp-smoke obs-smoke ps-rebalance-smoke fair-smoke place-smoke admit-smoke snapshot-smoke bench-smoke bench-test golden-check loc bench trace-demo
 
 ## check: full local gate — gofmt, vet, build, race-enabled tests, bench
-## smoke run, and the benchmark harness's own vet + tests
-check: fmt vet build ctl-smoke comm-smoke comp-smoke obs-smoke ps-rebalance-smoke fair-smoke place-smoke admit-smoke snapshot-smoke race bench-smoke bench-test
+## smoke run, the benchmark harness's own vet + tests, and the golden
+## digests of the offline passes
+check: fmt vet build ctl-smoke comm-smoke comp-smoke obs-smoke ps-rebalance-smoke fair-smoke place-smoke admit-smoke snapshot-smoke race bench-smoke bench-test golden-check
 
 ## fmt: fail if any file is not gofmt-formatted
 fmt:
@@ -58,11 +59,14 @@ ps-rebalance-smoke:
 	$(GO) test -race -run 'TestMigrat|TestPSRebalanceSmoke|TestDeltaSync|TestDelta.*FallsBackToFull|TestDeltaReplicaReads' ./internal/ps/
 
 ## fair-smoke: race-enabled pass over the fair scheduler — queue policy
-## unit tests, the deterministic two-tenant simulation, and the
-## concurrent enqueue/cancel/preempt churn property test
+## unit tests, the admission kernel's table, property and parent-log pin
+## tests (kernel_test.go), the deterministic two-tenant simulation, and,
+## on the live master, the concurrent enqueue/cancel/preempt churn
+## property test, the undo of an admission whose deployment fails and the
+## reclaim round that must not pick (or spin on) a paused victim
 fair-smoke:
 	$(GO) test -race ./internal/fair/
-	$(GO) test -race -run 'TestFair' ./internal/master/ ./internal/ctl/
+	$(GO) test -race -run 'TestFair|TestFailedDeploy|TestReclaim' ./internal/master/ ./internal/ctl/
 
 ## place-smoke: race-enabled pass over the network-aware placement layer —
 ## the interleave solver (determinism, order independence), the link
@@ -109,6 +113,19 @@ bench-smoke:
 ## catches an internal/ signature change that breaks the harness.
 bench-test:
 	cd benchmarks && $(GO) vet ./... && $(GO) test ./...
+
+## golden-check: one short run of the offline workload at seed 1, the
+## only run that verifies the seed-dependent digests (fair experiment
+## event log, 1K-job plan, the four simulator regimes) against
+## benchmarks/testdata/golden_sim_paper.json; bench-test's smoke sizes
+## skip them. A refactor that changes one scheduling decision fails here.
+golden-check:
+	bash benchmarks/run.sh -workload sim_paper -seconds 1 -seed 1
+
+## loc: the non-test Go line count ROADMAP.md tracks (benchmarks/ and
+## its build cache excluded)
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 ## bench: the repository benchmark (BENCHMARK.json) — all four workloads
 ## untraced for the end-to-end metrics, then traced for the per-layer

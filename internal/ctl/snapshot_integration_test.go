@@ -22,6 +22,16 @@ import (
 func TestSnapshotReplayOverHTTP(t *testing.T) {
 	base := startCluster(t, 2, core.Options{})
 
+	// A short job that finishes first, so the capture carries a live
+	// master's complete event.
+	if code := httpJSON(t, http.MethodPost, base+"/v1/jobs",
+		submitBody("snap-done", "mlr", 8, nil), nil); code != http.StatusCreated {
+		t.Fatalf("submit snap-done: code %d", code)
+	}
+	pollJob(t, base, "snap-done", 30*time.Second, func(j ctl.JobResponse) bool {
+		return j.State == "finished"
+	})
+
 	// One long-running job, snapshot taken mid-flight once measured
 	// iteration times exist so calibration has something to compare.
 	var adm ctl.SubmitResponse
@@ -102,6 +112,24 @@ func TestSnapshotReplayOverHTTP(t *testing.T) {
 	}
 	if modeled == 0 {
 		t.Fatalf("replay re-modeled no decisions: %+v", rep1.Decisions)
+	}
+
+	// A removal row is labeled from the group the live master stamped on
+	// the event; without it the finished job's frozen measurements would
+	// fall out of the per-(group, kind) aggregates.
+	for _, e := range snap.Journal {
+		if e.Kind == master.EventComplete && e.Job == "snap-done" && len(e.Group) == 0 {
+			t.Errorf("complete event of snap-done carries no group: %+v", e)
+		}
+	}
+	completeRows := 0
+	for _, g := range rep1.Groups {
+		if g.Kind == master.EventComplete {
+			completeRows++
+		}
+	}
+	if completeRows != 1 {
+		t.Errorf("report has %d complete rows in Groups, want 1: %+v", completeRows, rep1.Groups)
 	}
 
 	// Self-replay: the master replays its own snapshot and the drift

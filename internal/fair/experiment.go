@@ -12,11 +12,13 @@ import (
 // tick is one training iteration: admitted jobs burn one unit of work
 // per tick on a fixed-size gang of workers; completions free the gang.
 //
-// Fair=true runs the DESIGN.md §13 policy — deficit-weighted ordering
-// (Scheduler.Order), quota-gated borrowing (BorrowGated), and
-// preemptive reclaim (Victims) with checkpoint-style resumable
-// requeue. Fair=false is the comparison policy: strict FIFO arrival
-// order with backfill and no preemption.
+// The simulation is a driver of the admission kernel (Scheduler.Decide):
+// each tick it executes the kernel's decisions until none is left, with a
+// Place that only asks whether the gang fits the free workers. Fair=true
+// runs the configured queues — deficit-weighted order, quota-gated
+// borrowing, preemptive reclaim with checkpoint-style resumable requeue.
+// Fair=false is the comparison: the same kernel under the single default
+// queue, which is strict arrival order with backfill and no preemption.
 //
 // Everything is a pure function of (Workers, Queues, Jobs|Seed): two
 // runs with the same inputs produce bit-identical event logs.
@@ -32,7 +34,7 @@ type Experiment struct {
 	// Ticks bounds the simulation; 0 means run until all jobs finish
 	// (capped at a large internal horizon to keep bugs from spinning).
 	Ticks int
-	// Fair selects the policy: fair ordering + reclaim vs FIFO.
+	// Fair selects the policy: the configured queues vs one FIFO queue.
 	Fair bool
 }
 
@@ -119,6 +121,10 @@ func TwoTenantQueues() []QueueConfig {
 // simJob is the mutable per-job simulation state.
 type simJob struct {
 	SimJob
+	// queue and priority are the job's coordinates under the policy that
+	// runs; they differ from SimJob's only in the FIFO comparison.
+	queue     string
+	priority  int
 	seq       uint64
 	remaining int
 	resumable bool
@@ -128,7 +134,8 @@ type simJob struct {
 }
 
 type simState struct {
-	exp   *Experiment
+	workers int
+	// sched is the configured policy; it always backs TimeToQuota.
 	sched *Scheduler
 	held  []*simJob
 	run   map[string]*simJob
@@ -136,8 +143,9 @@ type simState struct {
 	// seq and startSeq mirror the master's arrival/deploy counters.
 	seq, startSeq uint64
 	res           SimResult
-	// outstanding tracks per-queue demand (held + running workers).
-	t int
+	resumeTicks   []int
+	t             int
+	buf           View
 }
 
 // Run executes the simulation and returns its aggregate result.
@@ -164,46 +172,57 @@ func (e Experiment) Run() (SimResult, error) {
 			return SimResult{}, fmt.Errorf("fair: job %s: bad gang/work", j.Name)
 		}
 	}
-	mode := "fifo"
+	// FIFO is not a second code path: it is the same kernel under the
+	// default policy, every job in the one uncapped queue at equal
+	// priority. That orders by arrival, never gates a borrow, and leaves
+	// reclaim nothing to do (any gang that does not fit would take the
+	// queue past its quota, which is the whole cluster).
+	policy, mode := Default(), "fifo"
+	coords := func(SimJob) (string, int) { return DefaultQueue, 0 }
 	if e.Fair {
-		mode = "fair"
+		policy, mode = sched, "fair"
+		coords = func(j SimJob) (string, int) { return j.Queue, j.Priority }
 	}
 	st := &simState{
-		exp: &e, sched: sched,
+		workers: e.Workers, sched: sched,
 		run:  make(map[string]*simJob),
+		buf:  View{Usage: make(Usage)},
 		free: e.Workers,
 		res:  SimResult{Mode: mode, TimeToQuota: make(map[string]int)},
 	}
 	for _, q := range sched.Names() {
 		st.res.TimeToQuota[q] = -1
 	}
+	gangFits := func(h Held, _ int) (bool, string) { return h.Demand <= st.free, HoldNoGang }
 
 	horizon := e.Ticks
 	if horizon <= 0 {
 		horizon = 100000
 	}
-	var resumeTicks []int
 	for st.t = 0; st.t < horizon; st.t++ {
 		// Arrivals enter the admission queue in declaration order.
 		for i := range jobs {
 			if jobs[i].Arrival == st.t {
 				st.seq++
-				st.held = append(st.held, &simJob{
-					SimJob: jobs[i], seq: st.seq,
-					remaining: jobs[i].Work, preemptedAt: -1,
-				})
+				j := &simJob{SimJob: jobs[i], seq: st.seq,
+					remaining: jobs[i].Work, preemptedAt: -1}
+				j.queue, j.priority = coords(jobs[i])
+				st.held = append(st.held, j)
 			}
 		}
-		// Drain: admit in policy order until nothing fits; the fair
-		// policy may reclaim to unblock an under-quota queue.
+		// Drain: execute the kernel's decisions until it has none left.
+	drain:
 		for {
-			if st.admitOne(&resumeTicks) {
-				continue
+			switch d := policy.Decide(st.view(), gangFits); d.Action {
+			case Admit:
+				st.admit(d.Job.Job)
+			case Preempt:
+				for _, v := range d.Victims {
+					st.preempt(v.Job, d.Job.Queue)
+				}
+			default:
+				break drain
 			}
-			if e.Fair && st.reclaimOne() {
-				continue
-			}
-			break
 		}
 		st.recordQuotaAttainment()
 		if len(st.held) == 0 && len(st.run) == 0 {
@@ -226,12 +245,12 @@ func (e Experiment) Run() (SimResult, error) {
 		}
 	}
 	st.res.Makespan = st.t
-	if len(resumeTicks) > 0 {
+	if len(st.resumeTicks) > 0 {
 		sum := 0
-		for _, v := range resumeTicks {
+		for _, v := range st.resumeTicks {
 			sum += v
 		}
-		st.res.MeanResumeTicks = float64(sum) / float64(len(resumeTicks))
+		st.res.MeanResumeTicks = float64(sum) / float64(len(st.resumeTicks))
 	}
 	return st.res, nil
 }
@@ -241,105 +260,52 @@ func (st *simState) event(format string, args ...any) {
 		fmt.Sprintf("t=%d ", st.t)+fmt.Sprintf(format, args...))
 }
 
-func (st *simState) usage() Usage {
-	u := make(Usage)
+// view is the kernel's input for the current tick state. The kernel keeps
+// nothing of a View past Decide, so one set of buffers serves every call.
+func (st *simState) view() View {
+	v := &st.buf
+	v.Total, v.Free = st.workers, st.free
+	v.Held, v.Running = v.Held[:0], v.Running[:0]
+	clear(v.Usage)
+	for _, j := range st.held {
+		v.Held = append(v.Held, Held{Job: j.Name, Queue: j.queue, Priority: j.priority,
+			Seq: j.seq, Demand: j.Gang, Resumable: j.resumable})
+	}
 	for _, j := range st.run {
-		u[j.Queue] += j.Gang
+		v.Usage[j.queue] += j.Gang
+		v.Running = append(v.Running, Running{Job: j.Name, Queue: j.queue,
+			Priority: j.priority, StartSeq: j.startSeq, Workers: j.Gang})
 	}
-	return u
+	return *v
 }
 
-func (st *simState) heldAsFair() []Held {
-	hs := make([]Held, len(st.held))
-	for i, j := range st.held {
-		hs[i] = Held{Job: j.Name, Queue: j.Queue, Priority: j.Priority,
-			Seq: j.seq, Demand: j.Gang, Resumable: j.resumable}
+// admit places a held job's gang, resuming it if it was preempted.
+func (st *simState) admit(name string) {
+	j := st.takeHeld(name)
+	st.startSeq++
+	j.startSeq = st.startSeq
+	st.run[j.Name] = j
+	st.free -= j.Gang
+	if j.resumable {
+		lat := st.t - j.preemptedAt
+		st.resumeTicks = append(st.resumeTicks, lat)
+		st.event("resume %s queue=%s gang=%d after=%d", j.Name, j.Queue, j.Gang, lat)
+	} else {
+		st.event("admit %s queue=%s gang=%d", j.Name, j.Queue, j.Gang)
 	}
-	return hs
 }
 
-func (st *simState) runningAsFair() []Running {
-	rs := make([]Running, 0, len(st.run))
-	for _, j := range st.run {
-		rs = append(rs, Running{Job: j.Name, Queue: j.Queue,
-			Priority: j.Priority, StartSeq: j.startSeq, Workers: j.Gang})
-	}
-	return rs
-}
-
-// order returns held jobs in admission order for the active policy.
-func (st *simState) order() []Held {
-	hs := st.heldAsFair()
-	if st.exp.Fair {
-		return st.sched.Order(hs, st.usage(), st.exp.Workers)
-	}
-	sort.SliceStable(hs, func(a, b int) bool { return hs[a].Seq < hs[b].Seq })
-	return hs
-}
-
-// admitOne places the first held job (in policy order) whose gang fits,
-// honoring quota-gated borrowing under the fair policy. Returns whether
-// anything was admitted.
-func (st *simState) admitOne(resumeTicks *[]int) bool {
-	usage := st.usage()
-	for _, h := range st.order() {
-		if h.Demand > st.free {
-			continue
-		}
-		if st.exp.Fair {
-			quota := st.sched.QuotaWorkers(h.Queue, st.exp.Workers)
-			over := usage[h.Queue]+h.Demand > quota
-			if over && st.sched.BorrowGated(h.Queue, st.heldAsFair(), usage, st.exp.Workers) {
-				continue
-			}
-		}
-		j := st.takeHeld(h.Job)
-		st.startSeq++
-		j.startSeq = st.startSeq
-		st.run[j.Name] = j
-		st.free -= j.Gang
-		if j.resumable {
-			lat := st.t - j.preemptedAt
-			*resumeTicks = append(*resumeTicks, lat)
-			st.event("resume %s queue=%s gang=%d after=%d", j.Name, j.Queue, j.Gang, lat)
-		} else {
-			st.event("admit %s queue=%s gang=%d", j.Name, j.Queue, j.Gang)
-		}
-		return true
-	}
-	return false
-}
-
-// reclaimOne mirrors the master's reclaim round: the best-ordered held
-// job whose queue would stay within quota picks over-quota victims by
-// priority then recency; victims suspend and requeue resumable.
-func (st *simState) reclaimOne() bool {
-	usage := st.usage()
-	for _, h := range st.order() {
-		if usage[h.Queue]+h.Demand > st.sched.QuotaWorkers(h.Queue, st.exp.Workers) {
-			continue
-		}
-		need := h.Demand - st.free
-		if need <= 0 {
-			continue
-		}
-		victims := st.sched.Victims(h.Queue, need, st.runningAsFair(), usage, st.exp.Workers)
-		if victims == nil {
-			continue
-		}
-		for _, v := range victims {
-			j := st.run[v.Job]
-			delete(st.run, j.Name)
-			st.free += j.Gang
-			j.resumable = true
-			j.preemptedAt = st.t
-			st.held = append(st.held, j)
-			st.res.Preemptions++
-			st.event("preempt %s queue=%s remaining=%d for=%s", j.Name, j.Queue, j.remaining, h.Queue)
-		}
-		return true
-	}
-	return false
+// preempt suspends a running victim and requeues it resumable, the
+// tick-world analogue of the master's pause/checkpoint path.
+func (st *simState) preempt(name, beneficiary string) {
+	j := st.run[name]
+	delete(st.run, name)
+	st.free += j.Gang
+	j.resumable = true
+	j.preemptedAt = st.t
+	st.held = append(st.held, j)
+	st.res.Preemptions++
+	st.event("preempt %s queue=%s remaining=%d for=%s", j.Name, j.Queue, j.remaining, beneficiary)
 }
 
 func (st *simState) takeHeld(name string) *simJob {
@@ -355,9 +321,9 @@ func (st *simState) takeHeld(name string) *simJob {
 // recordQuotaAttainment stamps the first tick each queue's usage covers
 // min(quota, outstanding demand) while it has outstanding demand.
 func (st *simState) recordQuotaAttainment() {
-	usage := st.usage()
-	demand := make(Usage)
+	usage, demand := make(Usage), make(Usage)
 	for _, j := range st.run {
+		usage[j.Queue] += j.Gang
 		demand[j.Queue] += j.Gang
 	}
 	for _, j := range st.held {
@@ -367,7 +333,7 @@ func (st *simState) recordQuotaAttainment() {
 		if first >= 0 || demand[q] == 0 {
 			continue
 		}
-		want := st.sched.QuotaWorkers(q, st.exp.Workers)
+		want := st.sched.QuotaWorkers(q, st.workers)
 		if demand[q] < want {
 			want = demand[q]
 		}

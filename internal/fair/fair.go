@@ -1,10 +1,15 @@
-// Package fair is the multi-tenant admission policy layer (DESIGN.md
-// §13): named hierarchical queues with weights, quotas and over-quota
-// weights, per-job priorities, deficit-weighted fair ordering of held
-// jobs, and preemption victim selection. It is pure policy — no locks,
-// no goroutines, no clocks — so every decision is a deterministic
-// function of its inputs; the master calls it under its own mutex and
-// the simulator (experiment.go) drives the exact same code.
+// Package fair is the multi-tenant admission policy (DESIGN.md §13):
+// named hierarchical queues with weights, quotas and over-quota weights,
+// per-job priorities, and the admission kernel (kernel.go) that turns a
+// View of the cluster into the next Decision — admit this held job,
+// preempt these victims for that one, or wait. It is pure — no locks, no
+// goroutines, no clocks, no I/O — so every decision is a deterministic
+// function of its inputs. The kernel has three drivers, which differ only
+// in the View they build, the Place they supply and how they execute a
+// Decision: the live master under its own mutex (internal/master), the
+// tick simulator (experiment.go), and replay's what-if verdicts
+// (internal/replay). Order, BorrowGated and Victims are the kernel's
+// parts; nothing outside this package decides with them.
 //
 // The model follows KAI-Scheduler's queue semantics (SNIPPETS.md
 // snippet 1): a queue's quota is a guaranteed fraction of the cluster,
@@ -240,12 +245,6 @@ func (s *Scheduler) Share(name string) float64 { return s.shares[name] }
 // no guarantee; it still borrows like any other.
 func (s *Scheduler) QuotaWorkers(name string, total int) int {
 	return int(math.Round(s.shares[name] * float64(total)))
-}
-
-// overQuota reports whether admitting demand more workers would take the
-// queue past its guaranteed share.
-func (s *Scheduler) overQuota(queue string, demand int, usage Usage, total int) bool {
-	return usage[queue]+demand > s.QuotaWorkers(queue, total)
 }
 
 // BorrowGated reports whether over-quota admission for the queue must

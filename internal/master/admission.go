@@ -10,8 +10,6 @@ import (
 	"harmony/internal/core"
 	"harmony/internal/fair"
 	"harmony/internal/ps"
-	"harmony/internal/rpc"
-	"harmony/internal/worker"
 	"harmony/internal/workload"
 )
 
@@ -98,20 +96,8 @@ func (p *pendingJob) demand() int {
 	return 1
 }
 
-// counters aggregates control-plane events; guarded by Master.mu.
-type counters struct {
-	admittedInitial    int64
-	admittedArrival    int64
-	heldPending        int64
-	queueDrained       int64
-	canceled           int64
-	preempted          int64
-	migrations         int64
-	recoveries         int64
-	checkpointFailures int64
-}
-
-// Counters is a snapshot of the master's control-plane counters.
+// Counters aggregates control-plane events. The master keeps one under
+// Master.mu; Master.Counters returns a copy.
 type Counters struct {
 	// AdmittedInitial counts jobs started on an idle cluster.
 	AdmittedInitial int64
@@ -140,27 +126,29 @@ type Counters struct {
 func (m *Master) Counters() Counters {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return Counters{
-		AdmittedInitial:    m.counters.admittedInitial,
-		AdmittedArrival:    m.counters.admittedArrival,
-		HeldPending:        m.counters.heldPending,
-		QueueDrained:       m.counters.queueDrained,
-		Canceled:           m.counters.canceled,
-		Preempted:          m.counters.preempted,
-		Migrations:         m.counters.migrations,
-		Recoveries:         m.counters.recoveries,
-		CheckpointFailures: m.counters.checkpointFailures,
-	}
+	return m.counters
 }
 
-// knownLocked reports whether a job name is taken by a deployed or a
-// pending job.
-func (m *Master) knownLocked(name string) bool {
-	if _, ok := m.jobs[name]; ok {
-		return true
+// acceptLocked vets a submission — a well-formed spec, a master that still
+// takes work, a name no deployed or pending job holds — and resolves the
+// queue it counts against.
+func (m *Master) acceptLocked(spec JobSpec) (queue string, err error) {
+	if spec.Name == "" || spec.Iterations <= 0 {
+		return "", errors.New("master: job needs a name and positive iterations")
 	}
-	_, ok := m.pendingIdx[name]
-	return ok
+	if m.draining || m.closed {
+		return "", ErrDraining
+	}
+	if m.jobs[spec.Name] != nil || m.pendingIdx[spec.Name] != nil {
+		return "", fmt.Errorf("master: duplicate job %q: %w", spec.Name, ErrDuplicateJob)
+	}
+	if queue = spec.Queue; queue == "" {
+		queue = fair.DefaultQueue
+	}
+	if !m.fairsched.Has(queue) {
+		return "", fmt.Errorf("master: %w %q", ErrUnknownQueue, queue)
+	}
+	return queue, nil
 }
 
 // Enqueue submits a job through the online admission path of §IV-B4
@@ -171,35 +159,27 @@ func (m *Master) knownLocked(name string) bool {
 // retried in deficit-weighted fair order whenever a job completes, a
 // migration reshapes the plan, or a job is canceled or preempted.
 func (m *Master) Enqueue(spec JobSpec, prof Profile) (Admission, error) {
-	if spec.Name == "" || spec.Iterations <= 0 {
-		return Admission{}, errors.New("master: job needs a name and positive iterations")
-	}
 	if spec.MaxWorkers > 0 && spec.MinWorkers > spec.MaxWorkers {
 		return Admission{}, fmt.Errorf("master: job %q wants min %d > max %d workers",
 			spec.Name, spec.MinWorkers, spec.MaxWorkers)
 	}
 	info := prof.info(spec.Name)
 	m.mu.Lock()
-	if m.draining || m.closed {
+	queue, err := m.acceptLocked(spec)
+	if err != nil {
 		m.mu.Unlock()
-		return Admission{}, ErrDraining
-	}
-	if m.knownLocked(spec.Name) {
-		m.mu.Unlock()
-		return Admission{}, fmt.Errorf("master: duplicate job %q: %w", spec.Name, ErrDuplicateJob)
-	}
-	queue := spec.Queue
-	if queue == "" {
-		queue = fair.DefaultQueue
-	}
-	if !m.fairsched.Has(queue) {
-		m.mu.Unlock()
-		return Admission{}, fmt.Errorf("master: %w %q", ErrUnknownQueue, queue)
+		return Admission{}, err
 	}
 	m.arrivalSeq++
 	p := &pendingJob{spec: spec, info: info, queue: queue,
 		priority: spec.Priority, seq: m.arrivalSeq}
-	group, predicted, initial, ok, reason := m.admitLocked(spec, info)
+	// The arrival rule: the new job is tried at once, ahead of the queue.
+	view, free := m.viewLocked()
+	var pl placement
+	ok, reason := m.fairsched.Try(view, p.held(), func(_ fair.Held, limit int) (ok bool, reason string) {
+		pl, ok, reason = m.placeLocked(p, free, limit)
+		return ok, reason
+	})
 	if !ok {
 		p.holdReason = reason
 		// Held work is waitable from the moment it is accepted: WaitJob
@@ -207,30 +187,79 @@ func (m *Master) Enqueue(spec JobSpec, prof Profile) (Admission, error) {
 		// transition (and is closed by Cancel/Shutdown of a held job).
 		p.finishedCh = make(chan struct{})
 		m.addPendingLocked(p)
-		m.counters.heldPending++
+		m.counters.HeldPending++
 		m.qcLocked(queue).held++
-		m.mu.Unlock()
+		// Journaled before the lock drops: once the job is in the queue a
+		// drain may place it, and its placement must follow this hold.
 		m.journal.append(Event{Kind: EventHold, Job: spec.Name,
 			Note: "held: " + reason})
+		m.mu.Unlock()
 		// A hold in an under-quota queue may be reclaimable right now:
 		// the drain pass evaluates preemption against the live plan.
 		m.wakeDrainer()
 		return Admission{}, nil
 	}
-	kind := EventAdmitArrival
-	if initial {
-		m.counters.admittedInitial++
-		kind = EventAdmitInitial
-	} else {
-		m.counters.admittedArrival++
-	}
-	m.qcLocked(queue).admitted++
-	m.mu.Unlock()
-	m.journal.append(m.predictedEvent(Event{Kind: kind, Job: spec.Name, Group: group}, predicted))
-	if err := m.submitPending(p, group); err != nil {
+	if err := m.admitAndUnlock(p, pl, false); err != nil {
 		return Admission{}, err
 	}
-	return Admission{Admitted: true, Workers: group}, nil
+	return Admission{Admitted: true, Workers: pl.group}, nil
+}
+
+// admitAndUnlock executes an admit decision, for the arrival path and
+// the drain path (drained) alike: count it, journal the placement with
+// the model's prediction, deploy. The caller holds mu's write side;
+// admitAndUnlock releases it, because deployment fans RPCs out to the
+// gang. A failed deployment is undone in full — the counters move back, a
+// compensating hold (NoteDeployFailed) follows the placement in the
+// journal, and a drained job returns to the queue — so neither the metrics
+// nor a replay count a job that never started, or count it twice when the
+// drain retries it.
+func (m *Master) admitAndUnlock(p *pendingJob, pl placement, drained bool) error {
+	m.countAdmissionLocked(p.queue, pl.initial, drained, 1)
+	m.mu.Unlock()
+	e := Event{Kind: EventAdmitArrival, Job: p.spec.Name, Group: pl.group}
+	switch {
+	case p.resume != nil:
+		e.Kind = EventResume
+		e.Note = fmt.Sprintf("resume from checkpoint iteration %d", p.resumeIter-1)
+	case drained:
+		e.Kind = EventQueueDrain
+	case pl.initial:
+		e.Kind = EventAdmitInitial
+	}
+	m.journal.append(m.predictedEvent(e, pl.predicted))
+	err := m.submitPending(p, pl.group)
+	if err != nil {
+		m.mu.Lock()
+		m.countAdmissionLocked(p.queue, pl.initial, drained, -1)
+		if drained && !m.closed && !m.draining {
+			// Deployment raced a worker failure; the job goes back to
+			// the queue for the next drain to retry.
+			m.addPendingLocked(p)
+		}
+		// Under the lock for the same reason as Enqueue's hold: the retry's
+		// placement must not overtake the undo of this one.
+		m.journal.append(Event{Kind: EventHold, Job: p.spec.Name,
+			Note: NoteDeployFailed + err.Error()})
+		m.mu.Unlock()
+	}
+	return err
+}
+
+// countAdmissionLocked moves the admission counters and the queue's
+// ledger by n (1 to count an admission, -1 to take it back).
+func (m *Master) countAdmissionLocked(queue string, initial, drained bool, n int64) {
+	if initial {
+		m.counters.AdmittedInitial += n
+	} else {
+		m.counters.AdmittedArrival += n
+	}
+	qc := m.qcLocked(queue)
+	qc.admitted += n
+	if drained {
+		m.counters.QueueDrained += n
+		qc.drained += n
+	}
 }
 
 // buildLivePlanLocked derives the scheduler's view of the running
@@ -298,13 +327,13 @@ func (m *Master) jobInfoLocked(name string, j *job) core.JobInfo {
 	return info
 }
 
-// drainQueue retries held jobs in deficit-weighted fair order against
-// the current plan (DESIGN.md §13), deploying every one the policy now
-// accepts. When nothing admits but an under-quota queue's gang could
-// place by reclaiming over-quota capacity, it preempts the selected
-// victims through the pause/checkpoint path and retries. It runs on the
-// single drainer goroutine (fastpath.go), woken after completions,
-// migrations, cancellations, holds, and queue reconfigurations.
+// drainQueue executes the admission kernel's decisions over the held
+// queue until it has none left (DESIGN.md §13): a job the kernel admits is
+// deployed where placeLocked put it; victims the kernel selects for an
+// under-quota gang are preempted through the pause/checkpoint path and the
+// queue is decided again. It runs on the single drainer goroutine
+// (fastpath.go), woken after completions, migrations, cancellations,
+// holds, and queue reconfigurations.
 func (m *Master) drainQueue() {
 	for {
 		m.mu.Lock()
@@ -312,78 +341,57 @@ func (m *Master) drainQueue() {
 			m.mu.Unlock()
 			return
 		}
-		usage, _, held := m.admitInputsLocked()
-		ordered := m.fairsched.Order(held, usage, len(m.workers))
-		var p *pendingJob
-		var group []string
-		var predicted core.GroupPrediction
-		var initial bool
-		for _, h := range ordered {
-			cand := m.pendingByNameLocked(h.Job)
-			if cand == nil {
-				continue
-			}
+		view, free := m.viewLocked()
+		view.Running = m.runningLocked()
+		var pl placement
+		d := m.fairsched.Decide(view, func(h fair.Held, limit int) (ok bool, reason string) {
+			cand := m.pendingIdx[h.Job]
 			if cand.rejectEpoch == m.admitEpoch {
 				// Nothing this verdict depended on has changed since the
 				// last pass rejected the job; skip the re-score.
-				continue
+				return false, cand.holdReason
 			}
-			g, pred, init, ok, reason := m.admitLocked(cand.spec, cand.info)
-			if ok {
-				p, group, predicted, initial = cand, g, pred, init
-				break
+			if pl, ok, reason = m.placeLocked(cand, free, limit); !ok {
+				cand.rejectEpoch = m.admitEpoch
 			}
-			cand.rejectEpoch = m.admitEpoch
-			if cand.holdReason != fair.HoldPreempted {
-				cand.holdReason = reason
-			}
+			return ok, reason
+		})
+		for _, h := range d.Holds {
+			m.pendingIdx[h.Job].holdReason = h.Reason
 		}
-		if p == nil {
-			// Nothing places as-is: reclaim for the first under-quota gang
-			// that preemption can unblock. The latch serializes rounds so
-			// concurrent drains never double-preempt.
-			target := m.reclaimTargetLocked(ordered)
-			if target == nil || m.reclaiming {
+		switch d.Action {
+		case fair.Admit:
+			p := m.pendingIdx[d.Job.Job]
+			m.removePendingLocked(p)
+			if m.admitAndUnlock(p, pl, true) != nil {
+				return // requeued; the next wakeup retries rather than spinning here
+			}
+		case fair.Preempt:
+			// The latch serializes rounds so concurrent drains never
+			// double-preempt.
+			if m.reclaiming {
 				m.mu.Unlock()
 				return
 			}
 			m.reclaiming = true
-			beneficiary := target.p.queue
-			victims := target.victims
 			m.mu.Unlock()
-			for _, v := range victims {
-				m.preemptJob(v.Job, beneficiary)
+			suspended := false
+			for _, v := range d.Victims {
+				if m.preemptJob(v.Job, d.Job.Queue) {
+					suspended = true
+				}
 			}
 			m.mu.Lock()
 			m.reclaiming = false
 			m.mu.Unlock()
-			continue
-		}
-		m.removePendingLocked(p)
-		m.counters.queueDrained++
-		if initial {
-			m.counters.admittedInitial++
-		} else {
-			m.counters.admittedArrival++
-		}
-		m.qcLocked(p.queue).admitted++
-		m.qcLocked(p.queue).drained++
-		m.mu.Unlock()
-		kind := EventQueueDrain
-		note := ""
-		if p.resume != nil {
-			kind = EventResume
-			note = fmt.Sprintf("resume from checkpoint iteration %d", p.resumeIter-1)
-		}
-		m.journal.append(m.predictedEvent(
-			Event{Kind: kind, Job: p.spec.Name, Group: group, Note: note}, predicted))
-		if err := m.submitPending(p, group); err != nil {
-			// Deployment raced a worker failure or shutdown; requeue and
-			// let the next drain retry rather than spinning here.
-			m.mu.Lock()
-			if !m.closed && !m.draining {
-				m.addPendingLocked(p)
+			if !suspended {
+				// Nothing was freed, so deciding again would only repeat
+				// this round. The event that took the victims away (a
+				// completion, cancel or migration) wakes the drainer itself;
+				// a pause that timed out is retried at the next wakeup.
+				return
 			}
+		default:
 			m.mu.Unlock()
 			return
 		}
@@ -395,9 +403,9 @@ func (m *Master) drainQueue() {
 // are dropped from the workers, and waiters are unblocked.
 func (m *Master) Cancel(name string) error {
 	m.mu.Lock()
-	if p := m.pendingByNameLocked(name); p != nil {
+	if p := m.pendingIdx[name]; p != nil {
 		m.removePendingLocked(p)
-		m.counters.canceled++
+		m.counters.Canceled++
 		m.qcLocked(p.queue).canceled++
 		if p.finishedCh != nil {
 			// A canceled preempted job will never resume; unpark its
@@ -428,30 +436,17 @@ func (m *Master) Cancel(name string) error {
 		m.mu.Unlock()
 		return nil
 	}
-	// Measured values are captured while the job still counts as running
-	// — livePlanLocked drops it the moment the status flips.
-	iter, ucpu, unet := m.measuredLocked(name, j)
-	m.journal.append(Event{Kind: EventCancel, Job: name,
-		MeasuredIterSeconds: iter, MeasuredCPUUtil: ucpu, MeasuredNetUtil: unet})
+	m.journal.append(m.removalEventLocked(EventCancel, name, j))
 	j.status = StatusCanceled
 	m.invalidatePlanLocked()
-	m.counters.canceled++
+	m.counters.Canceled++
 	m.qcLocked(j.queue).canceled++
 	j.stopBarriers()
 	close(j.finishedCh)
-	refs := make([]workerRef, len(j.workers))
-	for i, wi := range j.workers {
-		refs[i] = m.workers[wi]
-	}
+	refs := m.workerRefsLocked(j)
 	m.mu.Unlock()
 
-	// Best-effort teardown: drop the job's shards and model partitions.
-	for _, r := range refs {
-		_, _ = rpc.Invoke[worker.DropJobArgs, worker.Ack](r.client,
-			worker.MethodDropJob, worker.DropJobArgs{Job: name}, time.Minute)
-		_, _ = rpc.Invoke[ps.DropArgs, ps.Ack](r.client,
-			ps.MethodDrop, ps.DropArgs{Job: name}, time.Minute)
-	}
+	dropJob(refs, name)
 	m.wakeDrainer()
 	return nil
 }
@@ -488,10 +483,6 @@ type JobView struct {
 }
 
 func (m *Master) jobViewLocked(name string, j *job) JobView {
-	names := make([]string, len(j.workers))
-	for i, wi := range j.workers {
-		names[i] = m.workers[wi].name
-	}
 	info := m.jobInfoLocked(name, j)
 	met, ok := m.profiles.Metrics(name)
 	return JobView{
@@ -499,7 +490,7 @@ func (m *Master) jobViewLocked(name string, j *job) JobView {
 		State:          j.status.String(),
 		Iteration:      j.iter,
 		Loss:           j.loss,
-		Workers:        names,
+		Workers:        m.workerNamesLocked(j),
 		CompSeconds:    info.Comp,
 		NetSeconds:     info.Net,
 		Profiled:       ok && met.Profiled(),
@@ -530,7 +521,8 @@ func (m *Master) pendingViewLocked(p *pendingJob, positions map[string]int) JobV
 // queuePositionsLocked maps each held job to its 1-based slot in the
 // fair admission order.
 func (m *Master) queuePositionsLocked() map[string]int {
-	ordered := m.fairsched.Order(m.heldLocked(), m.usageLocked(), len(m.workers))
+	view, _ := m.buildViewLocked()
+	ordered := m.fairsched.Order(view.Held, view.Usage, view.Total)
 	positions := make(map[string]int, len(ordered))
 	for i, h := range ordered {
 		positions[h.Job] = i + 1
@@ -689,7 +681,7 @@ func (m *Master) Shutdown(timeout time.Duration) []string {
 		snap, err := snapshotModel(t.servers, t.name, t.size, timeout)
 		m.mu.Lock()
 		if err != nil {
-			m.counters.checkpointFailures++
+			m.counters.CheckpointFailures++
 			m.mu.Unlock()
 			continue
 		}

@@ -3,11 +3,14 @@ package master
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"harmony/internal/core"
+	"harmony/internal/fair"
 	"harmony/internal/mlapp"
 	"harmony/internal/ps"
 	"harmony/internal/rpc"
@@ -446,5 +449,159 @@ func waitParked(m *Master, job string, iter int) {
 			return
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFailedDeployIsNotCounted pins the undo of an admission whose
+// deployment fails. The counters and the queue ledger move when the
+// kernel admits, before the gang is loaded; a failed load must move them
+// back and journal a compensating hold, or the drain pass's retry counts
+// the job twice and a replay folds a placement that never ran.
+func TestFailedDeployIsNotCounted(t *testing.T) {
+	m, err := New("127.0.0.1:0", core.Options{MaxJobsPerGroup: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	// Park the background drainer; the test runs each pass itself.
+	m.drainStopOnce.Do(func() { close(m.drainStop) })
+
+	// The first load of "held" and every load of "doomed" fail.
+	var heldLoads atomic.Int32
+	stubWorkers(t, m, 1, func(a worker.LoadJobArgs) error {
+		if a.Job == "doomed" || (a.Job == "held" && heldLoads.Add(1) == 1) {
+			return errors.New("stub: worker is shutting down")
+		}
+		return nil
+	}, nil)
+
+	// Arrival path: the error reaches the submitter and nothing is counted.
+	if _, err := m.Enqueue(spec("doomed", mlapp.MLR, 1000), Profile{}); err == nil {
+		t.Fatal("Enqueue succeeded although the deployment failed")
+	}
+	if c := m.Counters(); c.AdmittedInitial != 0 || c.AdmittedArrival != 0 {
+		t.Errorf("after a failed arrival: counters = %+v, want no admission", c)
+	}
+
+	if adm, err := m.Enqueue(spec("blocker", mlapp.MLR, 1000), Profile{}); err != nil || !adm.Admitted {
+		t.Fatalf("blocker: %+v, %v", adm, err)
+	}
+	if adm, err := m.Enqueue(spec("held", mlapp.MLR, 1000), Profile{}); err != nil || adm.Admitted {
+		t.Fatalf("held: %+v, %v, want held", adm, err)
+	}
+	if err := m.Cancel("blocker"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Drain path: the first pass admits "held", fails to load it and
+	// requeues it; the second deploys it.
+	m.drainQueue()
+	if c := m.Counters(); c.QueueDrained != 0 || c.AdmittedInitial != 1 || m.QueueDepth() != 1 {
+		t.Errorf("after the failed drain: counters = %+v, depth %d; want only blocker counted and held requeued",
+			c, m.QueueDepth())
+	}
+	m.drainQueue()
+	c := m.Counters()
+	if c.QueueDrained != 1 || c.AdmittedInitial+c.AdmittedArrival != 2 || m.QueueDepth() != 0 {
+		t.Errorf("after the retry: counters = %+v, depth %d; want blocker and held counted once each",
+			c, m.QueueDepth())
+	}
+	for _, q := range m.Queues() {
+		if q.Name == "default" && (q.Admitted != 2 || q.Drained != 1) {
+			t.Errorf("default queue ledger: admitted %d drained %d, want 2 and 1", q.Admitted, q.Drained)
+		}
+	}
+
+	// The journal shows each failed placement followed by its undo.
+	var got []string
+	for _, e := range m.Events() {
+		if e.Job == "blocker" {
+			continue
+		}
+		row := e.Kind + " " + e.Job
+		if strings.HasPrefix(e.Note, "deploy failed: ") {
+			row += " (deploy failed)"
+		}
+		got = append(got, row)
+	}
+	want := []string{"admit_initial doomed", "hold doomed (deploy failed)", "hold held",
+		"queue_drain held", "hold held (deploy failed)", "queue_drain held"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("journal = %v, want %v", got, want)
+	}
+}
+
+// TestReclaimSkipsPausedVictim: reclaim chooses its victims from job
+// status as it is at the decision, never from the epoch-cached view. x2 is
+// paused (mid-migration, still claiming its worker) by a flip no epoch bump
+// accompanies; a victim list cached before the flip would name x2 — the
+// most recently started over-quota job — whose preemption is a no-op, and
+// the drain would decide the same round again forever instead of reaching
+// x1. The second half pins the stop rule: a round that suspends no victim
+// ends the pass rather than re-deciding on an unchanged view.
+func TestReclaimSkipsPausedVictim(t *testing.T) {
+	m, err := New("127.0.0.1:0", core.Options{MaxJobsPerGroup: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	// Park the background drainer; the test runs each pass itself.
+	m.drainStopOnce.Do(func() { close(m.drainStop) })
+	stubWorkers(t, m, 2, nil, nil)
+	if err := m.ConfigureQueues(
+		fair.QueueConfig{Name: "a", Quota: 0.5},
+		fair.QueueConfig{Name: "b", Quota: 0.5},
+	); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"x1", "x2"} {
+		if adm, err := m.Enqueue(fairSpec(name, 1000, "b", 1, 1), Profile{}); err != nil || !adm.Admitted {
+			t.Fatalf("%s: %+v, %v", name, adm, err)
+		}
+	}
+	m.mu.Lock()
+	m.viewLocked() // the cached view predates the flip
+	m.jobs["x2"].status = StatusPaused
+	m.mu.Unlock()
+	if adm, err := m.Enqueue(fairSpec("y", 1000, "a", 1, 1), Profile{}); err != nil || adm.Admitted {
+		t.Fatalf("y: %+v, %v, want held", adm, err)
+	}
+
+	drained := make(chan struct{})
+	go func() {
+		m.drainQueue()
+		close(drained)
+	}()
+	// The preempt event is journaled before the victim's pause is awaited
+	// (the stub workers never reach a barrier, so the pause stays pending).
+	var victim string
+	pollUntil(t, "a preempt decision", func() bool {
+		for _, e := range m.Events() {
+			if e.Kind == EventPreempt {
+				victim = e.Job
+			}
+		}
+		return victim != ""
+	})
+	if victim != "x1" {
+		t.Fatalf("reclaim chose %q, want the running job x1", victim)
+	}
+
+	// x1 goes away under the pending pause: nothing was suspended, so the
+	// pass ends; the next one finds the freed worker.
+	if err := m.Cancel("x1"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("drain pass kept deciding after a round that suspended nothing")
+	}
+	m.drainQueue()
+	if v, _ := m.Job("y"); v.State != StatusRunning.String() || !reflect.DeepEqual(v.Workers, []string{"w0"}) {
+		t.Errorf("y = %+v, want running on x1's freed worker", v)
+	}
+	if c := m.Counters(); c.Preempted != 0 {
+		t.Errorf("Preempted = %d, want 0 (x1 was canceled, not suspended)", c.Preempted)
 	}
 }

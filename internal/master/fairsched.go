@@ -13,10 +13,11 @@ import (
 	"harmony/internal/worker"
 )
 
-// This file wires the fair policy layer (internal/fair, DESIGN.md §13)
-// into the live admission path: queue configuration, deficit-weighted
-// drain ordering, gang placement against the live plan, and
-// preemption/reclaim through the pause/checkpoint machinery.
+// This file is the live driver's side of the admission kernel
+// (fair.Scheduler.Decide, DESIGN.md §13): queue configuration, the View
+// the kernel decides on, gang placement against the live plan (the
+// kernel's Place), and the execution of a preemption through the
+// pause/checkpoint machinery. No admit/hold/preempt policy lives here.
 
 // ErrUnknownQueue marks a submission naming a queue that was never
 // configured.
@@ -73,27 +74,33 @@ func (m *Master) ConfigureQueues(cfgs ...fair.QueueConfig) error {
 	return nil
 }
 
-// usageLocked counts the workers each queue's deployed jobs occupy.
-// Paused jobs keep their claim: their workers still hold job state
-// mid-migration.
-func (m *Master) usageLocked() fair.Usage {
-	u := make(fair.Usage)
-	for _, j := range m.jobs {
-		if j.status == StatusRunning || j.status == StatusPaused {
-			u[j.queue] += len(j.workers)
-		}
+// held is the policy's view of one pending job.
+func (p *pendingJob) held() fair.Held {
+	return fair.Held{
+		Job: p.spec.Name, Queue: p.queue, Priority: p.priority,
+		Seq: p.seq, Demand: p.demand(), Resumable: p.resume != nil,
 	}
-	return u
 }
 
-// freeWorkersLocked lists workers no deployed job occupies, in
-// registration order (deterministic for a fixed cluster state).
-func (m *Master) freeWorkersLocked() []string {
+// buildViewLocked derives the admission kernel's input from the master's
+// state — everything but View.Running (runningLocked) — plus the names of
+// the free workers in registration order (deterministic for a fixed cluster
+// state), which placeLocked draws from. Paused jobs keep their claim on
+// usage and workers: their workers still hold job state mid-migration, so a
+// Running↔Paused flip changes nothing here. The admission paths go through
+// viewLocked (fastpath.go), which caches the result per admission epoch;
+// the status surfaces build it fresh under mu's read side.
+func (m *Master) buildViewLocked() (fair.View, []string) {
+	v := fair.View{
+		Total: len(m.workers), Usage: make(fair.Usage),
+		Held: make([]fair.Held, len(m.pending)),
+	}
 	busy := make([]bool, len(m.workers))
 	for _, j := range m.jobs {
 		if j.status != StatusRunning && j.status != StatusPaused {
 			continue
 		}
+		v.Usage[j.queue] += len(j.workers)
 		for _, wi := range j.workers {
 			if wi < len(busy) {
 				busy[wi] = true
@@ -106,73 +113,61 @@ func (m *Master) freeWorkersLocked() []string {
 			free = append(free, w.name)
 		}
 	}
-	return free
-}
-
-// heldLocked is the policy view of the admission queue.
-func (m *Master) heldLocked() []fair.Held {
-	held := make([]fair.Held, len(m.pending))
+	v.Free = len(free)
 	for i, p := range m.pending {
-		held[i] = fair.Held{
-			Job: p.spec.Name, Queue: p.queue, Priority: p.priority,
-			Seq: p.seq, Demand: p.demand(), Resumable: p.resume != nil,
-		}
+		v.Held[i] = p.held()
 	}
-	return held
+	return v, free
 }
 
-// runningLocked is the policy view of deployed jobs for victim
-// selection.
+// runningLocked lists the jobs reclaim may suspend: running ones only — a
+// paused job is mid-migration and cannot be paused again. It is derived
+// from job status at each decision and never cached, so a victim choice
+// cannot outlive the status it was made on.
 func (m *Master) runningLocked() []fair.Running {
 	var out []fair.Running
 	for name, j := range m.jobs {
-		if j.status != StatusRunning {
-			continue
+		if j.status == StatusRunning {
+			out = append(out, fair.Running{
+				Job: name, Queue: j.queue, Priority: j.priority,
+				StartSeq: j.startSeq, Workers: len(j.workers),
+			})
 		}
-		out = append(out, fair.Running{
-			Job: name, Queue: j.queue, Priority: j.priority,
-			StartSeq: j.startSeq, Workers: len(j.workers),
-		})
 	}
 	return out
 }
 
-// admitLocked decides placement for one job under the fair policy. The
-// gang rule is atomic: the returned group satisfies the spec's
-// MinWorkers/MaxWorkers band in full, or the job holds with a reason.
+// placement is where placeLocked would put a job.
+type placement struct {
+	group     []string
+	predicted core.GroupPrediction
+	// initial marks a new group on an otherwise idle cluster.
+	initial bool
+}
+
+// placeLocked is the master's half of an admission decision, the only
+// part the kernel does not own: where the job would go on at most limit
+// workers (the kernel's borrow cap). The gang rule is atomic: the returned
+// group satisfies the spec's MinWorkers/MaxWorkers band in full, or the
+// job holds with a reason.
 //
 // Placement tries, in order: the §IV-B4 arrival rule (the Scorer's
 // incremental BestAddition into a running group that improves the
-// scheduling score), then a new group on free workers
-// (the idle cluster is the degenerate case where every worker is free).
-// Either path is vetoed when the queue is over quota and an under-quota
-// queue has held jobs (borrowing is gated). Caller holds mu's write
-// side.
-func (m *Master) admitLocked(spec JobSpec, info core.JobInfo) (group []string, predicted core.GroupPrediction, initial, ok bool, reason string) {
+// scheduling score), then a new group on free workers (the idle cluster
+// is the degenerate case where every worker is free). Caller holds mu's
+// write side.
+func (m *Master) placeLocked(p *pendingJob, free []string, limit int) (placement, bool, string) {
 	if len(m.workers) == 0 {
-		return nil, core.GroupPrediction{}, false, false, fair.HoldNoGang
+		return placement{}, false, fair.HoldNoGang
 	}
-	queue := spec.Queue
-	if queue == "" {
-		queue = fair.DefaultQueue
-	}
-	min := spec.MinWorkers
-	if min < 1 {
-		min = 1
-	}
-	max := spec.MaxWorkers
-	total := len(m.workers)
-	usage, free, held := m.admitInputsLocked()
-	gated := m.fairsched.BorrowGated(queue, held, usage, total)
-	headroom := m.fairsched.QuotaWorkers(queue, total) - usage[queue]
+	min, max, info := p.demand(), p.spec.MaxWorkers, p.info
 
 	plan, members, sc := m.planScorerLocked()
 	if len(plan.Groups) > 0 {
 		if gi, pred, placed := sc.BestAddition(info); placed && gi < len(members) {
 			g := members[gi]
-			fits := len(g) >= min && (max <= 0 || len(g) <= max)
-			if fits && (!gated || len(g) <= headroom) {
-				return append([]string(nil), g...), pred, false, true, ""
+			if len(g) >= min && (max <= 0 || len(g) <= max) && len(g) <= limit {
+				return placement{group: append([]string(nil), g...), predicted: pred}, true, ""
 			}
 		}
 	}
@@ -180,31 +175,25 @@ func (m *Master) admitLocked(spec JobSpec, info core.JobInfo) (group []string, p
 	if max > 0 && want > max {
 		want = max
 	}
-	if gated && want > headroom {
-		want = headroom
+	if want > limit {
+		want = limit
 	}
 	if want >= min {
 		pg := core.Group{Jobs: []core.JobInfo{info}, Machines: want}
-		return append([]string(nil), free[:want]...),
-			core.PredictGroup(pg, m.opts.NetModel), len(plan.Groups) == 0, true, ""
+		return placement{
+			group:     append([]string(nil), free[:want]...),
+			predicted: core.PredictGroup(pg, m.opts.NetModel),
+			initial:   len(plan.Groups) == 0,
+		}, true, ""
 	}
-	switch {
-	case gated && headroom < min:
-		return nil, core.GroupPrediction{}, false, false, fair.HoldQuota
-	case len(free) < min && min > 1:
-		return nil, core.GroupPrediction{}, false, false, fair.HoldNoGang
-	default:
-		return nil, core.GroupPrediction{}, false, false, fair.HoldSlowdown
+	if len(free) < min && min > 1 {
+		return placement{}, false, fair.HoldNoGang
 	}
-}
-
-// pendingByNameLocked finds a held job by name.
-func (m *Master) pendingByNameLocked(name string) *pendingJob {
-	return m.pendingIdx[name]
+	return placement{}, false, fair.HoldSlowdown
 }
 
 // removePendingLocked unlinks a held job from the queue and advances the
-// admission epoch (the held view feeds BorrowGated).
+// admission epoch (the held view feeds the kernel's borrow gate).
 func (m *Master) removePendingLocked(p *pendingJob) {
 	for i, q := range m.pending {
 		if q == p {
@@ -216,75 +205,49 @@ func (m *Master) removePendingLocked(p *pendingJob) {
 	}
 }
 
-// reclaimTarget is one beneficiary held job plus the over-quota victims
-// whose preemption frees enough workers for its gang.
-type reclaimTarget struct {
-	p       *pendingJob
-	need    int
-	victims []fair.Running
-}
-
-// reclaimTargetLocked scans held jobs in fair order for one whose queue
-// is under quota, would stay within quota after admission (the
-// anti-ping-pong rule), and whose gang can be covered by preempting
-// over-quota victims.
-func (m *Master) reclaimTargetLocked(ordered []fair.Held) *reclaimTarget {
-	usage := m.usageLocked()
-	total := len(m.workers)
-	free := len(m.freeWorkersLocked())
-	running := m.runningLocked()
-	for _, h := range ordered {
-		p := m.pendingByNameLocked(h.Job)
-		if p == nil {
-			continue
-		}
-		quota := m.fairsched.QuotaWorkers(h.Queue, total)
-		if usage[h.Queue]+h.Demand > quota {
-			continue // beneficiary would end over quota; no reclaim
-		}
-		need := h.Demand - free
-		if need <= 0 {
-			continue // free workers suffice; this hold is not capacity-bound
-		}
-		if victims := m.fairsched.Victims(h.Queue, need, running, usage, total); victims != nil {
-			return &reclaimTarget{p: p, need: need, victims: victims}
-		}
+// dropJob is the best-effort teardown of a placement: the job's shards
+// and model partitions are dropped from every worker that hosted it.
+// Errors are ignored — a worker that is gone has nothing left to drop, and
+// whatever replaces the placement rebuilds its state from a checkpoint.
+func dropJob(refs []workerRef, name string) {
+	for _, r := range refs {
+		_, _ = rpc.Invoke[worker.DropJobArgs, worker.Ack](r.client,
+			worker.MethodDropJob, worker.DropJobArgs{Job: name}, time.Minute)
+		_, _ = rpc.Invoke[ps.DropArgs, ps.Ack](r.client,
+			ps.MethodDrop, ps.DropArgs{Job: name}, time.Minute)
 	}
-	return nil
 }
 
 // preemptJob suspends one running victim through the §IV-B4
 // drain-and-checkpoint path and requeues it as a resumable held job: the
 // next admission of the name restores the checkpoint frame and continues
-// from the iteration after it. Called without Master.mu held.
-func (m *Master) preemptJob(name, beneficiary string) {
+// from the iteration after it. It reports whether the victim was suspended
+// (false: it finished, was canceled or paused while the drain decided, or
+// the pause timed out). Called without Master.mu held.
+func (m *Master) preemptJob(name, beneficiary string) bool {
 	m.mu.Lock()
 	j, ok := m.jobs[name]
 	if !ok || j.status != StatusRunning {
 		m.mu.Unlock()
-		return
+		return false
 	}
-	iter, ucpu, unet := m.measuredLocked(name, j)
+	ev := m.removalEventLocked(EventPreempt, name, j)
+	ev.Note = fmt.Sprintf("reclaimed for queue %q", beneficiary)
 	m.mu.Unlock()
-	m.journal.append(Event{Kind: EventPreempt, Job: name,
-		MeasuredIterSeconds: iter, MeasuredCPUUtil: ucpu, MeasuredNetUtil: unet,
-		Note: fmt.Sprintf("reclaimed for queue %q", beneficiary)})
+	m.journal.append(ev)
 	ckpt, err := m.Pause(name, time.Minute)
 	if err != nil {
-		// The victim finished or was canceled while we decided; the drain
-		// loop re-evaluates against the new plan.
-		return
+		// The victim finished or was canceled while we decided; whatever
+		// changed its state wakes the drainer to decide on the new plan.
+		return false
 	}
 	m.mu.Lock()
 	j, ok = m.jobs[name]
 	if !ok || j.status != StatusPaused {
 		m.mu.Unlock()
-		return
+		return false
 	}
-	refs := make([]workerRef, len(j.workers))
-	for i, wi := range j.workers {
-		refs[i] = m.workers[wi]
-	}
+	refs := m.workerRefsLocked(j)
 	p := &pendingJob{
 		spec: j.spec, info: m.jobInfoLocked(name, j),
 		queue: j.queue, priority: j.priority, seq: j.arrival,
@@ -295,18 +258,14 @@ func (m *Master) preemptJob(name, beneficiary string) {
 	delete(m.jobs, name)
 	m.invalidatePlanLocked()
 	m.addPendingLocked(p)
-	m.counters.preempted++
+	m.counters.Preempted++
 	m.qcLocked(j.queue).preempted++
 	m.mu.Unlock()
 
-	// Best-effort teardown of the suspended placement; shards and model
-	// partitions rebuild from the checkpoint on re-admission.
-	for _, r := range refs {
-		_, _ = rpc.Invoke[worker.DropJobArgs, worker.Ack](r.client,
-			worker.MethodDropJob, worker.DropJobArgs{Job: name}, time.Minute)
-		_, _ = rpc.Invoke[ps.DropArgs, ps.Ack](r.client,
-			ps.MethodDrop, ps.DropArgs{Job: name}, time.Minute)
-	}
+	// Shards and model partitions rebuild from the checkpoint on
+	// re-admission.
+	dropJob(refs, name)
+	return true
 }
 
 // QueueView is the per-queue status surface for GET /v1/queues and the
@@ -347,7 +306,7 @@ func (m *Master) Queues() []QueueView {
 // section as the plan and job state.
 func (m *Master) queuesLocked() []QueueView {
 	total := len(m.workers)
-	usage := m.usageLocked()
+	view, _ := m.buildViewLocked()
 	running := make(map[string]int)
 	for _, j := range m.jobs {
 		if j.status == StatusRunning || j.status == StatusPaused {
@@ -366,7 +325,7 @@ func (m *Master) queuesLocked() []QueueView {
 			Quota: cfg.Quota, OverQuotaWeight: cfg.OverQuotaWeight,
 			Share:        m.fairsched.Share(name),
 			QuotaWorkers: m.fairsched.QuotaWorkers(name, total),
-			UsageWorkers: usage[name],
+			UsageWorkers: view.Usage[name],
 			Running:      running[name],
 			Depth:        depth[name],
 		}

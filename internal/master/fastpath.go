@@ -6,8 +6,8 @@ import (
 )
 
 // This file is the master half of the admission fast path (DESIGN.md
-// §15): the cached live plan and its Scorer, the epoch-versioned
-// admission-input snapshots, the pending-queue index, and the single
+// §15): the cached live plan and its Scorer, the epoch-versioned kernel
+// view, the pending-queue index, and the single
 // coalescing drainer goroutine. The core half (incremental scoring) lives
 // in internal/core/score.go.
 
@@ -88,38 +88,34 @@ func (m *Master) planScorerLocked() (core.Plan, [][]string, *core.Scorer) {
 	return c.plan, c.members, c.scorer
 }
 
-// admitInputsLocked returns the fair-policy inputs of an admission
-// decision — per-queue usage, the free-worker list, and the held-queue
-// view — cached per admission epoch. A drain pass over a 10K-deep queue
-// reuses one snapshot for every candidate instead of rebuilding all
-// three per candidate. Callers hold mu's write side (the cache fields
-// are written here); the returned values are read-only.
-func (m *Master) admitInputsLocked() (fair.Usage, []string, []fair.Held) {
-	if m.inputEpoch != m.admitEpoch || m.usageCache == nil {
-		m.usageCache = m.usageLocked()
-		m.freeCache = m.freeWorkersLocked()
-		m.heldCache = m.heldLocked()
+// viewLocked returns the admission kernel's input (fairsched.go's
+// buildViewLocked) and the free-worker list, cached per admission epoch. A
+// drain pass over a 10K-deep queue and a burst of arrivals between two
+// plan changes read one snapshot instead of rebuilding it per decision.
+// Callers hold mu's write side (the cache fields are written here); the
+// returned values are read-only. View.Running is not part of the snapshot:
+// drainQueue fills it fresh for each decision (runningLocked).
+func (m *Master) viewLocked() (fair.View, []string) {
+	if m.inputEpoch != m.admitEpoch || m.viewCache.Usage == nil {
+		m.viewCache, m.freeCache = m.buildViewLocked()
 		m.inputEpoch = m.admitEpoch
 	}
-	return m.usageCache, m.freeCache, m.heldCache
+	return m.viewCache, m.freeCache
 }
 
 // addPendingLocked appends a held job to the queue, indexes it by name,
-// and advances the admission epoch (a new hold changes BorrowGated for
-// every queue, so cached reject verdicts must expire).
+// and advances the admission epoch (a new hold can gate every other
+// queue's borrowing, so cached reject verdicts must expire).
 func (m *Master) addPendingLocked(p *pendingJob) {
 	m.pending = append(m.pending, p)
 	m.pendingIdx[p.spec.Name] = p
 	m.admitEpoch++
-	if m.usageCache != nil && m.inputEpoch == m.admitEpoch-1 {
+	if m.viewCache.Usage != nil && m.inputEpoch == m.admitEpoch-1 {
 		// The queue append is the only input this bump covers: extend the
-		// held snapshot in place instead of rebuilding all three inputs on
-		// the next decision. Under an arrival flood this keeps each
-		// Enqueue O(groups) instead of O(queue depth).
-		m.heldCache = append(m.heldCache, fair.Held{
-			Job: p.spec.Name, Queue: p.queue, Priority: p.priority,
-			Seq: p.seq, Demand: p.demand(), Resumable: p.resume != nil,
-		})
+		// held snapshot in place instead of rebuilding the view on the
+		// next decision. Under an arrival flood this keeps each Enqueue
+		// O(groups) instead of O(queue depth).
+		m.viewCache.Held = append(m.viewCache.Held, p.held())
 		m.inputEpoch = m.admitEpoch
 	}
 }

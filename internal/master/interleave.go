@@ -60,10 +60,7 @@ type groupPhase struct {
 
 // groupLabelLocked is the group key for a job's current worker set.
 func (m *Master) groupLabelLocked(j *job) string {
-	names := make([]string, len(j.workers))
-	for i, wi := range j.workers {
-		names[i] = m.workers[wi].name
-	}
+	names := m.workerNamesLocked(j)
 	sort.Strings(names)
 	return strings.Join(names, ",")
 }

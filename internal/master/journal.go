@@ -36,6 +36,12 @@ const (
 	EventRecalibrate = "compat_recalibrate"
 )
 
+// NoteDeployFailed prefixes the Note of the hold that compensates a
+// placement whose deployment failed. Unlike an ordinary hold it takes the
+// journaled placement back: the job never ran on that group, and replay
+// drops the placement when it folds this event.
+const NoteDeployFailed = "deploy failed: "
+
 // Event is one scheduler decision: what the master did with a job, the
 // model's predictions for the placement it chose (Eq. 1 and 3), and —
 // once the job has run — the measured values beside them, so prediction
@@ -194,6 +200,17 @@ func (m *Master) measuredLocked(name string, j *job) (iter, ucpu, unet float64) 
 		unet = g.SumNet() / iter
 	}
 	return iter, ucpu, unet
+}
+
+// removalEventLocked is the journal entry for a job leaving the live plan
+// (complete, cancel, preempt). It must be built while the job still counts
+// as running: it freezes the group the job ran on, which labels the row in
+// replay, and the final measured values, which livePlanLocked can no longer
+// produce once the status flips.
+func (m *Master) removalEventLocked(kind, name string, j *job) Event {
+	iter, ucpu, unet := m.measuredLocked(name, j)
+	return Event{Kind: kind, Job: name, Group: m.workerNamesLocked(j),
+		MeasuredIterSeconds: iter, MeasuredCPUUtil: ucpu, MeasuredNetUtil: unet}
 }
 
 // Events returns the decision journal, oldest first. Events for jobs

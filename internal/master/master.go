@@ -168,7 +168,7 @@ type Master struct {
 	pending  []*pendingJob
 	profiles *profile.Store
 	opts     core.Options
-	counters counters
+	counters Counters
 	draining bool
 	closed   bool
 
@@ -182,18 +182,17 @@ type Master struct {
 	// side) by any mutation of the live plan, the pending queue, the
 	// worker set, or the queue policy. The drain pass stamps reject
 	// verdicts with the epoch they were computed at and skips re-scoring
-	// a held job until the epoch moves; the usage/free/held snapshots in
-	// admitInputsLocked are cached on the same key. planMu guards the
-	// cached live plan (planCache), which is built lazily under mu's
-	// read side and cleared by invalidatePlanLocked (lock order:
+	// a held job until the epoch moves; the kernel view (usage, free, held)
+	// and free-worker list of viewLocked are cached on the same key. planMu
+	// guards the cached live plan (planCache), which is built lazily under
+	// mu's read side and cleared by invalidatePlanLocked (lock order:
 	// mu → planMu).
 	admitEpoch uint64
 	planMu     sync.Mutex
 	planCache  *livePlanCache
 	inputEpoch uint64
-	usageCache fair.Usage
+	viewCache  fair.View
 	freeCache  []string
-	heldCache  []fair.Held
 
 	// The single drainer goroutine (drainLoop): wakeups coalesce through
 	// the 1-buffered drainCh, so a burst of holds and completions
@@ -334,27 +333,12 @@ func (m *Master) Submit(spec JobSpec, group []string) error {
 // job was canceled meanwhile returns nil: the record stays canceled.
 func (m *Master) submitPending(p *pendingJob, group []string) error {
 	spec := p.spec
-	if spec.Name == "" || spec.Iterations <= 0 {
-		return errors.New("master: job needs a name and positive iterations")
-	}
 	m.mu.Lock()
-	if m.draining || m.closed {
-		m.mu.Unlock()
-		return ErrDraining
+	queue, err := m.acceptLocked(spec)
+	var idxs []int
+	if err == nil {
+		idxs, err = m.workerIndexesLocked(group)
 	}
-	if m.knownLocked(spec.Name) {
-		m.mu.Unlock()
-		return fmt.Errorf("master: duplicate job %q: %w", spec.Name, ErrDuplicateJob)
-	}
-	queue := spec.Queue
-	if queue == "" {
-		queue = fair.DefaultQueue
-	}
-	if !m.fairsched.Has(queue) {
-		m.mu.Unlock()
-		return fmt.Errorf("master: %w %q", ErrUnknownQueue, queue)
-	}
-	idxs, err := m.workerIndexesLocked(group)
 	if err != nil {
 		m.mu.Unlock()
 		return err
@@ -443,10 +427,7 @@ func (m *Master) workerIndexesLocked(group []string) ([]int, error) {
 func (m *Master) deploy(j *job, restore []float64, fromIter int) error {
 	m.mu.Lock()
 	epoch := j.epoch
-	refs := make([]workerRef, len(j.workers))
-	for i, wi := range j.workers {
-		refs[i] = m.workers[wi]
-	}
+	refs := m.workerRefsLocked(j)
 	m.mu.Unlock()
 	servers := make([]string, len(refs))
 	for i, r := range refs {
@@ -591,15 +572,7 @@ func (m *Master) handleJobDone(a worker.JobDoneArgs) (worker.Ack, error) {
 	}
 	j.doneFrom[a.Worker] = true
 	if len(j.doneFrom) >= len(j.workers) && j.status != StatusFinished && j.status != StatusCanceled {
-		// Freeze the final measured values into the completion event
-		// before the job leaves the live plan.
-		iter, ucpu, unet := m.measuredLocked(a.Job, j)
-		m.journal.append(Event{
-			Kind: EventComplete, Job: a.Job,
-			MeasuredIterSeconds: iter,
-			MeasuredCPUUtil:     ucpu,
-			MeasuredNetUtil:     unet,
-		})
+		m.journal.append(m.removalEventLocked(EventComplete, a.Job, j))
 		j.status = StatusFinished
 		m.invalidatePlanLocked()
 		close(j.finishedCh)
@@ -615,7 +588,7 @@ func (m *Master) WaitJob(name string, timeout time.Duration) error {
 	var ch chan struct{}
 	if j, ok := m.jobs[name]; ok {
 		ch = j.finishedCh
-	} else if p := m.pendingByNameLocked(name); p != nil {
+	} else if p := m.pendingIdx[name]; p != nil {
 		// A held job is known work: it completes after a drain (or a
 		// resume from preemption) eventually deploys it. The channel
 		// survives the pending→deployed transition.
@@ -690,10 +663,7 @@ func (m *Master) Resume(name string, group []string, checkpoint []float64) error
 		m.mu.Unlock()
 		return fmt.Errorf("master: job %q not paused", name)
 	}
-	oldRefs := make([]workerRef, len(j.workers))
-	for i, wi := range j.workers {
-		oldRefs[i] = m.workers[wi]
-	}
+	oldRefs := m.workerRefsLocked(j)
 	idxs, err := m.workerIndexesLocked(group)
 	if err != nil {
 		m.mu.Unlock()
@@ -706,7 +676,7 @@ func (m *Master) Resume(name string, group []string, checkpoint []float64) error
 	j.stopBarriers()
 	j.psServers = nil // deploy rebuilds model partitions on the new group
 	j.epoch++         // the pre-migration placement must not reach the new barriers
-	m.counters.migrations++
+	m.counters.Migrations++
 	// The job moved groups: refresh the cached plan before stamping the
 	// migration event with the prediction for the placement it now joins;
 	// the measured EWMA restarts on the new placement.
@@ -717,20 +687,24 @@ func (m *Master) Resume(name string, group []string, checkpoint []float64) error
 	m.mu.Unlock()
 	m.journal.append(ev)
 
-	// Tear the old placement down; shards and model partitions are
-	// rebuilt on the new group.
-	for _, r := range oldRefs {
-		_, _ = rpc.Invoke[worker.DropJobArgs, worker.Ack](r.client,
-			worker.MethodDropJob, worker.DropJobArgs{Job: name}, time.Minute)
-		_, _ = rpc.Invoke[ps.DropArgs, ps.Ack](r.client,
-			ps.MethodDrop, ps.DropArgs{Job: name}, time.Minute)
-	}
+	// Shards and model partitions are rebuilt on the new group.
+	dropJob(oldRefs, name)
 	if err := m.deploy(j, checkpoint, fromIter); err != nil {
 		return err
 	}
 	// A regroup reshapes the plan; retry held jobs against it (§IV-B4).
 	m.wakeDrainer()
 	return nil
+}
+
+// workerRefsLocked resolves a job's current worker set to its RPC
+// handles, for fan-out after the lock is released.
+func (m *Master) workerRefsLocked(j *job) []workerRef {
+	refs := make([]workerRef, len(j.workers))
+	for i, wi := range j.workers {
+		refs[i] = m.workers[wi]
+	}
+	return refs
 }
 
 // serverAddrsLocked lists the PS addresses of a job's current group,

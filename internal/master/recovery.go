@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"harmony/internal/ps"
-	"harmony/internal/rpc"
-	"harmony/internal/worker"
 )
 
 // CheckpointEvery is how often (in iterations) the master snapshots each
@@ -51,7 +49,7 @@ func (m *Master) maybeCheckpoint(j *job, iteration int) {
 // checkpointFailed counts a background snapshot that was dropped.
 func (m *Master) checkpointFailed() {
 	m.mu.Lock()
-	m.counters.checkpointFailures++
+	m.counters.CheckpointFailures++
 	m.mu.Unlock()
 }
 
@@ -151,10 +149,7 @@ func (m *Master) RecoverJob(name string, group []string) error {
 	if restore != nil {
 		fromIter = j.checkpointIter + 1
 	}
-	oldRefs := make([]workerRef, len(j.workers))
-	for i, wi := range j.workers {
-		oldRefs[i] = m.workers[wi]
-	}
+	oldRefs := m.workerRefsLocked(j)
 	j.workers = idxs
 	j.status = StatusRunning
 	// A survivor that was mid-iteration when RemoveWorker released the
@@ -164,7 +159,7 @@ func (m *Master) RecoverJob(name string, group []string) error {
 	j.doneFrom = make(map[string]bool)
 	j.psServers = nil // deploy rebuilds model partitions on the new group
 	j.epoch++         // stragglers of the failed placement are now stale
-	m.counters.recoveries++
+	m.counters.Recoveries++
 	// The stamp below must see the restarted placement, not the cached
 	// pre-failure plan.
 	m.invalidatePlanLocked()
@@ -175,13 +170,8 @@ func (m *Master) RecoverJob(name string, group []string) error {
 	j.lastRelease = time.Time{}
 	m.mu.Unlock()
 
-	// Best-effort cleanup on survivors that hosted the old placement.
-	for _, r := range oldRefs {
-		_, _ = rpc.Invoke[worker.DropJobArgs, worker.Ack](r.client,
-			worker.MethodDropJob, worker.DropJobArgs{Job: name}, time.Minute)
-		_, _ = rpc.Invoke[ps.DropArgs, ps.Ack](r.client,
-			ps.MethodDrop, ps.DropArgs{Job: name}, time.Minute)
-	}
+	// Clean up on survivors that hosted the old placement.
+	dropJob(oldRefs, name)
 	// Journal after the deploy attempt so a failed restart is auditable
 	// in place: the PS client stamps the failing server's address into
 	// its fan-out errors, and that identity surfaces here.

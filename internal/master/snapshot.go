@@ -180,10 +180,6 @@ func (m *Master) Snapshot() (Snapshot, error) {
 // snapshotJobLocked serializes one deployed (or finished/canceled) job.
 func (m *Master) snapshotJobLocked(name string, j *job) SnapshotJob {
 	info := m.jobInfoLocked(name, j)
-	workers := make([]string, len(j.workers))
-	for i, wi := range j.workers {
-		workers[i] = m.workers[wi].name
-	}
 	sj := SnapshotJob{
 		Name:      name,
 		State:     j.status.String(),
@@ -193,7 +189,7 @@ func (m *Master) snapshotJobLocked(name string, j *job) SnapshotJob {
 		MinWorkers: j.spec.MinWorkers, MaxWorkers: j.spec.MaxWorkers,
 		Queue: j.queue, Priority: j.priority,
 		ArrivalSeq: j.arrival, StartSeq: j.startSeq,
-		Iteration: j.iter, Workers: workers,
+		Iteration: j.iter, Workers: m.workerNamesLocked(j),
 		CheckpointIteration: j.checkpointIter,
 		CompSeconds:         info.Comp, NetSeconds: info.Net,
 		InputGB: info.InputGB, ModelGB: info.ModelGB, WorkGB: info.WorkGB,

@@ -1,8 +1,6 @@
 package master
 
 import (
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -67,12 +65,7 @@ func (m *Master) workerNamesLocked(j *job) []string {
 func (m *Master) groupNamesLocked() map[string]string {
 	out := make(map[string]string, len(m.jobs))
 	for name, j := range m.jobs {
-		names := make([]string, len(j.workers))
-		for i, wi := range j.workers {
-			names[i] = m.workers[wi].name
-		}
-		sort.Strings(names)
-		out[name] = strings.Join(names, ",")
+		out[name] = m.groupLabelLocked(j)
 	}
 	return out
 }

@@ -235,6 +235,13 @@ func Run(s *master.Snapshot, ov Overrides) (*Report, error) {
 		return nil, fmt.Errorf("replay: rebuild scheduler: %w", err)
 	}
 
+	if ov.active() {
+		rep.WhatIf = &WhatIf{Machines: machines, QuotaWorkers: make(map[string]int)}
+		for _, name := range sched.Names() {
+			rep.WhatIf.QuotaWorkers[name] = sched.QuotaWorkers(name, machines)
+		}
+	}
+
 	// placed maps job → sorted worker set; held tracks pending jobs for
 	// the policy what-if.
 	placed := make(map[string][]string)
@@ -273,7 +280,15 @@ func Run(s *master.Snapshot, ov Overrides) (*Report, error) {
 			}
 			delete(held, e.Job)
 		case e.Kind == master.EventHold:
-			held[e.Job] = true
+			// The hold that compensates a failed deployment takes the
+			// placement back: the job never ran there. A submission
+			// rejected that way is not in the snapshot and holds nothing.
+			if strings.HasPrefix(e.Note, master.NoteDeployFailed) {
+				delete(placed, e.Job)
+			}
+			if !missing {
+				held[e.Job] = true
+			}
 		case e.Kind == master.EventCancelHeld:
 			delete(held, e.Job)
 		case removalKinds[e.Kind]:
@@ -287,7 +302,7 @@ func Run(s *master.Snapshot, ov Overrides) (*Report, error) {
 		case missing:
 			rep.Skipped = append(rep.Skipped,
 				fmt.Sprintf("seq %d (%s): job %q not in snapshot", e.Seq, e.Kind, e.Job))
-		case placed[e.Job] != nil && e.Kind != master.EventComplete:
+		case placed[e.Job] != nil:
 			ws := placed[e.Job]
 			d.Group = strings.Join(ws, ",")
 			g := core.Group{Machines: len(ws)}
@@ -299,9 +314,10 @@ func Run(s *master.Snapshot, ov Overrides) (*Report, error) {
 			p := core.PredictGroup(g, netModel)
 			d.ReplayIterSeconds = p.IterSeconds
 			d.ReplayCPUUtil, d.ReplayNetUtil = p.CPUUtil, p.NetUtil
-		case e.Kind == master.EventComplete && len(e.Group) > 0:
-			// Completion clears the placement; keep the recorded set as
-			// the row's label so the aggregate lands on the right group.
+		case removalKinds[e.Kind] && len(e.Group) > 0:
+			// A removal clears the placement; keep the recorded set as the
+			// row's label so its frozen measurements land on the right
+			// (group, kind) aggregate.
 			ws := append([]string(nil), e.Group...)
 			sort.Strings(ws)
 			d.Group = strings.Join(ws, ",")
@@ -364,27 +380,16 @@ func Run(s *master.Snapshot, ov Overrides) (*Report, error) {
 		MeanReplayErrRatio: mean(overall.replay, overall.replayN),
 		MeanDriftRatio:     mean(overall.drift, overall.driftN),
 	}
-	if ov.active() {
-		wi := rep.WhatIf
-		if wi == nil {
-			wi = &WhatIf{}
-			rep.WhatIf = wi
-		}
-		wi.Machines = machines
-		wi.QuotaWorkers = make(map[string]int)
-		for _, name := range sched.Names() {
-			wi.QuotaWorkers[name] = sched.QuotaWorkers(name, machines)
-		}
-	}
 	return rep, nil
 }
 
 // quotaFlip re-evaluates one decision's quota verdict under the
-// override policy: a quota hold that would now fit (headroom or
-// ungated borrowing, plus free cluster capacity) flips to
-// "would_admit"; a recorded admission that would now exceed quota with
-// borrowing gated flips to "would_gate". Gang placement and Eq. 1
-// scoring are deliberately not re-run — this is the policy layer only.
+// override policy by asking the admission kernel for the queue's borrow
+// cap (fair.Scheduler.Cap): a quota hold whose gang now fits under the cap
+// and in the free cluster capacity flips to "would_admit"; a recorded
+// admission larger than the cap flips to "would_gate". Gang placement and
+// Eq. 1 scoring are deliberately not re-run — this is the policy layer
+// only.
 func quotaFlip(e master.Event, jobs map[string]master.SnapshotJob,
 	placed map[string][]string, held map[string]bool,
 	sched *fair.Scheduler, machines int, rep *Report) string {
@@ -393,49 +398,33 @@ func quotaFlip(e master.Event, jobs map[string]master.SnapshotJob,
 	if !ok {
 		return ""
 	}
-	queue := j.Queue
-	if queue == "" || !sched.Has(queue) {
-		queue = fair.DefaultQueue
-	}
-	usage := make(fair.Usage)
-	used := 0
+	queue := queueOf(j, sched)
+	v := fair.View{Total: machines, Free: machines, Usage: make(fair.Usage)}
 	for name, ws := range placed {
-		q := jobs[name].Queue
-		if q == "" || !sched.Has(q) {
-			q = fair.DefaultQueue
-		}
-		usage[q] += len(ws)
-		used += len(ws)
+		v.Usage[queueOf(jobs[name], sched)] += len(ws)
+		v.Free -= len(ws)
 	}
-	heldList := heldSlice(held, jobs, sched)
+	for name := range held {
+		hj := jobs[name]
+		v.Held = append(v.Held, fair.Held{
+			Job: name, Queue: queueOf(hj, sched), Priority: hj.Priority,
+			Seq: hj.ArrivalSeq, Demand: max(hj.MinWorkers, 1), Resumable: hj.Resumable,
+		})
+	}
 
 	switch {
 	case e.Kind == master.EventHold && strings.Contains(e.Note, fair.HoldQuota):
-		demand := j.MinWorkers
-		if demand < 1 {
-			demand = 1
-		}
-		headroom := usage[queue]+demand <= sched.QuotaWorkers(queue, machines)
-		borrow := !sched.BorrowGated(queue, heldList, usage, machines)
-		if (headroom || borrow) && used+demand <= machines {
-			if rep.WhatIf == nil {
-				rep.WhatIf = &WhatIf{}
-			}
+		demand := max(j.MinWorkers, 1)
+		if demand <= sched.Cap(v, queue) && demand <= v.Free {
 			rep.WhatIf.HoldsLifted++
 			return "would_admit"
 		}
 	case e.Kind == master.EventAdmitArrival || e.Kind == master.EventQueueDrain:
+		// The admitted job is already in usage (state applied first); the
+		// verdict asks whether the policy would have let it in.
 		size := len(e.Group)
-		if size == 0 {
-			return ""
-		}
-		// The admitted job is already in usage (state applied first);
-		// the verdict asks whether the policy would have let it in.
-		over := usage[queue] > sched.QuotaWorkers(queue, machines)
-		if over && sched.BorrowGated(queue, heldList, usage, machines) {
-			if rep.WhatIf == nil {
-				rep.WhatIf = &WhatIf{}
-			}
+		v.Usage[queue] -= size
+		if size > 0 && size > sched.Cap(v, queue) {
 			rep.WhatIf.AdmitsGated++
 			return "would_gate"
 		}
@@ -443,28 +432,14 @@ func quotaFlip(e master.Event, jobs map[string]master.SnapshotJob,
 	return ""
 }
 
-// heldSlice builds the fair.Held list from the replayer's held set, in
-// arrival order.
-func heldSlice(held map[string]bool, jobs map[string]master.SnapshotJob,
-	sched *fair.Scheduler) []fair.Held {
-	out := make([]fair.Held, 0, len(held))
-	for _, name := range sortedBoolKeys(held) {
-		j := jobs[name]
-		q := j.Queue
-		if q == "" || !sched.Has(q) {
-			q = fair.DefaultQueue
-		}
-		demand := j.MinWorkers
-		if demand < 1 {
-			demand = 1
-		}
-		out = append(out, fair.Held{
-			Job: name, Queue: q, Priority: j.Priority,
-			Seq: j.ArrivalSeq, Demand: demand, Resumable: j.Resumable,
-		})
+// queueOf is the queue a job counts against under the (possibly
+// overridden) policy: a queue the policy does not have falls back to the
+// default one.
+func queueOf(j master.SnapshotJob, sched *fair.Scheduler) string {
+	if j.Queue == "" || !sched.Has(j.Queue) {
+		return fair.DefaultQueue
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
-	return out
+	return j.Queue
 }
 
 // queueConfigs rebuilds the captured policy's declarations from the
@@ -496,15 +471,6 @@ func mean(sum float64, n int) float64 {
 }
 
 func sortedKeys(m map[string][]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedBoolKeys(m map[string]bool) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"harmony/internal/fair"
 	"harmony/internal/master"
 )
 
@@ -325,5 +326,90 @@ func TestToScenario(t *testing.T) {
 	}
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("scenario conversion not deterministic")
+	}
+}
+
+// TestReplayFailedDeployClearsPlacement: a placement event followed by
+// the master's compensating hold ("deploy failed") is a job that never
+// ran there. Replay must drop the placement, or every later decision on
+// that worker set is modeled with a phantom group-mate.
+func TestReplayFailedDeployClearsPlacement(t *testing.T) {
+	snap := testSnapshot()
+	at := snap.CapturedAt
+	snap.Journal = append(snap.Journal,
+		master.Event{Seq: 5, Time: at, Kind: master.EventQueueDrain, Job: "dev-c",
+			Group: []string{"w0", "w1"}},
+		master.Event{Seq: 6, Time: at, Kind: master.EventHold, Job: "dev-c",
+			Note: master.NoteDeployFailed + "stub"},
+		master.Event{Seq: 7, Time: at, Kind: master.EventRecover, Job: "prod-b",
+			Group: []string{"w0", "w1"}},
+	)
+	rep, err := Run(snap, Overrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phantom, undo, after := rep.Decisions[4], rep.Decisions[5], rep.Decisions[6]
+	if undo.Group != "" || undo.ReplayIterSeconds != 0 {
+		t.Errorf("compensating hold still modeled a placement: %+v", undo)
+	}
+	if pair := rep.Decisions[1]; after.ReplayIterSeconds != pair.ReplayIterSeconds {
+		t.Errorf("group after the undo modeled at %.4f s, want the two-job group's %.4f s (three-job phantom: %.4f s)",
+			after.ReplayIterSeconds, pair.ReplayIterSeconds, phantom.ReplayIterSeconds)
+	}
+}
+
+// TestReplayOrdinaryHoldKeepsPlacement: only the compensating hold takes a
+// placement back. An ordinary hold that lands after the job's placement —
+// journals captured before the master ordered the two under its lock have
+// them — must leave the placement live, or every later row on that group
+// loses its label and its what-if usage.
+func TestReplayOrdinaryHoldKeepsPlacement(t *testing.T) {
+	snap := testSnapshot()
+	at := snap.CapturedAt
+	snap.Journal = append(snap.Journal,
+		master.Event{Seq: 5, Time: at, Kind: master.EventQueueDrain, Job: "dev-c",
+			Group: []string{"w0", "w1"}},
+		master.Event{Seq: 6, Time: at, Kind: master.EventHold, Job: "dev-c",
+			Note: "held: " + fair.HoldSlowdown},
+		master.Event{Seq: 7, Time: at, Kind: master.EventRecover, Job: "prod-b",
+			Group: []string{"w0", "w1"}},
+	)
+	rep, err := Run(snap, Overrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	placedRow, hold, after := rep.Decisions[4], rep.Decisions[5], rep.Decisions[6]
+	if hold.Group != "w0,w1" {
+		t.Errorf("ordinary hold dropped the placement: %+v", hold)
+	}
+	if after.ReplayIterSeconds != placedRow.ReplayIterSeconds {
+		t.Errorf("group after the hold modeled at %.4f s, want the three-job group's %.4f s",
+			after.ReplayIterSeconds, placedRow.ReplayIterSeconds)
+	}
+}
+
+// TestReplayLabelsRemovalRows: cancel and preempt rows, like complete,
+// take their aggregate label from the group the master stamped on the
+// event — the placement itself is gone by the time the row is built.
+func TestReplayLabelsRemovalRows(t *testing.T) {
+	snap := testSnapshot()
+	snap.Journal = append(snap.Journal,
+		master.Event{Seq: 5, Time: snap.CapturedAt, Kind: master.EventPreempt, Job: "prod-b",
+			Group: []string{"w1", "w0"}, MeasuredIterSeconds: 5.4},
+		master.Event{Seq: 6, Time: snap.CapturedAt, Kind: master.EventCancel, Job: "prod-a",
+			Group: []string{"w0", "w1"}, MeasuredIterSeconds: 5.2},
+	)
+	rep, err := Run(snap, Overrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[string]bool)
+	for _, g := range rep.Groups {
+		rows[g.Group+" "+g.Kind] = true
+	}
+	for _, want := range []string{"w0,w1 preempt", "w0,w1 cancel", "w2,w3 complete"} {
+		if !rows[want] {
+			t.Errorf("Groups has no %q row: %+v", want, rep.Groups)
+		}
 	}
 }
