@@ -40,15 +40,23 @@ ctl-smoke:
 ## comm-smoke: short race-enabled pass over the striped pull/push data
 ## plane (concurrent jobs, snapshots mid-push) and the delta-sync
 ## property test (mirror == snapshot bit for bit after every step of a
-## random push/migrate/replicate/restore interleaving; and under
-## concurrent sparse pushes with stripes migrating)
+## random push/migrate/replicate/restore interleaving; under concurrent
+## sparse pushes with stripes migrating; and across a server that restarts
+## between a delta Sync and the next Push, TestDeltaSyncServerRestart),
+## plus the touched-set encoder and the mirror's record of what it rewrote
 comm-smoke:
-	$(GO) test -race -run 'TestCommPathRaceSmoke|TestDeltaSync' ./internal/ps/
+	$(GO) test -race -run 'TestCommPathRaceSmoke|TestDeltaSync|TestPushEntry|TestMirrorChanged' ./internal/ps/
 
-## comp-smoke: short race-enabled pass over the fast COMP path (cache
-## invalidation vs concurrent spill retunes)
+## comp-smoke: short race-enabled pass over the fast COMP path: cache
+## invalidation vs concurrent spill retunes, the sparse pass against its
+## dense reference oracle and the parent's digests, the steady-state
+## allocation bound, and a two-worker sparse run whose mirrors must all
+## equal the servers' state
 comp-smoke:
-	$(GO) test -race -run 'TestCompPathRaceSmoke' ./internal/worker/
+	$(GO) test -race -run 'TestCompPathRaceSmoke|TestSparseRunKeepsEveryMirrorExact' ./internal/worker/
+	$(GO) test -race -run 'TestComputeFusedMatches|TestRowSums' ./internal/mlapp/
+	$(GO) test -race ./internal/touched/
+	$(GO) test -run 'TestComputeFusedSteadyStateAllocs' ./internal/mlapp/
 
 ## ps-rebalance-smoke: race-enabled pass over the elastic PS — live
 ## stripe migration under concurrent pull/push (bit-exact vs a
@@ -105,7 +113,8 @@ snapshot-smoke:
 bench-smoke:
 	$(GO) test ./internal/core/ -run XXX -bench BenchmarkScheduleLarge -benchmem -benchtime 3x
 	$(GO) test ./internal/sim/ -run XXX -bench BenchmarkRunHarmonyBase -benchmem -benchtime 3x
-	$(GO) test ./internal/ps/ -run XXX -bench 'BenchmarkPullPush(Sparse)?$$' -benchmem -benchtime 3x
+	$(GO) test ./internal/ps/ -run XXX -bench 'BenchmarkPullPush(Sparse)?$$|BenchmarkCheckpoint' -benchmem -benchtime 3x
+	$(GO) test ./internal/worker/ -run XXX -bench 'BenchmarkComp/lda-512k' -benchmem -benchtime 20x
 	$(GO) test . -run XXX -bench BenchmarkFig10Parallel -benchtime 1x
 
 ## bench-test: vet and test the benchmark harness. benchmarks/ is its

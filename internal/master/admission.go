@@ -9,7 +9,6 @@ import (
 
 	"harmony/internal/core"
 	"harmony/internal/fair"
-	"harmony/internal/ps"
 	"harmony/internal/workload"
 )
 
@@ -443,6 +442,7 @@ func (m *Master) Cancel(name string) error {
 	m.qcLocked(j.queue).canceled++
 	j.stopBarriers()
 	close(j.finishedCh)
+	j.ckpt.close()
 	refs := m.workerRefsLocked(j)
 	m.mu.Unlock()
 
@@ -640,12 +640,6 @@ func (m *Master) Shutdown(timeout time.Duration) []string {
 	if timeout <= 0 {
 		timeout = time.Minute
 	}
-	type target struct {
-		name    string
-		servers []string
-		size    int
-		iter    int
-	}
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -661,46 +655,31 @@ func (m *Master) Shutdown(timeout time.Duration) []string {
 	m.pending = nil
 	m.pendingIdx = make(map[string]*pendingJob)
 	m.admitEpoch++
-	var targets []target
-	for name, j := range m.jobs {
-		if j.status != StatusRunning || j.iter == 0 {
-			continue
+	var targets []*job
+	for _, j := range m.jobs {
+		if j.status == StatusRunning && j.iter != 0 {
+			targets = append(targets, j)
 		}
-		targets = append(targets, target{
-			name:    name,
-			servers: m.serverAddrsLocked(j),
-			size:    j.spec.Config.ModelSize(),
-			iter:    j.iter,
-		})
 	}
 	m.mu.Unlock()
-	sort.Slice(targets, func(a, b int) bool { return targets[a].name < targets[b].name })
+	sort.Slice(targets, func(a, b int) bool { return targets[a].spec.Name < targets[b].spec.Name })
 
 	var saved []string
-	for _, t := range targets {
-		snap, err := snapshotModel(t.servers, t.name, t.size, timeout)
-		m.mu.Lock()
-		if err != nil {
-			m.counters.CheckpointFailures++
-			m.mu.Unlock()
-			continue
+	for _, j := range targets {
+		done := make(chan error, 1)
+		go func() {
+			_, err := m.checkpoint(j, -1, false)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				saved = append(saved, j.spec.Name)
+			}
+		case <-time.After(timeout):
+			j.ckpt.close() // aborts the Sync, which fails and is counted
 		}
-		if j, ok := m.jobs[t.name]; ok && t.iter >= j.checkpointIter {
-			j.checkpoint = snap
-			j.checkpointIter = t.iter
-			saved = append(saved, t.name)
-		}
-		m.mu.Unlock()
 	}
 	m.Close()
 	return saved
-}
-
-func snapshotModel(servers []string, name string, size int, timeout time.Duration) ([]float64, error) {
-	client, err := ps.NewClient(servers, timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
-	return client.Snapshot(name, size)
 }

@@ -256,6 +256,7 @@ func (m *Master) preemptJob(name, beneficiary string) bool {
 		finishedCh: j.finishedCh, epoch: j.epoch,
 	}
 	delete(m.jobs, name)
+	j.ckpt.close()
 	m.invalidatePlanLocked()
 	m.addPendingLocked(p)
 	m.counters.Preempted++

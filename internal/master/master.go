@@ -131,9 +131,9 @@ type job struct {
 	doneFrom map[string]bool
 	loss     float64
 
-	// checkpoint is the latest background model snapshot (§VI fault
-	// tolerance), covering checkpointIter.
-	checkpoint     []float64
+	// ckpt holds the latest model checkpoint (§VI fault tolerance) and the
+	// means of taking the next; checkpointIter is the iteration it covers.
+	ckpt           checkpointer
 	checkpointIter int
 
 	pauseRequested bool
@@ -365,7 +365,7 @@ func (m *Master) submitPending(p *pendingJob, group []string) error {
 	if p.resume != nil {
 		fromIter = p.resumeIter
 		j.iter = fromIter - 1
-		j.checkpoint = p.resume
+		j.ckpt.vals = p.resume
 		j.checkpointIter = fromIter - 1
 	}
 	m.jobs[spec.Name] = j
@@ -576,6 +576,7 @@ func (m *Master) handleJobDone(a worker.JobDoneArgs) (worker.Ack, error) {
 		j.status = StatusFinished
 		m.invalidatePlanLocked()
 		close(j.finishedCh)
+		j.ckpt.close()
 		// A completion frees capacity: drain the admission queue (§IV-B4).
 		m.wakeDrainer()
 	}
@@ -635,7 +636,6 @@ func (m *Master) Pause(name string, timeout time.Duration) ([]float64, error) {
 	j.pauseRequested = true
 	pausedCh := j.pausedCh
 	finishedCh := j.finishedCh
-	servers := m.serverAddrsLocked(j)
 	m.mu.Unlock()
 
 	select {
@@ -645,12 +645,7 @@ func (m *Master) Pause(name string, timeout time.Duration) ([]float64, error) {
 	case <-time.After(timeout):
 		return nil, fmt.Errorf("master: pause of %q timed out", name)
 	}
-	client, err := ps.NewClient(servers, time.Minute)
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
-	return client.Snapshot(name, j.spec.Config.ModelSize())
+	return m.checkpoint(j, -1, true)
 }
 
 // Resume migrates a paused job onto a (possibly different) worker group,
@@ -863,6 +858,9 @@ func (m *Master) Close() {
 	clients := make([]*rpc.Client, 0, len(m.workers))
 	for _, w := range m.workers {
 		clients = append(clients, w.client)
+	}
+	for _, j := range m.jobs {
+		j.ckpt.close()
 	}
 	m.mu.Unlock()
 	if psStop != nil {

@@ -2,6 +2,9 @@ package master
 
 import (
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"harmony/internal/ps"
@@ -12,62 +15,121 @@ import (
 // is "checkpointing (per epoch) and restart" (§VI).
 const CheckpointEvery = 5
 
-// maybeCheckpoint is called from the barrier handler when a group
-// iteration completes; it snapshots asynchronously so the release is not
-// delayed.
-func (m *Master) maybeCheckpoint(j *job, iteration int) {
-	if iteration == 0 || iteration%CheckpointEvery != 0 {
-		return
-	}
-	servers := m.serverAddrsLocked(j)
-	name := j.spec.Name
-	size := j.spec.Config.ModelSize()
-	go func() {
-		client, err := ps.NewClient(servers, time.Minute)
-		if err != nil {
-			// Servers mid-teardown; the next checkpoint will catch up.
-			// Count the loss so dropped snapshots stay visible (/metrics
-			// exposes harmony_checkpoint_failures_total).
-			m.checkpointFailed()
-			return
-		}
-		defer client.Close()
-		snap, err := client.Snapshot(name, size)
-		if err != nil {
-			m.checkpointFailed()
-			return
-		}
-		m.mu.Lock()
-		if jj, ok := m.jobs[name]; ok && jj == j && iteration > j.checkpointIter {
-			j.checkpoint = snap
-			j.checkpointIter = iteration
-		}
-		m.mu.Unlock()
-	}()
+// checkpointer is the master's long-lived view of one job's model: a PS
+// client and a mirror (ps.Mirror) that every checkpoint brings up to date
+// with one Sync, so a checkpoint moves what the job pushed since the last
+// one, not the model. mu serializes the Syncs and keeps readers off a
+// buffer a Sync is writing; it is taken before Master.mu, never under it
+// (a Sync waits on the network).
+type checkpointer struct {
+	mu      sync.Mutex
+	mirror  *ps.Mirror
+	servers []string // what client is connected to
+	// vals is the checkpoint: the frame a preempted job resumed from, then
+	// the mirror's buffer from the first successful Sync on.
+	vals []float64
+	// client is atomic so that close can abort a Sync stuck on a dead server
+	// instead of queueing behind it on mu.
+	client atomic.Pointer[ps.Client]
 }
 
-// checkpointFailed counts a background snapshot that was dropped.
-func (m *Master) checkpointFailed() {
+// close drops the connections (the job finished, was canceled or
+// preempted, or the master is closing); the last checkpoint stays readable.
+func (c *checkpointer) close() {
+	if cl := c.client.Swap(nil); cl != nil {
+		cl.Close()
+	}
+}
+
+// checkpoint syncs the job's mirror with its servers — dialing them first,
+// or re-pointing the client when the set changed (migration, recovery,
+// elastic resize) — and on success labels it the state after iteration
+// (negative: the job's last completed one); withCopy also returns a copy
+// of the model (Pause). A Sync that fails
+// midway leaves every stripe of the mirror at some version its server held
+// (values and cursor change together or not at all, ps.Client.Sync) and
+// the label where it was, so readers still restore a state the job passed
+// through, no older than its label; the loss is counted
+// (harmony_checkpoint_failures_total). Called without Master.mu held.
+func (m *Master) checkpoint(j *job, iteration int, withCopy bool) ([]float64, error) {
+	m.mu.RLock()
+	servers := m.serverAddrsLocked(j)
+	if iteration < 0 {
+		iteration = j.iter
+	}
+	m.mu.RUnlock()
+	c := &j.ckpt
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cl, err := c.client.Load(), error(nil)
+	switch {
+	case cl == nil:
+		if cl, err = ps.NewClient(servers, time.Minute); err == nil {
+			c.client.Store(cl)
+		}
+	case !slices.Equal(c.servers, servers):
+		err = cl.SetServers(servers)
+	}
+	if err == nil {
+		if c.servers = servers; c.mirror == nil {
+			c.mirror = ps.NewMirror(j.spec.Name, j.spec.Config.ModelSize())
+		}
+		if err = cl.Sync(c.mirror); err == nil {
+			c.vals = c.mirror.Values()
+		} else if c.client.CompareAndSwap(cl, nil) {
+			// A PS client does not redial a broken connection: the next
+			// checkpoint starts from a fresh one, and full stripes.
+			cl.Close()
+		}
+	}
 	m.mu.Lock()
-	m.counters.CheckpointFailures++
+	if err != nil {
+		m.counters.CheckpointFailures++
+	} else if iteration > j.checkpointIter {
+		j.checkpointIter = iteration
+	}
+	gone := m.closed || m.jobs[j.spec.Name] != j || j.status == StatusFinished || j.status == StatusCanceled
 	m.mu.Unlock()
+	if gone { // this checkpoint outlived its job's teardown, and may have redialed
+		c.close()
+	}
+	if err != nil || !withCopy {
+		return nil, err
+	}
+	return slices.Clone(c.vals), nil
+}
+
+// maybeCheckpoint is called from the barrier handler when a group
+// iteration completes; it checkpoints asynchronously so the release is not
+// delayed.
+func (m *Master) maybeCheckpoint(j *job, iteration int) {
+	if iteration != 0 && iteration%CheckpointEvery == 0 {
+		go m.checkpoint(j, iteration, false)
+	}
+}
+
+// readCheckpoint copies the job's latest checkpoint, nil before the first,
+// with the iteration it covers. Both change only under the checkpointer's
+// lock, so the pair is consistent and no Sync is writing the values.
+func (m *Master) readCheckpoint(j *job) ([]float64, int) {
+	j.ckpt.mu.Lock()
+	defer j.ckpt.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return slices.Clone(j.ckpt.vals), j.checkpointIter
 }
 
 // Checkpoint reports the job's most recent background snapshot and the
 // iteration it covers (nil before the first CheckpointEvery iterations).
 func (m *Master) Checkpoint(name string) ([]float64, int, error) {
 	m.mu.RLock()
-	defer m.mu.RUnlock()
 	j, ok := m.jobs[name]
+	m.mu.RUnlock()
 	if !ok {
 		return nil, 0, fmt.Errorf("master: unknown job %q", name)
 	}
-	if j.checkpoint == nil {
-		return nil, 0, nil
-	}
-	out := make([]float64, len(j.checkpoint))
-	copy(out, j.checkpoint)
-	return out, j.checkpointIter, nil
+	vals, iter := m.readCheckpoint(j)
+	return vals, iter, nil
 }
 
 // RemoveWorker unregisters a failed worker. Jobs whose groups included it
@@ -129,12 +191,17 @@ func (m *Master) RemoveWorker(name string) ([]string, error) {
 // progress since that checkpoint is recomputed, as with any
 // checkpoint/restart scheme.
 func (m *Master) RecoverJob(name string, group []string) error {
-	m.mu.Lock()
+	m.mu.RLock()
 	j, ok := m.jobs[name]
+	m.mu.RUnlock()
 	if !ok {
-		m.mu.Unlock()
 		return fmt.Errorf("master: unknown job %q", name)
 	}
+	// The old placement's connections are no use to anyone, and closing
+	// them fails a Sync stuck on the dead server so the read need not wait.
+	j.ckpt.close()
+	restore, ckptIter := m.readCheckpoint(j)
+	m.mu.Lock()
 	if j.status == StatusFinished {
 		m.mu.Unlock()
 		return nil
@@ -144,10 +211,9 @@ func (m *Master) RecoverJob(name string, group []string) error {
 		m.mu.Unlock()
 		return err
 	}
-	restore := j.checkpoint
 	fromIter := 0
 	if restore != nil {
-		fromIter = j.checkpointIter + 1
+		fromIter = ckptIter + 1
 	}
 	oldRefs := m.workerRefsLocked(j)
 	j.workers = idxs
@@ -165,7 +231,7 @@ func (m *Master) RecoverJob(name string, group []string) error {
 	m.invalidatePlanLocked()
 	ev := m.stampJobPlacementLocked(Event{Kind: EventRecover, Job: name,
 		Group: m.workerNamesLocked(j),
-		Note:  fmt.Sprintf("restart from checkpoint iteration %d", j.checkpointIter)})
+		Note:  fmt.Sprintf("restart from checkpoint iteration %d", ckptIter)})
 	j.measIter = 0
 	j.lastRelease = time.Time{}
 	m.mu.Unlock()

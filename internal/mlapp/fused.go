@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"harmony/internal/parallel"
+	"harmony/internal/touched"
 )
 
 // This file is the multicore COMP kernel: one fused pass over the shard
@@ -15,9 +16,10 @@ import (
 //
 // Determinism contract (same as internal/parallel): chunk boundaries and
 // per-chunk RNG seeds are pure functions of the shard size and the
-// caller's RNG stream, each chunk accumulates into its own scratch delta,
-// and the partials are reduced on one goroutine in ascending chunk
-// order. Results are therefore bit-identical at any parallelism.
+// caller's RNG stream, each chunk accumulates into its own delta (chunk 0
+// into the result, the others into scratch), and the partials are reduced
+// on one goroutine in ascending chunk order. Results are therefore
+// bit-identical at any parallelism.
 //
 // The chunked kernels are the unit of semantics: per-example work reads
 // only the pulled model (never the partially-accumulated delta),
@@ -31,7 +33,7 @@ const (
 	// fusedChunkRows is the minimum chunk granularity: chunks never get
 	// smaller than this, so tiny shards stay on the sequential path.
 	fusedChunkRows = 16
-	// fusedMaxChunks bounds the scratch arena at fusedMaxChunks×modelSize
+	// fusedMaxChunks bounds the scratch arena at (fusedMaxChunks-1)×modelSize
 	// floats. Both constants depend only on the shard size, never on the
 	// worker count — chunk geometry is part of the determinism contract.
 	fusedMaxChunks = 64
@@ -63,52 +65,85 @@ func fusedBounds(n, chunks, i int) (lo, hi int) {
 }
 
 // chunkFn computes one chunk's contribution: the additive update for
-// examples [lo,hi) accumulated into delta (pre-zeroed), plus the chunk's
-// unnormalized loss sum and term count.
-type chunkFn func(lo, hi int, delta []float64, rng *rand.Rand) (lossSum float64, lossN int)
+// examples [lo,hi) accumulated into delta (all +0 on entry), plus the
+// chunk's unnormalized loss sum and term count. c is the chunk's own
+// scratch: its generator, its temporaries and its record of writes.
+type chunkFn func(lo, hi int, delta []float64, c *chunkScratch) (lossSum float64, lossN int)
 
 // finalizeFn runs once on the reduced delta (nonlinear steps, clamps) and
-// turns the summed loss terms into the objective value.
-type finalizeFn func(delta []float64, lossSum float64, lossN int) float64
+// turns the summed loss terms into the objective value. cand holds every
+// element where the delta is not +0 or the model is not what the previous
+// pass on this Scratch read.
+type finalizeFn func(delta []float64, cand touched.Set, lossSum float64, lossN int) float64
+
+// chunkScratch is one chunk's reusable state.
+type chunkScratch struct {
+	// delta is the chunk's partial update; chunk 0 has none, it accumulates
+	// straight into dst. Between passes delta is all +0 unless all is set.
+	delta []float64
+	// wrote is where a recording kernel (LDA) lists the elements of delta it
+	// writes, in any order, repeats allowed, up to limit of them (0: do not
+	// record). all is set before a chunk runs and cleared by a kernel that
+	// recorded every write; left set, delta may hold anything anywhere.
+	wrote []uint32
+	limit int
+	all   bool
+	loss  float64
+	count int
+	rng   *rand.Rand
+	buf   []float64 // the kernel's temporaries
+	ints  []int
+}
+
+// floats returns n reusable floats with whatever the last pass left in them.
+func (c *chunkScratch) floats(n int) []float64 {
+	if cap(c.buf) < n {
+		c.buf = make([]float64, n)
+	}
+	return c.buf[:n]
+}
 
 // Scratch is the reusable arena for ComputeFused: per-chunk partial
-// deltas, loss terms, and reusable per-chunk RNGs. The zero value is
-// ready to use; a caller that iterates (the live worker) keeps one
-// Scratch per job so the steady-state pass allocates nothing.
+// deltas, temporaries, loss terms and RNGs, and the touched sets that let
+// a sparse pass skip the rest of the model. The zero value is ready to
+// use; a caller that iterates (the live worker) keeps one Scratch per job,
+// and the steady-state pass then allocates only its two kernel closures
+// and the worker pool's goroutines.
 type Scratch struct {
-	deltas [][]float64
-	loss   []float64
-	count  []int
-	rngs   []*rand.Rand
+	chunks []chunkScratch
+	totals []float64 // LDA: topic totals at the pulled model, and their reciprocals
+	// out is the update the last pass returned and wrote the elements of it
+	// that may be other than +0. changed is what Changed was told, for the
+	// next pass only.
+	out     []float64
+	wrote   touched.Set
+	changed touched.Set
+	list    touched.List
 }
+
+// Changed tells the next ComputeFused on s, and only that one, which
+// elements of its model differ from the model the previous ComputeFused on
+// s read (the same buffer, synced in between: ps.Mirror.Changed). Untold,
+// a pass assumes every element does.
+func (s *Scratch) Changed(set touched.Set) { s.changed = set }
+
+// Touched reports which elements of the update the last ComputeFused on s
+// returned may be other than +0. It is valid until the next pass.
+func (s *Scratch) Touched() touched.Set { return s.wrote }
 
 // ensure sizes the arena for chunks×modelSize without shrinking capacity.
 func (s *Scratch) ensure(chunks, modelSize int) {
-	if cap(s.deltas) < chunks {
-		s.deltas = make([][]float64, chunks)
+	for len(s.chunks) < chunks {
+		s.chunks = append(s.chunks, chunkScratch{rng: rand.New(&fusedSource{})})
 	}
-	s.deltas = s.deltas[:chunks]
-	for i := range s.deltas {
-		if cap(s.deltas[i]) < modelSize {
-			s.deltas[i] = make([]float64, modelSize)
+	for i := 1; i < chunks; i++ {
+		if c := &s.chunks[i]; len(c.delta) != modelSize {
+			if cap(c.delta) < modelSize {
+				c.delta = make([]float64, modelSize)
+			}
+			c.delta, c.all = c.delta[:modelSize], true
 		}
-		s.deltas[i] = s.deltas[i][:modelSize]
 	}
-	if cap(s.loss) < chunks {
-		s.loss = make([]float64, chunks)
-		s.count = make([]int, chunks)
-	}
-	s.loss = s.loss[:chunks]
-	s.count = s.count[:chunks]
-}
-
-// rng returns the i-th cached generator seeded to seed.
-func (s *Scratch) rng(i int, seed int64) *rand.Rand {
-	for len(s.rngs) <= i {
-		s.rngs = append(s.rngs, rand.New(&fusedSource{}))
-	}
-	s.rngs[i].Seed(seed)
-	return s.rngs[i]
 }
 
 // fusedSource is the chunk generator: splitmix64, chosen for its O(1)
@@ -136,84 +171,111 @@ func (s *fusedSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 // most workers goroutines (values below 1 select GOMAXPROCS) and returns
 // the update written into dst (grown when needed) together with the
 // objective at model. scratch may be nil for one-shot callers; iterating
-// callers pass a reused Scratch. The delta and loss are bit-identical at
-// any workers setting.
+// callers pass a reused Scratch, and dst as the previous pass returned it.
+// The delta and loss are bit-identical at any workers setting, and whether
+// or not the pass was told what changed (Scratch.Changed): a sparse pass
+// skips only work whose result is known to be +0.
 func ComputeFused(algo Algorithm, dst, model []float64, shard *Shard, rng *rand.Rand, workers int, scratch *Scratch) ([]float64, float64) {
-	n := len(shard.Examples)
+	s := scratch
+	if s == nil {
+		s = &Scratch{}
+	}
+	n, size := len(shard.Examples), len(model)
 	chunks := fusedChunks(n)
-	chunk, finalize, usesRNG := algo.fusedPass(shard, model)
-	dst = deltaBuf(dst, len(model))
-	if usesRNG && scratch == nil {
-		scratch = &Scratch{}
-	}
+	s.ensure(chunks, size)
+	chunk, finalize := algo.fusedPass(shard, model, s)
+	cand := s.changed
+	s.changed = touched.Set{}
 
-	if chunks == 1 {
-		// Single-chunk fast path: compute straight into dst. Bit-identical
-		// to the scratch path because reduction copies (not adds) chunk 0.
-		var crng *rand.Rand
-		if usesRNG {
-			seed := int64(1)
-			if rng != nil {
-				seed = rng.Int63()
-			}
-			crng = scratch.rng(0, seed)
+	// Chunk 0 accumulates into dst, so dst starts all +0. When it is the
+	// update the last pass returned, only the elements written then are not.
+	if size > 0 && len(dst) == size && len(s.out) == size && &dst[0] == &s.out[0] && !s.wrote.All() {
+		for _, i := range s.wrote.Indices() {
+			dst[i] = 0
 		}
-		lossSum, lossN := chunk(0, n, dst, crng)
-		return dst, finalize(dst, lossSum, lossN)
+	} else if cap(dst) < size {
+		dst = make([]float64, size)
+	} else {
+		dst = dst[:size]
+		clear(dst)
 	}
-
-	if scratch == nil {
-		scratch = &Scratch{}
+	// Recording pays only if the clamp can be sparse too. Per-chunk
+	// generators are seeded sequentially from the caller's RNG before the
+	// parallel region, so the stream consumed per iteration is independent
+	// of the worker count.
+	limit := 0
+	if !cand.All() {
+		limit = size / touched.Fraction
 	}
-	scratch.ensure(chunks, len(model))
-	// Per-chunk generators are seeded sequentially from the caller's RNG
-	// before the parallel region, so the stream consumed per iteration is
-	// independent of the worker count (and Scratch is not mutated
-	// concurrently). Deterministic kernels skip RNG setup entirely.
-	if usesRNG {
-		for i := 0; i < chunks; i++ {
-			seed := int64(i + 1)
-			if rng != nil {
-				seed = rng.Int63()
-			}
-			scratch.rng(i, seed)
+	for i := range s.chunks[:chunks] {
+		seed := int64(i + 1)
+		if rng != nil {
+			seed = rng.Int63()
 		}
+		s.chunks[i].rng.Seed(seed)
+		s.chunks[i].limit = limit
 	}
 	parallel.Run(chunks, parallel.Workers(workers), func(i int) {
-		d := scratch.deltas[i]
-		for j := range d {
-			d[j] = 0
+		c := &s.chunks[i]
+		d := dst
+		if i > 0 {
+			if d = c.delta; c.all {
+				clear(d)
+			}
 		}
+		c.wrote, c.all = c.wrote[:0], true
 		lo, hi := fusedBounds(n, chunks, i)
-		var crng *rand.Rand
-		if usesRNG {
-			crng = scratch.rngs[i]
-		}
-		scratch.loss[i], scratch.count[i] = chunk(lo, hi, d, crng)
+		c.loss, c.count = chunk(lo, hi, d, c)
 	})
-	// Deterministic reduction: ascending chunk order on this goroutine.
-	// Chunk 0 is copied, not added, so the single-chunk fast path above
-	// produces the same bits (0 + -0 would flip the sign bit).
-	copy(dst, scratch.deltas[0])
-	lossSum, lossN := scratch.loss[0], scratch.count[0]
-	for c := 1; c < chunks; c++ {
-		d := scratch.deltas[c]
-		for j := range dst {
-			dst[j] += d[j]
-		}
-		lossSum += scratch.loss[c]
-		lossN += scratch.count[c]
+
+	// Deterministic reduction: ascending chunk order on this goroutine. When
+	// every chunk recorded its writes, only those elements are added (an
+	// element a chunk did not write holds +0, and x + +0 is x for every x a
+	// recording kernel produces: sums of ±1 are never -0) and swept back to
+	// +0 in the same walk; a repeat in a list then adds the +0 just stored.
+	sparse := true
+	for i := range s.chunks[:chunks] {
+		sparse = sparse && !s.chunks[i].all
 	}
-	return dst, finalize(dst, lossSum, lossN)
+	lossSum, lossN := s.chunks[0].loss, s.chunks[0].count
+	if sparse {
+		s.list.Add(s.chunks[0].wrote...)
+	}
+	for i := 1; i < chunks; i++ {
+		c := &s.chunks[i]
+		if sparse {
+			for _, j := range c.wrote {
+				dst[j] += c.delta[j]
+				c.delta[j] = 0
+			}
+			s.list.Add(c.wrote...)
+		} else {
+			for j, v := range c.delta[:len(dst)] {
+				dst[j] += v
+			}
+			c.all = true
+		}
+		lossSum += c.loss
+		lossN += c.count
+	}
+	// The clamp may lift an element the sync changed off +0, so those count
+	// as touched from here on.
+	s.wrote = touched.Set{}
+	if sparse {
+		s.list.Add(cand.Indices()...)
+		s.wrote = s.list.Take(size)
+	}
+	s.out = dst
+	return dst, finalize(dst, s.wrote, lossSum, lossN)
 }
 
 // --- per-algorithm fused kernels ---------------------------------------
 
-func (m *mlr) fusedPass(shard *Shard, model []float64) (chunkFn, finalizeFn, bool) {
+func (m *mlr) fusedPass(shard *Shard, model []float64, _ *Scratch) (chunkFn, finalizeFn) {
 	c := m.cfg.withDefaults()
 	n := float64(maxInt(len(shard.Examples), 1))
-	chunk := func(lo, hi int, grad []float64, _ *rand.Rand) (float64, int) {
-		probs := make([]float64, c.Classes)
+	chunk := func(lo, hi int, grad []float64, cs *chunkScratch) (float64, int) {
+		probs := cs.floats(c.Classes)
 		var lossSum float64
 		for _, ex := range shard.Examples[lo:hi] {
 			softmax(model, ex.X, c, probs)
@@ -232,16 +294,16 @@ func (m *mlr) fusedPass(shard *Shard, model []float64) (chunkFn, finalizeFn, boo
 		}
 		return lossSum, hi - lo
 	}
-	finalize := func(_ []float64, lossSum float64, lossN int) float64 {
+	finalize := func(_ []float64, _ touched.Set, lossSum float64, lossN int) float64 {
 		return lossSum / float64(maxInt(lossN, 1))
 	}
-	return chunk, finalize, false
+	return chunk, finalize
 }
 
-func (l *lasso) fusedPass(shard *Shard, model []float64) (chunkFn, finalizeFn, bool) {
+func (l *lasso) fusedPass(shard *Shard, model []float64, _ *Scratch) (chunkFn, finalizeFn) {
 	c := l.cfg.withDefaults()
 	n := float64(maxInt(len(shard.Examples), 1))
-	chunk := func(lo, hi int, grad []float64, _ *rand.Rand) (float64, int) {
+	chunk := func(lo, hi int, grad []float64, _ *chunkScratch) (float64, int) {
 		var lossSum float64
 		for _, ex := range shard.Examples[lo:hi] {
 			pred := dot(model, ex.X)
@@ -253,7 +315,7 @@ func (l *lasso) fusedPass(shard *Shard, model []float64) (chunkFn, finalizeFn, b
 		}
 		return lossSum, hi - lo
 	}
-	finalize := func(delta []float64, lossSum float64, lossN int) float64 {
+	finalize := func(delta []float64, _ touched.Set, lossSum float64, lossN int) float64 {
 		// The proximal step is nonlinear, so it runs once on the reduced
 		// gradient, expressed as an additive delta so servers can apply it
 		// with a plain +=.
@@ -267,15 +329,15 @@ func (l *lasso) fusedPass(shard *Shard, model []float64) (chunkFn, finalizeFn, b
 		}
 		return lossSum/float64(maxInt(lossN, 1)) + c.Lambda*l1
 	}
-	return chunk, finalize, false
+	return chunk, finalize
 }
 
-func (nm *nmf) fusedPass(shard *Shard, model []float64) (chunkFn, finalizeFn, bool) {
+func (nm *nmf) fusedPass(shard *Shard, model []float64, _ *Scratch) (chunkFn, finalizeFn) {
 	c := nm.cfg.withDefaults()
 	rows := float64(maxInt(len(shard.Examples), 1))
-	chunk := func(lo, hi int, grad []float64, _ *rand.Rand) (float64, int) {
-		u := make([]float64, c.Classes)
-		preds := make([]float64, c.Features)
+	chunk := func(lo, hi int, grad []float64, cs *chunkScratch) (float64, int) {
+		buf := cs.floats(c.Classes + c.Features)
+		u, preds := buf[:c.Classes], buf[c.Classes:]
 		var lossSum float64
 		var lossN int
 		for _, ex := range shard.Examples[lo:hi] {
@@ -305,7 +367,7 @@ func (nm *nmf) fusedPass(shard *Shard, model []float64) (chunkFn, finalizeFn, bo
 		}
 		return lossSum, lossN
 	}
-	finalize := func(delta []float64, lossSum float64, lossN int) float64 {
+	finalize := func(delta []float64, _ touched.Set, lossSum float64, lossN int) float64 {
 		// Per-chunk projections kept each partial non-negative against the
 		// model; their sum can still undershoot, so clamp once after the
 		// reduction to restore V ≥ 0.
@@ -316,38 +378,63 @@ func (nm *nmf) fusedPass(shard *Shard, model []float64) (chunkFn, finalizeFn, bo
 		}
 		return lossSum / float64(maxInt(lossN, 1))
 	}
-	return chunk, finalize, false
+	return chunk, finalize
 }
 
-func (l *lda) fusedPass(shard *Shard, model []float64) (chunkFn, finalizeFn, bool) {
+// rowSums stores in sums[k] the sum of row k of the width-column matrix m,
+// each row added left to right from zero. A row's sum is one chain of
+// dependent adds, so four rows advance together to overlap their
+// latencies; no row's order of additions changes.
+func rowSums(m []float64, width int, sums []float64) {
+	k := 0
+	for ; k+4 <= len(sums); k += 4 {
+		r0, r1 := m[k*width:(k+1)*width], m[(k+1)*width:(k+2)*width]
+		r2, r3 := m[(k+2)*width:(k+3)*width], m[(k+3)*width:(k+4)*width]
+		var t0, t1, t2, t3 float64
+		for f, v := range r0 {
+			t0, t1, t2, t3 = t0+v, t1+r1[f], t2+r2[f], t3+r3[f]
+		}
+		sums[k], sums[k+1], sums[k+2], sums[k+3] = t0, t1, t2, t3
+	}
+	for ; k < len(sums); k++ {
+		var t float64
+		for _, v := range m[k*width : (k+1)*width] {
+			t += v
+		}
+		sums[k] = t
+	}
+}
+
+func (l *lda) fusedPass(shard *Shard, model []float64, s *Scratch) (chunkFn, finalizeFn) {
 	c := l.cfg.withDefaults()
 	const alphaDirichlet = 0.1
-	// Topic totals at the pulled model, computed once and shared read-only
-	// across chunks; each chunk evolves its own copy during its sweep.
-	base := make([]float64, c.Classes)
-	for k := 0; k < c.Classes; k++ {
-		var t float64
-		for f := 0; f < c.Features; f++ {
-			t += model[k*c.Features+f]
-		}
-		base[k] = t
+	// Topic totals at the pulled model and their reciprocals, computed once
+	// and shared read-only across chunks; each chunk evolves its own copy
+	// during its sweep. This read is the one pass over the whole model a
+	// sparse iteration keeps: each total is summed in ascending word order,
+	// which is part of the result.
+	if cap(s.totals) < 2*c.Classes {
+		s.totals = make([]float64, 2*c.Classes)
 	}
-	chunk := func(lo, hi int, delta []float64, rng *rand.Rand) (float64, int) {
-		probs := make([]float64, c.Classes)
-		topicTotals := make([]float64, c.Classes)
-		copy(topicTotals, base)
-		// Reciprocal caches: the column walks below would otherwise pay one
+	base, invBase := s.totals[:c.Classes], s.totals[c.Classes:2*c.Classes]
+	rowSums(model, c.Features, base)
+	for k, t := range base {
+		invBase[k] = 1 / (t + 1)
+	}
+	chunk := func(lo, hi int, delta []float64, cs *chunkScratch) (float64, int) {
+		rng := cs.rng
+		buf := cs.floats(4 * c.Classes)
+		probs, topicTotals := buf[:c.Classes], buf[c.Classes:2*c.Classes]
+		// Reciprocal cache: the column walks below would otherwise pay one
 		// FP division per (token, topic). invTotals tracks topicTotals —
 		// only the two entries a Gibbs move touches are refreshed.
-		invBase := make([]float64, c.Classes)
-		invTotals := make([]float64, c.Classes)
-		for k := range invBase {
-			invBase[k] = 1 / (base[k] + 1)
-			invTotals[k] = 1 / (topicTotals[k] + 1)
-		}
+		invTotals := buf[2*c.Classes : 3*c.Classes]
 		// Per-document state reused across the chunk's documents.
-		docCounts := make([]float64, c.Classes)
-		var assignments []int
+		docCounts := buf[3*c.Classes:]
+		copy(topicTotals, base)
+		copy(invTotals, invBase)
+		assignments := cs.ints
+		wrote, record := cs.wrote, cs.limit > 0
 		var lossSum float64
 		var tokens int
 		// Batched objective: Σ log p_i = log Π p_i, with the running
@@ -399,8 +486,13 @@ func (l *lda) fusedPass(shard *Shard, model []float64) (chunkFn, finalizeFn, boo
 				assignments[ti] = next
 				docCounts[next]++
 				if next != old {
-					delta[old*c.Features+w]--
-					delta[next*c.Features+w]++
+					from, to := old*c.Features+w, next*c.Features+w
+					delta[from]--
+					delta[to]++
+					if record {
+						wrote = append(wrote, uint32(from), uint32(to))
+						record = len(wrote) <= cs.limit
+					}
 					topicTotals[old]--
 					topicTotals[next]++
 					invTotals[old] = 1 / (topicTotals[old] + 1)
@@ -409,17 +501,27 @@ func (l *lda) fusedPass(shard *Shard, model []float64) (chunkFn, finalizeFn, boo
 			}
 		}
 		flushLog()
+		cs.ints, cs.wrote, cs.all = assignments, wrote, !record
 		return lossSum, tokens
 	}
-	finalize := func(delta []float64, lossSum float64, lossN int) float64 {
+	finalize := func(delta []float64, cand touched.Set, lossSum float64, lossN int) float64 {
 		// Keep counts non-negative when applied (once, on the reduced
-		// delta).
-		for i := range delta {
-			if model[i]+delta[i] < 0.01 {
-				delta[i] = 0.01 - model[i]
+		// delta). Outside cand the delta is +0 and the model is what the
+		// last pass read, so the floor it left there still holds.
+		if cand.All() {
+			for i := range delta {
+				if model[i]+delta[i] < 0.01 {
+					delta[i] = 0.01 - model[i]
+				}
+			}
+		} else {
+			for _, i := range cand.Indices() {
+				if model[i]+delta[i] < 0.01 {
+					delta[i] = 0.01 - model[i]
+				}
 			}
 		}
 		return lossSum / float64(maxInt(lossN, 1))
 	}
-	return chunk, finalize, true
+	return chunk, finalize
 }

@@ -1,11 +1,246 @@
 package mlapp
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"harmony/internal/parallel"
+	"harmony/internal/touched"
 )
+
+// referenceComputeFused is the dense pass ComputeFused replaced, kept as
+// the oracle the sparse pass is compared against bit for bit: dst and
+// every chunk's scratch are zero-filled whole, the reduce copies chunk 0
+// and adds the others over the whole model, and the clamp visits every
+// element. It shares only the kernels, which TestComputeFusedMatchesParent
+// pins separately.
+func referenceComputeFused(algo Algorithm, model []float64, shard *Shard, rng *rand.Rand, workers int) ([]float64, float64) {
+	n := len(shard.Examples)
+	chunks := fusedChunks(n)
+	chunk, finalize := algo.fusedPass(shard, model, &Scratch{})
+	dst := make([]float64, len(model))
+	cs := make([]chunkScratch, chunks)
+	for i := range cs {
+		cs[i].rng = rand.New(&fusedSource{})
+	}
+	for i := range cs {
+		seed := int64(i + 1)
+		if rng != nil {
+			seed = rng.Int63()
+		}
+		cs[i].rng.Seed(seed)
+	}
+	if chunks == 1 {
+		lossSum, lossN := chunk(0, n, dst, &cs[0])
+		return dst, finalize(dst, touched.Set{}, lossSum, lossN)
+	}
+	parallel.Run(chunks, parallel.Workers(workers), func(i int) {
+		cs[i].delta = make([]float64, len(model))
+		lo, hi := fusedBounds(n, chunks, i)
+		cs[i].loss, cs[i].count = chunk(lo, hi, cs[i].delta, &cs[i])
+	})
+	copy(dst, cs[0].delta)
+	lossSum, lossN := cs[0].loss, cs[0].count
+	for c := 1; c < chunks; c++ {
+		for j := range dst {
+			dst[j] += cs[c].delta[j]
+		}
+		lossSum += cs[c].loss
+		lossN += cs[c].count
+	}
+	return dst, finalize(dst, touched.Set{}, lossSum, lossN)
+}
+
+// fusedCases are the shapes the equivalence tests run: the four kernels
+// at a model too small to be sparse, and LDA at a vocabulary large enough
+// that an iteration touches under 1/16 of it — over one chunk, over
+// several, and with so many tokens that chunks overflow their record.
+var fusedCases = []Config{
+	{Kind: MLR, Features: 16, Classes: 4, Rows: 200, LearningRate: 0.2},
+	{Kind: Lasso, Features: 16, Classes: 4, Rows: 200, LearningRate: 0.2},
+	{Kind: NMF, Features: 16, Classes: 4, Rows: 200, LearningRate: 0.2},
+	{Kind: LDA, Features: 16, Classes: 4, Rows: 200},
+	{Kind: LDA, Features: 4096, Classes: 8, Rows: 40},
+	{Kind: LDA, Features: 4096, Classes: 8, Rows: 12},
+	{Kind: LDA, Features: 1024, Classes: 8, Rows: 64},
+}
+
+// TestComputeFusedMatchesDenseReference drives every case for ten
+// iterations beside the dense oracle, on one shared model that the pass's
+// own update and a second, simulated pusher change in between — the
+// second pusher drives elements below LDA's floor, the undershoot the
+// clamp must heal exactly where the dense clamp would. Deltas and losses
+// must agree by bit pattern, the touched set must cover every element that
+// is not +0, and a pass that was not told what changed (the first, and
+// every fourth: a full reply) must report All.
+func TestComputeFusedMatchesDenseReference(t *testing.T) {
+	for _, cfg := range fusedCases {
+		sparsePasses := 0
+		for _, seed := range []int64{1, 2, 3} {
+			for _, workers := range []int{1, 4} {
+				algo, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shards, err := GenerateShards(cfg, 1, 40+seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				model := algo.InitModel(rand.New(rand.NewSource(seed)))
+				size := len(model)
+				rng, refRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				other := rand.New(rand.NewSource(100 + seed))
+				scratch := &Scratch{}
+				var delta []float64
+				var changed touched.List
+				for iter := 0; iter < 10; iter++ {
+					told := iter%4 != 0
+					if told {
+						scratch.Changed(changed.Take(size))
+					} else {
+						changed.Take(size)
+					}
+					want, wantLoss := referenceComputeFused(algo, model, shards[0], refRNG, workers)
+					var loss float64
+					delta, loss = ComputeFused(algo, delta, model, shards[0], rng, workers, scratch)
+					if math.Float64bits(loss) != math.Float64bits(wantLoss) {
+						t.Fatalf("%v seed %d workers %d iter %d: loss %x, want %x", cfg, seed, workers, iter,
+							math.Float64bits(loss), math.Float64bits(wantLoss))
+					}
+					set := scratch.Touched()
+					if !told && !set.All() {
+						t.Fatalf("%v iter %d: an untold pass reported a sparse touched set", cfg, iter)
+					}
+					if !set.All() {
+						sparsePasses++
+					}
+					next := set.Indices()
+					for i := range delta {
+						if math.Float64bits(delta[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%v seed %d workers %d iter %d: delta[%d] = %v, want %v", cfg, seed, workers, iter, i, delta[i], want[i])
+						}
+						if len(next) > 0 && int(next[0]) == i {
+							if len(next) > 1 && next[1] <= next[0] {
+								t.Fatalf("%v iter %d: touched set not ascending at %d", cfg, iter, i)
+							}
+							next = next[1:]
+						} else if !set.All() && math.Float64bits(delta[i]) != 0 {
+							t.Fatalf("%v iter %d: delta[%d] = %v is not in the touched set", cfg, iter, i, delta[i])
+						}
+					}
+					if len(next) > 0 {
+						t.Fatalf("%v iter %d: touched set names %d beyond the model", cfg, iter, next[0])
+					}
+					// Apply the update the way the servers would, logging the
+					// elements that travelled, then the other pusher's: a few
+					// elements, some of them pushed below the floor.
+					for i := range model {
+						if math.Float64bits(delta[i]) != 0 {
+							model[i] += delta[i]
+							changed.Add(uint32(i))
+						}
+					}
+					for k := 0; k < 1+size/200; k++ {
+						i := other.Intn(size)
+						model[i] -= other.Float64() * (model[i] + 0.5)
+						changed.Add(uint32(i))
+					}
+				}
+			}
+		}
+		if wantSparse := cfg.Kind == LDA && cfg.Features >= 4096; (sparsePasses > 0) != wantSparse {
+			t.Errorf("%v: %d sparse passes, want sparse passes: %v", cfg, sparsePasses, wantSparse)
+		}
+	}
+}
+
+// TestComputeFusedMatchesParent pins the kernels themselves: the digests
+// are those of the commit before the touched set existed (dense driver,
+// per-call buffers), over six iterations of delta and loss bits.
+func TestComputeFusedMatchesParent(t *testing.T) {
+	golden := []uint64{0x72f70a10b45ba60f, 0xbc75242aeaaace2f, 0x54970730caf495cb,
+		0xf215ff1783ef3ef, 0x6911bc7c59595c1e, 0xbd3dd5a4e239a441}
+	for c, cfg := range fusedCases[:len(golden)] {
+		for _, workers := range []int{1, 4} {
+			algo, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards, err := GenerateShards(cfg, 1, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(7))
+			model := algo.InitModel(rng)
+			h := fnv.New64a()
+			put := func(v float64) {
+				var b [8]byte
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+			scratch := &Scratch{}
+			var delta []float64
+			for iter := 0; iter < 6; iter++ {
+				var loss float64
+				delta, loss = ComputeFused(algo, delta, model, shards[0], rng, workers, scratch)
+				put(loss)
+				for i, d := range delta {
+					put(d)
+					model[i] += d
+				}
+			}
+			if got := h.Sum64(); got != golden[c] {
+				t.Errorf("%v workers %d: digest %#x, want %#x", cfg, workers, got, golden[c])
+			}
+		}
+	}
+}
+
+// TestComputeFusedSteadyStateAllocs: with a reused Scratch and dst a pass
+// allocates a constant handful of objects — the kernel's closures and the
+// worker pool's goroutines — whatever the model size and chunk count.
+func TestComputeFusedSteadyStateAllocs(t *testing.T) {
+	for _, cfg := range []Config{
+		{Kind: MLR, Features: 16, Classes: 4, Rows: 64},
+		{Kind: Lasso, Features: 16, Rows: 64},
+		{Kind: NMF, Features: 16, Classes: 4, Rows: 64},
+		{Kind: LDA, Features: 16, Classes: 4, Rows: 64},
+		{Kind: MLR, Features: 64, Classes: 8, Rows: 1024},
+		{Kind: Lasso, Features: 512, Rows: 1024},
+		{Kind: NMF, Features: 64, Classes: 4, Rows: 1024},
+		{Kind: LDA, Features: 8192, Classes: 8, Rows: 1024},
+	} {
+		algo, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards, err := GenerateShards(cfg, 1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		model := algo.InitModel(rng)
+		for _, workers := range []int{1, 4} {
+			scratch := &Scratch{}
+			var delta []float64
+			pass := func() {
+				scratch.Changed(scratch.Touched())
+				delta, _ = ComputeFused(algo, delta, model, shards[0], rng, workers, scratch)
+			}
+			pass()
+			pass()
+			// Two kernel closures and the pool's body, plus two objects a
+			// pool goroutine.
+			if allocs, limit := testing.AllocsPerRun(5, pass), float64(1+2*workers); allocs > limit {
+				t.Errorf("%v rows=%d workers=%d: %.0f allocations a pass, want at most %.0f", cfg.Kind, cfg.Rows, workers, allocs, limit)
+			}
+		}
+	}
+}
 
 // fusedConfig returns a shard big enough for several chunks plus a model
 // and RNG with fixed seeds.
@@ -199,6 +434,31 @@ func TestFusedChunkGeometry(t *testing.T) {
 		}
 		if prev != n {
 			t.Fatalf("n=%d: chunks cover %d rows", n, prev)
+		}
+	}
+}
+
+// TestRowSumsKeepsEachRowsOrder: advancing four rows together must give
+// every row the bits of its own left-to-right sum, for row counts on both
+// sides of the group of four.
+func TestRowSumsKeepsEachRowsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, rows := range []int{1, 3, 4, 7, 8} {
+		const width = 1000
+		m := make([]float64, rows*width)
+		for i := range m {
+			m[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(8)))
+		}
+		got := make([]float64, rows)
+		rowSums(m, width, got)
+		for k := range got {
+			var want float64
+			for _, v := range m[k*width : (k+1)*width] {
+				want += v
+			}
+			if math.Float64bits(got[k]) != math.Float64bits(want) {
+				t.Errorf("%d rows: row %d sums to %v, want %v", rows, k, got[k], want)
+			}
 		}
 	}
 }

@@ -143,24 +143,9 @@ type Algorithm interface {
 	// reports negative log-likelihood).
 	Loss(model []float64, shard *Shard) float64
 	// fusedPass returns the chunk and finalize functions of one fused
-	// gradient+loss pass over shard at model (fused.go). usesRNG reports
-	// whether the chunk function draws from its RNG: seeding a generator
-	// costs microseconds per chunk, so deterministic kernels (MLR, Lasso,
-	// NMF) skip RNG setup entirely.
-	fusedPass(shard *Shard, model []float64) (chunk chunkFn, finalize finalizeFn, usesRNG bool)
-}
-
-// deltaBuf resizes dst to n elements, reusing its capacity when
-// possible, and zeroes it.
-func deltaBuf(dst []float64, n int) []float64 {
-	if cap(dst) < n {
-		return make([]float64, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = 0
-	}
-	return dst
+	// gradient+loss pass over shard at model (fused.go); s backs whatever
+	// the pass shares across chunks.
+	fusedPass(shard *Shard, model []float64, s *Scratch) (chunk chunkFn, finalize finalizeFn)
 }
 
 // New constructs the algorithm for a configuration.

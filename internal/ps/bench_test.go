@@ -8,6 +8,7 @@ import (
 
 	"harmony/internal/metrics"
 	"harmony/internal/rpc"
+	"harmony/internal/touched"
 )
 
 // benchModelSize is the 1M-parameter model of the ISSUE target (8 MB of
@@ -70,35 +71,59 @@ func BenchmarkPullPush(b *testing.B) {
 	}
 }
 
-// BenchmarkPullPushSparse measures the steady-state COMM iteration of a
-// sparse-update job (the live_comm LDA shape): a 512K-element model of
-// which an iteration changes 0.4 % — a mirror Sync plus a Push of a delta
-// with 2K non-zeros, across 2 servers. wireB/op is what actually moved
-// (requests and replies, both directions), against 8 MB for the dense
-// path. The allocations left are the per-call channel and timer of
-// rpc.Client.Call and scatter's per-op grouping, a few hundred bytes.
-func BenchmarkPullPushSparse(b *testing.B) {
+// sparseBench is the steady state of a sparse-update job (the live_comm
+// LDA shape): a 512K-element model on 2 servers, a delta with 2K
+// non-zeros (0.4 %) and the touched set naming them, as COMP reports it.
+func sparseBench(b *testing.B) (c *Client, delta []float64, set touched.Set) {
 	const size, nnz = 512 << 10, 2 << 10
 	addrs := startBenchCluster(b, 2)
 	c, err := NewClient(addrs, time.Minute)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer c.Close()
+	b.Cleanup(c.Close)
 	model, _ := benchVectors(size)
 	if err := c.Init("bench", model); err != nil {
 		b.Fatal(err)
 	}
-	delta := make([]float64, size)
+	delta = make([]float64, size)
+	var list touched.List
 	for k := 0; k < nnz; k++ {
 		delta[k*(size/nnz)+k%7] = 1e-3
+		list.Add(uint32(k*(size/nnz) + k%7))
 	}
-	m := NewMirror("bench", size)
+	return c, delta, list.Take(size)
+}
+
+// reportWire stops the clock and reports the bytes that moved since before
+// per iteration, requests and replies — of pulls only, or of pushes too; a
+// stripe pulled whole in steady state fails the benchmark.
+func reportWire(b *testing.B, before metrics.CommSnapshot, pushes bool) {
+	b.StopTimer()
+	after := metrics.Comm.Snapshot()
+	moved := after.PullBytes - before.PullBytes
+	if pushes {
+		moved += after.PushBytes - before.PushBytes
+	}
+	b.ReportMetric(float64(moved)/float64(b.N), "wireB/op")
+	if after.FullReplies != before.FullReplies {
+		b.Fatalf("%d stripes were pulled whole in steady state", after.FullReplies-before.FullReplies)
+	}
+}
+
+// BenchmarkPullPushSparse measures the steady-state COMM iteration of a
+// sparse-update job: a mirror Sync plus a PushTouched. wireB/op is against
+// 8 MB for the dense path. The allocations left are the per-call channel
+// and timer of rpc.Client.Call and scatter's per-op grouping, a few
+// hundred bytes.
+func BenchmarkPullPushSparse(b *testing.B) {
+	c, delta, set := sparseBench(b)
+	m := NewMirror("bench", len(delta))
 	iterate := func() {
 		if err := c.Sync(m); err != nil {
 			b.Fatal(err)
 		}
-		if err := c.Push("bench", delta); err != nil {
+		if err := c.PushTouched("bench", delta, set); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -109,12 +134,35 @@ func BenchmarkPullPushSparse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		iterate()
 	}
-	b.StopTimer()
-	after := metrics.Comm.Snapshot()
-	b.ReportMetric(float64(after.PullBytes+after.PushBytes-before.PullBytes-before.PushBytes)/float64(b.N), "wireB/op")
-	if after.FullReplies != before.FullReplies {
-		b.Fatalf("%d stripes were pulled whole in steady state", after.FullReplies-before.FullReplies)
+	reportWire(b, before, true)
+}
+
+// BenchmarkCheckpoint measures what the master pays for one background
+// checkpoint of that job: a Sync of its long-lived mirror after the five
+// sparse pushes of a checkpoint interval (untimed), where a fresh client
+// and a whole-model Snapshot moved 4 MB.
+func BenchmarkCheckpoint(b *testing.B) {
+	c, delta, set := sparseBench(b)
+	m := NewMirror("bench", len(delta))
+	if err := c.Sync(m); err != nil {
+		b.Fatal(err)
 	}
+	before := metrics.Comm.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for k := 0; k < 5; k++ {
+			if err := c.PushTouched("bench", delta, set); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if err := c.Sync(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportWire(b, before, false)
 }
 
 // TestCommPathRaceSmoke hammers the striped data plane from concurrent

@@ -9,6 +9,7 @@ import (
 
 	"harmony/internal/metrics"
 	"harmony/internal/rpc"
+	"harmony/internal/touched"
 )
 
 // maxRouteAttempts bounds the moved-stripe retry loop: each attempt
@@ -581,7 +582,7 @@ func (c *Client) pullStripes(job, method string, reqLo int, dst []float64, m *Mi
 			if err != nil {
 				return groupResult{err: err}
 			}
-			res := decodeStripesInto(reply, reqLo, dst, cur)
+			res := decodeStripesInto(reply, reqLo, dst, m)
 			res.bytes = int64(len(reply))
 			rpc.PutBuffer(reply)
 			return res
@@ -649,12 +650,18 @@ func (c *Client) applyForwards(job string, forwards map[int]string) {
 // decodeStripesInto places a pull reply's stripes into dst (which holds
 // [reqLo, reqLo+len(dst)) of the model), advancing the cursors of the
 // stripes it brought up to date, and returns the stripes the server
-// bounced, each with its forwarding hint. cur is indexed by stripe and
-// may be short or nil: a stripe without a cursor can only be answered in
-// full, and anything else for it is a protocol error. A stripe's values
-// and cursor change together or not at all — a delta is checked against
-// the stripe's extent before its first element is written.
-func decodeStripesInto(reply []byte, reqLo int, dst []float64, cur []stripeCursor) (res groupResult) {
+// bounced, each with its forwarding hint. m is the mirror whose buffer dst
+// is, nil for a plain pull; its cursor table is indexed by stripe and may
+// be short: a stripe without a cursor can only be answered in full, and
+// anything else for it is a protocol error. A stripe's values, its cursor
+// and the mirror's record of what was rewritten change together or not at
+// all — a delta is checked against the stripe's extent before its first
+// element is written.
+func decodeStripesInto(reply []byte, reqLo int, dst []float64, m *Mirror) (res groupResult) {
+	var cur []stripeCursor
+	if m != nil {
+		cur = m.cur
+	}
 	fail := func(err error) groupResult {
 		res.err = err
 		return res
@@ -716,6 +723,9 @@ func decodeStripesInto(reply []byte, reqLo int, dst []float64, cur []stripeCurso
 					*held = stripeCursor{epoch: epoch, version: version, lo: slo - reqLo, n: n}
 				}
 			}
+			if m != nil {
+				m.rewroteAll()
+			}
 			res.full++
 		case stripeSame:
 			if held == nil || held.version == 0 {
@@ -751,6 +761,7 @@ func decodeStripesInto(reply []byte, reqLo int, dst []float64, cur []stripeCurso
 				vals[off] = v
 			}
 			held.version = version
+			m.rewrote(held.lo, data, nnz)
 			res.delta++
 		default:
 			return fail(fmt.Errorf("ps: stripe %d: unknown reply status %d", idx32, status))
@@ -765,15 +776,23 @@ func decodeStripesInto(reply []byte, reqLo int, dst []float64, cur []stripeCurso
 // the dense and the sparse encoding, and nothing for a stripe whose
 // delta is all +0.
 func (c *Client) Push(job string, delta []float64) error {
-	return c.pushStripes(job, 0, delta)
+	return c.pushStripes(job, 0, delta, touched.Set{})
+}
+
+// PushTouched is Push for a caller that knows which elements of delta may
+// be other than +0 (mlapp's Scratch.Touched): set must hold them all. The
+// request is the same, byte for byte; building it walks the set instead of
+// the model.
+func (c *Client) PushTouched(job string, delta []float64, set touched.Set) error {
+	return c.pushStripes(job, 0, delta, set)
 }
 
 // PushRange pushes an additive delta for elements [lo, lo+len(delta)).
 func (c *Client) PushRange(job string, lo int, delta []float64) error {
-	return c.pushStripes(job, lo, delta)
+	return c.pushStripes(job, lo, delta, touched.Set{})
 }
 
-func (c *Client) pushStripes(job string, reqLo int, delta []float64) error {
+func (c *Client) pushStripes(job string, reqLo int, delta []float64, set touched.Set) error {
 	start := time.Now()
 	if reqLo < 0 {
 		return fmt.Errorf("ps: push %q: negative offset %d", job, reqLo)
@@ -793,7 +812,7 @@ func (c *Client) pushStripes(job string, reqLo int, delta []float64) error {
 				st := r.stripes[s]
 				olo, ohi := maxInt(st.lo, reqLo), minInt(st.lo+st.n, reqLo+len(delta))
 				var sent bool
-				if body, sent = appendPushEntry(body, s, olo, delta[olo-reqLo:ohi-reqLo]); sent {
+				if body, sent = appendPushEntry(body, s, olo, delta[olo-reqLo:ohi-reqLo], set, olo-reqLo); sent {
 					entries++
 				}
 			}

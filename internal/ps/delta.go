@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"harmony/internal/rpc"
+	"harmony/internal/touched"
 )
 
 // This file is the delta half of the data plane: the sparse push entry
@@ -47,15 +49,18 @@ const headLen = 64
 // [lo, lo+len(seg)) of stripe idx, in whichever encoding is fewer bytes,
 // and reports whether it appended anything: a segment that is all +0
 // changes nothing on the server and is left out. "Zero" is the bit
-// pattern of +0 only; -0 and NaNs travel.
+// pattern of +0 only; -0 and NaNs travel. set, in which seg[0] is element
+// at, holds every element of seg that is not +0; the bytes do not depend
+// on what else it holds.
 //
-// The steady states cost one walk over seg each. A segment whose head is
-// mostly non-zero is written dense while its non-zeros are counted, and
-// only if the count says sparse was smaller after all is it rewound and
-// walked again. Any other segment is written sparse as the non-zeros are
-// met, and the moment that stops being the smaller form (12·nnz ≥ 8·n)
-// it is rewound and written dense.
-func appendPushEntry(body []byte, idx, lo int, seg []float64) ([]byte, bool) {
+// The steady states cost one walk each. A sparse set is walked instead of
+// seg: the entry costs what was touched, not what the stripe holds.
+// Otherwise a segment whose head is mostly non-zero is written dense while
+// its non-zeros are counted, and only if the count says sparse was smaller
+// after all is it rewound and walked again; any other segment is written
+// sparse as the non-zeros are met. Either walk rewinds and writes dense the
+// moment sparse stops being the smaller form (12·nnz ≥ 8·n).
+func appendPushEntry(body []byte, idx, lo int, seg []float64, set touched.Set, at int) ([]byte, bool) {
 	start := len(body)
 	body = grow(body, 13)
 	body = rpc.AppendUint32(body, uint32(idx))
@@ -64,8 +69,12 @@ func appendPushEntry(body []byte, idx, lo int, seg []float64) ([]byte, bool) {
 	payloadAt := len(body)
 	sparseWins := func(nnz int) bool { return sparseRec*nnz < 8*len(seg) }
 
-	head := seg[:minInt(headLen, len(seg))]
-	if nz := countNonZero(head); nz > 0 && sparseRec*nz >= 8*len(head) {
+	var within []uint32 // the elements to visit, when not all of seg
+	visits := len(seg)
+	if !set.All() {
+		within = set.Within(at, at+len(seg))
+		visits = len(within)
+	} else if head := seg[:minInt(headLen, len(seg))]; sparseRec*countNonZero(head) >= 8*len(head) && len(head) > 0 {
 		var nnz int
 		if body, nnz = appendFloatsCounting(body, seg); !sparseWins(nnz) {
 			return body, true
@@ -75,8 +84,12 @@ func appendPushEntry(body []byte, idx, lo int, seg []float64) ([]byte, bool) {
 	body[payloadAt-1] = encSparse
 	body = rpc.AppendUint32(body, 0)
 	nnz := 0
-	for i, v := range seg {
-		bits := math.Float64bits(v)
+	for k := 0; k < visits; k++ {
+		i := k
+		if within != nil {
+			i = int(within[k]) - at
+		}
+		bits := math.Float64bits(seg[i])
 		if bits == 0 {
 			continue
 		}
@@ -195,7 +208,8 @@ func sparseAt(data []byte, k int) (off int, v float64) {
 // 8·len(vals) bytes, whatever the stripe size. Any delta the log can
 // serve is therefore smaller than the full stripe (12 bytes per record
 // against 8 per element), so the pull handler never has to compare sizes.
-const logFraction = 16
+// Client-side touched sets stop being sparse at the same share.
+const logFraction = touched.Fraction
 
 type logRec struct {
 	version uint64 // stripe version the push produced
@@ -285,14 +299,18 @@ type stripeCursor struct {
 // current by moving only what changed: per stripe it remembers which
 // version its values are, and the servers answer with nothing, with the
 // elements pushed since, or — whenever they cannot prove a delta is
-// exact — with the whole stripe. A Mirror belongs to one goroutine (the
-// job's drive loop); everyone else may only read Values between Syncs,
-// and nobody may write them: a not-modified answer leaves the buffer as
-// it is.
+// exact — with the whole stripe. A Mirror belongs to one goroutine at a
+// time (the job's drive loop); everyone else may only read Values between
+// Syncs, and nobody may write them: a not-modified answer leaves the
+// buffer as it is.
 type Mirror struct {
 	job  string
 	vals []float64
 	cur  []stripeCursor
+	// wrote is every element Syncs rewrote since Changed last asked.
+	// Replies from different servers are decoded concurrently: mu.
+	mu    sync.Mutex
+	wrote touched.List
 }
 
 // NewMirror returns an empty mirror of a size-element model; the first
@@ -305,11 +323,44 @@ func NewMirror(job string, size int) *Mirror {
 // Read-only.
 func (m *Mirror) Values() []float64 { return m.vals }
 
+// Changed reports which elements of Values the Syncs since the previous
+// call rewrote, and starts a new record. Delta replies name their
+// elements; a full stripe, a first pull and a failed Sync make it All. The
+// set is valid until the next call.
+func (m *Mirror) Changed() touched.Set {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.wrote.Take(len(m.vals))
+}
+
+// rewrote records the nnz elements a delta reply's data section names,
+// its stripe sitting at lo in the buffer. A record nobody collects stops
+// growing at the size Take would call All anyway.
+func (m *Mirror) rewrote(lo int, data []byte, nnz int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.wrote.Len()+nnz > len(m.vals)/touched.Fraction {
+		m.wrote.AddAll()
+	}
+	for k := 0; k < nnz; k++ {
+		off, _ := sparseAt(data, k)
+		m.wrote.Add(uint32(lo + off))
+	}
+}
+
+// rewroteAll records that any element may have been rewritten.
+func (m *Mirror) rewroteAll() {
+	m.mu.Lock()
+	m.wrote.AddAll()
+	m.mu.Unlock()
+}
+
 // forget drops every cursor, so the next Sync pulls full stripes.
 func (m *Mirror) forget() {
 	for i := range m.cur {
 		m.cur[i] = stripeCursor{}
 	}
+	m.rewroteAll()
 }
 
 // cursors returns the cursor table grown to cover stripes stripe indices.

@@ -11,6 +11,7 @@ import (
 
 	"harmony/internal/metrics"
 	"harmony/internal/rpc"
+	"harmony/internal/touched"
 )
 
 // sameBits fails unless got and want hold the same IEEE-754 bit patterns.
@@ -554,7 +555,7 @@ func TestDeltaReplicaReadsAreFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := decodeStripesInto(reply, 0, make([]float64, r.size), cur)
+	res := decodeStripesInto(reply, 0, make([]float64, r.size), &Mirror{cur: cur})
 	if res.err != nil || res.full != 1 || cur[s] != (stripeCursor{}) {
 		t.Fatalf("replica answered %+v and left cursor %+v; want one full reply and no cursor", res, cur[s])
 	}
@@ -589,7 +590,7 @@ func TestPushEntryEncoding(t *testing.T) {
 		{"full", fill(0, n), encDense, 0},
 	}
 	for _, tt := range tests {
-		body, sent := appendPushEntry(nil, 5, 1000, tt.seg)
+		body, sent := appendPushEntry(nil, 5, 1000, tt.seg, touched.Set{}, 0)
 		if tt.enc < 0 {
 			if sent || len(body) != 0 {
 				t.Errorf("%s: sent %d bytes, want nothing", tt.name, len(body))
@@ -630,6 +631,190 @@ func TestPushEntryEncoding(t *testing.T) {
 		sameBits(t, tt.name, got, tt.seg)
 		if dense, sparse := rpc.FloatsLen(n), 4+sparseRec*tt.nnz; e.enc == encSparse && sparse >= dense {
 			t.Errorf("%s: sparse form (%d bytes) sent although dense is %d", tt.name, sparse, dense)
+		}
+	}
+}
+
+// TestPushEntryByTouchedSet: walking a touched set must build the entry the
+// scan builds, byte for byte, whatever else the set names. Each round lays
+// runs of non-zeros over a 64-stripe model — a single element, the two
+// lengths either side of the 12·nnz ≥ 8·n dense flip, runs that straddle a
+// stripe boundary — plus touched elements whose delta is +0, and encodes
+// every stripe both ways.
+func TestPushEntryByTouchedSet(t *testing.T) {
+	const stripe, stripes = 99, 64 // 99: sparse up to 65 non-zeros, dense from 66
+	rng := rand.New(rand.NewSource(3))
+	flips := 0
+	for round := 0; round < 300; round++ {
+		delta := make([]float64, stripe*stripes)
+		var list touched.List
+		for k := 0; k < 4; k++ {
+			run := []int{1, 3, 65, 66, 90}[rng.Intn(5)]
+			from := rng.Intn(stripes) * stripe
+			if rng.Intn(3) == 0 {
+				from += rng.Intn(stripe) // may run over into the next stripe
+			}
+			for i := from; i < from+run && i < len(delta); i++ {
+				delta[i] = propertyValue(rng)
+				list.Add(uint32(i))
+			}
+		}
+		for k := 0; k < 16; k++ {
+			list.Add(uint32(rng.Intn(len(delta)))) // touched, most of them +0
+		}
+		set := list.Take(len(delta))
+		if set.All() {
+			t.Fatal("the test's set outgrew the sparse budget")
+		}
+		for s := 0; s < stripes; s++ {
+			seg := delta[s*stripe : (s+1)*stripe]
+			scan, sentScan := appendPushEntry(nil, s, s*stripe, seg, touched.Set{}, 0)
+			walk, sentWalk := appendPushEntry(nil, s, s*stripe, seg, set, s*stripe)
+			if sentScan != sentWalk || string(scan) != string(walk) {
+				t.Fatalf("round %d stripe %d: by touched set %d bytes (sent %v), by scan %d bytes (sent %v)",
+					round, s, len(walk), sentWalk, len(scan), sentScan)
+			}
+			if sentScan && scan[8] == encDense && countNonZero(seg) < stripe {
+				flips++
+			}
+		}
+	}
+	if flips == 0 {
+		t.Error("no stripe took the dense flip")
+	}
+}
+
+// TestMirrorChanged: whatever a Sync rewrites is in the next Changed — as
+// the named elements after delta replies, as All after the first pull, a
+// full stripe or a failed Sync — and the record restarts with every call.
+func TestMirrorChanged(t *testing.T) {
+	r := newDeltaRig(t) // 4 stripes of 64: the sparse budget is 256/16 = 16 elements
+	if !r.mirror.Changed().All() {
+		t.Fatal("after the first pull everything has changed")
+	}
+	if set := r.mirror.Changed(); set.All() || len(set.Indices()) != 0 {
+		t.Fatalf("nothing synced since the last call, got all=%v %v", set.All(), set.Indices())
+	}
+	r.pushAt(t, 70, 3, 200)
+	r.pushAt(t, 3)
+	r.sync(t)
+	if set := r.mirror.Changed(); set.All() || fmt.Sprint(set.Indices()) != "[3 70 200]" {
+		t.Fatalf("after delta replies for 3, 70 and 200: all=%v %v", set.All(), set.Indices())
+	}
+	r.pushAt(t, 5)
+	r.sync(t)
+	r.pushAt(t, 130)
+	r.sync(t)
+	if set := r.mirror.Changed(); set.All() || fmt.Sprint(set.Indices()) != "[5 130]" {
+		t.Fatalf("two syncs since the last call: all=%v %v", set.All(), set.Indices())
+	}
+	r.pushAt(t, 0, 1, 2, 3, 4) // over stripe 0's log budget of 4: answered in full
+	r.sync(t)
+	if !r.mirror.Changed().All() {
+		t.Fatal("a full stripe reply must make Changed All")
+	}
+	r.mirror.forget() // what a failed Sync does
+	if !r.mirror.Changed().All() {
+		t.Fatal("a failed Sync must make Changed All")
+	}
+}
+
+// TestDeltaSyncServerRestart: a server stops and comes back empty on the
+// same address between a delta Sync and the next Push, and its stripes are
+// re-installed with other values at the very version numbers the mirrors
+// hold cursors for — only the epoch tells the incarnations apart. The
+// pusher's next Push fails on the dead connection (a PS client does not
+// redial); a worker mirror and a checkpoint mirror, each handed to a fresh
+// client, must be answered in full for exactly the restarted server's
+// stripes and end up equal to a primaries-only Snapshot bit for bit.
+func TestDeltaSyncServerRestart(t *testing.T) {
+	const job, stripeElems, size = "job", 64, 4 * 64
+	listen := func(addr string) (*rpc.Server, *Server, string) {
+		srv, server := rpc.NewServer(), NewServer()
+		server.Register(srv)
+		bound, err := srv.Listen(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close(); server.Close() })
+		return srv, server, bound
+	}
+	_, _, addr0 := listen("127.0.0.1:0")
+	srv1, server1, addr1 := listen("127.0.0.1:0")
+	addrs := []string{addr0, addr1}
+	pusher := newClient(t, addrs)
+	pusher.SetStripeElems(stripeElems)
+	if err := pusher.Init(job, seqModel(size)); err != nil {
+		t.Fatal(err)
+	}
+	mirrors := map[string]*Mirror{"worker": NewMirror(job, size), "checkpoint": NewMirror(job, size)}
+	delta := make([]float64, size)
+	for _, e := range []int{1, 65, 130, 200} {
+		delta[e] = 1
+	}
+	seen := metrics.Comm.Snapshot()
+	for round := 0; round < 2; round++ { // first pulls, then a push and delta replies
+		for name, m := range mirrors {
+			if err := pusher.Sync(m); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if got := pullReplies(&seen); round == 1 && (got.delta != 8 || got.full != 0) {
+			t.Fatalf("before the restart the mirrors were answered %+v, want 8 deltas", got)
+		}
+		if err := pusher.Push(job, delta); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Server 1 held stripes 2 and 3. Restart it, and install both at the
+	// version the mirrors hold (init is 1, one push applied: 2) with values
+	// no push produced.
+	srv1.Close()
+	server1.Close()
+	_, fresh, _ := listen(addr1)
+	other := make([]float64, stripeElems)
+	for i := range other {
+		other[i] = -float64(i) - 0.5
+	}
+	body := rpc.AppendString(nil, job)
+	body = rpc.AppendUint32(body, 2)
+	for s := 2; s < 4; s++ {
+		if v := mirrors["worker"].cur[s].version; v != 2 {
+			t.Fatalf("stripe %d is held at version %d, the test assumes 2", s, v)
+		}
+		body = appendStripeFrame(body, s, s*stripeElems, 0, 2, nil, other)
+	}
+	if _, err := fresh.handleInstall(body, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := pusher.Push(job, delta); err == nil {
+		t.Fatal("a push over the restarted server's old connection succeeded")
+	}
+
+	snapper := newClient(t, addrs)
+	for name, m := range mirrors {
+		c := newClient(t, addrs)
+		if err := c.Push(job, delta); err != nil {
+			t.Fatalf("%s: push after the restart: %v", name, err)
+		}
+		seen = metrics.Comm.Snapshot()
+		if err := c.Sync(m); err != nil {
+			t.Fatalf("%s: sync after the restart: %v", name, err)
+		}
+		if got := pullReplies(&seen); got.full != 2 || got.delta != 2 {
+			t.Errorf("%s: answered %+v after the restart, want 2 full stripes and 2 deltas", name, got)
+		}
+		if !m.Changed().All() {
+			t.Errorf("%s: full replies must make Changed All", name)
+		}
+		snap, err := snapper.Snapshot(job, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, name+" mirror vs snapshot", m.Values(), snap)
+		if m.Values()[130] != other[2]+1 && m.Values()[130] != other[2]+2 {
+			t.Errorf("%s: element 130 is %v, not the re-installed value plus the pushes since", name, m.Values()[130])
 		}
 	}
 }
@@ -781,7 +966,7 @@ func TestDeltaReplyRejectedChangesNothing(t *testing.T) {
 	}
 	for name, reply := range bad {
 		dst, cur := pullFuzzMirror()
-		if res := decodeStripesInto(reply, 0, dst, cur); res.err == nil {
+		if res := decodeStripesInto(reply, 0, dst, &Mirror{cur: cur}); res.err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 		sameBits(t, name, dst, seqModel(16))
@@ -792,7 +977,7 @@ func TestDeltaReplyRejectedChangesNothing(t *testing.T) {
 	// Unsorted and repeated offsets are fine in a reply: each names the
 	// element's current value.
 	dst, cur := pullFuzzMirror()
-	if res := decodeStripesInto(deltaReply(0, 5, 3, 6, 2, 6), 0, dst, cur); res.err != nil || res.delta != 1 {
+	if res := decodeStripesInto(deltaReply(0, 5, 3, 6, 2, 6), 0, dst, &Mirror{cur: cur}); res.err != nil || res.delta != 1 {
 		t.Fatalf("valid delta rejected: %+v", res)
 	}
 	if dst[6] != -7 || dst[2] != -7 || dst[3] != 3 || cur[0].version != 5 {
@@ -822,11 +1007,60 @@ func FuzzPullReply(f *testing.F) {
 	f.Add(full[:len(full)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst, cur := pullFuzzMirror()
-		decodeStripesInto(data, 0, dst, cur)
+		decodeStripesInto(data, 0, dst, &Mirror{cur: cur})
 		for i, c := range cur {
 			if c.lo < 0 || c.n < 0 || c.lo+c.n > len(dst) {
 				t.Fatalf("cursor %d describes [%d,%d) of a %d-element buffer", i, c.lo, c.lo+c.n, len(dst))
 			}
+		}
+	})
+}
+
+// FuzzMirrorChanged feeds arbitrary reply bytes to the decoder of a mirror
+// that holds stripe 0 (elements 0-7 of 256) and nothing of stripe 1. What
+// Changed reports must cover every element whose bits moved and name only
+// elements of a held stripe; and a reply rejected before any stripe was
+// applied must leave values, cursors and the record as they were.
+func FuzzMirrorChanged(f *testing.F) {
+	f.Add(deltaReply(0, 5, 3, 6, 2, 6))
+	f.Add(deltaReply(0, 4, 1, 8))
+	f.Add(deltaReply(1, 4, 1, 0))
+	f.Add(append(deltaReply(0, 5, 1, 7)[:4], deltaReply(0, 4, math.MaxUint32, 1)[4:]...))
+	full := rpc.AppendUint32(nil, 1)
+	full = rpc.AppendUint32(full, 1)
+	full = append(full, stripeOK)
+	full = rpc.AppendUint32(full, 8)
+	full = rpc.AppendUint64(full, 42)
+	full = rpc.AppendUint64(full, 6)
+	f.Add(rpc.AppendFloats(full, seqModel(8)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := seqModel(256)
+		m := &Mirror{vals: seqModel(256), cur: []stripeCursor{{epoch: 11, version: 3, lo: 0, n: 8}, {}}}
+		res := decodeStripesInto(data, 0, m.vals, m)
+		held := m.cur[0]
+		set := m.Changed()
+		if res.err != nil && res.full+res.delta == 0 {
+			sameBits(t, "rejected reply", m.vals, before)
+			if held != (stripeCursor{epoch: 11, version: 3, lo: 0, n: 8}) || m.cur[1] != (stripeCursor{}) ||
+				set.All() || len(set.Indices()) != 0 {
+				t.Fatalf("a rejected reply left cursors %+v and changed set all=%v %v", m.cur, set.All(), set.Indices())
+			}
+		}
+		if set.All() {
+			return
+		}
+		next := set.Indices()
+		for i := range m.vals {
+			if len(next) > 0 && int(next[0]) == i {
+				if next = next[1:]; i >= 8 {
+					t.Fatalf("changed set names %d, outside the held stripe", i)
+				}
+			} else if math.Float64bits(m.vals[i]) != math.Float64bits(before[i]) {
+				t.Fatalf("element %d was rewritten (%v to %v) and is not in the changed set", i, before[i], m.vals[i])
+			}
+		}
+		if len(next) > 0 {
+			t.Fatalf("changed set names %d, beyond the buffer", next[0])
 		}
 	})
 }

@@ -116,12 +116,6 @@ const flagReplica = 1 // install as read replica, version-gated
 // Ack is an empty success reply.
 type Ack struct{}
 
-// SnapshotArgs asks for a checkpoint of a job's partition (migration and
-// fault tolerance, §IV-B4/§VI).
-type SnapshotArgs struct {
-	Job string
-}
-
 // DropArgs removes a job's partition (after completion or migration).
 type DropArgs struct {
 	Job string

@@ -191,8 +191,9 @@ type jobState struct {
 	// PULL syncs it (moving only what other pushes changed) and COMP reads
 	// it — and must only read it, because a stripe nobody pushed to is
 	// not sent again. The fused COMP kernel writes the update into delta.
-	// Only the drive goroutine touches either; the steady-state cycle
-	// allocates nothing.
+	// What the sync rewrote goes to COMP and what COMP touched to PUSH
+	// (DESIGN.md §8), so neither walks the rest of the model. Only the
+	// drive goroutine touches either.
 	mirror *ps.Mirror
 	delta  []float64
 	// The fast COMP path (DESIGN.md §9): cache holds per-block decoded
@@ -431,6 +432,7 @@ func (w *Worker) drive(job string, st *jobState, from, iterations, epoch int) {
 				compErr = err
 				return
 			}
+			st.scratch.Changed(st.mirror.Changed())
 			st.delta, loss = mlapp.ComputeFused(st.algo, st.delta, model, shard,
 				st.rng, int(w.compWorkers.Load()), &st.scratch)
 		}, func() { close(stepDone) }); err != nil {
@@ -451,7 +453,7 @@ func (w *Worker) drive(job string, st *jobState, from, iterations, epoch int) {
 		stepDone = make(chan struct{})
 		start = time.Now()
 		if err := w.exec.SubmitAt(subtask.Push, job, iter, func() {
-			pushErr = st.client.Push(job, st.delta)
+			pushErr = st.client.PushTouched(job, st.delta, st.scratch.Touched())
 		}, func() { close(stepDone) }); err != nil {
 			return
 		}

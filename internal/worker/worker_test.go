@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -303,5 +304,115 @@ func TestWorkerDoubleClose(t *testing.T) {
 	w.Close()
 	if w.Name() != "unit" {
 		t.Error("name lost after close")
+	}
+}
+
+// TestSparseRunKeepsEveryMirrorExact is a live_comm-shaped run: two
+// workers train one large-vocabulary LDA through each other's servers,
+// pushing concurrently, with sparse iterations end to end (COMP told what
+// the sync rewrote, PUSH walking what COMP touched), while a checkpoint
+// mirror like the master's syncs every fifth iteration beside them. When
+// the run ends, one more Sync of each mirror must leave both workers' and
+// the checkpoint's equal to a primaries-only Snapshot by bit pattern.
+func TestSparseRunKeepsEveryMirrorExact(t *testing.T) {
+	const job, iterations = "j1", 20
+	cfg := mlapp.Config{Kind: mlapp.LDA, Features: 16384, Classes: 8, Rows: 64}
+	var (
+		mu      sync.Mutex
+		arrived = map[int]chan struct{}{}
+		ckptMu  sync.Mutex
+		ckptWG  sync.WaitGroup
+		addrs   []string
+		ckpt    *ps.Client
+		mirror  = ps.NewMirror(job, cfg.ModelSize())
+		done    = make(chan struct{}, 2)
+	)
+	checkpoint := func() {
+		defer ckptWG.Done()
+		ckptMu.Lock()
+		defer ckptMu.Unlock()
+		if err := ckpt.Sync(mirror); err != nil {
+			t.Error(err)
+		}
+	}
+	barrier := func(a BarrierArgs) Directive {
+		mu.Lock()
+		ch, second := arrived[a.Iteration]
+		if !second {
+			ch = make(chan struct{})
+			arrived[a.Iteration] = ch
+		}
+		mu.Unlock()
+		if !second {
+			<-ch
+			return Continue
+		}
+		if a.Iteration > 0 && a.Iteration%5 == 0 {
+			ckptWG.Add(1)
+			go checkpoint()
+		}
+		close(ch)
+		return Continue
+	}
+	master := fakeMasterWith(t, barrier, func() { done <- struct{}{} })
+	workers := make([]*Worker, 2)
+	for i := range workers {
+		w, addr, err := New(string(rune('a'+i)), "127.0.0.1:0", master, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		workers[i], addrs = w, append(addrs, addr)
+	}
+	var err error
+	if ckpt, err = ps.NewClient(addrs, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	defer ckpt.Close()
+	for i, w := range workers {
+		if _, err := w.handleLoadJob(LoadJobArgs{Job: job, Config: cfg, Servers: addrs,
+			ShardIndex: i, ShardCount: 2, Seed: 9, InitModel: i == 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range workers {
+		if _, err := w.handleStartJob(StartJobArgs{Job: job, Iterations: iterations}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range workers {
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatal("run did not finish")
+		}
+	}
+	ckptWG.Wait()
+	want, err := ckpt.Snapshot(job, cfg.ModelSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(what string, c *ps.Client, m *ps.Mirror) {
+		t.Helper()
+		if err := c.Sync(m); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range m.Values() {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: element %d is %v, the servers hold %v", what, i, v, want[i])
+			}
+		}
+	}
+	same("checkpoint mirror", ckpt, mirror)
+	for _, w := range workers {
+		waitStopped(t, w, job)
+		st := w.jobs[job]
+		if st.lastIter != iterations-1 {
+			t.Fatalf("worker %s stopped at iteration %d", w.name, st.lastIter)
+		}
+		if st.scratch.Touched().All() {
+			t.Errorf("worker %s: the last iteration was not sparse", w.name)
+		}
+		same("worker "+w.name+" mirror", st.client, st.mirror)
 	}
 }
