@@ -49,12 +49,13 @@ comm-smoke:
 
 ## comp-smoke: short race-enabled pass over the fast COMP path: cache
 ## invalidation vs concurrent spill retunes, the sparse pass against its
-## dense reference oracle and the parent's digests, the steady-state
-## allocation bound, and a two-worker sparse run whose mirrors must all
-## equal the servers' state
+## dense reference oracle and the parent's digests, the kernels against
+## their per-element oracle (tolerance, Gauss-Seidel order, four chains vs
+## one bit for bit), the steady-state allocation bound, and a two-worker
+## sparse run whose mirrors must all equal the servers' state
 comp-smoke:
 	$(GO) test -race -run 'TestCompPathRaceSmoke|TestSparseRunKeepsEveryMirrorExact' ./internal/worker/
-	$(GO) test -race -run 'TestComputeFusedMatches|TestRowSums' ./internal/mlapp/
+	$(GO) test -race -run 'TestComputeFusedMatches|TestKernelsMatch|TestSolveUser|TestRowSums|TestRowDots' ./internal/mlapp/
 	$(GO) test -race ./internal/touched/
 	$(GO) test -run 'TestComputeFusedSteadyStateAllocs' ./internal/mlapp/
 
@@ -114,7 +115,8 @@ bench-smoke:
 	$(GO) test ./internal/core/ -run XXX -bench BenchmarkScheduleLarge -benchmem -benchtime 3x
 	$(GO) test ./internal/sim/ -run XXX -bench BenchmarkRunHarmonyBase -benchmem -benchtime 3x
 	$(GO) test ./internal/ps/ -run XXX -bench 'BenchmarkPullPush(Sparse)?$$|BenchmarkCheckpoint' -benchmem -benchtime 3x
-	$(GO) test ./internal/worker/ -run XXX -bench 'BenchmarkComp/lda-512k' -benchmem -benchtime 20x
+	$(GO) test ./internal/worker/ -run XXX -bench 'BenchmarkComp/(lda-512k|mlr-128x16|lasso-2048|nmf-128x16|lda-512x8)' -benchmem -benchtime 20x
+	$(GO) test ./internal/mlapp/ -run XXX -bench BenchmarkGenerateShards -benchmem -benchtime 5x
 	$(GO) test . -run XXX -bench BenchmarkFig10Parallel -benchtime 1x
 
 ## bench-test: vet and test the benchmark harness. benchmarks/ is its

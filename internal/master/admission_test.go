@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -237,29 +238,41 @@ func TestListJobsIncludesPending(t *testing.T) {
 	}
 }
 
-// stubWorkers registers n workers ("w0", "w1", ...) served by one RPC
-// server that acks every deployment and teardown call, after asking load
-// and start (either may be nil) whether the call should fail.
-func stubWorkers(t *testing.T, m *Master, n int,
-	load func(worker.LoadJobArgs) error, start func(worker.StartJobArgs) error) {
+// stubServer starts an RPC server that acks every deployment and teardown
+// call a worker gets, after asking load and start whether the call should
+// fail, and tells note each call as its reply leaves ("load", "start",
+// "dropJob", "ps.drop"). Any of the three may be nil.
+func stubServer(t *testing.T, load func(worker.LoadJobArgs) error, start func(worker.StartJobArgs) error,
+	note func(call, job string)) string {
 	t.Helper()
+	if note == nil {
+		note = func(string, string) {}
+	}
 	stub := rpc.NewServer()
 	stub.Handle(worker.MethodLoadJob, rpc.Typed(func(a worker.LoadJobArgs) (worker.Ack, error) {
 		if load != nil {
-			return worker.Ack{}, load(a)
+			if err := load(a); err != nil {
+				return worker.Ack{}, err
+			}
 		}
+		note("load", a.Job)
 		return worker.Ack{}, nil
 	}))
 	stub.Handle(worker.MethodStartJob, rpc.Typed(func(a worker.StartJobArgs) (worker.Ack, error) {
 		if start != nil {
-			return worker.Ack{}, start(a)
+			if err := start(a); err != nil {
+				return worker.Ack{}, err
+			}
 		}
+		note("start", a.Job)
 		return worker.Ack{}, nil
 	}))
-	stub.Handle(worker.MethodDropJob, rpc.Typed(func(worker.DropJobArgs) (worker.Ack, error) {
+	stub.Handle(worker.MethodDropJob, rpc.Typed(func(a worker.DropJobArgs) (worker.Ack, error) {
+		note("dropJob", a.Job)
 		return worker.Ack{}, nil
 	}))
-	stub.Handle(ps.MethodDrop, rpc.Typed(func(ps.DropArgs) (ps.Ack, error) {
+	stub.Handle(ps.MethodDrop, rpc.Typed(func(a ps.DropArgs) (ps.Ack, error) {
+		note("ps.drop", a.Job)
 		return ps.Ack{}, nil
 	}))
 	addr, err := stub.Listen("127.0.0.1:0")
@@ -267,6 +280,15 @@ func stubWorkers(t *testing.T, m *Master, n int,
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { stub.Close() })
+	return addr
+}
+
+// stubWorkers registers n workers ("w0", "w1", ...) served by one
+// stubServer.
+func stubWorkers(t *testing.T, m *Master, n int,
+	load func(worker.LoadJobArgs) error, start func(worker.StartJobArgs) error) {
+	t.Helper()
+	addr := stubServer(t, load, start, nil)
 	for i := 0; i < n; i++ {
 		if _, err := m.handleRegister(registerArgs{Name: fmt.Sprintf("w%d", i), Addr: addr}); err != nil {
 			t.Fatal(err)
@@ -528,6 +550,139 @@ func TestFailedDeployIsNotCounted(t *testing.T) {
 		"queue_drain held", "hold held (deploy failed)", "queue_drain held"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("journal = %v, want %v", got, want)
+	}
+}
+
+// memberStub registers one worker served by its own stubServer, so a test
+// can tell the gang's members apart.
+func memberStub(t *testing.T, m *Master, name string, load func(worker.LoadJobArgs) error, note func(call, job string)) {
+	t.Helper()
+	if _, err := m.handleRegister(registerArgs{Name: name, Addr: stubServer(t, load, nil, note)}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedGangLoadDropsLoadedMembers drives a drained job onto a gang of
+// three whose second member refuses the first load. The failure must name
+// that member; the members a load was sent to — the first, which did load
+// and seeded the parameter servers, above all — must be told to drop the job
+// and its model partitions after their load returned; the third, which was
+// never sent one, is told nothing; nobody may be started; and the job goes
+// back to the queue once, to deploy cleanly on the next pass.
+func TestFailedGangLoadDropsLoadedMembers(t *testing.T) {
+	m, err := New("127.0.0.1:0", core.Options{MaxJobsPerGroup: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	// Park the background drainer; the test runs each pass itself.
+	m.drainStopOnce.Do(func() { close(m.drainStop) })
+
+	const gang = 3
+	var mu sync.Mutex
+	calls := make([][]string, gang) // what each member was sent about "held", in reply order
+	var refused atomic.Bool
+	for i := 0; i < gang; i++ {
+		memberStub(t, m, fmt.Sprintf("w%d", i), func(a worker.LoadJobArgs) error {
+			if a.Job == "held" && a.ShardIndex == 1 && refused.CompareAndSwap(false, true) {
+				return errors.New("stub: member 1 refuses the load")
+			}
+			return nil
+		}, func(call, job string) {
+			if job == "held" {
+				mu.Lock()
+				calls[i] = append(calls[i], call)
+				mu.Unlock()
+			}
+		})
+	}
+
+	if adm, err := m.Enqueue(fairSpec("blocker", 1000, "", gang, gang), Profile{}); err != nil || !adm.Admitted {
+		t.Fatalf("blocker: %+v, %v", adm, err)
+	}
+	if adm, err := m.Enqueue(fairSpec("held", 1000, "", gang, gang), Profile{}); err != nil || adm.Admitted {
+		t.Fatalf("held: %+v, %v, want held", adm, err)
+	}
+	if err := m.Cancel("blocker"); err != nil {
+		t.Fatal(err)
+	}
+
+	m.drainQueue()
+	if c := m.Counters(); c.QueueDrained != 0 || m.QueueDepth() != 1 {
+		t.Errorf("after the failed deployment: QueueDrained %d, depth %d; want the job requeued once and not counted",
+			c.QueueDrained, m.QueueDepth())
+	}
+	var failure string
+	for _, e := range m.Events() {
+		if e.Job == "held" && strings.HasPrefix(e.Note, NoteDeployFailed) {
+			failure = e.Note
+		}
+	}
+	if !strings.Contains(failure, "load held on w1") || !strings.Contains(failure, "member 1 refuses") {
+		t.Errorf("journaled failure %q, want the load on w1", failure)
+	}
+	sent := func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return fmt.Sprint(calls)
+	}
+	if got, want := sent(), "[[load dropJob ps.drop] [dropJob ps.drop] []]"; got != want {
+		t.Errorf("members were sent %s, want %s", got, want)
+	}
+
+	m.drainQueue()
+	if c := m.Counters(); c.QueueDrained != 1 || m.QueueDepth() != 0 {
+		t.Errorf("after the retry: QueueDrained %d, depth %d; want the job deployed", c.QueueDrained, m.QueueDepth())
+	}
+	if got, want := sent(), "[[load dropJob ps.drop load start] [dropJob ps.drop load start] [load start]]"; got != want {
+		t.Errorf("after the retry members were sent %s, want %s", got, want)
+	}
+}
+
+// TestCancelDuringLoadDropsAfterTheLoad: a cancel that lands while a member
+// is still loading sends its drop past the load, which then succeeds and
+// would keep the job's state on the worker for good. The deployment must
+// notice the cancel once its loads are in, start nobody and drop again.
+func TestCancelDuringLoadDropsAfterTheLoad(t *testing.T) {
+	m, err := New("127.0.0.1:0", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	var calls []string
+	memberStub(t, m, "w0", func(worker.LoadJobArgs) error {
+		close(entered)
+		<-release
+		return nil
+	}, func(call, _ string) {
+		mu.Lock()
+		calls = append(calls, call)
+		mu.Unlock()
+	})
+
+	submitted := make(chan error, 1)
+	go func() { submitted <- m.Submit(spec("j", mlapp.MLR, 10), nil) }()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the job was never loaded")
+	}
+	if err := m.Cancel("j"); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-submitted; err != nil {
+		t.Errorf("Submit = %v, want nil: the job was canceled, not failed", err)
+	}
+	if status, _, _, err := m.Status("j"); err != nil || status != StatusCanceled {
+		t.Errorf("status = %v, %v, want canceled", status, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got, want := fmt.Sprint(calls), "[dropJob ps.drop load dropJob ps.drop]"; got != want {
+		t.Errorf("the member was sent %s, want %s", got, want)
 	}
 }
 

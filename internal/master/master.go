@@ -423,7 +423,15 @@ func (m *Master) workerIndexesLocked(group []string) ([]int, error) {
 }
 
 // deploy loads a job onto its worker group and starts iterating; restore
-// carries checkpointed model parameters for migrations.
+// carries checkpointed model parameters for migrations. A deployment that
+// fails, or finds the job canceled once its loads are in (a Cancel's own
+// drop may have overtaken a load still generating its data), tells every
+// member a load was sent to to drop the job, or those that did load would
+// keep its shard store, PS client and model partitions until the process
+// exits. The loads go out one member at a time: sent together they finish
+// sooner when a load is real work, but against workers that answer at once
+// the burst only delays whatever else the master is serving (CHANGES.md,
+// PR 18).
 func (m *Master) deploy(j *job, restore []float64, fromIter int) error {
 	m.mu.Lock()
 	epoch := j.epoch
@@ -433,6 +441,8 @@ func (m *Master) deploy(j *job, restore []float64, fromIter int) error {
 	for i, r := range refs {
 		servers[i] = r.addr
 	}
+	var err error
+	sent := 0
 	for i, r := range refs {
 		args := worker.LoadJobArgs{
 			Job: j.spec.Name, Config: j.spec.Config, Servers: servers,
@@ -444,21 +454,31 @@ func (m *Master) deploy(j *job, restore []float64, fromIter int) error {
 			// a gob []float64 would walk every element reflectively.
 			args.RestoreFrame = rpc.AppendFloats(nil, restore)
 		}
-		if _, err := rpc.Invoke[worker.LoadJobArgs, worker.Ack](r.client,
-			worker.MethodLoadJob, args, time.Minute); err != nil {
-			return fmt.Errorf("master: load %s on %s: %w", j.spec.Name, r.name, err)
+		sent++
+		if _, e := rpc.Invoke[worker.LoadJobArgs, worker.Ack](r.client,
+			worker.MethodLoadJob, args, time.Minute); e != nil {
+			err = fmt.Errorf("master: load %s on %s: %w", j.spec.Name, r.name, e)
+			break
 		}
 	}
-	for _, r := range refs {
-		if _, err := rpc.Invoke[worker.StartJobArgs, worker.Ack](r.client,
+	m.mu.RLock()
+	if err == nil && j.status == StatusCanceled {
+		err = fmt.Errorf("master: %s was canceled while it loaded", j.spec.Name)
+	}
+	m.mu.RUnlock()
+	for i := 0; err == nil && i < len(refs); i++ {
+		if _, e := rpc.Invoke[worker.StartJobArgs, worker.Ack](refs[i].client,
 			worker.MethodStartJob, worker.StartJobArgs{
 				Job: j.spec.Name, FromIteration: fromIter, Iterations: j.spec.Iterations,
 				Epoch: epoch,
-			}, time.Minute); err != nil {
-			return fmt.Errorf("master: start %s on %s: %w", j.spec.Name, r.name, err)
+			}, time.Minute); e != nil {
+			err = fmt.Errorf("master: start %s on %s: %w", j.spec.Name, refs[i].name, e)
 		}
 	}
-	return nil
+	if err != nil {
+		dropJob(refs[:sent], j.spec.Name)
+	}
+	return err
 }
 
 // handleBarrier blocks each worker until the whole group reaches the

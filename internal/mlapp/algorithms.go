@@ -26,22 +26,19 @@ func (m *mlr) Loss(model []float64, shard *Shard) float64 {
 	probs := make([]float64, c.Classes)
 	var loss float64
 	for _, ex := range shard.Examples {
-		softmax(model, ex.X, c, probs)
+		softmax(model, ex.X, c.Features, probs)
 		p := probs[int(ex.Y)]
 		loss -= math.Log(math.Max(p, 1e-12))
 	}
 	return loss / float64(maxInt(len(shard.Examples), 1))
 }
 
-func softmax(model, x []float64, c Config, out []float64) {
+// softmax stores in out the class probabilities of x under the
+// len(out)-row weight matrix model.
+func softmax(model, x []float64, features int, out []float64) {
+	rowDots(model, features, x, out)
 	maxLogit := math.Inf(-1)
-	for cl := 0; cl < c.Classes; cl++ {
-		var logit float64
-		row := cl * c.Features
-		for f, xv := range x {
-			logit += model[row+f] * xv
-		}
-		out[cl] = logit
+	for _, logit := range out {
 		if logit > maxLogit {
 			maxLogit = logit
 		}
@@ -119,45 +116,64 @@ func (n *nmf) InitModel(rng *rand.Rand) []float64 {
 	return v
 }
 
-// solveUser fits the user factors for one row by a few multiplicative
-// updates against the current item factors.
-func (n *nmf) solveUser(model, x []float64, u []float64) {
-	c := n.cfg.withDefaults()
-	for k := range u {
-		u[k] = 0.5
+// gram stores G = V·Vᵀ (k×k, row-major) in g for the k-row item-factor
+// matrix v: G_ab = Σ_f V_af·V_bf, the upper triangle computed and mirrored.
+func gram(v []float64, k int, g []float64) {
+	width := len(v) / k
+	for a := 0; a < k; a++ {
+		rowDots(v[a*width:], width, v[a*width:(a+1)*width], g[a*k+a:(a+1)*k])
+		for b := a + 1; b < k; b++ {
+			g[b*k+a] = g[a*k+b]
+		}
+	}
+}
+
+// solveUser fits the user factors u of one ratings row x by five sweeps of
+// multiplicative updates u_k ← u_k·(V_k·x)/(V_k·Vᵀu), each applied in place
+// so the next denominator of the same sweep reads it (Gauss–Seidel order).
+// The numerators do not depend on u and are computed once, into num. The
+// denominator is G_k·u with g = gram(model): Σ_f V_kf·(Σ_j u_j·V_jf) =
+// Σ_j u_j·(V·Vᵀ)_kj, the number that predicting every rating and dotting
+// the row with V_k gives, for K multiply-adds instead of K·F.
+func solveUser(model, g, x, u, num []float64) {
+	k := len(u)
+	rowDots(model, len(model)/k, x, num)
+	for j := range u {
+		u[j] = 0.5
 	}
 	for it := 0; it < 5; it++ {
-		for k := 0; k < c.Classes; k++ {
-			var num, den float64
-			row := k * c.Features
-			for f, xv := range x {
-				num += model[row+f] * xv
-				den += model[row+f] * predictNMF(model, u, f, c)
-			}
-			if den > 1e-12 {
-				u[k] *= num / den
+		for j := range u {
+			if den := dot(g[j*k:(j+1)*k], u); den > 1e-12 {
+				u[j] *= num[j] / den
 			}
 		}
 	}
 }
 
-func predictNMF(model, u []float64, f int, c Config) float64 {
-	var p float64
-	for k := 0; k < c.Classes; k++ {
-		p += u[k] * model[k*c.Features+f]
+// predictRow stores in preds the row Uᵀ·V predicted from user factors u:
+// preds[f] = Σ_k u_k·V_kf, each summed over ascending k from zero, walked
+// row-major so every access is unit stride.
+func predictRow(model, u, preds []float64) {
+	clear(preds)
+	for k, uk := range u {
+		for f, v := range model[k*len(preds) : (k+1)*len(preds)] {
+			preds[f] += uk * v
+		}
 	}
-	return p
 }
 
 func (n *nmf) Loss(model []float64, shard *Shard) float64 {
 	c := n.cfg.withDefaults()
-	u := make([]float64, c.Classes)
+	g, preds := make([]float64, c.Classes*c.Classes), make([]float64, c.Features)
+	u, num := make([]float64, c.Classes), make([]float64, c.Classes)
+	gram(model, c.Classes, g)
 	var loss float64
 	var count int
 	for _, ex := range shard.Examples {
-		n.solveUser(model, ex.X, u)
+		solveUser(model, g, ex.X, u, num)
+		predictRow(model, u, preds)
 		for f, x := range ex.X {
-			r := predictNMF(model, u, f, c) - x
+			r := preds[f] - x
 			loss += r * r
 			count++
 		}

@@ -28,6 +28,13 @@ import (
 // runs an independent collapsed-Gibbs sweep per chunk from per-chunk
 // seeds (the standard approximate distributed Gibbs formulation). The
 // serial Loss methods are the reference for the fused objective.
+//
+// Arithmetic (DESIGN.md §9): a kernel does each multiply once. What does
+// not depend on the innermost index is computed outside it — the step
+// lr·coef/n, NMF's numerators and its Gram matrix — and sums that are one
+// chain of dependent adds advance four chains together, each in its own
+// order (rowSums, rowDots). The per-element form of the same updates lives
+// in fused_test.go as the oracle the kernels are compared against.
 
 const (
 	// fusedChunkRows is the minimum chunk granularity: chunks never get
@@ -111,7 +118,9 @@ func (c *chunkScratch) floats(n int) []float64 {
 // and the worker pool's goroutines.
 type Scratch struct {
 	chunks []chunkScratch
-	totals []float64 // LDA: topic totals at the pulled model, and their reciprocals
+	// pass is what a pass derives from the pulled model before the parallel
+	// region for its chunks to read: LDA's topic totals, NMF's Gram matrix.
+	pass []float64
 	// out is the update the last pass returned and wrote the elements of it
 	// that may be other than +0. changed is what Changed was told, for the
 	// next pass only.
@@ -130,6 +139,14 @@ func (s *Scratch) Changed(set touched.Set) { s.changed = set }
 // Touched reports which elements of the update the last ComputeFused on s
 // returned may be other than +0. It is valid until the next pass.
 func (s *Scratch) Touched() touched.Set { return s.wrote }
+
+// shared returns n reusable floats for what the chunks of one pass share.
+func (s *Scratch) shared(n int) []float64 {
+	if cap(s.pass) < n {
+		s.pass = make([]float64, n)
+	}
+	return s.pass[:n]
+}
 
 // ensure sizes the arena for chunks×modelSize without shrinking capacity.
 func (s *Scratch) ensure(chunks, modelSize int) {
@@ -278,7 +295,7 @@ func (m *mlr) fusedPass(shard *Shard, model []float64, _ *Scratch) (chunkFn, fin
 		probs := cs.floats(c.Classes)
 		var lossSum float64
 		for _, ex := range shard.Examples[lo:hi] {
-			softmax(model, ex.X, c, probs)
+			softmax(model, ex.X, c.Features, probs)
 			y := int(ex.Y)
 			lossSum -= math.Log(math.Max(probs[y], 1e-12))
 			for cl := 0; cl < c.Classes; cl++ {
@@ -286,9 +303,11 @@ func (m *mlr) fusedPass(shard *Shard, model []float64, _ *Scratch) (chunkFn, fin
 				if cl == y {
 					coef -= 1
 				}
-				row := cl * c.Features
+				// One division per (example, class), not per element.
+				step := c.LearningRate * coef / n
+				row := grad[cl*c.Features:]
 				for f, x := range ex.X {
-					grad[row+f] -= c.LearningRate * coef * x / n
+					row[f] -= step * x
 				}
 			}
 		}
@@ -309,8 +328,9 @@ func (l *lasso) fusedPass(shard *Shard, model []float64, _ *Scratch) (chunkFn, f
 			pred := dot(model, ex.X)
 			resid := pred - ex.Y
 			lossSum += resid * resid / 2
+			step := c.LearningRate * resid / n // one division per example
 			for f, x := range ex.X {
-				grad[f] -= c.LearningRate * resid * x / n
+				grad[f] -= step * x
 			}
 		}
 		return lossSum, hi - lo
@@ -332,31 +352,38 @@ func (l *lasso) fusedPass(shard *Shard, model []float64, _ *Scratch) (chunkFn, f
 	return chunk, finalize
 }
 
-func (nm *nmf) fusedPass(shard *Shard, model []float64, _ *Scratch) (chunkFn, finalizeFn) {
+func (nm *nmf) fusedPass(shard *Shard, model []float64, s *Scratch) (chunkFn, finalizeFn) {
 	c := nm.cfg.withDefaults()
 	rows := float64(maxInt(len(shard.Examples), 1))
+	// The Gram matrix of the pulled item factors, shared read-only across
+	// chunks: every row's solve takes its denominators from it.
+	vvt := s.shared(c.Classes * c.Classes)
+	gram(model, c.Classes, vvt)
 	chunk := func(lo, hi int, grad []float64, cs *chunkScratch) (float64, int) {
-		buf := cs.floats(c.Classes + c.Features)
-		u, preds := buf[:c.Classes], buf[c.Classes:]
+		buf := cs.floats(2*c.Classes + c.Features)
+		u, num, resid := buf[:c.Classes], buf[c.Classes:2*c.Classes], buf[2*c.Classes:]
 		var lossSum float64
 		var lossN int
 		for _, ex := range shard.Examples[lo:hi] {
-			nm.solveUser(model, ex.X, u)
+			solveUser(model, vvt, ex.X, u, num)
 			// Fused objective: the residual at the solved user factors,
 			// priced before this example's gradient contribution (the
-			// serial Loss also evaluates at the pulled model). The
-			// prediction depends only on (model, u, f), so the values
-			// computed here feed every topic row of the gradient below.
+			// serial Loss also evaluates at the pulled model). It depends
+			// only on (model, u, f), so the values stored here feed every
+			// topic row of the gradient below.
+			predictRow(model, u, resid)
 			for f, x := range ex.X {
-				preds[f] = predictNMF(model, u, f, c)
-				r := preds[f] - x
+				r := resid[f] - x
+				resid[f] = r
 				lossSum += r * r
 				lossN++
 			}
 			for k := 0; k < c.Classes; k++ {
+				// One division per (example, topic), not per element.
+				step := -c.LearningRate * u[k] / rows
 				row := k * c.Features
-				for f, x := range ex.X {
-					g := -c.LearningRate * (preds[f] - x) * u[k] / rows
+				for f, r := range resid[:len(ex.X)] {
+					g := step * r
 					next := model[row+f] + grad[row+f] + g
 					if next < 0 {
 						g = -(model[row+f] + grad[row+f])
@@ -405,6 +432,26 @@ func rowSums(m []float64, width int, sums []float64) {
 	}
 }
 
+// rowDots stores in out[k] the dot product of x with row k of the
+// width-column matrix m, each summed left to right from zero. Like rowSums
+// it advances four rows' chains together and changes no row's order of
+// additions, so every out[k] has the bits of dot(row k, x).
+func rowDots(m []float64, width int, x, out []float64) {
+	k := 0
+	for ; k+4 <= len(out); k += 4 {
+		r0, r1 := m[k*width:][:len(x)], m[(k+1)*width:][:len(x)]
+		r2, r3 := m[(k+2)*width:][:len(x)], m[(k+3)*width:][:len(x)]
+		var t0, t1, t2, t3 float64
+		for f, v := range x {
+			t0, t1, t2, t3 = t0+r0[f]*v, t1+r1[f]*v, t2+r2[f]*v, t3+r3[f]*v
+		}
+		out[k], out[k+1], out[k+2], out[k+3] = t0, t1, t2, t3
+	}
+	for ; k < len(out); k++ {
+		out[k] = dot(m[k*width:], x)
+	}
+}
+
 func (l *lda) fusedPass(shard *Shard, model []float64, s *Scratch) (chunkFn, finalizeFn) {
 	c := l.cfg.withDefaults()
 	const alphaDirichlet = 0.1
@@ -413,10 +460,8 @@ func (l *lda) fusedPass(shard *Shard, model []float64, s *Scratch) (chunkFn, fin
 	// during its sweep. This read is the one pass over the whole model a
 	// sparse iteration keeps: each total is summed in ascending word order,
 	// which is part of the result.
-	if cap(s.totals) < 2*c.Classes {
-		s.totals = make([]float64, 2*c.Classes)
-	}
-	base, invBase := s.totals[:c.Classes], s.totals[c.Classes:2*c.Classes]
+	totals := s.shared(2 * c.Classes)
+	base, invBase := totals[:c.Classes], totals[c.Classes:]
 	rowSums(model, c.Features, base)
 	for k, t := range base {
 		invBase[k] = 1 / (t + 1)

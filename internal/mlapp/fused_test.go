@@ -1,7 +1,6 @@
 package mlapp
 
 import (
-	"encoding/binary"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -16,12 +15,13 @@ import (
 // the oracle the sparse pass is compared against bit for bit: dst and
 // every chunk's scratch are zero-filled whole, the reduce copies chunk 0
 // and adds the others over the whole model, and the clamp visits every
-// element. It shares only the kernels, which TestComputeFusedMatchesParent
-// pins separately.
-func referenceComputeFused(algo Algorithm, model []float64, shard *Shard, rng *rand.Rand, workers int) ([]float64, float64) {
+// element. It shares only the kernels it is handed (an Algorithm's
+// fusedPass, or perElementPass), which TestComputeFusedMatchesParent pins
+// separately.
+func referenceComputeFused(pass passFn, model []float64, shard *Shard, rng *rand.Rand, workers int) ([]float64, float64) {
 	n := len(shard.Examples)
 	chunks := fusedChunks(n)
-	chunk, finalize := algo.fusedPass(shard, model, &Scratch{})
+	chunk, finalize := pass(shard, model, &Scratch{})
 	dst := make([]float64, len(model))
 	cs := make([]chunkScratch, chunks)
 	for i := range cs {
@@ -53,6 +53,143 @@ func referenceComputeFused(algo Algorithm, model []float64, shard *Shard, rng *r
 		lossN += cs[c].count
 	}
 	return dst, finalize(dst, touched.Set{}, lossSum, lossN)
+}
+
+// passFn is the shape of Algorithm.fusedPass.
+type passFn func(shard *Shard, model []float64, s *Scratch) (chunkFn, finalizeFn)
+
+// perElementPass is algo's pass with the chunk kernel its arithmetic was
+// first written as, kept as the oracle the fast kernels are compared
+// against (TestKernelsMatchPerElementReference): every logit and numerator
+// one chain of dependent adds, the learning-rate scale divided by the row
+// count inside the innermost loop, and NMF's user factors solved by
+// predicting every rating again for each (sweep, factor, rating). The
+// finalize steps are the pass's own. LDA has no second form.
+func perElementPass(algo Algorithm) passFn {
+	return func(shard *Shard, model []float64, s *Scratch) (chunkFn, finalizeFn) {
+		chunk, finalize := algo.fusedPass(shard, model, s)
+		n := float64(maxInt(len(shard.Examples), 1))
+		switch a := algo.(type) {
+		case *mlr:
+			c := a.cfg.withDefaults()
+			chunk = func(lo, hi int, grad []float64, cs *chunkScratch) (float64, int) {
+				probs := cs.floats(c.Classes)
+				var lossSum float64
+				for _, ex := range shard.Examples[lo:hi] {
+					perElementSoftmax(model, ex.X, c, probs)
+					y := int(ex.Y)
+					lossSum -= math.Log(math.Max(probs[y], 1e-12))
+					for cl := 0; cl < c.Classes; cl++ {
+						coef := probs[cl]
+						if cl == y {
+							coef -= 1
+						}
+						row := cl * c.Features
+						for f, x := range ex.X {
+							grad[row+f] -= c.LearningRate * coef * x / n
+						}
+					}
+				}
+				return lossSum, hi - lo
+			}
+		case *lasso:
+			c := a.cfg.withDefaults()
+			chunk = func(lo, hi int, grad []float64, _ *chunkScratch) (float64, int) {
+				var lossSum float64
+				for _, ex := range shard.Examples[lo:hi] {
+					resid := dot(model, ex.X) - ex.Y
+					lossSum += resid * resid / 2
+					for f, x := range ex.X {
+						grad[f] -= c.LearningRate * resid * x / n
+					}
+				}
+				return lossSum, hi - lo
+			}
+		case *nmf:
+			c := a.cfg.withDefaults()
+			chunk = func(lo, hi int, grad []float64, cs *chunkScratch) (float64, int) {
+				buf := cs.floats(c.Classes + c.Features)
+				u, preds := buf[:c.Classes], buf[c.Classes:]
+				var lossSum float64
+				var lossN int
+				for _, ex := range shard.Examples[lo:hi] {
+					perElementSolveUser(model, ex.X, u, c)
+					for f, x := range ex.X {
+						preds[f] = perElementPredict(model, u, f, c)
+						r := preds[f] - x
+						lossSum += r * r
+						lossN++
+					}
+					for k := 0; k < c.Classes; k++ {
+						row := k * c.Features
+						for f, x := range ex.X {
+							g := -c.LearningRate * (preds[f] - x) * u[k] / n
+							next := model[row+f] + grad[row+f] + g
+							if next < 0 {
+								g = -(model[row+f] + grad[row+f])
+							}
+							grad[row+f] += g
+						}
+					}
+				}
+				return lossSum, lossN
+			}
+		}
+		return chunk, finalize
+	}
+}
+
+func perElementSoftmax(model, x []float64, c Config, out []float64) {
+	maxLogit := math.Inf(-1)
+	for cl := 0; cl < c.Classes; cl++ {
+		var logit float64
+		row := cl * c.Features
+		for f, xv := range x {
+			logit += model[row+f] * xv
+		}
+		out[cl] = logit
+		if logit > maxLogit {
+			maxLogit = logit
+		}
+	}
+	var sum float64
+	for cl := range out {
+		out[cl] = math.Exp(out[cl] - maxLogit)
+		sum += out[cl]
+	}
+	for cl := range out {
+		out[cl] /= sum
+	}
+}
+
+// perElementSolveUser is the solve without the Gram matrix: in-place
+// multiplicative updates whose denominator predicts every rating from the
+// current u.
+func perElementSolveUser(model, x, u []float64, c Config) {
+	for k := range u {
+		u[k] = 0.5
+	}
+	for it := 0; it < 5; it++ {
+		for k := 0; k < c.Classes; k++ {
+			var num, den float64
+			row := k * c.Features
+			for f, xv := range x {
+				num += model[row+f] * xv
+				den += model[row+f] * perElementPredict(model, u, f, c)
+			}
+			if den > 1e-12 {
+				u[k] *= num / den
+			}
+		}
+	}
+}
+
+func perElementPredict(model, u []float64, f int, c Config) float64 {
+	var p float64
+	for k := 0; k < c.Classes; k++ {
+		p += u[k] * model[k*c.Features+f]
+	}
+	return p
 }
 
 // fusedCases are the shapes the equivalence tests run: the four kernels
@@ -104,7 +241,7 @@ func TestComputeFusedMatchesDenseReference(t *testing.T) {
 					} else {
 						changed.Take(size)
 					}
-					want, wantLoss := referenceComputeFused(algo, model, shards[0], refRNG, workers)
+					want, wantLoss := referenceComputeFused(algo.fusedPass, model, shards[0], refRNG, workers)
 					var loss float64
 					delta, loss = ComputeFused(algo, delta, model, shards[0], rng, workers, scratch)
 					if math.Float64bits(loss) != math.Float64bits(wantLoss) {
@@ -158,44 +295,189 @@ func TestComputeFusedMatchesDenseReference(t *testing.T) {
 	}
 }
 
-// TestComputeFusedMatchesParent pins the kernels themselves: the digests
-// are those of the commit before the touched set existed (dense driver,
-// per-call buffers), over six iterations of delta and loss bits.
+// fusedDigest hashes six training iterations of loss and delta bits, each
+// pass computed by step at the model the previous updates left.
+func fusedDigest(t *testing.T, cfg Config, step func(algo Algorithm, model []float64, shard *Shard, rng *rand.Rand) ([]float64, float64)) uint64 {
+	t.Helper()
+	algo, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := GenerateShards(cfg, 1, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	model := algo.InitModel(rng)
+	h := fnv.New64a()
+	for iter := 0; iter < 6; iter++ {
+		delta, loss := step(algo, model, shards[0], rng)
+		hashUint64(h, math.Float64bits(loss))
+		for i, d := range delta {
+			hashUint64(h, math.Float64bits(d))
+			model[i] += d
+		}
+	}
+	return h.Sum64()
+}
+
+// TestComputeFusedMatchesParent pins the kernels themselves by digest.
+// parent is the digest of the commit before the touched set existed (dense
+// driver, per-call buffers, per-element kernels). LDA still has it: its
+// kernel and the driver have not moved a bit since. MLR, Lasso and NMF have
+// it through the per-element oracle only — which proves the oracle in this
+// file is that commit's arithmetic — and the kernels ComputeFused runs are
+// pinned by now, moved for these reasons:
+//
+//	MLR   the step lr·coef/n is rounded once per (example, class) and then
+//	      multiplied by x, where the parent rounded lr·coef·x and then
+//	      divided; the logits (four chains, each in its own order) kept
+//	      their bits.
+//	Lasso the same hoist, lr·resid/n per example.
+//	NMF   the hoist, −lr·u_k/rows per (example, factor), and the solve's
+//	      denominators: G_k·u sums K products of Gram entries where the
+//	      parent summed F products of predictions, the same real number
+//	      rounded along another path (numerators and predictions kept
+//	      their bits).
 func TestComputeFusedMatchesParent(t *testing.T) {
-	golden := []uint64{0x72f70a10b45ba60f, 0xbc75242aeaaace2f, 0x54970730caf495cb,
-		0xf215ff1783ef3ef, 0x6911bc7c59595c1e, 0xbd3dd5a4e239a441}
+	golden := []struct{ parent, now uint64 }{
+		{0x72f70a10b45ba60f, 0xb165fb94cf900c23},
+		{0xbc75242aeaaace2f, 0xd8d81d92c2d871de},
+		{0x54970730caf495cb, 0x4581758fc95d6c06},
+		{0xf215ff1783ef3ef, 0xf215ff1783ef3ef},
+		{0x6911bc7c59595c1e, 0x6911bc7c59595c1e},
+		{0xbd3dd5a4e239a441, 0xbd3dd5a4e239a441},
+	}
 	for c, cfg := range fusedCases[:len(golden)] {
 		for _, workers := range []int{1, 4} {
+			scratch := &Scratch{}
+			var delta []float64
+			got := fusedDigest(t, cfg, func(algo Algorithm, model []float64, shard *Shard, rng *rand.Rand) ([]float64, float64) {
+				var loss float64
+				delta, loss = ComputeFused(algo, delta, model, shard, rng, workers, scratch)
+				return delta, loss
+			})
+			if got != golden[c].now {
+				t.Errorf("%v workers %d: digest %#x, want %#x", cfg, workers, got, golden[c].now)
+			}
+			oracle := fusedDigest(t, cfg, func(algo Algorithm, model []float64, shard *Shard, rng *rand.Rand) ([]float64, float64) {
+				return referenceComputeFused(perElementPass(algo), model, shard, rng, workers)
+			})
+			if oracle != golden[c].parent {
+				t.Errorf("%v workers %d: per-element oracle digest %#x, want the parent's %#x", cfg, workers, oracle, golden[c].parent)
+			}
+		}
+	}
+}
+
+// kernelCases are the shapes the fast kernels are compared with the
+// per-element oracle on: one live_mix worker's shard of MLR, Lasso and NMF
+// (benchmarks/live.go: half the job's rows); an NMF whose rank is not a
+// multiple of four, so rowDots' single-chain tail runs too; and the three
+// 200-row fusedCases, because the live shards' row counts are powers of two
+// and dividing by one of those rounds nothing — there the hoisted MLR and
+// Lasso steps have the per-element kernels' bits.
+var kernelCases = append([]Config{
+	{Kind: MLR, Features: 128, Classes: 16, Rows: 1024},
+	{Kind: Lasso, Features: 2048, Rows: 512},
+	{Kind: NMF, Features: 128, Classes: 16, Rows: 256},
+	{Kind: NMF, Features: 33, Classes: 7, Rows: 100, LearningRate: 0.2},
+}, fusedCases[:3]...)
+
+// TestKernelsMatchPerElementReference trains every case for ten iterations
+// and at each compares the pass ComputeFused runs, at one worker and at
+// four, with the per-element oracle started from the same model. The two
+// differ in rounding only, so deltas and loss must agree to 1e-12 relative
+// (1e-15 absolute near zero). What the nonlinear steps promise holds
+// exactly, not within a tolerance: an NMF factor is never pushed below zero,
+// and Lasso's soft threshold zeroes the same weights on both sides unless
+// the weight is within the tolerance of the threshold.
+func TestKernelsMatchPerElementReference(t *testing.T) {
+	const rel, abs = 1e-12, 1e-15
+	near := func(a, b float64) bool {
+		return math.Abs(a-b) <= rel*math.Max(math.Abs(a), math.Abs(b))+abs
+	}
+	for _, cfg := range kernelCases {
+		for _, seed := range []int64{1, 2, 3} {
 			algo, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			shards, err := GenerateShards(cfg, 1, 42)
+			shards, err := GenerateShards(cfg, 1, 40+seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(7))
-			model := algo.InitModel(rng)
-			h := fnv.New64a()
-			put := func(v float64) {
-				var b [8]byte
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-				h.Write(b[:])
-			}
-			scratch := &Scratch{}
-			var delta []float64
-			for iter := 0; iter < 6; iter++ {
-				var loss float64
-				delta, loss = ComputeFused(algo, delta, model, shards[0], rng, workers, scratch)
-				put(loss)
-				for i, d := range delta {
-					put(d)
-					model[i] += d
+			model := algo.InitModel(rand.New(rand.NewSource(seed)))
+			var scratch [2]Scratch
+			var deltas [2][]float64
+			for iter := 0; iter < 10; iter++ {
+				want, wantLoss := referenceComputeFused(perElementPass(algo), model, shards[0], nil, 4)
+				for w, workers := range []int{1, 4} {
+					var loss float64
+					deltas[w], loss = ComputeFused(algo, deltas[w], model, shards[0], nil, workers, &scratch[w])
+					if !near(loss, wantLoss) {
+						t.Fatalf("%v seed %d workers %d iter %d: loss %v, per-element %v", cfg, seed, workers, iter, loss, wantLoss)
+					}
+					for i, d := range deltas[w] {
+						if !near(d, want[i]) {
+							t.Fatalf("%v seed %d workers %d iter %d: delta[%d] = %v, per-element %v (off by %g)",
+								cfg, seed, workers, iter, i, d, want[i], d-want[i])
+						}
+						next, wantNext := model[i]+d, model[i]+want[i]
+						if cfg.Kind == NMF && next < 0 {
+							t.Fatalf("%v iter %d: factor %d pushed to %v, below zero", cfg, iter, i, next)
+						}
+						if cfg.Kind == Lasso && (next == 0) != (wantNext == 0) && math.Abs(next-wantNext) > abs {
+							t.Fatalf("%v iter %d: weight %d thresholded to %v, per-element %v", cfg, iter, i, next, wantNext)
+						}
+					}
+				}
+				for i := range model {
+					model[i] += deltas[0][i]
 				}
 			}
-			if got := h.Sum64(); got != golden[c] {
-				t.Errorf("%v workers %d: digest %#x, want %#x", cfg, workers, got, golden[c])
+		}
+	}
+}
+
+// TestSolveUserIsGaussSeidel pins the update order the Gram identity rests
+// on: a factor updated in a sweep is what the next factor's denominator in
+// the same sweep reads. The in-place per-element solve is the reference; a
+// Jacobi solve (every denominator of a sweep from the factors the sweep
+// started with) on the same input lands far outside the tolerance, so a
+// rewrite that hoisted G·u out of the inner loop would fail here.
+func TestSolveUserIsGaussSeidel(t *testing.T) {
+	cfg := Config{Kind: NMF, Features: 24, Classes: 6, Rows: 8}.withDefaults()
+	shards, err := GenerateShards(cfg, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := (&nmf{cfg: cfg}).InitModel(rand.New(rand.NewSource(3)))
+	k := cfg.Classes
+	g := make([]float64, k*k)
+	gram(model, k, g)
+	u, num, want, jacobi := make([]float64, k), make([]float64, k), make([]float64, k), make([]float64, k)
+	for r, ex := range shards[0].Examples {
+		solveUser(model, g, ex.X, u, num)
+		perElementSolveUser(model, ex.X, want, cfg)
+		for j := range jacobi {
+			jacobi[j] = 0.5
+		}
+		for it := 0; it < 5; it++ {
+			prev := append([]float64(nil), jacobi...)
+			for j := range jacobi {
+				jacobi[j] *= num[j] / dot(g[j*k:(j+1)*k], prev)
 			}
+		}
+		var apart float64
+		for j := range u {
+			if math.Abs(u[j]-want[j]) > 1e-12*math.Abs(want[j]) {
+				t.Errorf("row %d: u[%d] = %v, in-place per-element solve %v", r, j, u[j], want[j])
+			}
+			apart = math.Max(apart, math.Abs(jacobi[j]-want[j])/want[j])
+		}
+		if apart < 1e-3 {
+			t.Errorf("row %d: a Jacobi solve is within %g of the in-place one; the input cannot tell them apart", r, apart)
 		}
 	}
 }
@@ -458,6 +740,49 @@ func TestRowSumsKeepsEachRowsOrder(t *testing.T) {
 			}
 			if math.Float64bits(got[k]) != math.Float64bits(want) {
 				t.Errorf("%d rows: row %d sums to %v, want %v", rows, k, got[k], want)
+			}
+		}
+	}
+}
+
+// TestRowDotsKeepsEachRowsOrder: four chains advancing together must give
+// every row the bits of its own single-chain dot product, for row counts on
+// both sides of the group of four — and so must the Gram matrix built from
+// them, which is also symmetric to the bit.
+func TestRowDotsKeepsEachRowsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, rows := range []int{1, 3, 4, 7, 8, 16} {
+		const width = 257
+		m, x := make([]float64, rows*width), make([]float64, width)
+		for i := range m {
+			m[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(8)))
+		}
+		for i := range x {
+			x[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(8)))
+		}
+		got := make([]float64, rows)
+		rowDots(m, width, x, got)
+		for k := range got {
+			var want float64
+			for f, v := range x {
+				want += m[k*width+f] * v
+			}
+			if math.Float64bits(got[k]) != math.Float64bits(want) {
+				t.Errorf("%d rows: row %d dots to %v, want %v", rows, k, got[k], want)
+			}
+		}
+		g := make([]float64, rows*rows)
+		gram(m, rows, g)
+		for a := 0; a < rows; a++ {
+			for b := 0; b < rows; b++ {
+				var want float64
+				lo, hi := minInt(a, b), maxInt(a, b)
+				for f := 0; f < width; f++ {
+					want += m[hi*width+f] * m[lo*width+f]
+				}
+				if math.Float64bits(g[a*rows+b]) != math.Float64bits(want) {
+					t.Errorf("%d rows: gram[%d][%d] = %v, want %v", rows, a, b, g[a*rows+b], want)
+				}
 			}
 		}
 	}

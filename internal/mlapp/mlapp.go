@@ -174,6 +174,12 @@ func GenerateShards(c Config, n int, seed int64) ([]*Shard, error) {
 		return nil, fmt.Errorf("mlapp: %d shards, need > 0", n)
 	}
 	rng := rand.New(rand.NewSource(seed))
+	// The planted parameters depend on neither the row nor the generator:
+	// one table per call, not a sine per (row, class, feature).
+	var planted []float64
+	if c.Kind == MLR || c.Kind == NMF {
+		planted = plantedTable(c.Classes, c.Features)
+	}
 	shards := make([]*Shard, n)
 	rows := c.Rows
 	perShard := (rows + n - 1) / n
@@ -186,16 +192,18 @@ func GenerateShards(c Config, n int, seed int64) ([]*Shard, error) {
 		if count < 1 {
 			count = 1
 		}
-		shards[i] = &Shard{Kind: c.Kind, RowOffset: offset}
-		for r := 0; r < count; r++ {
-			shards[i].Examples = append(shards[i].Examples, genExample(c, rng))
+		shards[i] = &Shard{Kind: c.Kind, RowOffset: offset, Examples: make([]Example, count)}
+		for r := range shards[i].Examples {
+			shards[i].Examples[r] = genExample(c, rng, planted)
 		}
 		offset += count
 	}
 	return shards, nil
 }
 
-func genExample(c Config, rng *rand.Rand) Example {
+// genExample draws one row; planted is plantedTable for the kinds whose
+// ground truth is a parameter matrix (MLR, NMF).
+func genExample(c Config, rng *rand.Rand, planted []float64) Example {
 	switch c.Kind {
 	case LDA:
 		// Documents with topic-skewed token distributions.
@@ -222,7 +230,7 @@ func genExample(c Config, rng *rand.Rand) Example {
 		for f := range x {
 			var v float64
 			for k := 0; k < c.Classes; k++ {
-				v += u[k] * plantedFactor(k, f, c.Features)
+				v += u[k] * planted[k*c.Features+f]
 			}
 			x[f] = v + 0.05*rng.NormFloat64()
 			if x[f] < 0 {
@@ -248,7 +256,7 @@ func genExample(c Config, rng *rand.Rand) Example {
 		for cl := 0; cl < c.Classes; cl++ {
 			var score float64
 			for f := range x {
-				score += plantedFactor(cl, f, c.Features) * x[f]
+				score += planted[cl*c.Features+f] * x[f]
 			}
 			if score > bestScore {
 				bestScore = score
@@ -263,6 +271,15 @@ func genExample(c Config, rng *rand.Rand) Example {
 func plantedFactor(k, f, features int) float64 {
 	v := math.Sin(float64(k*features+f)*12.9898) * 43758.5453
 	return v - math.Floor(v)
+}
+
+// plantedTable is plantedFactor for every (k, f), row-major.
+func plantedTable(classes, features int) []float64 {
+	t := make([]float64, classes*features)
+	for i := range t {
+		t[i] = plantedFactor(i/features, i%features, features)
+	}
+	return t
 }
 
 func maxInt(a, b int) int {

@@ -1,6 +1,9 @@
 package mlapp
 
 import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -69,6 +72,99 @@ func TestGenerateShardsDeterministic(t *testing.T) {
 		if a[0].Examples[i].Y != b[0].Examples[i].Y {
 			t.Fatal("same seed produced different data")
 		}
+	}
+}
+
+// liveConfigs are the datasets the repository benchmark generates
+// (benchmarks/live.go): the four live_mix shapes and live_comm's.
+var liveConfigs = []Config{
+	{Kind: MLR, Features: 128, Classes: 16, Rows: 2048},
+	{Kind: Lasso, Features: 2048, Rows: 1024},
+	{Kind: NMF, Features: 128, Classes: 16, Rows: 512},
+	{Kind: LDA, Features: 512, Classes: 8, Rows: 768},
+	{Kind: LDA, Features: 65536, Classes: 8, Rows: 64},
+}
+
+// hashUint64 feeds v to a digest, little-endian.
+func hashUint64(h hash.Hash64, v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	h.Write(b[:])
+}
+
+// TestGenerateShardsMatchesParent: the generator's output is an input of
+// the benchmark and of every pinned kernel digest, so it is pinned itself.
+// The digests (FNV-64a over every shard's kind, offset, row count and each
+// row's X bits, Y bits and tokens) were taken at the commit before the
+// planted factors became a table, for two shards at seeds 1 and 7.
+func TestGenerateShardsMatchesParent(t *testing.T) {
+	golden := [][2]uint64{
+		{0x70b8e244bf80206b, 0x36b38195c603fa58},
+		{0xf5f375c75955ff02, 0x43c2477e6f6fdec3},
+		{0xfc0858494f78a5b7, 0xdd641fb7ebe4783d},
+		{0xac7e2aba7eb029c3, 0x2143492234b27837},
+		{0x1eb95874fd061594, 0xf2144cd778e1560a},
+	}
+	for c, cfg := range liveConfigs {
+		for s, seed := range []int64{1, 7} {
+			shards, err := GenerateShards(cfg, 2, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			put := func(v uint64) { hashUint64(h, v) }
+			for _, sh := range shards {
+				put(uint64(sh.Kind))
+				put(uint64(sh.RowOffset))
+				put(uint64(len(sh.Examples)))
+				for _, ex := range sh.Examples {
+					put(uint64(len(ex.X)))
+					for _, x := range ex.X {
+						put(math.Float64bits(x))
+					}
+					put(math.Float64bits(ex.Y))
+					put(uint64(len(ex.Tokens)))
+					for _, w := range ex.Tokens {
+						put(uint64(w))
+					}
+				}
+			}
+			if got := h.Sum64(); got != golden[c][s] {
+				t.Errorf("%v seed %d: digest %#x, want %#x", cfg, seed, got, golden[c][s])
+			}
+		}
+	}
+}
+
+func TestPlantedTableMatchesFunction(t *testing.T) {
+	for _, dims := range [][2]int{{16, 128}, {3, 7}, {1, 1}} {
+		classes, features := dims[0], dims[1]
+		table := plantedTable(classes, features)
+		if len(table) != classes*features {
+			t.Fatalf("%dx%d: table has %d entries", classes, features, len(table))
+		}
+		for k := 0; k < classes; k++ {
+			for f := 0; f < features; f++ {
+				if got, want := table[k*features+f], plantedFactor(k, f, features); got != want {
+					t.Errorf("%dx%d: table[%d][%d] = %v, want %v", classes, features, k, f, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkGenerateShards generates each live_mix dataset the way every
+// member of a two-worker gang does when the job is loaded.
+func BenchmarkGenerateShards(b *testing.B) {
+	for _, cfg := range liveConfigs[:4] {
+		b.Run(cfg.Kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := GenerateShards(cfg, 2, int64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -323,15 +323,24 @@ func TestCompNeverWritesModel(t *testing.T) {
 // BenchmarkComp measures one steady-state COMP subtask per algorithm:
 // the decoded-block cache plus the fused multicore kernel. lda-512k is a
 // live_comm worker's shard (its half of 64 documents over a 65536-word,
-// 8-topic model): a few thousand touched elements of 512K. The benchmark's
-// model stands still, so each pass is told, truthfully, that nothing
-// changed — where the drive loop passes on what its sync rewrote.
+// 8-topic model): a few thousand touched elements of 512K. The four cases
+// named by shape are a live_mix worker's shards (benchmarks/live.go: its
+// half of each job's rows); the rest are toys. The benchmark's model stands
+// still, so each pass is told, truthfully, that nothing changed — where the
+// drive loop passes on what its sync rewrote.
 func BenchmarkComp(b *testing.B) {
-	cases := map[string]mlapp.Config{"lda-512k": {Kind: mlapp.LDA, Features: 65536, Classes: 8, Rows: 32}}
+	cases := map[string]mlapp.Config{
+		"lda-512k":   {Kind: mlapp.LDA, Features: 65536, Classes: 8, Rows: 32},
+		"mlr-128x16": {Kind: mlapp.MLR, Features: 128, Classes: 16, Rows: 1024},
+		"lasso-2048": {Kind: mlapp.Lasso, Features: 2048, Rows: 512},
+		"nmf-128x16": {Kind: mlapp.NMF, Features: 128, Classes: 16, Rows: 256},
+		"lda-512x8":  {Kind: mlapp.LDA, Features: 512, Classes: 8, Rows: 384},
+	}
 	for _, kind := range []mlapp.Kind{mlapp.MLR, mlapp.Lasso, mlapp.NMF, mlapp.LDA} {
 		cases[kind.String()] = mlapp.Config{Kind: kind, Features: 32, Classes: 8, Rows: 512}
 	}
-	for _, name := range []string{"MLR", "Lasso", "NMF", "LDA", "lda-512k"} {
+	for _, name := range []string{"MLR", "Lasso", "NMF", "LDA", "lda-512k",
+		"mlr-128x16", "lasso-2048", "nmf-128x16", "lda-512x8"} {
 		b.Run(name, func(b *testing.B) {
 			st := newCompState(b, cases[name], 32)
 			rng := rand.New(rand.NewSource(7))

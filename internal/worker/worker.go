@@ -177,10 +177,13 @@ type Ack struct{}
 
 // jobState is one loaded job on the worker.
 type jobState struct {
-	cfg      mlapp.Config
-	algo     mlapp.Algorithm
-	client   *ps.Client
-	store    *memstore.Store
+	cfg    mlapp.Config
+	algo   mlapp.Algorithm
+	client *ps.Client
+	store  *memstore.Store
+	// shard is the input partition's header (kind, first row). Its examples
+	// live in store as encoded blocks and, decoded, in cache; a third copy
+	// kept here would be read by nothing.
 	shard    *mlapp.Shard
 	rng      *rand.Rand
 	stopCh   chan struct{}
@@ -324,7 +327,8 @@ func (w *Worker) handleLoadJob(a LoadJobArgs) (Ack, error) {
 	rng := rand.New(rand.NewSource(a.Seed ^ int64(idx+1)))
 	st := &jobState{
 		cfg: a.Config, algo: algo, client: client, store: store,
-		shard: shard, rng: rng, stopCh: make(chan struct{}),
+		shard: &mlapp.Shard{Kind: shard.Kind, RowOffset: shard.RowOffset},
+		rng:   rng, stopCh: make(chan struct{}),
 		cache: cache,
 	}
 	if a.InitModel {

@@ -95,6 +95,37 @@ func TestLoadJobValidation(t *testing.T) {
 	}
 }
 
+// TestLoadJobKeepsShardHeaderOnly: once the blocks are encoded the loaded
+// job holds its input in the block store (and, decoded, in the cache), not
+// a third time as the generated examples; the assembled view still carries
+// the partition's kind and first row, and every row.
+func TestLoadJobKeepsShardHeaderOnly(t *testing.T) {
+	w, ctl := startWorker(t)
+	args := loadArgs(w, []string{w.srv.Addr()})
+	args.ShardIndex, args.ShardCount = 1, 2
+	if _, err := rpc.Invoke[LoadJobArgs, Ack](ctl, MethodLoadJob, args, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	want, err := mlapp.GenerateShards(args.Config, 2, args.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.mu.Lock()
+	st := w.jobs[args.Job]
+	w.mu.Unlock()
+	if n := len(st.shard.Examples); n != 0 {
+		t.Errorf("the loaded job retains %d generated examples, want none", n)
+	}
+	got, err := st.materializeShard()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Kind != want[1].Kind || got.RowOffset != want[1].RowOffset || got.RowOffset == 0 {
+		t.Errorf("assembled shard is %v at row %d, want %v at row %d", got.Kind, got.RowOffset, want[1].Kind, want[1].RowOffset)
+	}
+	sameExamples(t, got.Examples, want[1].Examples)
+}
+
 func TestStartJobRequiresLoad(t *testing.T) {
 	_, ctl := startWorker(t)
 	_, err := rpc.Invoke[StartJobArgs, Ack](ctl, MethodStartJob,
