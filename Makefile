@@ -5,12 +5,12 @@ GO ?= go
 VERSION ?= dev
 LDFLAGS := -ldflags "-X harmony/internal/obs.Version=$(VERSION)"
 
-.PHONY: check fmt vet build test race ctl-smoke comm-smoke comp-smoke obs-smoke ps-rebalance-smoke fair-smoke place-smoke admit-smoke snapshot-smoke bench-smoke bench-test golden-check loc bench trace-demo
+.PHONY: check fmt vet build test race ctl-smoke comm-smoke comp-smoke obs-smoke ps-rebalance-smoke fair-smoke place-smoke admit-smoke snapshot-smoke fuzz-smoke bench-smoke bench-test golden-check loc bench trace-demo
 
-## check: full local gate — gofmt, vet, build, race-enabled tests, bench
-## smoke run, the benchmark harness's own vet + tests, and the golden
-## digests of the offline passes
-check: fmt vet build ctl-smoke comm-smoke comp-smoke obs-smoke ps-rebalance-smoke fair-smoke place-smoke admit-smoke snapshot-smoke race bench-smoke bench-test golden-check
+## check: full local gate — gofmt, vet, build, race-enabled tests, a short
+## run of the wire fuzzers, bench smoke run, the benchmark harness's own vet
+## + tests, and the golden digests of the offline passes
+check: fmt vet build ctl-smoke comm-smoke comp-smoke obs-smoke ps-rebalance-smoke fair-smoke place-smoke admit-smoke snapshot-smoke race fuzz-smoke bench-smoke bench-test golden-check
 
 ## fmt: fail if any file is not gofmt-formatted
 fmt:
@@ -95,11 +95,13 @@ obs-smoke:
 
 ## admit-smoke: race-enabled pass over the admission path — Scorer
 ## bit-identity property tests against the clone-and-rescore oracles,
-## zero-full-rescore regression, the coalescing drainer, and the
-## concurrent status-reader/enqueue-churn stress test
+## zero-full-rescore regression, the coalescing drainer, the
+## concurrent status-reader/enqueue-churn stress test, and the reject memo
+## (what a hold must not re-score, what a limit or plan change must, and the
+## registration that wakes the drainer)
 admit-smoke:
 	$(GO) test -race -run 'TestScorer|TestIncrementalAdmissionBitIdentical|TestScoreDeltaAllocFree|TestRegroupAfterFinish' ./internal/core/
-	$(GO) test -race -run 'TestAdmit|TestWakeDrainerCoalesces|TestWorkerSetKeyOrder' ./internal/master/
+	$(GO) test -race -run 'TestAdmit|TestWakeDrainerCoalesces|TestWorkerSetKeyOrder|TestHoldDoesNotRescoreQueue|TestVerdictExpires|TestRegisterDrainsHeldJobs' ./internal/master/
 
 ## snapshot-smoke: race-enabled pass over snapshot/replay — journal ring
 ## wraparound under concurrent append/read, state capture on a live
@@ -110,6 +112,15 @@ snapshot-smoke:
 	$(GO) test -race ./internal/replay/
 	$(GO) test -race -run 'TestSnapshotReplayOverHTTP|TestEventsFilters|TestSnapshotEndpoint|TestReplayEndpointFeedsMetrics' ./internal/ctl/
 
+## fuzz-smoke: ten seconds of each wire fuzzer in internal/rpc — the gob
+## codec against a decoder built for the one message, the split of a body
+## into definitions and value, and the float frames. go test takes one fuzz
+## target per run; two workers each keep the run small.
+fuzz-smoke:
+	for f in FuzzDecodeMatchesFreshGob FuzzTypedefLen FuzzFloatFrame FuzzFloatsRoundTrip; do \
+		$(GO) test ./internal/rpc/ -run XXX -fuzz "^$$f$$" -fuzztime 10s -parallel 2 || exit 1; \
+	done
+
 ## bench-smoke: quick pass over the perf-critical benchmarks with -benchmem
 bench-smoke:
 	$(GO) test ./internal/core/ -run XXX -bench BenchmarkScheduleLarge -benchmem -benchtime 3x
@@ -117,6 +128,8 @@ bench-smoke:
 	$(GO) test ./internal/ps/ -run XXX -bench 'BenchmarkPullPush(Sparse)?$$|BenchmarkCheckpoint' -benchmem -benchtime 3x
 	$(GO) test ./internal/worker/ -run XXX -bench 'BenchmarkComp/(lda-512k|mlr-128x16|lasso-2048|nmf-128x16|lda-512x8)' -benchmem -benchtime 20x
 	$(GO) test ./internal/mlapp/ -run XXX -bench BenchmarkGenerateShards -benchmem -benchtime 5x
+	$(GO) test ./internal/rpc/ -run XXX -bench 'BenchmarkCodecRoundTrip|BenchmarkInvokeTyped' -benchmem -benchtime 1000x
+	$(GO) test ./internal/master/ -run XXX -bench BenchmarkHoldAtDepth256 -benchmem -benchtime 20x
 	$(GO) test . -run XXX -bench BenchmarkFig10Parallel -benchtime 1x
 
 ## bench-test: vet and test the benchmark harness. benchmarks/ is its

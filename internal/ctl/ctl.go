@@ -51,9 +51,7 @@ type Backend interface {
 	Cluster() master.ClusterView
 	Counters() master.Counters
 	Queues() []master.QueueView
-	WorkerStats() (cpu, net float64, err error)
-	CommStats() metrics.CommSnapshot
-	CompStats() metrics.CompSnapshot
+	WorkerTotals() master.WorkerTotals
 	EventsSince(since uint64, kind string) []master.Event
 	Snapshot() (master.Snapshot, error)
 	PSStats() (ps.ClusterStats, error)

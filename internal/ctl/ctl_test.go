@@ -79,16 +79,8 @@ func (f *fakeBackend) Cluster() master.ClusterView { return f.cluster }
 func (f *fakeBackend) Counters() master.Counters   { return f.counters }
 func (f *fakeBackend) Queues() []master.QueueView  { return f.queues }
 
-func (f *fakeBackend) WorkerStats() (float64, float64, error) {
-	return 0.75, 0.5, f.statsErr
-}
-
-func (f *fakeBackend) CommStats() metrics.CommSnapshot {
-	return f.comm
-}
-
-func (f *fakeBackend) CompStats() metrics.CompSnapshot {
-	return f.comp
+func (f *fakeBackend) WorkerTotals() master.WorkerTotals {
+	return master.WorkerTotals{CPUUtil: 0.75, NetUtil: 0.5, UtilErr: f.statsErr, Comm: f.comm, Comp: f.comp}
 }
 
 func (f *fakeBackend) EventsSince(since uint64, kind string) []master.Event {

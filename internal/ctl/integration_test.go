@@ -7,12 +7,15 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"harmony/internal/core"
 	"harmony/internal/ctl"
 	"harmony/internal/master"
+	"harmony/internal/ps"
+	"harmony/internal/rpc"
 	"harmony/internal/worker"
 )
 
@@ -384,5 +387,65 @@ func TestTracedClusterOverHTTP(t *testing.T) {
 	}
 	if resp := fetchMetrics(t, base); !strings.Contains(resp, "harmony_phase_seconds") {
 		t.Errorf("metrics after worker teardown lost phase histograms")
+	}
+}
+
+// TestMetricsScrapesEachWorkerOnce: one GET /metrics costs every worker one
+// worker.stats and one ps.stats call. Utilization, COMM and COMP totals
+// come out of the same pass; three separate fan-outs made it three calls.
+func TestMetricsScrapesEachWorkerOnce(t *testing.T) {
+	m, err := master.New("127.0.0.1:0", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	const workers = 3
+	var workerStats, psStats [workers]atomic.Int32
+	mc, err := rpc.Dial(m.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mc.Close() })
+	for i := 0; i < workers; i++ {
+		stub := rpc.NewServer()
+		stub.Handle(worker.MethodStats, rpc.Typed(func(worker.StatsArgs) (worker.StatsReply, error) {
+			workerStats[i].Add(1)
+			return worker.StatsReply{CPUUtil: 0.5, NetUtil: 0.25, CommProcess: fmt.Sprintf("stub%d", i)}, nil
+		}))
+		stub.Handle(ps.MethodStats, rpc.Typed(func(ps.StatsArgs) (ps.StatsReply, error) {
+			psStats[i].Add(1)
+			return ps.StatsReply{}, nil
+		}))
+		addr, err := stub.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { stub.Close() })
+		// The shape of the master.register request (worker.New sends it).
+		type registerArgs struct{ Name, Addr string }
+		if _, err := rpc.Invoke[registerArgs, worker.Ack](mc, "master.register",
+			registerArgs{Name: fmt.Sprintf("w%d", i), Addr: addr}, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := ctl.New(m)
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+
+	for scrape := int32(1); scrape <= 2; scrape++ {
+		body := fetchMetrics(t, "http://"+s.Addr())
+		for _, want := range []string{`harmony_utilization{resource="cpu"} 0.5`, `harmony_utilization{resource="network"} 0.25`} {
+			if !strings.Contains(body, want) {
+				t.Errorf("scrape %d: /metrics lacks %q", scrape, want)
+			}
+		}
+		for i := 0; i < workers; i++ {
+			if ws, pss := workerStats[i].Load(), psStats[i].Load(); ws != scrape || pss != scrape {
+				t.Errorf("after %d scrapes worker %d served %d worker.stats and %d ps.stats calls, want %d of each",
+					scrape, i, ws, pss, scrape)
+			}
+		}
 	}
 }

@@ -193,24 +193,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				Type: metrics.PromCounter, Value: float64(q.Preempted)},
 		)
 	}
-	// Per-resource executor utilization, best effort: a scrape must not
-	// fail because a worker is mid-restart.
-	if cpu, net, err := s.b.WorkerStats(); err == nil {
+	// One pass over the workers feeds three families. Per-resource executor
+	// utilization is best effort: a scrape must not fail because a worker
+	// is mid-restart.
+	totals := s.b.WorkerTotals()
+	if totals.UtilErr == nil {
 		samples = append(samples,
 			metrics.Sample{
 				Name: `harmony_utilization{resource="` + strings.ToLower(metrics.CPU.String()) + `"}`,
 				Help: "Mean worker executor busy fraction per resource.",
-				Type: metrics.PromGauge, Value: cpu},
+				Type: metrics.PromGauge, Value: totals.CPUUtil},
 			metrics.Sample{
 				Name: `harmony_utilization{resource="` + strings.ToLower(metrics.Net.String()) + `"}`,
-				Type: metrics.PromGauge, Value: net},
+				Type: metrics.PromGauge, Value: totals.NetUtil},
 		)
 	}
 	// Data-plane traffic (pull/push ops, bytes, latency) and compute-path
 	// health (block-cache hit/miss, reload-stall seconds), aggregated
 	// across the cluster: this process plus every worker process.
-	samples = append(samples, metrics.CommSamples(s.b.CommStats())...)
-	samples = append(samples, metrics.CompSamples(s.b.CompStats())...)
+	samples = append(samples, metrics.CommSamples(totals.Comm)...)
+	samples = append(samples, metrics.CompSamples(totals.Comp)...)
 	// Per-stripe PS load, bounded to the hottest stripes plus per-server
 	// aggregates; best effort like the other worker scrapes.
 	if cs, err := s.b.PSStats(); err == nil {

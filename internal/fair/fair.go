@@ -274,52 +274,84 @@ func (s *Scheduler) Order(held []Held, usage Usage, total int) []Held {
 	}
 	type qrank struct {
 		name  string
+		seen  int // index in first-seen order
 		under bool
 		ratio float64 // usage / quota workers; +Inf when no guarantee
 		oqw   float64
 	}
-	ranks := make(map[string]qrank)
-	for _, h := range held {
-		if _, ok := ranks[h.Queue]; ok {
-			continue
-		}
-		q := s.QuotaWorkers(h.Queue, total)
-		r := qrank{name: h.Queue, oqw: s.cfgs[h.Queue].OverQuotaWeight}
-		if q > 0 {
-			r.ratio = float64(usage[h.Queue]) / float64(q)
-			r.under = usage[h.Queue] < q
-		} else {
-			r.ratio = math.Inf(1)
-		}
-		ranks[h.Queue] = r
-	}
-	out := append([]Held(nil), held...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := ranks[out[i].Queue], ranks[out[j].Queue]
-		if a.name != b.name {
-			if a.under != b.under {
-				return a.under
-			}
-			if a.under {
-				if a.ratio != b.ratio {
-					return a.ratio < b.ratio // deeper deficit first
-				}
+	// Queues are few and jobs many: rank each queue once, sort the queues,
+	// and give every job its queue's place as an integer, so that comparing
+	// two jobs looks nothing up.
+	var ranks []qrank
+	seen := make(map[string]int)
+	by := byRank{held: append([]Held(nil), held...), pos: make([]int, len(held))}
+	for i, h := range held {
+		qi, ok := seen[h.Queue]
+		if !ok {
+			qi = len(ranks)
+			seen[h.Queue] = qi
+			q := s.QuotaWorkers(h.Queue, total)
+			r := qrank{name: h.Queue, seen: qi, oqw: s.cfgs[h.Queue].OverQuotaWeight}
+			if q > 0 {
+				r.ratio = float64(usage[h.Queue]) / float64(q)
+				r.under = usage[h.Queue] < q
 			} else {
-				if a.oqw != b.oqw {
-					return a.oqw > b.oqw // stronger borrower first
-				}
-				if a.ratio != b.ratio {
-					return a.ratio < b.ratio
-				}
+				r.ratio = math.Inf(1)
 			}
-			return a.name < b.name
+			ranks = append(ranks, r)
 		}
-		if out[i].Priority != out[j].Priority {
-			return out[i].Priority > out[j].Priority
+		by.pos[i] = qi
+	}
+	sort.Slice(ranks, func(i, j int) bool { // names differ, so no two queues tie
+		a, b := ranks[i], ranks[j]
+		if a.under != b.under {
+			return a.under
 		}
-		return out[i].Seq < out[j].Seq
+		if a.under {
+			if a.ratio != b.ratio {
+				return a.ratio < b.ratio // deeper deficit first
+			}
+		} else {
+			if a.oqw != b.oqw {
+				return a.oqw > b.oqw // stronger borrower first
+			}
+			if a.ratio != b.ratio {
+				return a.ratio < b.ratio
+			}
+		}
+		return a.name < b.name
 	})
-	return out
+	place := make([]int, len(ranks))
+	for p, r := range ranks {
+		place[r.seen] = p
+	}
+	for i, qi := range by.pos {
+		by.pos[i] = place[qi]
+	}
+	sort.Stable(by) // stable: jobs equal in all three keys keep their input order
+	return by.held
+}
+
+// byRank sorts held jobs by (place of their queue, priority descending,
+// arrival sequence); pos[i] is the place of held[i]'s queue.
+type byRank struct {
+	held []Held
+	pos  []int
+}
+
+func (b byRank) Len() int { return len(b.held) }
+func (b byRank) Swap(i, j int) {
+	b.held[i], b.held[j] = b.held[j], b.held[i]
+	b.pos[i], b.pos[j] = b.pos[j], b.pos[i]
+}
+func (b byRank) Less(i, j int) bool {
+	if b.pos[i] != b.pos[j] {
+		return b.pos[i] < b.pos[j]
+	}
+	if b.held[i].Priority != b.held[j].Priority {
+		return b.held[i].Priority > b.held[j].Priority
+	}
+	return b.held[i].Seq < b.held[j].Seq
 }
 
 // Victims selects running jobs to preempt so that `need` workers free

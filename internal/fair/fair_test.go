@@ -1,8 +1,11 @@
 package fair
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -144,6 +147,105 @@ func TestOrderOverQuotaWeightBreaksBorrowTies(t *testing.T) {
 	got := s.Order(held, Usage{"a": 2, "b": 2}, 4)
 	if got[0].Job != "b1" {
 		t.Fatalf("order = %v, want b1 first", got)
+	}
+}
+
+// orderPairwise is the order as it was first written: one stable sort
+// whose comparator ranks both jobs' queues on every call. Order ranks each
+// queue once instead; this stays as the oracle it must agree with.
+func orderPairwise(s *Scheduler, held []Held, usage Usage, total int) []Held {
+	if len(held) == 0 {
+		return nil
+	}
+	type qrank struct {
+		name  string
+		under bool
+		ratio float64
+		oqw   float64
+	}
+	ranks := make(map[string]qrank)
+	for _, h := range held {
+		q := s.QuotaWorkers(h.Queue, total)
+		r := qrank{name: h.Queue, oqw: s.cfgs[h.Queue].OverQuotaWeight}
+		if q > 0 {
+			r.ratio = float64(usage[h.Queue]) / float64(q)
+			r.under = usage[h.Queue] < q
+		} else {
+			r.ratio = math.Inf(1)
+		}
+		ranks[h.Queue] = r
+	}
+	out := append([]Held(nil), held...)
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := ranks[out[i].Queue], ranks[out[j].Queue]
+		if a.name != b.name {
+			if a.under != b.under {
+				return a.under
+			}
+			if a.under {
+				if a.ratio != b.ratio {
+					return a.ratio < b.ratio
+				}
+			} else {
+				if a.oqw != b.oqw {
+					return a.oqw > b.oqw
+				}
+				if a.ratio != b.ratio {
+					return a.ratio < b.ratio
+				}
+			}
+			return a.name < b.name
+		}
+		if out[i].Priority != out[j].Priority {
+			return out[i].Priority > out[j].Priority
+		}
+		return out[i].Seq < out[j].Seq
+	})
+	return out
+}
+
+// TestOrderMatchesPairwiseReference: on random queue forests, usages and
+// held sets — few distinct priorities and sequence numbers, so ties in every
+// key and jobs equal in all of them are common, and queues with equal
+// ratios, equal over-quota weights and no guarantee at all occur — Order is
+// element for element what the pairwise comparator produces.
+func TestOrderMatchesPairwiseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 500; trial++ {
+		nq := 1 + rng.Intn(6)
+		cfgs := make([]QueueConfig, nq)
+		names := []string{DefaultQueue}
+		left := 1.0
+		for i := range cfgs {
+			cfgs[i] = QueueConfig{Name: fmt.Sprintf("q%d", i), Weight: float64(1 + rng.Intn(3)),
+				OverQuotaWeight: float64(rng.Intn(3))}
+			if rng.Intn(2) == 0 {
+				cfgs[i].Quota = math.Floor(left*float64(rng.Intn(4))/4*100) / 100
+				left -= cfgs[i].Quota
+			}
+			names = append(names, cfgs[i].Name)
+		}
+		s := mustNew(t, cfgs...)
+		total := 1 + rng.Intn(16)
+		usage := make(Usage)
+		for _, n := range names {
+			if rng.Intn(3) > 0 {
+				usage[n] = rng.Intn(total + 3)
+			}
+		}
+		held := make([]Held, rng.Intn(40))
+		for i := range held {
+			held[i] = Held{Job: fmt.Sprintf("j%d", i), Queue: names[rng.Intn(len(names))],
+				Priority: rng.Intn(3), Seq: uint64(rng.Intn(8)), Demand: 1 + rng.Intn(3)}
+		}
+		input := append([]Held(nil), held...)
+		got, want := s.Order(held, usage, total), orderPairwise(s, held, usage, total)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Order = %v\npairwise reference = %v", trial, got, want)
+		}
+		if len(held) > 0 && !reflect.DeepEqual(held, input) {
+			t.Fatalf("trial %d: Order reordered its input", trial)
+		}
 	}
 }
 

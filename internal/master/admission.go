@@ -80,11 +80,15 @@ type pendingJob struct {
 	resumeIter int
 	finishedCh chan struct{}
 	epoch      int
-	// rejectEpoch caches the admission epoch at which the drain pass last
-	// rejected this job (DESIGN.md §15): until the epoch moves — some
-	// admission input changed — re-scoring it would reproduce the same
-	// verdict, so the pass skips it.
-	rejectEpoch uint64
+	// The reject memo (DESIGN.md §15): placeLocked last refused this job at
+	// placement epoch rejectEpoch on at most rejectLimit workers, for
+	// rejectReason. Until one of the two moves the answer would be the
+	// same, so placeMemoLocked gives it without scoring. The reason is the
+	// memo's own: holdReason is whatever the last pass reported, which is
+	// quota_exhausted whenever a gate kept that pass from placing at all.
+	rejectEpoch  uint64
+	rejectLimit  int
+	rejectReason string
 }
 
 // demand is the gang size the job must place atomically.
@@ -176,7 +180,7 @@ func (m *Master) Enqueue(spec JobSpec, prof Profile) (Admission, error) {
 	view, free := m.viewLocked()
 	var pl placement
 	ok, reason := m.fairsched.Try(view, p.held(), func(_ fair.Held, limit int) (ok bool, reason string) {
-		pl, ok, reason = m.placeLocked(p, free, limit)
+		pl, ok, reason = m.placeMemoLocked(p, free, limit)
 		return ok, reason
 	})
 	if !ok {
@@ -344,15 +348,7 @@ func (m *Master) drainQueue() {
 		view.Running = m.runningLocked()
 		var pl placement
 		d := m.fairsched.Decide(view, func(h fair.Held, limit int) (ok bool, reason string) {
-			cand := m.pendingIdx[h.Job]
-			if cand.rejectEpoch == m.admitEpoch {
-				// Nothing this verdict depended on has changed since the
-				// last pass rejected the job; skip the re-score.
-				return false, cand.holdReason
-			}
-			if pl, ok, reason = m.placeLocked(cand, free, limit); !ok {
-				cand.rejectEpoch = m.admitEpoch
-			}
+			pl, ok, reason = m.placeMemoLocked(m.pendingIdx[h.Job], free, limit)
 			return ok, reason
 		})
 		for _, h := range d.Holds {
@@ -654,7 +650,7 @@ func (m *Master) Shutdown(timeout time.Duration) []string {
 	}
 	m.pending = nil
 	m.pendingIdx = make(map[string]*pendingJob)
-	m.admitEpoch++
+	m.expireVerdictsLocked()
 	var targets []*job
 	for _, j := range m.jobs {
 		if j.status == StatusRunning && j.iter != 0 {

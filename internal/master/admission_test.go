@@ -242,7 +242,7 @@ func TestListJobsIncludesPending(t *testing.T) {
 // call a worker gets, after asking load and start whether the call should
 // fail, and tells note each call as its reply leaves ("load", "start",
 // "dropJob", "ps.drop"). Any of the three may be nil.
-func stubServer(t *testing.T, load func(worker.LoadJobArgs) error, start func(worker.StartJobArgs) error,
+func stubServer(t testing.TB, load func(worker.LoadJobArgs) error, start func(worker.StartJobArgs) error,
 	note func(call, job string)) string {
 	t.Helper()
 	if note == nil {
@@ -285,7 +285,7 @@ func stubServer(t *testing.T, load func(worker.LoadJobArgs) error, start func(wo
 
 // stubWorkers registers n workers ("w0", "w1", ...) served by one
 // stubServer.
-func stubWorkers(t *testing.T, m *Master, n int,
+func stubWorkers(t testing.TB, m *Master, n int,
 	load func(worker.LoadJobArgs) error, start func(worker.StartJobArgs) error) {
 	t.Helper()
 	addr := stubServer(t, load, start, nil)

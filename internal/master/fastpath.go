@@ -22,15 +22,24 @@ type livePlanCache struct {
 	scorer  *core.Scorer
 }
 
-// invalidatePlanLocked drops the cached live plan and advances the
-// admission epoch. Callers hold mu's write side and invoke it after any
-// mutation that changes the derived plan: deploy, migrate, recover,
-// completion, cancel of a running job, preemption, worker removal, or a
-// profile observation (profiled metrics feed jobInfoLocked).
+// invalidatePlanLocked drops the cached live plan and advances both
+// epochs. Callers hold mu's write side and invoke it after any mutation
+// that changes the derived plan: deploy, migrate, recover, completion,
+// cancel of a running job, preemption, worker removal, or a profile
+// observation (profiled metrics feed jobInfoLocked).
 func (m *Master) invalidatePlanLocked() {
 	m.planMu.Lock()
 	m.planCache = nil
 	m.planMu.Unlock()
+	m.expireVerdictsLocked()
+}
+
+// expireVerdictsLocked advances placeEpoch, and admitEpoch with it: an
+// input of placeLocked other than its limit changed, so every reject memo
+// and the cached view are stale. Its callers are all that moves placeEpoch:
+// invalidatePlanLocked, a worker registration, ConfigureQueues, Shutdown.
+func (m *Master) expireVerdictsLocked() {
+	m.placeEpoch++
 	m.admitEpoch++
 }
 
@@ -104,8 +113,9 @@ func (m *Master) viewLocked() (fair.View, []string) {
 }
 
 // addPendingLocked appends a held job to the queue, indexes it by name,
-// and advances the admission epoch (a new hold can gate every other
-// queue's borrowing, so cached reject verdicts must expire).
+// and advances the admission epoch. placeEpoch stays: a new hold can gate
+// another queue's borrowing, but that reaches a held job's verdict as a
+// different limit, which the reject memo is keyed on.
 func (m *Master) addPendingLocked(p *pendingJob) {
 	m.pending = append(m.pending, p)
 	m.pendingIdx[p.spec.Name] = p

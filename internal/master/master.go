@@ -177,17 +177,20 @@ type Master struct {
 	// Maintained by addPendingLocked/removePendingLocked.
 	pendingIdx map[string]*pendingJob
 
-	// Admission fast path (DESIGN.md §15). admitEpoch versions every
-	// input of an admission decision: it is bumped (under mu's write
-	// side) by any mutation of the live plan, the pending queue, the
-	// worker set, or the queue policy. The drain pass stamps reject
-	// verdicts with the epoch they were computed at and skips re-scoring
-	// a held job until the epoch moves; the kernel view (usage, free, held)
-	// and free-worker list of viewLocked are cached on the same key. planMu
-	// guards the cached live plan (planCache), which is built lazily under
-	// mu's read side and cleared by invalidatePlanLocked (lock order:
+	// Admission fast path (DESIGN.md §15): two counters, moved under mu's
+	// write side. placeEpoch versions what placeLocked reads besides its
+	// limit (live plan, free list, worker set) and, with the limit, keys a
+	// held job's reject memo; only expireVerdictsLocked bumps it. admitEpoch
+	// versions every input of a decision and keys viewLocked's cached view
+	// and free-worker list: it moves with placeEpoch and with every change
+	// of the pending queue (addPendingLocked, removePendingLocked).
+	// placeCalls counts placeLocked runs, for the tests of what the memo
+	// saves. planMu guards the cached live plan (planCache), built lazily
+	// under mu's read side and cleared by invalidatePlanLocked (lock order:
 	// mu → planMu).
 	admitEpoch uint64
+	placeEpoch uint64
+	placeCalls uint64
 	planMu     sync.Mutex
 	planCache  *livePlanCache
 	inputEpoch uint64
@@ -244,6 +247,7 @@ func New(addr string, opts core.Options) (*Master, error) {
 		qcounters:  make(map[string]*queueCounters),
 		phases:     make(map[string]*groupPhase),
 		admitEpoch: 1,
+		placeEpoch: 1,
 		drainCh:    make(chan struct{}, 1),
 		drainStop:  make(chan struct{}),
 	}
@@ -287,8 +291,9 @@ func (m *Master) handleRegister(a registerArgs) (worker.Ack, error) {
 	m.workers = append(m.workers, workerRef{name: a.Name, addr: a.Addr, client: client})
 	// A new worker extends the free list: cached admission inputs (and
 	// reject verdicts) are stale. Appending leaves existing worker
-	// indexes — and so the live plan — intact.
-	m.admitEpoch++
+	// indexes — and so the live plan — intact. Held jobs may fit now.
+	m.expireVerdictsLocked()
+	m.wakeDrainer()
 	return worker.Ack{}, nil
 }
 
@@ -784,80 +789,72 @@ func (m *Master) PlanGroups() (map[string][]string, error) {
 	return out, nil
 }
 
+// WorkerTotals is one pass of worker.stats over the cluster. CPUUtil and
+// NetUtil are mean executor busy fractions, valid when UtilErr is nil (there
+// are workers and all answered). Comm and Comp sum data-plane traffic and
+// compute-path health over this process — checkpoints ride the same data
+// plane — and every worker that answered, counted once per owning process
+// (in-process workers share this process's counters); best effort, a worker
+// mid-restart is skipped.
+type WorkerTotals struct {
+	CPUUtil, NetUtil float64
+	UtilErr          error
+	Comm             metrics.CommSnapshot
+	Comp             metrics.CompSnapshot
+}
+
+// WorkerTotals scrapes every worker once; WorkerStats, CommStats and
+// CompStats are views of it for callers that want one part.
+func (m *Master) WorkerTotals() WorkerTotals {
+	m.mu.RLock()
+	refs := append([]workerRef(nil), m.workers...)
+	m.mu.RUnlock()
+	var t WorkerTotals
+	comm := map[string]metrics.CommSnapshot{metrics.ProcessID(): metrics.Comm.Snapshot()}
+	comp := map[string]metrics.CompSnapshot{metrics.ProcessID(): metrics.Comp.Snapshot()}
+	for _, r := range refs {
+		st, err := rpc.Invoke[worker.StatsArgs, worker.StatsReply](r.client,
+			worker.MethodStats, worker.StatsArgs{SpanAfter: worker.SpanCursorNone},
+			time.Minute)
+		if err != nil {
+			if t.UtilErr == nil {
+				t.UtilErr = err
+			}
+			continue
+		}
+		t.CPUUtil += st.CPUUtil
+		t.NetUtil += st.NetUtil
+		comm[st.CommProcess], comp[st.CommProcess] = st.Comm, st.Comp
+	}
+	if len(refs) == 0 {
+		t.UtilErr = errors.New("master: no workers")
+	} else {
+		t.CPUUtil /= float64(len(refs))
+		t.NetUtil /= float64(len(refs))
+	}
+	for _, s := range comm {
+		t.Comm = t.Comm.Add(s)
+	}
+	for _, s := range comp {
+		t.Comp = t.Comp.Add(s)
+	}
+	return t
+}
+
 // WorkerStats aggregates executor utilization across workers.
 func (m *Master) WorkerStats() (cpu, net float64, err error) {
-	m.mu.RLock()
-	refs := append([]workerRef(nil), m.workers...)
-	m.mu.RUnlock()
-	if len(refs) == 0 {
-		return 0, 0, errors.New("master: no workers")
+	t := m.WorkerTotals()
+	if t.UtilErr != nil {
+		return 0, 0, t.UtilErr
 	}
-	for _, r := range refs {
-		st, err := rpc.Invoke[worker.StatsArgs, worker.StatsReply](r.client,
-			worker.MethodStats, worker.StatsArgs{SpanAfter: worker.SpanCursorNone},
-			time.Minute)
-		if err != nil {
-			return 0, 0, err
-		}
-		cpu += st.CPUUtil
-		net += st.NetUtil
-	}
-	return cpu / float64(len(refs)), net / float64(len(refs)), nil
+	return t.CPUUtil, t.NetUtil, nil
 }
 
-// CommStats sums data-plane traffic across the cluster: this process's
-// counters (checkpoints and snapshots ride the same data plane) plus
-// every worker's, deduplicated by owning process so in-process workers —
-// which share this process's global counters — are counted once. Worker
-// stats are best effort: a worker mid-restart is skipped, not an error.
-func (m *Master) CommStats() metrics.CommSnapshot {
-	m.mu.RLock()
-	refs := append([]workerRef(nil), m.workers...)
-	m.mu.RUnlock()
-	perProcess := map[string]metrics.CommSnapshot{
-		metrics.ProcessID(): metrics.Comm.Snapshot(),
-	}
-	for _, r := range refs {
-		st, err := rpc.Invoke[worker.StatsArgs, worker.StatsReply](r.client,
-			worker.MethodStats, worker.StatsArgs{SpanAfter: worker.SpanCursorNone},
-			time.Minute)
-		if err != nil {
-			continue
-		}
-		perProcess[st.CommProcess] = st.Comm
-	}
-	var sum metrics.CommSnapshot
-	for _, s := range perProcess {
-		sum = sum.Add(s)
-	}
-	return sum
-}
+// CommStats sums data-plane traffic across the cluster.
+func (m *Master) CommStats() metrics.CommSnapshot { return m.WorkerTotals().Comm }
 
-// CompStats sums compute-path health (decoded-block cache hits/misses,
-// reload-stall seconds) across the cluster with the same per-process
-// deduplication and best-effort semantics as CommStats.
-func (m *Master) CompStats() metrics.CompSnapshot {
-	m.mu.RLock()
-	refs := append([]workerRef(nil), m.workers...)
-	m.mu.RUnlock()
-	perProcess := map[string]metrics.CompSnapshot{
-		metrics.ProcessID(): metrics.Comp.Snapshot(),
-	}
-	for _, r := range refs {
-		st, err := rpc.Invoke[worker.StatsArgs, worker.StatsReply](r.client,
-			worker.MethodStats, worker.StatsArgs{SpanAfter: worker.SpanCursorNone},
-			time.Minute)
-		if err != nil {
-			continue
-		}
-		perProcess[st.CommProcess] = st.Comp
-	}
-	var sum metrics.CompSnapshot
-	for _, s := range perProcess {
-		sum = sum.Add(s)
-	}
-	return sum
-}
+// CompStats sums compute-path health across the cluster.
+func (m *Master) CompStats() metrics.CompSnapshot { return m.WorkerTotals().Comp }
 
 // Close releases all barriers with Stop and shuts the master down.
 func (m *Master) Close() {

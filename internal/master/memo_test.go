@@ -1,0 +1,288 @@
+package master
+
+import (
+	"fmt"
+	"testing"
+
+	"harmony/internal/core"
+	"harmony/internal/fair"
+	"harmony/internal/worker"
+)
+
+// The tests in this file pin the reject memo (placeMemoLocked, DESIGN.md
+// §15) from both sides: what it must not re-score, and every change that
+// must make it re-score. They count placeLocked runs (Master.placeCalls)
+// and run each drain pass themselves, so a count belongs to one event.
+
+// memoMaster is a master whose background drainer is parked, with n stub
+// workers that ack every deployment call.
+func memoMaster(t testing.TB, n, maxJobsPerGroup int) *Master {
+	t.Helper()
+	m, err := New("127.0.0.1:0", core.Options{MaxJobsPerGroup: maxJobsPerGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	m.drainStopOnce.Do(func() { close(m.drainStop) })
+	stubWorkers(t, m, n, nil, nil)
+	return m
+}
+
+// mustEnqueue submits a job and checks whether it was admitted or held.
+func mustEnqueue(t testing.TB, m *Master, s JobSpec, prof Profile, wantAdmitted bool) {
+	t.Helper()
+	adm, err := m.Enqueue(s, prof)
+	if err != nil || adm.Admitted != wantAdmitted {
+		t.Fatalf("enqueue %s: %+v, %v; want admitted=%v", s.Name, adm, err, wantAdmitted)
+	}
+}
+
+// placed runs one drain pass and reports how many placeLocked calls were
+// made since the last call of placed on this counter.
+func placed(m *Master, last *uint64) uint64 {
+	m.drainQueue()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	d := m.placeCalls - *last
+	*last = m.placeCalls
+	return d
+}
+
+func holdReason(t *testing.T, m *Master, name string) string {
+	t.Helper()
+	v, ok := m.Job(name)
+	if !ok || v.State != StatusPending.String() {
+		t.Fatalf("%s: %+v, %v; want a held job", name, v, ok)
+	}
+	return v.HoldReason
+}
+
+// TestHoldDoesNotRescoreQueue: with every group full and K jobs held, one
+// more hold costs the one placement attempt of the arriving job, and a
+// cancel of a held job costs none. Neither changes anything the other K
+// verdicts read; stamping them with an epoch that every queue change moved
+// re-scored all K on both.
+func TestHoldDoesNotRescoreQueue(t *testing.T) {
+	const workers, held = 4, 8
+	m := memoMaster(t, workers, 1)
+	for i := 0; i < workers; i++ {
+		mustEnqueue(t, m, fairSpec(fmt.Sprintf("run%d", i), 1000, "", 1, 1), Profile{}, true)
+	}
+	for i := 0; i < held; i++ {
+		mustEnqueue(t, m, fairSpec(fmt.Sprintf("held%d", i), 1000, "", 1, 1), Profile{}, false)
+	}
+	var calls uint64
+	placed(m, &calls)
+	if d := placed(m, &calls); d != 0 {
+		t.Fatalf("a pass over an unchanged queue placed %d times, want 0", d)
+	}
+
+	mustEnqueue(t, m, fairSpec("one-more", 1000, "", 1, 1), Profile{}, false)
+	if d := placed(m, &calls); d != 1 {
+		t.Errorf("a hold and its drain pass placed %d times, want 1 (the arrival itself)", d)
+	}
+	if err := m.Cancel("held3"); err != nil {
+		t.Fatal(err)
+	}
+	if d := placed(m, &calls); d != 0 {
+		t.Errorf("a cancel-held and its drain pass placed %d times, want 0", d)
+	}
+	if got := m.QueueDepth(); got != held {
+		t.Errorf("queue depth = %d, want %d", got, held)
+	}
+	if r := holdReason(t, m, "held5"); r != fair.HoldSlowdown {
+		t.Errorf("held5 reason = %q, want %q", r, fair.HoldSlowdown)
+	}
+}
+
+// TestVerdictExpiresWhenLimitMoves drives the one way the held queue
+// reaches a verdict: the borrow cap. A hold in an under-quota queue gates
+// the others, so their jobs' limit changes; a job whose gated limit still
+// admits its gang is placed again (and again when the gate lifts), and a job
+// gated below its gang reports quota_exhausted while gated and, once the
+// gate lifts, the reason its own memo recorded — not the quota_exhausted its
+// holdReason was left with.
+func TestVerdictExpiresWhenLimitMoves(t *testing.T) {
+	// 8 workers: qa is guaranteed 2, qb 4, the default queue the other 2.
+	m := memoMaster(t, 8, 1)
+	if err := m.ConfigureQueues(
+		fair.QueueConfig{Name: "qa", Quota: 0.25},
+		fair.QueueConfig{Name: "qb", Quota: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	// A 5-worker gang puts the default queue over its quota but is no
+	// reclaim victim (suspending it would dig the queue below quota); three
+	// single-worker qb jobs leave qb one short of its guarantee. Every
+	// worker is busy and every group full.
+	mustEnqueue(t, m, fairSpec("gang", 1000, "", 5, 5), Profile{}, true)
+	for i := 0; i < 3; i++ {
+		mustEnqueue(t, m, fairSpec(fmt.Sprintf("b%d", i), 1000, "qb", 1, 1), Profile{}, true)
+	}
+	var calls uint64
+	placed(m, &calls)
+
+	// y borrows ungated (nothing else is held): refused on the merits.
+	mustEnqueue(t, m, fairSpec("y", 1000, "", 1, 1), Profile{}, false)
+	if d, r := placed(m, &calls), holdReason(t, m, "y"); d != 1 || r != fair.HoldSlowdown {
+		t.Fatalf("y: %d placements, reason %q; want 1, %q", d, r, fair.HoldSlowdown)
+	}
+	// x waits in under-quota qb, which gates the default queue below y's
+	// gang: y is not placed at all and reports the gate.
+	mustEnqueue(t, m, fairSpec("x", 1000, "qb", 1, 1), Profile{}, false)
+	if d := placed(m, &calls); d != 1 {
+		t.Errorf("hold of x placed %d times, want 1 (x itself)", d)
+	}
+	if x, y := holdReason(t, m, "x"), holdReason(t, m, "y"); x != fair.HoldSlowdown || y != fair.HoldQuota {
+		t.Errorf("reasons x=%q y=%q, want %q and %q", x, y, fair.HoldSlowdown, fair.HoldQuota)
+	}
+	// a waits in under-quota qa (its gang exceeds qa's quota, so it is gated
+	// itself and never reclaims). Now qb is gated too: x's limit drops from
+	// unbounded to qb's headroom of 1, which still admits its gang — x is
+	// placed again, once, and refused again on the merits.
+	mustEnqueue(t, m, fairSpec("a", 1000, "qa", 3, 3), Profile{}, false)
+	if d := placed(m, &calls); d != 1 {
+		t.Errorf("gating qb placed %d times, want 1 (x under its new limit)", d)
+	}
+	if d := placed(m, &calls); d != 0 {
+		t.Errorf("a second pass under the same limits placed %d times, want 0", d)
+	}
+	if a, x := holdReason(t, m, "a"), holdReason(t, m, "x"); a != fair.HoldQuota || x != fair.HoldSlowdown {
+		t.Errorf("reasons a=%q x=%q, want %q and %q", a, x, fair.HoldQuota, fair.HoldSlowdown)
+	}
+	// The gate on qb lifts: x's limit moves back, x is placed again.
+	if err := m.Cancel("a"); err != nil {
+		t.Fatal(err)
+	}
+	if d := placed(m, &calls); d != 1 {
+		t.Errorf("lifting qb's gate placed %d times, want 1 (x)", d)
+	}
+	// The gate on the default queue lifts: y is back under the limit its
+	// memo was taken at, with no plan change in between. It is not placed
+	// again, and it reports what that placement found.
+	if err := m.Cancel("x"); err != nil {
+		t.Fatal(err)
+	}
+	if d, r := placed(m, &calls), holdReason(t, m, "y"); d != 0 || r != fair.HoldSlowdown {
+		t.Errorf("lifting y's gate: %d placements, reason %q; want 0, %q", d, r, fair.HoldSlowdown)
+	}
+}
+
+// TestVerdictExpiresOnPlanChange: everything placeLocked reads besides its
+// limit — a profile observation, the queue policy, a completion, a worker
+// registration, a cancel of a running job — re-scores every held job, once.
+func TestVerdictExpiresOnPlanChange(t *testing.T) {
+	const held = 3
+	m := memoMaster(t, 2, 1)
+	mustEnqueue(t, m, fairSpec("r0", 1000, "", 1, 1), Profile{}, true)
+	mustEnqueue(t, m, fairSpec("r1", 1000, "", 1, 1), Profile{}, true)
+	for i := 0; i < held; i++ { // gangs of 4: they fit none of the states below
+		mustEnqueue(t, m, fairSpec(fmt.Sprintf("h%d", i), 1000, "", 4, 4), Profile{}, false)
+	}
+	epochOf := func(name string) int {
+		m.mu.RLock()
+		defer m.mu.RUnlock()
+		return m.jobs[name].epoch
+	}
+	var calls uint64
+	placed(m, &calls)
+	steps := []struct {
+		name string
+		do   func() error
+	}{
+		{"profile observation", func() error {
+			_, err := m.handleBarrier(worker.BarrierArgs{Job: "r0", Worker: "w0", Iteration: 1,
+				Epoch: epochOf("r0"), CompSeconds: 0.5, NetSeconds: 0.1})
+			return err
+		}},
+		{"queue policy", func() error { return m.ConfigureQueues(fair.QueueConfig{Name: "extra", Quota: 0.1}) }},
+		{"completion", func() error {
+			_, err := m.handleJobDone(worker.JobDoneArgs{Job: "r0", Worker: "w0", Epoch: epochOf("r0")})
+			return err
+		}},
+		{"worker registration", func() error {
+			_, err := m.handleRegister(registerArgs{Name: "late", Addr: stubServer(t, nil, nil, nil)})
+			return err
+		}},
+		{"cancel of a running job", func() error { return m.Cancel("r1") }},
+	}
+	for _, s := range steps {
+		if err := s.do(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if d := placed(m, &calls); d != held {
+			t.Errorf("%s: the next pass placed %d times, want %d (every held job)", s.name, d, held)
+		}
+		if d := placed(m, &calls); d != 0 {
+			t.Errorf("%s: the pass after that placed %d times, want 0", s.name, d)
+		}
+	}
+	if got := m.QueueDepth(); got != held {
+		t.Errorf("queue depth = %d, want %d", got, held)
+	}
+}
+
+// TestRegisterDrainsHeldJobs: a job submitted before any worker is up holds
+// on gang capacity; the registration that makes room for it must also wake
+// the drainer, or it stays pending on an idle cluster until some unrelated
+// submit or completion happens to drain the queue.
+func TestRegisterDrainsHeldJobs(t *testing.T) {
+	m, err := New("127.0.0.1:0", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	mustEnqueue(t, m, fairSpec("early", 1000, "", 2, 2), Profile{}, false)
+	if r := holdReason(t, m, "early"); r != fair.HoldNoGang {
+		t.Fatalf("early reason = %q, want %q", r, fair.HoldNoGang)
+	}
+	stubWorkers(t, m, 2, nil, nil)
+	pollUntil(t, "the held job to be deployed onto the workers that registered", func() bool {
+		v, _ := m.Job("early")
+		return v.State == StatusRunning.String() && len(v.Workers) == 2
+	})
+	if c := m.Counters(); c.QueueDrained != 1 || m.QueueDepth() != 0 {
+		t.Errorf("counters = %+v, depth %d; want one drained admission and an empty queue", c, m.QueueDepth())
+	}
+}
+
+// BenchmarkHoldAtDepth256 is one submission that holds plus the drain pass
+// it wakes, at the ctl_churn workload's shape: 256 workers in 32 full
+// groups, two tenants, 256 jobs held.
+func BenchmarkHoldAtDepth256(b *testing.B) {
+	const workers, groups, depth = 256, 32, 256
+	const gang = workers / groups
+	m := memoMaster(b, workers, 2)
+	if err := m.ConfigureQueues(
+		fair.QueueConfig{Name: "tenantA", Quota: 0.6},
+		fair.QueueConfig{Name: "tenantB", Quota: 0.4}); err != nil {
+		b.Fatal(err)
+	}
+	tenant := func(i int) string { return []string{"tenantA", "tenantB"}[i%2] }
+	// Comp-heavy gangs carve the fleet into groups, net-heavy ones join
+	// them by the arrival rule; light jobs then find every group full.
+	for i := 0; i < 2*groups; i++ {
+		prof := Profile{CompSeconds: gang * 0.45, NetSeconds: 0.08}
+		if i >= groups {
+			prof = Profile{CompSeconds: gang * 0.05, NetSeconds: 0.30}
+		}
+		mustEnqueue(b, m, fairSpec(fmt.Sprintf("seed%03d", i), 1000, tenant(i), gang, gang), prof, true)
+	}
+	light := Profile{CompSeconds: gang * 0.04, NetSeconds: 0.25}
+	for i := 0; i < depth; i++ {
+		mustEnqueue(b, m, fairSpec(fmt.Sprintf("pre%03d", i), 1000, tenant(i), 1, gang), light, false)
+	}
+	m.drainQueue()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		name := fmt.Sprintf("op%d", i)
+		mustEnqueue(b, m, fairSpec(name, 1000, tenant(i), 1, gang), light, false)
+		m.drainQueue()
+		b.StopTimer()
+		if err := m.Cancel(name); err != nil {
+			b.Fatal(err)
+		}
+		m.drainQueue()
+		b.StartTimer()
+	}
+}

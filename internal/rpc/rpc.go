@@ -18,7 +18,9 @@
 //	response: u8 status (0 ok, 1 err), body (error text when status=1)
 //
 // Bodies are opaque to the transport. Control-plane methods gob-encode
-// their bodies through Typed/Invoke; bulk data-plane methods carry the
+// their bodies through Typed/Invoke — each body a self-contained gob
+// stream, its encoder and decoder state kept per message type rather than
+// rebuilt per message (codec.go); bulk data-plane methods carry the
 // binary float frames of frame.go and skip gob entirely. The framing
 // itself never reflects or copies per element, so a megabyte body costs
 // one buffered write on the way out and one ReadFull into a pooled
