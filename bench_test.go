@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"harmony/internal/exp"
+	"harmony/internal/metrics"
 )
 
 func BenchmarkTab1WorkloadInventory(b *testing.B) {
@@ -133,8 +134,8 @@ func BenchmarkFig12GroupingCDF(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		baseDoP = r.MedianDoP("base")
-		compDoP = r.MedianDoP("comp-intensive")
+		baseDoP = metrics.Percentile(r.DoPs["base"], 50)
+		compDoP = metrics.Percentile(r.DoPs["comp-intensive"], 50)
 	}
 	b.ReportMetric(baseDoP, "median-dop-base")
 	b.ReportMetric(compDoP, "median-dop-comp")

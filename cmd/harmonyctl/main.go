@@ -16,7 +16,7 @@
 //	snapshot capture the master's full state (-o snap.json; replay with harmony-sim -replay)
 //	replay   self-replay the decision journal server-side, print the drift report
 //	trace    fetch the Chrome trace-event JSON (-o trace.json; load in Perfetto)
-//	ps-stats show per-stripe parameter-server load (what the rebalancer sees)
+//	ps-stats show per-stripe parameter-server load, hottest stripes first
 package main
 
 import (
@@ -468,8 +468,8 @@ func cmdTrace(c *client, args []string) error {
 	return nil
 }
 
-// cmdPSStats renders per-stripe parameter-server load: the counters the
-// hot-stripe rebalancer plans from, hottest stripes first.
+// cmdPSStats renders per-stripe parameter-server load (the counters of
+// GET /v1/ps), hottest stripes first.
 func cmdPSStats(c *client, args []string) error {
 	fs := flag.NewFlagSet("harmonyctl ps-stats", flag.ContinueOnError)
 	top := fs.Int("top", 20, "show the N hottest stripes (0 = all)")
@@ -501,16 +501,12 @@ func cmdPSStats(c *client, args []string) error {
 	if *top > 0 && len(rows) > *top {
 		rows = rows[:*top]
 	}
-	fmt.Printf("%-12s %-16s %7s %5s %8s %8s %10s %10s %12s %5s\n",
-		"SERVER", "JOB", "STRIPE", "ROLE", "PULLS", "PUSHES", "PULL_B", "PUSH_B", "LOCK_WAIT", "REPL")
+	fmt.Printf("%-12s %-16s %7s %8s %8s %10s %10s %12s\n",
+		"SERVER", "JOB", "STRIPE", "PULLS", "PUSHES", "PULL_B", "PUSH_B", "LOCK_WAIT")
 	for _, r := range rows {
-		role := "repl"
-		if r.st.Primary {
-			role = "prim"
-		}
-		fmt.Printf("%-12s %-16s %7d %5s %8d %8d %10d %10d %11.3fs %5d\n",
-			r.server, r.job, r.st.Index, role, r.st.PullOps, r.st.PushOps,
-			r.st.PullBytes, r.st.PushBytes, r.st.LockWaitSeconds, r.st.Replicas)
+		fmt.Printf("%-12s %-16s %7d %8d %8d %10d %10d %11.3fs\n",
+			r.server, r.job, r.st.Index, r.st.PullOps, r.st.PushOps,
+			r.st.PullBytes, r.st.PushBytes, r.st.LockWaitSeconds)
 	}
 	return nil
 }

@@ -449,7 +449,7 @@ func TestPSStatsEndpoint(t *testing.T) {
 		Name: "w0", Addr: "127.0.0.1:1",
 		StatsReply: ps.StatsReply{Jobs: []ps.JobStats{{
 			Job: "j", Stripes: []ps.StripeStat{
-				{Index: 0, Len: 4, Primary: true, PullOps: 7, PushOps: 3, LockWaitSeconds: 0.5},
+				{Index: 0, Len: 4, PullOps: 7, PushOps: 3, LockWaitSeconds: 0.5},
 			},
 		}}},
 	}}}}
@@ -477,7 +477,7 @@ func TestMetricsStripeSamples(t *testing.T) {
 		Name: "w0", Addr: "127.0.0.1:1",
 		StatsReply: ps.StatsReply{Jobs: []ps.JobStats{{
 			Job: "j", Stripes: []ps.StripeStat{
-				{Index: 2, Len: 4, Primary: true, PullOps: 100, PushOps: 50, LockWaitSeconds: 1.5},
+				{Index: 2, Len: 4, PullOps: 100, PushOps: 50, LockWaitSeconds: 1.5},
 			},
 		}}},
 	}}}}

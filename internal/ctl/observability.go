@@ -67,9 +67,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	_ = obs.WriteChromeTrace(w, spans)
 }
 
-// handlePSStats serves the merged per-stripe parameter-server view —
-// what the hot-stripe rebalancer sees (`harmonyctl ps-stats` renders
-// it as a table).
+// handlePSStats serves the merged per-stripe parameter-server view
+// (`harmonyctl ps-stats` renders it as a table).
 func (s *Server) handlePSStats(w http.ResponseWriter, r *http.Request) {
 	cs, err := s.b.PSStats()
 	if err != nil {

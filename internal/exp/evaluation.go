@@ -274,11 +274,6 @@ func Fig12(seed int64) (*Fig12Result, error) {
 	return out, nil
 }
 
-// MedianDoP reports the median group DoP for a mix.
-func (r *Fig12Result) MedianDoP(mix string) float64 {
-	return metrics.Percentile(r.DoPs[mix], 50)
-}
-
 func (r *Fig12Result) String() string {
 	var b strings.Builder
 	b.WriteString("Fig. 12 — grouping decision distributions\n")

@@ -290,7 +290,7 @@ func TestFairHoldReasonsAndCancelHeld(t *testing.T) {
 }
 
 // TestFairChurnRace is the concurrency property test (run under
-// -race by `make fair-smoke`): concurrent Enqueue/Cancel across two
+// -race by `make race`): concurrent Enqueue/Cancel across two
 // queues with gangs, natural drains and preemptions must never
 // deadlock and never partially place a gang. Policy-order determinism
 // is pinned separately by the tick-driven internal/fair experiment

@@ -17,8 +17,6 @@ const (
 	EventMigrate      = "migrate"
 	EventRecover      = "recover"
 	EventComplete     = "complete"
-	EventPSRebalance  = "ps_rebalance"
-	EventPSResize     = "ps_resize"
 	// EventPreempt and EventResume bracket a fair-scheduler reclaim
 	// (DESIGN.md §13): preempt freezes the victim's measured T_itr/U at
 	// suspension, resume stamps the model's prediction for the placement
@@ -112,11 +110,6 @@ func (l *journal) append(e Event) {
 	l.buf[(l.next-1)%uint64(len(l.buf))] = e
 }
 
-// snapshot returns retained events in sequence order.
-func (l *journal) snapshot() []Event {
-	return l.snapshotSince(0, "")
-}
-
 // snapshotSince returns retained events with Seq > since matching kind
 // (every kind when empty), in sequence order. Filtering happens under
 // the journal's own lock — never the master's — and bounds the copy to
@@ -148,8 +141,8 @@ func (l *journal) snapshotSince(since uint64, kind string) []Event {
 }
 
 // predictedEvent is the one stamping helper shared by every decision
-// path that journals a placement (admit, queue drain, migrate, recover,
-// ps_rebalance, ps_resize): it fills the Eq. 1/Eq. 3 predictions and,
+// path that journals a placement (admit, queue drain, migrate, recover):
+// it fills the Eq. 1/Eq. 3 predictions and,
 // under the net model, the group's predicted link compatibility. The
 // prediction comes from the admission path's Scorer cache (or
 // core.PredictGroup on paths with no cached plan) — the stamp never
@@ -173,14 +166,6 @@ func (m *Master) stampJobPlacementLocked(e Event) Event {
 		e = m.predictedEvent(e, sc.Prediction(gi))
 	}
 	return e
-}
-
-// stampJobPlacement is stampJobPlacementLocked for callers that do not
-// hold m.mu (the parameter-service paths journal after their RPC fan-out).
-func (m *Master) stampJobPlacement(e Event) Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stampJobPlacementLocked(e)
 }
 
 // measuredLocked reports the job's measured iteration seconds and its

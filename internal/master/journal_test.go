@@ -32,7 +32,7 @@ func TestJournalBoundedRetention(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.append(Event{Kind: EventHold, Job: fmt.Sprintf("j%d", i)})
 	}
-	evs := l.snapshot()
+	evs := l.snapshotSince(0, "")
 	if len(evs) != 4 {
 		t.Fatalf("retained %d events, want 4", len(evs))
 	}
@@ -86,7 +86,7 @@ func TestJournalPredictedFrom(t *testing.T) {
 
 func TestJournalEmptySnapshot(t *testing.T) {
 	l := newJournal(8)
-	if evs := l.snapshot(); len(evs) != 0 {
+	if evs := l.snapshotSince(0, ""); len(evs) != 0 {
 		t.Errorf("empty journal snapshot = %+v", evs)
 	}
 }

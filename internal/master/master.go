@@ -18,7 +18,6 @@ import (
 	"harmony/internal/metrics"
 	"harmony/internal/mlapp"
 	"harmony/internal/profile"
-	"harmony/internal/ps"
 	"harmony/internal/rpc"
 	"harmony/internal/worker"
 )
@@ -145,12 +144,6 @@ type job struct {
 	// reports it beside the model's predicted T_itr.
 	measIter    float64
 	lastRelease time.Time
-
-	// psServers overrides the job's parameter-server set when elastic
-	// resizing has diverged it from the worker group (DESIGN.md §12);
-	// nil means the default co-located placement. Reset on migration and
-	// recovery, which rebuild model partitions on the new group.
-	psServers []string
 }
 
 // Master coordinates the live runtime. Create with New; stop with Close.
@@ -221,17 +214,6 @@ type Master struct {
 	// phases caches solved comm-interleaving state per live co-location
 	// group (interleave.go); only populated when opts.NetModel is on.
 	phases map[string]*groupPhase
-
-	// Hot-stripe rebalancer state (psstats.go): the balancer has its own
-	// lock so scrape rounds never hold Master.mu across RPCs. psOpMu
-	// serializes rebalance rounds with ResizeJobServers — a round planned
-	// against a pre-resize server set must not execute while servers
-	// drain out of it. Lock order: psOpMu → mu → psMu.
-	psMu     sync.Mutex
-	balancer *ps.Balancer
-	psOpMu   sync.Mutex
-	psStop   chan struct{}
-	psWG     sync.WaitGroup
 }
 
 // New starts a master listening on addr ("127.0.0.1:0" for tests).
@@ -694,8 +676,7 @@ func (m *Master) Resume(name string, group []string, checkpoint []float64) error
 	j.status = StatusRunning
 	j.pausedCh = make(chan struct{})
 	j.stopBarriers()
-	j.psServers = nil // deploy rebuilds model partitions on the new group
-	j.epoch++         // the pre-migration placement must not reach the new barriers
+	j.epoch++ // the pre-migration placement must not reach the new barriers
 	m.counters.Migrations++
 	// The job moved groups: refresh the cached plan before stamping the
 	// migration event with the prediction for the placement it now joins;
@@ -727,12 +708,9 @@ func (m *Master) workerRefsLocked(j *job) []workerRef {
 	return refs
 }
 
-// serverAddrsLocked lists the PS addresses of a job's current group,
-// preferring an elastically resized server set when one is live.
+// serverAddrsLocked lists the PS addresses of a job's current group (each
+// worker co-hosts a server).
 func (m *Master) serverAddrsLocked(j *job) []string {
-	if j.psServers != nil {
-		return append([]string(nil), j.psServers...)
-	}
 	addrs := make([]string, len(j.workers))
 	for i, wi := range j.workers {
 		addrs[i] = m.workers[wi].addr
@@ -803,8 +781,8 @@ type WorkerTotals struct {
 	Comp             metrics.CompSnapshot
 }
 
-// WorkerTotals scrapes every worker once; WorkerStats, CommStats and
-// CompStats are views of it for callers that want one part.
+// WorkerTotals scrapes every worker once; WorkerStats and CommStats are
+// views of it for callers that want one part.
 func (m *Master) WorkerTotals() WorkerTotals {
 	m.mu.RLock()
 	refs := append([]workerRef(nil), m.workers...)
@@ -853,9 +831,6 @@ func (m *Master) WorkerStats() (cpu, net float64, err error) {
 // CommStats sums data-plane traffic across the cluster.
 func (m *Master) CommStats() metrics.CommSnapshot { return m.WorkerTotals().Comm }
 
-// CompStats sums compute-path health across the cluster.
-func (m *Master) CompStats() metrics.CompSnapshot { return m.WorkerTotals().Comp }
-
 // Close releases all barriers with Stop and shuts the master down.
 func (m *Master) Close() {
 	// Signal the drainer first; it exits after at most one more round
@@ -867,8 +842,6 @@ func (m *Master) Close() {
 		return
 	}
 	m.closed = true
-	psStop := m.psStop
-	m.psStop = nil
 	for _, j := range m.jobs {
 		j.stopBarriers()
 	}
@@ -880,10 +853,6 @@ func (m *Master) Close() {
 		j.ckpt.close()
 	}
 	m.mu.Unlock()
-	if psStop != nil {
-		close(psStop)
-	}
-	m.psWG.Wait()
 	for _, c := range clients {
 		c.Close()
 	}

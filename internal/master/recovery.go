@@ -223,8 +223,7 @@ func (m *Master) RecoverJob(name string, group []string) error {
 	// arrive there.
 	j.stopBarriers()
 	j.doneFrom = make(map[string]bool)
-	j.psServers = nil // deploy rebuilds model partitions on the new group
-	j.epoch++         // stragglers of the failed placement are now stale
+	j.epoch++ // stragglers of the failed placement are now stale
 	m.counters.Recoveries++
 	// The stamp below must see the restarted placement, not the cached
 	// pre-failure plan.

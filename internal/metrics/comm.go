@@ -123,15 +123,6 @@ func (s CommSnapshot) Add(o CommSnapshot) CommSnapshot {
 	}
 }
 
-// Samples renders the counters in the Prometheus families
-// harmony_comm_ops_total, harmony_comm_bytes_total and
-// harmony_comm_seconds_total, labeled by op, plus
-// harmony_ps_pull_replies_total by kind and
-// harmony_ps_moved_retries_total.
-func (c *CommCounters) Samples() []Sample {
-	return CommSamples(c.Snapshot())
-}
-
 // CommSamples renders an (possibly aggregated) snapshot in the same
 // Prometheus families as CommCounters.Samples.
 func CommSamples(s CommSnapshot) []Sample {

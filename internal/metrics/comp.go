@@ -66,13 +66,6 @@ func (s CompSnapshot) Add(o CompSnapshot) CompSnapshot {
 	}
 }
 
-// Samples renders the counters in the Prometheus families
-// harmony_comp_block_cache_total (by result) and
-// harmony_comp_reload_stall_seconds_total.
-func (c *CompCounters) Samples() []Sample {
-	return CompSamples(c.Snapshot())
-}
-
 // CompSamples renders a (possibly aggregated) snapshot in the same
 // Prometheus families as CompCounters.Samples.
 func CompSamples(s CompSnapshot) []Sample {

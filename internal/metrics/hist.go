@@ -25,10 +25,6 @@ var histBounds = func() [HistBuckets]float64 {
 	return b
 }()
 
-// HistUpperBound returns the inclusive upper bound of bucket i in
-// seconds.
-func HistUpperBound(i int) float64 { return histBounds[i] }
-
 // Histogram is a fixed-log-bucket latency histogram with atomic
 // counters: observation is lock-free and allocation-free, so it can sit
 // on the worker's span-recording path. The zero value is ready to use.

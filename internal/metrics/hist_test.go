@@ -39,8 +39,8 @@ func TestHistogramBucketing(t *testing.T) {
 			found = i
 		}
 	}
-	if found < 0 || HistUpperBound(found) < 1.0 || (found > 0 && HistUpperBound(found-1) >= 1.0) {
-		t.Errorf("1.0s observation in bucket %d (bound %v)", found, HistUpperBound(found))
+	if found < 0 || histBounds[found] < 1.0 || (found > 0 && histBounds[found-1] >= 1.0) {
+		t.Errorf("1.0s observation in bucket %d (bound %v)", found, histBounds[found])
 	}
 }
 

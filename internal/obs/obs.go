@@ -80,11 +80,6 @@ type Span struct {
 	End   int64
 }
 
-// Seconds is the span's duration.
-func (s Span) Seconds() float64 {
-	return time.Duration(s.End - s.Start).Seconds()
-}
-
 // TaggedSpan is a span annotated by the collector with cluster context
 // the worker does not know: its machine and the co-location group the
 // job belonged to at collection time.

@@ -140,19 +140,6 @@ func (s *Store) Len() int {
 	return len(s.jobs)
 }
 
-// Jobs lists every job with at least one observation, sorted by ID, so
-// state captures enumerate the store deterministically.
-func (s *Store) Jobs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.jobs))
-	for id := range s.jobs {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // DoPPoint is one per-DoP observation average — the raw input of the
 // sensitivity fit, exported so snapshots can carry the fit's evidence
 // (not just its result) across a capture/replay boundary.

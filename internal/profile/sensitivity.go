@@ -39,14 +39,6 @@ type Sensitivity struct {
 // DoPs for the floor estimate to be meaningful.
 func (s Sensitivity) Fitted() bool { return s.DoPs >= 2 }
 
-// TcpuAt predicts the COMP subtask seconds at DoP m under the fit.
-func (s Sensitivity) TcpuAt(dop int) float64 {
-	if dop < 1 {
-		dop = 1
-	}
-	return s.CompScalable/float64(dop) + s.CompFloorSeconds
-}
-
 // Sensitivity fits the job's multi-DoP observations; ok is false when the
 // job has never been observed. With observations at fewer than two
 // distinct DoPs the fit degenerates to Eq. 2 (floor zero).

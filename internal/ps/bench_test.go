@@ -140,7 +140,7 @@ func BenchmarkPullPushSparse(b *testing.B) {
 // BenchmarkCheckpoint measures what the master pays for one background
 // checkpoint of that job: a Sync of its long-lived mirror after the five
 // sparse pushes of a checkpoint interval (untimed), where a fresh client
-// and a whole-model Snapshot moved 4 MB.
+// and a whole-model pull moved 4 MB.
 func BenchmarkCheckpoint(b *testing.B) {
 	c, delta, set := sparseBench(b)
 	m := NewMirror("bench", len(delta))
@@ -166,7 +166,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 }
 
 // TestCommPathRaceSmoke hammers the striped data plane from concurrent
-// clients — two co-located jobs pulling, pushing and snapshotting at
+// clients — two co-located jobs pulling, pushing and checkpoint-pulling at
 // once — so `go test -race` exercises the per-stripe locking. Wired into
 // `make check`.
 func TestCommPathRaceSmoke(t *testing.T) {
@@ -208,7 +208,7 @@ func TestCommPathRaceSmoke(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if _, err := c.Snapshot(job, modelSize); err != nil {
+					if _, err := c.Pull(job, modelSize); err != nil {
 						t.Error(err)
 						return
 					}

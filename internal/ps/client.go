@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"harmony/internal/metrics"
@@ -31,9 +30,8 @@ var errClientClosed = fmt.Errorf("ps: client closed")
 
 // stripeRef locates one stripe of a job from the client's point of view.
 type stripeRef struct {
-	lo, n    int
-	owner    string   // server addr holding the primary
-	replicas []string // servers holding read replicas
+	lo, n int
+	owner string // server addr holding the stripe
 }
 
 // jobRoute is an immutable stripe→server map for one job. Clients swap
@@ -63,18 +61,16 @@ func (r *jobRoute) overlapping(lo, n int) []int {
 }
 
 // Client talks to the set of parameter servers hosting one or more jobs'
-// models. It routes per stripe: pulls gather whole stripes from their
-// owners (or replicas, when enabled), pushes scatter deltas to the
-// owners, and an op that hits a migrated-away stripe refreshes the route
-// table from the servers and retries — so the server set and stripe
-// placement can change underneath a running job. Safe for concurrent use.
+// models. It routes per stripe: pulls gather stripes from their owners,
+// pushes scatter deltas to them, and an op that hits a migrated-away
+// stripe follows the forwarding hint (or refreshes the route table from
+// the servers) and retries — so stripe placement can change underneath a
+// running job. Safe for concurrent use.
 type Client struct {
 	timeout time.Duration
 	// stripeElems overrides the Init-time stripe size (tests and the
 	// rebalance bench use small stripes to get many movable units).
-	stripeElems  int
-	readReplicas atomic.Bool
-	rr           atomic.Uint64
+	stripeElems int
 
 	mu      sync.RWMutex
 	addrs   []string
@@ -110,18 +106,12 @@ func NewClient(addrs []string, timeout time.Duration) (*Client, error) {
 	return c, nil
 }
 
-// SetStripeElems overrides the per-stripe element count used by Init and
-// Restore (0 restores the size-derived default). Call before Init.
+// SetStripeElems overrides the per-stripe element count used by Init
+// (0 restores the size-derived default). Call before Init.
 func (c *Client) SetStripeElems(n int) { c.stripeElems = n }
 
-// SetReadReplicas toggles serving pulls from replicas: when on, a pull
-// of a replicated stripe round-robins across the owner and its replicas.
-// Replica reads are eventually consistent (replicas trail the owner by
-// the propagation delay), which SGD-style consumers tolerate; snapshots
-// should leave this off.
-func (c *Client) SetReadReplicas(on bool) { c.readReplicas.Store(on) }
-
-// SetServers replaces the server set (grow/shrink of a job's servers).
+// SetServers replaces the server set (the master's checkpoint client
+// follows the registered workers with it).
 // Connections to retained addrs are reused; routes are cleared so the
 // next op re-discovers stripe placement.
 func (c *Client) SetServers(addrs []string) error {
@@ -185,18 +175,9 @@ func (c *Client) route(job string) *jobRoute {
 // Init distributes a full model across the servers: the model is carved
 // into stripes, stripes are spread evenly, and every server receives its
 // stripes in one install message — deployment is bounded by the slowest
-// server, not the sum of sequential round trips.
+// server, not the sum of sequential round trips. Re-initializing a job
+// that already has partitions replaces them (the §IV-B4 restore path).
 func (c *Client) Init(job string, model []float64) error {
-	return c.install(job, model, MethodInit)
-}
-
-// Restore reinstalls a checkpointed model across the servers (the
-// §IV-B4 migration path; same wire format as Init).
-func (c *Client) Restore(job string, model []float64) error {
-	return c.install(job, model, MethodRestore)
-}
-
-func (c *Client) install(job string, model []float64, method string) error {
 	addrs, conns := c.snapshotServers()
 	k := len(addrs)
 	se := c.stripeElems
@@ -210,10 +191,7 @@ func (c *Client) install(job string, model []float64, method string) error {
 		slo, shi := Partition(S, k, i)
 		for s := slo; s < shi; s++ {
 			lo := s * se
-			hi := minInt(lo+se, len(model))
-			if hi < lo {
-				hi = lo
-			}
+			hi := max(min(lo+se, len(model)), lo)
 			route.stripes[s] = stripeRef{lo: lo, n: hi - lo, owner: addrs[i]}
 			perServer[i] = append(perServer[i], s)
 		}
@@ -234,9 +212,9 @@ func (c *Client) install(job string, model []float64, method string) error {
 			body = rpc.AppendUint32(body, uint32(len(perServer[i])))
 			for _, s := range perServer[i] {
 				st := route.stripes[s]
-				body = appendStripeFrame(body, s, st.lo, 0, 1, nil, model[st.lo:st.lo+st.n])
+				body = appendStripeFrame(body, s, st.lo, 1, model[st.lo:st.lo+st.n])
 			}
-			reply, err := cl.Call(method, body, c.timeout)
+			reply, err := cl.Call(MethodInit, body, c.timeout)
 			rpc.PutBuffer(body)
 			rpc.PutBuffer(reply)
 			errs[i] = err
@@ -245,7 +223,7 @@ func (c *Client) install(job string, model []float64, method string) error {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("ps: %s on server %d (%s): %w", method, i, addrs[i], err)
+			return fmt.Errorf("ps: init on server %d (%s): %w", i, addrs[i], err)
 		}
 	}
 	c.mu.Lock()
@@ -299,26 +277,15 @@ func (c *Client) queryRoutes(job string) (route *jobRoute, incomplete bool, err 
 		}(i)
 	}
 	wg.Wait()
-	byIdx := make(map[int]*stripeRef)
+	byIdx := make(map[int]stripeRef)
 	maxIdx := -1
 	for i, reply := range replies {
 		if errs[i] != nil {
 			continue
 		}
 		for _, sr := range reply.Stripes {
-			ref := byIdx[sr.Index]
-			if ref == nil {
-				ref = &stripeRef{lo: -1}
-				byIdx[sr.Index] = ref
-			}
-			if sr.Primary {
-				ref.lo, ref.n, ref.owner = sr.Lo, sr.Len, addrs[i]
-			} else {
-				ref.replicas = append(ref.replicas, addrs[i])
-			}
-			if sr.Index > maxIdx {
-				maxIdx = sr.Index
-			}
+			byIdx[sr.Index] = stripeRef{lo: sr.Lo, n: sr.Len, owner: addrs[i]}
+			maxIdx = max(maxIdx, sr.Index)
 		}
 	}
 	firstErr := func() error {
@@ -338,14 +305,14 @@ func (c *Client) queryRoutes(job string) (route *jobRoute, incomplete bool, err 
 	route = &jobRoute{stripes: make([]stripeRef, maxIdx+1)}
 	wantLo := 0
 	for s := 0; s <= maxIdx; s++ {
-		ref := byIdx[s]
-		if ref == nil || ref.owner == "" || ref.lo != wantLo {
+		ref, ok := byIdx[s]
+		if !ok || ref.lo != wantLo {
 			if err := firstErr(); err != nil {
 				return nil, true, err
 			}
 			return nil, true, fmt.Errorf("ps: incomplete routes for job %q: stripe %d unaccounted", job, s)
 		}
-		route.stripes[s] = *ref
+		route.stripes[s] = ref
 		wantLo += ref.n
 	}
 	c.mu.Lock()
@@ -396,14 +363,14 @@ func (c *Client) Pull(job string, modelSize int) ([]float64, error) {
 // buffer, so the steady-state pull allocates nothing. Every stripe
 // travels whole, whatever the buffer held before.
 func (c *Client) PullInto(job string, model []float64) error {
-	return c.pullStripes(job, MethodPull, 0, model, nil, true)
+	return c.pullStripes(job, 0, model, nil)
 }
 
 // PullRange fetches the model elements [lo, lo+len(dst)) into dst.
 // Stripes overlapping the range travel whole; only the overlap lands in
 // dst. Used by range-oriented consumers (the skew load generator).
 func (c *Client) PullRange(job string, lo int, dst []float64) error {
-	return c.pullStripes(job, MethodPull, lo, dst, nil, true)
+	return c.pullStripes(job, lo, dst, nil)
 }
 
 // Sync brings the mirror up to date with the servers — the PULL subtask
@@ -412,23 +379,11 @@ func (c *Client) PullRange(job string, lo int, dst []float64) error {
 // result is always exactly what PullInto would have produced. After an
 // error the mirror holds no cursors and the next Sync pulls it whole.
 func (c *Client) Sync(m *Mirror) error {
-	err := c.pullStripes(m.job, MethodPull, 0, m.vals, m, true)
+	err := c.pullStripes(m.job, 0, m.vals, m)
 	if err != nil {
 		m.forget()
 	}
 	return err
-}
-
-// Snapshot checkpoints the full model (used when pausing a job). It
-// rides the same per-stripe streaming as Pull, so snapshotting a large
-// job does not stall co-located jobs' pushes. Snapshots always read
-// primaries, never replicas: the result is the exact aggregation state.
-func (c *Client) Snapshot(job string, modelSize int) ([]float64, error) {
-	model := make([]float64, modelSize)
-	if err := c.pullStripes(job, MethodSnapshot, 0, model, nil, false); err != nil {
-		return nil, err
-	}
-	return model, nil
 }
 
 // stripeGroup is the stripes of one op attempt bound for one server.
@@ -458,7 +413,7 @@ type groupResult struct {
 // attached — for a push it is ambiguous (the delta may or may not have
 // been applied) and retrying could double-apply, whereas a bounced stripe
 // is safe to retry: the server verifiably did not touch it.
-func (c *Client) scatter(job, what string, r *jobRoute, lo, n int, useReplicas bool,
+func (c *Client) scatter(job, what string, r *jobRoute, lo, n int,
 	call func(cl *rpc.Client, r *jobRoute, idxs []int) groupResult) (groupResult, error) {
 	var total groupResult
 	var forwards map[int]string
@@ -493,10 +448,6 @@ func (c *Client) scatter(job, what string, r *jobRoute, lo, n int, useReplicas b
 			addr := st.owner
 			if fwd := forwards[s]; fwd != "" && conns[fwd] != nil {
 				addr = fwd
-			} else if useReplicas && len(st.replicas) > 0 {
-				if pick := int(c.rr.Add(1)) % (1 + len(st.replicas)); pick > 0 {
-					addr = st.replicas[pick-1]
-				}
 			}
 			if conns[addr] == nil {
 				stale = append(stale, s)
@@ -551,7 +502,7 @@ func (c *Client) scatter(job, what string, r *jobRoute, lo, n int, useReplicas b
 // into dst. With a mirror (whose buffer dst then is) the request carries
 // the mirror's cursors and the servers may answer with less than the
 // whole stripe; without one every stripe travels whole.
-func (c *Client) pullStripes(job, method string, reqLo int, dst []float64, m *Mirror, allowReplicas bool) error {
+func (c *Client) pullStripes(job string, reqLo int, dst []float64, m *Mirror) error {
 	start := time.Now()
 	r, err := c.routeCovering(job, reqLo+len(dst), c.route(job))
 	if err != nil {
@@ -561,7 +512,7 @@ func (c *Client) pullStripes(job, method string, reqLo int, dst []float64, m *Mi
 	if m != nil {
 		cur = m.cursors(len(r.stripes))
 	}
-	total, err := c.scatter(job, method, r, reqLo, len(dst), allowReplicas && c.readReplicas.Load(),
+	total, err := c.scatter(job, "pull", r, reqLo, len(dst),
 		func(cl *rpc.Client, _ *jobRoute, idxs []int) groupResult {
 			body := rpc.GetBuffer(2 + len(job) + 4 + 20*len(idxs))[:0]
 			body = rpc.AppendString(body, job)
@@ -577,7 +528,7 @@ func (c *Client) pullStripes(job, method string, reqLo int, dst []float64, m *Mi
 				body = rpc.AppendUint64(body, have.epoch)
 				body = rpc.AppendUint64(body, have.version)
 			}
-			reply, err := cl.Call(method, body, c.timeout)
+			reply, err := cl.Call(MethodPull, body, c.timeout)
 			rpc.PutBuffer(body)
 			if err != nil {
 				return groupResult{err: err}
@@ -619,10 +570,9 @@ func setForward(forwards map[int]string, mv movedRef) {
 
 // applyForwards promotes the forwarding hints an op chased into the
 // cached route, so subsequent ops go straight to the new owner instead
-// of bouncing through the old one on every call. Replicas are cleared
-// for promoted stripes (migration drops them); the next full refresh
-// restores any. Concurrent promotions may overwrite each other — the
-// route is a hint either way, and the next bounce re-corrects it.
+// of bouncing through the old one on every call. Concurrent promotions
+// may overwrite each other — the route is a hint either way, and the next
+// bounce re-corrects it.
 func (c *Client) applyForwards(job string, forwards map[int]string) {
 	if len(forwards) == 0 {
 		return
@@ -638,7 +588,6 @@ func (c *Client) applyForwards(job string, forwards map[int]string) {
 	for s, fwd := range forwards {
 		if s < len(clone.stripes) && fwd != "" && clone.stripes[s].owner != fwd {
 			clone.stripes[s].owner = fwd
-			clone.stripes[s].replicas = nil
 			changed = true
 		}
 	}
@@ -711,13 +660,12 @@ func decodeStripesInto(reply []byte, reqLo int, dst []float64, m *Mirror) (res g
 			}
 			rest = next
 			slo := int(lo32)
-			olo, ohi := maxInt(slo, reqLo), minInt(slo+n, reqLo+len(dst))
+			olo, ohi := max(slo, reqLo), min(slo+n, reqLo+len(dst))
 			for k := olo; k < ohi; k++ {
 				dst[k-reqLo] = rpc.FloatAt(data, k-slo)
 			}
 			if held != nil {
-				// Only a stripe held whole, at a version its server vouches
-				// for (a replica sends 0), can be the base of a later delta.
+				// Only a stripe held whole can be the base of a later delta.
 				*held = stripeCursor{}
 				if version != 0 && olo == slo && ohi == slo+n {
 					*held = stripeCursor{epoch: epoch, version: version, lo: slo - reqLo, n: n}
@@ -772,7 +720,7 @@ func decodeStripesInto(reply []byte, reqLo int, dst []float64, m *Mirror) (res g
 
 // Push scatters an additive delta across the stripe owners — the PUSH
 // subtask. Aggregation happens server-side, in place, at each stripe's
-// primary. Only what the delta changes travels: per stripe the smaller of
+// owner. Only what the delta changes travels: per stripe the smaller of
 // the dense and the sparse encoding, and nothing for a stripe whose
 // delta is all +0.
 func (c *Client) Push(job string, delta []float64) error {
@@ -801,7 +749,7 @@ func (c *Client) pushStripes(job string, reqLo int, delta []float64, set touched
 	if err != nil {
 		return err
 	}
-	total, err := c.scatter(job, "push", r, reqLo, len(delta), false,
+	total, err := c.scatter(job, "push", r, reqLo, len(delta),
 		func(cl *rpc.Client, r *jobRoute, idxs []int) groupResult {
 			body := rpc.GetBuffer(2 + len(job) + 4)[:0]
 			body = rpc.AppendString(body, job)
@@ -810,7 +758,7 @@ func (c *Client) pushStripes(job string, reqLo int, delta []float64, set touched
 			entries := 0
 			for _, s := range idxs {
 				st := r.stripes[s]
-				olo, ohi := maxInt(st.lo, reqLo), minInt(st.lo+st.n, reqLo+len(delta))
+				olo, ohi := max(st.lo, reqLo), min(st.lo+st.n, reqLo+len(delta))
 				var sent bool
 				if body, sent = appendPushEntry(body, s, olo, delta[olo-reqLo:ohi-reqLo], set, olo-reqLo); sent {
 					entries++
@@ -860,23 +808,6 @@ func decodePushReply(reply []byte) ([]movedRef, error) {
 	return failed, nil
 }
 
-// Drop removes the job's partitions from every server.
-func (c *Client) Drop(job string) error {
-	addrs, conns := c.snapshotServers()
-	for i, addr := range addrs {
-		if conns[addr] == nil {
-			return fmt.Errorf("ps: drop on server %d (%s): %w", i, addr, errClientClosed)
-		}
-		if _, err := rpc.Invoke[DropArgs, Ack](conns[addr], MethodDrop, DropArgs{Job: job}, c.timeout); err != nil {
-			return fmt.Errorf("ps: drop on server %d (%s): %w", i, addr, err)
-		}
-	}
-	c.mu.Lock()
-	delete(c.routes, job)
-	c.mu.Unlock()
-	return nil
-}
-
 // Close tears down the connections, including any retired by SetServers.
 func (c *Client) Close() {
 	c.mu.Lock()
@@ -896,11 +827,4 @@ func (c *Client) Close() {
 			cl.Close()
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

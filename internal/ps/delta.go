@@ -74,7 +74,7 @@ func appendPushEntry(body []byte, idx, lo int, seg []float64, set touched.Set, a
 	if !set.All() {
 		within = set.Within(at, at+len(seg))
 		visits = len(within)
-	} else if head := seg[:minInt(headLen, len(seg))]; sparseRec*countNonZero(head) >= 8*len(head) && len(head) > 0 {
+	} else if head := seg[:min(headLen, len(seg))]; sparseRec*countNonZero(head) >= 8*len(head) && len(head) > 0 {
 		var nnz int
 		if body, nnz = appendFloatsCounting(body, seg); !sparseWins(nnz) {
 			return body, true
@@ -216,7 +216,7 @@ type logRec struct {
 	off     uint32 // stripe-relative element it touched
 }
 
-// changeLog remembers which elements a primary stripe's most recent
+// changeLog remembers which elements an owned stripe's most recent
 // sparse pushes touched: a ring of (version, offset) records, newest
 // overwriting oldest. floor is the version below which the record is
 // incomplete — a cursor older than floor cannot be answered with a

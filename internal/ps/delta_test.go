@@ -59,11 +59,10 @@ func propertyValue(rng *rand.Rand) float64 {
 
 // TestDeltaSyncProperty is the proof behind "a cursor can only ever cost
 // a full reply": two clients with mirrors run random interleavings of
-// sparse and dense pushes, range pushes, stripe migrations,
-// replicate/unreplicate, restores, server-list changes and replica
-// reads, each skipping syncs at random so the gaps vary. After every
-// step each mirror that syncs must equal a primaries-only Snapshot bit
-// for bit, and the snapshot must equal the dense control — a plain
+// sparse and dense pushes, range pushes, stripe migrations, re-inits and
+// server-list changes, each skipping syncs at random so the gaps vary.
+// After every step each mirror that syncs must equal a plain pull bit
+// for bit, and the pull must equal the dense control — a plain
 // `control[i] += delta[i]` over every element of every push, zeros
 // included, which is what the dense-only data plane did — under ==. The
 // comparison with the control is == rather than bit-for-bit for one
@@ -83,7 +82,7 @@ func deltaSyncProperty(t *testing.T, seed int64, steps int) {
 		size        = stripes*stripeElems - 23 // ragged tail stripe
 	)
 	rng := rand.New(rand.NewSource(seed))
-	servers, addrs := startServers(t, 3)
+	_, addrs := startServers(t, 3)
 	raw := make(map[string]*rpc.Client)
 	for _, a := range addrs {
 		raw[a] = dialRaw(t, a)
@@ -107,17 +106,13 @@ func deltaSyncProperty(t *testing.T, seed int64, steps int) {
 	control = append([]float64(nil), control...)
 
 	// Placement as the test knows it, refreshed from the servers after a
-	// restore redistributes everything.
+	// re-init redistributes everything.
 	owner := make([]string, stripes)
-	replicas := make([]map[string]bool, stripes)
 	learnPlacement := func() {
 		for _, a := range addrs {
-			for _, s := range primaryStripes(t, raw[a], job) {
+			for _, s := range ownedStripes(t, raw[a], job) {
 				owner[s] = a
 			}
-		}
-		for s := range replicas {
-			replicas[s] = make(map[string]bool)
 		}
 	}
 	learnPlacement()
@@ -128,14 +123,13 @@ func deltaSyncProperty(t *testing.T, seed int64, steps int) {
 			}
 		}
 	}
-	readReplicas := false
 	seen := metrics.Comm.Snapshot()
 	var total replyCounts
 
 	for step := 0; step < steps; step++ {
 		c := clients[rng.Intn(2)]
 		var what string
-		switch op := rng.Intn(12); {
+		switch op := rng.Intn(11); {
 		case op < 4: // sparse push: a few elements, some stripes untouched
 			what = "sparse push"
 			delta := make([]float64, size)
@@ -183,60 +177,33 @@ func deltaSyncProperty(t *testing.T, seed int64, steps int) {
 				t.Fatalf("step %d migrate stripe %d: %v", step, s, err)
 			}
 			owner[s] = dest
-			delete(replicas[s], dest) // a replica at dest was promoted
-		case op == 9: // attach or detach a replica
-			s := rng.Intn(stripes)
-			dest := otherThan(owner[s])
-			if replicas[s][dest] {
-				what = "unreplicate"
-				if _, err := rpc.Invoke[UnreplicateArgs, Ack](raw[owner[s]], MethodUnreplicate,
-					UnreplicateArgs{Job: job, Stripe: s, Dest: dest}, 2*time.Second); err != nil {
-					t.Fatalf("step %d unreplicate stripe %d: %v", step, s, err)
-				}
-				delete(replicas[s], dest)
-			} else {
-				what = "replicate"
-				if _, err := rpc.Invoke[ReplicateArgs, Ack](raw[owner[s]], MethodReplicate,
-					ReplicateArgs{Job: job, Stripe: s, Dest: dest}, 2*time.Second); err != nil {
-					t.Fatalf("step %d replicate stripe %d: %v", step, s, err)
-				}
-				replicas[s][dest] = true
-			}
-		case op == 10: // restore: new values, every stripe a new incarnation
-			what = "restore"
+		case op == 9: // re-init: new values, every stripe a new incarnation
+			what = "re-init"
 			control = randomModel()
-			if err := c.Restore(job, control); err != nil {
-				t.Fatalf("step %d restore: %v", step, err)
+			if err := c.Init(job, control); err != nil {
+				t.Fatalf("step %d re-init: %v", step, err)
 			}
 			control = append([]float64(nil), control...)
 			learnPlacement()
-		default: // rewire one client, flip replica reads on the other
+		default: // rewire one client
 			what = "set servers"
 			shuffled := append([]string(nil), addrs...)
 			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 			if err := c.SetServers(shuffled); err != nil {
 				t.Fatalf("step %d set servers: %v", step, err)
 			}
-			readReplicas = !readReplicas
-			clients[1].SetReadReplicas(readReplicas)
 		}
 
-		// Replica reads are exact only once propagation has drained.
-		for _, srv := range servers {
-			if err := srv.FlushReplication(5 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-		}
-		snap, err := clients[0].Snapshot(job, size)
+		snap, err := clients[0].Pull(job, size)
 		if err != nil {
-			t.Fatalf("step %d snapshot after %s: %v", step, what, err)
+			t.Fatalf("step %d pull after %s: %v", step, what, err)
 		}
 		for i := range control {
 			if snap[i] != control[i] {
 				t.Fatalf("step %d after %s: server elem %d = %v, dense control %v", step, what, i, snap[i], control[i])
 			}
 		}
-		pullReplies(&seen) // the snapshot's own full replies are not the mirrors'
+		pullReplies(&seen) // the plain pull's own full replies are not the mirrors'
 		for i, m := range mirrors {
 			if step < steps-1 && rng.Intn(3) == 0 {
 				continue // skip: the next sync spans several pushes
@@ -244,7 +211,7 @@ func deltaSyncProperty(t *testing.T, seed int64, steps int) {
 			if err := clients[i].Sync(m); err != nil {
 				t.Fatalf("step %d sync client %d after %s: %v", step, i, what, err)
 			}
-			sameBits(t, fmt.Sprintf("step %d after %s: mirror %d vs snapshot", step, what, i), m.Values(), snap)
+			sameBits(t, fmt.Sprintf("step %d after %s: mirror %d vs plain pull", step, what, i), m.Values(), snap)
 		}
 		d := pullReplies(&seen)
 		total.full += d.full
@@ -343,7 +310,7 @@ func TestDeltaSyncUnderLoad(t *testing.T) {
 	if got := pullReplies(&seen); got.delta == 0 || got.full <= int64(workers*size/stripeElems) {
 		t.Fatalf("load was answered %+v: want deltas, and full replies beyond each mirror's first fill", got)
 	}
-	snap, err := boot.Snapshot(job, size)
+	snap, err := boot.Pull(job, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,13 +330,12 @@ func TestDeltaSyncUnderLoad(t *testing.T) {
 // deltaRig is one client pushing and another syncing a mirror of a
 // 4-stripe model on two servers, for the fallback cases below.
 type deltaRig struct {
-	servers []*Server
-	addrs   []string
-	pusher  *Client
-	syncer  *Client
-	mirror  *Mirror
-	size    int
-	seen    metrics.CommSnapshot
+	addrs  []string
+	pusher *Client
+	syncer *Client
+	mirror *Mirror
+	size   int
+	seen   metrics.CommSnapshot
 }
 
 const rigStripeElems = 64 // change-log budget: 4 records per stripe
@@ -377,7 +343,7 @@ const rigStripeElems = 64 // change-log budget: 4 records per stripe
 func newDeltaRig(t *testing.T) *deltaRig {
 	t.Helper()
 	r := &deltaRig{size: 4 * rigStripeElems}
-	r.servers, r.addrs = startServers(t, 2)
+	_, r.addrs = startServers(t, 2)
 	r.pusher, r.syncer = newClient(t, r.addrs), newClient(t, r.addrs)
 	r.pusher.SetStripeElems(rigStripeElems)
 	r.syncer.SetStripeElems(rigStripeElems)
@@ -389,7 +355,7 @@ func newDeltaRig(t *testing.T) *deltaRig {
 	return r
 }
 
-// sync syncs the mirror, checks it against a snapshot bit for bit and
+// sync syncs the mirror, checks it against a plain pull bit for bit and
 // returns how its stripes were answered.
 func (r *deltaRig) sync(t *testing.T) replyCounts {
 	t.Helper()
@@ -398,7 +364,7 @@ func (r *deltaRig) sync(t *testing.T) replyCounts {
 		t.Fatal(err)
 	}
 	got := pullReplies(&r.seen)
-	snap, err := r.pusher.Snapshot("job", r.size)
+	snap, err := r.pusher.Pull("job", r.size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +434,7 @@ func TestDeltaLogOverflowFallsBackToFull(t *testing.T) {
 
 func TestDeltaOlderIncarnationFallsBackToFull(t *testing.T) {
 	r := newDeltaRig(t)
-	// Restore different values. Every stripe restarts at the version the
+	// Re-init with different values. Every stripe restarts at the version the
 	// mirror's cursors already name, so only the epoch tells the two
 	// incarnations apart: "not modified" here would leave the mirror on
 	// the old values.
@@ -476,16 +442,16 @@ func TestDeltaOlderIncarnationFallsBackToFull(t *testing.T) {
 	for i := range restored {
 		restored[i] = -float64(i)
 	}
-	if err := r.pusher.Restore("job", restored); err != nil {
+	if err := r.pusher.Init("job", restored); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.sync(t); got != (replyCounts{full: 4}) {
-		t.Fatalf("sync after restore = %+v, want 4 full", got)
+		t.Fatalf("sync after re-init = %+v, want 4 full", got)
 	}
 	// Migration installs the stripe on its new owner as a new incarnation
 	// too: one full reply from there, deltas again afterwards.
 	src := dialRaw(t, r.addrs[0])
-	s := primaryStripes(t, src, "job")[0]
+	s := ownedStripes(t, src, "job")[0]
 	if _, err := rpc.Invoke[MigrateArgs, Ack](src, MethodMigrate,
 		MigrateArgs{Job: "job", Stripe: s, Dest: r.addrs[1]}, 2*time.Second); err != nil {
 		t.Fatal(err)
@@ -502,62 +468,6 @@ func TestDeltaOlderIncarnationFallsBackToFull(t *testing.T) {
 	r.pushAt(t, s*rigStripeElems)
 	if got := r.sync(t); got != (replyCounts{delta: 1, same: 3}) {
 		t.Fatalf("second sync after migration = %+v, want 1 delta + 3 not-modified", got)
-	}
-}
-
-func TestDeltaReplicaReadsAreFull(t *testing.T) {
-	r := newDeltaRig(t)
-	src := dialRaw(t, r.addrs[0])
-	s := primaryStripes(t, src, "job")[0]
-	if _, err := rpc.Invoke[ReplicateArgs, Ack](src, MethodReplicate,
-		ReplicateArgs{Job: "job", Stripe: s, Dest: r.addrs[1]}, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Drop the cached route so the syncer learns of the replica, then read
-	// round-robin across owner and replica.
-	if err := r.syncer.SetServers(r.addrs); err != nil {
-		t.Fatal(err)
-	}
-	r.syncer.SetReadReplicas(true)
-	var got replyCounts
-	for round := 0; round < 6; round++ {
-		r.pushAt(t, s*rigStripeElems+round%3)
-		if err := r.servers[0].FlushReplication(2 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		c := r.sync(t)
-		if c.same != 3 {
-			t.Fatalf("round %d: %+v, want the 3 unreplicated stripes not-modified", round, c)
-		}
-		got.full += c.full
-		got.delta += c.delta
-	}
-	// Half the reads went to the replica: each was answered in full and
-	// left no cursor, so the owner's next answer was full as well. A
-	// delta is only ever served owner-to-owner.
-	if got.full < 3 || got.full+got.delta != 6 {
-		t.Fatalf("replicated stripe over 6 rounds: %d full, %d delta", got.full, got.delta)
-	}
-	// Asked directly with the owner's cursor, the replica still answers in
-	// full and hands out no cursor of its own.
-	cur := append([]stripeCursor(nil), r.mirror.cur...)
-	if cur[s].version == 0 {
-		r.syncer.SetReadReplicas(false)
-		r.sync(t)
-		cur = append([]stripeCursor(nil), r.mirror.cur...)
-	}
-	body := rpc.AppendString(nil, "job")
-	body = rpc.AppendUint32(body, 1)
-	body = rpc.AppendUint32(body, uint32(s))
-	body = rpc.AppendUint64(body, cur[s].epoch)
-	body = rpc.AppendUint64(body, cur[s].version)
-	reply, err := r.servers[1].handlePull(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := decodeStripesInto(reply, 0, make([]float64, r.size), &Mirror{cur: cur})
-	if res.err != nil || res.full != 1 || cur[s] != (stripeCursor{}) {
-		t.Fatalf("replica answered %+v and left cursor %+v; want one full reply and no cursor", res, cur[s])
 	}
 }
 
@@ -726,7 +636,7 @@ func TestMirrorChanged(t *testing.T) {
 // pusher's next Push fails on the dead connection (a PS client does not
 // redial); a worker mirror and a checkpoint mirror, each handed to a fresh
 // client, must be answered in full for exactly the restarted server's
-// stripes and end up equal to a primaries-only Snapshot bit for bit.
+// stripes and end up equal to a plain pull bit for bit.
 func TestDeltaSyncServerRestart(t *testing.T) {
 	const job, stripeElems, size = "job", 64, 4 * 64
 	listen := func(addr string) (*rpc.Server, *Server, string) {
@@ -783,7 +693,7 @@ func TestDeltaSyncServerRestart(t *testing.T) {
 		if v := mirrors["worker"].cur[s].version; v != 2 {
 			t.Fatalf("stripe %d is held at version %d, the test assumes 2", s, v)
 		}
-		body = appendStripeFrame(body, s, s*stripeElems, 0, 2, nil, other)
+		body = appendStripeFrame(body, s, s*stripeElems, 2, other)
 	}
 	if _, err := fresh.handleInstall(body, true); err != nil {
 		t.Fatal(err)
@@ -808,7 +718,7 @@ func TestDeltaSyncServerRestart(t *testing.T) {
 		if !m.Changed().All() {
 			t.Errorf("%s: full replies must make Changed All", name)
 		}
-		snap, err := snapper.Snapshot(job, size)
+		snap, err := snapper.Pull(job, size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -819,14 +729,14 @@ func TestDeltaSyncServerRestart(t *testing.T) {
 	}
 }
 
-// pushFuzzServer holds job "job" as one 64-element primary stripe (log
+// pushFuzzServer holds job "job" as one 64-element stripe (log
 // budget 4), directly installed.
 func pushFuzzServer(tb testing.TB) (*Server, *stripeBlock) {
 	tb.Helper()
 	s := NewServer()
 	body := rpc.AppendString(nil, "job")
 	body = rpc.AppendUint32(body, 1)
-	body = appendStripeFrame(body, 0, 128, 0, 1, nil, seqModel(64))
+	body = appendStripeFrame(body, 0, 128, 1, seqModel(64))
 	if _, err := s.handleInstall(body, true); err != nil {
 		tb.Fatal(err)
 	}

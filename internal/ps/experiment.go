@@ -15,7 +15,7 @@ import (
 // the skew load with rebalancing off or on, and reports throughput plus
 // the p99 of per-op stripe wait. Placement starts even, so the hot
 // stripes (the first HotFrac of indices) all land on server 0 — the
-// saturation the rebalancer must dissolve.
+// saturation the balancer must dissolve.
 type RebalanceExperiment struct {
 	SkewConfig
 	Servers int
@@ -72,7 +72,7 @@ type RebalanceResult struct {
 	// P99LockWaitSeconds is the p99 of per-op wait (service gate + stripe
 	// lock) aggregated across servers.
 	P99LockWaitSeconds float64
-	// Moves counts executed migrations/replications (0 when off).
+	// Moves counts executed migrations (0 when off).
 	Moves int
 	// Verified is true when the final model matched the push counts
 	// bit-exactly.

@@ -149,13 +149,13 @@ func RunSkewLoad(cfg SkewConfig) (SkewResult, error) {
 	return res, nil
 }
 
-// VerifyState snapshots the model and checks it bit-exactly against the
+// VerifyState pulls the model and checks it bit-exactly against the
 // push counts: all-ones integer deltas sum exactly in float64 regardless
 // of application order or placement, so any divergence means a push was
 // lost or double-applied (e.g. by a botched migration).
 func VerifyState(cl *Client, cfg SkewConfig, res SkewResult) error {
 	cfg = cfg.withDefaults()
-	model, err := cl.Snapshot(cfg.Job, cfg.ModelSize())
+	model, err := cl.Pull(cfg.Job, cfg.ModelSize())
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package ps
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 
 // startServers brings up n parameter servers on loopback TCP and hands
 // back the Server objects too (migration tests drive SetServiceLimit,
-// FlushReplication and Stats directly).
+// Close and Stats directly).
 func startServers(t *testing.T, n int) ([]*Server, []string) {
 	t.Helper()
 	servers := make([]*Server, n)
@@ -43,8 +44,19 @@ func dialRaw(t *testing.T, addr string) *rpc.Client {
 	return cl
 }
 
-// primaryStripes asks one server which stripes of job it owns.
-func primaryStripes(t *testing.T, cl *rpc.Client, job string) []int {
+// outbound lists the peers s holds a handoff connection to.
+func outbound(s *Server) []string {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	var out []string
+	for addr := range s.conns {
+		out = append(out, addr)
+	}
+	return out
+}
+
+// ownedStripes asks one server which stripes of job it owns.
+func ownedStripes(t *testing.T, cl *rpc.Client, job string) []int {
 	t.Helper()
 	reply, err := rpc.Invoke[RoutesArgs, RoutesReply](cl, MethodRoutes, RoutesArgs{Job: job}, 2*time.Second)
 	if err != nil {
@@ -52,9 +64,7 @@ func primaryStripes(t *testing.T, cl *rpc.Client, job string) []int {
 	}
 	var out []int
 	for _, sr := range reply.Stripes {
-		if sr.Primary {
-			out = append(out, sr.Index)
-		}
+		out = append(out, sr.Index)
 	}
 	return out
 }
@@ -63,7 +73,7 @@ func primaryStripes(t *testing.T, cl *rpc.Client, job string) []int {
 // client self-heals: the old route's pull hits a moved status, refreshes
 // and lands on the new owner with the exact same values.
 func TestMigrateStripe(t *testing.T) {
-	_, addrs := startServers(t, 2)
+	servers, addrs := startServers(t, 2)
 	c := newClient(t, addrs)
 	c.SetStripeElems(4)
 	model := seqModel(16) // 4 stripes of 4
@@ -71,7 +81,7 @@ func TestMigrateStripe(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := dialRaw(t, addrs[0])
-	owned := primaryStripes(t, src, "job")
+	owned := ownedStripes(t, src, "job")
 	if len(owned) == 0 {
 		t.Fatal("server 0 owns no stripes")
 	}
@@ -81,7 +91,7 @@ func TestMigrateStripe(t *testing.T) {
 			t.Fatalf("migrate stripe %d: %v", s, err)
 		}
 	}
-	if left := primaryStripes(t, src, "job"); len(left) != 0 {
+	if left := ownedStripes(t, src, "job"); len(left) != 0 {
 		t.Fatalf("server 0 still owns %v after drain", left)
 	}
 	got := make([]float64, 16)
@@ -98,11 +108,98 @@ func TestMigrateStripe(t *testing.T) {
 		MigrateArgs{Job: "job", Stripe: owned[0], Dest: addrs[1]}, 2*time.Second); err == nil {
 		t.Fatal("migrating an already-moved stripe succeeded")
 	}
+	// A closed server dials nobody: a migrate racing Close fails before the
+	// fence, caches no connection, and the stripe stays served where it is.
+	servers[1].Close()
+	dst := dialRaw(t, addrs[1])
+	if _, err := rpc.Invoke[MigrateArgs, Ack](dst, MethodMigrate,
+		MigrateArgs{Job: "job", Stripe: owned[0], Dest: addrs[0]}, 2*time.Second); err == nil {
+		t.Fatal("migrate out of a closed server succeeded")
+	}
+	if n := len(outbound(servers[1])); n != 0 {
+		t.Fatalf("closed server cached %d outbound connections", n)
+	}
+	if err := c.PullInto("job", got); err != nil || got[15] != model[15] {
+		t.Fatalf("pull after refused migrate: %v (elem 15 = %v)", err, got[15])
+	}
+}
+
+// TestServerIsPassive pins what is left of the server's own activity: it
+// runs no goroutine, and the only connection it ever opens is the one a
+// migrate hands its stripe over. Pushes open none; after Close on both
+// servers of the rig the process is back at its goroutine baseline.
+func TestServerIsPassive(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	var servers [2]*Server
+	var hosts [2]*rpc.Server
+	var addrs [2]string
+	for i := range servers {
+		servers[i], hosts[i] = NewServer(), rpc.NewServer()
+		servers[i].Register(hosts[i])
+		addr, err := hosts[i].Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = addr
+	}
+	c, err := NewClient(addrs[:], 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetStripeElems(4)
+	if err := c.Init("job", make([]float64, 16)); err != nil {
+		t.Fatal(err)
+	}
+	delta := seqModel(16)
+	const pushes = 8
+	for i := 0; i < pushes; i++ {
+		if err := c.Push("job", delta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(outbound(servers[0])) + len(outbound(servers[1])); n != 0 {
+		t.Fatalf("%d outbound connections after pushes alone, want 0", n)
+	}
+	src, err := rpc.Dial(addrs[0], 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rpc.Invoke[MigrateArgs, Ack](src, MethodMigrate,
+		MigrateArgs{Job: "job", Stripe: 0, Dest: addrs[1]}, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if from, to := outbound(servers[0]), outbound(servers[1]); len(from) != 1 || from[0] != addrs[1] || len(to) != 0 {
+		t.Fatalf("outbound connections after one migrate: source %v, destination %v; want [%s], none",
+			from, to, addrs[1])
+	}
+	got, err := c.Pull("job", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != pushes*delta[i] {
+			t.Fatalf("elem %d = %v after migrate, want %v", i, got[i], pushes*delta[i])
+		}
+	}
+	src.Close()
+	c.Close()
+	for i := range servers {
+		servers[i].Close()
+		hosts[i].Close()
+	}
+	// Connection read loops unwind asynchronously after their sockets close.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("%d goroutines after closing the rig, %d before it", n, baseline)
+	}
 }
 
 // runHammer pushes all-ones deltas from several workers while
 // (optionally) a migrator shuttles stripes between two servers, then
-// returns the snapshot. Integer deltas sum exactly in float64 whatever
+// returns the final model. Integer deltas sum exactly in float64 whatever
 // the application order, so the migrated run must be bit-identical to
 // the control run.
 func runHammer(t *testing.T, migrate bool) []float64 {
@@ -142,14 +239,8 @@ func runHammer(t *testing.T, migrate bool) []float64 {
 				if err != nil {
 					continue
 				}
-				var owned []int
-				for _, sr := range routes.Stripes {
-					if sr.Primary {
-						owned = append(owned, sr.Index)
-					}
-				}
-				if len(owned) > 0 {
-					s := owned[rng.Intn(len(owned))]
+				if owned := routes.Stripes; len(owned) > 0 {
+					s := owned[rng.Intn(len(owned))].Index
 					if _, err := rpc.Invoke[MigrateArgs, Ack](conns[from], MethodMigrate,
 						MigrateArgs{Job: "job", Stripe: s, Dest: addrs[1-from]}, 2*time.Second); err == nil {
 						moves++
@@ -202,7 +293,7 @@ func runHammer(t *testing.T, migrate bool) []float64 {
 			t.Fatal("no migrations completed during load; test exercised nothing")
 		}
 	}
-	snap, err := boot.Snapshot("job", modelSize)
+	snap, err := boot.Pull("job", modelSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,72 +319,11 @@ func TestMigrationUnderLoadBitExact(t *testing.T) {
 	}
 }
 
-// TestReplicaReadAggregation checks the server-side aggregation path:
-// writes aggregate at the owner, replicas converge after propagation,
-// and replica-enabled pulls see the aggregated state.
-func TestReplicaReadAggregation(t *testing.T) {
-	servers, addrs := startServers(t, 2)
-	c := newClient(t, addrs)
-	c.SetStripeElems(8)
-	if err := c.Init("job", make([]float64, 16)); err != nil { // 2 stripes
-		t.Fatal(err)
-	}
-	src := dialRaw(t, addrs[0])
-	owned := primaryStripes(t, src, "job")
-	if len(owned) == 0 {
-		t.Fatal("server 0 owns no stripes")
-	}
-	rep := owned[0]
-	if _, err := rpc.Invoke[ReplicateArgs, Ack](src, MethodReplicate,
-		ReplicateArgs{Job: "job", Stripe: rep, Dest: addrs[1]}, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	delta := make([]float64, 16)
-	for i := range delta {
-		delta[i] = float64(i)
-	}
-	for i := 0; i < 3; i++ {
-		if err := c.Push("job", delta); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := servers[0].FlushReplication(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	c.SetReadReplicas(true)
-	got := make([]float64, 16)
-	// Round-robin across owner and replica: every read must agree.
-	for round := 0; round < 4; round++ {
-		if err := c.PullInto("job", got); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != 3*delta[i] {
-				t.Fatalf("round %d elem %d = %v, want %v", round, i, got[i], 3*delta[i])
-			}
-		}
-	}
-	// A push routed at the replica must bounce (status moved) and land on
-	// the owner after the client refreshes — total stays exact.
-	if err := c.Push("job", delta); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := c.Snapshot("job", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range snap {
-		if snap[i] != 4*delta[i] {
-			t.Fatalf("after 4 pushes elem %d = %v, want %v", i, snap[i], 4*delta[i])
-		}
-	}
-}
-
 // validInstallBody builds a well-formed single-stripe install message.
 func validInstallBody() []byte {
 	body := rpc.AppendString(nil, "job")
 	body = rpc.AppendUint32(body, 1)
-	return appendStripeFrame(body, 0, 0, 0, 1, []string{"127.0.0.1:9"}, []float64{1, 2, 3})
+	return appendStripeFrame(body, 0, 0, 1, []float64{1, 2, 3})
 }
 
 // TestInstallFrameTruncated mirrors the PR-3 codec suite for the handoff
@@ -318,7 +348,7 @@ func TestInstallFrameCorruptCount(t *testing.T) {
 	s := NewServer()
 	body := rpc.AppendString(nil, "job")
 	body = rpc.AppendUint32(body, 1<<20) // claims a million stripes
-	body = appendStripeFrame(body, 0, 0, 0, 1, nil, []float64{1})
+	body = appendStripeFrame(body, 0, 0, 1, []float64{1})
 	if _, err := s.handleInstall(body, false); err == nil {
 		t.Fatal("corrupt stripe count accepted")
 	}
@@ -339,10 +369,10 @@ func FuzzInstallFrame(f *testing.F) {
 }
 
 // TestStripeFrameRoundTrip checks the handoff codec round-trips exact
-// values, flags, versions and replica lists.
+// values and versions.
 func TestStripeFrameRoundTrip(t *testing.T) {
 	vals := []float64{0, -1.5, 3.25e100, 1e-300}
-	frame := appendStripeFrame(nil, 7, 224, flagReplica, 99, []string{"a:1", "b:2"}, vals)
+	frame := appendStripeFrame(nil, 7, 224, 99, vals)
 	got, rest, err := readStripeFrame(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -350,11 +380,8 @@ func TestStripeFrameRoundTrip(t *testing.T) {
 	if len(rest) != 0 {
 		t.Fatalf("%d trailing bytes", len(rest))
 	}
-	if got.idx != 7 || got.lo != 224 || got.flags != flagReplica || got.version != 99 {
+	if got.idx != 7 || got.lo != 224 || got.version != 99 {
 		t.Fatalf("header mismatch: %+v", got)
-	}
-	if len(got.replicas) != 2 || got.replicas[0] != "a:1" || got.replicas[1] != "b:2" {
-		t.Fatalf("replicas mismatch: %v", got.replicas)
 	}
 	for i := range vals {
 		if got.vals[i] != vals[i] {

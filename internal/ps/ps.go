@@ -9,21 +9,23 @@
 // unit of placement is the stripe, not the partition: a job's model is
 // carved into fixed-size stripes, each independently locked, counted
 // (pull/push ops, bytes, lock-wait) and movable between servers while
-// the job runs — the elastic layer of DESIGN.md §12. Clients route per
+// the job runs (DESIGN.md §12). On any one server a stripe is in one of
+// two states: owned (serves pulls and pushes, keeps the change log) or
+// moved (a forwarding tombstone left by a migration). Clients route per
 // stripe and self-heal: an op that hits a migrated-away stripe gets a
 // "moved" status, refreshes its route table and retries against the new
-// owner.
+// owner. A server is passive: it starts no goroutine, and the only call it
+// makes to a peer is a migration's single install.
 //
 // Wire layouts (all little-endian; "str" is a u16-length-prefixed
 // string, "floats" a u32 count followed by raw IEEE-754 bit patterns):
 //
-//	init/restore/install request:
+//	init/install request:
 //	  str job | u32 count | count × stripe-frame        reply: empty
-//	  stripe-frame: u32 idx | u32 lo | u8 flags | u64 version |
-//	                u16 nrep | nrep × str addr | floats vals
-//	pull/snapshot request:
+//	  stripe-frame: u32 idx | u32 lo | u64 version | floats vals
+//	pull request:
 //	  str job | u32 count | count × (u32 idx | u64 epoch | u64 have)
-//	pull/snapshot reply:
+//	pull reply:
 //	  u32 count | count × (u32 idx | u8 status | ...)
 //	    full:         u32 lo | u64 epoch | u64 version | floats vals
 //	    moved:        str fwd
@@ -40,29 +42,27 @@
 // encoding is fewer bytes (sparse offsets count from the entry's lo and
 // ascend strictly), and a stripe whose delta is all +0 is not sent. A
 // pull names, per stripe, the (epoch, version) its caller already holds —
-// have 0 means "nothing", which is all PullInto, PullRange and Snapshot
-// ever send — and the server answers not-modified, a delta (the current
+// have 0 means "nothing", which is all PullInto and PullRange ever send —
+// and the server answers not-modified, a delta (the current
 // values of the elements pushed since, offsets counting from the
 // stripe's lo, in any order, repeats allowed) or the full stripe. The
 // epoch is the stripe block's incarnation: a fresh random 64-bit value
 // whenever the block's values are installed rather than pushed to (init,
-// restore, migration, replica propagation), so a cursor taken before any
-// of those can only match by a 2^-64 accident and is otherwise answered
-// in full, as is a cursor the bounded change log no longer reaches and
-// every read of a replica. There is no density or log-depth setting: the
-// push rule is "fewer bytes", and the log is a fixed 1/8 of the stripe's
-// own bytes (delta.go).
+// migration), so a cursor taken before either can only match by a 2^-64
+// accident and is otherwise answered in full, as is a cursor the bounded
+// change log no longer reaches. There is no density or log-depth setting:
+// the push rule is "fewer bytes", and the log is a fixed 1/8 of the
+// stripe's own bytes (delta.go).
 //
 // "fwd" is the forwarding hint of a migrated-away stripe — the address
-// its handoff went to, empty when unknown (never owned here, replica
-// bounce). Clients retry a hinted stripe directly at the forward target
+// its handoff went to, empty when the stripe was never installed here.
+// Clients retry a hinted stripe directly at the forward target
 // instead of re-scraping routes, so an op can chase a stripe through
 // back-to-back migrations without losing the race to the next move.
 //
-// init/restore replace a job's whole partition on the receiving server;
-// install (the migration/replication handoff) merges stripes into it.
-// Control-plane methods (drop, routes, stats, migrate, replicate) stay
-// gob.
+// init replaces a job's whole partition on the receiving server; install
+// (the migration handoff) merges stripes into it. Control-plane methods
+// (drop, routes, stats, migrate) stay gob.
 package ps
 
 import (
@@ -79,14 +79,12 @@ import (
 
 // Method names registered on the RPC server.
 const (
-	MethodInit     = "ps.init"
-	MethodPull     = "ps.pull"
-	MethodPush     = "ps.push"
-	MethodSnapshot = "ps.snapshot"
-	MethodRestore  = "ps.restore"
-	MethodDrop     = "ps.drop"
+	MethodInit = "ps.init"
+	MethodPull = "ps.pull"
+	MethodPush = "ps.push"
+	MethodDrop = "ps.drop"
 	// MethodInstall merges handoff stripe-frames into a job's partition:
-	// the receiving end of migration and replica propagation.
+	// the receiving end of migration.
 	MethodInstall = "ps.install"
 	// MethodRoutes reports which stripes of a job this server holds.
 	MethodRoutes = "ps.routes"
@@ -94,12 +92,6 @@ const (
 	MethodStats = "ps.stats"
 	// MethodMigrate fences one stripe and hands it to another server.
 	MethodMigrate = "ps.migrateOut"
-	// MethodReplicate installs a read replica of a stripe on another
-	// server; MethodUnreplicate detaches it again.
-	MethodReplicate   = "ps.replicate"
-	MethodUnreplicate = "ps.unreplicate"
-	// MethodDropStripe removes a single stripe block (replica teardown).
-	MethodDropStripe = "ps.dropStripe"
 )
 
 // Per-stripe status bytes in pull replies.
@@ -109,9 +101,6 @@ const (
 	stripeSame  = 2 // not modified since the caller's cursor
 	stripeDelta = 3 // the elements pushed since the caller's cursor follow
 )
-
-// Stripe-frame flag bits.
-const flagReplica = 1 // install as read replica, version-gated
 
 // Ack is an empty success reply.
 type Ack struct{}
@@ -128,10 +117,9 @@ type RoutesArgs struct {
 
 // StripeRoute locates one stripe on the replying server.
 type StripeRoute struct {
-	Index   int
-	Lo      int
-	Len     int
-	Primary bool
+	Index int
+	Lo    int
+	Len   int
 }
 
 // RoutesReply lists the job's stripes held by the replying server.
@@ -146,28 +134,6 @@ type MigrateArgs struct {
 	Job    string
 	Stripe int
 	Dest   string
-}
-
-// ReplicateArgs installs a read replica of a stripe on Dest; the
-// receiving server must hold the primary.
-type ReplicateArgs struct {
-	Job    string
-	Stripe int
-	Dest   string
-}
-
-// UnreplicateArgs detaches the Dest replica of a stripe; the receiving
-// server must hold the primary.
-type UnreplicateArgs struct {
-	Job    string
-	Stripe int
-	Dest   string
-}
-
-// DropStripeArgs removes one stripe block from the receiving server.
-type DropStripeArgs struct {
-	Job    string
-	Stripe int
 }
 
 // StatsArgs requests per-stripe load counters.
@@ -206,8 +172,9 @@ func stripeCount(n, se int) int {
 	return s
 }
 
-// stripeStats are the per-stripe load counters feeding the rebalancer's
-// EWMA score and /metrics. Atomics: pulls bump them under a read lock.
+// stripeStats are the per-stripe load counters behind MethodStats (the
+// balancer's EWMA score, /metrics). Atomics: pulls bump them under a read
+// lock.
 type stripeStats struct {
 	pullOps   atomic.Int64
 	pushOps   atomic.Int64
@@ -223,8 +190,7 @@ type stripeBlock struct {
 	idx  int
 	lo   int
 	vals []float64
-	// version counts mutations; replica installs are gated on it so a
-	// stale propagation can never roll a replica backwards. Guarded by mu.
+	// version counts mutations. Guarded by mu.
 	version uint64
 	// epoch names this incarnation of the block's values: drawn afresh
 	// whenever they are installed rather than pushed to, so version
@@ -232,10 +198,6 @@ type stripeBlock struct {
 	// what the pushes of this incarnation touched. Both guarded by mu.
 	epoch uint64
 	log   changeLog
-	// primary: pushes apply here and propagate outward; false marks a
-	// read replica. Guarded by mu.
-	primary  bool
-	replicas []string // replica server addrs (primary only); guarded by mu
 	// moved tombstones a migrated-away stripe: ops that raced the fence
 	// and acquired the lock after handoff observe it and report
 	// stripeMoved instead of touching stale state. The tombstone stays in
@@ -265,8 +227,8 @@ func (p *partition) get(idx int) *stripeBlock {
 }
 
 // Server hosts stripe blocks for any number of jobs. Register it on an
-// rpc.Server with Register; Close releases the replication propagator
-// and any outbound handoff connections. The server-level lock only
+// rpc.Server with Register; Close releases the outbound handoff
+// connections. The server-level lock only
 // guards the partition map; all value access goes through per-stripe
 // locks, so concurrent pushes from co-located jobs (different
 // partitions) and from one job (different stripes) proceed in parallel.
@@ -288,28 +250,11 @@ type Server struct {
 	// (gate + lock acquisition), exported through MethodStats.
 	lockWait metrics.Histogram
 
-	// conns caches outbound connections to peer servers for migration and
-	// replica propagation.
+	// conns caches outbound connections to migration destinations; closed
+	// stops conn from dialing a new one after Close.
 	connMu sync.Mutex
 	conns  map[string]*rpc.Client
-
-	// Replica propagation: pushes to a replicated stripe mark it dirty;
-	// a lazily started propagator goroutine ships whole-stripe state
-	// (version-gated) to the replicas.
-	replMu   sync.Mutex
-	dirty    map[replKey]bool
-	flushing int
-	retries  int // re-dirty timers pending after a failed replica send
-	started  bool
-	closed   bool
-	wake     chan struct{}
-	stop     chan struct{}
-	wg       sync.WaitGroup
-}
-
-type replKey struct {
-	job string
-	idx int
+	closed bool
 }
 
 // NewServer returns an empty parameter server.
@@ -317,16 +262,13 @@ func NewServer() *Server {
 	return &Server{
 		parts: make(map[string]*partition),
 		conns: make(map[string]*rpc.Client),
-		dirty: make(map[replKey]bool),
-		wake:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
 	}
 }
 
 // SetServiceLimit bounds the number of stripe ops this server serves
 // concurrently (0 removes the bound). It models finite per-server
 // service capacity: excess ops queue, and their queueing time lands in
-// the stripe lock-wait counters the rebalancer and /metrics observe.
+// the stripe lock-wait counters the balancer and /metrics observe.
 // Call before serving traffic.
 func (s *Server) SetServiceLimit(n int) {
 	if n <= 0 {
@@ -349,23 +291,17 @@ func (s *Server) SetServiceDelay(d time.Duration) {
 
 // Register installs the PS methods on the RPC server. Data-plane methods
 // are inline handlers: they never block on other RPCs and run directly on
-// the connection's read loop, keeping buffers pooled end to end. The
-// handoff methods (migrate, replicate) dial out to peer servers, so they
-// stay on the non-inline dispatch path.
+// the connection's read loop, keeping buffers pooled end to end. Migrate
+// dials out to a peer server, so it stays on the non-inline dispatch path.
 func (s *Server) Register(srv *rpc.Server) {
 	srv.HandleInline(MethodInit, func(raw []byte) ([]byte, error) { return s.handleInstall(raw, true) })
-	srv.HandleInline(MethodRestore, func(raw []byte) ([]byte, error) { return s.handleInstall(raw, true) })
 	srv.HandleInline(MethodInstall, func(raw []byte) ([]byte, error) { return s.handleInstall(raw, false) })
 	srv.HandleInline(MethodPull, s.handlePull)
-	srv.HandleInline(MethodSnapshot, s.handlePull)
 	srv.HandleInline(MethodPush, s.handlePush)
 	srv.Handle(MethodDrop, rpc.Typed(s.handleDrop))
 	srv.Handle(MethodRoutes, rpc.Typed(s.handleRoutes))
 	srv.Handle(MethodStats, rpc.Typed(s.handleStats))
 	srv.Handle(MethodMigrate, rpc.Typed(s.handleMigrate))
-	srv.Handle(MethodReplicate, rpc.Typed(s.handleReplicate))
-	srv.Handle(MethodUnreplicate, rpc.Typed(s.handleUnreplicate))
-	srv.Handle(MethodDropStripe, rpc.Typed(s.handleDropStripe))
 }
 
 // lookup fetches a job's partition under the map lock only.
@@ -431,24 +367,17 @@ func (s *Server) unlockStripe(st *stripeBlock, write bool) {
 
 // appendStripeFrame encodes one stripe-frame (see the package comment's
 // wire layout). The caller holds whatever lock makes vals stable.
-func appendStripeFrame(dst []byte, idx, lo int, flags byte, version uint64, replicas []string, vals []float64) []byte {
+func appendStripeFrame(dst []byte, idx, lo int, version uint64, vals []float64) []byte {
 	dst = rpc.AppendUint32(dst, uint32(idx))
 	dst = rpc.AppendUint32(dst, uint32(lo))
-	dst = append(dst, flags)
 	dst = rpc.AppendUint64(dst, version)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(replicas)))
-	for _, r := range replicas {
-		dst = rpc.AppendString(dst, r)
-	}
 	return rpc.AppendFloats(dst, vals)
 }
 
 type stripeFrame struct {
-	idx, lo  int
-	flags    byte
-	version  uint64
-	replicas []string
-	vals     []float64
+	idx, lo int
+	version uint64
+	vals    []float64
 }
 
 // readStripeFrame decodes one stripe-frame, copying values out of the
@@ -463,26 +392,9 @@ func readStripeFrame(b []byte) (stripeFrame, []byte, error) {
 	if err != nil {
 		return f, nil, err
 	}
-	if len(b) < 1 {
-		return f, nil, fmt.Errorf("rpc: stripe frame flags truncated")
-	}
-	f.flags = b[0]
-	version, b, err := rpc.ReadUint64(b[1:])
+	version, b, err := rpc.ReadUint64(b)
 	if err != nil {
 		return f, nil, err
-	}
-	if len(b) < 2 {
-		return f, nil, fmt.Errorf("rpc: stripe frame replica count truncated")
-	}
-	nrep := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	for i := 0; i < nrep; i++ {
-		var addr string
-		addr, b, err = rpc.ReadString(b)
-		if err != nil {
-			return f, nil, err
-		}
-		f.replicas = append(f.replicas, addr)
 	}
 	vals, b, err := rpc.ReadFloats(b, nil)
 	if err != nil {
@@ -494,10 +406,9 @@ func readStripeFrame(b []byte) (stripeFrame, []byte, error) {
 
 // --- data-plane handlers ----------------------------------------------
 
-// handleInstall decodes an init/restore/install message. replace swaps
-// the job's whole partition for the decoded stripes (init/restore);
-// merge installs them into the existing partition one at a time,
-// version-gated for replica propagation (install).
+// handleInstall decodes an init/install message. replace swaps the job's
+// whole partition for the decoded stripes (init); otherwise they are
+// merged into the existing partition one at a time (install).
 func (s *Server) handleInstall(raw []byte, replace bool) ([]byte, error) {
 	job, rest, err := rpc.ReadString(raw)
 	if err != nil {
@@ -540,17 +451,15 @@ func (s *Server) handleInstall(raw []byte, replace bool) ([]byte, error) {
 	}
 	s.mu.Unlock()
 	for _, f := range frames {
-		s.installStripe(p, f)
+		p.installStripe(f)
 	}
 	return nil, nil
 }
 
-// installStripe merges one handoff frame into the partition. Primary
-// installs (migration) replace unconditionally; replica installs apply
-// only when they advance the version, so reordered propagations can
-// never roll a replica backwards.
-func (s *Server) installStripe(p *partition, f stripeFrame) {
-	incomingPrimary := f.flags&flagReplica == 0
+// installStripe merges one handoff frame into the partition, replacing
+// whatever the stripe held here (typically the tombstone of an earlier
+// move away).
+func (p *partition) installStripe(f stripeFrame) {
 	p.mu.Lock()
 	st := p.stripes[f.idx]
 	if st == nil {
@@ -562,10 +471,6 @@ func (s *Server) installStripe(p *partition, f stripeFrame) {
 	}
 	p.mu.Unlock()
 	st.mu.Lock()
-	if !incomingPrimary && st.version >= f.version && !st.moved {
-		st.mu.Unlock()
-		return // stale propagation
-	}
 	st.install(f)
 	st.mu.Unlock()
 }
@@ -576,15 +481,13 @@ func (s *Server) installStripe(p *partition, f stripeFrame) {
 // ever answered with a delta. The caller holds mu or owns the block.
 func (st *stripeBlock) install(f stripeFrame) {
 	st.lo, st.vals, st.version = f.lo, f.vals, f.version
-	st.primary = f.flags&flagReplica == 0
-	st.replicas = f.replicas
 	st.moved, st.movedTo = false, ""
 	st.epoch = rand.Uint64()
 	st.log = changeLog{floor: f.version}
 }
 
 // handlePull streams the requested stripes out one by one: each stripe
-// is encoded under its own read lock, so a snapshot of a large job never
+// is encoded under its own read lock, so a checkpoint of a large job never
 // stalls co-located jobs' pushes. Per stripe the caller names the cursor
 // it holds and gets back the least that brings it up to date (see
 // appendPull). Stripes this server no longer owns come back with a moved
@@ -646,15 +549,12 @@ func (s *Server) handlePull(raw []byte) ([]byte, error) {
 // appendPull appends the status byte and payload that bring a caller
 // holding (epoch, have) up to date, and returns the payload bytes moved.
 // Not-modified and delta are answered only when this block can prove
-// them exact: it is the primary, the caller's values are of this
-// incarnation, and the change log reaches back to have. Everything else
-// — have 0, a replica, another incarnation, a cursor from the future, a
-// gap the log has dropped — gets the full stripe. A replica's full reply
-// carries a zero cursor: its values trail the primary's by the
-// propagation delay and must never be the base of a later delta. The
-// caller holds the stripe's read lock.
+// them exact: the caller's values are of this incarnation, and the change
+// log reaches back to have. Everything else — have 0, another
+// incarnation, a cursor from the future, a gap the log has dropped — gets
+// the full stripe. The caller holds the stripe's read lock.
 func (st *stripeBlock) appendPull(dst []byte, epoch, have uint64) ([]byte, int) {
-	if have != 0 && st.primary && epoch == st.epoch {
+	if have != 0 && epoch == st.epoch {
 		if have == st.version {
 			return append(dst, stripeSame), 0
 		}
@@ -665,14 +565,10 @@ func (st *stripeBlock) appendPull(dst []byte, epoch, have uint64) ([]byte, int) 
 			return dst, sparseRec * nnz
 		}
 	}
-	epoch, version := st.epoch, st.version
-	if !st.primary {
-		epoch, version = 0, 0
-	}
 	dst = append(dst, stripeOK)
 	dst = rpc.AppendUint32(dst, uint32(st.lo))
-	dst = rpc.AppendUint64(dst, epoch)
-	dst = rpc.AppendUint64(dst, version)
+	dst = rpc.AppendUint64(dst, st.epoch)
+	dst = rpc.AppendUint64(dst, st.version)
 	return rpc.AppendFloats(dst, st.vals), 8 * len(st.vals)
 }
 
@@ -692,7 +588,7 @@ func (e *pushEntry) misfit(job string, lo, n int) error {
 // not fit its stripe, is a caller bug and fails the whole call — before
 // anything is applied: the first pass parses every entry and checks it
 // against its stripe's range, the second applies. (The range is checked
-// again under the write lock; only a restore racing this very push can
+// again under the write lock; only a re-init racing this very push can
 // make that fail after earlier entries were applied.)
 func (s *Server) handlePush(raw []byte) ([]byte, error) {
 	job, rest, err := rpc.ReadString(raw)
@@ -746,10 +642,7 @@ func (s *Server) handlePush(raw []byte) ([]byte, error) {
 	for i := range targets {
 		e, st := &targets[i].pushEntry, targets[i].st
 		s.lockStripe(st, true)
-		if st.moved || !st.primary {
-			// Writes aggregate at the owner; a replica bounces the push so
-			// the client re-routes it there. movedTo is empty on a replica
-			// bounce (a replica does not track its primary's address).
+		if st.moved {
 			fwd := st.movedTo
 			s.unlockStripe(st, true)
 			failed = append(failed, bounce{e.idx, fwd})
@@ -764,11 +657,7 @@ func (s *Server) handlePush(raw []byte) ([]byte, error) {
 			continue // nothing to add: the stripe is not touched
 		}
 		st.apply(e)
-		propagate := len(st.replicas) > 0
 		s.unlockStripe(st, true)
-		if propagate {
-			s.markDirty(job, int(e.idx))
-		}
 	}
 	reply := rpc.GetBuffer(4 + 8*len(failed))[:0]
 	reply = rpc.AppendUint32(reply, uint32(len(failed)))
@@ -811,13 +700,6 @@ func (s *Server) handleDrop(a DropArgs) (Ack, error) {
 	s.mu.Lock()
 	delete(s.parts, a.Job)
 	s.mu.Unlock()
-	s.replMu.Lock()
-	for k := range s.dirty {
-		if k.job == a.Job {
-			delete(s.dirty, k)
-		}
-	}
-	s.replMu.Unlock()
 	return Ack{}, nil
 }
 
@@ -837,7 +719,7 @@ func (s *Server) handleRoutes(a RoutesArgs) (RoutesReply, error) {
 		st.mu.RLock()
 		if !st.moved {
 			reply.Stripes = append(reply.Stripes, StripeRoute{
-				Index: st.idx, Lo: st.lo, Len: len(st.vals), Primary: st.primary,
+				Index: st.idx, Lo: st.lo, Len: len(st.vals),
 			})
 		}
 		st.mu.RUnlock()
@@ -845,30 +727,24 @@ func (s *Server) handleRoutes(a RoutesArgs) (RoutesReply, error) {
 	return reply, nil
 }
 
-// Jobs reports the jobs with partitions on this server.
-func (s *Server) Jobs() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.parts)
-}
+// --- migration ---------------------------------------------------------
 
-// --- migration and replication ----------------------------------------
-
-// handoffTimeout bounds the install call made while a stripe is fenced
-// (migrate/replicate) and the replica propagation sends. A stripe is at
-// most a few hundred KiB, so seconds suffice; a slow destination must
-// fail the handoff — leaving the stripe intact on the source — rather
-// than extend the fence toward the RPC minute-scale control timeouts.
+// handoffTimeout bounds the install call made while a stripe is fenced.
+// A stripe is at most a few hundred KiB, so seconds suffice; a slow
+// destination must fail the handoff — leaving the stripe intact on the
+// source — rather than extend the fence toward the RPC minute-scale
+// control timeouts.
 const handoffTimeout = 5 * time.Second
 
-// replicaRetryDelay spaces retries of replica propagation toward an
-// unreachable replica, so a dead replica is not hammered in a hot loop.
-const replicaRetryDelay = 50 * time.Millisecond
-
-// conn returns a cached outbound connection to a peer server.
+// conn returns a cached outbound connection to a peer server, and an
+// error once the server is closed: a migrate racing Close must not cache
+// a connection nobody will close.
 func (s *Server) conn(addr string) (*rpc.Client, error) {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
+	if s.closed {
+		return nil, fmt.Errorf("ps: server closed")
+	}
 	if cl, ok := s.conns[addr]; ok {
 		return cl, nil
 	}
@@ -906,22 +782,10 @@ func (s *Server) handleMigrate(a MigrateArgs) (Ack, error) {
 	if st.moved {
 		return Ack{}, fmt.Errorf("ps: migrate: job %q stripe %d already moved", a.Job, a.Stripe)
 	}
-	if !st.primary {
-		return Ack{}, fmt.Errorf("ps: migrate: job %q stripe %d is a replica here", a.Job, a.Stripe)
-	}
-	// The destination may currently hold a replica of this stripe: it is
-	// promoted by the primary install and must not appear in its own
-	// replica list.
-	replicas := make([]string, 0, len(st.replicas))
-	for _, r := range st.replicas {
-		if r != a.Dest {
-			replicas = append(replicas, r)
-		}
-	}
 	body := rpc.GetBuffer(2 + len(a.Job) + 4)[:0]
 	body = rpc.AppendString(body, a.Job)
 	body = rpc.AppendUint32(body, 1)
-	body = appendStripeFrame(body, st.idx, st.lo, 0, st.version, replicas, st.vals)
+	body = appendStripeFrame(body, st.idx, st.lo, st.version, st.vals)
 	reply, err := cl.Call(MethodInstall, body, handoffTimeout)
 	rpc.PutBuffer(body)
 	rpc.PutBuffer(reply)
@@ -935,237 +799,9 @@ func (s *Server) handleMigrate(a MigrateArgs) (Ack, error) {
 	// re-scrape that the next migration can invalidate.
 	st.moved = true
 	st.movedTo = a.Dest
-	st.replicas = nil
 	st.vals = nil
 	st.log = changeLog{}
 	return Ack{}, nil
-}
-
-func (s *Server) handleReplicate(a ReplicateArgs) (Ack, error) {
-	p := s.lookup(a.Job)
-	if p == nil {
-		return Ack{}, fmt.Errorf("ps: replicate: no stripes for job %q", a.Job)
-	}
-	st := p.get(a.Stripe)
-	if st == nil {
-		return Ack{}, fmt.Errorf("ps: replicate: job %q stripe %d not here", a.Job, a.Stripe)
-	}
-	// As with migrate: dial before fencing so an unreachable destination
-	// never pauses the stripe.
-	cl, err := s.conn(a.Dest)
-	if err != nil {
-		return Ack{}, fmt.Errorf("ps: replicate to %s: %w", a.Dest, err)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.moved || !st.primary {
-		return Ack{}, fmt.Errorf("ps: replicate: job %q stripe %d is not primary here", a.Job, a.Stripe)
-	}
-	for _, r := range st.replicas {
-		if r == a.Dest {
-			return Ack{}, nil // already attached
-		}
-	}
-	body := rpc.GetBuffer(2 + len(a.Job) + 4)[:0]
-	body = rpc.AppendString(body, a.Job)
-	body = rpc.AppendUint32(body, 1)
-	body = appendStripeFrame(body, st.idx, st.lo, flagReplica, st.version, nil, st.vals)
-	reply, err := cl.Call(MethodInstall, body, handoffTimeout)
-	rpc.PutBuffer(body)
-	rpc.PutBuffer(reply)
-	if err != nil {
-		return Ack{}, fmt.Errorf("ps: replicate job %q stripe %d to %s: %w", a.Job, a.Stripe, a.Dest, err)
-	}
-	st.replicas = append(st.replicas, a.Dest)
-	return Ack{}, nil
-}
-
-func (s *Server) handleUnreplicate(a UnreplicateArgs) (Ack, error) {
-	p := s.lookup(a.Job)
-	if p == nil {
-		return Ack{}, fmt.Errorf("ps: unreplicate: no stripes for job %q", a.Job)
-	}
-	st := p.get(a.Stripe)
-	if st == nil {
-		return Ack{}, fmt.Errorf("ps: unreplicate: job %q stripe %d not here", a.Job, a.Stripe)
-	}
-	st.mu.Lock()
-	if st.moved || !st.primary {
-		st.mu.Unlock()
-		return Ack{}, fmt.Errorf("ps: unreplicate: job %q stripe %d is not primary here", a.Job, a.Stripe)
-	}
-	kept := st.replicas[:0]
-	for _, r := range st.replicas {
-		if r != a.Dest {
-			kept = append(kept, r)
-		}
-	}
-	st.replicas = kept
-	st.mu.Unlock()
-	// Best-effort teardown of the detached replica block; a failure
-	// leaves a stale block that only wastes memory (it can never serve a
-	// push, and the client routes reads by refreshed routes).
-	if cl, err := s.conn(a.Dest); err == nil {
-		_, _ = rpc.Invoke[DropStripeArgs, Ack](cl, MethodDropStripe,
-			DropStripeArgs{Job: a.Job, Stripe: a.Stripe}, time.Minute)
-	}
-	return Ack{}, nil
-}
-
-func (s *Server) handleDropStripe(a DropStripeArgs) (Ack, error) {
-	p := s.lookup(a.Job)
-	if p == nil {
-		return Ack{}, nil
-	}
-	st := p.get(a.Stripe)
-	if st == nil {
-		return Ack{}, nil
-	}
-	st.mu.Lock()
-	st.moved = true
-	st.movedTo = "" // replica teardown: the primary's address is not known here
-	st.replicas = nil
-	st.vals = nil
-	st.log = changeLog{}
-	st.mu.Unlock()
-	return Ack{}, nil
-}
-
-// markDirty queues a replicated stripe for propagation and wakes the
-// propagator, starting it on first use.
-func (s *Server) markDirty(job string, idx int) {
-	s.replMu.Lock()
-	if s.closed {
-		s.replMu.Unlock()
-		return
-	}
-	s.dirty[replKey{job, idx}] = true
-	if !s.started {
-		s.started = true
-		s.wg.Add(1)
-		go s.propagate()
-	}
-	s.replMu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
-// propagate is the replica propagator: it drains the dirty set, shipping
-// each stripe's current state to its replicas. Propagation coalesces —
-// many pushes between flushes cost one send — and is version-gated at
-// the receiving end, so replicas converge to the primary's latest state.
-func (s *Server) propagate() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.wake:
-		}
-		for {
-			s.replMu.Lock()
-			var key replKey
-			found := false
-			for k := range s.dirty {
-				key, found = k, true
-				break
-			}
-			if !found {
-				s.replMu.Unlock()
-				break
-			}
-			delete(s.dirty, key)
-			s.flushing++
-			s.replMu.Unlock()
-			s.flushStripe(key.job, key.idx)
-			s.replMu.Lock()
-			s.flushing--
-			s.replMu.Unlock()
-		}
-	}
-}
-
-// flushStripe ships one stripe's state to its replicas. A replica that
-// cannot be reached re-queues the stripe after a short delay: the last
-// push before traffic quiesces must still converge every replica, so a
-// missed send retries until it lands or the replica is detached, rather
-// than waiting for the next push to re-mark the stripe dirty.
-func (s *Server) flushStripe(job string, idx int) {
-	p := s.lookup(job)
-	if p == nil {
-		return
-	}
-	st := p.get(idx)
-	if st == nil {
-		return
-	}
-	st.mu.RLock()
-	if st.moved || !st.primary || len(st.replicas) == 0 {
-		st.mu.RUnlock()
-		return
-	}
-	replicas := append([]string(nil), st.replicas...)
-	body := rpc.GetBuffer(2 + len(job) + 4)[:0]
-	body = rpc.AppendString(body, job)
-	body = rpc.AppendUint32(body, 1)
-	body = appendStripeFrame(body, st.idx, st.lo, flagReplica, st.version, nil, st.vals)
-	st.mu.RUnlock()
-	failed := false
-	for _, addr := range replicas {
-		cl, err := s.conn(addr)
-		if err != nil {
-			failed = true
-			continue
-		}
-		reply, err := cl.Call(MethodInstall, body, handoffTimeout)
-		if err != nil {
-			failed = true
-			continue
-		}
-		rpc.PutBuffer(reply)
-	}
-	rpc.PutBuffer(body)
-	if failed {
-		s.redirty(job, idx)
-	}
-}
-
-// redirty schedules a delayed re-mark of a stripe whose propagation
-// failed. The pending timer counts against FlushReplication so "drained"
-// still means every replica converged (or the server closed).
-func (s *Server) redirty(job string, idx int) {
-	s.replMu.Lock()
-	defer s.replMu.Unlock()
-	if s.closed {
-		return
-	}
-	s.retries++
-	time.AfterFunc(replicaRetryDelay, func() {
-		s.replMu.Lock()
-		s.retries--
-		s.replMu.Unlock()
-		s.markDirty(job, idx)
-	})
-}
-
-// FlushReplication blocks until every queued replica propagation has
-// drained (tests and orderly shutdown; steady-state callers never wait).
-func (s *Server) FlushReplication(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		s.replMu.Lock()
-		idle := len(s.dirty) == 0 && s.flushing == 0 && s.retries == 0
-		s.replMu.Unlock()
-		if idle {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("ps: replication not drained after %s", timeout)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }
 
 // Stats snapshots this server's per-stripe load counters (the in-process
@@ -1194,10 +830,7 @@ func (s *Server) Stats() StatsReply {
 				st.mu.RUnlock()
 				continue
 			}
-			stat := StripeStat{
-				Index: st.idx, Lo: st.lo, Len: len(st.vals),
-				Primary: st.primary, Replicas: len(st.replicas),
-			}
+			stat := StripeStat{Index: st.idx, Lo: st.lo, Len: len(st.vals)}
 			st.mu.RUnlock()
 			stat.PullOps = st.stats.pullOps.Load()
 			stat.PushOps = st.stats.pushOps.Load()
@@ -1216,27 +849,16 @@ func (s *Server) handleStats(StatsArgs) (StatsReply, error) {
 	return s.Stats(), nil
 }
 
-// Close stops the replica propagator and closes outbound handoff
-// connections. The RPC server hosting the methods is closed separately.
+// Close closes the outbound handoff connections. The RPC server hosting
+// the methods is closed separately.
 func (s *Server) Close() {
-	s.replMu.Lock()
-	if s.closed {
-		s.replMu.Unlock()
-		return
-	}
-	s.closed = true
-	started := s.started
-	s.replMu.Unlock()
-	if started {
-		close(s.stop)
-	}
-	s.wg.Wait()
 	s.connMu.Lock()
-	for _, cl := range s.conns {
+	defer s.connMu.Unlock()
+	s.closed = true
+	for addr, cl := range s.conns {
 		cl.Close()
+		delete(s.conns, addr)
 	}
-	s.conns = make(map[string]*rpc.Client)
-	s.connMu.Unlock()
 }
 
 // Partition computes server i's slice bounds for n items over k servers:
@@ -1246,17 +868,10 @@ func (s *Server) Close() {
 func Partition(n, k, i int) (lo, hi int) {
 	base := n / k
 	extra := n % k
-	lo = i*base + minInt(i, extra)
+	lo = i*base + min(i, extra)
 	hi = lo + base
 	if i < extra {
 		hi++
 	}
 	return lo, hi
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

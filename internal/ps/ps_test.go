@@ -211,15 +211,17 @@ func TestSnapshotAndDrop(t *testing.T) {
 	if err := c.Init("j", seqModel(8)); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := c.Snapshot("j", 8)
+	snap, err := c.Pull("j", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snap[7] != 7 {
-		t.Errorf("snapshot[7] = %v", snap[7])
+		t.Errorf("pulled[7] = %v", snap[7])
 	}
-	if err := c.Drop("j"); err != nil {
-		t.Fatal(err)
+	for _, addr := range addrs {
+		if _, err := rpc.Invoke[DropArgs, Ack](dialRaw(t, addr), MethodDrop, DropArgs{Job: "j"}, 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := c.Pull("j", 8); err == nil {
 		t.Error("pull after drop succeeded")

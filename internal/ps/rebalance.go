@@ -8,18 +8,31 @@ import (
 	"harmony/internal/rpc"
 )
 
-// This file is the hot-stripe rebalancer of DESIGN.md §12: it turns the
+// This file is the hot-stripe balancer of DESIGN.md §12: it turns the
 // per-stripe counters of MethodStats into an EWMA load score per stripe,
 // plans migrations that move hot stripes off the most loaded server, and
 // executes them with the fence-and-handoff protocol. The planner is pure
 // (Observe/Plan over ClusterStats), so it unit-tests without a cluster;
-// the master's control loop owns the scrape-plan-execute cadence.
+// its caller (RebalanceExperiment) owns the scrape-plan-execute cadence.
 
 // lockWaitWeight converts seconds of measured lock/gate wait into
 // op-equivalents when scoring a stripe. One second of queueing counts
 // like 10k ops: congestion dominates raw traffic, which is the point —
-// the rebalancer chases contention, not popularity.
+// the balancer chases contention, not popularity.
 const lockWaitWeight = 10_000
+
+// Planner constants. planTolerance is the accepted relative spread around
+// the mean server load before any move is planned. planMinScore ignores
+// stripes (and servers) colder than this absolute score — noise
+// suppression at idle. planCooldownRounds keeps a just-moved stripe off
+// the candidate list for this many Observe rounds: its EWMA needs a few
+// intervals on the new server before its score means anything there, and
+// moving it again sooner is churn by construction.
+const (
+	planTolerance      = 0.25
+	planMinScore       = 1.0
+	planCooldownRounds = 3
+)
 
 // stripeKey identifies a stripe independent of its current placement.
 type stripeKey struct {
@@ -30,27 +43,19 @@ type stripeKey struct {
 // cum is the last observed cumulative counter values for one stripe.
 type cum struct {
 	ops      int64
-	pulls    int64
 	lockWait float64
 }
 
-// Move is one planned stripe relocation. Replicate marks a read-hot
-// stripe that should gain a replica on To instead of moving: reads then
-// spread across copies while writes keep aggregating at From.
+// Move is one planned stripe migration.
 type Move struct {
-	Job       string
-	Stripe    int
-	From      string
-	To        string
-	Replicate bool
+	Job    string
+	Stripe int
+	From   string
+	To     string
 }
 
 func (m Move) String() string {
-	verb := "migrate"
-	if m.Replicate {
-		verb = "replicate"
-	}
-	return fmt.Sprintf("%s %s/%d %s -> %s", verb, m.Job, m.Stripe, m.From, m.To)
+	return fmt.Sprintf("migrate %s/%d %s -> %s", m.Job, m.Stripe, m.From, m.To)
 }
 
 // PlanOptions tune one planning round.
@@ -58,24 +63,6 @@ type PlanOptions struct {
 	// MaxMoves caps migrations per round (default 2): each move briefly
 	// fences a stripe, so rounds stay small and frequent.
 	MaxMoves int
-	// Tolerance is the accepted relative spread around the mean server
-	// load before any move is planned (default 0.25).
-	Tolerance float64
-	// MinScore ignores stripes (and servers) colder than this absolute
-	// score — noise suppression at idle (default 1).
-	MinScore float64
-	// ReplicateReadHotspots plans a replica instead of a migration when a
-	// single stripe dominated by pulls is itself the imbalance: moving it
-	// would only relocate the hotspot, while replicas split the reads.
-	ReplicateReadHotspots bool
-	// ReadHotRatio is the pull:push ratio above which a stripe counts as
-	// read-hot (default 4).
-	ReadHotRatio float64
-	// CooldownRounds keeps a just-moved stripe off the candidate list for
-	// this many Observe rounds (default 3): its EWMA needs a few intervals
-	// on the new server before its score means anything there, and moving
-	// it again sooner is churn by construction.
-	CooldownRounds int
 	// MinStreak requires the same server to trip the tolerance check for
 	// this many consecutive planning rounds before any move is planned
 	// (default 2). Queueing noise makes a different server look hottest
@@ -88,18 +75,6 @@ func (o PlanOptions) withDefaults() PlanOptions {
 	if o.MaxMoves <= 0 {
 		o.MaxMoves = 2
 	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 0.25
-	}
-	if o.MinScore <= 0 {
-		o.MinScore = 1
-	}
-	if o.ReadHotRatio <= 0 {
-		o.ReadHotRatio = 4
-	}
-	if o.CooldownRounds <= 0 {
-		o.CooldownRounds = 3
-	}
 	if o.MinStreak <= 0 {
 		o.MinStreak = 2
 	}
@@ -108,16 +83,13 @@ func (o PlanOptions) withDefaults() PlanOptions {
 
 // stripeState is the balancer's rolling view of one stripe.
 type stripeState struct {
-	score    float64 // EWMA of per-interval cost
-	server   string  // current primary
-	lo, n    int
-	pullFrac float64 // pull share of the last interval's ops
-	replicas int
+	score  float64 // EWMA of per-interval cost
+	server string  // current owner
 }
 
 // Balancer scores stripes from successive stats scrapes and plans
-// migrations. Not safe for concurrent use; the owning control loop
-// serializes Observe/Plan.
+// migrations. Not safe for concurrent use; the caller serializes
+// Observe/Plan.
 type Balancer struct {
 	alpha   float64
 	prev    map[stripeKey]cum
@@ -157,11 +129,8 @@ func (b *Balancer) Observe(cs ClusterStats) {
 	for _, srv := range cs.Servers {
 		for _, js := range srv.Jobs {
 			for _, st := range js.Stripes {
-				if !st.Primary {
-					continue
-				}
 				key := stripeKey{Job: js.Job, Stripe: st.Index}
-				now := cum{ops: st.Ops(), pulls: st.PullOps, lockWait: st.LockWaitSeconds}
+				now := cum{ops: st.Ops(), lockWait: st.LockWaitSeconds}
 				last := b.prev[key]
 				s := b.state[key]
 				// A migrated stripe restarts its counters on the new server,
@@ -170,18 +139,8 @@ func (b *Balancer) Observe(cs ClusterStats) {
 				// right after its move and invite churn — keep the score and
 				// just rebase.
 				rebase := (s != nil && s.server != srv.Addr) || now.ops < last.ops
-				dOps := now.ops - last.ops
-				dPulls := now.pulls - last.pulls
-				dWait := now.lockWait - last.lockWait
-				if dOps < 0 {
-					dOps, dPulls = 0, 0
-				}
-				if dPulls < 0 {
-					dPulls = 0
-				}
-				if dWait < 0 {
-					dWait = 0
-				}
+				dOps := max(now.ops-last.ops, 0)
+				dWait := max(now.lockWait-last.lockWait, 0)
 				cost := float64(dOps) + lockWaitWeight*dWait
 				if s == nil {
 					s = &stripeState{score: cost}
@@ -190,11 +149,6 @@ func (b *Balancer) Observe(cs ClusterStats) {
 					s.score = b.alpha*cost + (1-b.alpha)*s.score
 				}
 				s.server = srv.Addr
-				s.lo, s.n = st.Lo, st.Len
-				s.replicas = st.Replicas
-				if dOps > 0 && !rebase {
-					s.pullFrac = float64(dPulls) / float64(dOps)
-				}
 				b.prev[key] = now
 				b.seenAt[key] = b.round
 			}
@@ -211,14 +165,6 @@ func (b *Balancer) Observe(cs ClusterStats) {
 	}
 }
 
-// Score reports the current EWMA score of one stripe (tests/CLI).
-func (b *Balancer) Score(job string, stripe int) float64 {
-	if s := b.state[stripeKey{Job: job, Stripe: stripe}]; s != nil {
-		return s.score
-	}
-	return 0
-}
-
 // serverLoad sums stripe scores per server over every server present in
 // the last scrape plus any server hosting a scored stripe.
 func (b *Balancer) serverLoads(servers []string) map[string]float64 {
@@ -232,44 +178,16 @@ func (b *Balancer) serverLoads(servers []string) map[string]float64 {
 	return loads
 }
 
-// Plan proposes stripe relocations with every observed job allowed on
-// every server — the single-tenant convenience form for benches and
-// tests. Production callers use PlanJobs: a job's PS clients route only
-// within that job's own server set, so each stripe must stay inside it.
+// Plan proposes up to MaxMoves stripe migrations among servers that
+// shrink the load gap between the hottest and coldest of them. A server
+// not present in past scrapes counts as idle and is a natural target.
 func (b *Balancer) Plan(servers []string, opts PlanOptions) []Move {
-	domains := make(map[string][]string)
-	for key := range b.state {
-		domains[key.Job] = servers
-	}
-	return b.PlanJobs(domains, opts)
-}
-
-// PlanJobs proposes up to MaxMoves stripe relocations that shrink the
-// load gap between the hottest and coldest servers. domains maps each
-// job to the servers its stripes may be placed on (the job's current
-// server set); a stripe never leaves its job's domain — a placement
-// outside it would be unreachable to the job's clients, which refresh
-// routes only against their own servers. Loads and the imbalance check
-// span the union of all domains, since co-located jobs share servers. A
-// domain server not present in past scrapes counts as idle and is a
-// natural target. Jobs absent from domains (unknown, mid-resize) are
-// never moved.
-func (b *Balancer) PlanJobs(domains map[string][]string, opts PlanOptions) []Move {
 	opts = opts.withDefaults()
-	inUnion := make(map[string]bool)
-	var servers []string
-	for _, ds := range domains {
-		for _, s := range ds {
-			if !inUnion[s] {
-				inUnion[s] = true
-				servers = append(servers, s)
-			}
-		}
-	}
-	sort.Strings(servers)
 	if len(servers) < 2 {
 		return nil
 	}
+	servers = append([]string(nil), servers...)
+	sort.Strings(servers)
 	var moves []Move
 	// Work on a mutable copy of the loads so successive moves in one
 	// round see each other's effect.
@@ -277,117 +195,52 @@ func (b *Balancer) PlanJobs(domains map[string][]string, opts PlanOptions) []Mov
 	moved := make(map[stripeKey]bool)
 	cooling := func(key stripeKey) bool {
 		at, ok := b.movedAt[key]
-		return ok && b.round-at < opts.CooldownRounds
+		return ok && b.round-at < planCooldownRounds
 	}
 	// Persistence gate: track which server (if any) trips the tolerance
 	// check this round and demand MinStreak consecutive rounds of the
 	// same answer before planning anything.
-	{
-		var hi string
-		var total float64
-		for _, s := range servers {
-			if hi == "" || loads[s] > loads[hi] {
-				hi = s
-			}
-			total += loads[s]
-		}
-		mean := total / float64(len(servers))
-		trip := loads[hi] >= opts.MinScore && loads[hi] > mean*(1+opts.Tolerance)
-		if b.planRound != b.round {
-			b.planRound = b.round
-			switch {
-			case trip && hi == b.hiServer:
-				b.hiStreak++
-			case trip:
-				b.hiServer, b.hiStreak = hi, 1
-			default:
-				b.hiServer, b.hiStreak = "", 0
-			}
-		}
-		if !trip || b.hiStreak < opts.MinStreak {
-			return nil
+	hi, trip := hottest(servers, loads)
+	if b.planRound != b.round {
+		b.planRound = b.round
+		switch {
+		case trip && hi == b.hiServer:
+			b.hiStreak++
+		case trip:
+			b.hiServer, b.hiStreak = hi, 1
+		default:
+			b.hiServer, b.hiStreak = "", 0
 		}
 	}
-	for len(moves) < opts.MaxMoves {
-		var hi string
-		first := true
-		for _, s := range servers {
-			if first {
-				hi, first = s, false
-				continue
-			}
-			if loads[s] > loads[hi] {
-				hi = s
-			}
-		}
-		var mean float64
-		for _, s := range servers {
-			mean += loads[s]
-		}
-		mean /= float64(len(servers))
-		if loads[hi] < opts.MinScore || loads[hi] <= mean*(1+opts.Tolerance) {
-			break
-		}
+	if !trip || b.hiStreak < opts.MinStreak {
+		return nil
+	}
+	for ; trip && len(moves) < opts.MaxMoves; hi, trip = hottest(servers, loads) {
 		// Pick the hottest stripe on hi whose score fits strictly inside
-		// the gap to the coldest server of its own job's domain: moving it
-		// must shrink the spread, not just swap which server is overloaded
-		// (score >= gap would oscillate).
+		// the gap to the coldest other server: moving it must shrink the
+		// spread, not just swap which server is overloaded (score >= gap
+		// would oscillate).
+		dest := coldest(servers, hi, loads)
 		var bestKey stripeKey
 		var best *stripeState
-		var bestDest string
 		for key, st := range b.state {
-			if st.server != hi || moved[key] || cooling(key) || st.score < opts.MinScore {
+			if st.server != hi || moved[key] || cooling(key) || st.score < planMinScore {
 				continue
 			}
-			dest, ok := coldestIn(domains[key.Job], hi, loads)
-			if !ok || st.score >= loads[hi]-loads[dest] {
+			if st.score >= loads[hi]-loads[dest] {
 				continue
 			}
 			if best == nil || st.score > best.score {
-				bestKey, best, bestDest = key, st, dest
+				bestKey, best = key, st
 			}
-		}
-		replicate := false
-		if best == nil && opts.ReplicateReadHotspots {
-			// No stripe fits: one stripe dominates the server. If reads
-			// dominate the stripe, a replica splits them across two hosts —
-			// the only lever that helps a single hotspot.
-			hotFrac := opts.ReadHotRatio / (opts.ReadHotRatio + 1)
-			for key, st := range b.state {
-				if st.server != hi || moved[key] || cooling(key) || st.score < opts.MinScore {
-					continue
-				}
-				if st.pullFrac < hotFrac || st.replicas > 0 {
-					continue
-				}
-				dest, ok := coldestIn(domains[key.Job], hi, loads)
-				if !ok {
-					continue
-				}
-				if best == nil || st.score > best.score {
-					bestKey, best, bestDest = key, st, dest
-				}
-			}
-			replicate = best != nil
 		}
 		if best == nil {
 			break
 		}
-		moves = append(moves, Move{
-			Job: bestKey.Job, Stripe: bestKey.Stripe,
-			From: hi, To: bestDest, Replicate: replicate,
-		})
+		moves = append(moves, Move{Job: bestKey.Job, Stripe: bestKey.Stripe, From: hi, To: dest})
 		moved[bestKey] = true
-		if replicate {
-			// Reads split across copies; model as halving the load and
-			// charging the other half to the replica host.
-			half := best.score / 2
-			loads[hi] -= half
-			loads[bestDest] += half
-		} else {
-			loads[hi] -= best.score
-			loads[bestDest] += best.score
-		}
+		loads[hi] -= best.score
+		loads[dest] += best.score
 	}
 	sort.Slice(moves, func(i, j int) bool {
 		if moves[i].Job != moves[j].Job {
@@ -398,46 +251,52 @@ func (b *Balancer) PlanJobs(domains map[string][]string, opts PlanOptions) []Mov
 	return moves
 }
 
-// coldestIn picks the least-loaded server of domain other than hi.
-func coldestIn(domain []string, hi string, loads map[string]float64) (string, bool) {
-	var lo string
-	found := false
-	for _, s := range domain {
-		if s == hi {
-			continue
+// hottest picks the most loaded of servers and reports whether it trips
+// the imbalance check: not idle, and above the mean by more than the
+// tolerance.
+func hottest(servers []string, loads map[string]float64) (hi string, trips bool) {
+	var total float64
+	for _, s := range servers {
+		if hi == "" || loads[s] > loads[hi] {
+			hi = s
 		}
-		if !found || loads[s] < loads[lo] {
-			lo, found = s, true
+		total += loads[s]
+	}
+	mean := total / float64(len(servers))
+	return hi, loads[hi] >= planMinScore && loads[hi] > mean*(1+planTolerance)
+}
+
+// coldest picks the least-loaded of servers (at least two) other than hi.
+func coldest(servers []string, hi string, loads map[string]float64) string {
+	lo := ""
+	for _, s := range servers {
+		if s != hi && (lo == "" || loads[s] < loads[lo]) {
+			lo = s
 		}
 	}
-	return lo, found
+	return lo
 }
 
 // CommitMoves folds executed moves back into the balancer's model:
-// cooldown stamps and primary placement change only once a handoff
+// cooldown stamps and stripe placement change only once a handoff
 // actually succeeded, so a move that failed to execute stays eligible
-// on the next round instead of sitting out CooldownRounds on a phantom
+// on the next round instead of sitting out the cooldown on a phantom
 // placement.
 func (b *Balancer) CommitMoves(moves []Move) {
 	for _, m := range moves {
 		key := stripeKey{Job: m.Job, Stripe: m.Stripe}
 		b.movedAt[key] = b.round
 		if st := b.state[key]; st != nil {
-			if m.Replicate {
-				st.replicas++
-			} else {
-				st.server = m.To
-			}
+			st.server = m.To
 		}
 	}
 }
 
 // ConnFunc supplies a connection to a PS server by address. The caller
-// owns connection lifetime (the master reuses worker connections; the
-// bench keeps a dial cache).
+// owns connection lifetime (the experiment keeps a dial cache).
 type ConnFunc func(addr string) (*rpc.Client, error)
 
-// ExecuteMoves applies planned moves via the fence-and-handoff RPCs,
+// ExecuteMoves applies planned moves via the fence-and-handoff RPC,
 // returning the subset that succeeded (feed it to Balancer.CommitMoves).
 // Execution is best-effort and sequential: a failed move leaves its
 // stripe on the source, fully intact, and later moves still run.
@@ -450,13 +309,8 @@ func ExecuteMoves(conn ConnFunc, moves []Move, timeout time.Duration) ([]Move, e
 	for _, m := range moves {
 		cl, err := conn(m.From)
 		if err == nil {
-			if m.Replicate {
-				_, err = rpc.Invoke[ReplicateArgs, Ack](cl, MethodReplicate,
-					ReplicateArgs{Job: m.Job, Stripe: m.Stripe, Dest: m.To}, timeout)
-			} else {
-				_, err = rpc.Invoke[MigrateArgs, Ack](cl, MethodMigrate,
-					MigrateArgs{Job: m.Job, Stripe: m.Stripe, Dest: m.To}, timeout)
-			}
+			_, err = rpc.Invoke[MigrateArgs, Ack](cl, MethodMigrate,
+				MigrateArgs{Job: m.Job, Stripe: m.Stripe, Dest: m.To}, timeout)
 		}
 		if err != nil {
 			if firstErr == nil {
@@ -467,63 +321,4 @@ func ExecuteMoves(conn ConnFunc, moves []Move, timeout time.Duration) ([]Move, e
 		executed = append(executed, m)
 	}
 	return executed, firstErr
-}
-
-// DrainServer migrates every primary stripe of job off src, spreading
-// them round-robin across peers, and drops src's replica blocks — the
-// shrink half of elastic server-set resizing. Returns the number of
-// stripes moved.
-func DrainServer(conn ConnFunc, job, src string, peers []string, timeout time.Duration) (int, error) {
-	if len(peers) == 0 {
-		return 0, fmt.Errorf("ps: drain %s: no destination servers", src)
-	}
-	if timeout <= 0 {
-		timeout = time.Minute
-	}
-	cl, err := conn(src)
-	if err != nil {
-		return 0, fmt.Errorf("ps: drain %s: %w", src, err)
-	}
-	routes, err := rpc.Invoke[RoutesArgs, RoutesReply](cl, MethodRoutes, RoutesArgs{Job: job}, timeout)
-	if err != nil {
-		return 0, fmt.Errorf("ps: drain %s: routes: %w", src, err)
-	}
-	moved := 0
-	for i, sr := range routes.Stripes {
-		if !sr.Primary {
-			// A replica block on a leaving server: detach it from its
-			// primary, wherever that is — cheapest found by asking peers.
-			detachReplica(conn, job, sr.Index, src, peers, timeout)
-			continue
-		}
-		dest := peers[i%len(peers)]
-		if _, err := rpc.Invoke[MigrateArgs, Ack](cl, MethodMigrate,
-			MigrateArgs{Job: job, Stripe: sr.Index, Dest: dest}, timeout); err != nil {
-			return moved, fmt.Errorf("ps: drain %s stripe %d: %w", src, sr.Index, err)
-		}
-		moved++
-	}
-	return moved, nil
-}
-
-// detachReplica finds the primary of (job, stripe) among peers and asks
-// it to unreplicate addr. Best-effort: a leftover replica block is inert.
-func detachReplica(conn ConnFunc, job string, stripe int, addr string, peers []string, timeout time.Duration) {
-	for _, peer := range peers {
-		cl, err := conn(peer)
-		if err != nil {
-			continue
-		}
-		routes, err := rpc.Invoke[RoutesArgs, RoutesReply](cl, MethodRoutes, RoutesArgs{Job: job}, timeout)
-		if err != nil {
-			continue
-		}
-		for _, sr := range routes.Stripes {
-			if sr.Index == stripe && sr.Primary {
-				_, _ = rpc.Invoke[UnreplicateArgs, Ack](cl, MethodUnreplicate,
-					UnreplicateArgs{Job: job, Stripe: stripe, Dest: addr}, timeout)
-				return
-			}
-		}
-	}
 }

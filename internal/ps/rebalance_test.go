@@ -24,12 +24,12 @@ func TestBalancerMovesHotStripes(t *testing.T) {
 	b := NewBalancer(0.5)
 	b.Observe(statsFor(map[string][]StripeStat{
 		"a": {
-			{Index: 0, Lo: 0, Len: 4, Primary: true, PullOps: 5000, PushOps: 5000},
-			{Index: 1, Lo: 4, Len: 4, Primary: true, PullOps: 4000, PushOps: 4000},
-			{Index: 2, Lo: 8, Len: 4, Primary: true, PullOps: 10, PushOps: 10},
+			{Index: 0, Lo: 0, Len: 4, PullOps: 5000, PushOps: 5000},
+			{Index: 1, Lo: 4, Len: 4, PullOps: 4000, PushOps: 4000},
+			{Index: 2, Lo: 8, Len: 4, PullOps: 10, PushOps: 10},
 		},
 		"b": {
-			{Index: 3, Lo: 12, Len: 4, Primary: true, PullOps: 10, PushOps: 10},
+			{Index: 3, Lo: 12, Len: 4, PullOps: 10, PushOps: 10},
 		},
 	}))
 	moves := b.Plan([]string{"a", "b"}, PlanOptions{MaxMoves: 2, MinStreak: 1})
@@ -43,17 +43,14 @@ func TestBalancerMovesHotStripes(t *testing.T) {
 		if m.Stripe != 0 && m.Stripe != 1 {
 			t.Fatalf("move %v relocates a cold stripe", m)
 		}
-		if m.Replicate {
-			t.Fatalf("move %v replicates; plain migration expected", m)
-		}
 	}
 }
 
 func TestBalancerBalancedNoMoves(t *testing.T) {
 	b := NewBalancer(0.5)
 	b.Observe(statsFor(map[string][]StripeStat{
-		"a": {{Index: 0, Len: 4, Primary: true, PullOps: 1000, PushOps: 1000}},
-		"b": {{Index: 1, Lo: 4, Len: 4, Primary: true, PullOps: 1100, PushOps: 900}},
+		"a": {{Index: 0, Len: 4, PullOps: 1000, PushOps: 1000}},
+		"b": {{Index: 1, Lo: 4, Len: 4, PullOps: 1100, PushOps: 900}},
 	}))
 	if moves := b.Plan([]string{"a", "b"}, PlanOptions{MinStreak: 1}); len(moves) != 0 {
 		t.Fatalf("planned %v on a balanced cluster", moves)
@@ -65,34 +62,29 @@ func TestBalancerBalancedNoMoves(t *testing.T) {
 // negative and poison the score.
 func TestBalancerCounterReset(t *testing.T) {
 	b := NewBalancer(0.5)
-	hot := StripeStat{Index: 0, Len: 4, Primary: true, PullOps: 100000, PushOps: 100000}
+	hot := StripeStat{Index: 0, Len: 4, PullOps: 100000, PushOps: 100000}
 	b.Observe(statsFor(map[string][]StripeStat{"a": {hot}, "b": {}}))
 	// The stripe migrated to b: counters restart near zero.
 	b.Observe(statsFor(map[string][]StripeStat{
 		"a": {},
-		"b": {{Index: 0, Len: 4, Primary: true, PullOps: 5, PushOps: 5}},
+		"b": {{Index: 0, Len: 4, PullOps: 5, PushOps: 5}},
 	}))
-	if s := b.Score("j", 0); s < 0 {
+	if s := b.state[stripeKey{Job: "j"}].score; s < 0 {
 		t.Fatalf("score went negative after counter reset: %v", s)
 	}
 }
 
-// TestBalancerReplicatesReadHotspot: a single stripe that alone
+// TestBalancerLeavesDominantHotspot: a single stripe that alone
 // outweighs its server cannot be fixed by migration (the hotspot just
-// relocates); with ReplicateReadHotspots it plans a replica instead.
-func TestBalancerReplicatesReadHotspot(t *testing.T) {
+// relocates), so nothing is planned for it.
+func TestBalancerLeavesDominantHotspot(t *testing.T) {
 	b := NewBalancer(0.5)
-	cs := statsFor(map[string][]StripeStat{
-		"a": {{Index: 0, Len: 4, Primary: true, PullOps: 100000, PushOps: 100}},
-		"b": {{Index: 1, Lo: 4, Len: 4, Primary: true, PullOps: 10, PushOps: 10}},
-	})
-	b.Observe(cs)
+	b.Observe(statsFor(map[string][]StripeStat{
+		"a": {{Index: 0, Len: 4, PullOps: 100000, PushOps: 100}},
+		"b": {{Index: 1, Lo: 4, Len: 4, PullOps: 10, PushOps: 10}},
+	}))
 	if moves := b.Plan([]string{"a", "b"}, PlanOptions{MinStreak: 1}); len(moves) != 0 {
 		t.Fatalf("planned %v; a dominant hotspot should not migrate", moves)
-	}
-	moves := b.Plan([]string{"a", "b"}, PlanOptions{ReplicateReadHotspots: true, MinStreak: 1})
-	if len(moves) != 1 || !moves[0].Replicate || moves[0].Stripe != 0 {
-		t.Fatalf("want one replicate move of stripe 0, got %v", moves)
 	}
 }
 
@@ -121,12 +113,12 @@ func TestBalancerPersistenceGate(t *testing.T) {
 		}
 		b.Observe(statsFor(map[string][]StripeStat{
 			"a": {
-				{Index: 0, Lo: 0, Len: 4, Primary: true, PullOps: totals["a"][0]},
-				{Index: 1, Lo: 4, Len: 4, Primary: true, PullOps: totals["a"][1]},
+				{Index: 0, Lo: 0, Len: 4, PullOps: totals["a"][0]},
+				{Index: 1, Lo: 4, Len: 4, PullOps: totals["a"][1]},
 			},
 			"b": {
-				{Index: 2, Lo: 8, Len: 4, Primary: true, PullOps: totals["b"][0]},
-				{Index: 3, Lo: 12, Len: 4, Primary: true, PullOps: totals["b"][1]},
+				{Index: 2, Lo: 8, Len: 4, PullOps: totals["b"][0]},
+				{Index: 3, Lo: 12, Len: 4, PullOps: totals["b"][1]},
 			},
 		}))
 	}
@@ -153,76 +145,20 @@ func TestBalancerPersistenceGate(t *testing.T) {
 	}
 }
 
-// TestBalancerRespectsJobDomains: a job's PS clients route only within
-// the job's own server set, so PlanJobs must never place a stripe
-// outside its job's domain — even when a server outside it is the
-// globally coldest target.
-func TestBalancerRespectsJobDomains(t *testing.T) {
-	b := NewBalancer(0.5)
-	b.Observe(ClusterStats{Servers: []ServerStats{
-		{Name: "a", Addr: "a", StatsReply: StatsReply{Jobs: []JobStats{
-			{Job: "j1", Stripes: []StripeStat{
-				{Index: 0, Lo: 0, Len: 4, Primary: true, PullOps: 50000, PushOps: 50000},
-				{Index: 1, Lo: 4, Len: 4, Primary: true, PullOps: 20000, PushOps: 20000},
-			}},
-			{Job: "j2", Stripes: []StripeStat{
-				{Index: 0, Lo: 0, Len: 4, Primary: true, PullOps: 10, PushOps: 10},
-			}},
-		}}},
-		{Name: "b", Addr: "b", StatsReply: StatsReply{Jobs: []JobStats{
-			{Job: "j1", Stripes: []StripeStat{
-				{Index: 2, Lo: 8, Len: 4, Primary: true, PullOps: 10, PushOps: 10},
-			}},
-		}}},
-		{Name: "c", Addr: "c"},
-	}})
-	// Server c is idle (globally coldest) but only in j2's domain: j1's
-	// hot stripes must go to b, never c.
-	domains := map[string][]string{"j1": {"a", "b"}, "j2": {"a", "c"}}
-	moves := b.PlanJobs(domains, PlanOptions{MaxMoves: 2, MinStreak: 1})
-	if len(moves) == 0 {
-		t.Fatal("no moves planned for a hot server with in-domain targets")
-	}
-	for _, m := range moves {
-		inDomain := false
-		for _, s := range domains[m.Job] {
-			if s == m.To {
-				inDomain = true
-			}
-		}
-		if !inDomain {
-			t.Fatalf("move %v leaves %s's domain %v", m, m.Job, domains[m.Job])
-		}
-	}
-	// A job with no domain (mid-resize, unknown) must never move.
-	b2 := NewBalancer(0.5)
-	b2.Observe(statsFor(map[string][]StripeStat{
-		"a": {
-			{Index: 0, Lo: 0, Len: 4, Primary: true, PullOps: 50000, PushOps: 50000},
-			{Index: 1, Lo: 4, Len: 4, Primary: true, PullOps: 20000, PushOps: 20000},
-		},
-		"b": {{Index: 2, Lo: 8, Len: 4, Primary: true, PullOps: 10, PushOps: 10}},
-	}))
-	if moves := b2.PlanJobs(map[string][]string{"other": {"a", "b"}},
-		PlanOptions{MaxMoves: 2, MinStreak: 1}); len(moves) != 0 {
-		t.Fatalf("planned %v for a job with no placement domain", moves)
-	}
-}
-
 // TestBalancerCommitMoves: cooldown and the balancer's placement model
 // update only when a move is committed (executed), so a move whose
 // handoff failed stays eligible the next round instead of sitting out
-// CooldownRounds while the hotspot persists.
+// the cooldown while the hotspot persists.
 func TestBalancerCommitMoves(t *testing.T) {
 	b := NewBalancer(1)
 	servers := []string{"a", "b"}
 	hot := func(total int64) ClusterStats {
 		return statsFor(map[string][]StripeStat{
 			"a": {
-				{Index: 0, Lo: 0, Len: 4, Primary: true, PullOps: total},
-				{Index: 1, Lo: 4, Len: 4, Primary: true, PullOps: total / 2},
+				{Index: 0, Lo: 0, Len: 4, PullOps: total},
+				{Index: 1, Lo: 4, Len: 4, PullOps: total / 2},
 			},
-			"b": {{Index: 2, Lo: 8, Len: 4, Primary: true, PullOps: 10}},
+			"b": {{Index: 2, Lo: 8, Len: 4, PullOps: 10}},
 		})
 	}
 	opts := PlanOptions{MaxMoves: 1, MinStreak: 1}
@@ -254,19 +190,20 @@ func TestBalancerCommitMoves(t *testing.T) {
 func TestBalancerForgetsDroppedJobs(t *testing.T) {
 	b := NewBalancer(0.5)
 	b.Observe(statsFor(map[string][]StripeStat{
-		"a": {{Index: 0, Len: 4, Primary: true, PullOps: 1000, PushOps: 1000}},
+		"a": {{Index: 0, Len: 4, PullOps: 1000, PushOps: 1000}},
 	}))
 	empty := statsFor(map[string][]StripeStat{"a": {}})
 	for i := 0; i < 4; i++ {
 		b.Observe(empty)
 	}
-	if s := b.Score("j", 0); s != 0 {
-		t.Fatalf("dropped job still scored %v", s)
+	if st := b.state[stripeKey{Job: "j"}]; st != nil {
+		t.Fatalf("dropped job still scored %v", st.score)
 	}
 }
 
-// TestDrainServer empties one server's stripes onto its peers — the
-// shrink half of elastic resizing — and checks the model survives.
+// TestDrainServer empties one server's stripes onto its peers with
+// ExecuteMoves and checks the model survives; a move whose source no
+// longer owns the stripe fails without stopping the ones after it.
 func TestDrainServer(t *testing.T) {
 	_, addrs := startServers(t, 3)
 	c := newClient(t, addrs)
@@ -277,21 +214,28 @@ func TestDrainServer(t *testing.T) {
 	}
 	conns := make(map[string]*rpc.Client)
 	conn := func(addr string) (*rpc.Client, error) {
-		if cl, ok := conns[addr]; ok {
-			return cl, nil
+		if conns[addr] == nil {
+			conns[addr] = dialRaw(t, addr)
 		}
-		cl := dialRaw(t, addr)
-		conns[addr] = cl
-		return cl, nil
+		return conns[addr], nil
 	}
-	moved, err := DrainServer(conn, "job", addrs[0], addrs[1:], 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	src, _ := conn(addrs[0])
+	owned := ownedStripes(t, src, "job")
+	if len(owned) == 0 {
+		t.Fatal("server 0 owns no stripes")
 	}
-	if moved == 0 {
-		t.Fatal("drain moved nothing")
+	// The first move is repeated: its second copy must fail (already
+	// moved) and be left out of the executed set.
+	moves := []Move{{Job: "job", Stripe: owned[0], From: addrs[0], To: addrs[1]}}
+	for i, s := range owned {
+		moves = append(moves, Move{Job: "job", Stripe: s, From: addrs[0], To: addrs[1+i%2]})
 	}
-	if left := primaryStripes(t, conns[addrs[0]], "job"); len(left) != 0 {
+	executed, err := ExecuteMoves(conn, moves, 2*time.Second)
+	if err == nil || len(executed) != len(owned) {
+		t.Fatalf("executed %d of %d moves, err %v; want %d and the repeated move's error",
+			len(executed), len(moves), err, len(owned))
+	}
+	if left := ownedStripes(t, src, "job"); len(left) != 0 {
 		t.Fatalf("server 0 still owns %v after drain", left)
 	}
 	got, err := c.Pull("job", 24)
@@ -309,8 +253,7 @@ func TestDrainServer(t *testing.T) {
 // rebalancing on: the final model must stay bit-exact while stripes are
 // live-migrated under load, and at least one move must have executed.
 // Throughput claims are left to BenchmarkPSRebalance; under -race the
-// timing is too distorted to assert on. Wired into `make check` as
-// ps-rebalance-smoke.
+// timing is too distorted to assert on.
 func TestPSRebalanceSmoke(t *testing.T) {
 	exp := RebalanceExperiment{
 		SkewConfig: SkewConfig{
@@ -328,7 +271,7 @@ func TestPSRebalanceSmoke(t *testing.T) {
 		t.Fatal("final state not verified")
 	}
 	if res.Moves == 0 {
-		t.Fatal("rebalancer executed no moves under an 80/10 skew")
+		t.Fatal("balancer executed no moves under an 80/10 skew")
 	}
 	t.Logf("ops=%d ops/s=%.0f p99_lock_wait=%v moves=%d",
 		res.Ops, res.OpsPerSec, time.Duration(res.P99LockWaitSeconds*float64(time.Second)), res.Moves)

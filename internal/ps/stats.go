@@ -9,14 +9,12 @@ import (
 
 // StripeStat is one stripe's load counters as reported by MethodStats.
 // Counters are cumulative since the stripe block was installed on its
-// current server; consumers that need rates (the rebalancer) difference
+// current server; consumers that need rates (the Balancer) difference
 // successive scrapes and clamp at zero across migrations.
 type StripeStat struct {
-	Index    int
-	Lo       int
-	Len      int
-	Primary  bool
-	Replicas int
+	Index int
+	Lo    int
+	Len   int
 
 	PullOps         int64
 	PushOps         int64
@@ -38,8 +36,7 @@ type JobStats struct {
 type StatsReply struct {
 	Jobs []JobStats
 	// LockWait is the server-wide distribution of per-op wait (service
-	// gate + stripe lock) — the congestion signal the rebalancer drives
-	// down.
+	// gate + stripe lock) — the congestion signal a rebalance drives down.
 	LockWait metrics.HistSnapshot
 }
 
@@ -51,8 +48,8 @@ type ServerStats struct {
 }
 
 // ClusterStats is the master's merged view across every PS server
-// (Master.PSStats); it feeds the rebalancer, /metrics and
-// `harmonyctl ps-stats`.
+// (Master.PSStats); it feeds /metrics, GET /v1/ps and
+// `harmonyctl ps-stats`, and is what a Balancer observes.
 type ClusterStats struct {
 	Servers []ServerStats
 }

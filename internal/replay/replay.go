@@ -164,8 +164,7 @@ func Load(data []byte) (*master.Snapshot, error) {
 }
 
 // placementKinds are the journal kinds whose Group field is the job's
-// new worker placement; every other group-bearing kind (ps_resize
-// carries the PS server set) leaves placement untouched.
+// new worker placement; every other kind leaves placement untouched.
 var placementKinds = map[string]bool{
 	master.EventAdmitInitial: true,
 	master.EventAdmitArrival: true,

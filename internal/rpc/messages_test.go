@@ -27,10 +27,10 @@ type registerArgs struct {
 var messageTypes = []any{
 	registerArgs{},
 	worker.LoadJobArgs{}, worker.StartJobArgs{}, worker.DropJobArgs{}, worker.SetAlphaArgs{},
-	worker.UpdatePSArgs{}, worker.StatsArgs{}, worker.StatsReply{}, worker.BarrierArgs{},
+	worker.StatsArgs{}, worker.StatsReply{}, worker.BarrierArgs{},
 	worker.BarrierReply{}, worker.JobDoneArgs{}, worker.Ack{},
-	ps.DropArgs{}, ps.RoutesArgs{}, ps.RoutesReply{}, ps.MigrateArgs{}, ps.ReplicateArgs{},
-	ps.UnreplicateArgs{}, ps.DropStripeArgs{}, ps.StatsArgs{}, ps.StatsReply{}, ps.Ack{},
+	ps.DropArgs{}, ps.RoutesArgs{}, ps.RoutesReply{}, ps.MigrateArgs{},
+	ps.StatsArgs{}, ps.StatsReply{}, ps.Ack{},
 }
 
 // populate sets every exported field reachable from v to a non-zero value

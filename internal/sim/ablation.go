@@ -6,20 +6,6 @@ import (
 	"harmony/internal/core"
 )
 
-// allProfiled reports whether every job that has arrived (and not yet
-// finished or failed) has produced a usable profile.
-func (s *Simulator) allProfiled() bool {
-	for id, sj := range s.jobs {
-		switch sj.state {
-		case jobProfiling, jobRunning, jobPaused:
-			if _, ok := s.estimates[id]; !ok {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // naivePlan stands in for Algorithm 1 when smart grouping is disabled
 // (the "subtasks only" ablation of §V-C): jobs are chunked into groups of
 // NaiveGroupSize in submission order with an even machine split — no

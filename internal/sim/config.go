@@ -90,7 +90,7 @@ func (m *Mode) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Defaults for the simulation constants; see Config.
+// The simulation's constants, and the defaults of Config's fields.
 const (
 	// DefaultNetBusyFraction is the share of a COMM subtask during which
 	// the link actually carries bytes; the rest is server-side request
@@ -137,20 +137,13 @@ type Config struct {
 	Mode Mode
 	// Seed drives all stochastic elements (jitter, naive grouping).
 	Seed int64
-	// JitterFrac is the relative noise on subtask durations (default
-	// DefaultJitterFrac; negative disables jitter).
-	JitterFrac float64
-	// NetBusyFraction overrides DefaultNetBusyFraction when in (0, 1].
-	NetBusyFraction float64
-	// ContentionPenalty overrides DefaultContentionPenalty when > 0.
-	ContentionPenalty float64
 
-	// Pipelining, SmartGrouping and AdaptiveReload gate Harmony's three
-	// techniques for the ablation study (§V-C). They are all implied by
-	// ModeHarmony unless explicitly disabled via the Disable* fields.
+	// Pipelining and SmartGrouping gate two of Harmony's techniques for
+	// the ablation study (§V-C); the third, adaptive reload, is ablated
+	// through DisableAlphaTuning below. Both are implied by ModeHarmony
+	// unless explicitly disabled.
 	DisablePipelining    bool
 	DisableSmartGrouping bool
-	DisableReload        bool
 
 	// DisableSecondaryComm keeps subtask pipelining but runs only one
 	// COMM subtask at a time (no secondary filling the primary's idle
@@ -204,9 +197,6 @@ type Config struct {
 	// SchedOpts tunes the Harmony scheduler.
 	SchedOpts core.Options
 
-	// ProfileIters overrides DefaultProfileIters when > 0.
-	ProfileIters int
-
 	// MaxVirtualTime aborts runs that exceed this much simulated time
 	// (a safety net against pathological configurations); zero means
 	// one simulated year.
@@ -216,18 +206,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Spec == (cluster.MachineSpec{}) {
 		c.Spec = cluster.M42XLarge
-	}
-	if c.JitterFrac == 0 {
-		c.JitterFrac = DefaultJitterFrac
-	}
-	if c.JitterFrac < 0 {
-		c.JitterFrac = 0
-	}
-	if c.NetBusyFraction <= 0 || c.NetBusyFraction > 1 {
-		c.NetBusyFraction = DefaultNetBusyFraction
-	}
-	if c.ContentionPenalty <= 0 {
-		c.ContentionPenalty = DefaultContentionPenalty
 	}
 	if c.FixedAlpha == 0 && !c.hasFixedAlpha() {
 		c.FixedAlpha = AdaptiveAlpha
@@ -243,9 +221,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IsolatedMaxDoP <= 0 {
 		c.IsolatedMaxDoP = 32
-	}
-	if c.ProfileIters <= 0 {
-		c.ProfileIters = DefaultProfileIters
 	}
 	if c.MaxVirtualTime <= 0 {
 		c.MaxVirtualTime = 365 * 24 * simtime.Hour

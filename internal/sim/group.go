@@ -72,11 +72,8 @@ func (j *jobRun) memoryGB(machines int) float64 {
 	return mem
 }
 
-func (j *jobRun) jitter(c *Config) float64 {
-	if c.JitterFrac <= 0 {
-		return 1
-	}
-	return 1 + c.JitterFrac*(2*j.rng.Float64()-1)
+func (j *jobRun) jitter() float64 {
+	return 1 + DefaultJitterFrac*(2*j.rng.Float64()-1)
 }
 
 // groupRun simulates one job group through its representative machine:
@@ -129,11 +126,11 @@ func (s *Simulator) newGroupRun(id string, machines int, pipelined bool) *groupR
 		case s.cfg.DisableSecondaryComm:
 			netPolicy = exclusivePolicy{}
 		default:
-			netPolicy = primarySecondaryPolicy{busyFraction: s.cfg.NetBusyFraction}
+			netPolicy = primarySecondaryPolicy{busyFraction: DefaultNetBusyFraction}
 		}
 	} else {
-		cpuPolicy = fairSharePolicy{penalty: s.cfg.ContentionPenalty}
-		netPolicy = fairSharePolicy{penalty: s.cfg.ContentionPenalty}
+		cpuPolicy = fairSharePolicy{penalty: DefaultContentionPenalty}
+		netPolicy = fairSharePolicy{penalty: DefaultContentionPenalty}
 	}
 	g.cpu = newResource(s.eng, cpuPolicy, func(rate float64, from, to simtime.Time) {
 		s.util.AddBusyWeighted(metrics.CPU, from, to, rate*float64(g.machines))
@@ -300,17 +297,16 @@ func (g *groupRun) startCycleNow(j *jobRun) {
 	now := g.sim.eng.Now()
 	j.cycleStart = now
 	j.phase = phasePull
-	c := &g.sim.cfg
-	pull := j.spec.TpullAt(g.machines) * j.jitter(c)
+	pull := j.spec.TpullAt(g.machines) * j.jitter()
 	if j.modelSpilled {
 		// Spilled model partitions must be paged in on access,
 		// inflating pull time.
 		pull *= 1.15
 	}
-	comp := j.spec.TcpuAt(g.machines) * j.jitter(c)
-	push := j.spec.TpushAt(g.machines) * j.jitter(c)
+	comp := j.spec.TcpuAt(g.machines) * j.jitter()
+	push := j.spec.TpushAt(g.machines) * j.jitter()
 	j.lastNetSeconds = pull + push
-	g.net.submit(pull, c.NetBusyFraction, func() { g.afterPull(j, comp, push) })
+	g.net.submit(pull, DefaultNetBusyFraction, func() { g.afterPull(j, comp, push) })
 }
 
 func (g *groupRun) afterPull(j *jobRun, comp, push float64) {
@@ -363,7 +359,7 @@ func (g *groupRun) afterComp(j *jobRun, push float64) {
 		j.reloadReadyAt = now
 	}
 	j.phase = phasePush
-	g.net.submit(push, g.sim.cfg.NetBusyFraction, func() { g.afterPush(j) })
+	g.net.submit(push, DefaultNetBusyFraction, func() { g.afterPush(j) })
 }
 
 func (g *groupRun) afterPush(j *jobRun) {

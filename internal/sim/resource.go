@@ -17,7 +17,7 @@ type task struct {
 	remaining float64 // elapsed-equivalent seconds left
 	rate      float64 // current progress per wall second
 	// busyPerProgress converts progress to resource busy time: 1.0 for
-	// COMP subtasks (the CPU is pegged while computing), NetBusyFraction
+	// COMP subtasks (the CPU is pegged while computing), DefaultNetBusyFraction
 	// for COMM subtasks (the link idles while servers process requests).
 	busyPerProgress float64
 	done            func()

@@ -283,7 +283,7 @@ func (s *Simulator) unfinishedCount() int {
 }
 
 func (s *Simulator) reloadEnabled() bool {
-	return s.cfg.Mode == ModeHarmony && !s.cfg.DisableReload
+	return s.cfg.Mode == ModeHarmony
 }
 
 func (s *Simulator) pipelined() bool {
@@ -322,9 +322,9 @@ func (s *Simulator) onIterationComplete(g *groupRun, j *jobRun) {
 		return
 	}
 
-	if sj.state == jobProfiling && sj.profIters < s.cfg.ProfileIters {
+	if sj.state == jobProfiling && sj.profIters < DefaultProfileIters {
 		sj.profIters++
-		if sj.profIters >= s.cfg.ProfileIters {
+		if sj.profIters >= DefaultProfileIters {
 			s.onProfiled(id)
 			return
 		}

@@ -26,12 +26,6 @@ type Event struct {
 	canceled bool
 }
 
-// Time reports when the event fires.
-func (e *Event) Time() Time { return e.at }
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }

@@ -47,8 +47,8 @@ func TestFromStd(t *testing.T) {
 func TestTimeArithmetic(t *testing.T) {
 	t0 := Time(0)
 	t1 := t0.Add(90 * Second)
-	if got := t1.Minutes(); got != 1.5 {
-		t.Errorf("Minutes() = %v, want 1.5", got)
+	if got := t1.Seconds(); got != 90 {
+		t.Errorf("Seconds() = %v, want 90", got)
 	}
 	if got := t1.Sub(t0); got != 90*Second {
 		t.Errorf("Sub = %v, want 90s", got)
@@ -120,8 +120,8 @@ func TestEngineCancel(t *testing.T) {
 	if fired {
 		t.Error("canceled event fired")
 	}
-	if !ev.Canceled() {
-		t.Error("Canceled() = false after Cancel")
+	if !ev.canceled {
+		t.Error("canceled = false after Cancel")
 	}
 	// Double-cancel is a no-op.
 	e.Cancel(ev)

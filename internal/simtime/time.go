@@ -76,9 +76,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Seconds reports the instant as seconds since the simulation start.
 func (t Time) Seconds() float64 { return float64(t) / 1e6 }
 
-// Minutes reports the instant as minutes since the simulation start.
-func (t Time) Minutes() float64 { return float64(t) / (60 * 1e6) }
-
 // String formats the instant as an offset from the simulation start.
 func (t Time) String() string {
 	return fmt.Sprintf("t+%s", (time.Duration(t) * time.Microsecond).String())

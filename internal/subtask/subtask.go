@@ -40,9 +40,6 @@ func (k Kind) String() string {
 	}
 }
 
-// IsComm reports whether the subtask uses the network.
-func (k Kind) IsComm() bool { return k == Pull || k == Push }
-
 // phase maps the kind to its telemetry phase.
 func (k Kind) phase() obs.Phase {
 	switch k {
@@ -126,14 +123,10 @@ func NewExecutor() *Executor {
 // iteration. Pass nil to disable.
 func (e *Executor) SetRecorder(r *obs.Recorder) { e.rec.Store(r) }
 
-// Submit enqueues a subtask for the given job. work runs on the resource
-// lane; done (optional) runs right after on the same goroutine.
-func (e *Executor) Submit(kind Kind, job string, work func(), done func()) error {
-	return e.SubmitAt(kind, job, 0, work, done)
-}
-
-// SubmitAt is Submit carrying the job iteration the subtask belongs to,
-// so recorded spans line up with barrier rounds in the trace.
+// SubmitAt enqueues a subtask for the given job. work runs on the resource
+// lane; done (optional) runs right after on the same goroutine. iter is the
+// job iteration the subtask belongs to, so recorded spans line up with
+// barrier rounds in the trace.
 func (e *Executor) SubmitAt(kind Kind, job string, iter int, work func(), done func()) error {
 	it := &item{kind: kind, job: job, iter: iter, work: work, done: done}
 	if e.rec.Load() != nil {

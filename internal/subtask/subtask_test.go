@@ -16,9 +16,6 @@ func TestKindString(t *testing.T) {
 	if Kind(9).String() != "Subtask(?)" {
 		t.Error("unknown kind name wrong")
 	}
-	if Comp.IsComm() || !Pull.IsComm() || !Push.IsComm() {
-		t.Error("IsComm wrong")
-	}
 }
 
 func TestCompSubtasksSerialize(t *testing.T) {
@@ -28,7 +25,7 @@ func TestCompSubtasksSerialize(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		err := e.Submit(Comp, "j", func() {
+		err := e.SubmitAt(Comp, "j", 0, func() {
 			c := atomic.AddInt32(&concurrent, 1)
 			for {
 				m := atomic.LoadInt32(&maxConcurrent)
@@ -60,7 +57,7 @@ func TestCommSubtasksRunTwoWide(t *testing.T) {
 			kind = Push
 		}
 		wg.Add(1)
-		err := e.Submit(kind, "j", func() {
+		err := e.SubmitAt(kind, "j", 0, func() {
 			c := atomic.AddInt32(&concurrent, 1)
 			for {
 				m := atomic.LoadInt32(&maxConcurrent)
@@ -90,14 +87,14 @@ func TestCompAndCommOverlap(t *testing.T) {
 	var inComp, overlapped int32
 	var wg sync.WaitGroup
 	wg.Add(2)
-	if err := e.Submit(Comp, "a", func() {
+	if err := e.SubmitAt(Comp, "a", 0, func() {
 		atomic.StoreInt32(&inComp, 1)
 		time.Sleep(30 * time.Millisecond)
 		atomic.StoreInt32(&inComp, 0)
 	}, wg.Done); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit(Pull, "b", func() {
+	if err := e.SubmitAt(Pull, "b", 0, func() {
 		time.Sleep(5 * time.Millisecond)
 		if atomic.LoadInt32(&inComp) == 1 {
 			atomic.StoreInt32(&overlapped, 1)
@@ -120,7 +117,7 @@ func TestFIFOWithinResource(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		i := i
 		wg.Add(1)
-		if err := e.Submit(Comp, "j", func() {
+		if err := e.SubmitAt(Comp, "j", 0, func() {
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
@@ -141,10 +138,10 @@ func TestStatsAndUtilization(t *testing.T) {
 	defer e.Close()
 	var wg sync.WaitGroup
 	wg.Add(2)
-	if err := e.Submit(Comp, "j", func() { time.Sleep(10 * time.Millisecond) }, wg.Done); err != nil {
+	if err := e.SubmitAt(Comp, "j", 0, func() { time.Sleep(10 * time.Millisecond) }, wg.Done); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit(Push, "j", func() { time.Sleep(10 * time.Millisecond) }, wg.Done); err != nil {
+	if err := e.SubmitAt(Push, "j", 0, func() { time.Sleep(10 * time.Millisecond) }, wg.Done); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -167,11 +164,11 @@ func TestQueueDepths(t *testing.T) {
 	block := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	if err := e.Submit(Comp, "j", func() { <-block }, wg.Done); err != nil {
+	if err := e.SubmitAt(Comp, "j", 0, func() { <-block }, wg.Done); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := e.Submit(Comp, "j", func() {}, nil); err != nil {
+		if err := e.SubmitAt(Comp, "j", 0, func() {}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,7 +190,7 @@ func TestQueueDepths(t *testing.T) {
 func TestSubmitAfterClose(t *testing.T) {
 	e := NewExecutor()
 	e.Close()
-	if err := e.Submit(Comp, "j", func() {}, nil); err != ErrClosed {
+	if err := e.SubmitAt(Comp, "j", 0, func() {}, nil); err != ErrClosed {
 		t.Errorf("Submit after close = %v, want ErrClosed", err)
 	}
 	e.Close() // double close is a no-op

@@ -28,7 +28,6 @@ const (
 	MethodDropJob  = "worker.dropJob"
 	MethodSetAlpha = "worker.setAlpha"
 	MethodStats    = "worker.stats"
-	MethodUpdatePS = "worker.updatePS"
 )
 
 // Master-side methods the worker calls.
@@ -83,15 +82,6 @@ type DropJobArgs struct {
 type SetAlphaArgs struct {
 	Job   string
 	Alpha float64
-}
-
-// UpdatePSArgs rewires a running job's PS client to a new server set —
-// the worker-side half of elastic resizing (DESIGN.md §12). The client
-// keeps connections to retained servers and refreshes its stripe routes
-// lazily, so in-flight iterations see at most one moved-stripe retry.
-type UpdatePSArgs struct {
-	Job     string
-	Servers []string
 }
 
 // SpanCursorNone asks a Stats call to skip span payloads entirely —
@@ -254,7 +244,6 @@ func New(name, addr, masterAddr, spillDir string) (*Worker, string, error) {
 	w.srv.Handle(MethodDropJob, rpc.Typed(w.handleDropJob))
 	w.srv.Handle(MethodSetAlpha, rpc.Typed(w.handleSetAlpha))
 	w.srv.Handle(MethodStats, rpc.Typed(w.handleStats))
-	w.srv.Handle(MethodUpdatePS, rpc.Typed(w.handleUpdatePS))
 	bound, err := w.srv.Listen(addr)
 	if err != nil {
 		return nil, "", err
@@ -569,19 +558,6 @@ func (w *Worker) handleSetAlpha(a SetAlphaArgs) (Ack, error) {
 	return Ack{}, st.store.SetAlpha(a.Alpha)
 }
 
-func (w *Worker) handleUpdatePS(a UpdatePSArgs) (Ack, error) {
-	w.mu.Lock()
-	st, ok := w.jobs[a.Job]
-	w.mu.Unlock()
-	if !ok {
-		return Ack{}, fmt.Errorf("worker %s: job %q not loaded", w.name, a.Job)
-	}
-	if err := st.client.SetServers(a.Servers); err != nil {
-		return Ack{}, fmt.Errorf("worker %s: update ps: %w", w.name, err)
-	}
-	return Ack{}, nil
-}
-
 func (w *Worker) handleStats(a StatsArgs) (StatsReply, error) {
 	cpu, net := w.exec.Utilization()
 	w.mu.Lock()
@@ -619,9 +595,6 @@ func (w *Worker) EnableTracing(capacity int) {
 func (w *Worker) SetCompParallelism(n int) {
 	w.compWorkers.Store(int32(parallel.Workers(n)))
 }
-
-// Name reports the worker's registered name.
-func (w *Worker) Name() string { return w.name }
 
 // Close stops all jobs and tears the worker down.
 func (w *Worker) Close() {

@@ -276,7 +276,7 @@ func TestPauseResumeLossesMatchControl(t *testing.T) {
 					}
 					defer c.Close()
 					size := args.Config.ModelSize()
-					checkpoint, err := c.Snapshot("j1", size)
+					checkpoint, err := c.Pull("j1", size)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -287,7 +287,7 @@ func TestPauseResumeLossesMatchControl(t *testing.T) {
 					if err := c.Push("j1", scribble); err != nil {
 						t.Fatal(err)
 					}
-					if err := c.Restore("j1", checkpoint); err != nil {
+					if err := c.Init("j1", checkpoint); err != nil {
 						t.Fatal(err)
 					}
 					start.FromIteration = pause + 1
@@ -333,7 +333,7 @@ func TestWorkerDoubleClose(t *testing.T) {
 	w, _ := startWorker(t)
 	w.Close()
 	w.Close()
-	if w.Name() != "unit" {
+	if w.name != "unit" {
 		t.Error("name lost after close")
 	}
 }
@@ -419,7 +419,7 @@ func TestSparseRunKeepsEveryMirrorExact(t *testing.T) {
 		}
 	}
 	ckptWG.Wait()
-	want, err := ckpt.Snapshot(job, cfg.ModelSize())
+	want, err := ckpt.Pull(job, cfg.ModelSize())
 	if err != nil {
 		t.Fatal(err)
 	}

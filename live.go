@@ -274,9 +274,6 @@ func StartWorker(name, addr, masterAddr, spillDir string) (*Worker, error) {
 	return &Worker{w: w}, nil
 }
 
-// Name reports the worker's registered name.
-func (w *Worker) Name() string { return w.w.Name() }
-
 // SetCompParallelism bounds the fused COMP kernel's core pool (0 selects
 // GOMAXPROCS). Results are bit-identical at any setting; only wall time
 // changes.
