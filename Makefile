@@ -47,7 +47,7 @@ fuzz-smoke:
 
 ## bench-smoke: quick pass over the perf-critical benchmarks with -benchmem
 bench-smoke:
-	$(GO) test ./internal/core/ -run XXX -bench BenchmarkScheduleLarge -benchmem -benchtime 3x
+	$(GO) test ./internal/core/ -run XXX -bench 'BenchmarkSchedule(Large|Paper)' -benchmem -benchtime 3x
 	$(GO) test ./internal/sim/ -run XXX -bench BenchmarkRunHarmonyBase -benchmem -benchtime 3x
 	$(GO) test ./internal/ps/ -run XXX -bench 'BenchmarkPullPush(Sparse)?$$|BenchmarkCheckpoint' -benchmem -benchtime 3x
 	$(GO) test ./internal/worker/ -run XXX -bench 'BenchmarkComp/(lda-512k|mlr-128x16|lasso-2048|nmf-128x16|lda-512x8)' -benchmem -benchtime 20x

@@ -78,6 +78,13 @@ func run() error {
 	if err := master.Resume("lasso", []string{"alpha", "beta"}, checkpoint); err != nil {
 		return err
 	}
+	// Only jobs still holding machines are planned, so ask before they finish.
+	if groups, err := master.PlanGroups(); err == nil {
+		fmt.Println("Algorithm 1 over the live profiles would place:")
+		for job, members := range groups {
+			fmt.Printf("  %-6s -> %v\n", job, members)
+		}
+	}
 
 	for _, job := range []string{"mlr", "lasso"} {
 		if err := master.Wait(job, 2*time.Minute); err != nil {
@@ -99,13 +106,6 @@ func run() error {
 	}
 	fmt.Printf("\nworker executors: CPU busy %.0f%%, network lanes busy %.0f%%\n",
 		cpu*100, net*100)
-
-	if groups, err := master.PlanGroups(); err == nil {
-		fmt.Println("Algorithm 1 over the live profiles would place:")
-		for job, members := range groups {
-			fmt.Printf("  %-6s -> %v\n", job, members)
-		}
-	}
 	return nil
 }
 

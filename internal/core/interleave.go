@@ -82,14 +82,21 @@ func SolveInterleave(jobs []JobInfo, machines int) Interleave {
 		}
 		demand := commDemand(j, machines, res.Period, &dem)
 		totalDemand += demand
+		// The slots the job occupies, ascending: the offset search and the
+		// placement visit only these.
+		var used [interleaveSlots]int
+		n := 0
+		for s, d := range dem {
+			if d != 0 {
+				used[n] = s
+				n++
+			}
+		}
 		bestOff, bestCost := 0, math.Inf(1)
 		for c := 0; c < interleaveSlots; c += offsetStep {
 			var cost float64
-			for s := 0; s < interleaveSlots; s++ {
+			for _, s := range used[:n] {
 				d := dem[s]
-				if d == 0 {
-					continue
-				}
 				o := occ[(s+c)%interleaveSlots]
 				// Incremental excess over unit link capacity in this
 				// slot: what the new demand adds beyond what already
@@ -110,10 +117,8 @@ func SolveInterleave(jobs []JobInfo, machines int) Interleave {
 				break
 			}
 		}
-		for s := 0; s < interleaveSlots; s++ {
-			if dem[s] != 0 {
-				occ[(s+bestOff)%interleaveSlots] += dem[s]
-			}
+		for _, s := range used[:n] {
+			occ[(s+bestOff)%interleaveSlots] += dem[s]
 		}
 		res.Offsets[ji] = float64(bestOff) * slotSec
 		totalExcess += bestCost * slotSec
@@ -179,10 +184,10 @@ func groupIterSeconds(jobs []JobInfo, machines int) float64 {
 	comps := make([]float64, 0, len(jobs))
 	nets := make([]float64, 0, len(jobs))
 	var maxIter float64
-	for _, j := range jobs {
-		comps = append(comps, j.TcpuAt(machines))
-		nets = append(nets, j.Net)
-		maxIter = math.Max(maxIter, j.IterAt(machines))
+	for i := range jobs {
+		comps = append(comps, jobs[i].TcpuAt(machines))
+		nets = append(nets, jobs[i].Net)
+		maxIter = math.Max(maxIter, jobs[i].IterAt(machines))
 	}
 	sort.Float64s(comps)
 	sort.Float64s(nets)

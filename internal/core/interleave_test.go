@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -177,5 +178,114 @@ func TestGroupCompatibilityScoreTerm(t *testing.T) {
 	}}}
 	if off.Score(noisy) != off.Score(clean) {
 		t.Error("PullFrac changed the default score: NetModel gating leaked")
+	}
+}
+
+// solveInterleaveSlotBySlot is SolveInterleave scanning all 64 demand
+// slots at every candidate offset, as it did before the solver collected
+// the occupied slots once per job; the oracle for
+// TestSolveInterleaveMatchesSlotBySlot.
+func solveInterleaveSlotBySlot(jobs []JobInfo, machines int) Interleave {
+	res := Interleave{
+		Period:        groupIterSeconds(jobs, machines),
+		Offsets:       make([]float64, len(jobs)),
+		Compatibility: 1,
+	}
+	if len(jobs) < 2 || res.Period <= 0 {
+		return res
+	}
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		ja, jb := jobs[order[a]], jobs[order[b]]
+		if ja.Net != jb.Net {
+			return ja.Net > jb.Net
+		}
+		return ja.ID < jb.ID
+	})
+
+	slotSec := res.Period / interleaveSlots
+	var occ, dem [interleaveSlots]float64
+	var totalDemand, totalExcess float64
+	for _, ji := range order {
+		j := jobs[ji]
+		if j.Net <= 0 {
+			continue
+		}
+		demand := commDemand(j, machines, res.Period, &dem)
+		totalDemand += demand
+		bestOff, bestCost := 0, math.Inf(1)
+		for c := 0; c < interleaveSlots; c += offsetStep {
+			var cost float64
+			for s := 0; s < interleaveSlots; s++ {
+				d := dem[s]
+				if d == 0 {
+					continue
+				}
+				o := occ[(s+c)%interleaveSlots]
+				// Incremental excess over unit link capacity in this
+				// slot: what the new demand adds beyond what already
+				// overflowed.
+				after := o + d - 1
+				if after > 0 {
+					if before := o - 1; before > 0 {
+						after -= before
+					}
+					cost += after
+				}
+			}
+			if cost < bestCost-1e-12 {
+				bestCost = cost
+				bestOff = c
+			}
+			if bestCost == 0 {
+				break
+			}
+		}
+		for s := 0; s < interleaveSlots; s++ {
+			if dem[s] != 0 {
+				occ[(s+bestOff)%interleaveSlots] += dem[s]
+			}
+		}
+		res.Offsets[ji] = float64(bestOff) * slotSec
+		totalExcess += bestCost * slotSec
+	}
+	if totalDemand > 0 {
+		res.CollisionSeconds = math.Min(totalExcess, totalDemand)
+		res.Compatibility = 1 - res.CollisionSeconds/totalDemand
+	}
+	return res
+}
+
+// TestSolveInterleaveMatchesSlotBySlot: visiting only the slots a job
+// occupies changes no addition and no order, so offsets, collided seconds
+// and compatibility are bit-equal to the full scan.
+func TestSolveInterleaveMatchesSlotBySlot(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for trial := 0; trial < 3000; trial++ {
+		jobs := make([]JobInfo, rng.Intn(9))
+		for i := range jobs {
+			jobs[i] = randomJob(rng, i)
+			if rng.Intn(8) == 0 {
+				jobs[i].Net *= 20 // comm-bound: bursts wrap and overload the link
+			}
+			if rng.Intn(10) == 0 {
+				jobs[i].Net = 0
+			}
+		}
+		machines := 1 + rng.Intn(32)
+		got, want := SolveInterleave(jobs, machines), solveInterleaveSlotBySlot(jobs, machines)
+		if math.Float64bits(got.Period) != math.Float64bits(want.Period) ||
+			math.Float64bits(got.CollisionSeconds) != math.Float64bits(want.CollisionSeconds) ||
+			math.Float64bits(got.Compatibility) != math.Float64bits(want.Compatibility) {
+			t.Fatalf("trial %d: got %+v, slot-by-slot %+v", trial, got, want)
+		}
+		for i := range want.Offsets {
+			if math.Float64bits(got.Offsets[i]) != math.Float64bits(want.Offsets[i]) {
+				t.Fatalf("trial %d: job %d offset %v, slot-by-slot %v", trial, i, got.Offsets[i], want.Offsets[i])
+			}
+		}
 	}
 }

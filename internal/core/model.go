@@ -96,8 +96,8 @@ type Group struct {
 // SumComp is ΣT_cpu_j over the group's jobs at the group DoP.
 func (g Group) SumComp() float64 {
 	var s float64
-	for _, j := range g.Jobs {
-		s += j.TcpuAt(g.Machines)
+	for i := range g.Jobs {
+		s += g.Jobs[i].TcpuAt(g.Machines)
 	}
 	return s
 }
@@ -105,8 +105,8 @@ func (g Group) SumComp() float64 {
 // SumNet is ΣT_net_j over the group's jobs.
 func (g Group) SumNet() float64 {
 	var s float64
-	for _, j := range g.Jobs {
-		s += j.Net
+	for i := range g.Jobs {
+		s += g.Jobs[i].Net
 	}
 	return s
 }
@@ -114,8 +114,8 @@ func (g Group) SumNet() float64 {
 // MaxJobIter is max_j T_jitr_j, the job-bound term of Eq. 1.
 func (g Group) MaxJobIter() float64 {
 	var m float64
-	for _, j := range g.Jobs {
-		m = math.Max(m, j.IterAt(g.Machines))
+	for i := range g.Jobs {
+		m = math.Max(m, g.Jobs[i].IterAt(g.Machines))
 	}
 	return m
 }
@@ -141,8 +141,8 @@ func (g Group) Util() (ucpu, unet float64) {
 // with every job's input fully spilled.
 func (g Group) MinMemoryGB() float64 {
 	var s float64
-	for _, j := range g.Jobs {
-		s += j.MinMemoryGB(g.Machines)
+	for i := range g.Jobs {
+		s += g.Jobs[i].MinMemoryGB(g.Machines)
 	}
 	return s
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // TestScheduleParallelMatchesSequential is the determinism contract of the
@@ -119,37 +118,66 @@ func TestBestGroupCountTernaryMatchesLinear(t *testing.T) {
 	}
 }
 
-// TestAllocateMachinesStaleGainsTerminate is a regression test for the
-// lazy max-heap: when every queued gain is stale (all groups network- or
-// job-bound, so extra machines never help), the re-evaluation loop must
-// fall through to the round-robin spread rather than spin.
-func TestAllocateMachinesStaleGainsTerminate(t *testing.T) {
-	// Pure network-bound jobs: Comp = 0, so IterSeconds never shrinks with
-	// more machines and every marginal gain is exactly zero.
+// TestAllocateMachinesZeroGainsSpread pins the fall-through: when no group
+// gains from another machine (Comp = 0, so Eq. 1 never shrinks), the spares
+// are spread round-robin from group 0 and none is stranded.
+func TestAllocateMachinesZeroGainsSpread(t *testing.T) {
 	groups := []Group{
 		{Jobs: []JobInfo{job("a", 0, 50)}},
 		{Jobs: []JobInfo{job("b", 0, 80)}},
 		{Jobs: []JobInfo{job("c", 0, 20)}},
 	}
-	const machines = 17
-	done := make(chan struct{})
-	go func() {
-		allocateMachines(groups, machines)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("allocateMachines did not terminate with all-stale gains")
-	}
-	total := 0
-	for i, g := range groups {
-		if g.Machines < 1 {
-			t.Errorf("group %d got %d machines, want >= 1", i, g.Machines)
+	allocateMachines(groups, 17)
+	for i, want := range []int{6, 6, 5} {
+		if groups[i].Machines != want {
+			t.Errorf("group %d got %d machines, want %d", i, groups[i].Machines, want)
 		}
-		total += g.Machines
 	}
-	if total != machines {
-		t.Errorf("allocated %d machines, want all %d", total, machines)
+}
+
+// TestAllocateMachinesMatchesReference compares the water-filling loop
+// with the loop it replaced on random group sets, hostile terms included.
+// The reference's lazy re-key never firing is why allocateMachines has no
+// such branch: a group's gain depends on its own DoP only.
+func TestAllocateMachinesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	term := func(scale float64) float64 {
+		switch rng.Intn(20) {
+		case 0, 1, 2:
+			return 0
+		case 3:
+			return -rng.Float64() * scale
+		case 4:
+			if rng.Intn(4) == 0 {
+				return math.NaN()
+			}
+			return math.Inf(1)
+		}
+		return rng.Float64() * scale
+	}
+	for trial := 0; trial < 12000; trial++ {
+		got := make([]Group, 1+rng.Intn(12))
+		for gi := range got {
+			got[gi].Jobs = make([]JobInfo, 1+rng.Intn(6))
+			for ji := range got[gi].Jobs {
+				j := JobInfo{Comp: term(10000), Net: term(400)}
+				if rng.Intn(3) == 0 {
+					j.CompFloor = term(50)
+				}
+				got[gi].Jobs[ji] = j
+			}
+		}
+		want := append([]Group(nil), got...)
+		machines := len(got) + rng.Intn(201)
+		allocateMachines(got, machines)
+		if rekeys := allocateMachinesReference(want, machines); rekeys != 0 {
+			t.Fatalf("trial %d: reference re-keyed a stale top %d times", trial, rekeys)
+		}
+		for gi := range got {
+			if got[gi].Machines != want[gi].Machines {
+				t.Fatalf("trial %d (%d machines): group %d got %d machines, reference %d",
+					trial, machines, gi, got[gi].Machines, want[gi].Machines)
+			}
+		}
 	}
 }

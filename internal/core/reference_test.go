@@ -1,9 +1,13 @@
 package core
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // The reference implementations of the §IV-B4 rules that
-// TestIncrementalAdmissionBitIdentical compares the Scorer paths against.
+// TestIncrementalAdmissionBitIdentical compares the Scorer paths against,
+// and of §IV-B3's machine allocation.
 
 // TryAddJobReference is the arrival rule by clone-and-rescore: clone the
 // plan once per candidate group and rescore from scratch. It is the
@@ -139,4 +143,79 @@ func RegroupAfterFinishReference(plan Plan, finishedID string, waiting []JobInfo
 		AddedJobs:      added,
 		InvolvedGroups: best.involved,
 	}
+}
+
+// allocateMachinesReference is the water-filling loop as it stood before
+// heap entries cached Eq. 1: four Group.IterSeconds calls per machine and
+// a lazy re-key on pop. It is the oracle for
+// TestAllocateMachinesMatchesReference and reports how often the re-key
+// branch fired.
+func allocateMachinesReference(groups []Group, machines int) (rekeys int) {
+	if len(groups) == 0 {
+		return 0
+	}
+	gain := func(i int) float64 {
+		g := groups[i]
+		now := g.IterSeconds()
+		g.Machines++
+		return (now - g.IterSeconds()) / math.Max(now, 1e-12)
+	}
+	for i := range groups {
+		groups[i].Machines = 1
+	}
+	// heap of (gain, group index); lazy re-evaluation on pop.
+	type entry struct {
+		gain float64
+		idx  int
+	}
+	h := make([]entry, len(groups))
+	for i := range groups {
+		h[i] = entry{gain(i), i}
+	}
+	less := func(a, b entry) bool { return a.gain > b.gain } // max-heap
+	var down func(i int)
+	down = func(i int) {
+		for {
+			l, r := 2*i+1, 2*i+2
+			big := i
+			if l < len(h) && less(h[l], h[big]) {
+				big = l
+			}
+			if r < len(h) && less(h[r], h[big]) {
+				big = r
+			}
+			if big == i {
+				return
+			}
+			h[i], h[big] = h[big], h[i]
+			i = big
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for spare := machines - len(groups); spare > 0; {
+		top := h[0]
+		fresh := gain(top.idx)
+		if fresh < top.gain-1e-12 {
+			// Stale: re-key and sift.
+			rekeys++
+			h[0].gain = fresh
+			down(0)
+			continue
+		}
+		if fresh <= 1e-12 {
+			// No group benefits (all network- or job-bound); spread the
+			// rest round-robin so machines are not stranded.
+			for i := 0; spare > 0; i, spare = (i+1)%len(groups), spare-1 {
+				groups[i].Machines++
+			}
+			return rekeys
+		}
+		groups[top.idx].Machines++
+		spare--
+		h[0].gain = gain(top.idx)
+		down(0)
+	}
+	return rekeys
 }

@@ -230,8 +230,8 @@ func bestGroupCount(jobs []JobInfo, machines int, opts Options) int {
 		}
 		m := machines / nG
 		var c float64
-		for _, j := range jobs {
-			c += math.Abs(j.TcpuAt(m) - j.Net)
+		for i := range jobs {
+			c += math.Abs(jobs[i].TcpuAt(m) - jobs[i].Net)
 		}
 		return c
 	}
@@ -293,9 +293,9 @@ func assignJobs(jobs []JobInfo, nG, machines int, opts Options) []Group {
 	tcpu := make([]float64, n)
 	iter := make([]float64, n)
 	rem := make([]int, n) // indices into jobs, sorted; rem[head:] remain
-	for i, j := range jobs {
-		tcpu[i] = j.TcpuAt(m)
-		iter[i] = j.IterAt(m)
+	for i := range jobs {
+		tcpu[i] = jobs[i].TcpuAt(m)
+		iter[i] = jobs[i].IterAt(m)
 		rem[i] = i
 	}
 	sort.SliceStable(rem, func(a, b int) bool {
@@ -425,15 +425,15 @@ func trySwap(a, b *Group, opts Options) bool {
 	current := math.Abs(imbA) + math.Abs(imbB)
 	da := make([]float64, len(a.Jobs))    // ja's contribution at a's DoP
 	daInB := make([]float64, len(a.Jobs)) // ja's contribution at b's DoP
-	for i, ja := range a.Jobs {
-		da[i] = ja.TcpuAt(a.Machines) - ja.Net
-		daInB[i] = ja.TcpuAt(b.Machines) - ja.Net
+	for i := range a.Jobs {
+		da[i] = a.Jobs[i].TcpuAt(a.Machines) - a.Jobs[i].Net
+		daInB[i] = a.Jobs[i].TcpuAt(b.Machines) - a.Jobs[i].Net
 	}
 	db := make([]float64, len(b.Jobs))
 	dbInA := make([]float64, len(b.Jobs))
-	for j, jb := range b.Jobs {
-		db[j] = jb.TcpuAt(b.Machines) - jb.Net
-		dbInA[j] = jb.TcpuAt(a.Machines) - jb.Net
+	for j := range b.Jobs {
+		db[j] = b.Jobs[j].TcpuAt(b.Machines) - b.Jobs[j].Net
+		dbInA[j] = b.Jobs[j].TcpuAt(a.Machines) - b.Jobs[j].Net
 	}
 	pairCost := func(i, j int) float64 {
 		// Swapping moves ja's contribution out of a and jb's in,
@@ -518,32 +518,33 @@ func trySwapNetModel(a, b *Group, currentImb float64, pairCost func(i, j int) fl
 // group gets one machine, then the remaining machines go one at a time to
 // the group whose iteration time shrinks the most from one more machine
 // (the most computation-bound group, per Eq. 1 and Eq. 2). A max-heap on
-// the marginal gain keeps the water-filling loop near O(M log G).
+// the marginal gain keeps the water-filling loop near O(M log G); each
+// entry keeps its group's ΣT_net and Eq. 1 at Machines+1, so a machine
+// handed out costs one new Eq. 1 evaluation.
 func allocateMachines(groups []Group, machines int) {
 	if len(groups) == 0 {
 		return
 	}
-	gain := func(i int) float64 {
-		g := groups[i]
-		now := g.IterSeconds()
-		g.Machines++
-		return (now - g.IterSeconds()) / math.Max(now, 1e-12)
-	}
-	for i := range groups {
-		groups[i].Machines = 1
-	}
-	// heap of (gain, group index); lazy re-evaluation on pop.
 	type entry struct {
-		gain float64
-		idx  int
+		gain   float64
+		idx    int
+		sumNet float64
+		next   float64 // Eq. 1 at Machines+1
+	}
+	// rekey moves e's group from iteration time now to e.next and looks
+	// one machine further ahead.
+	rekey := func(e *entry, now float64) {
+		e.next = iterSecondsAt(groups[e.idx].Jobs, groups[e.idx].Machines+1, e.sumNet)
+		e.gain = (now - e.next) / math.Max(now, 1e-12)
 	}
 	h := make([]entry, len(groups))
 	for i := range groups {
-		h[i] = entry{gain(i), i}
+		groups[i].Machines = 1
+		h[i] = entry{idx: i, sumNet: groups[i].SumNet()}
+		rekey(&h[i], iterSecondsAt(groups[i].Jobs, 1, h[i].sumNet))
 	}
 	less := func(a, b entry) bool { return a.gain > b.gain } // max-heap
-	var down func(i int)
-	down = func(i int) {
+	down := func(i int) {
 		for {
 			l, r := 2*i+1, 2*i+2
 			big := i
@@ -563,16 +564,9 @@ func allocateMachines(groups []Group, machines int) {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		down(i)
 	}
-	for spare := machines - len(groups); spare > 0; {
-		top := h[0]
-		fresh := gain(top.idx)
-		if fresh < top.gain-1e-12 {
-			// Stale: re-key and sift.
-			h[0].gain = fresh
-			down(0)
-			continue
-		}
-		if fresh <= 1e-12 {
+	for spare := machines - len(groups); spare > 0; spare-- {
+		top := &h[0]
+		if top.gain <= 1e-12 {
 			// No group benefits (all network- or job-bound); spread the
 			// rest round-robin so machines are not stranded.
 			for i := 0; spare > 0; i, spare = (i+1)%len(groups), spare-1 {
@@ -581,10 +575,32 @@ func allocateMachines(groups []Group, machines int) {
 			return
 		}
 		groups[top.idx].Machines++
-		spare--
-		h[0].gain = gain(top.idx)
+		rekey(top, top.next)
 		down(0)
 	}
+}
+
+// iterSecondsAt is Group.IterSeconds at DoP m ≥ 1 in one walk, term for
+// term and in the same order, given the group's ΣT_net.
+func iterSecondsAt(jobs []JobInfo, m int, sumNet float64) float64 {
+	var sumComp, maxIter float64
+	for i := range jobs {
+		tcpu := jobs[i].Comp/float64(m) + jobs[i].CompFloor
+		sumComp += tcpu
+		maxIter = fmax(maxIter, tcpu+jobs[i].Net)
+	}
+	return fmax(sumComp, fmax(sumNet, maxIter))
+}
+
+// fmax is math.Max, inlinable: ties, ±0 and NaN take the library's answer.
+func fmax(x, y float64) float64 {
+	if x > y {
+		return x
+	}
+	if y > x {
+		return y
+	}
+	return math.Max(x, y)
 }
 
 // widenForMemory retries the grouping with more, smaller groups until the

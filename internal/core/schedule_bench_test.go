@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"harmony/internal/workload"
 )
 
 // benchJobs mirrors the synthetic workload internal/exp/scale.go uses for
@@ -30,18 +32,37 @@ func BenchmarkScheduleLarge(b *testing.B) {
 	jobs := benchJobs(1000)
 	const machines = 1000
 	b.Run("sequential", func(b *testing.B) {
-		benchSchedule(b, jobs, machines, 1)
+		benchSchedule(b, jobs, machines, Options{Parallelism: 1})
 	})
 	b.Run(fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		benchSchedule(b, jobs, machines, runtime.GOMAXPROCS(0))
+		benchSchedule(b, jobs, machines, Options{Parallelism: runtime.GOMAXPROCS(0)})
 	})
 }
 
-func benchSchedule(b *testing.B, jobs []JobInfo, machines, par int) {
-	opts := Options{Parallelism: par}
+func benchSchedule(b *testing.B, jobs []JobInfo, machines int, opts Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Schedule(jobs, machines, opts)
 	}
+}
+
+// BenchmarkSchedulePaper measures one Algorithm 1 search over the paper's
+// 80-job workload on 100 machines, with Eq. 1's network view and with the
+// link-contention model: the call behind the benchmark harness's step_ms
+// and core.schedule_paper_ms.
+func BenchmarkSchedulePaper(b *testing.B) {
+	specs := workload.Base()
+	jobs := make([]JobInfo, len(specs))
+	for i, s := range specs {
+		jobs[i] = JobInfo{ID: s.ID, Comp: s.CompMachineSeconds, Net: s.NetSeconds,
+			InputGB: s.Data.InputGB, ModelGB: s.Data.ModelGB, WorkGB: s.WorkGB,
+			JVMHeapFactor: workload.JVMHeapFactor, PullFrac: s.PullFrac}
+	}
+	b.Run("plain", func(b *testing.B) {
+		benchSchedule(b, jobs, 100, Options{MemoryCapGB: 25})
+	})
+	b.Run("netmodel", func(b *testing.B) {
+		benchSchedule(b, jobs, 100, Options{MemoryCapGB: 25, NetModel: true})
+	})
 }

@@ -718,19 +718,19 @@ func (m *Master) serverAddrsLocked(j *job) []string {
 	return addrs
 }
 
-// PlanGroups runs Algorithm 1 over the currently profiled jobs, mapping
-// machine counts to concrete worker subsets. It returns job→workers
-// assignments without applying them; callers migrate via Pause/Resume.
+// PlanGroups runs Algorithm 1 over the profiled jobs that still hold
+// machines (running or paused), mapping machine counts to concrete worker
+// subsets. It returns job→workers assignments without applying them;
+// callers migrate via Pause/Resume.
 func (m *Master) PlanGroups() (map[string][]string, error) {
 	m.mu.RLock()
 	var infos []core.JobInfo
-	for name := range m.jobs {
+	for name, j := range m.jobs {
+		if j.status != StatusRunning && j.status != StatusPaused {
+			continue
+		}
 		if met, ok := m.profiles.Metrics(name); ok && met.Profiled() {
-			infos = append(infos, core.JobInfo{
-				ID:   name,
-				Comp: met.CompMachineSeconds,
-				Net:  met.NetSeconds,
-			})
+			infos = append(infos, m.jobInfoLocked(name, j))
 		}
 	}
 	total := len(m.workers)

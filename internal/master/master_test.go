@@ -152,33 +152,43 @@ func TestPauseCheckpointResumeMigration(t *testing.T) {
 	}
 }
 
+// TestPlanGroups: Algorithm 1 plans the jobs that hold machines. A finished
+// job keeps its record and its profile for status queries and must be
+// given none.
 func TestPlanGroups(t *testing.T) {
 	m := cluster(t, 4)
 	if err := m.Submit(spec("a", mlapp.MLR, 8), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Submit(spec("b", mlapp.Lasso, 8), nil); err != nil {
+	if err := m.Submit(spec("b", mlapp.Lasso, 1<<20), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.WaitJob("a", 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.WaitJob("b", 60*time.Second); err != nil {
-		t.Fatal(err)
+	if met, ok := m.Metrics("a"); !ok || !met.Profiled() {
+		t.Fatalf("finished job a is not profiled (%+v): the test would not see it planned", met)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if met, ok := m.Metrics("b"); ok && met.Profiled() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job b was not profiled in time")
+		}
 	}
 	groups, err := m.PlanGroups()
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := 0
-	for job, members := range groups {
-		if len(members) == 0 {
-			t.Errorf("job %s assigned no workers", job)
-		}
-		seen++
+	if len(groups) != 1 || len(groups["b"]) != 4 {
+		t.Errorf("plan = %v, want only the running job b, on all 4 workers", groups)
 	}
-	if seen == 0 {
-		t.Error("plan placed no jobs")
+	if err := m.Cancel("b"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.PlanGroups(); err == nil {
+		t.Error("PlanGroups planned a cluster whose jobs are all finished or canceled")
 	}
 }
 
