@@ -32,7 +32,8 @@ build:
 test:
 	$(GO) test ./...
 
-## race: the race detector guards the scheduler search and experiment pool
+## race: the race detector guards the experiment pool, the fused COMP pool
+## and the live runtime
 race:
 	$(GO) test -race ./...
 
@@ -45,9 +46,11 @@ fuzz-smoke:
 		$(GO) test ./internal/rpc/ -run XXX -fuzz "^$$f$$" -fuzztime 10s -parallel 2 || exit 1; \
 	done
 
-## bench-smoke: quick pass over the perf-critical benchmarks with -benchmem
+## bench-smoke: quick pass over the perf-critical benchmarks with -benchmem.
+## The core line runs at two P counts: a search whose cost depends on the
+## P count shows as two different allocs/op columns.
 bench-smoke:
-	$(GO) test ./internal/core/ -run XXX -bench 'BenchmarkSchedule(Large|Paper)' -benchmem -benchtime 3x
+	$(GO) test ./internal/core/ -run XXX -bench 'BenchmarkSchedule(Large|Paper)' -benchmem -benchtime 3x -cpu 1,2
 	$(GO) test ./internal/sim/ -run XXX -bench BenchmarkRunHarmonyBase -benchmem -benchtime 3x
 	$(GO) test ./internal/ps/ -run XXX -bench 'BenchmarkPullPush(Sparse)?$$|BenchmarkCheckpoint' -benchmem -benchtime 3x
 	$(GO) test ./internal/worker/ -run XXX -bench 'BenchmarkComp/(lda-512k|mlr-128x16|lasso-2048|nmf-128x16|lda-512x8)' -benchmem -benchtime 20x

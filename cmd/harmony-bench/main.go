@@ -97,7 +97,7 @@ func run(args []string) error {
 	seed := fs.Int64("seed", exp.DefaultSeed, "random seed")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	parallelism := fs.Int("parallel", 0,
-		"worker count for sweeps and the scheduler search (0 = GOMAXPROCS, 1 = sequential; results are identical at any setting)")
+		"worker count for the experiment sweeps (0 = GOMAXPROCS, 1 = sequential; results are identical at any setting)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -6,11 +6,10 @@
 //	harmony-sim -machines 100 -scheduler harmony -jobs 80
 //	harmony-sim -machines 50 -scheduler isolated -jobs 20 -arrival 4m
 //	harmony-sim -replay snap.json
-//	harmony-sim -replay snap.json -machines 8 -queues 'prod:quota=0.75;dev' -scenario-out scenario.json
+//	harmony-sim -replay snap.json -machines 8 -queues 'prod:quota=0.75;dev'
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -37,7 +36,6 @@ func run(args []string) error {
 	replayFile := fs.String("replay", "", "replay a harmonyctl snapshot instead of simulating")
 	queues := fs.String("queues", "", "replay what-if: queue policy (e.g. 'prod:quota=0.7;dev:weight=1')")
 	netModel := fs.String("net-model", "", "replay what-if: on or off (empty = as captured)")
-	scenarioOut := fs.String("scenario-out", "", "replay: also write the snapshot as a simulator scenario JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -50,7 +48,7 @@ func run(args []string) error {
 				explicitMachines = *machines
 			}
 		})
-		return runReplay(*replayFile, explicitMachines, *queues, *netModel, *scenarioOut)
+		return runReplay(*replayFile, explicitMachines, *queues, *netModel)
 	}
 
 	var scheduler harmony.Scheduler
@@ -99,7 +97,7 @@ func run(args []string) error {
 // internal/replay, and prints the calibration report. The replay is
 // deterministic: the same snapshot bytes and overrides always produce
 // byte-identical output.
-func runReplay(file string, machines int, queues, netModel, scenarioOut string) error {
+func runReplay(file string, machines int, queues, netModel string) error {
 	data, err := os.ReadFile(file)
 	if err != nil {
 		return err
@@ -125,23 +123,6 @@ func runReplay(file string, machines int, queues, netModel, scenarioOut string) 
 	if err != nil {
 		return err
 	}
-	if _, err := os.Stdout.Write(b); err != nil {
-		return err
-	}
-	if scenarioOut != "" {
-		sc, err := replay.ToScenario(snap, ov)
-		if err != nil {
-			return err
-		}
-		sb, err := json.MarshalIndent(sc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(scenarioOut, append(sb, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote scenario (%d jobs, %d machines) to %s\n",
-			len(sc.Jobs), sc.Config.Machines, scenarioOut)
-	}
-	return nil
+	_, err = os.Stdout.Write(b)
+	return err
 }

@@ -79,10 +79,6 @@ type ScheduleOptions struct {
 	MemoryCapGB float64
 	// MaxJobsPerGroup caps co-location degree; zero means unlimited.
 	MaxJobsPerGroup int
-	// Parallelism bounds the worker pool of the candidate search; zero
-	// uses GOMAXPROCS, 1 runs single-threaded. The returned plan is
-	// identical at any setting (DESIGN.md §6).
-	Parallelism int
 }
 
 func (o ScheduleOptions) internal() core.Options {
@@ -90,7 +86,6 @@ func (o ScheduleOptions) internal() core.Options {
 		CPUWeight:       o.CPUWeight,
 		MemoryCapGB:     o.MemoryCapGB,
 		MaxJobsPerGroup: o.MaxJobsPerGroup,
-		Parallelism:     o.Parallelism,
 	}
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"sort"
-
-	"harmony/internal/parallel"
 )
 
 // Options tune the scheduler. The zero value selects the paper's defaults.
@@ -33,13 +31,6 @@ type Options struct {
 	// score. Off by default; plans are bit-identical to the paper's
 	// model when false.
 	NetModel bool
-	// Parallelism bounds the worker pool evaluating Algorithm 1's
-	// candidate prefixes and widenForMemory's group-count retries. Zero
-	// selects runtime.GOMAXPROCS(0); 1 runs the exact single-threaded
-	// path with no goroutines. Every candidate is a pure function of its
-	// inputs and the reduction walks candidates in deterministic prefix
-	// order, so plans are bit-identical at every setting.
-	Parallelism int
 }
 
 func (o Options) withDefaults() Options {
@@ -49,7 +40,6 @@ func (o Options) withDefaults() Options {
 	if o.MinImprovement <= 0 {
 		o.MinImprovement = 0.05
 	}
-	o.Parallelism = parallel.Workers(o.Parallelism)
 	return o
 }
 
@@ -100,107 +90,47 @@ func (o Options) feasible(p Plan) bool {
 // The returned plan places a prefix of jobs; the rest remain waiting.
 // An empty plan is returned when no job can be placed (for example when
 // there are no jobs or no machines).
-//
-// With Options.Parallelism > 1 the candidate prefixes are evaluated
-// speculatively on a bounded worker pool; the reduction applies the same
-// stop rule in prefix order, so the result is identical to the sequential
-// search.
 func Schedule(jobs []JobInfo, machines int, opts Options) Plan {
 	opts = opts.withDefaults()
 	if len(jobs) == 0 || machines <= 0 {
 		return Plan{}
 	}
-	if opts.Parallelism > 1 {
-		return scheduleParallel(jobs, machines, opts)
-	}
-
 	var best Plan
 	bestScore := -1.0
 	for nj := 1; nj <= len(jobs); nj = nextPrefix(nj) {
-		cand := evalPrefix(jobs, nj, machines, opts)
-		if cand.stop {
+		groups := groupPrefix(jobs[:nj], machines, opts)
+		if groups == nil {
+			// Memory-infeasible at every group count; larger prefixes only
+			// add memory pressure.
 			break
 		}
-		if cand.score > bestScore {
-			bestScore = cand.score
-			best = cand.plan
-			continue
+		cand := Plan{Groups: groups}
+		score := opts.Score(cand)
+		if !(score > bestScore) {
+			break // L12-13: no more improvement with more jobs
 		}
-		break // L12-13: no more improvement with more jobs
+		best, bestScore = cand, score
 	}
 	return best
 }
 
-// scheduleParallel runs the prefix search on a worker pool. Prefixes are
-// evaluated in batches (bounding the speculation past the stop point);
-// the sequential reduction over each batch preserves Algorithm 1's exact
-// stop rule: first non-improving or memory-infeasible prefix ends the
-// search.
-func scheduleParallel(jobs []JobInfo, machines int, opts Options) Plan {
-	var prefixes []int
-	for nj := 1; nj <= len(jobs); nj = nextPrefix(nj) {
-		prefixes = append(prefixes, nj)
-	}
-	var best Plan
-	bestScore := -1.0
-	batch := opts.Parallelism * 2
-	cands := make([]prefixCandidate, batch)
-	for start := 0; start < len(prefixes); start += batch {
-		end := start + batch
-		if end > len(prefixes) {
-			end = len(prefixes)
+// groupPrefix is L6-L11 of Algorithm 1 for one job prefix: group at the
+// count that best balances CPU and network time and, while the result
+// does not fit machine memory, retry with more, smaller groups. It
+// returns nil when even one job per group does not fit.
+func groupPrefix(jobs []JobInfo, machines int, opts Options) []Group {
+	maxG := min(len(jobs), machines)
+	for nG := bestGroupCount(jobs, machines, opts); nG <= maxG; nG++ {
+		groups := assignJobs(jobs, nG, machines, opts)
+		if !opts.DisableSwapTuning {
+			fineTune(groups, opts)
 		}
-		window := cands[:end-start]
-		parallel.Run(len(window), opts.Parallelism, func(i int) {
-			window[i] = evalPrefix(jobs, prefixes[start+i], machines, opts)
-		})
-		for _, cand := range window {
-			if cand.stop {
-				return best
-			}
-			if cand.score > bestScore {
-				bestScore = cand.score
-				best = cand.plan
-				continue
-			}
-			return best
+		allocateMachines(groups, machines)
+		if opts.feasible(Plan{Groups: groups}) {
+			return groups
 		}
 	}
-	return best
-}
-
-// prefixCandidate is one evaluated prefix of Algorithm 1's job-count loop.
-type prefixCandidate struct {
-	plan  Plan
-	score float64
-	// stop marks a prefix that is memory-infeasible even after widening;
-	// the search ends there, since larger prefixes only add memory
-	// pressure.
-	stop bool
-}
-
-// evalPrefix builds and scores the candidate plan for one prefix length.
-// It is a pure function of its arguments, which is what lets the parallel
-// search evaluate prefixes speculatively without changing the result.
-func evalPrefix(jobs []JobInfo, nj, machines int, opts Options) prefixCandidate {
-	toGroup := jobs[:nj]
-	nG := bestGroupCount(toGroup, machines, opts)
-	groups := assignJobs(toGroup, nG, machines, opts)
-	if !opts.DisableSwapTuning {
-		fineTune(groups, opts)
-	}
-	allocateMachines(groups, machines)
-	cand := Plan{Groups: groups}
-	if !opts.feasible(cand) {
-		// Larger prefixes only add memory pressure at the same group
-		// count; try wider splits before giving up on this prefix.
-		wide := widenForMemory(toGroup, machines, opts)
-		if wide == nil {
-			return prefixCandidate{stop: true}
-		}
-		cand = Plan{Groups: wide}
-	}
-	return prefixCandidate{plan: cand, score: opts.Score(cand)}
+	return nil
 }
 
 // nextPrefix advances Algorithm 1's job-count loop. Small prefixes step
@@ -601,57 +531,4 @@ func fmax(x, y float64) float64 {
 		return y
 	}
 	return math.Max(x, y)
-}
-
-// widenForMemory retries the grouping with more, smaller groups until the
-// memory constraint is satisfied; it returns nil when even one job per
-// group does not fit. With Options.Parallelism > 1, batches of group
-// counts are tried concurrently and the lowest feasible count wins — the
-// same count the sequential scan would return first.
-func widenForMemory(jobs []JobInfo, machines int, opts Options) []Group {
-	maxG := len(jobs)
-	if machines < maxG {
-		maxG = machines
-	}
-	startG := bestGroupCount(jobs, machines, opts) + 1
-	if opts.Parallelism <= 1 {
-		for nG := startG; nG <= maxG; nG++ {
-			if groups := widenAttempt(jobs, nG, machines, opts); groups != nil {
-				return groups
-			}
-		}
-		return nil
-	}
-	batch := opts.Parallelism * 2
-	attempts := make([][]Group, batch)
-	for lo := startG; lo <= maxG; lo += batch {
-		count := maxG - lo + 1
-		if count > batch {
-			count = batch
-		}
-		window := attempts[:count]
-		parallel.Run(count, opts.Parallelism, func(i int) {
-			window[i] = widenAttempt(jobs, lo+i, machines, opts)
-		})
-		for _, groups := range window {
-			if groups != nil {
-				return groups
-			}
-		}
-	}
-	return nil
-}
-
-// widenAttempt builds the grouping at one candidate group count and
-// reports it if memory-feasible.
-func widenAttempt(jobs []JobInfo, nG, machines int, opts Options) []Group {
-	groups := assignJobs(jobs, nG, machines, opts)
-	if !opts.DisableSwapTuning {
-		fineTune(groups, opts)
-	}
-	allocateMachines(groups, machines)
-	if opts.feasible(Plan{Groups: groups}) {
-		return groups
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"harmony/internal/workload"
@@ -25,18 +24,9 @@ func benchJobs(n int) []JobInfo {
 }
 
 // BenchmarkScheduleLarge measures the Algorithm 1 search over 1K jobs on
-// 1K machines, sequentially and at full parallelism. On a multi-core
-// runner the parallel variant should scale with the core count; on one
-// core both take the identical single-threaded path.
+// 1K machines.
 func BenchmarkScheduleLarge(b *testing.B) {
-	jobs := benchJobs(1000)
-	const machines = 1000
-	b.Run("sequential", func(b *testing.B) {
-		benchSchedule(b, jobs, machines, Options{Parallelism: 1})
-	})
-	b.Run(fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		benchSchedule(b, jobs, machines, Options{Parallelism: runtime.GOMAXPROCS(0)})
-	})
+	benchSchedule(b, benchJobs(1000), 1000, Options{})
 }
 
 func benchSchedule(b *testing.B, jobs []JobInfo, machines int, opts Options) {
@@ -47,11 +37,8 @@ func benchSchedule(b *testing.B, jobs []JobInfo, machines int, opts Options) {
 	}
 }
 
-// BenchmarkSchedulePaper measures one Algorithm 1 search over the paper's
-// 80-job workload on 100 machines, with Eq. 1's network view and with the
-// link-contention model: the call behind the benchmark harness's step_ms
-// and core.schedule_paper_ms.
-func BenchmarkSchedulePaper(b *testing.B) {
+// paperJobs is the paper's 80-job workload as the scheduler sees it.
+func paperJobs() []JobInfo {
 	specs := workload.Base()
 	jobs := make([]JobInfo, len(specs))
 	for i, s := range specs {
@@ -59,6 +46,15 @@ func BenchmarkSchedulePaper(b *testing.B) {
 			InputGB: s.Data.InputGB, ModelGB: s.Data.ModelGB, WorkGB: s.WorkGB,
 			JVMHeapFactor: workload.JVMHeapFactor, PullFrac: s.PullFrac}
 	}
+	return jobs
+}
+
+// BenchmarkSchedulePaper measures one Algorithm 1 search over the paper's
+// 80-job workload on 100 machines, with Eq. 1's network view and with the
+// link-contention model: the call behind the benchmark harness's step_ms
+// and core.schedule_paper_ms.
+func BenchmarkSchedulePaper(b *testing.B) {
+	jobs := paperJobs()
 	b.Run("plain", func(b *testing.B) {
 		benchSchedule(b, jobs, 100, Options{MemoryCapGB: 25})
 	})

@@ -33,7 +33,7 @@ func randomJob(rng *rand.Rand, id int) JobInfo {
 }
 
 func randomOpts(rng *rand.Rand, netModel bool) Options {
-	opts := Options{NetModel: netModel, Parallelism: 1}
+	opts := Options{NetModel: netModel}
 	if rng.Intn(2) == 0 {
 		opts.MemoryCapGB = 8 + 24*rng.Float64()
 	}
@@ -209,7 +209,7 @@ func TestScoreDeltaAllocFree(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = randomJob(rng, i)
 	}
-	opts := Options{Parallelism: 1}
+	opts := Options{}
 	plan := Schedule(jobs, 24, opts)
 	if len(plan.Groups) < 2 {
 		t.Fatalf("want a multi-group plan, got %v", plan)

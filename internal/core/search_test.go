@@ -3,73 +3,42 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
-// TestScheduleParallelMatchesSequential is the determinism contract of the
-// concurrent search: any Parallelism setting must produce the exact plan
-// the single-threaded path produces.
-func TestScheduleParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(120)
-		machines := 1 + rng.Intn(200)
-		jobs := randomJobs(rng, n)
-		opts := Options{Parallelism: 1}
-		if trial%3 == 0 {
-			opts.MemoryCapGB = 10 + rng.Float64()*20
-			for i := range jobs {
-				jobs[i].InputGB = rng.Float64() * 8
-				jobs[i].ModelGB = rng.Float64() * 2
-				jobs[i].WorkGB = rng.Float64()
+// TestScheduleWorkIndependentOfGOMAXPROCS pins that Algorithm 1 is one
+// loop on the caller's goroutine: the allocations of a paper-sized search
+// do not depend on the P count and it leaves no goroutine behind. Mallocs
+// are read directly because testing.AllocsPerRun pins GOMAXPROCS to 1
+// while it measures; the minimum over a few searches drops the runtime's
+// own stray allocations.
+func TestScheduleWorkIndependentOfGOMAXPROCS(t *testing.T) {
+	jobs := paperJobs()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, opts := range []Options{{MemoryCapGB: 25}, {MemoryCapGB: 25, NetModel: true}} {
+		var mallocs [2]uint64
+		for i, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			goroutines := runtime.NumGoroutine()
+			mallocs[i] = math.MaxUint64
+			for run := 0; run < 5; run++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				Schedule(jobs, 100, opts)
+				runtime.ReadMemStats(&after)
+				if n := after.Mallocs - before.Mallocs; n < mallocs[i] {
+					mallocs[i] = n
+				}
+			}
+			if n := runtime.NumGoroutine(); n > goroutines {
+				t.Errorf("NetModel=%v GOMAXPROCS=%d: goroutines %d -> %d across Schedule",
+					opts.NetModel, procs, goroutines, n)
 			}
 		}
-		if trial%4 == 0 {
-			opts.MaxJobsPerGroup = 1 + rng.Intn(5)
-		}
-		want := Schedule(jobs, machines, opts).String()
-		for _, par := range []int{2, 4, 8} {
-			opts.Parallelism = par
-			got := Schedule(jobs, machines, opts).String()
-			if got != want {
-				t.Fatalf("trial %d (n=%d machines=%d): Parallelism=%d diverged from sequential\nseq: %s\npar: %s",
-					trial, n, machines, par, want, got)
-			}
-		}
-	}
-}
-
-// TestScheduleParallelMatchesSequentialNetModel extends the determinism
-// contract to the net-aware scheduler: the collision-cost window pick,
-// the finalist-based swap re-scoring, and the compatibility score term
-// must all be independent of Options.Parallelism.
-func TestScheduleParallelMatchesSequentialNetModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	// Smaller instances than the base test: the collision solver makes
-	// each evalPrefix meaningfully heavier, and the property is about
-	// determinism, not scale.
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(80)
-		machines := 1 + rng.Intn(160)
-		jobs := randomJobs(rng, n)
-		for i := range jobs {
-			jobs[i].PullFrac = rng.Float64()
-			if trial%2 == 0 {
-				jobs[i].CompFloor = rng.Float64() * 2
-			}
-		}
-		opts := Options{Parallelism: 1, NetModel: true}
-		if trial%4 == 0 {
-			opts.MaxJobsPerGroup = 1 + rng.Intn(5)
-		}
-		want := Schedule(jobs, machines, opts).String()
-		for _, par := range []int{2, 4, 8} {
-			opts.Parallelism = par
-			got := Schedule(jobs, machines, opts).String()
-			if got != want {
-				t.Fatalf("trial %d (n=%d machines=%d): NetModel Parallelism=%d diverged\nseq: %s\npar: %s",
-					trial, n, machines, par, want, got)
-			}
+		if mallocs[0] != mallocs[1] {
+			t.Errorf("NetModel=%v: %d allocs a search at GOMAXPROCS 1, %d at 4",
+				opts.NetModel, mallocs[0], mallocs[1])
 		}
 	}
 }

@@ -257,21 +257,10 @@ type JobListResponse struct {
 	Jobs []JobResponse `json:"jobs"`
 }
 
-// GroupResponse is one live co-location group. The interleaving fields
-// are present only when the master runs the net-aware scheduler
-// (DESIGN.md §14).
+// GroupResponse is one live co-location group.
 type GroupResponse struct {
 	Workers []string `json:"workers"`
 	Jobs    []string `json:"jobs"`
-	// Interleaved marks a multi-job group with solved comm phases.
-	Interleaved bool `json:"interleaved,omitempty"`
-	// Compatibility is the group's link compatibility in [0,1],
-	// calibrated against measured overlap once traces accumulate.
-	Compatibility float64 `json:"compatibility,omitempty"`
-	// PhasePeriodSeconds is the solved circle period; PhaseOffsets maps
-	// job name to its comm-phase offset in seconds.
-	PhasePeriodSeconds float64            `json:"phase_period_seconds,omitempty"`
-	PhaseOffsets       map[string]float64 `json:"phase_offsets,omitempty"`
 }
 
 // ClusterResponse is the GET /v1/cluster body.
@@ -434,14 +423,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	cv := s.b.Cluster()
 	out := ClusterResponse{Workers: cv.Workers, Pending: cv.Pending}
 	for _, g := range cv.Groups {
-		out.Groups = append(out.Groups, GroupResponse{
-			Workers:            g.Workers,
-			Jobs:               g.Jobs,
-			Interleaved:        g.Interleaved,
-			Compatibility:      g.Compatibility,
-			PhasePeriodSeconds: g.PhasePeriodSeconds,
-			PhaseOffsets:       g.PhaseOffsets,
-		})
+		out.Groups = append(out.Groups, GroupResponse{Workers: g.Workers, Jobs: g.Jobs})
 	}
 	writeJSON(w, http.StatusOK, out)
 }

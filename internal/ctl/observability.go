@@ -134,32 +134,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Help: "Background model snapshots that failed and were dropped.",
 			Type: metrics.PromCounter, Value: float64(c.CheckpointFailures)},
 	)
-	// Net-aware placement families (DESIGN.md §14), present only for
-	// groups whose comm phases the scheduler solved. Group labels are the
-	// sorted comma-joined worker names, matching harmony_group_overlap_ratio.
-	for _, g := range cv.Groups {
-		if !g.Interleaved {
-			continue
-		}
-		label := strings.Join(g.Workers, ",")
-		samples = append(samples, metrics.Sample{
-			Name: `harmony_group_compatibility{group="` + label + `"}`,
-			Help: "Predicted (trace-calibrated when available) link compatibility of each interleaved co-location group, in [0,1].",
-			Type: metrics.PromGauge, Value: g.Compatibility,
-		})
-		jobs := make([]string, 0, len(g.PhaseOffsets))
-		for j := range g.PhaseOffsets {
-			jobs = append(jobs, j)
-		}
-		sort.Strings(jobs)
-		for _, j := range jobs {
-			samples = append(samples, metrics.Sample{
-				Name: `harmony_phase_offset_seconds{job="` + j + `"}`,
-				Help: "Solved comm-phase offset of each job on its group's shared link.",
-				Type: metrics.PromGauge, Value: g.PhaseOffsets[j],
-			})
-		}
-	}
 	// Per-queue fair-scheduler families (DESIGN.md §13). A single-tenant
 	// deployment reports everything under queue="default", which is the
 	// compatibility view of the pre-fair aggregate gauges.

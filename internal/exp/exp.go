@@ -55,12 +55,6 @@ func runMode(mode sim.Mode, jobs []sim.Job, seed int64, mutate func(*sim.Config)
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	if cfg.SchedOpts.Parallelism == 0 {
-		// Follow the harness knob so -parallel 1 yields a true
-		// single-threaded baseline end to end. Plans are identical either
-		// way; only wall-clock changes.
-		cfg.SchedOpts.Parallelism = concurrency
-	}
 	return sim.Run(cfg, jobs)
 }
 

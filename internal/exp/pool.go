@@ -12,10 +12,8 @@ import (
 // slots, making every figure identical at any setting.
 var concurrency = runtime.GOMAXPROCS(0)
 
-// SetConcurrency adjusts the sweep fan-out (and the Parallelism handed to
-// the scheduler inside each simulation). Values below 1 restore the
-// GOMAXPROCS default; 1 runs everything on the calling goroutine, exactly
-// reproducing the original sequential harness.
+// SetConcurrency adjusts the sweep fan-out. Values below 1 restore the
+// GOMAXPROCS default; 1 runs everything on the calling goroutine.
 func SetConcurrency(n int) { concurrency = parallel.Workers(n) }
 
 // Concurrency reports the current sweep fan-out.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"harmony/internal/core"
@@ -556,22 +555,10 @@ func (m *Master) Job(name string) (JobView, bool) {
 }
 
 // GroupView is one live co-location group: the worker set and the jobs
-// sharing it. When the net-aware scheduler is on, the interleaving
-// fields expose the solved comm phases (DESIGN.md §14).
+// sharing it.
 type GroupView struct {
 	Workers []string
 	Jobs    []string
-	// Interleaved marks a multi-job group whose comm phases were solved;
-	// the fields below are only meaningful when it is true.
-	Interleaved bool
-	// Compatibility is the group's predicted link compatibility in [0,1]
-	// (1 = comm windows fully interleave), calibrated against measured
-	// COMP/COMM overlap once trace scrapes accumulate.
-	Compatibility float64
-	// PhasePeriodSeconds is the solved circle period (the group's Eq. 1
-	// iteration time); PhaseOffsets maps job → comm-phase offset seconds.
-	PhasePeriodSeconds float64
-	PhaseOffsets       map[string]float64
 }
 
 // ClusterView is the control plane's cluster status: registered workers,
@@ -595,23 +582,6 @@ func (m *Master) Cluster() ClusterView {
 		gv := GroupView{Workers: members[gi]}
 		for _, j := range g.Jobs {
 			gv.Jobs = append(gv.Jobs, j.ID)
-		}
-		if m.opts.NetModel && len(g.Jobs) > 1 {
-			il := core.SolveInterleave(g.Jobs, g.Machines)
-			gv.Interleaved = true
-			gv.Compatibility = il.Compatibility
-			gv.PhasePeriodSeconds = il.Period
-			gv.PhaseOffsets = make(map[string]float64, len(g.Jobs))
-			for ji, j := range g.Jobs {
-				gv.PhaseOffsets[j.ID] = il.Offsets[ji]
-			}
-			// Prefer the measurement-calibrated compatibility once trace
-			// scrapes have fed the EWMA (interleave.go).
-			label := append([]string(nil), members[gi]...)
-			sort.Strings(label)
-			if gp := m.phases[strings.Join(label, ",")]; gp != nil && gp.calibrated > 0 {
-				gv.Compatibility = gp.calibrated
-			}
 		}
 		cv.Groups = append(cv.Groups, gv)
 	}

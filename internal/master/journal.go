@@ -27,11 +27,6 @@ const (
 	// replay can reconstruct queue state without guessing whether the
 	// canceled name ever held workers.
 	EventCancelHeld = "cancel_held"
-	// EventRecalibrate records the interleaving feedback loop (DESIGN.md
-	// §14) folding a measured COMP/COMM overlap ratio into a group's
-	// predicted link compatibility — the compatibility analogue of the
-	// predicted-vs-measured T_itr/U stamps.
-	EventRecalibrate = "compat_recalibrate"
 )
 
 // NoteDeployFailed prefixes the Note of the hold that compensates a
@@ -67,10 +62,10 @@ type Event struct {
 	MeasuredIterSeconds float64 `json:"measured_iter_seconds,omitempty"`
 	MeasuredCPUUtil     float64 `json:"measured_cpu_util,omitempty"`
 	MeasuredNetUtil     float64 `json:"measured_net_util,omitempty"`
-	// Compatibility stamps, present only under Options.NetModel: the
-	// interleaving solver's predicted link compatibility for the group
-	// the decision placed the job on, and the value recalibrated from
-	// the measured overlap ratio (recalibrate events).
+	// Compatibility stamps: under Options.NetModel, the interleaving
+	// solver's predicted link compatibility for the group the decision
+	// placed the job on. Nothing fills the measured key; it stays because
+	// the snapshot wire schema is frozen at v1.
 	PredictedCompatibility float64 `json:"predicted_compatibility,omitempty"`
 	MeasuredCompatibility  float64 `json:"measured_compatibility,omitempty"`
 	Note                   string  `json:"note,omitempty"`

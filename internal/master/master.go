@@ -210,10 +210,6 @@ type Master struct {
 	// trace, when non-nil, collects worker spans for /v1/trace.
 	journal *journal
 	trace   *traceState
-
-	// phases caches solved comm-interleaving state per live co-location
-	// group (interleave.go); only populated when opts.NetModel is on.
-	phases map[string]*groupPhase
 }
 
 // New starts a master listening on addr ("127.0.0.1:0" for tests).
@@ -227,7 +223,6 @@ func New(addr string, opts core.Options) (*Master, error) {
 		journal:    newJournal(DefaultJournalCapacity),
 		fairsched:  fair.Default(),
 		qcounters:  make(map[string]*queueCounters),
-		phases:     make(map[string]*groupPhase),
 		admitEpoch: 1,
 		placeEpoch: 1,
 		drainCh:    make(chan struct{}, 1),
@@ -543,24 +538,15 @@ func (m *Master) handleBarrier(a worker.BarrierArgs) (worker.BarrierReply, error
 		j.pauseRequested = false
 		close(j.pausedCh)
 	}
-	// The barrier entry is deleted under the lock BEFORE the staggered
-	// release below: once gone, Close and RemoveWorker can no longer see
-	// these waiters, so the post-sleep sends are the only sends.
+	// The barrier entry is deleted under the lock BEFORE the release
+	// below: once gone, Close and RemoveWorker can no longer see these
+	// waiters, so the sends after the unlock are the only sends.
 	delete(j.barriers, a.Iteration)
 	if d == worker.Continue {
 		m.maybeCheckpoint(j, a.Iteration)
 	}
-	var stagger time.Duration
-	if d == worker.Continue {
-		// CASSINI-style phase enforcement (interleave.go): hold the whole
-		// group briefly so its next comm windows land on the solved offset.
-		stagger = m.phaseDelayLocked(a.Job, now)
-	}
 	waiters := bs.waiters
 	m.mu.Unlock()
-	if stagger > 0 {
-		time.Sleep(stagger)
-	}
 	for _, ch := range waiters {
 		ch <- d
 	}

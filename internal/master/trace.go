@@ -1,6 +1,8 @@
 package master
 
 import (
+	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -46,8 +48,8 @@ func (m *Master) EnableTracing(retention int) {
 
 // TracingEnabled reports whether the master collects spans.
 func (m *Master) TracingEnabled() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	return m.trace != nil
 }
 
@@ -60,8 +62,15 @@ func (m *Master) workerNamesLocked(j *job) []string {
 	return names
 }
 
-// groupNamesLocked maps every deployed job to its group label: the
-// comma-joined sorted names of its current worker set.
+// groupLabelLocked is the group key for a job's current worker set: the
+// comma-joined sorted worker names.
+func (m *Master) groupLabelLocked(j *job) string {
+	names := m.workerNamesLocked(j)
+	sort.Strings(names)
+	return strings.Join(names, ",")
+}
+
+// groupNamesLocked maps every deployed job to its group label.
 func (m *Master) groupNamesLocked() map[string]string {
 	out := make(map[string]string, len(m.jobs))
 	for name, j := range m.jobs {
@@ -75,15 +84,15 @@ func (m *Master) groupNamesLocked() map[string]string {
 // a snapshot of all retained spans, tagged with the recording machine
 // and the job's current group. Returns nil when tracing is disabled.
 func (m *Master) CollectSpans() []obs.TaggedSpan {
-	m.mu.Lock()
+	m.mu.RLock()
 	t := m.trace
 	if t == nil {
-		m.mu.Unlock()
+		m.mu.RUnlock()
 		return nil
 	}
 	refs := append([]workerRef(nil), m.workers...)
 	groups := m.groupNamesLocked()
-	m.mu.Unlock()
+	m.mu.RUnlock()
 
 	type haul struct {
 		machine string
@@ -124,10 +133,10 @@ func (m *Master) CollectSpans() []obs.TaggedSpan {
 // (best effort, like the other Stats aggregators). ok is false when
 // tracing is disabled on this master.
 func (m *Master) PhaseStats() (hist [obs.NumPhases]metrics.HistSnapshot, ok bool) {
-	m.mu.Lock()
+	m.mu.RLock()
 	enabled := m.trace != nil
 	refs := append([]workerRef(nil), m.workers...)
-	m.mu.Unlock()
+	m.mu.RUnlock()
 	if !enabled {
 		return hist, false
 	}
@@ -155,10 +164,6 @@ func (m *Master) MeasuredOverlap() map[string]float64 {
 	if spans == nil {
 		return nil
 	}
-	ratio, ok := obs.OverlapByGroup(spans)
-	// Each scrape doubles as a calibration sample for the interleaving
-	// layer: measured overlap recalibrates predicted compatibility
-	// (no-op when the net model is off).
-	m.recalibrateInterleave(ratio, ok)
+	ratio, _ := obs.OverlapByGroup(spans)
 	return ratio
 }

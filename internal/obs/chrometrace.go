@@ -121,9 +121,9 @@ func WriteChromeTrace(w io.Writer, spans []TaggedSpan) error {
 //
 // The second return distinguishes "no overlap" from "no data": ok[g] is
 // true only when group g has spans in both phase classes, i.e. a
-// measured zero. Consumers recalibrating predictions (the interleaving
-// feedback loop) must skip groups with ok false rather than treat their
-// 0 as a measurement.
+// measured zero. A consumer comparing a prediction against the ratio
+// must skip groups with ok false rather than treat their 0 as a
+// measurement.
 func OverlapByGroup(spans []TaggedSpan) (ratio map[string]float64, ok map[string]bool) {
 	type key struct{ group, machine string }
 	comp := make(map[key][]ival)

@@ -1,6 +1,6 @@
 // Package parallel provides the bounded worker pool shared by the
-// scheduler's candidate search (internal/core) and the experiment
-// harness (internal/exp).
+// experiment harness (internal/exp) and the fused COMP kernel
+// (internal/mlapp).
 //
 // The pool is deliberately minimal: callers hand it n independent units
 // of work that each write into a caller-owned, index-disjoint result

@@ -33,9 +33,9 @@ import (
 // Overrides are the what-if knobs. The zero value replays the snapshot
 // exactly as captured.
 type Overrides struct {
-	// Machines overrides the cluster size for quota arithmetic and
-	// scenario conversion when > 0. Recorded placements keep their
-	// captured sizes — a 4-worker group stays a 4-worker group.
+	// Machines overrides the cluster size for quota arithmetic when
+	// > 0. Recorded placements keep their captured sizes — a 4-worker
+	// group stays a 4-worker group.
 	Machines int `json:"machines,omitempty"`
 	// NetModel toggles the §IV-B3 network-aware model independently of
 	// what the capture ran with.

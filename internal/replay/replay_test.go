@@ -268,67 +268,6 @@ func TestReplaySkipsEvictedJobs(t *testing.T) {
 	}
 }
 
-// TestToScenario checks snapshot → simulator conversion: unfinished
-// jobs carry their remaining iterations, arrivals follow the journal,
-// finished jobs are skipped with a reason.
-func TestToScenario(t *testing.T) {
-	sc, err := ToScenario(testSnapshot(), Overrides{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Config.Machines != 4 {
-		t.Fatalf("machines = %d, want 4", sc.Config.Machines)
-	}
-	if len(sc.Jobs) != 3 {
-		t.Fatalf("jobs = %d, want 3 (prod-d finished)", len(sc.Jobs))
-	}
-	if len(sc.Skipped) != 1 {
-		t.Fatalf("skipped = %v, want prod-d", sc.Skipped)
-	}
-	byID := make(map[string]int)
-	for _, j := range sc.Jobs {
-		byID[j.Spec.ID] = j.Spec.Iterations
-	}
-	if byID["prod-a"] != 45 {
-		t.Fatalf("prod-a remaining iterations = %d, want 45", byID["prod-a"])
-	}
-	if byID["dev-c"] != 30 {
-		t.Fatalf("dev-c remaining iterations = %d, want 30", byID["dev-c"])
-	}
-	// Arrivals: prod-a journaled at t0 (offset 0), prod-b at +5s,
-	// dev-c at +10s; the job list is sorted by arrival.
-	if sc.Jobs[0].Spec.ID != "prod-a" || sc.Jobs[0].Arrival != 0 {
-		t.Fatalf("first arrival = %+v, want prod-a at 0", sc.Jobs[0])
-	}
-	if sc.Jobs[2].Spec.ID != "dev-c" {
-		t.Fatalf("last arrival = %s, want dev-c", sc.Jobs[2].Spec.ID)
-	}
-	if sc.Jobs[1].Arrival >= sc.Jobs[2].Arrival {
-		t.Fatal("arrival offsets not ordered")
-	}
-
-	// Conversion is deterministic through a JSON round trip (Mode
-	// marshals by name).
-	b1, err := json.Marshal(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(b1, []byte(`"harmony"`)) {
-		t.Fatal("scenario config should carry the mode by name")
-	}
-	sc2, err := ToScenario(testSnapshot(), Overrides{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := json.Marshal(sc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("scenario conversion not deterministic")
-	}
-}
-
 // TestReplayFailedDeployClearsPlacement: a placement event followed by
 // the master's compensating hold ("deploy failed") is a job that never
 // ran there. Replay must drop the placement, or every later decision on

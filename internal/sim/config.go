@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"harmony/internal/cluster"
@@ -47,47 +46,6 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
-}
-
-// ParseMode maps a regime name back to its Mode; it accepts exactly the
-// strings String produces.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "harmony":
-		return ModeHarmony, nil
-	case "isolated":
-		return ModeIsolated, nil
-	case "naive":
-		return ModeNaive, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown mode %q", s)
-	}
-}
-
-// MarshalJSON encodes the mode by name so scenario files (replay
-// what-ifs, saved configs) stay readable and stable across reorderings
-// of the constant block.
-func (m Mode) MarshalJSON() ([]byte, error) {
-	return json.Marshal(m.String())
-}
-
-// UnmarshalJSON accepts either the name or the legacy integer form.
-func (m *Mode) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err == nil {
-		v, perr := ParseMode(s)
-		if perr != nil {
-			return perr
-		}
-		*m = v
-		return nil
-	}
-	var n int
-	if err := json.Unmarshal(data, &n); err != nil {
-		return fmt.Errorf("sim: mode must be a name or integer: %s", data)
-	}
-	*m = Mode(n)
-	return nil
 }
 
 // The simulation's constants, and the defaults of Config's fields.
@@ -130,9 +88,8 @@ const AdaptiveAlpha = -1.0
 
 // Config parameterizes one simulation run.
 type Config struct {
-	// Machines is the cluster size; Spec the machine shape.
+	// Machines is the cluster size.
 	Machines int
-	Spec     cluster.MachineSpec
 	// Mode selects the scheduling regime.
 	Mode Mode
 	// Seed drives all stochastic elements (jitter, naive grouping).
@@ -196,17 +153,16 @@ type Config struct {
 
 	// SchedOpts tunes the Harmony scheduler.
 	SchedOpts core.Options
-
-	// MaxVirtualTime aborts runs that exceed this much simulated time
-	// (a safety net against pathological configurations); zero means
-	// one simulated year.
-	MaxVirtualTime simtime.Duration
 }
 
+// machine is the shape of every simulated machine (§V-B).
+var machine = cluster.M42XLarge
+
+// maxVirtualTime aborts runs that exceed this much simulated time, a
+// safety net against pathological configurations.
+const maxVirtualTime = 365 * 24 * simtime.Hour
+
 func (c Config) withDefaults() Config {
-	if c.Spec == (cluster.MachineSpec{}) {
-		c.Spec = cluster.M42XLarge
-	}
 	if c.FixedAlpha == 0 && !c.hasFixedAlpha() {
 		c.FixedAlpha = AdaptiveAlpha
 	}
@@ -222,14 +178,11 @@ func (c Config) withDefaults() Config {
 	if c.IsolatedMaxDoP <= 0 {
 		c.IsolatedMaxDoP = 32
 	}
-	if c.MaxVirtualTime <= 0 {
-		c.MaxVirtualTime = 365 * 24 * simtime.Hour
-	}
 	if c.SchedOpts.MemoryCapGB == 0 {
 		// Plan groups against the GC-safe watermark, not raw capacity:
 		// a group that only fits at ~100% heap occupancy would spend
 		// most of its CPU in garbage collection (§IV-C).
-		c.SchedOpts.MemoryCapGB = DefaultMemoryTargetHigh * c.Spec.MemoryGB
+		c.SchedOpts.MemoryCapGB = DefaultMemoryTargetHigh * machine.MemoryGB
 	}
 	if c.SchedOpts.MaxJobsPerGroup == 0 {
 		// The paper prefers "a smaller number of jobs in a job group for

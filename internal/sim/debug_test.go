@@ -5,7 +5,6 @@ import (
 	"os"
 	"testing"
 
-	"harmony/internal/simtime"
 	"harmony/internal/workload"
 )
 
@@ -16,7 +15,7 @@ func TestDebugTrace(t *testing.T) {
 		t.Skip("set HARMONY_SIM_DEBUG=1 to run")
 	}
 	jobs := Jobs(workload.Base(), nil)
-	cfg := Config{Machines: 100, Mode: ModeHarmony, Seed: 1, MaxVirtualTime: 2000 * simtime.Hour}
+	cfg := Config{Machines: 100, Mode: ModeHarmony, Seed: 1}
 	s, err := New(cfg, jobs)
 	if err != nil {
 		t.Fatal(err)

@@ -161,7 +161,7 @@ func (g *groupRun) occupancy() float64 {
 	for _, j := range g.jobs {
 		used += j.memoryGB(g.machines)
 	}
-	return memmodel.Occupancy(used, g.sim.cfg.Spec.MemoryGB)
+	return memmodel.Occupancy(used, machine.MemoryGB)
 }
 
 // errAdmission distinguishes "newcomer does not fit" from a group-wide
@@ -419,6 +419,6 @@ func (g *groupRun) reloadSeconds(j *jobRun) float64 {
 		reloaders = 1
 	}
 	gb := j.alpha * j.spec.Data.InputGB / float64(g.machines)
-	gbps := g.sim.cfg.Spec.DiskMBps / 1024 / float64(reloaders)
+	gbps := machine.DiskMBps / 1024 / float64(reloaders)
 	return gb / gbps
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"harmony/internal/cluster"
 	"harmony/internal/core"
 )
 
@@ -55,114 +54,6 @@ func (p linkContentionPolicy) rates(out []float64) {
 	for i := range out {
 		out[i] = r
 	}
-}
-
-// LinkModel holds the capacities the network-aware placement reasons
-// about: each machine's NIC and the shared uplink a group's machines
-// funnel through (oversubscribed, as in a real leaf-spine fabric).
-type LinkModel struct {
-	// NICGbps is one machine's line rate.
-	NICGbps float64
-	// GroupGbps is the shared-link capacity available to one group of
-	// machines: machines x NIC / Oversubscription.
-	GroupGbps float64
-	// Oversubscription is the fabric's uplink oversubscription factor.
-	Oversubscription float64
-}
-
-// DefaultOversubscription matches a common 2:1 leaf-spine fabric.
-const DefaultOversubscription = 2.0
-
-// NewLinkModel derives link capacities for a group of machines of the
-// given shape. oversub <= 1 selects DefaultOversubscription.
-func NewLinkModel(spec cluster.MachineSpec, machines int, oversub float64) LinkModel {
-	if oversub <= 1 {
-		oversub = DefaultOversubscription
-	}
-	if machines < 1 {
-		machines = 1
-	}
-	return LinkModel{
-		NICGbps:          spec.NetGbps,
-		GroupGbps:        spec.NetGbps * float64(machines) / oversub,
-		Oversubscription: oversub,
-	}
-}
-
-// DemandCurve discretizes one job's predicted link demand (Gbps per
-// machine) over its group iteration into slots windows: PULL bytes flow
-// at the cycle start, PUSH bytes after COMP, matching the profiled
-// PULL/PUSH split and period. The curve integrates to the job's total
-// per-iteration traffic.
-func (lm LinkModel) DemandCurve(info core.JobInfo, machines, slots int) []float64 {
-	curve := make([]float64, slots)
-	period := groupPeriod([]core.JobInfo{info}, machines)
-	if period <= 0 || slots <= 0 {
-		return curve
-	}
-	pf := info.PullFrac
-	if pf <= 0 || pf >= 1 {
-		pf = 0.5
-	}
-	net := math.Min(info.Net, period)
-	pull := net * pf
-	push := net - pull
-	comp := info.TcpuAt(machines)
-	dt := period / float64(slots)
-	// Comm windows saturate the NIC while they run.
-	addWindow(curve, 0, pull, dt, lm.NICGbps, period)
-	addWindow(curve, pull+comp, push, dt, lm.NICGbps, period)
-	return curve
-}
-
-// addWindow accumulates gbps over [start, start+width) seconds of the
-// circular curve, fractionally at the edges. Slot indices walk as
-// integers — a float time accumulator can stall when the final sliver
-// rounds to no progress.
-func addWindow(curve []float64, start, width, dt, gbps, period float64) {
-	if width <= 0 || dt <= 0 || period <= 0 || len(curve) == 0 {
-		return
-	}
-	if width > period {
-		width = period
-	}
-	n := len(curve)
-	end := start + width
-	first := int(math.Floor(start / dt))
-	last := int(math.Ceil(end / dt))
-	for s := first; s < last; s++ {
-		lo := math.Max(start, float64(s)*dt)
-		hi := math.Min(end, float64(s+1)*dt)
-		if hi <= lo {
-			continue
-		}
-		curve[((s%n)+n)%n] += gbps * (hi - lo) / dt
-	}
-}
-
-// GroupDemand sums the member jobs' demand curves — the group's total
-// offered load per window against GroupGbps.
-func (lm LinkModel) GroupDemand(jobs []core.JobInfo, machines, slots int) []float64 {
-	total := make([]float64, slots)
-	for _, j := range jobs {
-		for i, v := range lm.DemandCurve(j, machines, slots) {
-			total[i] += v * float64(machines)
-		}
-	}
-	return total
-}
-
-// groupPeriod is Eq. 1 over raw JobInfos (matches core.groupIterSeconds).
-func groupPeriod(jobs []core.JobInfo, machines int) float64 {
-	var sumComp, sumNet, maxIter float64
-	for _, j := range jobs {
-		sumComp += j.TcpuAt(machines)
-		sumNet += j.Net
-		if it := j.IterAt(machines); it > maxIter {
-			maxIter = it
-		}
-	}
-	return math.Max(maxIter, math.Max(sumComp, sumNet))
 }
 
 // interleaveInfo is the scheduler's view of a job for the phase solver:

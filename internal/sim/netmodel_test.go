@@ -4,96 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"harmony/internal/cluster"
 	"harmony/internal/core"
 	"harmony/internal/workload"
 )
-
-// TestNewLinkModelCapacities pins the capacity derivation: the shared
-// link is the group's aggregate NIC rate divided by the fabric
-// oversubscription, with the 2:1 leaf-spine default.
-func TestNewLinkModelCapacities(t *testing.T) {
-	lm := NewLinkModel(cluster.M42XLarge, 100, 0)
-	if lm.NICGbps != cluster.M42XLarge.NetGbps {
-		t.Errorf("NIC = %v, want %v", lm.NICGbps, cluster.M42XLarge.NetGbps)
-	}
-	if lm.Oversubscription != DefaultOversubscription {
-		t.Errorf("oversub = %v, want default %v", lm.Oversubscription, DefaultOversubscription)
-	}
-	want := cluster.M42XLarge.NetGbps * 100 / DefaultOversubscription
-	if math.Abs(lm.GroupGbps-want) > 1e-9 {
-		t.Errorf("GroupGbps = %v, want %v", lm.GroupGbps, want)
-	}
-	// A 4:1 fabric halves the shared capacity again.
-	lm4 := NewLinkModel(cluster.M42XLarge, 100, 4)
-	if math.Abs(lm4.GroupGbps-want/2) > 1e-9 {
-		t.Errorf("4:1 GroupGbps = %v, want %v", lm4.GroupGbps, want/2)
-	}
-}
-
-// TestDemandCurveConservation: a job's windowed demand curve must
-// integrate to exactly its per-iteration traffic (NIC rate x comm
-// seconds) regardless of where the PULL/PUSH windows land — including
-// awkward float periods where a window edge sits within an ulp of a
-// slot boundary (regression: the window rasterizer used to stall there).
-func TestDemandCurveConservation(t *testing.T) {
-	lm := NewLinkModel(cluster.M42XLarge, 16, 0)
-	cases := []core.JobInfo{
-		{ID: "balanced", Comp: 1600, Net: 60, PullFrac: 0.5},
-		{ID: "pull-heavy", Comp: 900, Net: 200, PullFrac: 0.9},
-		{ID: "push-wraps", Comp: 53.259245040497234, Net: 41.7, PullFrac: 0.31},
-		{ID: "net-bound", Comp: 8, Net: 420, PullFrac: 0.55},
-		{ID: "tiny", Comp: 1e-6, Net: 1e-7, PullFrac: 0.5},
-	}
-	const slots = 64
-	for _, info := range cases {
-		curve := lm.DemandCurve(info, 16, slots)
-		if len(curve) != slots {
-			t.Fatalf("%s: %d slots, want %d", info.ID, len(curve), slots)
-		}
-		period := groupPeriod([]core.JobInfo{info}, 16)
-		dt := period / slots
-		var integral float64
-		for i, v := range curve {
-			if v < 0 {
-				t.Fatalf("%s: negative demand %v at slot %d", info.ID, v, i)
-			}
-			integral += v * dt
-		}
-		want := lm.NICGbps * math.Min(info.Net, period)
-		if math.Abs(integral-want) > 1e-6*math.Max(want, 1) {
-			t.Errorf("%s: curve integrates to %v Gbit, want %v", info.ID, integral, want)
-		}
-	}
-}
-
-// TestGroupDemandSums: the group curve is the members' curves scaled by
-// the machine count, so it integrates to the group's total traffic.
-func TestGroupDemandSums(t *testing.T) {
-	lm := NewLinkModel(cluster.M42XLarge, 16, 0)
-	jobs := []core.JobInfo{
-		{ID: "a", Comp: 930, Net: 200, PullFrac: 0.55},
-		{ID: "b", Comp: 1400, Net: 380, PullFrac: 0.55},
-	}
-	const slots = 64
-	total := lm.GroupDemand(jobs, 16, slots)
-	var integral float64
-	for _, v := range total {
-		if v < 0 {
-			t.Fatal("negative group demand")
-		}
-		integral += v
-	}
-	var want float64
-	for _, j := range jobs {
-		for _, v := range lm.DemandCurve(j, 16, slots) {
-			want += v * 16
-		}
-	}
-	if math.Abs(integral-want) > 1e-6*want {
-		t.Errorf("group demand %v, want %v (16x member sum)", integral, want)
-	}
-}
 
 // TestLinkContentionPolicyRates pins the contention physics: a lone comm
 // task gets the full link, k colliding tasks split (1-loss) evenly —

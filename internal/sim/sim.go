@@ -14,7 +14,7 @@ import (
 	"harmony/internal/simtime"
 )
 
-// ErrDeadline reports that the simulation exceeded Config.MaxVirtualTime.
+// ErrDeadline reports that the simulation exceeded maxVirtualTime.
 var ErrDeadline = errors.New("sim: virtual-time deadline exceeded")
 
 // maxAdmissionRejections bounds placement retries before a job is
@@ -257,7 +257,7 @@ func (s *Simulator) run() (*Result, error) {
 		sj := s.jobs[id]
 		s.eng.At(sj.arrival, func() { s.onArrival(id) })
 	}
-	deadline := simtime.Time(s.cfg.MaxVirtualTime)
+	deadline := simtime.Time(maxVirtualTime)
 	if err := s.eng.Run(deadline); err != nil {
 		return nil, err
 	}

@@ -57,9 +57,6 @@ var testOnly = map[string]string{
 	"(*harmony/internal/cluster.Cluster).Owner":        "cluster_test.go",
 	"(*harmony/internal/cluster.Cluster).Owners":       "cluster_test.go",
 	"(harmony/internal/cluster.MachineSpec).Validate":  "TestSpecValidate",
-	"harmony/internal/sim.NewLinkModel":                "TestNewLinkModelCapacities",
-	"(harmony/internal/sim.LinkModel).DemandCurve":     "TestDemandCurveConservation",
-	"(harmony/internal/sim.LinkModel).GroupDemand":     "TestGroupDemandSums",
 	"harmony/internal/memmodel.Check":                  "TestCheck",
 	"harmony/internal/exp.scaleJobs":                   "TestScaleJobsHelper",
 	"harmony/internal/trace.MeanInterarrival":          "TestMeanInterarrivalEdge",
