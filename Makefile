@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= dev
 LDFLAGS := -ldflags "-X harmony/internal/obs.Version=$(VERSION)"
 
-.PHONY: check fmt vet build test race fuzz-smoke bench-smoke bench-test golden-check loc bench trace-demo
+.PHONY: check fmt vet build test race fuzz-smoke bench-smoke bench-test golden-check loc bench
 
 ## check: full local gate — gofmt, vet, build, the tests once plain and once
 ## under the race detector, a short run of the wire fuzzers, bench smoke
@@ -83,8 +83,3 @@ loc:
 ## ones; results under benchmarks/out/ (benchmarks/README.md)
 bench:
 	bash benchmarks/run.sh -trace 1
-
-## trace-demo: run a traced 2-worker, 2-job live cluster and write
-## trace.json (open at https://ui.perfetto.dev)
-trace-demo:
-	$(GO) run $(LDFLAGS) ./cmd/harmony-trace-demo -o trace.json

@@ -13,7 +13,7 @@ import (
 // of DESIGN.md §14 at the paper's 100-machine scale. Both arms run the
 // non-work-conserving shared-link physics (sim.Config.LinkContention):
 // comm bursts from different jobs that drive the link concurrently burn
-// CollisionLoss of aggregate goodput and stay phase-locked. The baseline
+// 45% of aggregate goodput and stay phase-locked. The baseline
 // arm schedules with the paper's aggregate-bandwidth model, so co-located
 // comm-heavy jobs collide every iteration; the net-aware arm adds
 // core.Options.NetModel — compatibility-aware grouping plus the
@@ -25,10 +25,6 @@ const (
 	placeMachines = 100
 	placeJobs     = 24
 	placeIters    = 30
-	// placeCollisionLoss models heavy incast-style congestion on the
-	// oversubscribed shared link: colliding bursts lose nearly half the
-	// aggregate goodput to retransmits and head-of-line blocking.
-	placeCollisionLoss = 0.45
 )
 
 // placeArmResult aggregates one scheduler arm over the seeds.
@@ -91,7 +87,6 @@ func placement(seed int64) (fmt.Stringer, error) {
 				Mode:           sim.ModeHarmony,
 				Seed:           seed + i,
 				LinkContention: true,
-				CollisionLoss:  placeCollisionLoss,
 				SchedOpts:      core.Options{NetModel: netAware, MaxJobsPerGroup: 2},
 			}
 			res, err := sim.Run(cfg, placeScenario())

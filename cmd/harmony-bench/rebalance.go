@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"harmony/internal/ps"
 )
@@ -30,21 +29,7 @@ type rebalanceModeResult struct {
 func (m rebalanceModeResult) opsPerSec() float64 { return float64(m.ops) / m.seconds }
 
 type rebalanceResult struct {
-	cfg     ps.RebalanceExperiment
 	off, on rebalanceModeResult
-}
-
-func rebalanceExperiment(seed int64, on bool) ps.RebalanceExperiment {
-	return ps.RebalanceExperiment{
-		SkewConfig: ps.SkewConfig{
-			Stripes: 40, StripeElems: 128, Workers: 5,
-			HotFrac: 0.1, HotShare: 0.8,
-			Duration: 800 * time.Millisecond, Seed: seed,
-		},
-		Servers: 4, ServiceLimit: 1, ServiceDelay: time.Millisecond,
-		Rebalance: on,
-		Interval:  75 * time.Millisecond, MaxMoves: 2,
-	}
 }
 
 func psRebalance(seed int64) (fmt.Stringer, error) {
@@ -54,7 +39,7 @@ func psRebalance(seed int64) (fmt.Stringer, error) {
 			out.mode = "on"
 		}
 		for i := int64(0); i < rebalanceRounds; i++ {
-			res, err := rebalanceExperiment(seed+i, on).Run()
+			res, err := ps.RebalanceExperiment{Seed: seed + i, Rebalance: on}.Run()
 			if err != nil {
 				return out, fmt.Errorf("rebalance %s round %d: %w", out.mode, i, err)
 			}
@@ -71,7 +56,7 @@ func psRebalance(seed int64) (fmt.Stringer, error) {
 		return out, nil
 	}
 
-	r := &rebalanceResult{cfg: rebalanceExperiment(seed, false)}
+	r := &rebalanceResult{}
 	var err error
 	if r.off, err = measure(false); err != nil {
 		return nil, err
@@ -84,8 +69,9 @@ func psRebalance(seed int64) (fmt.Stringer, error) {
 
 func (r *rebalanceResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "DESIGN.md §12 — PS hot-stripe rebalancing: %d stripes, hot %.0f%% take %.0f%% of traffic, %d servers, %d rounds per mode\n",
-		r.cfg.Stripes, r.cfg.HotFrac*100, r.cfg.HotShare*100, r.cfg.Servers, rebalanceRounds)
+	// The sizes are ps.RebalanceExperiment's constants (DESIGN.md §12).
+	fmt.Fprintf(&b, "DESIGN.md §12 — PS hot-stripe rebalancing: 40 stripes, hot 10%% take 80%% of traffic, 4 servers, %d rounds per mode\n",
+		rebalanceRounds)
 	fmt.Fprintf(&b, "  %-4s %12s %16s %7s\n", "MODE", "OPS/S", "P99_LOCK_WAIT", "MOVES")
 	for _, m := range []rebalanceModeResult{r.off, r.on} {
 		fmt.Fprintf(&b, "  %-4s %12.0f %15.0fµs %7d\n", m.mode, m.opsPerSec(), m.p99LockWaitMicros, m.moves)

@@ -42,7 +42,7 @@ func run(args []string) error {
 		return err
 	}
 
-	m, err := harmony.StartMaster(*listen, harmony.ScheduleOptions{})
+	m, err := harmony.StartMaster(*listen)
 	if err != nil {
 		return err
 	}

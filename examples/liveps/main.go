@@ -23,7 +23,7 @@ func main() {
 }
 
 func run() error {
-	master, err := harmony.StartMaster("127.0.0.1:0", harmony.ScheduleOptions{})
+	master, err := harmony.StartMaster("127.0.0.1:0")
 	if err != nil {
 		return err
 	}

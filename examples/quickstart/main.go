@@ -31,7 +31,7 @@ func run() error {
 	for _, j := range jobs {
 		profiles = append(profiles, j.Job)
 	}
-	plan := harmony.Schedule(profiles, 32, harmony.ScheduleOptions{})
+	plan := harmony.Schedule(profiles, 32)
 	fmt.Println("Harmony's grouping decision for 32 machines:")
 	for i, g := range plan.Groups {
 		fmt.Printf("  group %d: %d machines, predicted iteration %.0fs, CPU %.0f%%, net %.0f%%\n",

@@ -69,31 +69,12 @@ type Plan struct {
 	CPUUtil, NetUtil float64
 }
 
-// ScheduleOptions tune the grouping algorithm; the zero value uses the
-// paper's defaults (CPU-preferring score, 5% regrouping threshold).
-type ScheduleOptions struct {
-	// CPUWeight weights CPU utilization in the objective (default 0.7).
-	CPUWeight float64
-	// MemoryCapGB bounds a group's per-machine footprint with inputs
-	// fully spilled; zero disables the check.
-	MemoryCapGB float64
-	// MaxJobsPerGroup caps co-location degree; zero means unlimited.
-	MaxJobsPerGroup int
-}
-
-func (o ScheduleOptions) internal() core.Options {
-	return core.Options{
-		CPUWeight:       o.CPUWeight,
-		MemoryCapGB:     o.MemoryCapGB,
-		MaxJobsPerGroup: o.MaxJobsPerGroup,
-	}
-}
-
 // Schedule runs the paper's Algorithm 1: it groups jobs with
 // complementary resource usage and allocates machines so that cluster
 // utilization is maximized. Jobs beyond the utilization-optimal prefix
-// are left out of the plan (they wait).
-func Schedule(jobs []Job, machines int, opts ScheduleOptions) Plan {
+// are left out of the plan (they wait). The score prefers CPU
+// utilization and regrouping needs a 5% gain, the paper's defaults.
+func Schedule(jobs []Job, machines int) Plan {
 	infos := make([]core.JobInfo, len(jobs))
 	for i, j := range jobs {
 		infos[i] = core.JobInfo{
@@ -102,8 +83,7 @@ func Schedule(jobs []Job, machines int, opts ScheduleOptions) Plan {
 			JVMHeapFactor: workload.JVMHeapFactor,
 		}
 	}
-	plan := core.Schedule(infos, machines, opts.internal())
-	return fromInternalPlan(plan)
+	return fromInternalPlan(core.Schedule(infos, machines, core.Options{}))
 }
 
 func fromInternalPlan(p core.Plan) Plan {
@@ -163,8 +143,6 @@ type SimConfig struct {
 	Scheduler Scheduler
 	// Seed drives all randomness.
 	Seed int64
-	// Options tunes Harmony's grouping.
-	Options ScheduleOptions
 }
 
 // SimReport summarizes a simulated execution.
@@ -219,12 +197,7 @@ func Simulate(cfg SimConfig, jobs []WorkloadJob) (*SimReport, error) {
 			Arrival: simtime.Time(simtime.FromStd(j.Arrival)),
 		}
 	}
-	res, err := sim.Run(sim.Config{
-		Machines:  cfg.Machines,
-		Mode:      mode,
-		Seed:      cfg.Seed,
-		SchedOpts: cfg.Options.internal(),
-	}, simJobs)
+	res, err := sim.Run(sim.Config{Machines: cfg.Machines, Mode: mode, Seed: cfg.Seed}, simJobs)
 	if err != nil {
 		return nil, err
 	}

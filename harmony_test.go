@@ -10,7 +10,7 @@ func TestScheduleFacade(t *testing.T) {
 		{ID: "cpu-heavy", CompSeconds: 3200, NetSeconds: 20},
 		{ID: "net-heavy", CompSeconds: 200, NetSeconds: 180},
 	}
-	plan := Schedule(jobs, 16, ScheduleOptions{})
+	plan := Schedule(jobs, 16)
 	if len(plan.Groups) != 1 {
 		t.Fatalf("plan has %d groups, want 1 co-located group", len(plan.Groups))
 	}
@@ -72,7 +72,7 @@ func TestPaperWorkloadShape(t *testing.T) {
 }
 
 func TestLiveRuntimeEndToEnd(t *testing.T) {
-	m, err := StartMaster("127.0.0.1:0", ScheduleOptions{})
+	m, err := StartMaster("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,8 @@ import (
 	"harmony/internal/core"
 	"harmony/internal/ctl"
 	"harmony/internal/master"
+	"harmony/internal/mlapp"
+	"harmony/internal/obs"
 	"harmony/internal/ps"
 	"harmony/internal/rpc"
 	"harmony/internal/worker"
@@ -446,6 +448,63 @@ func TestMetricsScrapesEachWorkerOnce(t *testing.T) {
 				t.Errorf("after %d scrapes worker %d served %d worker.stats and %d ps.stats calls, want %d of each",
 					scrape, i, ws, pss, scrape)
 			}
+		}
+	}
+}
+
+// TestOverlapGaugeOmitsUnmeasuredGroup: a traced group whose spans are all
+// COMP has no measured COMP/COMM overlap, so /metrics carries no overlap
+// gauge for it — a 0 there would read as a measurement.
+func TestOverlapGaugeOmitsUnmeasuredGroup(t *testing.T) {
+	m, err := master.New("127.0.0.1:0", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	m.EnableTracing(0)
+	stub := rpc.NewServer()
+	stub.Handle(worker.MethodLoadJob, rpc.Typed(func(worker.LoadJobArgs) (worker.Ack, error) { return worker.Ack{}, nil }))
+	stub.Handle(worker.MethodStartJob, rpc.Typed(func(worker.StartJobArgs) (worker.Ack, error) { return worker.Ack{}, nil }))
+	stub.Handle(ps.MethodStats, rpc.Typed(func(ps.StatsArgs) (ps.StatsReply, error) { return ps.StatsReply{}, nil }))
+	stub.Handle(worker.MethodStats, rpc.Typed(func(a worker.StatsArgs) (worker.StatsReply, error) {
+		var r worker.StatsReply
+		if a.SpanAfter == 0 { // the first span collection; utilization polls skip spans
+			r.Spans = []obs.Span{{Seq: 1, Phase: obs.PhaseComp, Job: "j", End: int64(time.Millisecond)}}
+		}
+		return r, nil
+	}))
+	addr, err := stub.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { stub.Close() })
+	mc, err := rpc.Dial(m.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mc.Close() })
+	type registerArgs struct{ Name, Addr string } // what worker.New sends
+	if _, err := rpc.Invoke[registerArgs, worker.Ack](mc, "master.register",
+		registerArgs{Name: "w0", Addr: addr}, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Submit(master.JobSpec{Name: "j", Iterations: 10,
+		Config: mlapp.Config{Kind: mlapp.MLR, Features: 12, Classes: 3, Rows: 96}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	s := ctl.New(m)
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+
+	body := fetchMetrics(t, "http://"+s.Addr())
+	if !strings.Contains(body, "harmony_phase_seconds") {
+		t.Fatal("/metrics lacks the traced section")
+	}
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "harmony_group_overlap_ratio") {
+			t.Errorf("/metrics has %q for a group with COMP spans only", line)
 		}
 	}
 }

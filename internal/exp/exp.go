@@ -11,7 +11,6 @@ import (
 	"harmony/internal/metrics"
 	"harmony/internal/sim"
 	"harmony/internal/simtime"
-	"harmony/internal/workload"
 )
 
 // Machines is the default cluster size of the main evaluation
@@ -101,16 +100,4 @@ func cdfSummary(values []float64, unit string) string {
 	return fmt.Sprintf("min=%.2f p10=%.2f p50=%.2f p90=%.2f max=%.2f %s (n=%d)",
 		sorted[0], metrics.Percentile(values, 10), metrics.Percentile(values, 50),
 		metrics.Percentile(values, 90), sorted[len(sorted)-1], unit, len(values))
-}
-
-// scaleJobs uniformly scales a workload's per-iteration costs and sizes;
-// experiments use it to shrink run time without changing the shape.
-func scaleJobs(specs []workload.Spec, factor float64) []workload.Spec {
-	out := make([]workload.Spec, len(specs))
-	copy(out, specs)
-	for i := range out {
-		out[i].CompMachineSeconds *= factor
-		out[i].NetSeconds *= factor
-	}
-	return out
 }

@@ -82,17 +82,3 @@ func TestSpark(t *testing.T) {
 		t.Errorf("spark lacks dynamic range: %q", s)
 	}
 }
-
-// TestScaleJobsHelper checks the uniform cost scaler.
-func TestScaleJobsHelper(t *testing.T) {
-	r := Fig9()
-	_ = r
-	in := Tab1().Specs
-	out := scaleJobs(in, 0.5)
-	if out[0].CompMachineSeconds != in[0].CompMachineSeconds*0.5 {
-		t.Error("comp not scaled")
-	}
-	if in[0].CompMachineSeconds == out[0].CompMachineSeconds {
-		t.Error("input mutated or not scaled")
-	}
-}

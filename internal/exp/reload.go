@@ -50,8 +50,7 @@ func Reload(seed int64) (*ReloadResult, error) {
 	run := func(alpha float64) (*sim.Result, error) {
 		cfg := sim.Config{Machines: 32, Mode: sim.ModeHarmony, Seed: seed}
 		if alpha >= 0 {
-			cfg.FixedAlpha = alpha
-			cfg.ExplicitZeroAlpha = alpha == 0
+			cfg.FixedAlpha = &alpha
 		}
 		return sim.Run(cfg, jobs)
 	}

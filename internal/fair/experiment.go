@@ -20,23 +20,23 @@ import (
 // Fair=false is the comparison: the same kernel under the single default
 // queue, which is strict arrival order with backfill and no preemption.
 //
-// Everything is a pure function of (Workers, Queues, Jobs|Seed): two
-// runs with the same inputs produce bit-identical event logs.
+// The workload is TwoTenantWorkload(Seed, Workers). Everything is a pure
+// function of (Workers, Queues, Seed): two runs with the same inputs
+// produce bit-identical event logs.
 type Experiment struct {
 	// Workers is the cluster size in workers.
 	Workers int
 	// Queues configures the scheduler; nil means the default queue only.
 	Queues []QueueConfig
-	// Jobs is the workload; nil generates TwoTenantWorkload(Seed).
-	Jobs []SimJob
-	// Seed drives workload generation when Jobs is nil.
+	// Seed drives workload generation.
 	Seed int64
-	// Ticks bounds the simulation; 0 means run until all jobs finish
-	// (capped at a large internal horizon to keep bugs from spinning).
-	Ticks int
 	// Fair selects the policy: the configured queues vs one FIFO queue.
 	Fair bool
 }
+
+// experimentHorizon caps a run in ticks, far past the generated
+// workload's makespan, so a bug cannot spin forever.
+const experimentHorizon = 100000
 
 // SimJob is one job in the simulated workload.
 type SimJob struct {
@@ -157,19 +157,10 @@ func (e Experiment) Run() (SimResult, error) {
 	if err != nil {
 		return SimResult{}, err
 	}
-	jobs := e.Jobs
-	if jobs == nil {
-		jobs = TwoTenantWorkload(e.Seed, e.Workers)
-	}
+	jobs := TwoTenantWorkload(e.Seed, e.Workers)
 	for _, j := range jobs {
-		if j.Queue == "" {
-			j.Queue = DefaultQueue
-		}
 		if !sched.Has(j.Queue) {
 			return SimResult{}, fmt.Errorf("fair: job %s: unknown queue %q", j.Name, j.Queue)
-		}
-		if j.Gang < 1 || j.Gang > e.Workers || j.Work < 1 {
-			return SimResult{}, fmt.Errorf("fair: job %s: bad gang/work", j.Name)
 		}
 	}
 	// FIFO is not a second code path: it is the same kernel under the
@@ -195,11 +186,7 @@ func (e Experiment) Run() (SimResult, error) {
 	}
 	gangFits := func(h Held, _ int) (bool, string) { return h.Demand <= st.free, HoldNoGang }
 
-	horizon := e.Ticks
-	if horizon <= 0 {
-		horizon = 100000
-	}
-	for st.t = 0; st.t < horizon; st.t++ {
+	for st.t = 0; st.t < experimentHorizon; st.t++ {
 		// Arrivals enter the admission queue in declaration order.
 		for i := range jobs {
 			if jobs[i].Arrival == st.t {

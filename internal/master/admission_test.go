@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -456,6 +457,67 @@ func TestRecoverJobReleasesParkedSurvivor(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("parked survivor was not released by the restart")
+	}
+}
+
+// TestFailedReplacementLeavesJobPaused: a Resume or RecoverJob whose
+// deploy fails must not leave a running record no worker runs, holding
+// its workers in the live plan. The job goes back to paused holding no
+// workers, and a retry onto healthy workers deploys it.
+func TestFailedReplacementLeavesJobPaused(t *testing.T) {
+	for _, replace := range []struct {
+		name string
+		call func(m *Master, group []string) error
+	}{
+		{"Resume", func(m *Master, group []string) error { return m.Resume("j", group, nil) }},
+		{"RecoverJob", func(m *Master, group []string) error { return m.RecoverJob("j", group) }},
+	} {
+		t.Run(replace.name, func(t *testing.T) {
+			m, err := New("127.0.0.1:0", core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(m.Close)
+			var failNext atomic.Bool
+			stubWorkers(t, m, 3, func(worker.LoadJobArgs) error {
+				if failNext.CompareAndSwap(true, false) {
+					return errors.New("stub: load failed")
+				}
+				return nil
+			}, nil)
+			if err := m.Submit(spec("j", mlapp.MLR, 10), []string{"w0", "w1"}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.RemoveWorker("w1"); err != nil { // pauses j
+				t.Fatal(err)
+			}
+			placed := func() bool {
+				for _, g := range m.Cluster().Groups {
+					if slices.Contains(g.Jobs, "j") {
+						return true
+					}
+				}
+				return false
+			}
+
+			failNext.Store(true)
+			if err := replace.call(m, []string{"w0"}); err == nil {
+				t.Fatal("re-placement succeeded although its load failed")
+			}
+			if status, _, _, _ := m.Status("j"); status != StatusPaused {
+				t.Errorf("status after a failed re-placement = %v, want paused", status)
+			}
+			if placed() {
+				t.Errorf("live plan %+v still places j after its deploy failed", m.Cluster().Groups)
+			}
+			if err := replace.call(m, []string{"w0", "w2"}); err != nil {
+				t.Fatalf("retry: %v", err)
+			}
+			if status, _, _, _ := m.Status("j"); status != StatusRunning || !placed() {
+				t.Errorf("after the retry: status %v, live plan %+v; want j running and placed",
+					status, m.Cluster().Groups)
+			}
+		})
 	}
 }
 

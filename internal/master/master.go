@@ -651,37 +651,7 @@ func (m *Master) Resume(name string, group []string, checkpoint []float64) error
 		m.mu.Unlock()
 		return fmt.Errorf("master: job %q not paused", name)
 	}
-	oldRefs := m.workerRefsLocked(j)
-	idxs, err := m.workerIndexesLocked(group)
-	if err != nil {
-		m.mu.Unlock()
-		return err
-	}
-	fromIter := j.iter + 1
-	j.workers = idxs
-	j.status = StatusRunning
-	j.pausedCh = make(chan struct{})
-	j.stopBarriers()
-	j.epoch++ // the pre-migration placement must not reach the new barriers
-	m.counters.Migrations++
-	// The job moved groups: refresh the cached plan before stamping the
-	// migration event with the prediction for the placement it now joins;
-	// the measured EWMA restarts on the new placement.
-	m.invalidatePlanLocked()
-	ev := m.stampJobPlacementLocked(Event{Kind: EventMigrate, Job: name, Group: group})
-	j.measIter = 0
-	j.lastRelease = time.Time{}
-	m.mu.Unlock()
-	m.journal.append(ev)
-
-	// Shards and model partitions are rebuilt on the new group.
-	dropJob(oldRefs, name)
-	if err := m.deploy(j, checkpoint, fromIter); err != nil {
-		return err
-	}
-	// A regroup reshapes the plan; retry held jobs against it (§IV-B4).
-	m.wakeDrainer()
-	return nil
+	return m.replaceJob(j, group, checkpoint, j.iter+1, Event{Kind: EventMigrate, Job: name})
 }
 
 // workerRefsLocked resolves a job's current worker set to its RPC

@@ -202,48 +202,80 @@ func (m *Master) RecoverJob(name string, group []string) error {
 	j.ckpt.close()
 	restore, ckptIter := m.readCheckpoint(j)
 	m.mu.Lock()
-	if j.status == StatusFinished {
+	if j.status == StatusFinished || j.status == StatusCanceled {
 		m.mu.Unlock()
 		return nil
-	}
-	idxs, err := m.workerIndexesLocked(group)
-	if err != nil {
-		m.mu.Unlock()
-		return err
 	}
 	fromIter := 0
 	if restore != nil {
 		fromIter = ckptIter + 1
 	}
+	return m.replaceJob(j, group, restore, fromIter, Event{Kind: EventRecover, Job: name,
+		Note: fmt.Sprintf("restart from checkpoint iteration %d", ckptIter)})
+}
+
+// replaceJob is the one re-placement step behind Resume (migration,
+// §IV-B4) and RecoverJob (restart, §VI): it moves j onto group (nil: every
+// worker) and deploys it there from iteration fromIter, restoring restore.
+// Every worker parked at one of the old placement's barriers is released
+// (a survivor of a failure may have parked at the next one, where nobody
+// else will arrive), the epoch bump makes the old placement's stragglers
+// stale, the measured EWMA restarts, and ev is journaled stamped with the
+// new placement's prediction. A deploy that fails leaves the job paused
+// holding no workers, with the failure in ev's note, so a later Resume or
+// RecoverJob can retry. Caller holds mu's write side; replaceJob
+// releases it.
+func (m *Master) replaceJob(j *job, group []string, restore []float64, fromIter int, ev Event) error {
+	idxs, err := m.workerIndexesLocked(group)
+	if err != nil {
+		m.mu.Unlock()
+		return err
+	}
 	oldRefs := m.workerRefsLocked(j)
 	j.workers = idxs
 	j.status = StatusRunning
-	// A survivor that was mid-iteration when RemoveWorker released the
-	// barriers may have parked at the next one since; nobody else will
-	// arrive there.
+	j.pausedCh = make(chan struct{})
 	j.stopBarriers()
 	j.doneFrom = make(map[string]bool)
-	j.epoch++ // stragglers of the failed placement are now stale
-	m.counters.Recoveries++
-	// The stamp below must see the restarted placement, not the cached
-	// pre-failure plan.
+	j.epoch++
+	epoch := j.epoch
+	if ev.Kind == EventMigrate {
+		m.counters.Migrations++
+	} else {
+		m.counters.Recoveries++
+	}
+	// The stamp must see the new placement, not the cached plan.
 	m.invalidatePlanLocked()
-	ev := m.stampJobPlacementLocked(Event{Kind: EventRecover, Job: name,
-		Group: m.workerNamesLocked(j),
-		Note:  fmt.Sprintf("restart from checkpoint iteration %d", ckptIter)})
+	ev.Group = m.workerNamesLocked(j)
+	ev = m.stampJobPlacementLocked(ev)
 	j.measIter = 0
 	j.lastRelease = time.Time{}
 	m.mu.Unlock()
 
-	// Clean up on survivors that hosted the old placement.
-	dropJob(oldRefs, name)
-	// Journal after the deploy attempt so a failed restart is auditable
-	// in place: the PS client stamps the failing server's address into
-	// its fan-out errors, and that identity surfaces here.
+	// Shards and model partitions are rebuilt on the new group.
+	dropJob(oldRefs, j.spec.Name)
+	// Journal after the deploy attempt so a failed one is auditable in
+	// place: the PS client stamps the failing server's address into its
+	// fan-out errors, and that identity surfaces here.
 	err = m.deploy(j, restore, fromIter)
 	if err != nil {
-		ev.Note += "; deploy failed: " + err.Error()
+		if ev.Note != "" {
+			ev.Note += "; "
+		}
+		ev.Note += "deploy failed: " + err.Error()
+		m.mu.Lock()
+		if j.status == StatusRunning && j.epoch == epoch { // not canceled or re-placed meanwhile
+			j.status = StatusPaused
+			j.workers = nil
+			j.stopBarriers()
+			j.epoch++ // what the failed deploy started is stale too
+			m.invalidatePlanLocked()
+		}
+		m.mu.Unlock()
 	}
 	m.journal.append(ev)
+	// A regroup reshapes the plan and a failed one frees its workers:
+	// retry held jobs (§IV-B4).
+	m.wakeDrainer()
 	return err
 }

@@ -164,6 +164,5 @@ func (m *Master) MeasuredOverlap() map[string]float64 {
 	if spans == nil {
 		return nil
 	}
-	ratio, _ := obs.OverlapByGroup(spans)
-	return ratio
+	return obs.OverlapByGroup(spans)
 }

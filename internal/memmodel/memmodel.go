@@ -26,7 +26,7 @@ const GCKneeOccupancy = 0.60
 // GCOverheadLimitOccupancy is the occupancy at which the JVM gives up:
 // nearly all CPU goes to collection and the runtime throws
 // "GC overhead limit exceeded", which kills the process just like a hard
-// allocation failure. Check treats this as OOM.
+// allocation failure. The simulator treats this as OOM.
 const GCOverheadLimitOccupancy = 0.97
 
 // gcSteepness calibrates how quickly GC overhead grows past the knee. At
@@ -41,13 +41,13 @@ const maxGCFactor = 100
 // GCFactor returns the fraction of extra CPU time spent in garbage
 // collection at the given heap occupancy: compute time is stretched by
 // (1 + GCFactor). Occupancy at or above 1.0 is an OOM condition and
-// reports a very large factor; callers should check Check first.
+// reports a very large factor; the simulator reports ErrOOM first.
 func GCFactor(occupancy float64) float64 {
 	if occupancy <= GCKneeOccupancy {
 		return 0
 	}
 	if occupancy >= 1 {
-		return maxGCFactor // effectively stalled; Check reports ErrOOM before this matters
+		return maxGCFactor // effectively stalled; ErrOOM comes before this matters
 	}
 	over := occupancy - GCKneeOccupancy
 	f := gcSteepness * over * over / (1 - occupancy)
@@ -57,16 +57,6 @@ func GCFactor(occupancy float64) float64 {
 		f = maxGCFactor
 	}
 	return f
-}
-
-// Check validates that a working set of usedGB fits a machine with
-// capacityGB of memory, returning ErrOOM when it does not — including the
-// GC-overhead-limit cliff just below hard exhaustion.
-func Check(usedGB, capacityGB float64) error {
-	if usedGB > GCOverheadLimitOccupancy*capacityGB {
-		return ErrOOM
-	}
-	return nil
 }
 
 // Occupancy returns usedGB/capacityGB clamped to [0, ∞); a capacity of

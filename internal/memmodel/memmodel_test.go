@@ -1,7 +1,6 @@
 package memmodel
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -32,21 +31,6 @@ func TestGCFactorGrowth(t *testing.T) {
 	}
 	if f := GCFactor(1.0); f != 100 {
 		t.Errorf("GCFactor(1.0) = %v, want stall value 100", f)
-	}
-}
-
-func TestCheck(t *testing.T) {
-	if err := Check(30, 32); err != nil {
-		t.Errorf("Check(30, 32) = %v, want nil", err)
-	}
-	if err := Check(33, 32); !errors.Is(err, ErrOOM) {
-		t.Errorf("Check(33, 32) = %v, want ErrOOM", err)
-	}
-	if err := Check(31.5, 32); err == nil {
-		t.Error("Check(31.5, 32) = nil, want ErrOOM past the GC overhead limit")
-	}
-	if err := Check(GCOverheadLimitOccupancy*32, 32); err != nil {
-		t.Errorf("Check at the limit = %v, want nil", err)
 	}
 }
 

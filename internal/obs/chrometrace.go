@@ -119,12 +119,10 @@ func WriteChromeTrace(w io.Writer, spans []TaggedSpan) error {
 // intersected with the union of PULL/PUSH intervals; the ratio is
 // Σ intersections / Σ unions of all subtask activity.
 //
-// The second return distinguishes "no overlap" from "no data": ok[g] is
-// true only when group g has spans in both phase classes, i.e. a
-// measured zero. A consumer comparing a prediction against the ratio
-// must skip groups with ok false rather than treat their 0 as a
-// measurement.
-func OverlapByGroup(spans []TaggedSpan) (ratio map[string]float64, ok map[string]bool) {
+// Only a group with spans in both phase classes is measured, so only such
+// groups are in the map: a group whose spans are all COMP or all COMM has
+// no ratio, not a ratio of 0.
+func OverlapByGroup(spans []TaggedSpan) map[string]float64 {
 	type key struct{ group, machine string }
 	comp := make(map[key][]ival)
 	comm := make(map[key][]ival)
@@ -160,17 +158,13 @@ func OverlapByGroup(spans []TaggedSpan) (ratio map[string]float64, ok map[string
 		overlap[k.group] += intersectSeconds(cu, nu)
 		busy[k.group] += lenIvals(mergeIvals(append(cu, nu...)))
 	}
-	ratio = make(map[string]float64, len(busy))
-	ok = make(map[string]bool, len(busy))
+	ratio := make(map[string]float64, len(busy))
 	for g, b := range busy {
-		if b > 0 {
+		if hasComp[g] && hasComm[g] {
 			ratio[g] = float64(overlap[g]) / float64(b)
-		} else {
-			ratio[g] = 0
 		}
-		ok[g] = b > 0 && hasComp[g] && hasComm[g]
 	}
-	return ratio, ok
+	return ratio
 }
 
 type ival struct{ s, e int64 }

@@ -206,7 +206,7 @@ func TestOverlapByGroup(t *testing.T) {
 		// Barrier spans are neither comp nor comm and must be ignored.
 		{Span: Span{Phase: PhaseBarrier, Start: ms(0), End: ms(500)}, Machine: "w0", Group: g},
 	}
-	got, ok := OverlapByGroup(spans)
+	got := OverlapByGroup(spans)
 	want := 50.0 / 250.0
 	if math.Abs(got[g]-want) > 1e-12 {
 		t.Errorf("overlap[%s] = %v, want %v", g, got[g], want)
@@ -214,15 +214,11 @@ func TestOverlapByGroup(t *testing.T) {
 	if len(got) != 1 {
 		t.Errorf("groups = %v", got)
 	}
-	if !ok[g] {
-		t.Errorf("ok[%s] = false, want true for a group with both phase classes", g)
-	}
 }
 
 // TestOverlapByGroupInsufficientSamples pins the no-data semantics: a
-// group whose spans cover only one phase class reports ratio 0 with ok
-// false, so recalibration can tell "no overlap measured" apart from
-// "nothing to measure".
+// group whose spans cover only one phase class is absent, so a consumer
+// can tell "no overlap measured" apart from "nothing to measure".
 func TestOverlapByGroupInsufficientSamples(t *testing.T) {
 	ms := func(v int64) int64 { return v * int64(time.Millisecond) }
 	spans := []TaggedSpan{
@@ -234,16 +230,13 @@ func TestOverlapByGroupInsufficientSamples(t *testing.T) {
 		{Span: Span{Phase: PhaseComp, Start: ms(0), End: ms(50)}, Machine: "w2", Group: "both"},
 		{Span: Span{Phase: PhasePush, Start: ms(50), End: ms(100)}, Machine: "w2", Group: "both"},
 	}
-	got, ok := OverlapByGroup(spans)
-	for _, g := range []string{"compOnly", "commOnly", "both"} {
-		if got[g] != 0 {
-			t.Errorf("overlap[%s] = %v, want 0", g, got[g])
+	got := OverlapByGroup(spans)
+	for _, g := range []string{"compOnly", "commOnly"} {
+		if v, ok := got[g]; ok {
+			t.Errorf("overlap[%s] = %v, want no entry for a group with one phase class", g, v)
 		}
 	}
-	if ok["compOnly"] || ok["commOnly"] {
-		t.Errorf("ok for one-phase-class groups = (%v, %v), want false", ok["compOnly"], ok["commOnly"])
-	}
-	if !ok["both"] {
-		t.Error("ok[both] = false, want true: zero overlap with both classes present is a measurement")
+	if v, ok := got["both"]; !ok || v != 0 {
+		t.Errorf("overlap[both] = %v, %v; want a measured 0: both classes present, disjoint", v, ok)
 	}
 }

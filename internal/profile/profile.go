@@ -36,19 +36,6 @@ type Metrics struct {
 	Samples int
 }
 
-// TcpuAt predicts the COMP subtask time at DoP m (Eq. 2).
-func (m Metrics) TcpuAt(dop int) float64 {
-	if dop < 1 {
-		dop = 1
-	}
-	return m.CompMachineSeconds / float64(dop)
-}
-
-// IterSecondsAt predicts the job's own iteration time at DoP m.
-func (m Metrics) IterSecondsAt(dop int) float64 {
-	return m.TcpuAt(dop) + m.NetSeconds
-}
-
 // Profiled reports whether enough observations have accumulated for the
 // scheduler to trust the metrics.
 func (m Metrics) Profiled() bool { return m.Samples >= MinSamples }

@@ -50,19 +50,6 @@ func TestObserveDoPNormalization(t *testing.T) {
 	if math.Abs(m.CompMachineSeconds-100) > 1e-9 {
 		t.Errorf("comp = %v, want 100 independent of observation DoP", m.CompMachineSeconds)
 	}
-	if got := m.TcpuAt(20); math.Abs(got-5) > 1e-9 {
-		t.Errorf("TcpuAt(20) = %v, want 5", got)
-	}
-	if got := m.IterSecondsAt(20); math.Abs(got-10) > 1e-9 {
-		t.Errorf("IterSecondsAt(20) = %v, want 10", got)
-	}
-}
-
-func TestTcpuAtClampsDoP(t *testing.T) {
-	m := Metrics{CompMachineSeconds: 100}
-	if got := m.TcpuAt(0); got != 100 {
-		t.Errorf("TcpuAt(0) = %v, want clamp to DoP 1", got)
-	}
 }
 
 func TestObserveErrors(t *testing.T) {

@@ -14,53 +14,45 @@ import (
 // an in-process PS cluster with a bounded per-server service rate, runs
 // the skew load with rebalancing off or on, and reports throughput plus
 // the p99 of per-op stripe wait. Placement starts even, so the hot
-// stripes (the first HotFrac of indices) all land on server 0 — the
-// saturation the balancer must dissolve.
+// stripes all land on server 0 — the saturation the balancer must
+// dissolve. The sizes are the skew* constants.
 type RebalanceExperiment struct {
-	SkewConfig
-	Servers int
-	// ServiceLimit bounds concurrent stripe service per server (default
-	// 1): the finite capacity that makes placement matter.
-	ServiceLimit int
-	// ServiceDelay is the modeled per-op service time each op holds its
-	// slot for. In-process servers share the host CPU, so real service
-	// cost cannot distinguish placements; the delay restores per-server
-	// capacity as the bottleneck the way a per-server NIC would be.
-	ServiceDelay time.Duration
-	Rebalance    bool
-	// Interval is the scrape-plan-execute cadence (default 100ms).
-	Interval time.Duration
-	MaxMoves int
-	// Warmup excludes the run's opening phase from the lock-wait
-	// distribution (default Duration/3): with rebalancing on, the first
-	// intervals measure the pre-convergence placement, which is exactly
-	// what the off-run measures. Throughput still covers the whole run —
-	// convergence time is part of the cost of rebalancing.
-	Warmup time.Duration
+	Seed      int64
+	Rebalance bool
 }
 
-func (e RebalanceExperiment) withDefaults() RebalanceExperiment {
-	e.SkewConfig = e.SkewConfig.withDefaults()
-	if e.Servers <= 0 {
-		e.Servers = 4
-	}
-	if e.ServiceLimit <= 0 {
-		e.ServiceLimit = 1
-	}
-	if e.Interval <= 0 {
-		e.Interval = 100 * time.Millisecond
-	}
-	if e.MaxMoves <= 0 {
-		e.MaxMoves = 2
-	}
-	if e.Warmup <= 0 {
-		e.Warmup = e.Duration / 3
-	}
-	if e.Warmup >= e.Duration {
-		e.Warmup = e.Duration / 2
-	}
-	return e
-}
+// The experiment's sizing. Offered load (skewWorkers closed-loop workers
+// at skewServiceDelay each) sits between one server's capacity and the
+// cluster's, the regime where placement is the bottleneck.
+const (
+	skewServers = 4
+	// skewServiceLimit bounds concurrent stripe service per server: the
+	// finite capacity that makes placement matter.
+	skewServiceLimit = 1
+	// skewServiceDelay is the modeled per-op service time each op holds
+	// its slot for. In-process servers share the host CPU, so real service
+	// cost cannot distinguish placements; the delay restores per-server
+	// capacity as the bottleneck the way a per-server NIC would be.
+	skewServiceDelay = time.Millisecond
+	// skewInterval is the scrape-plan-execute cadence.
+	skewInterval = 75 * time.Millisecond
+	// skewStripes stripes of skewStripeElems elements; the first skewHot
+	// of them (10%) take skewHotShare of the traffic.
+	skewStripes     = 40
+	skewStripeElems = 128
+	skewHot         = skewStripes / 10
+	skewHotShare    = 0.8
+	skewWorkers     = 5
+	skewDuration    = 800 * time.Millisecond
+	// skewWarmup excludes the run's opening phase from the lock-wait
+	// distribution: with rebalancing on, the first intervals measure the
+	// pre-convergence placement, which is exactly what the off-run
+	// measures. Throughput still covers the whole run — convergence time
+	// is part of the cost of rebalancing.
+	skewWarmup  = skewDuration / 3
+	skewJob     = "skew"
+	skewTimeout = 30 * time.Second
+)
 
 // RebalanceResult is one experiment run's outcome.
 type RebalanceResult struct {
@@ -81,11 +73,10 @@ type RebalanceResult struct {
 
 // Run executes the experiment on fresh in-process servers.
 func (e RebalanceExperiment) Run() (RebalanceResult, error) {
-	e = e.withDefaults()
 	var res RebalanceResult
-	servers := make([]*Server, e.Servers)
-	rpcs := make([]*rpc.Server, e.Servers)
-	addrs := make([]string, e.Servers)
+	servers := make([]*Server, skewServers)
+	rpcs := make([]*rpc.Server, skewServers)
+	addrs := make([]string, skewServers)
 	defer func() {
 		for i := range servers {
 			if servers[i] != nil {
@@ -98,8 +89,8 @@ func (e RebalanceExperiment) Run() (RebalanceResult, error) {
 	}()
 	for i := range servers {
 		servers[i] = NewServer()
-		servers[i].SetServiceLimit(e.ServiceLimit)
-		servers[i].SetServiceDelay(e.ServiceDelay)
+		servers[i].SetServiceLimit(skewServiceLimit)
+		servers[i].SetServiceDelay(skewServiceDelay)
 		rpcs[i] = rpc.NewServer()
 		servers[i].Register(rpcs[i])
 		addr, err := rpcs[i].Listen("127.0.0.1:0")
@@ -108,13 +99,13 @@ func (e RebalanceExperiment) Run() (RebalanceResult, error) {
 		}
 		addrs[i] = addr
 	}
-	e.Addrs = addrs
-	boot, err := NewClient(addrs, e.Timeout)
+	boot, err := NewClient(addrs, skewTimeout)
 	if err != nil {
 		return res, err
 	}
 	defer boot.Close()
-	if err := InitSkewModel(boot, e.SkewConfig); err != nil {
+	boot.SetStripeElems(skewStripeElems)
+	if err := boot.Init(skewJob, make([]float64, skewStripes*skewStripeElems)); err != nil {
 		return res, err
 	}
 
@@ -132,18 +123,18 @@ func (e RebalanceExperiment) Run() (RebalanceResult, error) {
 			if cl, ok := conns[addr]; ok {
 				return cl, nil
 			}
-			cl, err := rpc.Dial(addr, e.Timeout)
+			cl, err := rpc.Dial(addr, skewTimeout)
 			if err != nil {
 				return nil, err
 			}
 			conns[addr] = cl
 			return cl, nil
 		}
-		bal := NewBalancer(0.5)
+		bal := NewBalancer()
 		balWG.Add(1)
 		go func() {
 			defer balWG.Done()
-			ticker := time.NewTicker(e.Interval)
+			ticker := time.NewTicker(skewInterval)
 			defer ticker.Stop()
 			for {
 				select {
@@ -158,8 +149,7 @@ func (e RebalanceExperiment) Run() (RebalanceResult, error) {
 					})
 				}
 				bal.Observe(cs)
-				plan := bal.Plan(addrs, PlanOptions{MaxMoves: e.MaxMoves})
-				executed, _ := ExecuteMoves(conn, plan, e.Timeout)
+				executed, _ := ExecuteMoves(conn, bal.Plan(addrs), skewTimeout)
 				bal.CommitMoves(executed)
 				moves += len(executed)
 			}
@@ -173,14 +163,14 @@ func (e RebalanceExperiment) Run() (RebalanceResult, error) {
 	warmWG.Add(1)
 	go func() {
 		defer warmWG.Done()
-		time.Sleep(e.Warmup)
+		time.Sleep(skewWarmup)
 		for i, srv := range servers {
 			warm[i] = srv.Stats().LockWait
 		}
 	}()
 
 	start := time.Now()
-	load, err := RunSkewLoad(e.SkewConfig)
+	load, err := runSkewLoad(addrs, e.Seed)
 	elapsed := time.Since(start)
 	close(stop)
 	balWG.Wait()
@@ -188,7 +178,7 @@ func (e RebalanceExperiment) Run() (RebalanceResult, error) {
 	if err != nil {
 		return res, err
 	}
-	if err := VerifyState(boot, e.SkewConfig, load); err != nil {
+	if err := verifySkewState(boot, load); err != nil {
 		return res, fmt.Errorf("state verification: %w", err)
 	}
 
@@ -197,9 +187,9 @@ func (e RebalanceExperiment) Run() (RebalanceResult, error) {
 		lockWait = lockWait.Add(srv.Stats().LockWait.Sub(warm[i]))
 	}
 	res = RebalanceResult{
-		Ops: load.Ops(), Pulls: load.Pulls, Pushes: load.Pushes,
+		Ops: load.ops(), Pulls: load.Pulls, Pushes: load.Pushes,
 		Duration:           elapsed,
-		OpsPerSec:          float64(load.Ops()) / elapsed.Seconds(),
+		OpsPerSec:          float64(load.ops()) / elapsed.Seconds(),
 		P99LockWaitSeconds: lockWait.Quantile(0.99),
 		Moves:              moves,
 		Verified:           true,

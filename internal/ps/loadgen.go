@@ -8,124 +8,62 @@ import (
 	"time"
 )
 
-// SkewConfig drives RunSkewLoad: a closed-loop pull/push workload with a
-// hot set — HotFrac of the stripes receive HotShare of the traffic
-// (defaults model the classic 10%/80% skew). The same generator backs
-// BenchmarkPSRebalance and `harmony-bench -run ps-rebalance`, so the
-// in-repo number and the CLI number measure the same thing.
-type SkewConfig struct {
-	Addrs       []string
-	Job         string
-	Stripes     int
-	StripeElems int
-	Workers     int
-	HotFrac     float64
-	HotShare    float64
-	Duration    time.Duration
-	Seed        int64
-	Timeout     time.Duration
-}
-
-func (c SkewConfig) withDefaults() SkewConfig {
-	if c.Job == "" {
-		c.Job = "skew"
-	}
-	if c.Stripes <= 0 {
-		c.Stripes = 40
-	}
-	if c.StripeElems <= 0 {
-		c.StripeElems = 1024
-	}
-	if c.Workers <= 0 {
-		c.Workers = 8
-	}
-	if c.HotFrac <= 0 || c.HotFrac > 1 {
-		c.HotFrac = 0.1
-	}
-	if c.HotShare <= 0 || c.HotShare > 1 {
-		c.HotShare = 0.8
-	}
-	if c.Duration <= 0 {
-		c.Duration = time.Second
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
-	}
-	return c
-}
-
-// ModelSize is the total element count the config implies.
-func (c SkewConfig) ModelSize() int { return c.Stripes * c.StripeElems }
-
-// SkewResult reports one load run. PushesPerStripe counts applied pushes
+// skewResult reports one load run. PushesPerStripe counts applied pushes
 // per stripe index, which pins down the exact expected model state: the
 // load pushes all-ones deltas, so element e of stripe s must equal
-// PushesPerStripe[s] — verified by VerifyState.
-type SkewResult struct {
+// PushesPerStripe[s] — verified by verifySkewState.
+type skewResult struct {
 	Pulls           int64
 	Pushes          int64
 	PushesPerStripe []int64
 }
 
-// Ops is the total operation count of the run.
-func (r SkewResult) Ops() int64 { return r.Pulls + r.Pushes }
+func (r skewResult) ops() int64 { return r.Pulls + r.Pushes }
 
-// InitSkewModel deploys the zero model for the skew workload through cl.
-func InitSkewModel(cl *Client, cfg SkewConfig) error {
-	cfg = cfg.withDefaults()
-	cl.SetStripeElems(cfg.StripeElems)
-	return cl.Init(cfg.Job, make([]float64, cfg.ModelSize()))
-}
-
-// RunSkewLoad hammers the servers with stripe-granular pulls and pushes
-// until Duration elapses. Every worker runs its own client (its own
-// connections), so per-server service capacity — not a shared conn — is
-// the bottleneck under test. Stripes keep running while the caller
-// migrates them; the moved-retry path is exercised for real.
-func RunSkewLoad(cfg SkewConfig) (SkewResult, error) {
-	cfg = cfg.withDefaults()
-	hot := int(float64(cfg.Stripes)*cfg.HotFrac + 0.5)
-	if hot < 1 {
-		hot = 1
-	}
-	res := SkewResult{PushesPerStripe: make([]int64, cfg.Stripes)}
+// runSkewLoad hammers the servers at addrs with stripe-granular pulls and
+// pushes of the skew job for skewDuration. Every worker runs its own
+// client (its own connections), so per-server service capacity — not a
+// shared conn — is the bottleneck under test. Stripes keep running while
+// the caller migrates them; the moved-retry path is exercised for real.
+func runSkewLoad(addrs []string, seed int64) (skewResult, error) {
+	res := skewResult{PushesPerStripe: make([]int64, skewStripes)}
 	var pulls, pushes atomic.Int64
-	perStripe := make([]atomic.Int64, cfg.Stripes)
-	deadline := time.Now().Add(cfg.Duration)
-	errs := make([]error, cfg.Workers)
+	perStripe := make([]atomic.Int64, skewStripes)
+	deadline := time.Now().Add(skewDuration)
+	errs := make([]error, skewWorkers)
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
+	for w := 0; w < skewWorkers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cl, err := NewClient(cfg.Addrs, cfg.Timeout)
+			cl, err := NewClient(addrs, skewTimeout)
 			if err != nil {
 				errs[w] = err
 				return
 			}
 			defer cl.Close()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
-			buf := make([]float64, cfg.StripeElems)
-			ones := make([]float64, cfg.StripeElems)
+			rng := rand.New(rand.NewSource(seed + int64(w)*7919))
+			buf := make([]float64, skewStripeElems)
+			ones := make([]float64, skewStripeElems)
 			for i := range ones {
 				ones[i] = 1
 			}
 			for time.Now().Before(deadline) {
 				var s int
-				if rng.Float64() < cfg.HotShare {
-					s = rng.Intn(hot)
+				if rng.Float64() < skewHotShare {
+					s = rng.Intn(skewHot)
 				} else {
-					s = hot + rng.Intn(cfg.Stripes-hot)
+					s = skewHot + rng.Intn(skewStripes-skewHot)
 				}
-				lo := s * cfg.StripeElems
+				lo := s * skewStripeElems
 				if rng.Intn(2) == 0 {
-					if err := cl.PullRange(cfg.Job, lo, buf); err != nil {
+					if err := cl.PullRange(skewJob, lo, buf); err != nil {
 						errs[w] = err
 						return
 					}
 					pulls.Add(1)
 				} else {
-					if err := cl.PushRange(cfg.Job, lo, ones); err != nil {
+					if err := cl.PushRange(skewJob, lo, ones); err != nil {
 						errs[w] = err
 						return
 					}
@@ -149,20 +87,19 @@ func RunSkewLoad(cfg SkewConfig) (SkewResult, error) {
 	return res, nil
 }
 
-// VerifyState pulls the model and checks it bit-exactly against the
+// verifySkewState pulls the model and checks it bit-exactly against the
 // push counts: all-ones integer deltas sum exactly in float64 regardless
 // of application order or placement, so any divergence means a push was
 // lost or double-applied (e.g. by a botched migration).
-func VerifyState(cl *Client, cfg SkewConfig, res SkewResult) error {
-	cfg = cfg.withDefaults()
-	model, err := cl.Pull(cfg.Job, cfg.ModelSize())
+func verifySkewState(cl *Client, res skewResult) error {
+	model, err := cl.Pull(skewJob, skewStripes*skewStripeElems)
 	if err != nil {
 		return err
 	}
-	for s := 0; s < cfg.Stripes; s++ {
+	for s := 0; s < skewStripes; s++ {
 		want := float64(res.PushesPerStripe[s])
-		for e := 0; e < cfg.StripeElems; e++ {
-			if got := model[s*cfg.StripeElems+e]; got != want {
+		for e := 0; e < skewStripeElems; e++ {
+			if got := model[s*skewStripeElems+e]; got != want {
 				return fmt.Errorf("ps: stripe %d elem %d = %v, want %v (pushes lost or double-applied)",
 					s, e, got, want)
 			}

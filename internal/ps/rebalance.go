@@ -27,11 +27,20 @@ const lockWaitWeight = 10_000
 // suppression at idle. planCooldownRounds keeps a just-moved stripe off
 // the candidate list for this many Observe rounds: its EWMA needs a few
 // intervals on the new server before its score means anything there, and
-// moving it again sooner is churn by construction.
+// moving it again sooner is churn by construction. planMaxMoves caps
+// migrations per round: each move briefly fences a stripe, so rounds stay
+// small and frequent. planMinStreak requires the same server to trip the
+// tolerance check this many consecutive rounds before any move is
+// planned: queueing noise makes a different server look hottest each
+// interval, a real hotspot stays the hottest. planAlpha is the EWMA
+// weight of the newest interval in a stripe's score.
 const (
 	planTolerance      = 0.25
 	planMinScore       = 1.0
 	planCooldownRounds = 3
+	planMaxMoves       = 2
+	planMinStreak      = 2
+	planAlpha          = 0.5
 )
 
 // stripeKey identifies a stripe independent of its current placement.
@@ -58,29 +67,6 @@ func (m Move) String() string {
 	return fmt.Sprintf("migrate %s/%d %s -> %s", m.Job, m.Stripe, m.From, m.To)
 }
 
-// PlanOptions tune one planning round.
-type PlanOptions struct {
-	// MaxMoves caps migrations per round (default 2): each move briefly
-	// fences a stripe, so rounds stay small and frequent.
-	MaxMoves int
-	// MinStreak requires the same server to trip the tolerance check for
-	// this many consecutive planning rounds before any move is planned
-	// (default 2). Queueing noise makes a different server look hottest
-	// each interval; a real hotspot stays the hottest. One noisy interval
-	// is not an imbalance.
-	MinStreak int
-}
-
-func (o PlanOptions) withDefaults() PlanOptions {
-	if o.MaxMoves <= 0 {
-		o.MaxMoves = 2
-	}
-	if o.MinStreak <= 0 {
-		o.MinStreak = 2
-	}
-	return o
-}
-
 // stripeState is the balancer's rolling view of one stripe.
 type stripeState struct {
 	score  float64 // EWMA of per-interval cost
@@ -91,7 +77,6 @@ type stripeState struct {
 // migrations. Not safe for concurrent use; the caller serializes
 // Observe/Plan.
 type Balancer struct {
-	alpha   float64
 	prev    map[stripeKey]cum
 	state   map[stripeKey]*stripeState
 	seenAt  map[stripeKey]int
@@ -104,14 +89,9 @@ type Balancer struct {
 	planRound int
 }
 
-// NewBalancer returns a balancer with EWMA smoothing alpha (weight of
-// the newest interval; 0 < alpha <= 1, default 0.5).
-func NewBalancer(alpha float64) *Balancer {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.5
-	}
+// NewBalancer returns a balancer that has observed nothing.
+func NewBalancer() *Balancer {
 	return &Balancer{
-		alpha:   alpha,
 		prev:    make(map[stripeKey]cum),
 		state:   make(map[stripeKey]*stripeState),
 		seenAt:  make(map[stripeKey]int),
@@ -146,7 +126,7 @@ func (b *Balancer) Observe(cs ClusterStats) {
 					s = &stripeState{score: cost}
 					b.state[key] = s
 				} else if !rebase {
-					s.score = b.alpha*cost + (1-b.alpha)*s.score
+					s.score = planAlpha*cost + (1-planAlpha)*s.score
 				}
 				s.server = srv.Addr
 				b.prev[key] = now
@@ -178,11 +158,10 @@ func (b *Balancer) serverLoads(servers []string) map[string]float64 {
 	return loads
 }
 
-// Plan proposes up to MaxMoves stripe migrations among servers that
+// Plan proposes up to planMaxMoves stripe migrations among servers that
 // shrink the load gap between the hottest and coldest of them. A server
 // not present in past scrapes counts as idle and is a natural target.
-func (b *Balancer) Plan(servers []string, opts PlanOptions) []Move {
-	opts = opts.withDefaults()
+func (b *Balancer) Plan(servers []string) []Move {
 	if len(servers) < 2 {
 		return nil
 	}
@@ -198,7 +177,7 @@ func (b *Balancer) Plan(servers []string, opts PlanOptions) []Move {
 		return ok && b.round-at < planCooldownRounds
 	}
 	// Persistence gate: track which server (if any) trips the tolerance
-	// check this round and demand MinStreak consecutive rounds of the
+	// check this round and demand planMinStreak consecutive rounds of the
 	// same answer before planning anything.
 	hi, trip := hottest(servers, loads)
 	if b.planRound != b.round {
@@ -212,10 +191,10 @@ func (b *Balancer) Plan(servers []string, opts PlanOptions) []Move {
 			b.hiServer, b.hiStreak = "", 0
 		}
 	}
-	if !trip || b.hiStreak < opts.MinStreak {
+	if !trip || b.hiStreak < planMinStreak {
 		return nil
 	}
-	for ; trip && len(moves) < opts.MaxMoves; hi, trip = hottest(servers, loads) {
+	for ; trip && len(moves) < planMaxMoves; hi, trip = hottest(servers, loads) {
 		// Pick the hottest stripe on hi whose score fits strictly inside
 		// the gap to the coldest other server: moving it must shrink the
 		// spread, not just swap which server is overloaded (score >= gap

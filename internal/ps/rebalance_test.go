@@ -20,9 +20,25 @@ func statsFor(perServer map[string][]StripeStat) ClusterStats {
 	return cs
 }
 
+// planStreak observes cs for planMinStreak rounds, planning each round as
+// the live caller does, and returns the last round's plan: the first
+// planMinStreak of them the persistence gate must hold back. Observing the
+// same cumulative counters again halves every score, which leaves the
+// planner's relative checks unchanged.
+func planStreak(t *testing.T, b *Balancer, servers []string, cs ClusterStats) []Move {
+	t.Helper()
+	for i := 1; i < planMinStreak; i++ {
+		b.Observe(cs)
+		if moves := b.Plan(servers); len(moves) != 0 {
+			t.Fatalf("round %d planned %v before the streak", i, moves)
+		}
+	}
+	b.Observe(cs)
+	return b.Plan(servers)
+}
+
 func TestBalancerMovesHotStripes(t *testing.T) {
-	b := NewBalancer(0.5)
-	b.Observe(statsFor(map[string][]StripeStat{
+	moves := planStreak(t, NewBalancer(), []string{"a", "b"}, statsFor(map[string][]StripeStat{
 		"a": {
 			{Index: 0, Lo: 0, Len: 4, PullOps: 5000, PushOps: 5000},
 			{Index: 1, Lo: 4, Len: 4, PullOps: 4000, PushOps: 4000},
@@ -32,7 +48,6 @@ func TestBalancerMovesHotStripes(t *testing.T) {
 			{Index: 3, Lo: 12, Len: 4, PullOps: 10, PushOps: 10},
 		},
 	}))
-	moves := b.Plan([]string{"a", "b"}, PlanOptions{MaxMoves: 2, MinStreak: 1})
 	if len(moves) == 0 {
 		t.Fatal("no moves planned for a 500x imbalance")
 	}
@@ -47,12 +62,10 @@ func TestBalancerMovesHotStripes(t *testing.T) {
 }
 
 func TestBalancerBalancedNoMoves(t *testing.T) {
-	b := NewBalancer(0.5)
-	b.Observe(statsFor(map[string][]StripeStat{
+	if moves := planStreak(t, NewBalancer(), []string{"a", "b"}, statsFor(map[string][]StripeStat{
 		"a": {{Index: 0, Len: 4, PullOps: 1000, PushOps: 1000}},
 		"b": {{Index: 1, Lo: 4, Len: 4, PullOps: 1100, PushOps: 900}},
-	}))
-	if moves := b.Plan([]string{"a", "b"}, PlanOptions{MinStreak: 1}); len(moves) != 0 {
+	})); len(moves) != 0 {
 		t.Fatalf("planned %v on a balanced cluster", moves)
 	}
 }
@@ -61,7 +74,7 @@ func TestBalancerBalancedNoMoves(t *testing.T) {
 // block restarts counters at zero; the interval delta must clamp, not go
 // negative and poison the score.
 func TestBalancerCounterReset(t *testing.T) {
-	b := NewBalancer(0.5)
+	b := NewBalancer()
 	hot := StripeStat{Index: 0, Len: 4, PullOps: 100000, PushOps: 100000}
 	b.Observe(statsFor(map[string][]StripeStat{"a": {hot}, "b": {}}))
 	// The stripe migrated to b: counters restart near zero.
@@ -78,12 +91,10 @@ func TestBalancerCounterReset(t *testing.T) {
 // outweighs its server cannot be fixed by migration (the hotspot just
 // relocates), so nothing is planned for it.
 func TestBalancerLeavesDominantHotspot(t *testing.T) {
-	b := NewBalancer(0.5)
-	b.Observe(statsFor(map[string][]StripeStat{
+	if moves := planStreak(t, NewBalancer(), []string{"a", "b"}, statsFor(map[string][]StripeStat{
 		"a": {{Index: 0, Len: 4, PullOps: 100000, PushOps: 100}},
 		"b": {{Index: 1, Lo: 4, Len: 4, PullOps: 10, PushOps: 10}},
-	}))
-	if moves := b.Plan([]string{"a", "b"}, PlanOptions{MinStreak: 1}); len(moves) != 0 {
+	})); len(moves) != 0 {
 		t.Fatalf("planned %v; a dominant hotspot should not migrate", moves)
 	}
 }
@@ -91,7 +102,7 @@ func TestBalancerLeavesDominantHotspot(t *testing.T) {
 // TestBalancerPersistenceGate: a single interval where one server looks
 // hot must not trigger moves — queueing noise makes a different server
 // look hottest each scrape, and reacting to one sample is churn. Only
-// the same server tripping the threshold MinStreak rounds in a row
+// the same server tripping the threshold planMinStreak rounds in a row
 // unlocks planning.
 func TestBalancerPersistenceGate(t *testing.T) {
 	servers := []string{"a", "b"}
@@ -124,23 +135,23 @@ func TestBalancerPersistenceGate(t *testing.T) {
 	}
 	// Alternating hot server — scrape noise: the streak never reaches 2,
 	// so nothing is ever planned.
-	b := NewBalancer(1)
+	b := NewBalancer()
 	for i := 0; i < 6; i++ {
 		observe(b, servers[i%2])
-		if moves := b.Plan(servers, PlanOptions{}); len(moves) != 0 {
+		if moves := b.Plan(servers); len(moves) != 0 {
 			t.Fatalf("round %d: planned %v off oscillating noise", i, moves)
 		}
 	}
 	// Persistently hot server: gated on the first round, planning on the
 	// second.
 	totals = map[string][2]int64{"a": {0, 0}, "b": {0, 0}}
-	b = NewBalancer(1)
+	b = NewBalancer()
 	observe(b, "a")
-	if moves := b.Plan(servers, PlanOptions{}); len(moves) != 0 {
+	if moves := b.Plan(servers); len(moves) != 0 {
 		t.Fatalf("planned %v on the first hot interval", moves)
 	}
 	observe(b, "a")
-	if moves := b.Plan(servers, PlanOptions{}); len(moves) == 0 {
+	if moves := b.Plan(servers); len(moves) == 0 {
 		t.Fatal("no moves after two consecutive hot intervals")
 	}
 }
@@ -150,7 +161,7 @@ func TestBalancerPersistenceGate(t *testing.T) {
 // handoff failed stays eligible the next round instead of sitting out
 // the cooldown while the hotspot persists.
 func TestBalancerCommitMoves(t *testing.T) {
-	b := NewBalancer(1)
+	b := NewBalancer()
 	servers := []string{"a", "b"}
 	hot := func(total int64) ClusterStats {
 		return statsFor(map[string][]StripeStat{
@@ -161,24 +172,33 @@ func TestBalancerCommitMoves(t *testing.T) {
 			"b": {{Index: 2, Lo: 8, Len: 4, PullOps: 10}},
 		})
 	}
-	opts := PlanOptions{MaxMoves: 1, MinStreak: 1}
+	planned := func(moves []Move) bool {
+		for _, m := range moves {
+			if m.Stripe == 0 {
+				return true
+			}
+		}
+		return false
+	}
 	b.Observe(hot(30000))
-	first := b.Plan(servers, opts)
-	if len(first) != 1 || first[0].Stripe != 0 {
-		t.Fatalf("round 1 planned %v, want the hottest stripe 0", first)
+	b.Plan(servers) // the persistence gate's first round
+	b.Observe(hot(60000))
+	first := b.Plan(servers)
+	if !planned(first) {
+		t.Fatalf("round 2 planned %v, want the hottest stripe 0", first)
 	}
 	// The move failed to execute: no commit. The next round must re-plan
 	// the same stripe, not cool it down on a phantom placement.
-	b.Observe(hot(60000))
-	second := b.Plan(servers, opts)
-	if len(second) != 1 || second[0].Stripe != 0 {
-		t.Fatalf("round 2 planned %v after a failed move, want stripe 0 again", second)
+	b.Observe(hot(90000))
+	second := b.Plan(servers)
+	if !planned(second) {
+		t.Fatalf("round 3 planned %v after a failed move, want stripe 0 again", second)
 	}
 	// This time it executed: committed, so the stripe cools down and the
 	// next round falls back to the next-hottest candidate.
 	b.CommitMoves(second)
-	b.Observe(hot(90000))
-	for _, m := range b.Plan(servers, opts) {
+	b.Observe(hot(120000))
+	for _, m := range b.Plan(servers) {
 		if m.Stripe == 0 {
 			t.Fatalf("stripe 0 re-planned while cooling after commit: %v", m)
 		}
@@ -188,7 +208,7 @@ func TestBalancerCommitMoves(t *testing.T) {
 // TestBalancerForgetsDroppedJobs: stripes absent from several scrapes
 // drop out of the state so a completed job stops influencing plans.
 func TestBalancerForgetsDroppedJobs(t *testing.T) {
-	b := NewBalancer(0.5)
+	b := NewBalancer()
 	b.Observe(statsFor(map[string][]StripeStat{
 		"a": {{Index: 0, Len: 4, PullOps: 1000, PushOps: 1000}},
 	}))
@@ -249,21 +269,13 @@ func TestDrainServer(t *testing.T) {
 	}
 }
 
-// TestPSRebalanceSmoke runs the skewed A/B experiment briefly with
+// TestPSRebalanceSmoke runs the skewed A/B experiment once with
 // rebalancing on: the final model must stay bit-exact while stripes are
 // live-migrated under load, and at least one move must have executed.
 // Throughput claims are left to BenchmarkPSRebalance; under -race the
 // timing is too distorted to assert on.
 func TestPSRebalanceSmoke(t *testing.T) {
-	exp := RebalanceExperiment{
-		SkewConfig: SkewConfig{
-			Stripes: 20, StripeElems: 128, Workers: 4,
-			Duration: 400 * time.Millisecond, Seed: 1,
-		},
-		Servers: 3, ServiceLimit: 1, Rebalance: true,
-		Interval: 50 * time.Millisecond, MaxMoves: 2,
-	}
-	res, err := exp.Run()
+	res, err := RebalanceExperiment{Seed: 1, Rebalance: true}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,16 +306,7 @@ func BenchmarkPSRebalance(b *testing.B) {
 			var ops int64
 			var secs, p99 float64
 			for i := 0; i < b.N; i++ {
-				exp := RebalanceExperiment{
-					SkewConfig: SkewConfig{
-						Stripes: 40, StripeElems: 128, Workers: 5,
-						Duration: 800 * time.Millisecond, Seed: int64(i),
-					},
-					Servers: 4, ServiceLimit: 1, ServiceDelay: time.Millisecond,
-					Rebalance: mode.rebalance,
-					Interval:  75 * time.Millisecond, MaxMoves: 2,
-				}
-				res, err := exp.Run()
+				res, err := RebalanceExperiment{Seed: int64(i), Rebalance: mode.rebalance}.Run()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -12,11 +12,11 @@ func (s *Simulator) initAlpha(j *jobRun, g *groupRun) {
 		j.alpha = 0
 		return
 	}
-	if s.cfg.FixedAlpha != AdaptiveAlpha {
-		j.alpha = clampAlpha(s.cfg.FixedAlpha)
+	if s.cfg.FixedAlpha != nil {
+		j.alpha = clampAlpha(*s.cfg.FixedAlpha)
 		return
 	}
-	capGB := machine.MemoryGB
+	capGB := machineMemoryGB
 	var others float64
 	for _, jj := range g.jobs {
 		if jj != j {
@@ -105,7 +105,7 @@ func (s *Simulator) adjustAlpha(g *groupRun, j *jobRun, periodSeconds float64) {
 	next := clampAlpha(j.alpha + j.alphaDir)
 	// Never step into memory territory the guard would immediately undo.
 	delta := 2.2 * (j.alpha - next) * j.spec.Data.InputGB / float64(g.machines)
-	capGB := machine.MemoryGB
+	capGB := machineMemoryGB
 	if occ+delta/capGB <= DefaultMemoryTargetHigh {
 		j.alpha = next
 	}

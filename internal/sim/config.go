@@ -13,7 +13,6 @@ package sim
 import (
 	"fmt"
 
-	"harmony/internal/cluster"
 	"harmony/internal/core"
 	"harmony/internal/simtime"
 	"harmony/internal/workload"
@@ -83,9 +82,6 @@ const (
 	DefaultAlphaStep = 0.05
 )
 
-// AdaptiveAlpha selects the hill-climbing α controller in Config.FixedAlpha.
-const AdaptiveAlpha = -1.0
-
 // Config parameterizes one simulation run.
 type Config struct {
 	// Machines is the cluster size.
@@ -113,13 +109,10 @@ type Config struct {
 	// rung of the §V-C ablation ladder.
 	DisableAlphaTuning bool
 
-	// FixedAlpha, when in [0, 1], pins every job's disk-block ratio α to
-	// the same constant (the §V-G baseline). AdaptiveAlpha (-1, the
-	// default) selects the hill-climbing controller. Because the zero
-	// value means "unset", a deliberate α of exactly 0 needs
-	// ExplicitZeroAlpha.
-	FixedAlpha        float64
-	ExplicitZeroAlpha bool
+	// FixedAlpha, when set, pins every job's disk-block ratio α to the
+	// same constant in [0, 1] (the §V-G baseline); nil selects the
+	// hill-climbing controller.
+	FixedAlpha *float64
 
 	// MetricErrorFrac injects multiplicative error into the profiled
 	// metrics the scheduler sees, for the model-accuracy sensitivity
@@ -128,13 +121,10 @@ type Config struct {
 
 	// LinkContention enables the non-work-conserving shared-link physics
 	// (netmodel.go): comm subtasks of different jobs that drive the link
-	// concurrently lose CollisionLoss of aggregate goodput. Off by
+	// concurrently lose collisionLoss of aggregate goodput. Off by
 	// default — the primary/secondary discipline of §IV-A applies and
 	// existing runs are bit-identical.
 	LinkContention bool
-	// CollisionLoss is the goodput fraction burned per collision window
-	// (default DefaultCollisionLoss when LinkContention is on).
-	CollisionLoss float64
 
 	// OraclePlanner replaces Algorithm 1 with the exhaustive-search
 	// Oracle of §V-F (simulated annealing beyond its exact range): every
@@ -155,20 +145,19 @@ type Config struct {
 	SchedOpts core.Options
 }
 
-// machine is the shape of every simulated machine (§V-B).
-var machine = cluster.M42XLarge
+// The shape of every simulated machine, an AWS m4.2xlarge (§V-B): its
+// memory, and the gp2-class EBS throughput block reloads contend for
+// (§IV-C).
+const (
+	machineMemoryGB float64 = 32
+	machineDiskMBps float64 = 120
+)
 
 // maxVirtualTime aborts runs that exceed this much simulated time, a
 // safety net against pathological configurations.
 const maxVirtualTime = 365 * 24 * simtime.Hour
 
 func (c Config) withDefaults() Config {
-	if c.FixedAlpha == 0 && !c.hasFixedAlpha() {
-		c.FixedAlpha = AdaptiveAlpha
-	}
-	if c.CollisionLoss <= 0 || c.CollisionLoss >= 1 {
-		c.CollisionLoss = DefaultCollisionLoss
-	}
 	if c.NaiveGroupSize <= 0 {
 		c.NaiveGroupSize = 2
 	}
@@ -182,7 +171,7 @@ func (c Config) withDefaults() Config {
 		// Plan groups against the GC-safe watermark, not raw capacity:
 		// a group that only fits at ~100% heap occupancy would spend
 		// most of its CPU in garbage collection (§IV-C).
-		c.SchedOpts.MemoryCapGB = DefaultMemoryTargetHigh * machine.MemoryGB
+		c.SchedOpts.MemoryCapGB = DefaultMemoryTargetHigh * machineMemoryGB
 	}
 	if c.SchedOpts.MaxJobsPerGroup == 0 {
 		// The paper prefers "a smaller number of jobs in a job group for
@@ -192,10 +181,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// hasFixedAlpha distinguishes "FixedAlpha deliberately 0" from the unset
-// zero value.
-func (c Config) hasFixedAlpha() bool { return c.ExplicitZeroAlpha }
 
 // Job couples a workload spec with its submission time.
 type Job struct {

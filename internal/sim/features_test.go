@@ -46,8 +46,9 @@ func TestHarmonyPipeliningAblation(t *testing.T) {
 func TestHarmonySmartGroupingAblation(t *testing.T) {
 	jobs := midJobs(12, 10)
 	full := mustRun(t, Config{Machines: 48, Mode: ModeHarmony, Seed: 2}, jobs)
+	half := 0.5
 	naiveGroups := mustRun(t, Config{Machines: 48, Mode: ModeHarmony, Seed: 2,
-		DisableSmartGrouping: true, FixedAlpha: 0.5}, jobs)
+		DisableSmartGrouping: true, FixedAlpha: &half}, jobs)
 	if len(naiveGroups.Records) != 12 {
 		t.Fatalf("grouping ablation failed jobs: %v", naiveGroups.Failed)
 	}
@@ -113,8 +114,8 @@ func TestAdaptiveAlphaStaysUnderMemoryCeiling(t *testing.T) {
 
 func TestFixedAlphaExplicitZero(t *testing.T) {
 	jobs := midJobs(4, 6)
-	res := mustRun(t, Config{Machines: 16, Mode: ModeHarmony, Seed: 7,
-		FixedAlpha: 0, ExplicitZeroAlpha: true}, jobs)
+	zero := 0.0
+	res := mustRun(t, Config{Machines: 16, Mode: ModeHarmony, Seed: 7, FixedAlpha: &zero}, jobs)
 	// With small test jobs everything fits: alpha must stay pinned at 0.
 	if res.AlphaMax != 0 {
 		t.Errorf("explicit zero alpha drifted to %v", res.AlphaMax)

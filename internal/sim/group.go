@@ -116,13 +116,13 @@ func (s *Simulator) newGroupRun(id string, machines int, pipelined bool) *groupR
 			// dispatch FIFO — under a compatibility-1 schedule the solved
 			// offsets mean a burst always finds the link free, and when
 			// windows would have collided the burst waits instead of
-			// burning CollisionLoss of goodput (queueing delay <= the
+			// burning collisionLoss of goodput (queueing delay <= the
 			// collision stretch, so this strictly dominates colliding).
 			netPolicy = exclusivePolicy{}
 		case s.cfg.LinkContention:
 			// Non-work-conserving shared link (netmodel.go): colliding
 			// comm windows from different jobs burn aggregate goodput.
-			netPolicy = linkContentionPolicy{loss: s.cfg.CollisionLoss}
+			netPolicy = linkContentionPolicy{loss: collisionLoss}
 		case s.cfg.DisableSecondaryComm:
 			netPolicy = exclusivePolicy{}
 		default:
@@ -161,7 +161,7 @@ func (g *groupRun) occupancy() float64 {
 	for _, j := range g.jobs {
 		used += j.memoryGB(g.machines)
 	}
-	return memmodel.Occupancy(used, machine.MemoryGB)
+	return memmodel.Occupancy(used, machineMemoryGB)
 }
 
 // errAdmission distinguishes "newcomer does not fit" from a group-wide
@@ -232,7 +232,7 @@ func (g *groupRun) tryResolveMemory() bool {
 	if g.occupancy() <= memmodel.GCOverheadLimitOccupancy {
 		return true
 	}
-	if g.sim.reloadEnabled() && g.sim.cfg.FixedAlpha == AdaptiveAlpha {
+	if g.sim.reloadEnabled() && g.sim.cfg.FixedAlpha == nil {
 		// Spill inputs as far as needed, largest resident input first.
 		for g.occupancy() > memmodel.GCOverheadLimitOccupancy {
 			var pick *jobRun
@@ -419,6 +419,6 @@ func (g *groupRun) reloadSeconds(j *jobRun) float64 {
 		reloaders = 1
 	}
 	gb := j.alpha * j.spec.Data.InputGB / float64(g.machines)
-	gbps := machine.DiskMBps / 1024 / float64(reloaders)
+	gbps := machineDiskMBps / 1024 / float64(reloaders)
 	return gb / gbps
 }

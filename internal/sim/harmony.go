@@ -811,8 +811,6 @@ func (s *Simulator) samplePlanPrediction(newPlan core.Plan) {
 	if s.planPredValid && now.Sub(s.planStart) >= minWindow {
 		actCPU := s.utilWindowMean(metrics.CPU, s.planStart, now)
 		actNet := s.utilWindowMean(metrics.Net, s.planStart, now)
-		w := s.cfg.SchedOpts
-		_ = w
 		predU := 0.7*s.planPredCPU + 0.3*s.planPredNet
 		actU := 0.7*actCPU + 0.3*actNet
 		if actU > 0 {

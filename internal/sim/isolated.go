@@ -17,7 +17,7 @@ func (s *Simulator) isolatedDoP(j *jobRun) int {
 	}
 	// The dedicated baseline has no spill: the job's input and model must
 	// fit in memory, which puts a floor on the machine count.
-	capGB := 0.9 * machine.MemoryGB
+	capGB := 0.9 * machineMemoryGB
 	for m < s.cfg.Machines && j.spec.MemoryGB(m, 0) > capGB {
 		m++
 	}
@@ -46,7 +46,7 @@ func (s *Simulator) isolatedFinish(g *groupRun) {
 // memFloor is the smallest DoP at which a job's full working set fits in
 // memory without spill.
 func (s *Simulator) memFloor(j *jobRun) int {
-	capGB := 0.9 * machine.MemoryGB
+	capGB := 0.9 * machineMemoryGB
 	m := 1
 	for m < s.cfg.Machines && j.spec.MemoryGB(m, 0) > capGB {
 		m++

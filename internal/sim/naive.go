@@ -39,7 +39,7 @@ func (s *Simulator) naivePlace() {
 // bundleMemFloor is the smallest DoP at which the bundle's combined
 // working set stays under the GC overhead limit.
 func (s *Simulator) bundleMemFloor(member []string) int {
-	capGB := 0.85 * machine.MemoryGB
+	capGB := 0.85 * machineMemoryGB
 	m := 1
 	for ; m < s.cfg.Machines; m++ {
 		var sum float64

@@ -25,10 +25,12 @@ import (
 // retransmits/head-of-line blocking burn goodput (the congestion premise
 // of CASSINI). Config.LinkContention enables that physics.
 
-// DefaultCollisionLoss is the fraction of aggregate link goodput lost
-// while k >= 2 comm subtasks from different jobs drive the shared link
-// concurrently.
-const DefaultCollisionLoss = 0.25
+// collisionLoss is the fraction of aggregate link goodput lost while
+// k >= 2 comm subtasks from different jobs drive the shared link
+// concurrently: heavy incast-style congestion on an oversubscribed link,
+// where colliding bursts lose nearly half the goodput to retransmits and
+// head-of-line blocking.
+const collisionLoss = 0.45
 
 // linkContentionPolicy shares the link fairly among all active comm
 // subtasks but burns `loss` of the aggregate goodput whenever two or

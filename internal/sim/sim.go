@@ -313,7 +313,7 @@ func (s *Simulator) onIterationComplete(g *groupRun, j *jobRun) {
 		_ = s.profiles.Observe(id, g.machines, j.lastCompSeconds, j.lastNetSeconds)
 	}
 
-	if s.reloadEnabled() && s.cfg.FixedAlpha == AdaptiveAlpha && !s.cfg.DisableAlphaTuning {
+	if s.reloadEnabled() && s.cfg.FixedAlpha == nil && !s.cfg.DisableAlphaTuning {
 		s.adjustAlpha(g, j, j.lastPeriodSeconds)
 	}
 

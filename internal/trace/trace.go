@@ -5,7 +5,6 @@
 package trace
 
 import (
-	"math"
 	"math/rand"
 
 	"harmony/internal/simtime"
@@ -78,37 +77,4 @@ func Bursty(n int, meanRatePerHour float64, seed int64) []simtime.Time {
 		t = end
 	}
 	return out[:n]
-}
-
-// MeanInterarrival reports the average gap between consecutive arrivals.
-func MeanInterarrival(arrivals []simtime.Time) simtime.Duration {
-	if len(arrivals) < 2 {
-		return 0
-	}
-	span := arrivals[len(arrivals)-1].Sub(arrivals[0])
-	return span / simtime.Duration(len(arrivals)-1)
-}
-
-// Burstiness reports the coefficient of variation of inter-arrival gaps;
-// 1.0 is Poisson, larger is burstier.
-func Burstiness(arrivals []simtime.Time) float64 {
-	if len(arrivals) < 3 {
-		return 0
-	}
-	gaps := make([]float64, len(arrivals)-1)
-	var sum float64
-	for i := 1; i < len(arrivals); i++ {
-		gaps[i-1] = arrivals[i].Sub(arrivals[i-1]).Seconds()
-		sum += gaps[i-1]
-	}
-	mean := sum / float64(len(gaps))
-	if mean == 0 {
-		return 0
-	}
-	var varSum float64
-	for _, g := range gaps {
-		d := g - mean
-		varSum += d * d
-	}
-	return math.Sqrt(varSum/float64(len(gaps))) / mean
 }

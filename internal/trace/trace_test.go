@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"math"
 	"sort"
 	"testing"
 
@@ -26,7 +25,7 @@ func TestPoissonMean(t *testing.T) {
 	if len(arr) != 2000 {
 		t.Fatalf("returned %d arrivals", len(arr))
 	}
-	got := MeanInterarrival(arr)
+	got := arr[len(arr)-1].Sub(arr[0]) / simtime.Duration(len(arr)-1)
 	ratio := got.Seconds() / mean.Seconds()
 	if ratio < 0.9 || ratio > 1.1 {
 		t.Errorf("mean interarrival = %v, want within 10%% of %v", got, mean)
@@ -74,11 +73,19 @@ func TestBurstyProperties(t *testing.T) {
 	if !sort.SliceIsSorted(arr, func(i, j int) bool { return arr[i] < arr[j] }) {
 		t.Error("arrivals not monotone")
 	}
-	// Burstier than Poisson: coefficient of variation above 1.
-	pois := Poisson(500, simtime.Minute, 11)
-	bb, bp := Burstiness(arr), Burstiness(pois)
+	// Burstier than Poisson: the gaps' second moment over their squared
+	// mean is 1 + CV², 2 for Poisson.
+	moment := func(arr []simtime.Time) float64 {
+		var sum, sq float64
+		for i := 1; i < len(arr); i++ {
+			g := arr[i].Sub(arr[i-1]).Seconds()
+			sum, sq = sum+g, sq+g*g
+		}
+		return sq * float64(len(arr)-1) / (sum * sum)
+	}
+	bb, bp := moment(arr), moment(Poisson(500, simtime.Minute, 11))
 	if bb <= bp {
-		t.Errorf("bursty CV %.2f <= poisson CV %.2f, want burstier", bb, bp)
+		t.Errorf("bursty 1+CV² %.2f <= poisson 1+CV² %.2f, want burstier", bb, bp)
 	}
 	// Contains at least one same-instant spike.
 	spikes := 0
@@ -98,33 +105,5 @@ func TestBurstyEdgeCases(t *testing.T) {
 	}
 	if got := Bursty(3, -5, 1); len(got) != 3 {
 		t.Errorf("Bursty with bad rate returned %d arrivals, want fallback to default", len(got))
-	}
-}
-
-func TestMeanInterarrivalEdge(t *testing.T) {
-	if got := MeanInterarrival(nil); got != 0 {
-		t.Errorf("MeanInterarrival(nil) = %v", got)
-	}
-	if got := MeanInterarrival([]simtime.Time{5}); got != 0 {
-		t.Errorf("MeanInterarrival(single) = %v", got)
-	}
-	arr := []simtime.Time{0, simtime.Time(simtime.Minute), simtime.Time(3 * simtime.Minute)}
-	if got := MeanInterarrival(arr); got != 90*simtime.Second {
-		t.Errorf("MeanInterarrival = %v, want 90s", got)
-	}
-}
-
-func TestBurstinessPoissonNearOne(t *testing.T) {
-	arr := Poisson(5000, simtime.Minute, 3)
-	cv := Burstiness(arr)
-	if math.Abs(cv-1) > 0.12 {
-		t.Errorf("Poisson CV = %.3f, want near 1.0", cv)
-	}
-	if Burstiness(nil) != 0 || Burstiness(arr[:2]) != 0 {
-		t.Error("Burstiness of degenerate input should be 0")
-	}
-	same := []simtime.Time{1, 1, 1, 1}
-	if Burstiness(same) != 0 {
-		t.Error("Burstiness of zero-gap arrivals should be 0")
 	}
 }

@@ -3,6 +3,7 @@ package harmony
 import (
 	"time"
 
+	"harmony/internal/core"
 	"harmony/internal/ctl"
 	"harmony/internal/fair"
 	"harmony/internal/master"
@@ -18,8 +19,8 @@ type Master struct {
 
 // StartMaster launches the master's RPC endpoint; use "127.0.0.1:0" to
 // bind an ephemeral port.
-func StartMaster(addr string, opts ScheduleOptions) (*Master, error) {
-	m, err := master.New(addr, opts.internal())
+func StartMaster(addr string) (*Master, error) {
+	m, err := master.New(addr, core.Options{})
 	if err != nil {
 		return nil, err
 	}

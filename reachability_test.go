@@ -1,15 +1,19 @@
 package harmony
 
 import (
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -44,25 +48,15 @@ var testOnly = map[string]string{
 	"(*harmony/internal/worker.blockCache).stats":      "probe",
 	"(*harmony/internal/rpc.Server).Addr":              "probe",
 	"harmony/internal/exp.Concurrency":                 "probe (saves what SetConcurrency overwrites)",
-	// Held back by the test floor: each of these has tests of its own in
-	// the suite a PR may only thin by a few, and PR 21 spent that on the
-	// parameter plane. Delete them with those tests (ISSUE 21, satellite 2).
-	"harmony/internal/cluster.New":                     "cluster_test.go",
-	"(*harmony/internal/cluster.Cluster).Spec":         "cluster_test.go",
-	"(*harmony/internal/cluster.Cluster).Size":         "cluster_test.go",
-	"(*harmony/internal/cluster.Cluster).Free":         "cluster_test.go",
-	"(*harmony/internal/cluster.Cluster).Allocated":    "cluster_test.go",
-	"(*harmony/internal/cluster.Cluster).Alloc":        "cluster_test.go",
-	"(*harmony/internal/cluster.Cluster).Release":      "cluster_test.go",
-	"(*harmony/internal/cluster.Cluster).Owner":        "cluster_test.go",
-	"(*harmony/internal/cluster.Cluster).Owners":       "cluster_test.go",
-	"(harmony/internal/cluster.MachineSpec).Validate":  "TestSpecValidate",
-	"harmony/internal/memmodel.Check":                  "TestCheck",
-	"harmony/internal/exp.scaleJobs":                   "TestScaleJobsHelper",
-	"harmony/internal/trace.MeanInterarrival":          "TestMeanInterarrivalEdge",
-	"harmony/internal/trace.Burstiness":                "TestBurstinessPoissonNearOne",
-	"(harmony/internal/profile.Metrics).TcpuAt":        "TestTcpuAtClampsDoP",
-	"(harmony/internal/profile.Metrics).IterSecondsAt": "profile_test.go",
+}
+
+// testOnlyFields is every option field (see TestEveryOptionHasADriver)
+// that no driver writes and that stays anyway, with the reason. A field
+// every caller leaves alone otherwise carries one value and goes.
+var testOnlyFields = map[string]string{
+	"harmony/internal/sim.Config.DisablePipelining": "the one switch that isolates §IV-A pipelining in TestHarmonyPipeliningAblation",
+	"harmony/internal/core.Options.CPUWeight":       "the v1 snapshot schema and its fixtures carry cpu_weight",
+	"harmony.TrainingConfig.LearningRate":           "a job hyperparameter; POST /v1/jobs sets the same mlapp.Config field",
 }
 
 // module type-checks the repository's non-test Go from source: harmony/...
@@ -102,22 +96,47 @@ func (m *module) Import(path string) (*types.Package, error) {
 	return pkg, err
 }
 
-// TestEveryFunctionHasADriver walks uses from every function under cmd/,
+// driverWalk is what a walk from the drivers (every function under cmd/,
 // examples/ and benchmarks/, plus inits, package-level initializers and
-// methods that satisfy an interface, and fails on any function of
-// internal/ or the facade the walk does not reach: nothing outside a test
-// can run it, so it is deleted or named in testOnly with a reason.
-func TestEveryFunctionHasADriver(t *testing.T) {
+// methods that satisfy an interface) reaches through uses.
+type driverWalk struct {
+	m       *module
+	bodies  map[*types.Func]ast.Node
+	kept    []ast.Node                     // the functions testOnly names
+	driven  map[*types.Func]bool           // reached from the drivers
+	reached map[*types.Func]bool           // ... or from a testOnly function
+	owner   map[*types.Var]*types.TypeName // struct field -> its type
+	options map[*types.Var]string          // option field -> its name
+	written map[*types.Var]bool            // fields a driven function writes
+}
+
+var (
+	walkOnce sync.Once
+	walked   *driverWalk
+	walkErr  error
+)
+
+// drivers walks the module once for the tests that read the walk.
+func drivers(t *testing.T) *driverWalk {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
 	}
+	walkOnce.Do(func() { walked, walkErr = walkDrivers() })
+	if walkErr != nil {
+		t.Fatal(walkErr)
+	}
+	return walked
+}
+
+func walkDrivers() (*driverWalk, error) {
 	fset := token.NewFileSet()
 	m := &module{
 		fset: fset, std: importer.ForCompiler(fset, "source", nil),
-		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}},
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{}},
 		pkgs: map[string]*types.Package{}, decl: map[string][]*ast.File{},
 	}
-	filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
@@ -128,10 +147,13 @@ func TestEveryFunctionHasADriver(t *testing.T) {
 			return nil
 		}
 		if _, err := m.Import(filepath.ToSlash(filepath.Join("harmony", path))); err != nil {
-			t.Fatalf("type-check %s: %v", path, err)
+			return fmt.Errorf("type-check %s: %v", path, err)
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	// Interfaces a method can be called through: the module's own, its
 	// direct imports' and error.
@@ -150,15 +172,38 @@ func TestEveryFunctionHasADriver(t *testing.T) {
 			}
 		}
 	}
-	for _, p := range m.pkgs {
+	w := &driverWalk{
+		m: m, bodies: map[*types.Func]ast.Node{}, reached: map[*types.Func]bool{},
+		owner: map[*types.Var]*types.TypeName{}, options: map[*types.Var]string{}, written: map[*types.Var]bool{},
+	}
+	for path, p := range m.pkgs {
 		collect(p)
 		for _, imp := range p.Imports() {
 			collect(imp)
 		}
+		facade := path == "harmony" || strings.HasPrefix(path, "harmony/internal/")
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			option := facade && tn.Exported() && (strings.HasSuffix(name, "Options") ||
+				strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Experiment"))
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				w.owner[f] = tn
+				if option && f.Exported() {
+					w.options[f] = path + "." + name + "." + f.Name()
+				}
+			}
+		}
 	}
 
-	bodies := map[*types.Func]ast.Node{}
-	var roots, kept []ast.Node
+	var roots []ast.Node
 	for path, files := range m.decl {
 		driver := strings.HasPrefix(path, "harmony/cmd/") || strings.HasPrefix(path, "harmony/examples/") ||
 			path == "harmony/benchmarks"
@@ -170,42 +215,95 @@ func TestEveryFunctionHasADriver(t *testing.T) {
 					continue
 				}
 				fn := m.info.Defs[fd.Name].(*types.Func)
-				bodies[fn] = fd
+				w.bodies[fn] = fd
 				if driver || (fd.Recv == nil && fd.Name.Name == "init") || satisfies(fn, ifaces) {
 					roots = append(roots, fd)
 				} else if testOnly[fn.FullName()] != "" {
-					kept = append(kept, fd)
+					w.kept = append(w.kept, fd)
 				}
 			}
 		}
 	}
-	reached := map[*types.Func]bool{}
-	walk := func(queue []ast.Node) {
-		for len(queue) > 0 {
-			n := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			if fd, ok := n.(*ast.FuncDecl); ok {
-				reached[m.info.Defs[fd.Name].(*types.Func)] = true
+	w.walk(roots, w.written)
+	w.driven = maps.Clone(w.reached)
+	w.walk(slices.Clone(w.kept), nil) // what a testOnly function calls is as alive as it is
+	return w, nil
+}
+
+// walk marks every function the nodes of queue (which it consumes)
+// reach through uses and, if writes is not nil, every struct field they
+// write: a composite-literal key (each field, for an unkeyed literal), or
+// a selector assigned to, incremented or decremented. A method does not
+// write its own type's fields: a default its withDefaults fills in is not
+// a caller choosing a value.
+func (w *driverWalk) walk(queue []ast.Node, writes map[*types.Var]bool) {
+	for len(queue) > 0 {
+		n := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		var self *types.TypeName // the receiver's type
+		if fd, ok := n.(*ast.FuncDecl); ok {
+			fn := w.m.info.Defs[fd.Name].(*types.Func)
+			w.reached[fn] = true
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				t := recv.Type()
+				if p, ok := t.(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				self = t.(*types.Named).Obj()
 			}
-			ast.Inspect(n, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					if fn, ok := m.info.Uses[id].(*types.Func); ok {
-						if fn = fn.Origin(); !reached[fn] && bodies[fn] != nil {
-							reached[fn] = true
-							queue = append(queue, bodies[fn])
+		}
+		write := func(obj types.Object) {
+			if f, ok := obj.(*types.Var); ok && writes != nil && f.IsField() {
+				if f = f.Origin(); self == nil || w.owner[f] != self {
+					writes[f] = true
+				}
+			}
+		}
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if fn, ok := w.m.info.Uses[n].(*types.Func); ok {
+					if fn = fn.Origin(); !w.reached[fn] && w.bodies[fn] != nil {
+						w.reached[fn] = true
+						queue = append(queue, w.bodies[fn])
+					}
+				}
+			case *ast.CompositeLit:
+				if st, ok := w.m.info.Types[n].Type.Underlying().(*types.Struct); ok {
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							write(w.m.info.Uses[kv.Key.(*ast.Ident)])
+						} else {
+							write(st.Field(i))
 						}
 					}
 				}
-				return true
-			})
-		}
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					if sel, ok := l.(*ast.SelectorExpr); ok {
+						write(w.m.info.Uses[sel.Sel])
+					}
+				}
+			case *ast.IncDecStmt:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok {
+					write(w.m.info.Uses[sel.Sel])
+				}
+			}
+			return true
+		})
 	}
-	walk(roots)
+}
+
+// TestEveryFunctionHasADriver fails on any function of internal/ or the
+// facade the walk from the drivers does not reach: nothing outside a test
+// can run it, so it is deleted or named in testOnly with a reason.
+func TestEveryFunctionHasADriver(t *testing.T) {
+	w := drivers(t)
 	var dead, stale []string
 	named := map[string]bool{}
-	for _, n := range kept {
-		fn := m.info.Defs[n.(*ast.FuncDecl).Name].(*types.Func)
-		if named[fn.FullName()] = true; reached[fn] {
+	for _, n := range w.kept {
+		fn := w.m.info.Defs[n.(*ast.FuncDecl).Name].(*types.Func)
+		if named[fn.FullName()] = true; w.driven[fn] {
 			stale = append(stale, fn.FullName()+" (a driver reaches it)")
 		}
 	}
@@ -214,10 +312,9 @@ func TestEveryFunctionHasADriver(t *testing.T) {
 			stale = append(stale, name+" (no such function, or it satisfies an interface)")
 		}
 	}
-	walk(kept) // what a testOnly function calls is as alive as it is
-	for fn := range bodies {
-		if path := fn.Pkg().Path(); !reached[fn] && (path == "harmony" || strings.HasPrefix(path, "harmony/internal/")) {
-			dead = append(dead, fn.FullName()+"  "+fset.Position(fn.Pos()).String())
+	for fn := range w.bodies {
+		if path := fn.Pkg().Path(); !w.reached[fn] && (path == "harmony" || strings.HasPrefix(path, "harmony/internal/")) {
+			dead = append(dead, fn.FullName()+"  "+w.m.fset.Position(fn.Pos()).String())
 		}
 	}
 	sort.Strings(dead)
@@ -228,6 +325,42 @@ func TestEveryFunctionHasADriver(t *testing.T) {
 	}
 	if len(stale) > 0 {
 		t.Errorf("testOnly is out of date:\n  %s", strings.Join(stale, "\n  "))
+	}
+}
+
+// TestEveryOptionHasADriver fails on any exported field of an exported
+// option struct (a name that is or ends in Options, Config or Experiment)
+// of internal/ or the facade that no function the drivers reach writes:
+// every run sees the one value its zero or its default gives, so the
+// field becomes a constant or goes, or is named in testOnlyFields with a
+// reason.
+func TestEveryOptionHasADriver(t *testing.T) {
+	w := drivers(t)
+	var unset, stale []string
+	named := map[string]bool{}
+	for f, name := range w.options {
+		switch {
+		case testOnlyFields[name] != "":
+			if named[name] = true; w.written[f] {
+				stale = append(stale, name+" (a driver writes it)")
+			}
+		case !w.written[f]:
+			unset = append(unset, name+"  "+w.m.fset.Position(f.Pos()).String())
+		}
+	}
+	for name := range testOnlyFields {
+		if !named[name] {
+			stale = append(stale, name+" (no such option field)")
+		}
+	}
+	sort.Strings(unset)
+	sort.Strings(stale)
+	if len(unset) > 0 {
+		t.Errorf("%d option fields no driver under cmd/, examples/ or benchmarks/ writes (make them constants, or name them in testOnlyFields):\n  %s",
+			len(unset), strings.Join(unset, "\n  "))
+	}
+	if len(stale) > 0 {
+		t.Errorf("testOnlyFields is out of date:\n  %s", strings.Join(stale, "\n  "))
 	}
 }
 
