@@ -37,13 +37,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-## fuzz-smoke: ten seconds of each wire fuzzer in internal/rpc — the gob
-## codec against a decoder built for the one message, the split of a body
-## into definitions and value, and the float frames. go test takes one fuzz
-## target per run; two workers each keep the run small.
+## fuzz-smoke: ten seconds of each wire fuzzer, as package:fuzzer pairs —
+## in internal/rpc the gob codec against a decoder built for the one
+## message, the split of a body into definitions and value, and the float
+## frames; in internal/ps the push request and the pull reply. go test
+## takes one fuzz target per run; two workers each keep the run small.
+FUZZ_TARGETS := rpc:FuzzDecodeMatchesFreshGob rpc:FuzzTypedefLen rpc:FuzzFloatFrame \
+	rpc:FuzzFloatsRoundTrip ps:FuzzPushEntry ps:FuzzPullReply
 fuzz-smoke:
-	for f in FuzzDecodeMatchesFreshGob FuzzTypedefLen FuzzFloatFrame FuzzFloatsRoundTrip; do \
-		$(GO) test ./internal/rpc/ -run XXX -fuzz "^$$f$$" -fuzztime 10s -parallel 2 || exit 1; \
+	for t in $(FUZZ_TARGETS); do \
+		$(GO) test ./internal/$${t%%:*}/ -run XXX -fuzz "^$${t#*:}$$" -fuzztime 10s -parallel 2 || exit 1; \
 	done
 
 ## bench-smoke: quick pass over the perf-critical benchmarks with -benchmem.

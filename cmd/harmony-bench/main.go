@@ -4,7 +4,7 @@
 //	harmony-bench -run all
 //	harmony-bench -run fig10 -seed 3
 //	harmony-bench -parallel 1 -run fig10   # single-threaded baseline
-//	harmony-bench -run fair-share,placement,ps-rebalance   # feature comparisons (DESIGN.md §12-§14)
+//	harmony-bench -run fair-share,placement   # policy comparisons (DESIGN.md §13-§14)
 //	harmony-bench -list
 package main
 
@@ -80,7 +80,6 @@ func experiments() []experiment {
 		}},
 		{"fair-share", "DESIGN.md §13: two-tenant fair scheduling vs FIFO", fairShare},
 		{"placement", "DESIGN.md §14: net-aware placement under link contention", placement},
-		{"ps-rebalance", "DESIGN.md §12: PS hot-stripe rebalancing off vs on", psRebalance},
 	}
 }
 

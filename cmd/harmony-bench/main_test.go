@@ -46,7 +46,7 @@ func TestListShowsFeatureComparisons(t *testing.T) {
 	if exit != 0 {
 		t.Fatalf("-list exit %d", exit)
 	}
-	for _, id := range []string{"fig10", "fair-share", "placement", "ps-rebalance"} {
+	for _, id := range []string{"fig10", "fair-share", "placement"} {
 		if !regexp.MustCompile(`(?m)^\s+` + id + `\s`).MatchString(out) {
 			t.Errorf("-list lacks %q:\n%s", id, out)
 		}

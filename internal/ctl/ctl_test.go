@@ -355,7 +355,7 @@ func TestMetricsExposition(t *testing.T) {
 		comm: metrics.CommSnapshot{
 			Pulls: 10, Pushes: 9, PullBytes: 4096, PushBytes: 2048,
 			PullSeconds: 1.5, PushSeconds: 0.5,
-			FullReplies: 7, DeltaReplies: 30, NotModifiedReplies: 123, MovedRetries: 2,
+			FullReplies: 7, DeltaReplies: 30, NotModifiedReplies: 123,
 		},
 		comp: metrics.CompSnapshot{
 			BlockHits: 40, BlockMisses: 8, ReloadStallSeconds: 0.25,
@@ -403,7 +403,6 @@ func TestMetricsExposition(t *testing.T) {
 		`harmony_ps_pull_replies_total{kind="full"} 7`,
 		`harmony_ps_pull_replies_total{kind="delta"} 30`,
 		`harmony_ps_pull_replies_total{kind="not_modified"} 123`,
-		`harmony_ps_moved_retries_total 2`,
 		`harmony_comp_block_cache_total{result="hit"} 40`,
 		`harmony_comp_block_cache_total{result="miss"} 8`,
 		`harmony_comp_reload_stall_seconds_total 0.25`,

@@ -147,13 +147,15 @@ func TestOnlineArrivalOverHTTP(t *testing.T) {
 
 	// Job b mirrors a (comp per machine = a's net and vice versa), so
 	// co-locating them drives both utilizations toward 1 and the arrival
-	// rule must place b into a's running group.
+	// rule must place b into a's running group. Its iterations take well
+	// under a millisecond: 200 of them keep it running past the cluster
+	// read below.
 	mirror := &ctl.ProfileHints{
 		CompSeconds: 2 * prof.NetSeconds,
 		NetSeconds:  prof.CompSeconds / 2,
 	}
 	code = httpJSON(t, http.MethodPost, base+"/v1/jobs",
-		submitBody("b", "lasso", 5, mirror), &adm)
+		submitBody("b", "lasso", 200, mirror), &adm)
 	if code != http.StatusCreated {
 		t.Fatalf("submit b: code %d (%+v)", code, adm)
 	}

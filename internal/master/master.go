@@ -749,7 +749,7 @@ func (m *Master) WorkerTotals() WorkerTotals {
 	for _, r := range refs {
 		st, err := rpc.Invoke[worker.StatsArgs, worker.StatsReply](r.client,
 			worker.MethodStats, worker.StatsArgs{SpanAfter: worker.SpanCursorNone},
-			time.Minute)
+			collectTimeout)
 		if err != nil {
 			if t.UtilErr == nil {
 				t.UtilErr = err

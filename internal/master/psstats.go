@@ -3,7 +3,6 @@ package master
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"harmony/internal/ps"
 	"harmony/internal/rpc"
@@ -15,9 +14,9 @@ import (
 // blank the cluster view — but an empty result with failures reports
 // the first error.
 func (m *Master) PSStats() (ps.ClusterStats, error) {
-	m.mu.Lock()
+	m.mu.RLock()
 	refs := append([]workerRef(nil), m.workers...)
-	m.mu.Unlock()
+	m.mu.RUnlock()
 	if len(refs) == 0 {
 		return ps.ClusterStats{}, errors.New("master: no workers")
 	}
@@ -25,7 +24,7 @@ func (m *Master) PSStats() (ps.ClusterStats, error) {
 	var firstErr error
 	for _, r := range refs {
 		reply, err := rpc.Invoke[ps.StatsArgs, ps.StatsReply](r.client,
-			ps.MethodStats, ps.StatsArgs{}, time.Minute)
+			ps.MethodStats, ps.StatsArgs{}, collectTimeout)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("master: ps stats from %s (%s): %w", r.name, r.addr, err)

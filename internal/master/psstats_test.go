@@ -1,10 +1,15 @@
 package master
 
 import (
+	"sync"
 	"testing"
 	"time"
 
+	"harmony/internal/core"
 	"harmony/internal/mlapp"
+	"harmony/internal/ps"
+	"harmony/internal/rpc"
+	"harmony/internal/worker"
 )
 
 // TestPSStatsLive scrapes a running job's stripes off a live cluster:
@@ -47,5 +52,58 @@ func TestPSStatsLive(t *testing.T) {
 	}
 	if err := m.Cancel("nmf"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTelemetryTimesOutOnAHungWorker: a worker whose stats handlers never
+// answer costs a scrape collectTimeout, not a control call's minute, and
+// the two scrapes behind /metrics run side by side instead of queueing on
+// the master's lock.
+func TestTelemetryTimesOutOnAHungWorker(t *testing.T) {
+	m, err := New("127.0.0.1:0", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	hang := make(chan struct{})
+	stub := rpc.NewServer()
+	stub.Handle(worker.MethodStats, rpc.Typed(func(worker.StatsArgs) (worker.StatsReply, error) {
+		<-hang
+		return worker.StatsReply{}, nil
+	}))
+	stub.Handle(ps.MethodStats, rpc.Typed(func(ps.StatsArgs) (ps.StatsReply, error) {
+		<-hang
+		return ps.StatsReply{}, nil
+	}))
+	addr, err := stub.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		close(hang)
+		stub.Close()
+	})
+	if _, err := m.handleRegister(registerArgs{Name: "hung", Addr: addr}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	var wg sync.WaitGroup
+	var totals WorkerTotals
+	var psErr error
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		totals = m.WorkerTotals()
+	}()
+	go func() {
+		defer wg.Done()
+		_, psErr = m.PSStats()
+	}()
+	wg.Wait()
+	if took := time.Since(start); took > collectTimeout+2*time.Second {
+		t.Fatalf("the scrapes took %v with one hung worker, want at most collectTimeout (%v) + 2s", took, collectTimeout)
+	}
+	if totals.UtilErr == nil || psErr == nil {
+		t.Fatalf("a hung worker went unreported: WorkerTotals %v, PSStats %v", totals.UtilErr, psErr)
 	}
 }

@@ -42,10 +42,10 @@ func (c *checkpointer) close() {
 }
 
 // checkpoint syncs the job's mirror with its servers — dialing them first,
-// or re-pointing the client when the set changed (migration, recovery,
-// elastic resize) — and on success labels it the state after iteration
-// (negative: the job's last completed one); withCopy also returns a copy
-// of the model (Pause). A Sync that fails
+// and afresh when the set changed (migration, recovery: the set is part of
+// the job's stripe layout) — and on success labels it the state after
+// iteration (negative: the job's last completed one); withCopy also
+// returns a copy of the model (Pause). A Sync that fails
 // midway leaves every stripe of the mirror at some version its server held
 // (values and cursor change together or not at all, ps.Client.Sync) and
 // the label where it was, so readers still restore a state the job passed
@@ -62,13 +62,14 @@ func (m *Master) checkpoint(j *job, iteration int, withCopy bool) ([]float64, er
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cl, err := c.client.Load(), error(nil)
-	switch {
-	case cl == nil:
+	if cl != nil && !slices.Equal(c.servers, servers) {
+		c.close()
+		cl = nil
+	}
+	if cl == nil {
 		if cl, err = ps.NewClient(servers, time.Minute); err == nil {
 			c.client.Store(cl)
 		}
-	case !slices.Equal(c.servers, servers):
-		err = cl.SetServers(servers)
 	}
 	if err == nil {
 		if c.servers = servers; c.mirror == nil {

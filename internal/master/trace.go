@@ -12,9 +12,10 @@ import (
 	"harmony/internal/worker"
 )
 
-// collectTimeout bounds telemetry Stats calls. It is much shorter than
-// the aggregators' minute so a /v1/trace or /metrics scrape cannot park
-// behind a dead worker; the scrape just misses that worker's spans.
+// collectTimeout bounds every telemetry Stats call (spans, worker totals,
+// PS stripes). It is much shorter than a control call's minute so a
+// /v1/trace, /v1/ps or /metrics scrape cannot park behind a dead worker;
+// the scrape just misses that worker.
 const collectTimeout = 5 * time.Second
 
 // DefaultTraceRetention is how many tagged spans the master retains

@@ -10,9 +10,8 @@ import (
 // CommCounters aggregates live data-plane traffic: operation counts,
 // bytes moved and cumulative latency for the PULL and PUSH subtasks, how
 // the servers answered the pulled stripes (whole, as a delta, or "not
-// modified") and how many stripes had to be re-sent because they had
-// moved. Counters are atomic so every ps.Client in the process (one per
-// loaded job per worker) can record without coordination.
+// modified"). Counters are atomic so every ps.Client in the process (one
+// per loaded job per worker) can record without coordination.
 type CommCounters struct {
 	pulls        atomic.Int64
 	pushes       atomic.Int64
@@ -23,7 +22,6 @@ type CommCounters struct {
 	fullReplies  atomic.Int64
 	deltaReplies atomic.Int64
 	sameReplies  atomic.Int64
-	movedRetries atomic.Int64
 }
 
 // Comm is the process-wide data-plane counter set; ps.Client records
@@ -65,12 +63,6 @@ func (c *CommCounters) ObservePullReplies(full, delta, notModified int64) {
 	c.sameReplies.Add(notModified)
 }
 
-// ObserveMovedRetries records stripes an op had to send again because
-// the server it asked no longer held them.
-func (c *CommCounters) ObserveMovedRetries(stripes int64) {
-	c.movedRetries.Add(stripes)
-}
-
 // CommSnapshot is a point-in-time copy of the data-plane counters.
 type CommSnapshot struct {
 	Pulls       int64
@@ -79,12 +71,11 @@ type CommSnapshot struct {
 	PushBytes   int64
 	PullSeconds float64
 	PushSeconds float64
-	// Per-stripe pull outcomes and moved-stripe retries (gob: fields a
-	// peer does not know decode as zero).
+	// Per-stripe pull outcomes (gob: fields a peer does not know decode
+	// as zero).
 	FullReplies        int64
 	DeltaReplies       int64
 	NotModifiedReplies int64
-	MovedRetries       int64
 }
 
 // Snapshot copies the counters. The fields are read independently, so a
@@ -102,7 +93,6 @@ func (c *CommCounters) Snapshot() CommSnapshot {
 		FullReplies:        c.fullReplies.Load(),
 		DeltaReplies:       c.deltaReplies.Load(),
 		NotModifiedReplies: c.sameReplies.Load(),
-		MovedRetries:       c.movedRetries.Load(),
 	}
 }
 
@@ -119,7 +109,6 @@ func (s CommSnapshot) Add(o CommSnapshot) CommSnapshot {
 		FullReplies:        s.FullReplies + o.FullReplies,
 		DeltaReplies:       s.DeltaReplies + o.DeltaReplies,
 		NotModifiedReplies: s.NotModifiedReplies + o.NotModifiedReplies,
-		MovedRetries:       s.MovedRetries + o.MovedRetries,
 	}
 }
 
@@ -149,8 +138,5 @@ func CommSamples(s CommSnapshot) []Sample {
 			Type: PromCounter, Value: float64(s.DeltaReplies)},
 		{Name: `harmony_ps_pull_replies_total{kind="not_modified"}`,
 			Type: PromCounter, Value: float64(s.NotModifiedReplies)},
-		{Name: `harmony_ps_moved_retries_total`,
-			Help: "Stripes a PS client re-sent because the server it asked no longer held them.",
-			Type: PromCounter, Value: float64(s.MovedRetries)},
 	}
 }

@@ -74,73 +74,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Count is the total number of observations in the snapshot.
-func (s HistSnapshot) Count() int64 {
-	n := s.Inf
-	for _, c := range s.Counts {
-		n += c
-	}
-	return n
-}
-
-// Quantile estimates the q-quantile (q in [0, 1]) of the observations,
-// interpolating linearly inside the bucket where the cumulative count
-// crosses q*Count — the same estimator as PromQL's histogram_quantile,
-// so adjacent distributions separate even when they land in the same
-// log-spaced bucket. Observations beyond the last finite bucket report
-// the last finite bound. Zero observations report 0.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	total := s.Count()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(total)
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range s.Counts {
-		prev := cum
-		cum += c
-		if float64(cum) >= target {
-			lower := 0.0
-			if i > 0 {
-				lower = histBounds[i-1]
-			}
-			frac := (target - float64(prev)) / float64(c)
-			return lower + frac*(histBounds[i]-lower)
-		}
-	}
-	return histBounds[HistBuckets-1]
-}
-
-// Sub returns s minus an earlier snapshot o, bucket-wise, clamped at
-// zero — the observations of the window between the two snapshots
-// (steady-state measurement after a warmup).
-func (s HistSnapshot) Sub(o HistSnapshot) HistSnapshot {
-	for i := range s.Counts {
-		s.Counts[i] -= o.Counts[i]
-		if s.Counts[i] < 0 {
-			s.Counts[i] = 0
-		}
-	}
-	s.Inf -= o.Inf
-	if s.Inf < 0 {
-		s.Inf = 0
-	}
-	s.Sum -= o.Sum
-	if s.Sum < 0 {
-		s.Sum = 0
-	}
-	return s
-}
-
 // Add accumulates another snapshot (cross-worker aggregation).
 func (s HistSnapshot) Add(o HistSnapshot) HistSnapshot {
 	for i := range s.Counts {

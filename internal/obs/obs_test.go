@@ -6,6 +6,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"harmony/internal/metrics"
 )
 
 func at(ms int64) time.Time { return time.Unix(0, ms*int64(time.Millisecond)) }
@@ -68,19 +70,28 @@ func TestRecorderOverflowDropsOldest(t *testing.T) {
 	}
 }
 
+// count is the total number of observations in a histogram snapshot.
+func count(s metrics.HistSnapshot) int64 {
+	n := s.Inf
+	for _, c := range s.Counts {
+		n += c
+	}
+	return n
+}
+
 func TestRecorderHistograms(t *testing.T) {
 	r := NewRecorder(8)
 	r.Record(PhaseComp, "a", 0, at(0), at(10))   // 10ms
 	r.Record(PhaseComp, "a", 1, at(0), at(20))   // 20ms
 	r.Record(PhaseBarrier, "a", 0, at(0), at(1)) // 1ms
 	hs := r.HistSnapshots()
-	if hs[PhaseComp].Count() != 2 {
-		t.Errorf("comp count = %d, want 2", hs[PhaseComp].Count())
+	if count(hs[PhaseComp]) != 2 {
+		t.Errorf("comp count = %d, want 2", count(hs[PhaseComp]))
 	}
 	if math.Abs(hs[PhaseComp].Sum-0.030) > 1e-9 {
 		t.Errorf("comp sum = %v, want 0.030", hs[PhaseComp].Sum)
 	}
-	if hs[PhaseBarrier].Count() != 1 || hs[PhasePull].Count() != 0 {
+	if count(hs[PhaseBarrier]) != 1 || count(hs[PhasePull]) != 0 {
 		t.Errorf("histograms = %+v", hs)
 	}
 }

@@ -114,8 +114,8 @@ func reportWire(b *testing.B, before metrics.CommSnapshot, pushes bool) {
 // BenchmarkPullPushSparse measures the steady-state COMM iteration of a
 // sparse-update job: a mirror Sync plus a PushTouched. wireB/op is against
 // 8 MB for the dense path. The allocations left are the per-call channel
-// and timer of rpc.Client.Call and scatter's per-op grouping, a few
-// hundred bytes.
+// and timer of rpc.Client.Call and scatter's per-server fan-out, a few
+// kilobytes.
 func BenchmarkPullPushSparse(b *testing.B) {
 	c, delta, set := sparseBench(b)
 	m := NewMirror("bench", len(delta))
@@ -208,7 +208,7 @@ func TestCommPathRaceSmoke(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if _, err := c.Pull(job, modelSize); err != nil {
+					if _, err := pull(c, job, modelSize); err != nil {
 						t.Error(err)
 						return
 					}
@@ -225,7 +225,7 @@ func TestCommPathRaceSmoke(t *testing.T) {
 	}
 	defer c.Close()
 	for j := 0; j < 2; j++ {
-		model, err := c.Pull(fmt.Sprintf("job-%d", j), modelSize)
+		model, err := pull(c, fmt.Sprintf("job-%d", j), modelSize)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -229,7 +229,7 @@ type changeLog struct {
 }
 
 // reset forgets everything up to and including version: what a dense
-// push, an over-budget sparse push and an install do.
+// push and an over-budget sparse push do.
 func (l *changeLog) reset(version uint64) {
 	l.floor, l.count, l.next = version, 0, 0
 }
@@ -288,11 +288,9 @@ func (l *changeLog) appendSince(dst []byte, have uint64, vals []float64) ([]byte
 
 // stripeCursor is what a Mirror holds of one stripe: the incarnation and
 // version its values correspond to (version 0: nothing held, ask for the
-// full stripe) and where the stripe sits in the buffer, as the server
-// reported them with the last full reply.
+// full stripe). Where the stripe sits in the buffer is the layout's.
 type stripeCursor struct {
 	epoch, version uint64
-	lo, n          int
 }
 
 // Mirror is a client-side copy of one job's model that Client.Sync keeps
@@ -363,7 +361,8 @@ func (m *Mirror) forget() {
 	m.rewroteAll()
 }
 
-// cursors returns the cursor table grown to cover stripes stripe indices.
+// cursors returns the cursor table grown to cover stripes stripe indices
+// (a table grown under another layout keeps its longer length).
 func (m *Mirror) cursors(stripes int) []stripeCursor {
 	if len(m.cur) < stripes {
 		m.cur = append(m.cur, make([]stripeCursor, stripes-len(m.cur))...)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"harmony/internal/metrics"
 	"harmony/internal/rpc"
@@ -59,8 +58,10 @@ func propertyValue(rng *rand.Rand) float64 {
 
 // TestDeltaSyncProperty is the proof behind "a cursor can only ever cost
 // a full reply": two clients with mirrors run random interleavings of
-// sparse and dense pushes, range pushes, stripe migrations, re-inits and
-// server-list changes, each skipping syncs at random so the gaps vary.
+// sparse, dense and touched-set pushes, restores (an Init of the values
+// the servers hold: a new incarnation of the same state), re-inits with
+// new values, and clients replaced by fresh ones that never called Init,
+// each skipping syncs at random so the gaps vary.
 // After every step each mirror that syncs must equal a plain pull bit
 // for bit, and the pull must equal the dense control — a plain
 // `control[i] += delta[i]` over every element of every push, zeros
@@ -76,22 +77,13 @@ func TestDeltaSyncProperty(t *testing.T) {
 
 func deltaSyncProperty(t *testing.T, seed int64, steps int) {
 	const (
-		job         = "job"
-		stripeElems = 160 // change-log budget: 10 records per stripe
-		stripes     = 7
-		size        = stripes*stripeElems - 23 // ragged tail stripe
+		job  = "job"
+		size = 4*160 - 23 // on 4 servers: stripes of 155, a ragged tail of 152, change-log budget 9
 	)
 	rng := rand.New(rand.NewSource(seed))
-	_, addrs := startServers(t, 3)
-	raw := make(map[string]*rpc.Client)
-	for _, a := range addrs {
-		raw[a] = dialRaw(t, a)
-	}
+	_, addrs := startServers(t, 4)
 	clients := []*Client{newClient(t, addrs), newClient(t, addrs)}
 	mirrors := []*Mirror{NewMirror(job, size), NewMirror(job, size)}
-	for _, c := range clients {
-		c.SetStripeElems(stripeElems)
-	}
 	randomModel := func() []float64 {
 		m := make([]float64, size)
 		for i := range m {
@@ -104,30 +96,12 @@ func deltaSyncProperty(t *testing.T, seed int64, steps int) {
 		t.Fatal(err)
 	}
 	control = append([]float64(nil), control...)
-
-	// Placement as the test knows it, refreshed from the servers after a
-	// re-init redistributes everything.
-	owner := make([]string, stripes)
-	learnPlacement := func() {
-		for _, a := range addrs {
-			for _, s := range ownedStripes(t, raw[a], job) {
-				owner[s] = a
-			}
-		}
-	}
-	learnPlacement()
-	otherThan := func(not string) string {
-		for {
-			if a := addrs[rng.Intn(len(addrs))]; a != not {
-				return a
-			}
-		}
-	}
 	seen := metrics.Comm.Snapshot()
 	var total replyCounts
 
 	for step := 0; step < steps; step++ {
-		c := clients[rng.Intn(2)]
+		ci := rng.Intn(2)
+		c := clients[ci]
 		var what string
 		switch op := rng.Intn(11); {
 		case op < 4: // sparse push: a few elements, some stripes untouched
@@ -151,32 +125,33 @@ func deltaSyncProperty(t *testing.T, seed int64, steps int) {
 			for i, d := range delta {
 				control[i] += d
 			}
-		case op < 8: // range push, sparse or dense
-			what = "range push"
+		case op < 8: // touched-set push: a run of elements, some left +0
+			what = "touched push"
+			delta := make([]float64, size)
+			var list touched.List
 			lo := rng.Intn(size)
-			delta := make([]float64, 1+rng.Intn(size-lo))
-			if rng.Intn(2) == 0 {
-				for i := range delta {
-					delta[i] = propertyValue(rng)
+			end := min(lo+1+rng.Intn(40), size)
+			for e := lo; e < end; e++ {
+				if rng.Intn(4) > 0 {
+					delta[e] = propertyValue(rng)
 				}
-			} else {
-				delta[rng.Intn(len(delta))] = propertyValue(rng)
+				list.Add(uint32(e))
 			}
-			if err := c.PushRange(job, lo, delta); err != nil {
+			if err := c.PushTouched(job, delta, list.Take(size)); err != nil {
 				t.Fatalf("step %d %s: %v", step, what, err)
 			}
 			for i, d := range delta {
-				control[lo+i] += d
+				control[i] += d
 			}
-		case op == 8: // migrate a stripe
-			what = "migrate"
-			s := rng.Intn(stripes)
-			dest := otherThan(owner[s])
-			if _, err := rpc.Invoke[MigrateArgs, Ack](raw[owner[s]], MethodMigrate,
-				MigrateArgs{Job: job, Stripe: s, Dest: dest}, 2*time.Second); err != nil {
-				t.Fatalf("step %d migrate stripe %d: %v", step, s, err)
+		case op == 8: // restore: the same values, every stripe a new incarnation
+			what = "restore"
+			held, err := pull(c, job, size)
+			if err != nil {
+				t.Fatalf("step %d %s: %v", step, what, err)
 			}
-			owner[s] = dest
+			if err := c.Init(job, held); err != nil {
+				t.Fatalf("step %d %s: %v", step, what, err)
+			}
 		case op == 9: // re-init: new values, every stripe a new incarnation
 			what = "re-init"
 			control = randomModel()
@@ -184,17 +159,12 @@ func deltaSyncProperty(t *testing.T, seed int64, steps int) {
 				t.Fatalf("step %d re-init: %v", step, err)
 			}
 			control = append([]float64(nil), control...)
-			learnPlacement()
-		default: // rewire one client
-			what = "set servers"
-			shuffled := append([]string(nil), addrs...)
-			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-			if err := c.SetServers(shuffled); err != nil {
-				t.Fatalf("step %d set servers: %v", step, err)
-			}
+		default: // a fresh client that never called Init takes over the mirror
+			what = "fresh client"
+			clients[ci] = newClient(t, addrs)
 		}
 
-		snap, err := clients[0].Pull(job, size)
+		snap, err := pull(clients[0], job, size)
 		if err != nil {
 			t.Fatalf("step %d pull after %s: %v", step, what, err)
 		}
@@ -226,91 +196,82 @@ func deltaSyncProperty(t *testing.T, seed int64, steps int) {
 
 // TestDeltaSyncUnderLoad is the concurrent half of the proof: four
 // workers, each with its own client and mirror, sync and push sparse +1s
-// at once while a migrator shuttles stripes between the servers — so
-// delta replies are cut from a stripe's change log while other pushes
-// are appending to it, and cursors meet stripes that have just moved.
+// at once — so delta replies are cut from a stripe's change log while
+// other pushes are appending to it — in rounds, and between rounds the
+// job is checkpointed and restored as §IV-B4 does it (pause, pull, Init
+// the same values), so cursors meet stripes that are a new incarnation.
 // Integer increments sum exactly in any order, so once the load stops
 // every mirror must equal the final snapshot bit for bit, and the
 // snapshot must equal the tally of what was pushed. Run under -race.
 func TestDeltaSyncUnderLoad(t *testing.T) {
 	const (
-		job         = "job"
-		stripeElems = 256 // change-log budget: 16 records per stripe
-		size        = 6 * stripeElems
-		workers     = 4
-		iters       = 60
+		job     = "job"
+		size    = 1536 // on 2 servers: 2 stripes of 768, change-log budget 48
+		stripes = 2
+		workers = 4
+		rounds  = 3
+		iters   = 20 // per round
 	)
 	_, addrs := startServers(t, 2)
 	boot := newClient(t, addrs)
-	boot.SetStripeElems(stripeElems)
 	if err := boot.Init(job, make([]float64, size)); err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
-	var migrator sync.WaitGroup
-	conns := []*rpc.Client{dialRaw(t, addrs[0]), dialRaw(t, addrs[1])}
-	migrator.Add(1)
-	go func() {
-		defer migrator.Done()
-		rng := rand.New(rand.NewSource(42))
-		for from := 0; ; from = 1 - from {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			routes, err := rpc.Invoke[RoutesArgs, RoutesReply](conns[from], MethodRoutes, RoutesArgs{Job: job}, 2*time.Second)
-			if err == nil && len(routes.Stripes) > 0 {
-				s := routes.Stripes[rng.Intn(len(routes.Stripes))].Index
-				_, _ = rpc.Invoke[MigrateArgs, Ack](conns[from], MethodMigrate,
-					MigrateArgs{Job: job, Stripe: s, Dest: addrs[1-from]}, 2*time.Second)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
 	seen := metrics.Comm.Snapshot()
 	tally := make([]atomic.Int64, size)
 	mirrors := make([]*Mirror, workers)
 	clients := make([]*Client, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	rngs := make([]*rand.Rand, workers)
+	for w := range clients {
 		clients[w] = newClient(t, addrs)
 		mirrors[w] = NewMirror(job, size)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			delta := make([]float64, size)
-			for it := 0; it < iters; it++ {
-				if err := clients[w].Sync(mirrors[w]); err != nil {
-					t.Errorf("worker %d iter %d sync: %v", w, it, err)
-					return
-				}
-				for i := range delta {
-					delta[i] = 0
-				}
-				for k := 0; k < 8; k++ {
-					e := rng.Intn(size)
-					delta[e]++
-					tally[e].Add(1)
-				}
-				if err := clients[w].Push(job, delta); err != nil {
-					t.Errorf("worker %d iter %d push: %v", w, it, err)
-					return
-				}
-			}
-		}(w)
+		rngs[w] = rand.New(rand.NewSource(int64(w)))
 	}
-	wg.Wait()
-	close(stop)
-	migrator.Wait()
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		if round > 0 {
+			held, err := pull(boot, job, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := boot.Init(job, held); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				delta := make([]float64, size)
+				for it := 0; it < iters; it++ {
+					if err := clients[w].Sync(mirrors[w]); err != nil {
+						t.Errorf("worker %d round %d iter %d sync: %v", w, round, it, err)
+						return
+					}
+					for i := range delta {
+						delta[i] = 0
+					}
+					for k := 0; k < 8; k++ {
+						e := rngs[w].Intn(size)
+						delta[e]++
+						tally[e].Add(1)
+					}
+					if err := clients[w].Push(job, delta); err != nil {
+						t.Errorf("worker %d round %d iter %d push: %v", w, round, it, err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
 	if t.Failed() {
 		return
 	}
-	if got := pullReplies(&seen); got.delta == 0 || got.full <= int64(workers*size/stripeElems) {
-		t.Fatalf("load was answered %+v: want deltas, and full replies beyond each mirror's first fill", got)
+	if got := pullReplies(&seen); got.delta == 0 || got.full < int64(rounds*workers*stripes) {
+		t.Fatalf("load was answered %+v: want deltas, and a full reply per stripe and mirror after each restore", got)
 	}
-	snap, err := boot.Pull(job, size)
+	snap, err := pull(boot, job, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +289,7 @@ func TestDeltaSyncUnderLoad(t *testing.T) {
 }
 
 // deltaRig is one client pushing and another syncing a mirror of a
-// 4-stripe model on two servers, for the fallback cases below.
+// 4-stripe model on four servers, for the fallback cases below.
 type deltaRig struct {
 	addrs  []string
 	pusher *Client
@@ -342,11 +303,9 @@ const rigStripeElems = 64 // change-log budget: 4 records per stripe
 
 func newDeltaRig(t *testing.T) *deltaRig {
 	t.Helper()
-	r := &deltaRig{size: 4 * rigStripeElems}
-	_, r.addrs = startServers(t, 2)
+	r := &deltaRig{size: 4 * rigStripeElems} // one stripe per server
+	_, r.addrs = startServers(t, 4)
 	r.pusher, r.syncer = newClient(t, r.addrs), newClient(t, r.addrs)
-	r.pusher.SetStripeElems(rigStripeElems)
-	r.syncer.SetStripeElems(rigStripeElems)
 	if err := r.pusher.Init("job", seqModel(r.size)); err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +323,7 @@ func (r *deltaRig) sync(t *testing.T) replyCounts {
 		t.Fatal(err)
 	}
 	got := pullReplies(&r.seen)
-	snap, err := r.pusher.Pull("job", r.size)
+	snap, err := pull(r.pusher, "job", r.size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,26 +407,18 @@ func TestDeltaOlderIncarnationFallsBackToFull(t *testing.T) {
 	if got := r.sync(t); got != (replyCounts{full: 4}) {
 		t.Fatalf("sync after re-init = %+v, want 4 full", got)
 	}
-	// Migration installs the stripe on its new owner as a new incarnation
-	// too: one full reply from there, deltas again afterwards.
-	src := dialRaw(t, r.addrs[0])
-	s := ownedStripes(t, src, "job")[0]
-	if _, err := rpc.Invoke[MigrateArgs, Ack](src, MethodMigrate,
-		MigrateArgs{Job: "job", Stripe: s, Dest: r.addrs[1]}, 2*time.Second); err != nil {
+	// A restore re-Inits the very values the mirror holds (checkpoint and
+	// resume, §IV-B4): still a new incarnation, so one full reply per
+	// stripe, and deltas again afterwards.
+	if err := r.pusher.Init("job", append([]float64(nil), r.mirror.Values()...)); err != nil {
 		t.Fatal(err)
 	}
-	retries := metrics.Comm.Snapshot().MovedRetries
-	r.pushAt(t, s*rigStripeElems)
-	if got := r.sync(t); got != (replyCounts{full: 1, same: 3}) {
-		t.Fatalf("sync after migration = %+v, want 1 full + 3 not-modified", got)
+	if got := r.sync(t); got != (replyCounts{full: 4}) {
+		t.Fatalf("sync after a restore = %+v, want 4 full", got)
 	}
-	// The push and the sync each bounced off the old owner once.
-	if got := metrics.Comm.Snapshot().MovedRetries - retries; got != 2 {
-		t.Fatalf("%d moved-stripe retries counted, want 2", got)
-	}
-	r.pushAt(t, s*rigStripeElems)
+	r.pushAt(t, 2*rigStripeElems)
 	if got := r.sync(t); got != (replyCounts{delta: 1, same: 3}) {
-		t.Fatalf("second sync after migration = %+v, want 1 delta + 3 not-modified", got)
+		t.Fatalf("second sync after a restore = %+v, want 1 delta + 3 not-modified", got)
 	}
 }
 
@@ -630,15 +581,15 @@ func TestMirrorChanged(t *testing.T) {
 }
 
 // TestDeltaSyncServerRestart: a server stops and comes back empty on the
-// same address between a delta Sync and the next Push, and its stripes are
-// re-installed with other values at the very version numbers the mirrors
-// hold cursors for — only the epoch tells the incarnations apart. The
-// pusher's next Push fails on the dead connection (a PS client does not
-// redial); a worker mirror and a checkpoint mirror, each handed to a fresh
-// client, must be answered in full for exactly the restarted server's
-// stripes and end up equal to a plain pull bit for bit.
+// same address between a delta Sync and the next Push, and its stripe is
+// initialized again with other values at the very version number the
+// mirrors hold cursors for — only the epoch tells the incarnations apart.
+// The pusher's next Push fails on the dead connection (a PS client does
+// not redial); a worker mirror and a checkpoint mirror, each handed to a
+// fresh client, must be answered in full for exactly the restarted
+// server's stripe and end up equal to a plain pull bit for bit.
 func TestDeltaSyncServerRestart(t *testing.T) {
-	const job, stripeElems, size = "job", 64, 4 * 64
+	const job, stripeElems, size = "job", 128, 2 * 128 // one stripe per server
 	listen := func(addr string) (*rpc.Server, *Server, string) {
 		srv, server := rpc.NewServer(), NewServer()
 		server.Register(srv)
@@ -653,7 +604,6 @@ func TestDeltaSyncServerRestart(t *testing.T) {
 	srv1, server1, addr1 := listen("127.0.0.1:0")
 	addrs := []string{addr0, addr1}
 	pusher := newClient(t, addrs)
-	pusher.SetStripeElems(stripeElems)
 	if err := pusher.Init(job, seqModel(size)); err != nil {
 		t.Fatal(err)
 	}
@@ -669,15 +619,15 @@ func TestDeltaSyncServerRestart(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		if got := pullReplies(&seen); round == 1 && (got.delta != 8 || got.full != 0) {
-			t.Fatalf("before the restart the mirrors were answered %+v, want 8 deltas", got)
+		if got := pullReplies(&seen); round == 1 && (got.delta != 4 || got.full != 0) {
+			t.Fatalf("before the restart the mirrors were answered %+v, want 4 deltas", got)
 		}
 		if err := pusher.Push(job, delta); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Server 1 held stripes 2 and 3. Restart it, and install both at the
+	// Server 1 held stripe 1. Restart it, and initialize the stripe at the
 	// version the mirrors hold (init is 1, one push applied: 2) with values
 	// no push produced.
 	srv1.Close()
@@ -687,15 +637,13 @@ func TestDeltaSyncServerRestart(t *testing.T) {
 	for i := range other {
 		other[i] = -float64(i) - 0.5
 	}
-	body := rpc.AppendString(nil, job)
-	body = rpc.AppendUint32(body, 2)
-	for s := 2; s < 4; s++ {
-		if v := mirrors["worker"].cur[s].version; v != 2 {
-			t.Fatalf("stripe %d is held at version %d, the test assumes 2", s, v)
-		}
-		body = appendStripeFrame(body, s, s*stripeElems, 2, other)
+	if v := mirrors["worker"].cur[1].version; v != 2 {
+		t.Fatalf("stripe 1 is held at version %d, the test assumes 2", v)
 	}
-	if _, err := fresh.handleInstall(body, true); err != nil {
+	body := rpc.AppendString(nil, job)
+	body = rpc.AppendUint32(body, 1)
+	body = appendStripeFrame(body, 1, stripeElems, 2, other)
+	if _, err := fresh.handleInit(body); err != nil {
 		t.Fatal(err)
 	}
 	if err := pusher.Push(job, delta); err == nil {
@@ -712,35 +660,35 @@ func TestDeltaSyncServerRestart(t *testing.T) {
 		if err := c.Sync(m); err != nil {
 			t.Fatalf("%s: sync after the restart: %v", name, err)
 		}
-		if got := pullReplies(&seen); got.full != 2 || got.delta != 2 {
-			t.Errorf("%s: answered %+v after the restart, want 2 full stripes and 2 deltas", name, got)
+		if got := pullReplies(&seen); got.full != 1 || got.delta != 1 {
+			t.Errorf("%s: answered %+v after the restart, want 1 full stripe and 1 delta", name, got)
 		}
 		if !m.Changed().All() {
 			t.Errorf("%s: full replies must make Changed All", name)
 		}
-		snap, err := snapper.Pull(job, size)
+		snap, err := pull(snapper, job, size)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameBits(t, name+" mirror vs snapshot", m.Values(), snap)
 		if m.Values()[130] != other[2]+1 && m.Values()[130] != other[2]+2 {
-			t.Errorf("%s: element 130 is %v, not the re-installed value plus the pushes since", name, m.Values()[130])
+			t.Errorf("%s: element 130 is %v, not the re-initialized value plus the pushes since", name, m.Values()[130])
 		}
 	}
 }
 
 // pushFuzzServer holds job "job" as one 64-element stripe (log
-// budget 4), directly installed.
+// budget 4), directly initialized.
 func pushFuzzServer(tb testing.TB) (*Server, *stripeBlock) {
 	tb.Helper()
 	s := NewServer()
 	body := rpc.AppendString(nil, "job")
 	body = rpc.AppendUint32(body, 1)
 	body = appendStripeFrame(body, 0, 128, 1, seqModel(64))
-	if _, err := s.handleInstall(body, true); err != nil {
+	if _, err := s.handleInit(body); err != nil {
 		tb.Fatal(err)
 	}
-	return s, s.lookup("job").get(0)
+	return s, s.lookup("job")[0]
 }
 
 // pushBody frames a push request of pre-encoded entries.
@@ -857,37 +805,61 @@ func deltaReply(idx uint32, version uint64, nnz uint32, offs ...uint32) []byte {
 	return b
 }
 
-// pullFuzzMirror is a 16-element buffer of two 8-element stripes: the
-// first held at version 3, the second not held.
+// fuzzLayout is a 16-element model of two 8-element stripes, and
+// fuzzAsks the stripe ranges a pull of it can ask one server for.
+var (
+	fuzzLayout = layoutFor(16, 2)
+	fuzzAsks   = [][2]int{{0, 1}, {1, 2}, {0, 2}}
+)
+
+// pullFuzzMirror is a buffer of fuzzLayout's model and its cursors: the
+// first stripe held at version 3, the second not held.
 func pullFuzzMirror() ([]float64, []stripeCursor) {
-	return seqModel(16), []stripeCursor{{epoch: 11, version: 3, lo: 0, n: 8}, {}}
+	return seqModel(16), []stripeCursor{{epoch: 11, version: 3}, {}}
+}
+
+// fullReply hand-encodes a one-stripe full pull reply.
+func fullReply(idx, lo uint32, vals []float64) []byte {
+	b := rpc.AppendUint32(nil, 1)
+	b = rpc.AppendUint32(b, idx)
+	b = append(b, stripeOK)
+	b = rpc.AppendUint32(b, lo)
+	b = rpc.AppendUint64(b, 42)
+	b = rpc.AppendUint64(b, 6)
+	return rpc.AppendFloats(b, vals)
 }
 
 func TestDeltaReplyRejectedChangesNothing(t *testing.T) {
-	bad := map[string][]byte{
-		"offset beyond stripe":    deltaReply(0, 4, 1, 8),
-		"nnz overflow":            deltaReply(0, 4, math.MaxUint32, 1),
-		"nnz beyond body":         deltaReply(0, 4, 3, 1, 2),
-		"truncated":               deltaReply(0, 4, 1, 5)[:20],
-		"delta without a cursor":  deltaReply(1, 4, 1, 0),
-		"delta for unknown index": deltaReply(9, 4, 1, 0),
-		"not-modified, no cursor": append(rpc.AppendUint32(rpc.AppendUint32(nil, 1), 1), stripeSame),
-		"unknown status":          append(rpc.AppendUint32(rpc.AppendUint32(nil, 1), 0), 9),
+	bad := map[string]struct {
+		reply  []byte
+		stripe int // the one stripe asked for
+	}{
+		"offset beyond stripe":     {deltaReply(0, 4, 1, 8), 0},
+		"nnz overflow":             {deltaReply(0, 4, math.MaxUint32, 1), 0},
+		"nnz beyond body":          {deltaReply(0, 4, 3, 1, 2), 0},
+		"truncated":                {deltaReply(0, 4, 1, 5)[:20], 0},
+		"delta without a cursor":   {deltaReply(1, 4, 1, 0), 1},
+		"answers another stripe":   {deltaReply(9, 4, 1, 0), 0},
+		"not-modified, no cursor":  {append(rpc.AppendUint32(rpc.AppendUint32(nil, 1), 1), stripeSame), 1},
+		"unknown status":           {append(rpc.AppendUint32(rpc.AppendUint32(nil, 1), 0), 9), 0},
+		"full stripe off layout":   {fullReply(1, 4, seqModel(8)), 1},
+		"full stripe short":        {fullReply(1, 8, seqModel(7)), 1},
+		"fewer stripes than asked": {append(rpc.AppendUint32(nil, 0), deltaReply(0, 4, 1, 5)[4:]...), 0},
 	}
-	for name, reply := range bad {
+	for name, tt := range bad {
 		dst, cur := pullFuzzMirror()
-		if res := decodeStripesInto(reply, 0, dst, &Mirror{cur: cur}); res.err == nil {
+		if res := decodeStripesInto(tt.reply, fuzzLayout, tt.stripe, tt.stripe+1, dst, &Mirror{cur: cur}); res.err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 		sameBits(t, name, dst, seqModel(16))
-		if cur[0] != (stripeCursor{epoch: 11, version: 3, lo: 0, n: 8}) || cur[1] != (stripeCursor{}) {
+		if cur[0] != (stripeCursor{epoch: 11, version: 3}) || cur[1] != (stripeCursor{}) {
 			t.Errorf("%s: cursors moved to %+v", name, cur)
 		}
 	}
 	// Unsorted and repeated offsets are fine in a reply: each names the
 	// element's current value.
 	dst, cur := pullFuzzMirror()
-	if res := decodeStripesInto(deltaReply(0, 5, 3, 6, 2, 6), 0, dst, &Mirror{cur: cur}); res.err != nil || res.delta != 1 {
+	if res := decodeStripesInto(deltaReply(0, 5, 3, 6, 2, 6), fuzzLayout, 0, 1, dst, &Mirror{cur: cur}); res.err != nil || res.delta != 1 {
 		t.Fatalf("valid delta rejected: %+v", res)
 	}
 	if dst[6] != -7 || dst[2] != -7 || dst[3] != 3 || cur[0].version != 5 {
@@ -896,32 +868,32 @@ func TestDeltaReplyRejectedChangesNothing(t *testing.T) {
 }
 
 // FuzzPullReply feeds arbitrary bytes to the pull-reply decoder: it must
-// never panic or index outside the buffer, and whatever it makes of the
-// reply, every cursor must still describe a range inside the buffer —
-// the range a later delta is bounds-checked against.
+// never panic or index outside the buffer, a reply it accepts answers
+// every stripe asked for exactly once, and no reply writes an element of
+// a stripe that was not asked for.
 func FuzzPullReply(f *testing.F) {
 	f.Add(deltaReply(0, 5, 3, 6, 2, 6))
 	f.Add(deltaReply(0, 4, 1, 8))
 	f.Add(deltaReply(0, 4, math.MaxUint32, 1))
 	f.Add(deltaReply(1, 4, 1, 0))
-	full := rpc.AppendUint32(nil, 2)
-	full = rpc.AppendUint32(full, 1)
-	full = append(full, stripeOK)
-	full = rpc.AppendUint32(full, 8)
-	full = rpc.AppendUint64(full, 42)
-	full = rpc.AppendUint64(full, 6)
-	full = rpc.AppendFloats(full, seqModel(8))
-	full = rpc.AppendUint32(full, 0)
-	full = append(full, stripeSame)
-	f.Add(full)
-	f.Add(full[:len(full)/2])
+	both := rpc.AppendUint32(nil, 2)
+	both = rpc.AppendUint32(both, 0)
+	both = append(both, stripeSame)
+	both = append(both, fullReply(1, 8, seqModel(8))[4:]...)
+	f.Add(both)
+	f.Add(both[:len(both)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dst, cur := pullFuzzMirror()
-		decodeStripesInto(data, 0, dst, &Mirror{cur: cur})
-		for i, c := range cur {
-			if c.lo < 0 || c.n < 0 || c.lo+c.n > len(dst) {
-				t.Fatalf("cursor %d describes [%d,%d) of a %d-element buffer", i, c.lo, c.lo+c.n, len(dst))
+		for _, ask := range fuzzAsks {
+			dst, cur := pullFuzzMirror()
+			res := decodeStripesInto(data, fuzzLayout, ask[0], ask[1], dst, &Mirror{cur: cur})
+			if res.err == nil && res.full+res.delta+res.same != int64(ask[1]-ask[0]) {
+				t.Fatalf("asked stripes %v, an accepted reply answered %+v", ask, res)
 			}
+			lo, _ := fuzzLayout.span(ask[0])
+			_, hi := fuzzLayout.span(ask[1] - 1)
+			want := seqModel(16)
+			sameBits(t, fmt.Sprintf("elements outside the stripes %v asked", ask),
+				append(dst[:lo:lo], dst[hi:]...), append(want[:lo:lo], want[hi:]...))
 		}
 	})
 }
@@ -936,41 +908,38 @@ func FuzzMirrorChanged(f *testing.F) {
 	f.Add(deltaReply(0, 4, 1, 8))
 	f.Add(deltaReply(1, 4, 1, 0))
 	f.Add(append(deltaReply(0, 5, 1, 7)[:4], deltaReply(0, 4, math.MaxUint32, 1)[4:]...))
-	full := rpc.AppendUint32(nil, 1)
-	full = rpc.AppendUint32(full, 1)
-	full = append(full, stripeOK)
-	full = rpc.AppendUint32(full, 8)
-	full = rpc.AppendUint64(full, 42)
-	full = rpc.AppendUint64(full, 6)
-	f.Add(rpc.AppendFloats(full, seqModel(8)))
+	f.Add(fullReply(1, 8, seqModel(8)))
+	l := layoutFor(256, 32) // 8-element stripes
 	f.Fuzz(func(t *testing.T, data []byte) {
-		before := seqModel(256)
-		m := &Mirror{vals: seqModel(256), cur: []stripeCursor{{epoch: 11, version: 3, lo: 0, n: 8}, {}}}
-		res := decodeStripesInto(data, 0, m.vals, m)
-		held := m.cur[0]
-		set := m.Changed()
-		if res.err != nil && res.full+res.delta == 0 {
-			sameBits(t, "rejected reply", m.vals, before)
-			if held != (stripeCursor{epoch: 11, version: 3, lo: 0, n: 8}) || m.cur[1] != (stripeCursor{}) ||
-				set.All() || len(set.Indices()) != 0 {
-				t.Fatalf("a rejected reply left cursors %+v and changed set all=%v %v", m.cur, set.All(), set.Indices())
-			}
-		}
-		if set.All() {
-			return
-		}
-		next := set.Indices()
-		for i := range m.vals {
-			if len(next) > 0 && int(next[0]) == i {
-				if next = next[1:]; i >= 8 {
-					t.Fatalf("changed set names %d, outside the held stripe", i)
+		for _, ask := range fuzzAsks {
+			before := seqModel(256)
+			m := &Mirror{vals: seqModel(256), cur: []stripeCursor{{epoch: 11, version: 3}, {}}}
+			res := decodeStripesInto(data, l, ask[0], ask[1], m.vals, m)
+			held := m.cur[0]
+			set := m.Changed()
+			if res.err != nil && res.full+res.delta == 0 {
+				sameBits(t, "rejected reply", m.vals, before)
+				if held != (stripeCursor{epoch: 11, version: 3}) || m.cur[1] != (stripeCursor{}) ||
+					set.All() || len(set.Indices()) != 0 {
+					t.Fatalf("a rejected reply left cursors %+v and changed set all=%v %v", m.cur, set.All(), set.Indices())
 				}
-			} else if math.Float64bits(m.vals[i]) != math.Float64bits(before[i]) {
-				t.Fatalf("element %d was rewritten (%v to %v) and is not in the changed set", i, before[i], m.vals[i])
 			}
-		}
-		if len(next) > 0 {
-			t.Fatalf("changed set names %d, beyond the buffer", next[0])
+			if set.All() {
+				continue
+			}
+			next := set.Indices()
+			for i := range m.vals {
+				if len(next) > 0 && int(next[0]) == i {
+					if next = next[1:]; i >= 8 {
+						t.Fatalf("changed set names %d, outside the held stripe", i)
+					}
+				} else if math.Float64bits(m.vals[i]) != math.Float64bits(before[i]) {
+					t.Fatalf("element %d was rewritten (%v to %v) and is not in the changed set", i, before[i], m.vals[i])
+				}
+			}
+			if len(next) > 0 {
+				t.Fatalf("changed set names %d, beyond the buffer", next[0])
+			}
 		}
 	})
 }

@@ -5,64 +5,53 @@
 //
 // The pull/push path is the live runtime's hot loop (§IV-A: COMM
 // subtasks keep the network busy while co-located COMP runs), so the
-// data plane rides the binary float-frame codec of internal/rpc. The
-// unit of placement is the stripe, not the partition: a job's model is
-// carved into fixed-size stripes, each independently locked, counted
-// (pull/push ops, bytes, lock-wait) and movable between servers while
-// the job runs (DESIGN.md §12). On any one server a stripe is in one of
-// two states: owned (serves pulls and pushes, keeps the change log) or
-// moved (a forwarding tombstone left by a migration). Clients route per
-// stripe and self-heal: an op that hits a migrated-away stripe gets a
-// "moved" status, refreshes its route table and retries against the new
-// owner. A server is passive: it starts no goroutine, and the only call it
-// makes to a peer is a migration's single install.
+// data plane rides the binary float-frame codec of internal/rpc. A job's
+// model is carved into fixed-size stripes, each independently locked and
+// counted (pull/push ops, bytes, lock-wait). Where a stripe lives is a
+// pure function of the model length and the job's ordered server list
+// (layoutFor): every client computes it, so no client asks a server where
+// a stripe is, and a stripe stays on the server Init put it on for the
+// life of the deployment (DESIGN.md §8). A job's state moves only by
+// checkpoint and a restoring Init on the new group (§IV-B4). A stripe a
+// server does not hold is an error naming the job and the stripe. A
+// server is passive: it starts no goroutine and calls nobody.
 //
 // Wire layouts (all little-endian; "str" is a u16-length-prefixed
 // string, "floats" a u32 count followed by raw IEEE-754 bit patterns):
 //
-//	init/install request:
+//	init request:
 //	  str job | u32 count | count × stripe-frame        reply: empty
 //	  stripe-frame: u32 idx | u32 lo | u64 version | floats vals
 //	pull request:
 //	  str job | u32 count | count × (u32 idx | u64 epoch | u64 have)
 //	pull reply:
-//	  u32 count | count × (u32 idx | u8 status | ...)
+//	  u32 count | count × (u32 idx | u8 status | ...)   one per requested stripe, in order
 //	    full:         u32 lo | u64 epoch | u64 version | floats vals
-//	    moved:        str fwd
 //	    not-modified: nothing
 //	    delta:        u64 version | u32 nnz | nnz × (u32 off | f64 val)
 //	push request:
 //	  str job | u32 count | count × (u32 idx | u32 lo | u8 enc | ...)
 //	    dense:  floats delta
 //	    sparse: u32 nnz | nnz × (u32 off | f64 delta)
-//	push reply:
-//	  u32 nfail | nfail × (u32 idx | str fwd)
+//	push reply: empty
 //
 // Both directions move what changed. A push entry travels in whichever
 // encoding is fewer bytes (sparse offsets count from the entry's lo and
 // ascend strictly), and a stripe whose delta is all +0 is not sent. A
 // pull names, per stripe, the (epoch, version) its caller already holds —
-// have 0 means "nothing", which is all PullInto and PullRange ever send —
-// and the server answers not-modified, a delta (the current
-// values of the elements pushed since, offsets counting from the
-// stripe's lo, in any order, repeats allowed) or the full stripe. The
-// epoch is the stripe block's incarnation: a fresh random 64-bit value
-// whenever the block's values are installed rather than pushed to (init,
-// migration), so a cursor taken before either can only match by a 2^-64
+// have 0 means "nothing", which is all PullInto ever sends — and the
+// server answers not-modified, a delta (the current values of the
+// elements pushed since, offsets counting from the stripe's lo, in any
+// order, repeats allowed) or the full stripe. The epoch is the stripe
+// block's incarnation: a fresh random 64-bit value at every Init, restore
+// included, so a cursor taken before one can only match by a 2^-64
 // accident and is otherwise answered in full, as is a cursor the bounded
 // change log no longer reaches. There is no density or log-depth setting:
 // the push rule is "fewer bytes", and the log is a fixed 1/8 of the
 // stripe's own bytes (delta.go).
 //
-// "fwd" is the forwarding hint of a migrated-away stripe — the address
-// its handoff went to, empty when the stripe was never installed here.
-// Clients retry a hinted stripe directly at the forward target
-// instead of re-scraping routes, so an op can chase a stripe through
-// back-to-back migrations without losing the race to the next move.
-//
-// init replaces a job's whole partition on the receiving server; install
-// (the migration handoff) merges stripes into it. Control-plane methods
-// (drop, routes, stats, migrate) stay gob.
+// init replaces a job's whole partition on the receiving server.
+// Control-plane methods (drop, stats) stay gob.
 package ps
 
 import (
@@ -83,23 +72,15 @@ const (
 	MethodPull = "ps.pull"
 	MethodPush = "ps.push"
 	MethodDrop = "ps.drop"
-	// MethodInstall merges handoff stripe-frames into a job's partition:
-	// the receiving end of migration.
-	MethodInstall = "ps.install"
-	// MethodRoutes reports which stripes of a job this server holds.
-	MethodRoutes = "ps.routes"
 	// MethodStats reports per-stripe load counters for every job.
 	MethodStats = "ps.stats"
-	// MethodMigrate fences one stripe and hands it to another server.
-	MethodMigrate = "ps.migrateOut"
 )
 
 // Per-stripe status bytes in pull replies.
 const (
 	stripeOK    = 0 // the full stripe follows
-	stripeMoved = 1 // not owned here (migrated away or never installed)
-	stripeSame  = 2 // not modified since the caller's cursor
-	stripeDelta = 3 // the elements pushed since the caller's cursor follow
+	stripeSame  = 1 // not modified since the caller's cursor
+	stripeDelta = 2 // the elements pushed since the caller's cursor follow
 )
 
 // Ack is an empty success reply.
@@ -110,45 +91,18 @@ type DropArgs struct {
 	Job string
 }
 
-// RoutesArgs asks a server which stripes of a job it holds.
-type RoutesArgs struct {
-	Job string
-}
-
-// StripeRoute locates one stripe on the replying server.
-type StripeRoute struct {
-	Index int
-	Lo    int
-	Len   int
-}
-
-// RoutesReply lists the job's stripes held by the replying server.
-type RoutesReply struct {
-	Stripes []StripeRoute
-}
-
-// MigrateArgs fences a stripe on the receiving server and hands its
-// state to Dest bit-exactly (the §IV-B4 idea applied per stripe: the
-// fence is the pause, the install frame the checkpoint).
-type MigrateArgs struct {
-	Job    string
-	Stripe int
-	Dest   string
-}
-
 // StatsArgs requests per-stripe load counters.
 type StatsArgs struct{}
 
 // StripeSize is the default number of float64 elements per stripe
 // (256 KiB of parameters). Small enough that co-located jobs' pushes and
-// a snapshot's streaming pull interleave — and that a single hot stripe
-// is a meaningful unit to migrate — large enough that lock and header
-// traffic is negligible against the arithmetic.
+// a snapshot's streaming pull interleave, large enough that lock and
+// header traffic is negligible against the arithmetic.
 const StripeSize = 32 * 1024
 
 // stripeElemsFor picks the per-stripe element count for a model of n
-// elements initialized across k servers: StripeSize, shrunk so that even
-// a small model yields at least one stripe per server.
+// elements across k servers: StripeSize, shrunk so that even a small
+// model yields at least one stripe per server.
 func stripeElemsFor(n, k int) int {
 	se := StripeSize
 	if k > 0 {
@@ -172,152 +126,107 @@ func stripeCount(n, se int) int {
 	return s
 }
 
-// stripeStats are the per-stripe load counters behind MethodStats (the
-// balancer's EWMA score, /metrics). Atomics: pulls bump them under a read
-// lock.
+// layout is where a job's stripes live: stripes of se elements tile the
+// n-element model, and server i of k holds the contiguous stripe range
+// Partition(stripes, k, i). It depends on nothing but n and k, so every
+// client of a job, Init's included, computes the same one.
+type layout struct {
+	n, k, se, stripes int
+}
+
+func layoutFor(n, k int) layout {
+	se := stripeElemsFor(n, k)
+	return layout{n: n, k: k, se: se, stripes: stripeCount(n, se)}
+}
+
+// span is stripe s's element range [lo, hi).
+func (l layout) span(s int) (lo, hi int) {
+	lo = s * l.se
+	return lo, max(min(lo+l.se, l.n), lo)
+}
+
+// held is the stripe range [first, end) server i holds.
+func (l layout) held(i int) (first, end int) { return Partition(l.stripes, l.k, i) }
+
+// stripeStats are the per-stripe load counters behind MethodStats
+// (/metrics, GET /v1/ps). Atomics: pulls bump them under a read lock.
 type stripeStats struct {
 	pullOps   atomic.Int64
 	pushOps   atomic.Int64
 	pullBytes atomic.Int64
 	pushBytes atomic.Int64
-	lockWait  atomic.Int64 // nanoseconds waiting for gate + stripe lock
+	lockWait  atomic.Int64 // nanoseconds waiting for the stripe lock
 }
 
 // stripeBlock is one stripe of one job on one server: the unit of
-// locking, accounting and migration.
+// locking and accounting. idx, lo and the length of vals are fixed when
+// Init creates the block; the rest is guarded by mu.
 type stripeBlock struct {
 	mu   sync.RWMutex
 	idx  int
 	lo   int
 	vals []float64
-	// version counts mutations. Guarded by mu.
+	// version counts mutations.
 	version uint64
-	// epoch names this incarnation of the block's values: drawn afresh
-	// whenever they are installed rather than pushed to, so version
-	// numbers of different incarnations are never compared. log records
-	// what the pushes of this incarnation touched. Both guarded by mu.
+	// epoch names this incarnation of the block's values: drawn afresh at
+	// every Init, so version numbers of different incarnations are never
+	// compared. log records what the pushes of this incarnation touched.
 	epoch uint64
 	log   changeLog
-	// moved tombstones a migrated-away stripe: ops that raced the fence
-	// and acquired the lock after handoff observe it and report
-	// stripeMoved instead of touching stale state. The tombstone stays in
-	// the partition map (values freed) as the forwarding entry: movedTo
-	// records where the handoff went, and replies carry it as a hint so
-	// clients chase the stripe directly. Both guarded by mu.
-	moved   bool
-	movedTo string
-	stats   stripeStats
+	stats stripeStats
 }
 
-// partition holds one job's stripe blocks on one server.
-type partition struct {
-	mu      sync.RWMutex
-	stripes map[int]*stripeBlock
+// newBlock makes a block of an init frame's state as a new incarnation: a
+// fresh epoch and an empty change log, so no cursor taken from earlier
+// values is ever answered with a delta.
+func newBlock(f stripeFrame) *stripeBlock {
+	return &stripeBlock{idx: f.idx, lo: f.lo, vals: f.vals, version: f.version,
+		epoch: rand.Uint64(), log: changeLog{floor: f.version}}
 }
 
-func newPartition() *partition {
-	return &partition{stripes: make(map[int]*stripeBlock)}
-}
-
-func (p *partition) get(idx int) *stripeBlock {
-	p.mu.RLock()
-	st := p.stripes[idx]
-	p.mu.RUnlock()
-	return st
-}
+// partition holds one job's stripe blocks on one server. Init builds it
+// whole before publishing it, and nothing changes the map afterwards.
+type partition map[int]*stripeBlock
 
 // Server hosts stripe blocks for any number of jobs. Register it on an
-// rpc.Server with Register; Close releases the outbound handoff
-// connections. The server-level lock only
-// guards the partition map; all value access goes through per-stripe
-// locks, so concurrent pushes from co-located jobs (different
-// partitions) and from one job (different stripes) proceed in parallel.
+// rpc.Server with Register. The server-level lock only guards the
+// partition map; all value access goes through per-stripe locks, so
+// concurrent pushes from co-located jobs (different partitions) and from
+// one job (different stripes) proceed in parallel.
 type Server struct {
 	mu    sync.RWMutex
-	parts map[string]*partition
-
-	// gate, when non-nil, bounds concurrent stripe service on this server
-	// (SetServiceLimit). Wait time at the gate folds into the per-stripe
-	// lock-wait measurement: both are time an op spent queued on this
-	// server rather than being served.
-	gate chan struct{}
-	// serviceDelay, when set, is held per stripe op inside the gate: a
-	// stand-in for per-server service capacity (NIC drain, PCIe copy) in
-	// single-process harnesses where every server shares the host CPU and
-	// real service cost would not distinguish placements.
-	serviceDelay time.Duration
-	// lockWait is the server-wide distribution of per-stripe-op wait
-	// (gate + lock acquisition), exported through MethodStats.
+	parts map[string]partition
+	// lockWait is the server-wide distribution of per-stripe-op lock
+	// wait, exported through MethodStats.
 	lockWait metrics.Histogram
-
-	// conns caches outbound connections to migration destinations; closed
-	// stops conn from dialing a new one after Close.
-	connMu sync.Mutex
-	conns  map[string]*rpc.Client
-	closed bool
 }
 
 // NewServer returns an empty parameter server.
 func NewServer() *Server {
-	return &Server{
-		parts: make(map[string]*partition),
-		conns: make(map[string]*rpc.Client),
-	}
-}
-
-// SetServiceLimit bounds the number of stripe ops this server serves
-// concurrently (0 removes the bound). It models finite per-server
-// service capacity: excess ops queue, and their queueing time lands in
-// the stripe lock-wait counters the balancer and /metrics observe.
-// Call before serving traffic.
-func (s *Server) SetServiceLimit(n int) {
-	if n <= 0 {
-		s.gate = nil
-		return
-	}
-	s.gate = make(chan struct{}, n)
-}
-
-// SetServiceDelay makes every stripe op hold the service slot for an
-// extra d (0 disables): a modeled per-op service time for benchmarks
-// that study placement under bounded per-server capacity. Call before
-// serving traffic.
-func (s *Server) SetServiceDelay(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s.serviceDelay = d
+	return &Server{parts: make(map[string]partition)}
 }
 
 // Register installs the PS methods on the RPC server. Data-plane methods
 // are inline handlers: they never block on other RPCs and run directly on
-// the connection's read loop, keeping buffers pooled end to end. Migrate
-// dials out to a peer server, so it stays on the non-inline dispatch path.
+// the connection's read loop, keeping buffers pooled end to end.
 func (s *Server) Register(srv *rpc.Server) {
-	srv.HandleInline(MethodInit, func(raw []byte) ([]byte, error) { return s.handleInstall(raw, true) })
-	srv.HandleInline(MethodInstall, func(raw []byte) ([]byte, error) { return s.handleInstall(raw, false) })
+	srv.HandleInline(MethodInit, s.handleInit)
 	srv.HandleInline(MethodPull, s.handlePull)
 	srv.HandleInline(MethodPush, s.handlePush)
 	srv.Handle(MethodDrop, rpc.Typed(s.handleDrop))
-	srv.Handle(MethodRoutes, rpc.Typed(s.handleRoutes))
 	srv.Handle(MethodStats, rpc.Typed(s.handleStats))
-	srv.Handle(MethodMigrate, rpc.Typed(s.handleMigrate))
 }
 
 // lookup fetches a job's partition under the map lock only.
-func (s *Server) lookup(job string) *partition {
+func (s *Server) lookup(job string) partition {
 	s.mu.RLock()
 	p := s.parts[job]
 	s.mu.RUnlock()
 	return p
 }
 
-// lockStripe acquires the stripe lock and then the service gate,
-// charging the combined wait to the stripe's counters and the server
-// histogram. Stripe lock first, gate second: ops queued behind a fenced
-// (migrating) stripe then wait on that one stripe without holding
-// service-gate slots, so a slow handoff cannot exhaust the gate and
-// stall the server's other stripes.
+// lockStripe acquires the stripe lock, charging the wait to the stripe's
+// counters and the server histogram.
 func (s *Server) lockStripe(st *stripeBlock, write bool) {
 	start := time.Now()
 	if write {
@@ -325,48 +234,22 @@ func (s *Server) lockStripe(st *stripeBlock, write bool) {
 	} else {
 		st.mu.RLock()
 	}
-	if s.gate != nil {
-		s.gate <- struct{}{}
-	}
 	wait := time.Since(start)
 	st.stats.lockWait.Add(int64(wait))
 	s.lockWait.Observe(wait.Seconds())
-	if s.serviceDelay > 0 {
-		// Service, not queueing: spent after acquisition, so it delays
-		// later ops (their wait grows) without inflating this op's wait.
-		time.Sleep(s.serviceDelay)
-	}
 }
 
-// peek reads what an op needs to know before it queues for the stripe:
-// whether the block has migrated away (and where to), and the element
-// range it holds. It takes only the stripe lock — never a service-gate
-// slot or the modeled service delay — so bouncing off a forwarding
-// tombstone costs the source server essentially nothing: a migrated-away
-// hot stripe stops consuming the old owner's service capacity
-// immediately. During the fence the write lock is held, so the check
-// inherently waits out the handoff and then reports the fresh placement.
-func (st *stripeBlock) peek() (fwd string, moved bool, lo, n int) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.movedTo, st.moved, st.lo, len(st.vals)
+// notHeld is the error for a stripe this server does not hold: the job
+// was dropped here, the server restarted, or the caller's layout is not
+// the one Init used.
+func notHeld(op, job string, idx uint32) error {
+	return fmt.Errorf("ps: %s %q: stripe %d not held here", op, job, idx)
 }
 
-func (s *Server) unlockStripe(st *stripeBlock, write bool) {
-	if s.gate != nil {
-		<-s.gate
-	}
-	if write {
-		st.mu.Unlock()
-	} else {
-		st.mu.RUnlock()
-	}
-}
-
-// --- handoff frame codec ----------------------------------------------
+// --- stripe frame codec ------------------------------------------------
 
 // appendStripeFrame encodes one stripe-frame (see the package comment's
-// wire layout). The caller holds whatever lock makes vals stable.
+// wire layout).
 func appendStripeFrame(dst []byte, idx, lo int, version uint64, vals []float64) []byte {
 	dst = rpc.AppendUint32(dst, uint32(idx))
 	dst = rpc.AppendUint32(dst, uint32(lo))
@@ -381,7 +264,7 @@ type stripeFrame struct {
 }
 
 // readStripeFrame decodes one stripe-frame, copying values out of the
-// wire buffer (install keeps them past the handler's return).
+// wire buffer (the block keeps them past the handler's return).
 func readStripeFrame(b []byte) (stripeFrame, []byte, error) {
 	var f stripeFrame
 	idx32, b, err := rpc.ReadUint32(b)
@@ -406,92 +289,41 @@ func readStripeFrame(b []byte) (stripeFrame, []byte, error) {
 
 // --- data-plane handlers ----------------------------------------------
 
-// handleInstall decodes an init/install message. replace swaps the job's
-// whole partition for the decoded stripes (init); otherwise they are
-// merged into the existing partition one at a time (install).
-func (s *Server) handleInstall(raw []byte, replace bool) ([]byte, error) {
+// handleInit decodes an init message and swaps the job's whole partition
+// for the decoded stripes, each a new incarnation.
+func (s *Server) handleInit(raw []byte) ([]byte, error) {
 	job, rest, err := rpc.ReadString(raw)
 	if err != nil {
-		return nil, fmt.Errorf("ps: install: %w", err)
+		return nil, fmt.Errorf("ps: init: %w", err)
 	}
 	count32, rest, err := rpc.ReadUint32(rest)
 	if err != nil {
-		return nil, fmt.Errorf("ps: install %q: %w", job, err)
+		return nil, fmt.Errorf("ps: init %q: %w", job, err)
 	}
 	count := int(count32)
 	if count > len(rest) { // cheap sanity bound: every frame takes > 1 byte
-		return nil, fmt.Errorf("ps: install %q: stripe count %d exceeds body", job, count)
+		return nil, fmt.Errorf("ps: init %q: stripe count %d exceeds body", job, count)
 	}
-	frames := make([]stripeFrame, 0, count)
+	p := make(partition, count)
 	for i := 0; i < count; i++ {
 		var f stripeFrame
 		f, rest, err = readStripeFrame(rest)
 		if err != nil {
-			return nil, fmt.Errorf("ps: install %q stripe %d/%d: %w", job, i, count, err)
+			return nil, fmt.Errorf("ps: init %q stripe %d/%d: %w", job, i, count, err)
 		}
-		frames = append(frames, f)
-	}
-	if replace {
-		p := newPartition()
-		for _, f := range frames {
-			st := &stripeBlock{idx: f.idx}
-			st.install(f)
-			p.stripes[f.idx] = st
-		}
-		s.mu.Lock()
-		s.parts[job] = p
-		s.mu.Unlock()
-		return nil, nil
+		p[f.idx] = newBlock(f)
 	}
 	s.mu.Lock()
-	p := s.parts[job]
-	if p == nil {
-		p = newPartition()
-		s.parts[job] = p
-	}
+	s.parts[job] = p
 	s.mu.Unlock()
-	for _, f := range frames {
-		p.installStripe(f)
-	}
 	return nil, nil
-}
-
-// installStripe merges one handoff frame into the partition, replacing
-// whatever the stripe held here (typically the tombstone of an earlier
-// move away).
-func (p *partition) installStripe(f stripeFrame) {
-	p.mu.Lock()
-	st := p.stripes[f.idx]
-	if st == nil {
-		st = &stripeBlock{idx: f.idx}
-		st.install(f)
-		p.stripes[f.idx] = st
-		p.mu.Unlock()
-		return
-	}
-	p.mu.Unlock()
-	st.mu.Lock()
-	st.install(f)
-	st.mu.Unlock()
-}
-
-// install makes the block hold a handoff frame's state as a new
-// incarnation: a fresh epoch and an empty change log, so no cursor taken
-// from earlier values — here or on the server the frame came from — is
-// ever answered with a delta. The caller holds mu or owns the block.
-func (st *stripeBlock) install(f stripeFrame) {
-	st.lo, st.vals, st.version = f.lo, f.vals, f.version
-	st.moved, st.movedTo = false, ""
-	st.epoch = rand.Uint64()
-	st.log = changeLog{floor: f.version}
 }
 
 // handlePull streams the requested stripes out one by one: each stripe
 // is encoded under its own read lock, so a checkpoint of a large job never
 // stalls co-located jobs' pushes. Per stripe the caller names the cursor
 // it holds and gets back the least that brings it up to date (see
-// appendPull). Stripes this server no longer owns come back with a moved
-// status the client uses to refresh its routes.
+// appendPull).
 func (s *Server) handlePull(raw []byte) ([]byte, error) {
 	job, rest, err := rpc.ReadString(raw)
 	if err != nil {
@@ -514,34 +346,18 @@ func (s *Server) handlePull(raw []byte) ([]byte, error) {
 		epoch := binary.LittleEndian.Uint64(rest[4:])
 		have := binary.LittleEndian.Uint64(rest[12:])
 		rest = rest[reqEntry:]
-		reply = rpc.AppendUint32(reply, idx32)
-		var st *stripeBlock
-		if p != nil {
-			st = p.get(int(idx32))
-		}
+		st := p[int(idx32)]
 		if st == nil {
-			reply = append(reply, stripeMoved)
-			reply = rpc.AppendString(reply, "")
-			continue
+			rpc.PutBuffer(reply)
+			return nil, notHeld("pull", job, idx32)
 		}
-		if fwd, moved, _, _ := st.peek(); moved {
-			reply = append(reply, stripeMoved)
-			reply = rpc.AppendString(reply, fwd)
-			continue
-		}
+		reply = rpc.AppendUint32(reply, idx32)
 		s.lockStripe(st, false)
-		if st.moved {
-			fwd := st.movedTo
-			s.unlockStripe(st, false)
-			reply = append(reply, stripeMoved)
-			reply = rpc.AppendString(reply, fwd)
-			continue
-		}
 		var moved int
 		reply, moved = st.appendPull(reply, epoch, have)
 		st.stats.pullOps.Add(1)
 		st.stats.pullBytes.Add(int64(moved))
-		s.unlockStripe(st, false)
+		st.mu.RUnlock()
 	}
 	return reply, nil
 }
@@ -573,8 +389,9 @@ func (st *stripeBlock) appendPull(dst []byte, epoch, have uint64) ([]byte, int) 
 }
 
 // misfit returns the error for an entry that touches elements outside
-// [lo, lo+n), the range its stripe holds, and nil for one that fits.
-func (e *pushEntry) misfit(job string, lo, n int) error {
+// the range its stripe holds, and nil for one that fits.
+func (e *pushEntry) misfit(job string, st *stripeBlock) error {
+	lo, n := st.lo, len(st.vals)
 	if e.lo >= lo && e.lo-lo+e.span <= n {
 		return nil
 	}
@@ -583,13 +400,10 @@ func (e *pushEntry) misfit(job string, lo, n int) error {
 }
 
 // handlePush accumulates deltas straight off the wire, stripe by stripe.
-// Sub-stripe ranges are accepted. Stripes this server no longer owns are
-// reported back unapplied. A malformed request, or an entry that does
-// not fit its stripe, is a caller bug and fails the whole call — before
-// anything is applied: the first pass parses every entry and checks it
-// against its stripe's range, the second applies. (The range is checked
-// again under the write lock; only a re-init racing this very push can
-// make that fail after earlier entries were applied.)
+// Sub-stripe ranges are accepted. A malformed request, an entry that does
+// not fit its stripe, or a stripe this server does not hold fails the
+// whole call before anything is applied: the first pass parses every
+// entry and checks it against its stripe's range, the second applies.
 func (s *Server) handlePush(raw []byte) ([]byte, error) {
 	job, rest, err := rpc.ReadString(raw)
 	if err != nil {
@@ -604,15 +418,10 @@ func (s *Server) handlePush(raw []byte) ([]byte, error) {
 		return nil, fmt.Errorf("ps: push %q: entry count %d exceeds body", job, count)
 	}
 	p := s.lookup(job)
-	type bounce struct {
-		idx uint32
-		fwd string
-	}
 	type target struct {
 		pushEntry
 		st *stripeBlock
 	}
-	var failed []bounce
 	var stack [32]target // a job's stripes on one server; more spills to the heap
 	targets := stack[:0]
 	for i := 0; i < count; i++ {
@@ -621,51 +430,24 @@ func (s *Server) handlePush(raw []byte) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ps: push %q entry %d/%d: %w", job, i, count, err)
 		}
-		var st *stripeBlock
-		if p != nil {
-			st = p.get(int(e.idx))
-		}
+		st := p[int(e.idx)]
 		if st == nil {
-			failed = append(failed, bounce{e.idx, ""})
-			continue
+			return nil, notHeld("push", job, e.idx)
 		}
-		fwd, moved, lo, n := st.peek()
-		if moved {
-			failed = append(failed, bounce{e.idx, fwd})
-			continue
-		}
-		if err := e.misfit(job, lo, n); err != nil {
+		if err := e.misfit(job, st); err != nil {
 			return nil, err
 		}
 		targets = append(targets, target{e, st})
 	}
 	for i := range targets {
-		e, st := &targets[i].pushEntry, targets[i].st
-		s.lockStripe(st, true)
-		if st.moved {
-			fwd := st.movedTo
-			s.unlockStripe(st, true)
-			failed = append(failed, bounce{e.idx, fwd})
-			continue
+		if e := &targets[i].pushEntry; e.n > 0 { // an empty entry touches nothing
+			st := targets[i].st
+			s.lockStripe(st, true)
+			st.apply(e)
+			st.mu.Unlock()
 		}
-		if err := e.misfit(job, st.lo, len(st.vals)); err != nil {
-			s.unlockStripe(st, true)
-			return nil, err
-		}
-		if e.n == 0 {
-			s.unlockStripe(st, true)
-			continue // nothing to add: the stripe is not touched
-		}
-		st.apply(e)
-		s.unlockStripe(st, true)
 	}
-	reply := rpc.GetBuffer(4 + 8*len(failed))[:0]
-	reply = rpc.AppendUint32(reply, uint32(len(failed)))
-	for _, b := range failed {
-		reply = rpc.AppendUint32(reply, b.idx)
-		reply = rpc.AppendString(reply, b.fwd)
-	}
-	return reply, nil
+	return nil, nil
 }
 
 // apply adds a validated, non-empty push entry to the stripe, bumps its
@@ -703,141 +485,27 @@ func (s *Server) handleDrop(a DropArgs) (Ack, error) {
 	return Ack{}, nil
 }
 
-func (s *Server) handleRoutes(a RoutesArgs) (RoutesReply, error) {
-	p := s.lookup(a.Job)
-	if p == nil {
-		return RoutesReply{}, nil
-	}
-	p.mu.RLock()
-	blocks := make([]*stripeBlock, 0, len(p.stripes))
-	for _, st := range p.stripes {
-		blocks = append(blocks, st)
-	}
-	p.mu.RUnlock()
-	var reply RoutesReply
-	for _, st := range blocks {
-		st.mu.RLock()
-		if !st.moved {
-			reply.Stripes = append(reply.Stripes, StripeRoute{
-				Index: st.idx, Lo: st.lo, Len: len(st.vals),
-			})
-		}
-		st.mu.RUnlock()
-	}
-	return reply, nil
-}
-
-// --- migration ---------------------------------------------------------
-
-// handoffTimeout bounds the install call made while a stripe is fenced.
-// A stripe is at most a few hundred KiB, so seconds suffice; a slow
-// destination must fail the handoff — leaving the stripe intact on the
-// source — rather than extend the fence toward the RPC minute-scale
-// control timeouts.
-const handoffTimeout = 5 * time.Second
-
-// conn returns a cached outbound connection to a peer server, and an
-// error once the server is closed: a migrate racing Close must not cache
-// a connection nobody will close.
-func (s *Server) conn(addr string) (*rpc.Client, error) {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("ps: server closed")
-	}
-	if cl, ok := s.conns[addr]; ok {
-		return cl, nil
-	}
-	cl, err := rpc.Dial(addr, 10*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	s.conns[addr] = cl
-	return cl, nil
-}
-
-// handleMigrate is the fence-and-handoff protocol (DESIGN.md §12): take
-// the stripe's write lock (the fence — racing ops queue behind it),
-// encode its exact state as an install frame, hand it to the destination,
-// and tombstone the local block. Ops that were queued on the fence
-// observe the tombstone and report moved, steering the client to the new
-// owner. The handoff is bit-exact: values travel as raw IEEE-754 bits.
-func (s *Server) handleMigrate(a MigrateArgs) (Ack, error) {
-	p := s.lookup(a.Job)
-	if p == nil {
-		return Ack{}, fmt.Errorf("ps: migrate: no stripes for job %q", a.Job)
-	}
-	st := p.get(a.Stripe)
-	if st == nil {
-		return Ack{}, fmt.Errorf("ps: migrate: job %q stripe %d not here", a.Job, a.Stripe)
-	}
-	// Dial the destination before fencing: an unreachable peer must fail
-	// the move without the stripe ever pausing service.
-	cl, err := s.conn(a.Dest)
-	if err != nil {
-		return Ack{}, fmt.Errorf("ps: migrate to %s: %w", a.Dest, err)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.moved {
-		return Ack{}, fmt.Errorf("ps: migrate: job %q stripe %d already moved", a.Job, a.Stripe)
-	}
-	body := rpc.GetBuffer(2 + len(a.Job) + 4)[:0]
-	body = rpc.AppendString(body, a.Job)
-	body = rpc.AppendUint32(body, 1)
-	body = appendStripeFrame(body, st.idx, st.lo, st.version, st.vals)
-	reply, err := cl.Call(MethodInstall, body, handoffTimeout)
-	rpc.PutBuffer(body)
-	rpc.PutBuffer(reply)
-	if err != nil {
-		// Handoff failed: the stripe stays here, fully intact.
-		return Ack{}, fmt.Errorf("ps: migrate job %q stripe %d to %s: %w", a.Job, a.Stripe, a.Dest, err)
-	}
-	// Tombstone with a forwarding entry: the block stays in the map
-	// (values freed) so ops arriving after the handoff are pointed
-	// straight at the destination instead of groping through a routes
-	// re-scrape that the next migration can invalidate.
-	st.moved = true
-	st.movedTo = a.Dest
-	st.vals = nil
-	st.log = changeLog{}
-	return Ack{}, nil
-}
-
 // Stats snapshots this server's per-stripe load counters (the in-process
-// mirror of MethodStats, used by tests and the local bench harness).
+// mirror of MethodStats).
 func (s *Server) Stats() StatsReply {
 	s.mu.RLock()
-	jobs := make(map[string]*partition, len(s.parts))
+	jobs := make(map[string]partition, len(s.parts))
 	for name, p := range s.parts {
 		jobs[name] = p
 	}
 	s.mu.RUnlock()
 	var reply StatsReply
 	for name, p := range jobs {
-		p.mu.RLock()
-		blocks := make([]*stripeBlock, 0, len(p.stripes))
-		for _, st := range p.stripes {
-			blocks = append(blocks, st)
-		}
-		p.mu.RUnlock()
 		js := JobStats{Job: name}
-		for _, st := range blocks {
-			st.mu.RLock()
-			if st.moved {
-				// A forwarding tombstone: the live block (and its restarted
-				// counters) is on the destination server.
-				st.mu.RUnlock()
-				continue
-			}
-			stat := StripeStat{Index: st.idx, Lo: st.lo, Len: len(st.vals)}
-			st.mu.RUnlock()
-			stat.PullOps = st.stats.pullOps.Load()
-			stat.PushOps = st.stats.pushOps.Load()
-			stat.PullBytes = st.stats.pullBytes.Load()
-			stat.PushBytes = st.stats.pushBytes.Load()
-			stat.LockWaitSeconds = time.Duration(st.stats.lockWait.Load()).Seconds()
-			js.Stripes = append(js.Stripes, stat)
+		for _, st := range p {
+			js.Stripes = append(js.Stripes, StripeStat{
+				Index: st.idx, Lo: st.lo, Len: len(st.vals),
+				PullOps:         st.stats.pullOps.Load(),
+				PushOps:         st.stats.pushOps.Load(),
+				PullBytes:       st.stats.pullBytes.Load(),
+				PushBytes:       st.stats.pushBytes.Load(),
+				LockWaitSeconds: time.Duration(st.stats.lockWait.Load()).Seconds(),
+			})
 		}
 		reply.Jobs = append(reply.Jobs, js)
 	}
@@ -849,22 +517,18 @@ func (s *Server) handleStats(StatsArgs) (StatsReply, error) {
 	return s.Stats(), nil
 }
 
-// Close closes the outbound handoff connections. The RPC server hosting
-// the methods is closed separately.
+// Close drops every partition. A server starts no goroutine and holds no
+// connection, so that is all it releases; the RPC server hosting the
+// methods is closed separately.
 func (s *Server) Close() {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	s.closed = true
-	for addr, cl := range s.conns {
-		cl.Close()
-		delete(s.conns, addr)
-	}
+	s.mu.Lock()
+	s.parts = make(map[string]partition)
+	s.mu.Unlock()
 }
 
 // Partition computes server i's slice bounds for n items over k servers:
-// even ranges with the remainder spread over the first few. The elastic
-// layer uses it to place stripes (n = stripe count) at Init; the name
-// and element-range semantics predate stripe-granular placement.
+// even ranges with the remainder spread over the first few. The layout
+// places stripes with it (n = stripe count).
 func Partition(n, k, i int) (lo, hi int) {
 	base := n / k
 	extra := n % k

@@ -37,6 +37,44 @@ func newClient(t *testing.T, addrs []string) *Client {
 	return c
 }
 
+// startServers brings up n parameter servers on loopback TCP and hands
+// back the Server objects too.
+func startServers(t *testing.T, n int) ([]*Server, []string) {
+	t.Helper()
+	servers := make([]*Server, n)
+	addrs := make([]string, n)
+	for i := 0; i < n; i++ {
+		srv := rpc.NewServer()
+		ps := NewServer()
+		ps.Register(srv)
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		t.Cleanup(ps.Close)
+		servers[i] = ps
+		addrs[i] = addr
+	}
+	return servers, addrs
+}
+
+func dialRaw(t *testing.T, addr string) *rpc.Client {
+	t.Helper()
+	cl, err := rpc.Dial(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// pull fetches a fresh copy of the job's n-element model.
+func pull(c *Client, job string, n int) ([]float64, error) {
+	model := make([]float64, n)
+	return model, c.PullInto(job, model)
+}
+
 func seqModel(n int) []float64 {
 	m := make([]float64, n)
 	for i := range m {
@@ -91,7 +129,7 @@ func TestInitPullRoundTrip(t *testing.T) {
 	if err := c.Init("job-a", model); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Pull("job-a", 10)
+	got, err := pull(c, "job-a", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +153,7 @@ func TestPushAccumulates(t *testing.T) {
 	if err := c.Push("j", delta); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Pull("j", 6)
+	got, err := pull(c, "j", 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +193,7 @@ func TestConcurrentWorkersPush(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	got, err := clients[0].Pull("j", modelSize)
+	got, err := pull(clients[0], "j", modelSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +216,7 @@ func TestMultipleJobsIsolated(t *testing.T) {
 	if err := c.Push("b", []float64{9, 9, 9, 9}); err != nil {
 		t.Fatal(err)
 	}
-	a, _ := c.Pull("a", 4)
+	a, _ := pull(c, "a", 4)
 	for i := range a {
 		if a[i] != float64(i) {
 			t.Fatalf("job a corrupted by job b: %v", a)
@@ -189,7 +227,7 @@ func TestMultipleJobsIsolated(t *testing.T) {
 func TestPullUnknownJob(t *testing.T) {
 	addrs := startCluster(t, 1)
 	c := newClient(t, addrs)
-	if _, err := c.Pull("ghost", 4); err == nil {
+	if _, err := pull(c, "ghost", 4); err == nil {
 		t.Error("pull of unknown job succeeded")
 	}
 }
@@ -200,8 +238,12 @@ func TestPushShapeMismatch(t *testing.T) {
 	if err := c.Init("j", make([]float64, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Push("j", make([]float64, 7)); err == nil {
+	// All +0 would send nothing, so there would be nothing to reject.
+	if err := c.Push("j", []float64{1, 1, 1, 1, 1, 1, 1}); err == nil {
 		t.Error("mismatched push succeeded")
+	}
+	if _, err := pull(c, "j", 7); err == nil {
+		t.Error("mismatched pull succeeded")
 	}
 }
 
@@ -211,7 +253,7 @@ func TestSnapshotAndDrop(t *testing.T) {
 	if err := c.Init("j", seqModel(8)); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := c.Pull("j", 8)
+	snap, err := pull(c, "j", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +265,14 @@ func TestSnapshotAndDrop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Pull("j", 8); err == nil {
+	if _, err := pull(c, "j", 8); err == nil {
 		t.Error("pull after drop succeeded")
 	}
 	// Restore from the checkpoint (the §IV-B4 migration path).
 	if err := c.Init("j", snap); err != nil {
 		t.Fatal(err)
 	}
-	back, err := c.Pull("j", 8)
+	back, err := pull(c, "j", 8)
 	if err != nil {
 		t.Fatal(err)
 	}

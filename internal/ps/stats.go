@@ -8,9 +8,7 @@ import (
 )
 
 // StripeStat is one stripe's load counters as reported by MethodStats.
-// Counters are cumulative since the stripe block was installed on its
-// current server; consumers that need rates (the Balancer) difference
-// successive scrapes and clamp at zero across migrations.
+// Counters are cumulative since Init created the stripe block.
 type StripeStat struct {
 	Index int
 	Lo    int
@@ -35,8 +33,8 @@ type JobStats struct {
 // StatsReply is one server's answer to MethodStats.
 type StatsReply struct {
 	Jobs []JobStats
-	// LockWait is the server-wide distribution of per-op wait (service
-	// gate + stripe lock) — the congestion signal a rebalance drives down.
+	// LockWait is the server-wide distribution of per-op stripe lock
+	// wait.
 	LockWait metrics.HistSnapshot
 }
 
@@ -49,7 +47,7 @@ type ServerStats struct {
 
 // ClusterStats is the master's merged view across every PS server
 // (Master.PSStats); it feeds /metrics, GET /v1/ps and
-// `harmonyctl ps-stats`, and is what a Balancer observes.
+// `harmonyctl ps-stats`.
 type ClusterStats struct {
 	Servers []ServerStats
 }
@@ -92,7 +90,7 @@ func StripeSamples(cs ClusterStats, topK int) []metrics.Sample {
 		opsFam  = "harmony_ps_stripe_ops_total"
 		opsHelp = "Parameter-server ops per stripe (top-K hot stripes; the rest aggregate as stripe=\"other\")."
 		lwFam   = "harmony_ps_stripe_lock_wait_seconds_total"
-		lwHelp  = "Time ops spent waiting on the stripe's service gate and lock."
+		lwHelp  = "Time ops spent waiting on the stripe lock."
 	)
 	var out []metrics.Sample
 	opSample := func(op, server, job, stripe string, v float64) metrics.Sample {

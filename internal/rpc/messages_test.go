@@ -29,8 +29,7 @@ var messageTypes = []any{
 	worker.LoadJobArgs{}, worker.StartJobArgs{}, worker.DropJobArgs{}, worker.SetAlphaArgs{},
 	worker.StatsArgs{}, worker.StatsReply{}, worker.BarrierArgs{},
 	worker.BarrierReply{}, worker.JobDoneArgs{}, worker.Ack{},
-	ps.DropArgs{}, ps.RoutesArgs{}, ps.RoutesReply{}, ps.MigrateArgs{},
-	ps.StatsArgs{}, ps.StatsReply{}, ps.Ack{},
+	ps.DropArgs{}, ps.StatsArgs{}, ps.StatsReply{}, ps.Ack{},
 }
 
 // populate sets every exported field reachable from v to a non-zero value

@@ -276,8 +276,8 @@ func TestPauseResumeLossesMatchControl(t *testing.T) {
 					}
 					defer c.Close()
 					size := args.Config.ModelSize()
-					checkpoint, err := c.Pull("j1", size)
-					if err != nil {
+					checkpoint := make([]float64, size)
+					if err := c.PullInto("j1", checkpoint); err != nil {
 						t.Fatal(err)
 					}
 					scribble := make([]float64, size)
@@ -419,8 +419,8 @@ func TestSparseRunKeepsEveryMirrorExact(t *testing.T) {
 		}
 	}
 	ckptWG.Wait()
-	want, err := ckpt.Pull(job, cfg.ModelSize())
-	if err != nil {
+	want := make([]float64, cfg.ModelSize())
+	if err := ckpt.PullInto(job, want); err != nil {
 		t.Fatal(err)
 	}
 	same := func(what string, c *ps.Client, m *ps.Mirror) {
