@@ -83,7 +83,8 @@ type Scorer struct {
 	opts       Options
 	plan       Plan
 	groups     []groupAgg
-	infeasible int // groups already violating the caps
+	infeasible int   // groups already violating the caps
+	open       []int // groups below MaxJobsPerGroup (every group when it is 0)
 	base       float64
 	scratch    []JobInfo // candidate job list for interleave solves
 }
@@ -112,6 +113,9 @@ func NewScorer(plan Plan, opts Options) *Scorer {
 		a.ok = s.groupFits(len(g.Jobs), a.minMem)
 		if !a.ok {
 			s.infeasible++
+		}
+		if s.opts.MaxJobsPerGroup == 0 || a.nJobs < s.opts.MaxJobsPerGroup {
+			s.open = append(s.open, i)
 		}
 	}
 	s.base = s.scoreWith(-1, groupAgg{})
@@ -230,12 +234,18 @@ func (s *Scorer) ScoreDelta(job JobInfo, gi int) (score float64, pred GroupPredi
 
 // BestAddition applies the §IV-B4 arrival rule over the cached plan:
 // the candidate group maximizing the cluster score, requiring a strict
-// improvement over the base plan; the first group wins ties.
+// improvement over the base plan; the first group wins ties. Only groups
+// with room are scored. A full group, or any group once one already
+// breaks a cap, could only yield an infeasible candidate: adding a job
+// never lowers a group's job count, and a footprint is never negative.
 func (s *Scorer) BestAddition(job JobInfo) (gi int, pred GroupPrediction, ok bool) {
+	if s.infeasible > 0 {
+		return -1, GroupPrediction{}, false
+	}
 	bestScore := s.base
 	bestGroup := -1
 	var bestPred GroupPrediction
-	for i := range s.groups {
+	for _, i := range s.open {
 		sc, p, feasible := s.ScoreDelta(job, i)
 		if !feasible {
 			continue

@@ -178,6 +178,68 @@ func TestIncrementalAdmissionBitIdentical(t *testing.T) {
 	}
 }
 
+// TestBestAdditionSkipsOnlyInfeasibleGroups: the arrival rule scores only
+// groups with room, and none once a group breaks a cap. On plans with full
+// groups (MaxJobsPerGroup 1-3) under a memory cap, plain and with one group
+// pushed over the job cap or the memory cap, it decides exactly as
+// clone-and-rescore. (At MaxJobsPerGroup 1 every group is full, so nothing
+// is ever admitted.)
+func TestBestAdditionSkipsOnlyInfeasibleGroups(t *testing.T) {
+	for _, netModel := range []bool{false, true} {
+		for maxJobs := 1; maxJobs <= 3; maxJobs++ {
+			t.Run(fmt.Sprintf("netModel=%v/max=%d", netModel, maxJobs), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(maxJobs)))
+				full, admitted := 0, 0
+				for trial := 0; trial < 24; trial++ {
+					opts := Options{NetModel: netModel, MaxJobsPerGroup: maxJobs, MemoryCapGB: 8 + 24*rng.Float64()}
+					jobs := make([]JobInfo, 4+rng.Intn(12))
+					for i := range jobs {
+						jobs[i] = randomJob(rng, trial*100+i)
+					}
+					plan := Schedule(jobs, 8+rng.Intn(25), opts).Clone()
+					if len(plan.Groups) == 0 {
+						continue
+					}
+					for i := range plan.Groups { // open some groups
+						if n := len(plan.Groups[i].Jobs); n > 1 && rng.Intn(2) == 0 {
+							plan.Groups[i].Jobs = plan.Groups[i].Jobs[:n-1]
+						}
+					}
+					g := &plan.Groups[rng.Intn(len(plan.Groups))]
+					switch trial % 3 {
+					case 1: // over the job cap
+						for len(g.Jobs) <= maxJobs {
+							g.Jobs = append(g.Jobs, randomJob(rng, trial*100+len(jobs)+len(g.Jobs)))
+						}
+					case 2: // over the memory cap
+						g.Jobs = append(g.Jobs, JobInfo{ID: "hog", Comp: 1, Net: 0.1, WorkGB: opts.MemoryCapGB + 1})
+					}
+					for _, g := range plan.Groups {
+						if len(g.Jobs) == maxJobs {
+							full++
+						}
+					}
+					for k := 0; k < 8; k++ {
+						job := randomJob(rng, trial*100+50+k)
+						got, gotOK := TryAddJob(plan, job, opts)
+						want, wantOK := TryAddJobReference(plan, job, opts)
+						if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+							t.Fatalf("trial %d arrival %d: TryAddJob diverged: ok %v/%v\n got: %v\nwant: %v",
+								trial, k, gotOK, wantOK, got, want)
+						}
+						if gotOK {
+							admitted++
+						}
+					}
+				}
+				if full == 0 || (admitted == 0) != (maxJobs == 1) {
+					t.Fatalf("coverage: %d full groups, %d admissions", full, admitted)
+				}
+			})
+		}
+	}
+}
+
 func randomPlacedJob(rng *rand.Rand, plan Plan) string {
 	ids := plan.JobIDs()
 	return ids[rng.Intn(len(ids))]

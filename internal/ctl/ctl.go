@@ -336,6 +336,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "problem sizes must be non-negative")
 		return
 	}
+	if p := req.Profile; p != nil && (p.InputGB < 0 || p.ModelGB < 0 || p.WorkGB < 0) {
+		// The arrival rule skips a full or over-cap group on the grounds that
+		// a footprint is never negative (core.Scorer.BestAddition).
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "profile memory sizes must be non-negative")
+		return
+	}
 	spec := master.JobSpec{
 		Name: req.Name,
 		Config: mlapp.Config{

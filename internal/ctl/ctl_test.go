@@ -157,6 +157,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"zero iterations", `{"name":"a","algorithm":"mlr"}`},
 		{"alpha out of range", `{"name":"a","algorithm":"mlr","iterations":5,"alpha":1.5}`},
 		{"negative rows", `{"name":"a","algorithm":"mlr","iterations":5,"rows":-1}`},
+		{"negative footprint", `{"name":"a","algorithm":"mlr","iterations":5,"profile":{"model_gb":-1}}`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -347,6 +348,7 @@ func TestMetricsExposition(t *testing.T) {
 			AdmittedInitial: 1, AdmittedArrival: 2, HeldPending: 3,
 			QueueDrained: 1, Canceled: 1, Preempted: 2, Migrations: 4,
 			Recoveries: 5, CheckpointFailures: 6,
+			Placements: 7, DrainPasses: 8, DrainPassSeconds: 0.125,
 		},
 		queues: []master.QueueView{{
 			Name: "default", Share: 1, QuotaWorkers: 2, UsageWorkers: 1,
@@ -392,6 +394,9 @@ func TestMetricsExposition(t *testing.T) {
 		`harmony_migrations_total 4`,
 		`harmony_recoveries_total 5`,
 		`harmony_checkpoint_failures_total 6`,
+		`harmony_admission_placements_total 7`,
+		`harmony_drain_passes_total 8`,
+		`harmony_drain_pass_seconds_total 0.125`,
 		`harmony_utilization{resource="cpu"} 0.75`,
 		`harmony_utilization{resource="network"} 0.5`,
 		`harmony_comm_ops_total{op="pull"} 10`,

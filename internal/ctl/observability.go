@@ -133,6 +133,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.Sample{Name: "harmony_checkpoint_failures_total",
 			Help: "Background model snapshots that failed and were dropped.",
 			Type: metrics.PromCounter, Value: float64(c.CheckpointFailures)},
+		metrics.Sample{Name: "harmony_admission_placements_total",
+			Help: "Placement attempts the admission reject memo did not answer.",
+			Type: metrics.PromCounter, Value: float64(c.Placements)},
+		metrics.Sample{Name: "harmony_drain_passes_total",
+			Help: "Admission-kernel decisions the drainer made over the held queue.",
+			Type: metrics.PromCounter, Value: float64(c.DrainPasses)},
+		metrics.Sample{Name: "harmony_drain_pass_seconds_total",
+			Help: "Time the drainer's decisions held the master's write lock.",
+			Type: metrics.PromCounter, Value: c.DrainPassSeconds},
 	)
 	// Per-queue fair-scheduler families (DESIGN.md §13). A single-tenant
 	// deployment reports everything under queue="default", which is the

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -249,8 +250,12 @@ func (s *Scheduler) QuotaWorkers(name string, total int) int {
 
 // BorrowGated reports whether over-quota admission for the queue must
 // hold: true when some other queue is under its guarantee and has held
-// jobs — its claim on the capacity outranks a borrow.
+// jobs — its claim on the capacity outranks a borrow. The queues are asked
+// first: only if one is under its guarantee is the held list walked.
 func (s *Scheduler) BorrowGated(queue string, held []Held, usage Usage, total int) bool {
+	if !s.otherUnderQuota(queue, usage, total) {
+		return false
+	}
 	for _, h := range held {
 		if h.Queue == queue {
 			continue
@@ -262,96 +267,178 @@ func (s *Scheduler) BorrowGated(queue string, held []Held, usage Usage, total in
 	return false
 }
 
-// Order arranges held jobs in admission-attempt order: queues under
-// their guaranteed share first (largest normalized deficit leading),
-// then over-quota queues by descending over-quota weight; within a
-// queue, higher priority first, then arrival order. All ties break on
-// names and sequence numbers, so the order is a pure function of the
-// inputs.
+// otherUnderQuota reports whether a configured queue other than the given
+// one is under its guarantee. A queue missing from the configuration has
+// none, so it is never under.
+func (s *Scheduler) otherUnderQuota(queue string, usage Usage, total int) bool {
+	for _, q := range s.names {
+		if q != queue && usage[q] < s.QuotaWorkers(q, total) {
+			return true
+		}
+	}
+	return false
+}
+
+// queueRank is one queue's standing in fair order (see before).
+type queueRank struct {
+	name  string
+	under bool
+	ratio float64 // usage / quota workers; +Inf when no guarantee
+	oqw   float64
+}
+
+func (s *Scheduler) rankQueue(name string, usage Usage, total int) queueRank {
+	r := queueRank{name: name, oqw: s.cfgs[name].OverQuotaWeight, ratio: math.Inf(1)}
+	if q := s.QuotaWorkers(name, total); q > 0 {
+		r.ratio = float64(usage[name]) / float64(q)
+		r.under = usage[name] < q
+	}
+	return r
+}
+
+// before orders queues: under their guarantee first, deepest deficit
+// leading; then over-quota queues by descending over-quota weight, then
+// ratio. Names break every remaining tie, so no two queues tie.
+func (a queueRank) before(b queueRank) bool {
+	if a.under != b.under {
+		return a.under
+	}
+	if a.under {
+		if a.ratio != b.ratio {
+			return a.ratio < b.ratio // deeper deficit first
+		}
+	} else {
+		if a.oqw != b.oqw {
+			return a.oqw > b.oqw // stronger borrower first
+		}
+		if a.ratio != b.ratio {
+			return a.ratio < b.ratio
+		}
+	}
+	return a.name < b.name
+}
+
+// precedes is fair order on held jobs, the one comparator that Order sorts
+// by and Rank counts with: queue place (qa, qb; lower first), then
+// priority descending, then arrival sequence, then input order (earlier:
+// a comes before b in the input).
+func precedes(a, b *Held, qa, qb int, earlier bool) bool {
+	if qa != qb {
+		return qa < qb
+	}
+	if a.Priority != b.Priority {
+		return a.Priority > b.Priority
+	}
+	if a.Seq != b.Seq {
+		return a.Seq < b.Seq
+	}
+	return earlier
+}
+
+// Order arranges held jobs in admission-attempt order (precedes): queues
+// under their guaranteed share first (largest normalized deficit leading),
+// then over-quota queues by descending over-quota weight; within a queue,
+// higher priority first, then arrival order, then input order. The order
+// is a pure function of the inputs.
 func (s *Scheduler) Order(held []Held, usage Usage, total int) []Held {
 	if len(held) == 0 {
 		return nil
 	}
-	type qrank struct {
-		name  string
-		seen  int // index in first-seen order
-		under bool
-		ratio float64 // usage / quota workers; +Inf when no guarantee
-		oqw   float64
-	}
-	// Queues are few and jobs many: rank each queue once, sort the queues,
-	// and give every job its queue's place as an integer, so that comparing
-	// two jobs looks nothing up.
-	var ranks []qrank
+	// Queues are few and jobs many: rank each queue once, place it by
+	// counting the queues before it, and give every job its queue's place
+	// as an integer, so that comparing two jobs looks nothing up.
+	var ranks []queueRank
 	seen := make(map[string]int)
-	by := byRank{held: append([]Held(nil), held...), pos: make([]int, len(held))}
+	slots := make([]slot, len(held))
 	for i, h := range held {
 		qi, ok := seen[h.Queue]
 		if !ok {
 			qi = len(ranks)
 			seen[h.Queue] = qi
-			q := s.QuotaWorkers(h.Queue, total)
-			r := qrank{name: h.Queue, seen: qi, oqw: s.cfgs[h.Queue].OverQuotaWeight}
-			if q > 0 {
-				r.ratio = float64(usage[h.Queue]) / float64(q)
-				r.under = usage[h.Queue] < q
-			} else {
-				r.ratio = math.Inf(1)
-			}
-			ranks = append(ranks, r)
+			ranks = append(ranks, s.rankQueue(h.Queue, usage, total))
 		}
-		by.pos[i] = qi
+		slots[i] = slot{at: int32(i), queue: int32(qi)}
 	}
-	sort.Slice(ranks, func(i, j int) bool { // names differ, so no two queues tie
-		a, b := ranks[i], ranks[j]
-		if a.under != b.under {
-			return a.under
-		}
-		if a.under {
-			if a.ratio != b.ratio {
-				return a.ratio < b.ratio // deeper deficit first
-			}
-		} else {
-			if a.oqw != b.oqw {
-				return a.oqw > b.oqw // stronger borrower first
-			}
-			if a.ratio != b.ratio {
-				return a.ratio < b.ratio
+	place := make([]int32, len(ranks))
+	for i := range ranks {
+		for _, r := range ranks {
+			if r.before(ranks[i]) {
+				place[i]++
 			}
 		}
-		return a.name < b.name
+	}
+	for i := range slots {
+		slots[i].queue = place[slots[i].queue]
+	}
+	slices.SortFunc(slots, func(x, y slot) int {
+		switch {
+		case x.at == y.at:
+			return 0
+		case precedes(&held[x.at], &held[y.at], int(x.queue), int(y.queue), x.at < y.at):
+			return -1
+		}
+		return 1
 	})
-	place := make([]int, len(ranks))
-	for p, r := range ranks {
-		place[r.seen] = p
+	out := make([]Held, len(held))
+	for i, sl := range slots {
+		out[i] = held[sl.at]
 	}
-	for i, qi := range by.pos {
-		by.pos[i] = place[qi]
-	}
-	sort.Stable(by) // stable: jobs equal in all three keys keep their input order
-	return by.held
+	return out
 }
 
-// byRank sorts held jobs by (place of their queue, priority descending,
-// arrival sequence); pos[i] is the place of held[i]'s queue.
-type byRank struct {
-	held []Held
-	pos  []int
+// slot is one held job being ordered: its input index and its queue's
+// place.
+type slot struct{ at, queue int32 }
+
+// Rank counts a held job's place in Order's arrangement without sorting:
+// one call of Ahead per other held job, in input order. Each queue is
+// ranked once against the target's, so a count over a deep held list of a
+// few tenants ranks a few queues.
+type Rank struct {
+	s      *Scheduler
+	usage  Usage
+	total  int
+	target Held
+	rank   queueRank
+	// known caches, per queue met so far, whether it goes before the
+	// target's.
+	known []queueBefore
 }
 
-func (b byRank) Len() int { return len(b.held) }
-func (b byRank) Swap(i, j int) {
-	b.held[i], b.held[j] = b.held[j], b.held[i]
-	b.pos[i], b.pos[j] = b.pos[j], b.pos[i]
+type queueBefore struct {
+	name   string
+	before bool
 }
-func (b byRank) Less(i, j int) bool {
-	if b.pos[i] != b.pos[j] {
-		return b.pos[i] < b.pos[j]
+
+// Rank prepares a count of the jobs ahead of target.
+func (s *Scheduler) Rank(target Held, usage Usage, total int) Rank {
+	return Rank{s: s, usage: usage, total: total, target: target,
+		rank: s.rankQueue(target.Queue, usage, total)}
+}
+
+// Ahead reports whether h precedes the target in fair order; earlier says
+// whether h comes before the target in the input.
+func (r *Rank) Ahead(h Held, earlier bool) bool {
+	qh, qt := 0, 0
+	if h.Queue != r.target.Queue {
+		if r.queueBefore(h.Queue) {
+			qt = 1
+		} else {
+			qh = 1
+		}
 	}
-	if b.held[i].Priority != b.held[j].Priority {
-		return b.held[i].Priority > b.held[j].Priority
+	return precedes(&h, &r.target, qh, qt, earlier)
+}
+
+func (r *Rank) queueBefore(name string) bool {
+	for _, k := range r.known {
+		if k.name == name {
+			return k.before
+		}
 	}
-	return b.held[i].Seq < b.held[j].Seq
+	b := r.s.rankQueue(name, r.usage, r.total).before(r.rank)
+	r.known = append(r.known, queueBefore{name, b})
+	return b
 }
 
 // Victims selects running jobs to preempt so that `need` workers free

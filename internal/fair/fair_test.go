@@ -204,40 +204,46 @@ func orderPairwise(s *Scheduler, held []Held, usage Usage, total int) []Held {
 	return out
 }
 
-// TestOrderMatchesPairwiseReference: on random queue forests, usages and
-// held sets — few distinct priorities and sequence numbers, so ties in every
-// key and jobs equal in all of them are common, and queues with equal
-// ratios, equal over-quota weights and no guarantee at all occur — Order is
-// element for element what the pairwise comparator produces.
+// randomQueue draws a queue forest, a usage and a held set. Few distinct
+// priorities and sequence numbers make ties in every key, and jobs equal in
+// all of them, common; queues with equal ratios, equal over-quota weights,
+// no guarantee at all, and queues missing from the configuration occur.
+func randomQueue(t *testing.T, rng *rand.Rand) (s *Scheduler, held []Held, usage Usage, total int) {
+	nq := 1 + rng.Intn(6)
+	cfgs := make([]QueueConfig, nq)
+	names := []string{DefaultQueue, "unconfigured"}
+	left := 1.0
+	for i := range cfgs {
+		cfgs[i] = QueueConfig{Name: fmt.Sprintf("q%d", i), Weight: float64(1 + rng.Intn(3)),
+			OverQuotaWeight: float64(rng.Intn(3))}
+		if rng.Intn(2) == 0 {
+			cfgs[i].Quota = math.Floor(left*float64(rng.Intn(4))/4*100) / 100
+			left -= cfgs[i].Quota
+		}
+		names = append(names, cfgs[i].Name)
+	}
+	s = mustNew(t, cfgs...)
+	total = 1 + rng.Intn(16)
+	usage = make(Usage)
+	for _, n := range names {
+		if rng.Intn(3) > 0 {
+			usage[n] = rng.Intn(total + 3)
+		}
+	}
+	held = make([]Held, rng.Intn(40))
+	for i := range held {
+		held[i] = Held{Job: fmt.Sprintf("j%d", i), Queue: names[rng.Intn(len(names))],
+			Priority: rng.Intn(3), Seq: uint64(rng.Intn(8)), Demand: 1 + rng.Intn(3)}
+	}
+	return s, held, usage, total
+}
+
+// TestOrderMatchesPairwiseReference: on random queues (randomQueue), Order
+// is element for element what the pairwise comparator produces.
 func TestOrderMatchesPairwiseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 500; trial++ {
-		nq := 1 + rng.Intn(6)
-		cfgs := make([]QueueConfig, nq)
-		names := []string{DefaultQueue}
-		left := 1.0
-		for i := range cfgs {
-			cfgs[i] = QueueConfig{Name: fmt.Sprintf("q%d", i), Weight: float64(1 + rng.Intn(3)),
-				OverQuotaWeight: float64(rng.Intn(3))}
-			if rng.Intn(2) == 0 {
-				cfgs[i].Quota = math.Floor(left*float64(rng.Intn(4))/4*100) / 100
-				left -= cfgs[i].Quota
-			}
-			names = append(names, cfgs[i].Name)
-		}
-		s := mustNew(t, cfgs...)
-		total := 1 + rng.Intn(16)
-		usage := make(Usage)
-		for _, n := range names {
-			if rng.Intn(3) > 0 {
-				usage[n] = rng.Intn(total + 3)
-			}
-		}
-		held := make([]Held, rng.Intn(40))
-		for i := range held {
-			held[i] = Held{Job: fmt.Sprintf("j%d", i), Queue: names[rng.Intn(len(names))],
-				Priority: rng.Intn(3), Seq: uint64(rng.Intn(8)), Demand: 1 + rng.Intn(3)}
-		}
+		s, held, usage, total := randomQueue(t, rng)
 		input := append([]Held(nil), held...)
 		got, want := s.Order(held, usage, total), orderPairwise(s, held, usage, total)
 		if !reflect.DeepEqual(got, want) {
@@ -245,6 +251,29 @@ func TestOrderMatchesPairwiseReference(t *testing.T) {
 		}
 		if len(held) > 0 && !reflect.DeepEqual(held, input) {
 			t.Fatalf("trial %d: Order reordered its input", trial)
+		}
+	}
+}
+
+// TestRankCountsOrderPosition: on random queues (randomQueue), every held
+// job's counted position is one more than its index in Order.
+func TestRankCountsOrderPosition(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 500; trial++ {
+		s, held, usage, total := randomQueue(t, rng)
+		ordered := s.Order(held, usage, total)
+		for ti, target := range held {
+			r := s.Rank(target, usage, total)
+			pos := 1
+			for i, h := range held {
+				if i != ti && r.Ahead(h, i < ti) {
+					pos++
+				}
+			}
+			if ordered[pos-1] != target {
+				t.Fatalf("trial %d: %s counted at %d, Order has %s there\norder %v", trial, target.Job, pos,
+					ordered[pos-1].Job, ordered)
+			}
 		}
 	}
 }
@@ -263,6 +292,27 @@ func TestBorrowGated(t *testing.T) {
 	}
 	if s.BorrowGated("a", held, Usage{"a": 0, "b": 2}, 4) {
 		t.Fatal("a gated by its own held job")
+	}
+}
+
+// TestBorrowGatedMatchesHeldWalk: asking the queues first changes no
+// answer. On random queues (randomQueue) the gate is what the walk over the
+// held jobs alone finds.
+func TestBorrowGatedMatchesHeldWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 500; trial++ {
+		s, held, usage, total := randomQueue(t, rng)
+		for _, queue := range append(s.Names(), "unconfigured") {
+			want := false
+			for _, h := range held {
+				if h.Queue != queue && usage[h.Queue] < s.QuotaWorkers(h.Queue, total) {
+					want = true
+				}
+			}
+			if got := s.BorrowGated(queue, held, usage, total); got != want {
+				t.Fatalf("trial %d: BorrowGated(%s) = %v, held walk %v", trial, queue, got, want)
+			}
+		}
 	}
 }
 

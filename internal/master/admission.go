@@ -122,6 +122,13 @@ type Counters struct {
 	// CheckpointFailures counts background model snapshots that failed
 	// and were dropped.
 	CheckpointFailures int64
+	// Placements counts placement attempts the reject memo did not answer
+	// (placeLocked runs, DESIGN.md §15).
+	Placements int64
+	// DrainPasses counts the drainer's kernel decisions over the held
+	// queue; DrainPassSeconds totals the time they held mu's write side.
+	DrainPasses      int64
+	DrainPassSeconds float64
 }
 
 // Counters snapshots the control-plane counters.
@@ -208,20 +215,31 @@ func (m *Master) Enqueue(spec JobSpec, prof Profile) (Admission, error) {
 }
 
 // admitAndUnlock executes an admit decision, for the arrival path and
-// the drain path (drained) alike: count it, journal the placement with
-// the model's prediction, deploy. The caller holds mu's write side;
-// admitAndUnlock releases it, because deployment fans RPCs out to the
-// gang. A failed deployment is undone in full — the counters move back, a
+// the drain path (drained) alike: enter the job record, count it, journal
+// the placement with the model's prediction, deploy. The caller holds mu's
+// write side, in the same hold that accepted the job or took it off the
+// queue; admitAndUnlock releases it after the journal row, because
+// deployment fans RPCs out to the gang. A failed deployment is undone in
+// full, in one hold of mu — the record comes out, the counters move back, a
 // compensating hold (NoteDeployFailed) follows the placement in the
 // journal, and a drained job returns to the queue — so neither the metrics
 // nor a replay count a job that never started, or count it twice when the
 // drain retries it.
 func (m *Master) admitAndUnlock(p *pendingJob, pl placement, drained bool) error {
+	j, err := m.installLocked(p, pl.group)
+	if err != nil {
+		if drained {
+			m.addPendingLocked(p)
+		}
+		m.mu.Unlock()
+		return err
+	}
 	m.countAdmissionLocked(p.queue, pl.initial, drained, 1)
-	m.mu.Unlock()
 	e := Event{Kind: EventAdmitArrival, Job: p.spec.Name, Group: pl.group}
+	fromIter := 0
 	switch {
 	case p.resume != nil:
+		fromIter = p.resumeIter
 		e.Kind = EventResume
 		e.Note = fmt.Sprintf("resume from checkpoint iteration %d", p.resumeIter-1)
 	case drained:
@@ -229,22 +247,28 @@ func (m *Master) admitAndUnlock(p *pendingJob, pl placement, drained bool) error
 	case pl.initial:
 		e.Kind = EventAdmitInitial
 	}
+	// Under the lock: a cancel of the job, which the record makes possible
+	// from here on, must not overtake its placement in the journal.
 	m.journal.append(m.predictedEvent(e, pl.predicted))
-	err := m.submitPending(p, pl.group)
-	if err != nil {
-		m.mu.Lock()
-		m.countAdmissionLocked(p.queue, pl.initial, drained, -1)
-		if drained && !m.closed && !m.draining {
-			// Deployment raced a worker failure; the job goes back to
-			// the queue for the next drain to retry.
-			m.addPendingLocked(p)
-		}
-		// Under the lock for the same reason as Enqueue's hold: the retry's
-		// placement must not overtake the undo of this one.
-		m.journal.append(Event{Kind: EventHold, Job: p.spec.Name,
-			Note: NoteDeployFailed + err.Error()})
-		m.mu.Unlock()
+	m.mu.Unlock()
+	if err = m.deploy(j, p.resume, fromIter); err == nil {
+		return nil
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.withdrawLocked(j) {
+		return nil
+	}
+	m.countAdmissionLocked(p.queue, pl.initial, drained, -1)
+	if drained && !m.closed && !m.draining {
+		// Deployment raced a worker failure; the job goes back to the
+		// queue for the next drain to retry.
+		m.addPendingLocked(p)
+	}
+	// Under the lock for the same reason as Enqueue's hold: the retry's
+	// placement must not overtake the undo of this one.
+	m.journal.append(Event{Kind: EventHold, Job: p.spec.Name,
+		Note: NoteDeployFailed + err.Error()})
 	return err
 }
 
@@ -343,6 +367,7 @@ func (m *Master) drainQueue() {
 			m.mu.Unlock()
 			return
 		}
+		start := time.Now()
 		view, free := m.viewLocked()
 		view.Running = m.runningLocked()
 		var pl placement
@@ -353,6 +378,8 @@ func (m *Master) drainQueue() {
 		for _, h := range d.Holds {
 			m.pendingIdx[h.Job].holdReason = h.Reason
 		}
+		m.counters.DrainPasses++
+		m.counters.DrainPassSeconds += time.Since(start).Seconds()
 		switch d.Action {
 		case fair.Admit:
 			p := m.pendingIdx[d.Job.Job]
@@ -495,9 +522,9 @@ func (m *Master) jobViewLocked(name string, j *job) JobView {
 	}
 }
 
-// pendingViewLocked builds the view of one held job; positions maps job
-// name to its 1-based slot in the fair admission order.
-func (m *Master) pendingViewLocked(p *pendingJob, positions map[string]int) JobView {
+// pendingViewLocked builds the view of one held job at the given 1-based
+// slot in the fair admission order.
+func (m *Master) pendingViewLocked(p *pendingJob, position int) JobView {
 	return JobView{
 		Name:          p.spec.Name,
 		State:         StatusPending.String(),
@@ -506,23 +533,11 @@ func (m *Master) pendingViewLocked(p *pendingJob, positions map[string]int) JobV
 		Queue:         p.queue,
 		Priority:      p.priority,
 		HoldReason:    p.holdReason,
-		QueuePosition: positions[p.spec.Name],
+		QueuePosition: position,
 		Resumable:     p.resume != nil,
 		ResumeIter:    p.resumeIter,
 		Iteration:     max(p.resumeIter-1, 0),
 	}
-}
-
-// queuePositionsLocked maps each held job to its 1-based slot in the
-// fair admission order.
-func (m *Master) queuePositionsLocked() map[string]int {
-	view, _ := m.buildViewLocked()
-	ordered := m.fairsched.Order(view.Held, view.Usage, view.Total)
-	positions := make(map[string]int, len(ordered))
-	for i, h := range ordered {
-		positions[h.Job] = i + 1
-	}
-	return positions
 }
 
 // ListJobs reports every deployed and pending job, sorted by name.
@@ -533,9 +548,14 @@ func (m *Master) ListJobs() []JobView {
 	for name, j := range m.jobs {
 		views = append(views, m.jobViewLocked(name, j))
 	}
-	positions := m.queuePositionsLocked()
+	view, _ := m.buildViewLocked()
+	ordered := m.fairsched.Order(view.Held, view.Usage, view.Total)
+	positions := make(map[string]int, len(ordered))
+	for i, h := range ordered {
+		positions[h.Job] = i + 1
+	}
 	for _, p := range m.pending {
-		views = append(views, m.pendingViewLocked(p, positions))
+		views = append(views, m.pendingViewLocked(p, positions[p.spec.Name]))
 	}
 	sort.Slice(views, func(a, b int) bool { return views[a].Name < views[b].Name })
 	return views
@@ -549,9 +569,25 @@ func (m *Master) Job(name string) (JobView, bool) {
 		return m.jobViewLocked(name, j), true
 	}
 	if p := m.pendingIdx[name]; p != nil {
-		return m.pendingViewLocked(p, m.queuePositionsLocked()), true
+		return m.pendingViewLocked(p, m.queuePositionLocked(p)), true
 	}
 	return JobView{}, false
+}
+
+// queuePositionLocked is a held job's 1-based slot in the fair admission
+// order, counted in one pass over the queue rather than sorted (DESIGN.md
+// §13).
+func (m *Master) queuePositionLocked(p *pendingJob) int {
+	r := m.fairsched.Rank(p.held(), m.usageLocked(), len(m.workers))
+	pos, earlier := 1, true
+	for _, q := range m.pending {
+		if q == p {
+			earlier = false
+		} else if r.Ahead(q.held(), earlier) {
+			pos++
+		}
+	}
+	return pos
 }
 
 // GroupView is one live co-location group: the worker set and the jobs

@@ -376,6 +376,53 @@ func TestCancelDuringDrainDeployStaysCanceled(t *testing.T) {
 	}
 }
 
+// TestDrainedJobStaysKnown: a drain pass takes a held job off the queue and
+// deploys it while other goroutines read its status and submit its name
+// again. At every instant the name is known, held or deployed, and every
+// resubmission is a duplicate; the job ends deployed once, the queue empty.
+func TestDrainedJobStaysKnown(t *testing.T) {
+	m := memoMaster(t, 1, 1)
+	for round := 0; round < 20; round++ {
+		blocker, name := fmt.Sprintf("blocker%d", round), fmt.Sprintf("held%d", round)
+		mustEnqueue(t, m, spec(blocker, mlapp.MLR, 1000), Profile{}, true)
+		mustEnqueue(t, m, spec(name, mlapp.MLR, 1000), Profile{}, false)
+		if err := m.Cancel(blocker); err != nil {
+			t.Fatal(err)
+		}
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if _, ok := m.Job(name); !ok {
+					t.Errorf("round %d: %s unknown to a status read", round, name)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if _, err := m.Enqueue(spec(name, mlapp.MLR, 1000), Profile{}); !errors.Is(err, ErrDuplicateJob) {
+					t.Errorf("round %d: resubmission of %s = %v, want a duplicate", round, name, err)
+					return
+				}
+			}
+		}()
+		m.drainQueue()
+		stop.Store(true)
+		wg.Wait()
+		if v, ok := m.Job(name); !ok || v.State != StatusRunning.String() || m.QueueDepth() != 0 {
+			t.Fatalf("round %d: %s = %+v, %v, queue depth %d; want it running and the queue empty",
+				round, name, v, ok, m.QueueDepth())
+		}
+		if err := m.Cancel(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestFailedDeployReleasesParkedBarrier: a gang member that started
 // before a later member's start failed may already be parked at the first
 // barrier. Erasing the job must release it, or its barrier call — and

@@ -11,6 +11,7 @@ import (
 
 	"harmony/internal/fair"
 	"harmony/internal/mlapp"
+	"harmony/internal/worker"
 )
 
 // fairSpec is spec() plus fair-scheduler coordinates.
@@ -144,6 +145,7 @@ func TestFairPreemptionBitIdenticalResume(t *testing.T) {
 			t.Errorf("victim %s has no queue position", name)
 		}
 	}
+	checkPositions(t, m)
 	if bv, _ := m.Job("b1"); bv.State != "running" {
 		t.Errorf("oldest victim candidate b1 = %s, want untouched (priority-then-recency)", bv.State)
 	}
@@ -218,6 +220,62 @@ func TestFairPreemptionBitIdenticalResume(t *testing.T) {
 	}
 	if losses[1] != losses[0] || losses[2] != losses[0] {
 		t.Errorf("final losses diverged after preempt/resume: %v", losses)
+	}
+}
+
+// checkPositions requires that every held job's counted position (Job)
+// is the one ListJobs reads off its single sort of the queue.
+func checkPositions(t *testing.T, m *Master) {
+	t.Helper()
+	for _, lv := range m.ListJobs() {
+		if lv.State != StatusPending.String() {
+			continue
+		}
+		if v, ok := m.Job(lv.Name); !ok || v.QueuePosition != lv.QueuePosition {
+			t.Errorf("%s: Job position %d, ListJobs position %d", lv.Name, v.QueuePosition, lv.QueuePosition)
+		}
+	}
+}
+
+// TestQueuePositionMatchesListJobs drives holds of two tenants at mixed
+// priorities and gang sizes, cancels of held jobs, and completions with
+// and without the drain pass after them, checking positions after each.
+func TestQueuePositionMatchesListJobs(t *testing.T) {
+	m := memoMaster(t, 4, 1)
+	if err := m.ConfigureQueues(
+		fair.QueueConfig{Name: "qa", Quota: 0.5},
+		fair.QueueConfig{Name: "qb", Quota: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	queues := []string{"qa", "qb", ""}
+	for i := 0; i < 4; i++ {
+		mustEnqueue(t, m, fairSpec(fmt.Sprintf("run%d", i), 1000, queues[i%2], 1, 1), Profile{}, true)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 12; i++ {
+		s := fairSpec(fmt.Sprintf("h%02d", i), 1000, queues[rng.Intn(3)], 1+rng.Intn(2), 2)
+		s.Priority = rng.Intn(3)
+		mustEnqueue(t, m, s, Profile{}, false)
+		checkPositions(t, m)
+	}
+	for _, name := range []string{"h03", "h07"} {
+		if err := m.Cancel(name); err != nil {
+			t.Fatal(err)
+		}
+		checkPositions(t, m)
+	}
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("run%d", i)
+		v, _ := m.Job(name)
+		m.mu.RLock()
+		epoch := m.jobs[name].epoch
+		m.mu.RUnlock()
+		if _, err := m.handleJobDone(worker.JobDoneArgs{Job: name, Worker: v.Workers[0], Epoch: epoch}); err != nil {
+			t.Fatal(err)
+		}
+		checkPositions(t, m) // usage moved; no drain pass has seen it yet
+		m.drainQueue()
+		checkPositions(t, m)
 	}
 }
 

@@ -157,7 +157,7 @@ type placement struct {
 // is the degenerate case where every worker is free). Caller holds mu's
 // write side.
 func (m *Master) placeLocked(p *pendingJob, free []string, limit int) (placement, bool, string) {
-	m.placeCalls++
+	m.counters.Placements++
 	if len(m.workers) == 0 {
 		return placement{}, false, fair.HoldNoGang
 	}

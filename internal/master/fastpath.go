@@ -112,6 +112,22 @@ func (m *Master) viewLocked() (fair.View, []string) {
 	return m.viewCache, m.freeCache
 }
 
+// usageLocked returns View.Usage: the cached view's while it is current,
+// else counted afresh. Callers hold at least mu's read side (only the
+// write side stores the cache) and treat the map as read-only.
+func (m *Master) usageLocked() fair.Usage {
+	if m.viewCache.Usage != nil && m.inputEpoch == m.admitEpoch {
+		return m.viewCache.Usage
+	}
+	usage := make(fair.Usage)
+	for _, j := range m.jobs {
+		if j.status == StatusRunning || j.status == StatusPaused {
+			usage[j.queue] += len(j.workers)
+		}
+	}
+	return usage
+}
+
 // addPendingLocked appends a held job to the queue, indexes it by name,
 // and advances the admission epoch. placeEpoch stays: a new hold can gate
 // another queue's borrowing, but that reaches a held job's verdict as a

@@ -177,13 +177,11 @@ type Master struct {
 	// versions every input of a decision and keys viewLocked's cached view
 	// and free-worker list: it moves with placeEpoch and with every change
 	// of the pending queue (addPendingLocked, removePendingLocked).
-	// placeCalls counts placeLocked runs, for the tests of what the memo
-	// saves. planMu guards the cached live plan (planCache), built lazily
-	// under mu's read side and cleared by invalidatePlanLocked (lock order:
+	// planMu guards the cached live plan (planCache), built lazily under
+	// mu's read side and cleared by invalidatePlanLocked (lock order:
 	// mu → planMu).
 	admitEpoch uint64
 	placeEpoch uint64
-	placeCalls uint64
 	planMu     sync.Mutex
 	planCache  *livePlanCache
 	inputEpoch uint64
@@ -305,25 +303,39 @@ func (m *Master) Workers() []string {
 // Submit loads and starts a job across the given workers (all registered
 // workers when group is nil), bypassing the admission queue.
 func (m *Master) Submit(spec JobSpec, group []string) error {
-	return m.submitPending(&pendingJob{spec: spec, info: core.JobInfo{ID: spec.Name}}, group)
+	p := &pendingJob{spec: spec, info: core.JobInfo{ID: spec.Name}}
+	m.mu.Lock()
+	var j *job
+	var err error
+	if p.queue, err = m.acceptLocked(spec); err == nil {
+		j, err = m.installLocked(p, group)
+	}
+	m.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if err := m.deploy(j, nil, 0); err != nil {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.withdrawLocked(j) {
+			return err
+		}
+	}
+	return nil
 }
 
-// submitPending deploys a (possibly previously preempted) job onto a
-// worker group. The pendingJob carries the admission path's profile
-// hints, the queue coordinates, and — after a preemption — the
-// checkpoint frame to restore from. A deployment that fails because the
-// job was canceled meanwhile returns nil: the record stays canceled.
-func (m *Master) submitPending(p *pendingJob, group []string) error {
-	spec := p.spec
-	m.mu.Lock()
-	queue, err := m.acceptLocked(spec)
-	var idxs []int
-	if err == nil {
-		idxs, err = m.workerIndexesLocked(group)
-	}
+// installLocked enters the record of a (possibly previously preempted)
+// job, deployed on the named workers, in m.jobs. The pendingJob carries
+// the admission path's profile hints, the queue coordinates, and — after
+// a preemption — the checkpoint frame to restore from. The caller holds
+// mu's write side and has vetted the name, by acceptLocked or by taking
+// the job off the queue in the same hold: so no status read, cancel or
+// same-name submission finds the name unknown while the job moves from
+// the queue onto its workers.
+func (m *Master) installLocked(p *pendingJob, group []string) (*job, error) {
+	idxs, err := m.workerIndexesLocked(group)
 	if err != nil {
-		m.mu.Unlock()
-		return err
+		return nil, err
 	}
 	if p.seq == 0 {
 		m.arrivalSeq++
@@ -333,8 +345,8 @@ func (m *Master) submitPending(p *pendingJob, group []string) error {
 	j := &job{
 		// epoch advances past every prior deployment of this name, so a
 		// preempted placement's stragglers stay stale after the resume.
-		spec: spec, workers: idxs, status: StatusRunning, prof: p.info, epoch: p.epoch + 1,
-		queue: queue, priority: spec.Priority, arrival: p.seq, startSeq: m.deploySeq,
+		spec: p.spec, workers: idxs, status: StatusRunning, prof: p.info, epoch: p.epoch + 1,
+		queue: p.queue, priority: p.spec.Priority, arrival: p.seq, startSeq: m.deploySeq,
 		barriers:   make(map[int]*barrierState),
 		doneFrom:   make(map[string]bool),
 		pausedCh:   make(chan struct{}),
@@ -343,34 +355,30 @@ func (m *Master) submitPending(p *pendingJob, group []string) error {
 	if j.finishedCh == nil {
 		j.finishedCh = make(chan struct{})
 	}
-	fromIter := 0
 	if p.resume != nil {
-		fromIter = p.resumeIter
-		j.iter = fromIter - 1
+		j.iter = p.resumeIter - 1
 		j.ckpt.vals = p.resume
-		j.checkpointIter = fromIter - 1
+		j.checkpointIter = p.resumeIter - 1
 	}
-	m.jobs[spec.Name] = j
+	m.jobs[p.spec.Name] = j
 	m.invalidatePlanLocked()
-	m.mu.Unlock()
+	return j, nil
+}
 
-	if err := m.deploy(j, p.resume, fromIter); err != nil {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if j.status == StatusCanceled {
-			// Cancel caught the job mid-deployment and owns the record now
-			// (counted, journaled, workers told to drop it): the job is
-			// gone, not failed, so the caller must not requeue it.
-			return nil
-		}
-		// Members that did start may already be parked at the first
-		// barrier; once the record is gone nothing else would release them.
-		j.stopBarriers()
-		delete(m.jobs, spec.Name)
-		m.invalidatePlanLocked()
-		return err
+// withdrawLocked takes a job whose deployment failed back out of m.jobs
+// and reports true — unless a Cancel caught the job mid-deployment and
+// owns the record now (counted, journaled, workers told to drop it): then
+// the job is gone, not failed, and must not be requeued.
+func (m *Master) withdrawLocked(j *job) bool {
+	if j.status == StatusCanceled {
+		return false
 	}
-	return nil
+	// Members that did start may already be parked at the first
+	// barrier; once the record is gone nothing else would release them.
+	j.stopBarriers()
+	delete(m.jobs, j.spec.Name)
+	m.invalidatePlanLocked()
+	return true
 }
 
 func (m *Master) workerIndexesLocked(group []string) ([]int, error) {

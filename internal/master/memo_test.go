@@ -11,7 +11,7 @@ import (
 
 // The tests in this file pin the reject memo (placeMemoLocked, DESIGN.md
 // §15) from both sides: what it must not re-score, and every change that
-// must make it re-score. They count placeLocked runs (Master.placeCalls)
+// must make it re-score. They count placeLocked runs (Counters.Placements)
 // and run each drain pass themselves, so a count belongs to one event.
 
 // memoMaster is a master whose background drainer is parked, with n stub
@@ -39,12 +39,11 @@ func mustEnqueue(t testing.TB, m *Master, s JobSpec, prof Profile, wantAdmitted 
 
 // placed runs one drain pass and reports how many placeLocked calls were
 // made since the last call of placed on this counter.
-func placed(m *Master, last *uint64) uint64 {
+func placed(m *Master, last *int64) int64 {
 	m.drainQueue()
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	d := m.placeCalls - *last
-	*last = m.placeCalls
+	n := m.Counters().Placements
+	d := n - *last
+	*last = n
 	return d
 }
 
@@ -71,7 +70,7 @@ func TestHoldDoesNotRescoreQueue(t *testing.T) {
 	for i := 0; i < held; i++ {
 		mustEnqueue(t, m, fairSpec(fmt.Sprintf("held%d", i), 1000, "", 1, 1), Profile{}, false)
 	}
-	var calls uint64
+	var calls int64
 	placed(m, &calls)
 	if d := placed(m, &calls); d != 0 {
 		t.Fatalf("a pass over an unchanged queue placed %d times, want 0", d)
@@ -118,7 +117,7 @@ func TestVerdictExpiresWhenLimitMoves(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		mustEnqueue(t, m, fairSpec(fmt.Sprintf("b%d", i), 1000, "qb", 1, 1), Profile{}, true)
 	}
-	var calls uint64
+	var calls int64
 	placed(m, &calls)
 
 	// y borrows ungated (nothing else is held): refused on the merits.
@@ -183,7 +182,7 @@ func TestVerdictExpiresOnPlanChange(t *testing.T) {
 		defer m.mu.RUnlock()
 		return m.jobs[name].epoch
 	}
-	var calls uint64
+	var calls int64
 	placed(m, &calls)
 	steps := []struct {
 		name string
@@ -245,19 +244,17 @@ func TestRegisterDrainsHeldJobs(t *testing.T) {
 	}
 }
 
-// BenchmarkHoldAtDepth256 is one submission that holds plus the drain pass
-// it wakes, at the ctl_churn workload's shape: 256 workers in 32 full
-// groups, two tenants, 256 jobs held.
-func BenchmarkHoldAtDepth256(b *testing.B) {
-	const workers, groups, depth = 256, 32, 256
+// churnMaster is a master at the ctl_churn workload's shape: 256 workers
+// in 32 full groups, two tenants, and depth jobs held ("pre000", ...).
+func churnMaster(tb testing.TB, depth int) *Master {
+	const workers, groups = 256, 32
 	const gang = workers / groups
-	m := memoMaster(b, workers, 2)
+	m := memoMaster(tb, workers, 2)
 	if err := m.ConfigureQueues(
 		fair.QueueConfig{Name: "tenantA", Quota: 0.6},
 		fair.QueueConfig{Name: "tenantB", Quota: 0.4}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	tenant := func(i int) string { return []string{"tenantA", "tenantB"}[i%2] }
 	// Comp-heavy gangs carve the fleet into groups, net-heavy ones join
 	// them by the arrival rule; light jobs then find every group full.
 	for i := 0; i < 2*groups; i++ {
@@ -265,18 +262,32 @@ func BenchmarkHoldAtDepth256(b *testing.B) {
 		if i >= groups {
 			prof = Profile{CompSeconds: gang * 0.05, NetSeconds: 0.30}
 		}
-		mustEnqueue(b, m, fairSpec(fmt.Sprintf("seed%03d", i), 1000, tenant(i), gang, gang), prof, true)
+		mustEnqueue(tb, m, fairSpec(fmt.Sprintf("seed%03d", i), 1000, churnTenant(i), gang, gang), prof, true)
 	}
-	light := Profile{CompSeconds: gang * 0.04, NetSeconds: 0.25}
 	for i := 0; i < depth; i++ {
-		mustEnqueue(b, m, fairSpec(fmt.Sprintf("pre%03d", i), 1000, tenant(i), 1, gang), light, false)
+		mustEnqueue(tb, m, churnHeld(fmt.Sprintf("pre%03d", i), i), churnLight, false)
 	}
 	m.drainQueue()
+	return m
+}
+
+func churnTenant(i int) string { return []string{"tenantA", "tenantB"}[i%2] }
+
+// churnHeld is a light job of churnMaster's shape, and churnLight its
+// profile.
+func churnHeld(name string, i int) JobSpec { return fairSpec(name, 1000, churnTenant(i), 1, 8) }
+
+var churnLight = Profile{CompSeconds: 8 * 0.04, NetSeconds: 0.25}
+
+// BenchmarkHoldAtDepth256 is one submission that holds plus the drain pass
+// it wakes, at the ctl_churn workload's shape (churnMaster).
+func BenchmarkHoldAtDepth256(b *testing.B) {
+	m := churnMaster(b, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		name := fmt.Sprintf("op%d", i)
-		mustEnqueue(b, m, fairSpec(name, 1000, tenant(i), 1, gang), light, false)
+		mustEnqueue(b, m, churnHeld(name, i), churnLight, false)
 		m.drainQueue()
 		b.StopTimer()
 		if err := m.Cancel(name); err != nil {
@@ -284,5 +295,33 @@ func BenchmarkHoldAtDepth256(b *testing.B) {
 		}
 		m.drainQueue()
 		b.StartTimer()
+	}
+}
+
+// BenchmarkJobStatusHeld is the status read of the last held job at the
+// ctl_churn workload's shape (churnMaster).
+func BenchmarkJobStatusHeld(b *testing.B) {
+	m := churnMaster(b, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := m.Job("pre255"); !ok {
+			b.Fatal("pre255 unknown")
+		}
+	}
+}
+
+// TestJobStatusAllocsFlatInDepth: a held job's status read counts its
+// queue position instead of sorting the queue, so it allocates the same at
+// depth 16 as at depth 256.
+func TestJobStatusAllocsFlatInDepth(t *testing.T) {
+	var allocs [2]float64
+	for i, depth := range []int{16, 256} {
+		m := churnMaster(t, depth)
+		name := fmt.Sprintf("pre%03d", depth-1)
+		allocs[i] = testing.AllocsPerRun(50, func() { m.Job(name) })
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("Job of a held job allocates %v at depth 16 and %v at depth 256", allocs[0], allocs[1])
 	}
 }
