@@ -161,17 +161,18 @@ func RegroupAfterFinish(plan Plan, finishedID string, waiting []JobInfo, opts Op
 
 	// 2) Escalate: re-run Algorithm 1 over the affected group plus a
 	// growing set of other groups (smallest job count first), keeping
-	// their combined machines.
+	// their combined machines. Prefer the smallest involvement; a larger
+	// reshuffle must beat the best so far by the threshold to be chosen
+	// (§IV-B4), so a candidate whose score bound cannot is not searched.
 	type candidate struct {
 		selected map[int]bool
 		sub      []Group
 		score    float64
 		involved int
-		jobs     int
 	}
 	sc := NewScorer(shrunk, opts)
 	baseScore := sc.Score()
-	var cands []candidate
+	var best candidate
 
 	others := make([]int, 0, len(shrunk.Groups))
 	for i := range shrunk.Groups {
@@ -188,12 +189,21 @@ func RegroupAfterFinish(plan Plan, finishedID string, waiting []JobInfo, opts Op
 		for _, oi := range others[:k] {
 			selected[oi] = true
 		}
-		var pool []JobInfo
 		var poolMachines int
 		for i, g := range shrunk.Groups {
 			if selected[i] {
-				pool = append(pool, g.Jobs...)
 				poolMachines += g.Machines
+			}
+		}
+		beat := best.score * (1 + SimilarityTolerance)
+		if best.sub != nil && sc.replacementBound(selected, poolMachines) <= beat {
+			boundSkips.Add(1)
+			continue
+		}
+		var pool []JobInfo
+		for i, g := range shrunk.Groups {
+			if selected[i] {
+				pool = append(pool, g.Jobs...)
 			}
 		}
 		pool = append(pool, waiting...)
@@ -204,25 +214,12 @@ func RegroupAfterFinish(plan Plan, finishedID string, waiting []JobInfo, opts Op
 		if len(sub.Groups) == 0 {
 			continue
 		}
-		cands = append(cands, candidate{
-			selected: selected,
-			sub:      sub.Groups,
-			score:    sc.scoreReplacement(selected, sub.Groups),
-			involved: k + 1,
-			jobs:     len(pool),
-		})
-	}
-	if len(cands) == 0 {
-		return RegroupResult{Plan: shrunk}
-	}
-
-	// Prefer the smallest involvement; a larger reshuffle must beat it by
-	// the threshold to be chosen (§IV-B4).
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c.score > best.score*(1+SimilarityTolerance) {
-			best = c
+		if score := sc.scoreReplacement(selected, sub.Groups); best.sub == nil || score > beat {
+			best = candidate{selected: selected, sub: sub.Groups, score: score, involved: k + 1}
 		}
+	}
+	if best.sub == nil {
+		return RegroupResult{Plan: shrunk}
 	}
 	// Do not regroup at all when the expected benefit is under threshold.
 	if best.score < baseScore*(1+opts.MinImprovement) {

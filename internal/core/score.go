@@ -35,6 +35,10 @@ var fullScoreCalls atomic.Int64
 // admission decision to pin the zero-recompute invariant.
 func FullScoreCalls() int64 { return fullScoreCalls.Load() }
 
+// boundSkips counts the escalation candidates RegroupAfterFinish decided
+// without running Algorithm 1; a test hook, like fullScoreCalls.
+var boundSkips atomic.Int64
+
 // GroupPrediction carries the model predictions for one group that the
 // runtime stamps into journal events (Eq. 1 iteration time, Eq. 3
 // utilizations, and the interleaving compatibility when the NetModel is
@@ -310,4 +314,30 @@ func (s *Scorer) scoreReplacement(selected map[int]bool, repl []Group) float64 {
 		return 0
 	}
 	return s.opts.CPUWeight*(wc/m) + (1-s.opts.CPUWeight)*(wn/m)
+}
+
+// replacementBound bounds scoreReplacement(selected, repl) from above for
+// every repl on at most poolMachines machines: the untouched groups from
+// the cache, plus poolMachines at utilization 1 (DESIGN.md §15). The
+// relative margin covers the rounding of the two different sums.
+func (s *Scorer) replacementBound(selected map[int]bool, poolMachines int) float64 {
+	p := float64(poolMachines)
+	wc, wn, m := p, p, p
+	for i := range s.groups {
+		if selected[i] {
+			continue
+		}
+		a := &s.groups[i]
+		un := a.un
+		if s.opts.NetModel {
+			un *= a.compat
+		}
+		wc += a.mach * a.uc
+		wn += a.mach * un
+		m += a.mach
+	}
+	if m == 0 {
+		return 0
+	}
+	return (s.opts.CPUWeight*wc + (1-s.opts.CPUWeight)*wn) / m * (1 + 1e-9)
 }

@@ -178,6 +178,59 @@ func TestIncrementalAdmissionBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRegroupBoundSkipsMatchReference: completions on random plans, with
+// and without a waiting pool, decide as the reference that runs Algorithm 1
+// for every escalation candidate — NetModel off and on, and under a memory
+// cap — while the score bound does skip some of those runs.
+func TestRegroupBoundSkipsMatchReference(t *testing.T) {
+	for _, opts := range []Options{{}, {NetModel: true}, {MemoryCapGB: 12}} {
+		t.Run(fmt.Sprintf("netModel=%v/cap=%v", opts.NetModel, opts.MemoryCapGB), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			before := boundSkips.Load()
+			for trial := 0; trial < 80; trial++ {
+				jobs := make([]JobInfo, 10+rng.Intn(20))
+				for i := range jobs {
+					jobs[i] = randomJob(rng, trial*100+i)
+				}
+				plan := Schedule(jobs, 12+rng.Intn(40), opts)
+				if plan.NumJobs() == 0 {
+					continue
+				}
+				waiting := make([]JobInfo, rng.Intn(4))
+				for i := range waiting {
+					waiting[i] = randomJob(rng, trial*100+50+i)
+				}
+				id := randomPlacedJob(rng, plan)
+				got := RegroupAfterFinish(plan, id, waiting, opts)
+				want := RegroupAfterFinishReference(plan, id, waiting, opts)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d: RegroupAfterFinish(%s) diverged\n got: %+v\nwant: %+v", trial, id, got, want)
+				}
+				// The bound itself, on a random set of rebuilt groups.
+				selected := map[int]bool{}
+				var pool []JobInfo
+				machines := 0
+				for i, g := range plan.Groups {
+					if rng.Intn(2) == 0 {
+						selected[i] = true
+						pool = append(pool, g.Jobs...)
+						machines += g.Machines
+					}
+				}
+				sc := NewScorer(plan, opts)
+				if sub := Schedule(append(pool, waiting...), machines, opts); len(sub.Groups) > 0 {
+					if score, bound := sc.scoreReplacement(selected, sub.Groups), sc.replacementBound(selected, machines); score > bound {
+						t.Fatalf("trial %d: replacement scores %v over its bound %v", trial, score, bound)
+					}
+				}
+			}
+			if boundSkips.Load() == before {
+				t.Fatal("the score bound skipped no escalation candidate")
+			}
+		})
+	}
+}
+
 // TestBestAdditionSkipsOnlyInfeasibleGroups: the arrival rule scores only
 // groups with room, and none once a group breaks a cap. On plans with full
 // groups (MaxJobsPerGroup 1-3) under a memory cap, plain and with one group

@@ -349,6 +349,7 @@ func TestMetricsExposition(t *testing.T) {
 			QueueDrained: 1, Canceled: 1, Preempted: 2, Migrations: 4,
 			Recoveries: 5, CheckpointFailures: 6,
 			Placements: 7, DrainPasses: 8, DrainPassSeconds: 0.125,
+			JournalEvicted: 11, SpansLost: 12,
 		},
 		queues: []master.QueueView{{
 			Name: "default", Share: 1, QuotaWorkers: 2, UsageWorkers: 1,
@@ -397,6 +398,8 @@ func TestMetricsExposition(t *testing.T) {
 		`harmony_admission_placements_total 7`,
 		`harmony_drain_passes_total 8`,
 		`harmony_drain_pass_seconds_total 0.125`,
+		`harmony_journal_evicted_total 11`,
+		`harmony_trace_spans_lost_total 12`,
 		`harmony_utilization{resource="cpu"} 0.75`,
 		`harmony_utilization{resource="network"} 0.5`,
 		`harmony_comm_ops_total{op="pull"} 10`,

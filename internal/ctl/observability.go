@@ -142,6 +142,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.Sample{Name: "harmony_drain_pass_seconds_total",
 			Help: "Time the drainer's decisions held the master's write lock.",
 			Type: metrics.PromCounter, Value: c.DrainPassSeconds},
+		metrics.Sample{Name: "harmony_journal_evicted_total",
+			Help: "Decision-journal events overwritten by the bounded ring.",
+			Type: metrics.PromCounter, Value: float64(c.JournalEvicted)},
+		metrics.Sample{Name: "harmony_trace_spans_lost_total",
+			Help: "Worker spans evicted before collection or trimmed by the master's retention.",
+			Type: metrics.PromCounter, Value: float64(c.SpansLost)},
 	)
 	// Per-queue fair-scheduler families (DESIGN.md §13). A single-tenant
 	// deployment reports everything under queue="default", which is the

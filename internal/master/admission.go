@@ -129,13 +129,26 @@ type Counters struct {
 	// queue; DrainPassSeconds totals the time they held mu's write side.
 	DrainPasses      int64
 	DrainPassSeconds float64
+	// JournalEvicted counts decision events the journal ring overwrote.
+	JournalEvicted int64
+	// SpansLost counts worker spans the master never retained: evicted
+	// from a worker's ring before a collection reached them, or trimmed
+	// by the master's retention bound.
+	SpansLost int64
 }
 
 // Counters snapshots the control-plane counters.
 func (m *Master) Counters() Counters {
 	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.counters
+	c, t := m.counters, m.trace
+	m.mu.RUnlock()
+	c.JournalEvicted = m.journal.evicted()
+	if t != nil {
+		t.mu.Lock()
+		c.SpansLost = t.lost
+		t.mu.Unlock()
+	}
+	return c
 }
 
 // acceptLocked vets a submission — a well-formed spec, a master that still

@@ -105,6 +105,13 @@ func (l *journal) append(e Event) {
 	l.buf[(l.next-1)%uint64(len(l.buf))] = e
 }
 
+// evicted is how many events the full ring has overwritten.
+func (l *journal) evicted() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return max(0, int64(l.next)-int64(len(l.buf)))
+}
+
 // snapshotSince returns retained events with Seq > since matching kind
 // (every kind when empty), in sequence order. Filtering happens under
 // the journal's own lock — never the master's — and bounds the copy to

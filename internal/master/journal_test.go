@@ -26,11 +26,19 @@ func (l *journal) appendSeqNote(e Event) {
 
 // TestJournalBoundedRetention pins the journal's ring contract: over
 // capacity the oldest decisions are evicted, sequence numbers stay
-// monotone, and retained events keep their payload.
+// monotone, retained events keep their payload, and Counters reports the
+// evictions.
 func TestJournalBoundedRetention(t *testing.T) {
 	l := newJournal(4)
+	m := &Master{journal: l}
 	for i := 0; i < 10; i++ {
+		if got := m.Counters().JournalEvicted; got != int64(max(0, i-4)) {
+			t.Fatalf("after %d appends JournalEvicted = %d", i, got)
+		}
 		l.append(Event{Kind: EventHold, Job: fmt.Sprintf("j%d", i)})
+	}
+	if got := m.Counters().JournalEvicted; got != 6 {
+		t.Errorf("JournalEvicted = %d after 10 appends to a 4-event ring, want 6", got)
 	}
 	evs := l.snapshotSince(0, "")
 	if len(evs) != 4 {

@@ -30,6 +30,7 @@ type traceState struct {
 	cursors   map[string]uint64
 	spans     []obs.TaggedSpan
 	retention int
+	lost      int64 // Counters.SpansLost
 }
 
 // EnableTracing turns on cluster span collection, retaining up to
@@ -115,6 +116,11 @@ func (m *Master) CollectSpans() []obs.TaggedSpan {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, h := range hauls {
+		// A haul starting past the cursor's successor: the worker's ring
+		// evicted the spans in between.
+		if cur := t.cursors[h.machine]; len(h.spans) > 0 && h.spans[0].Seq > cur+1 {
+			t.lost += int64(h.spans[0].Seq - cur - 1)
+		}
 		for _, s := range h.spans {
 			if s.Seq > t.cursors[h.machine] {
 				t.cursors[h.machine] = s.Seq
@@ -125,6 +131,7 @@ func (m *Master) CollectSpans() []obs.TaggedSpan {
 		}
 	}
 	if over := len(t.spans) - t.retention; over > 0 {
+		t.lost += int64(over)
 		t.spans = append(t.spans[:0], t.spans[over:]...)
 	}
 	return append([]obs.TaggedSpan(nil), t.spans...)

@@ -3,6 +3,11 @@ package master
 import (
 	"testing"
 	"time"
+
+	"harmony/internal/core"
+	"harmony/internal/obs"
+	"harmony/internal/rpc"
+	"harmony/internal/worker"
 )
 
 // TestTelemetryReadsTakeReadLock pins DESIGN.md §15's "status surfaces
@@ -30,5 +35,42 @@ func TestTelemetryReadsTakeReadLock(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("a telemetry read blocked behind a held read lock")
+	}
+}
+
+// TestCollectSpansCountsLoss: a traced worker whose 4-span ring recorded
+// 10 spans before the first collection lost 6 of them, and a collection
+// with nothing new adds no loss.
+func TestCollectSpansCountsLoss(t *testing.T) {
+	m, err := New("127.0.0.1:0", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	m.EnableTracing(0)
+	rec := obs.NewRecorder(4)
+	stub := rpc.NewServer()
+	stub.Handle(worker.MethodStats, rpc.Typed(func(a worker.StatsArgs) (worker.StatsReply, error) {
+		return worker.StatsReply{Spans: rec.SpansAfter(a.SpanAfter, nil)}, nil
+	}))
+	addr, err := stub.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { stub.Close() })
+	if _, err := m.handleRegister(registerArgs{Name: "w0", Addr: addr}); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	for i := 0; i < 10; i++ {
+		rec.Record(obs.PhaseComp, "j", i, now, now)
+	}
+	for pass := 1; pass <= 2; pass++ {
+		if spans := m.CollectSpans(); len(spans) != 4 {
+			t.Fatalf("collection %d retained %d spans, want 4", pass, len(spans))
+		}
+		if got := m.Counters().SpansLost; got != 6 {
+			t.Fatalf("collection %d: SpansLost = %d, want 6", pass, got)
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"sort"
-
-	"harmony/internal/core"
-)
+import "harmony/internal/core"
 
 // naivePlan stands in for Algorithm 1 when smart grouping is disabled
 // (the "subtasks only" ablation of §V-C): jobs are chunked into groups of
@@ -51,24 +47,16 @@ func (s *Simulator) naivePlan(jobs []core.JobInfo, machines int) core.Plan {
 	return plan
 }
 
-// naiveAddToSmallestGroup places a job into the plan group with the
-// fewest jobs — the model-free arrival rule used when smart grouping is
-// disabled.
-func naiveAddToSmallestGroup(plan core.Plan, job core.JobInfo) (core.Plan, bool) {
-	if len(plan.Groups) == 0 {
-		return plan, false
+// smallestGroup is the index of the first plan group with the fewest
+// jobs: the model-free arrival rule used when smart grouping is disabled.
+func smallestGroup(plan core.Plan) int {
+	gi := 0
+	for i, g := range plan.Groups {
+		if len(g.Jobs) < len(plan.Groups[gi].Jobs) {
+			gi = i
+		}
 	}
-	out := plan.Clone()
-	idxs := make([]int, len(out.Groups))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	sort.SliceStable(idxs, func(a, b int) bool {
-		return len(out.Groups[idxs[a]].Jobs) < len(out.Groups[idxs[b]].Jobs)
-	})
-	gi := idxs[0]
-	out.Groups[gi].Jobs = append(out.Groups[gi].Jobs, job)
-	return out, true
+	return gi
 }
 
 // shrinkPlanNaive removes a finished job and back-fills waiting jobs into
@@ -91,8 +79,9 @@ func (s *Simulator) shrinkPlanNaive(finishedID string, waiting []core.JobInfo) c
 		if _, already := p.FindJob(w.ID); already {
 			continue // placed by an earlier decision, still migrating
 		}
-		if next, ok := naiveAddToSmallestGroup(p, w); ok {
-			p = next
+		if len(p.Groups) > 0 {
+			gi := smallestGroup(p)
+			p.Groups[gi].Jobs = append(p.Groups[gi].Jobs, w)
 		}
 	}
 	return p

@@ -49,13 +49,17 @@ func (s *Simulator) processArrivals() {
 		return
 	}
 	var retry []string
+	full := false // no group has profiling headroom, and nothing here makes any
 	for _, id := range s.arrivalQueue {
-		g := s.pickProfilingGroup()
+		var g *groupRun
+		if !full {
+			g = s.pickProfilingGroup()
+			full = g == nil
+		}
 		if g == nil || !s.startJobInGroup(id, g, jobProfiling) {
 			if s.jobs[id].state != jobFailed {
 				retry = append(retry, id)
 			}
-			continue
 		}
 	}
 	s.arrivalQueue = retry
@@ -92,6 +96,7 @@ func (s *Simulator) sortedGroups() []*groupRun {
 // pickProfilingGroup selects the group with the smallest machine count
 // that still has profiling headroom.
 func (s *Simulator) pickProfilingGroup() *groupRun {
+	s.profilingPicks++
 	var best *groupRun
 	for _, g := range s.sortedGroups() {
 		if g.closed {
@@ -209,7 +214,7 @@ func (s *Simulator) onProfiled(id string) {
 		}
 		// Arrival rule: place the job into the group that maximizes U,
 		// or let it wait if no placement improves U (§IV-B4).
-		if newPlan, ok := s.timedTryAdd(s.plan, est); ok {
+		if newPlan, ok := s.timedTryAdd(est); ok {
 			s.installSingleAddition(id, newPlan)
 			s.absorbWaiting()
 			return
@@ -398,28 +403,42 @@ func (s *Simulator) absorbWaiting() {
 		return
 	}
 	for {
-		bestScore := s.cfg.SchedOpts.Score(s.plan)
-		var bestID string
-		var bestPlan core.Plan
-		improved := false
-		for _, id := range s.waitingProfiled {
-			est, ok := s.estimates[id]
-			if !ok {
-				continue
-			}
-			cand, ok := s.timedTryAdd(s.plan, est)
-			if !ok {
-				continue
-			}
-			if sc := s.cfg.SchedOpts.Score(cand); sc > bestScore {
-				bestScore, bestID, bestPlan, improved = sc, id, cand, true
-			}
-		}
-		if !improved {
+		gi, job, ok := s.absorbPick()
+		if !ok {
 			return
 		}
-		s.installSingleAddition(bestID, bestPlan)
+		s.installSingleAddition(job.ID, s.planWith(gi, job))
 	}
+}
+
+// absorbPick runs the arrival rule for every waiting job against one
+// Scorer of the plan and returns the job, and its group, whose placement
+// raises the plan's score the most; the first job wins ties.
+func (s *Simulator) absorbPick() (gi int, job core.JobInfo, ok bool) {
+	sc := core.NewScorer(s.plan, s.cfg.SchedOpts)
+	best := sc.Score()
+	gi = -1
+	for _, id := range s.waitingProfiled {
+		est, known := s.estimates[id]
+		if !known {
+			continue
+		}
+		start := time.Now()
+		var g int
+		var score float64
+		placed := true
+		if s.cfg.DisableSmartGrouping {
+			g = smallestGroup(s.plan)
+			score = s.cfg.SchedOpts.Score(s.planWith(g, est))
+		} else if g, _, placed = sc.BestAddition(est); placed {
+			score, _, _ = sc.ScoreDelta(est, g)
+		}
+		s.schedTimes = append(s.schedTimes, time.Since(start))
+		if placed && score > best {
+			best, gi, job = score, g, est
+		}
+	}
+	return gi, job, gi >= 0
 }
 
 func jobIDsOf(g core.Group) []string {
@@ -573,17 +592,20 @@ func (s *Simulator) fullReschedule() {
 
 // timedTryAdd wraps the arrival rule with scheduling-latency accounting.
 // With smart grouping disabled it degrades to "join the smallest group".
-func (s *Simulator) timedTryAdd(plan core.Plan, job core.JobInfo) (core.Plan, bool) {
+func (s *Simulator) timedTryAdd(job core.JobInfo) (core.Plan, bool) {
 	start := time.Now()
-	var p core.Plan
-	var ok bool
+	defer func() { s.schedTimes = append(s.schedTimes, time.Since(start)) }()
 	if s.cfg.DisableSmartGrouping {
-		p, ok = naiveAddToSmallestGroup(plan, job)
-	} else {
-		p, ok = core.TryAddJob(plan, job, s.cfg.SchedOpts)
+		return s.planWith(smallestGroup(s.plan), job), true
 	}
-	s.schedTimes = append(s.schedTimes, time.Since(start))
-	return p, ok
+	return core.TryAddJob(s.plan, job, s.cfg.SchedOpts)
+}
+
+// planWith is a copy of the plan with job added to group gi.
+func (s *Simulator) planWith(gi int, job core.JobInfo) core.Plan {
+	p := s.plan.Clone()
+	p.Groups[gi].Jobs = append(p.Groups[gi].Jobs, job)
+	return p
 }
 
 // applyPlan migrates the cluster onto a new plan. Groups whose signature

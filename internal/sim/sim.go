@@ -96,7 +96,8 @@ type Result struct {
 	IterPred []PredPair
 	UPred    []PredPair
 	// SchedulingTimes are the wall-clock durations of scheduler
-	// invocations (§V-F).
+	// invocations (§V-F): one per plan computation and one per
+	// arrival-rule evaluation of a job.
 	SchedulingTimes []time.Duration
 
 	// GCSeconds is total simulated garbage-collection time (§V-B uses GC
@@ -161,6 +162,7 @@ type Simulator struct {
 	arrivalPending  bool
 	bootstrapped    bool
 	bootstrapWave   map[string]bool
+	profilingPicks  int // pickProfilingGroup calls, a test hook
 
 	// Isolated and naive state.
 	freeMachines int
