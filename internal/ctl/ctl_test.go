@@ -80,7 +80,8 @@ func (f *fakeBackend) Counters() master.Counters   { return f.counters }
 func (f *fakeBackend) Queues() []master.QueueView  { return f.queues }
 
 func (f *fakeBackend) WorkerTotals() master.WorkerTotals {
-	return master.WorkerTotals{CPUUtil: 0.75, NetUtil: 0.5, UtilErr: f.statsErr, Comm: f.comm, Comp: f.comp}
+	return master.WorkerTotals{CPUUtil: 0.75, NetUtil: 0.5, UtilErr: f.statsErr, Comm: f.comm, Comp: f.comp,
+		LoadedJobs: 3}
 }
 
 func (f *fakeBackend) EventsSince(since uint64, kind string) []master.Event {
@@ -400,6 +401,7 @@ func TestMetricsExposition(t *testing.T) {
 		`harmony_drain_pass_seconds_total 0.125`,
 		`harmony_journal_evicted_total 11`,
 		`harmony_trace_spans_lost_total 12`,
+		`harmony_worker_loaded_jobs 3`,
 		`harmony_utilization{resource="cpu"} 0.75`,
 		`harmony_utilization{resource="network"} 0.5`,
 		`harmony_comm_ops_total{op="pull"} 10`,

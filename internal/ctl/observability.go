@@ -181,10 +181,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				Type: metrics.PromCounter, Value: float64(q.Preempted)},
 		)
 	}
-	// One pass over the workers feeds three families. Per-resource executor
+	// One pass over the workers feeds four families. Per-resource executor
 	// utilization is best effort: a scrape must not fail because a worker
 	// is mid-restart.
 	totals := s.b.WorkerTotals()
+	samples = append(samples, metrics.Sample{Name: "harmony_worker_loaded_jobs",
+		Help: "Jobs loaded on the workers that answered, counted once per member.",
+		Type: metrics.PromGauge, Value: float64(totals.LoadedJobs)})
 	if totals.UtilErr == nil {
 		samples = append(samples,
 			metrics.Sample{

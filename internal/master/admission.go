@@ -477,10 +477,10 @@ func (m *Master) Cancel(name string) error {
 	m.qcLocked(j.queue).canceled++
 	j.stopBarriers()
 	close(j.finishedCh)
-	j.ckpt.close()
 	refs := m.workerRefsLocked(j)
 	m.mu.Unlock()
 
+	j.ckpt.release()
 	dropJob(refs, name)
 	m.wakeDrainer()
 	return nil

@@ -14,7 +14,6 @@ import (
 	"harmony/internal/core"
 	"harmony/internal/fair"
 	"harmony/internal/mlapp"
-	"harmony/internal/ps"
 	"harmony/internal/rpc"
 	"harmony/internal/worker"
 )
@@ -242,7 +241,7 @@ func TestListJobsIncludesPending(t *testing.T) {
 // stubServer starts an RPC server that acks every deployment and teardown
 // call a worker gets, after asking load and start whether the call should
 // fail, and tells note each call as its reply leaves ("load", "start",
-// "dropJob", "ps.drop"). Any of the three may be nil.
+// "dropJob"). Any of the three may be nil.
 func stubServer(t testing.TB, load func(worker.LoadJobArgs) error, start func(worker.StartJobArgs) error,
 	note func(call, job string)) string {
 	t.Helper()
@@ -271,10 +270,6 @@ func stubServer(t testing.TB, load func(worker.LoadJobArgs) error, start func(wo
 	stub.Handle(worker.MethodDropJob, rpc.Typed(func(a worker.DropJobArgs) (worker.Ack, error) {
 		note("dropJob", a.Job)
 		return worker.Ack{}, nil
-	}))
-	stub.Handle(ps.MethodDrop, rpc.Typed(func(a ps.DropArgs) (ps.Ack, error) {
-		note("ps.drop", a.Job)
-		return ps.Ack{}, nil
 	}))
 	addr, err := stub.Listen("127.0.0.1:0")
 	if err != nil {
@@ -673,11 +668,11 @@ func memberStub(t *testing.T, m *Master, name string, load func(worker.LoadJobAr
 
 // TestFailedGangLoadDropsLoadedMembers drives a drained job onto a gang of
 // three whose second member refuses the first load. The failure must name
-// that member; the members a load was sent to — the first, which did load
-// and seeded the parameter servers, above all — must be told to drop the job
-// and its model partitions after their load returned; the third, which was
-// never sent one, is told nothing; nobody may be started; and the job goes
-// back to the queue once, to deploy cleanly on the next pass.
+// that member; every member — the first, which did load and seeded every
+// member's parameter server, above all, and the third, which was never sent
+// a load but holds a seeded partition — must be told to drop the job after
+// the loads returned; nobody may be started; and the job goes back to the
+// queue once, to deploy cleanly on the next pass.
 func TestFailedGangLoadDropsLoadedMembers(t *testing.T) {
 	m, err := New("127.0.0.1:0", core.Options{MaxJobsPerGroup: 1})
 	if err != nil {
@@ -735,7 +730,7 @@ func TestFailedGangLoadDropsLoadedMembers(t *testing.T) {
 		defer mu.Unlock()
 		return fmt.Sprint(calls)
 	}
-	if got, want := sent(), "[[load dropJob ps.drop] [dropJob ps.drop] []]"; got != want {
+	if got, want := sent(), "[[load dropJob] [dropJob] [dropJob]]"; got != want {
 		t.Errorf("members were sent %s, want %s", got, want)
 	}
 
@@ -743,7 +738,7 @@ func TestFailedGangLoadDropsLoadedMembers(t *testing.T) {
 	if c := m.Counters(); c.QueueDrained != 1 || m.QueueDepth() != 0 {
 		t.Errorf("after the retry: QueueDrained %d, depth %d; want the job deployed", c.QueueDrained, m.QueueDepth())
 	}
-	if got, want := sent(), "[[load dropJob ps.drop load start] [dropJob ps.drop load start] [load start]]"; got != want {
+	if got, want := sent(), "[[load dropJob load start] [dropJob load start] [dropJob load start]]"; got != want {
 		t.Errorf("after the retry members were sent %s, want %s", got, want)
 	}
 }
@@ -790,7 +785,7 @@ func TestCancelDuringLoadDropsAfterTheLoad(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if got, want := fmt.Sprint(calls), "[dropJob ps.drop load dropJob ps.drop]"; got != want {
+	if got, want := fmt.Sprint(calls), "[dropJob load dropJob]"; got != want {
 		t.Errorf("the member was sent %s, want %s", got, want)
 	}
 }

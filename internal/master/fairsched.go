@@ -8,7 +8,6 @@ import (
 
 	"harmony/internal/core"
 	"harmony/internal/fair"
-	"harmony/internal/ps"
 	"harmony/internal/rpc"
 	"harmony/internal/worker"
 )
@@ -223,16 +222,14 @@ func (m *Master) removePendingLocked(p *pendingJob) {
 	}
 }
 
-// dropJob is the best-effort teardown of a placement: the job's shards
-// and model partitions are dropped from every worker that hosted it.
+// dropJob is the best-effort teardown of a placement: every worker that
+// hosted the job drops its shards and its own model partition.
 // Errors are ignored — a worker that is gone has nothing left to drop, and
 // whatever replaces the placement rebuilds its state from a checkpoint.
 func dropJob(refs []workerRef, name string) {
 	for _, r := range refs {
 		_, _ = rpc.Invoke[worker.DropJobArgs, worker.Ack](r.client,
 			worker.MethodDropJob, worker.DropJobArgs{Job: name}, time.Minute)
-		_, _ = rpc.Invoke[ps.DropArgs, ps.Ack](r.client,
-			ps.MethodDrop, ps.DropArgs{Job: name}, time.Minute)
 	}
 }
 

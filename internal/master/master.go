@@ -101,6 +101,19 @@ func (j *job) stopBarriers() {
 	j.barriers = make(map[int]*barrierState)
 }
 
+// ended reports whether the job finished or was canceled. Caller holds
+// Master.mu.
+func (j *job) ended() bool {
+	return j.status == StatusFinished || j.status == StatusCanceled
+}
+
+// releasing reports whether the job's members drop, or have dropped, what
+// they hold of it: it ended, or a member completed its loop and released
+// its own share. Caller holds Master.mu.
+func (j *job) releasing() bool {
+	return j.ended() || len(j.doneFrom) > 0
+}
+
 type job struct {
 	spec    JobSpec
 	workers []int // indexes into Master.workers
@@ -416,9 +429,10 @@ func (m *Master) workerIndexesLocked(group []string) ([]int, error) {
 // carries checkpointed model parameters for migrations. A deployment that
 // fails, or finds the job canceled once its loads are in (a Cancel's own
 // drop may have overtaken a load still generating its data), tells every
-// member a load was sent to to drop the job, or those that did load would
-// keep its shard store, PS client and model partitions until the process
-// exits. The loads go out one member at a time: sent together they finish
+// member to drop the job: member 0's load seeds a model partition on
+// every member's server, and the members that did load would keep a shard
+// store and a PS client until the process exits. The loads go out one
+// member at a time: sent together they finish
 // sooner when a load is real work, but against workers that answer at once
 // the burst only delays whatever else the master is serving (CHANGES.md,
 // PR 18).
@@ -432,7 +446,6 @@ func (m *Master) deploy(j *job, restore []float64, fromIter int) error {
 		servers[i] = r.addr
 	}
 	var err error
-	sent := 0
 	for i, r := range refs {
 		args := worker.LoadJobArgs{
 			Job: j.spec.Name, Config: j.spec.Config, Servers: servers,
@@ -444,7 +457,6 @@ func (m *Master) deploy(j *job, restore []float64, fromIter int) error {
 			// a gob []float64 would walk every element reflectively.
 			args.RestoreFrame = rpc.AppendFloats(nil, restore)
 		}
-		sent++
 		if _, e := rpc.Invoke[worker.LoadJobArgs, worker.Ack](r.client,
 			worker.MethodLoadJob, args, time.Minute); e != nil {
 			err = fmt.Errorf("master: load %s on %s: %w", j.spec.Name, r.name, e)
@@ -466,7 +478,7 @@ func (m *Master) deploy(j *job, restore []float64, fromIter int) error {
 		}
 	}
 	if err != nil {
-		dropJob(refs[:sent], j.spec.Name)
+		dropJob(refs, j.spec.Name)
 	}
 	return err
 }
@@ -480,7 +492,7 @@ func (m *Master) handleBarrier(a worker.BarrierArgs) (worker.BarrierReply, error
 		m.mu.Unlock()
 		return worker.BarrierReply{Directive: worker.Stop}, nil
 	}
-	if j.status == StatusCanceled || j.status == StatusFinished {
+	if j.ended() {
 		// A canceled job's stragglers must not park at a barrier no
 		// group-mate will ever reach.
 		m.mu.Unlock()
@@ -561,25 +573,29 @@ func (m *Master) handleBarrier(a worker.BarrierArgs) (worker.BarrierReply, error
 	return worker.BarrierReply{Directive: d}, nil
 }
 
+// handleJobDone counts a member's completion; each member then releases
+// the job's state on its own, so the last one here only has the master's
+// checkpoint to release.
 func (m *Master) handleJobDone(a worker.JobDoneArgs) (worker.Ack, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	j, ok := m.jobs[a.Job]
-	if !ok {
-		return worker.Ack{}, nil
-	}
-	if a.Epoch != j.epoch {
+	if !ok || a.Epoch != j.epoch {
+		m.mu.Unlock()
 		return worker.Ack{}, nil
 	}
 	j.doneFrom[a.Worker] = true
-	if len(j.doneFrom) >= len(j.workers) && j.status != StatusFinished && j.status != StatusCanceled {
+	finished := len(j.doneFrom) >= len(j.workers) && !j.ended()
+	if finished {
 		m.journal.append(m.removalEventLocked(EventComplete, a.Job, j))
 		j.status = StatusFinished
 		m.invalidatePlanLocked()
 		close(j.finishedCh)
-		j.ckpt.close()
 		// A completion frees capacity: drain the admission queue (§IV-B4).
 		m.wakeDrainer()
+	}
+	m.mu.Unlock()
+	if finished {
+		j.ckpt.release()
 	}
 	return worker.Ack{}, nil
 }
@@ -737,12 +753,14 @@ func (m *Master) PlanGroups() (map[string][]string, error) {
 // compute-path health over this process — checkpoints ride the same data
 // plane — and every worker that answered, counted once per owning process
 // (in-process workers share this process's counters); best effort, a worker
-// mid-restart is skipped.
+// mid-restart is skipped. LoadedJobs sums the jobs the answering workers
+// hold: a job counts once per member until its members release it.
 type WorkerTotals struct {
 	CPUUtil, NetUtil float64
 	UtilErr          error
 	Comm             metrics.CommSnapshot
 	Comp             metrics.CompSnapshot
+	LoadedJobs       int
 }
 
 // WorkerTotals scrapes every worker once; WorkerStats and CommStats are
@@ -766,6 +784,7 @@ func (m *Master) WorkerTotals() WorkerTotals {
 		}
 		t.CPUUtil += st.CPUUtil
 		t.NetUtil += st.NetUtil
+		t.LoadedJobs += st.Jobs
 		comm[st.CommProcess], comp[st.CommProcess] = st.Comm, st.Comp
 	}
 	if len(refs) == 0 {

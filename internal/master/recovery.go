@@ -33,12 +33,22 @@ type checkpointer struct {
 	client atomic.Pointer[ps.Client]
 }
 
-// close drops the connections (the job finished, was canceled or
-// preempted, or the master is closing); the last checkpoint stays readable.
+// close drops the connections (the job was preempted or recovered, or the
+// master is closing); the last checkpoint stays readable.
 func (c *checkpointer) close() {
 	if cl := c.client.Swap(nil); cl != nil {
 		cl.Close()
 	}
+}
+
+// release drops the connections and the checkpoint with them: the job
+// finished or was canceled, so nothing will restore from it. Closing
+// first aborts a Sync that holds mu. Called without Master.mu held.
+func (c *checkpointer) release() {
+	c.close()
+	c.mu.Lock()
+	c.mirror, c.vals = nil, nil
+	c.mu.Unlock()
 }
 
 // checkpoint syncs the job's mirror with its servers — dialing them first,
@@ -50,17 +60,25 @@ func (c *checkpointer) close() {
 // (values and cursor change together or not at all, ps.Client.Sync) and
 // the label where it was, so readers still restore a state the job passed
 // through, no older than its label; the loss is counted
-// (harmony_checkpoint_failures_total). Called without Master.mu held.
+// (harmony_checkpoint_failures_total) unless the job's members are
+// releasing its partitions (job.releasing). A job that was releasing when
+// this took the checkpointer's lock is not checkpointed: the model is
+// about to go, and the master's release has run or waits for the lock.
+// Called without Master.mu held.
 func (m *Master) checkpoint(j *job, iteration int, withCopy bool) ([]float64, error) {
+	c := &j.ckpt
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	m.mu.RLock()
 	servers := m.serverAddrsLocked(j)
 	if iteration < 0 {
 		iteration = j.iter
 	}
+	releasing := j.releasing()
 	m.mu.RUnlock()
-	c := &j.ckpt
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	if releasing {
+		return nil, fmt.Errorf("master: checkpoint of %s: the job is released", j.spec.Name)
+	}
 	cl, err := c.client.Load(), error(nil)
 	if cl != nil && !slices.Equal(c.servers, servers) {
 		c.close()
@@ -84,12 +102,13 @@ func (m *Master) checkpoint(j *job, iteration int, withCopy bool) ([]float64, er
 		}
 	}
 	m.mu.Lock()
-	if err != nil {
+	releasing = j.releasing()
+	if err != nil && !releasing {
 		m.counters.CheckpointFailures++
-	} else if iteration > j.checkpointIter {
+	} else if err == nil && iteration > j.checkpointIter {
 		j.checkpointIter = iteration
 	}
-	gone := m.closed || m.jobs[j.spec.Name] != j || j.status == StatusFinished || j.status == StatusCanceled
+	gone := releasing || m.closed || m.jobs[j.spec.Name] != j
 	m.mu.Unlock()
 	if gone { // this checkpoint outlived its job's teardown, and may have redialed
 		c.close()
@@ -102,9 +121,10 @@ func (m *Master) checkpoint(j *job, iteration int, withCopy bool) ([]float64, er
 
 // maybeCheckpoint is called from the barrier handler when a group
 // iteration completes; it checkpoints asynchronously so the release is not
-// delayed.
+// delayed. The last iteration is skipped: its model is released, not
+// restored.
 func (m *Master) maybeCheckpoint(j *job, iteration int) {
-	if iteration != 0 && iteration%CheckpointEvery == 0 {
+	if iteration != 0 && iteration%CheckpointEvery == 0 && iteration < j.spec.Iterations-1 {
 		go m.checkpoint(j, iteration, false)
 	}
 }
@@ -203,7 +223,7 @@ func (m *Master) RecoverJob(name string, group []string) error {
 	j.ckpt.close()
 	restore, ckptIter := m.readCheckpoint(j)
 	m.mu.Lock()
-	if j.status == StatusFinished || j.status == StatusCanceled {
+	if j.ended() {
 		m.mu.Unlock()
 		return nil
 	}

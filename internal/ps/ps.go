@@ -71,6 +71,8 @@ const (
 	MethodInit = "ps.init"
 	MethodPull = "ps.pull"
 	MethodPush = "ps.push"
+	// MethodDrop is served by no Server: each worker drops its own
+	// partition of a job it releases (Server.Drop).
 	MethodDrop = "ps.drop"
 	// MethodStats reports per-stripe load counters for every job.
 	MethodStats = "ps.stats"
@@ -86,7 +88,7 @@ const (
 // Ack is an empty success reply.
 type Ack struct{}
 
-// DropArgs removes a job's partition (after completion or migration).
+// DropArgs names the job of a MethodDrop call.
 type DropArgs struct {
 	Job string
 }
@@ -213,7 +215,6 @@ func (s *Server) Register(srv *rpc.Server) {
 	srv.HandleInline(MethodInit, s.handleInit)
 	srv.HandleInline(MethodPull, s.handlePull)
 	srv.HandleInline(MethodPush, s.handlePush)
-	srv.Handle(MethodDrop, rpc.Typed(s.handleDrop))
 	srv.Handle(MethodStats, rpc.Typed(s.handleStats))
 }
 
@@ -478,11 +479,12 @@ func (st *stripeBlock) apply(e *pushEntry) {
 	st.stats.pushBytes.Add(int64(sparseRec * e.n))
 }
 
-func (s *Server) handleDrop(a DropArgs) (Ack, error) {
+// Drop forgets a job's partition on this server; a later Init of the job
+// builds a fresh one.
+func (s *Server) Drop(job string) {
 	s.mu.Lock()
-	delete(s.parts, a.Job)
+	delete(s.parts, job)
 	s.mu.Unlock()
-	return Ack{}, nil
 }
 
 // Stats snapshots this server's per-stripe load counters (the in-process

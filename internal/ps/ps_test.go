@@ -248,7 +248,7 @@ func TestPushShapeMismatch(t *testing.T) {
 }
 
 func TestSnapshotAndDrop(t *testing.T) {
-	addrs := startCluster(t, 2)
+	servers, addrs := startServers(t, 2)
 	c := newClient(t, addrs)
 	if err := c.Init("j", seqModel(8)); err != nil {
 		t.Fatal(err)
@@ -260,10 +260,8 @@ func TestSnapshotAndDrop(t *testing.T) {
 	if snap[7] != 7 {
 		t.Errorf("pulled[7] = %v", snap[7])
 	}
-	for _, addr := range addrs {
-		if _, err := rpc.Invoke[DropArgs, Ack](dialRaw(t, addr), MethodDrop, DropArgs{Job: "j"}, 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
+	for _, s := range servers {
+		s.Drop("j")
 	}
 	if _, err := pull(c, "j", 8); err == nil {
 		t.Error("pull after drop succeeded")

@@ -158,7 +158,7 @@ func TestLayoutAgreesAcrossClients(t *testing.T) {
 // at once, and the error names the job, the stripe and the server. A
 // failed Sync leaves the mirror without cursors.
 func TestStripeNotHeldFailsFast(t *testing.T) {
-	_, addrs := startServers(t, 2)
+	servers, addrs := startServers(t, 2)
 	c := newClient(t, addrs)
 	const size = 2 * 64 // one 64-element stripe per server
 	if err := c.Init("job", seqModel(size)); err != nil {
@@ -168,9 +168,7 @@ func TestStripeNotHeldFailsFast(t *testing.T) {
 	if err := c.Sync(m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rpc.Invoke[DropArgs, Ack](dialRaw(t, addrs[1]), MethodDrop, DropArgs{Job: "job"}, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	servers[1].Drop("job")
 	ones := make([]float64, size)
 	for i := range ones {
 		ones[i] = 1

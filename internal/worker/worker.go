@@ -483,6 +483,9 @@ func (w *Worker) drive(job string, st *jobState, from, iterations, epoch int) {
 	}
 	_, _ = rpc.Invoke[JobDoneArgs, Ack](w.master, MethodJobDone,
 		JobDoneArgs{Job: job, Worker: w.name, Epoch: epoch}, time.Minute)
+	// The last barrier let the group through only after every member
+	// pushed, so no member reads this job's partitions any more.
+	w.release(job, st)
 }
 
 // materializeShard assembles the shard view for one COMP subtask, paying
@@ -534,18 +537,31 @@ func (st *jobState) materializeShard() (*mlapp.Shard, error) {
 
 func (w *Worker) handleDropJob(a DropJobArgs) (Ack, error) {
 	w.mu.Lock()
-	st, ok := w.jobs[a.Job]
-	if ok {
-		delete(w.jobs, a.Job)
-	}
+	st := w.jobs[a.Job]
 	w.mu.Unlock()
-	if !ok {
-		return Ack{}, nil
-	}
-	close(st.stopCh)
-	st.client.Close()
-	st.store.Close()
+	w.release(a.Job, st)
 	return Ack{}, nil
+}
+
+// release forgets a job that is still loaded as st (nil: not loaded) and
+// frees what it holds: its partition on this worker's server, its
+// connections, and its shard store with the spill directory. Under w.mu
+// the check and the partition drop cannot interleave with a re-load of
+// the name, which replaces st first.
+func (w *Worker) release(job string, st *jobState) {
+	w.mu.Lock()
+	if w.jobs[job] != st {
+		w.mu.Unlock()
+		return
+	}
+	delete(w.jobs, job)
+	w.psrv.Drop(job)
+	w.mu.Unlock()
+	if st != nil {
+		close(st.stopCh)
+		st.client.Close()
+		st.store.Close()
+	}
 }
 
 func (w *Worker) handleSetAlpha(a SetAlphaArgs) (Ack, error) {

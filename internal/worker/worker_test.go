@@ -1,7 +1,10 @@
 package worker
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -15,12 +18,13 @@ import (
 // fakeMaster is a minimal master endpoint for driving a worker directly:
 // every barrier says Continue.
 func fakeMaster(t *testing.T) string {
-	return fakeMasterWith(t, func(BarrierArgs) Directive { return Continue }, func() {})
+	return fakeMasterWith(t, func(BarrierArgs) Directive { return Continue }, func(JobDoneArgs) {})
 }
 
 // fakeMasterWith is fakeMaster with the barrier's answer and the
-// job-done notification left to the test.
-func fakeMasterWith(t *testing.T, barrier func(BarrierArgs) Directive, done func()) string {
+// job-done notification left to the test. The worker releases the job
+// once done returns.
+func fakeMasterWith(t *testing.T, barrier func(BarrierArgs) Directive, done func(JobDoneArgs)) string {
 	t.Helper()
 	srv := rpc.NewServer()
 	type registerArgs struct {
@@ -34,7 +38,7 @@ func fakeMasterWith(t *testing.T, barrier func(BarrierArgs) Directive, done func
 		return BarrierReply{Directive: barrier(a)}, nil
 	}))
 	srv.Handle(MethodJobDone, rpc.Typed(func(a JobDoneArgs) (Ack, error) {
-		done()
+		done(a)
 		return Ack{}, nil
 	}))
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -135,32 +139,43 @@ func TestStartJobRequiresLoad(t *testing.T) {
 	}
 }
 
+// TestLoadStartRunsToCompletion: a job that runs every iteration leaves
+// the worker when its loop completes — its state, its partition on the
+// worker's own server and its spill directory.
 func TestLoadStartRunsToCompletion(t *testing.T) {
 	w, ctl := startWorker(t)
 	self := w.srv.Addr()
 	if _, err := rpc.Invoke[LoadJobArgs, Ack](ctl, MethodLoadJob, loadArgs(w, []string{self}), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	spill := filepath.Join(w.spillDir, w.name+"-j1")
+	if _, err := os.Stat(spill); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := rpc.Invoke[StartJobArgs, Ack](ctl, MethodStartJob,
 		StartJobArgs{Job: "j1", Iterations: 3}, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// Double start must fail while running... or succeed after it
-	// finished; poll stats until the executor ran subtasks.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		st, err := rpc.Invoke[StatsArgs, StatsReply](ctl, MethodStats, StatsArgs{}, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Jobs == 1 && st.CPUUtil >= 0 {
-			if w.exec.Stats().Executed[1] >= 3 { // 3 COMP subtasks
-				return
+		// The store, and with it the directory, closes after the job
+		// left the table.
+		if _, err := os.Stat(spill); st.Jobs == 0 && os.IsNotExist(err) {
+			if n := w.exec.Stats().Executed[1]; n != 3 {
+				t.Errorf("%d COMP subtasks ran, want 3", n)
 			}
+			if jobs := w.psrv.Stats().Jobs; len(jobs) != 0 {
+				t.Errorf("the worker's server still holds %d partitions", len(jobs))
+			}
+			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("job never completed its iterations")
+	t.Fatal("the job never left the worker")
 }
 
 func TestSetAlphaAndDrop(t *testing.T) {
@@ -220,7 +235,7 @@ func newScriptedMaster(t *testing.T, pauseAt int) *scriptedMaster {
 			return Pause
 		}
 		return Continue
-	}, func() { m.ended <- struct{}{} })
+	}, func(JobDoneArgs) { m.ended <- struct{}{} })
 	return m
 }
 
@@ -343,20 +358,23 @@ func TestWorkerDoubleClose(t *testing.T) {
 // pushing concurrently, with sparse iterations end to end (COMP told what
 // the sync rewrote, PUSH walking what COMP touched), while a checkpoint
 // mirror like the master's syncs every fifth iteration beside them. When
-// the run ends, one more Sync of each mirror must leave both workers' and
-// the checkpoint's equal to a primaries-only Snapshot by bit pattern.
+// the run ends, and before either worker releases the job, one more Sync
+// of each mirror must leave both workers' and the checkpoint's equal to a
+// primaries-only Snapshot by bit pattern.
 func TestSparseRunKeepsEveryMirrorExact(t *testing.T) {
 	const job, iterations = "j1", 20
 	cfg := mlapp.Config{Kind: mlapp.LDA, Features: 16384, Classes: 8, Rows: 64}
 	var (
-		mu      sync.Mutex
-		arrived = map[int]chan struct{}{}
-		ckptMu  sync.Mutex
-		ckptWG  sync.WaitGroup
-		addrs   []string
-		ckpt    *ps.Client
-		mirror  = ps.NewMirror(job, cfg.ModelSize())
-		done    = make(chan struct{}, 2)
+		mu       sync.Mutex
+		arrived  = map[int]chan struct{}{}
+		ckptMu   sync.Mutex
+		ckptWG   sync.WaitGroup
+		addrs    []string
+		ckpt     *ps.Client
+		mirror   = ps.NewMirror(job, cfg.ModelSize())
+		ended    int
+		atEnd    = make(chan struct{})
+		compared = make(chan struct{})
 	)
 	checkpoint := func() {
 		defer ckptWG.Done()
@@ -385,7 +403,18 @@ func TestSparseRunKeepsEveryMirrorExact(t *testing.T) {
 		close(ch)
 		return Continue
 	}
-	master := fakeMasterWith(t, barrier, func() { done <- struct{}{} })
+	// Each member's job-done call waits for the comparison below, so no
+	// member has released the job while it runs.
+	done := func(JobDoneArgs) {
+		mu.Lock()
+		ended++
+		if ended == 2 {
+			close(atEnd)
+		}
+		mu.Unlock()
+		<-compared
+	}
+	master := fakeMasterWith(t, barrier, done)
 	workers := make([]*Worker, 2)
 	for i := range workers {
 		w, addr, err := New(string(rune('a'+i)), "127.0.0.1:0", master, t.TempDir())
@@ -395,6 +424,7 @@ func TestSparseRunKeepsEveryMirrorExact(t *testing.T) {
 		defer w.Close()
 		workers[i], addrs = w, append(addrs, addr)
 	}
+	defer close(compared)
 	var err error
 	if ckpt, err = ps.NewClient(addrs, 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -411,12 +441,10 @@ func TestSparseRunKeepsEveryMirrorExact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for range workers {
-		select {
-		case <-done:
-		case <-time.After(60 * time.Second):
-			t.Fatal("run did not finish")
-		}
+	select {
+	case <-atEnd:
+	case <-time.After(60 * time.Second):
+		t.Fatal("run did not finish")
 	}
 	ckptWG.Wait()
 	want := make([]float64, cfg.ModelSize())
@@ -436,8 +464,9 @@ func TestSparseRunKeepsEveryMirrorExact(t *testing.T) {
 	}
 	same("checkpoint mirror", ckpt, mirror)
 	for _, w := range workers {
-		waitStopped(t, w, job)
+		w.mu.Lock()
 		st := w.jobs[job]
+		w.mu.Unlock()
 		if st.lastIter != iterations-1 {
 			t.Fatalf("worker %s stopped at iteration %d", w.name, st.lastIter)
 		}
@@ -445,5 +474,68 @@ func TestSparseRunKeepsEveryMirrorExact(t *testing.T) {
 			t.Errorf("worker %s: the last iteration was not sparse", w.name)
 		}
 		same("worker "+w.name+" mirror", st.client, st.mirror)
+	}
+}
+
+// TestReleaseRacesDropAndLoad: for 50 rounds one worker completes job a
+// while a drop of a arrives (what a cancel sends), and completes job b
+// while it loads job c. Whichever of a's release and drop comes second
+// frees nothing, and b's release leaves c loaded with its partition.
+func TestReleaseRacesDropAndLoad(t *testing.T) {
+	w, _ := startWorker(t)
+	load := func(job string) error {
+		args := loadArgs(w, []string{w.srv.Addr()})
+		args.Job = job
+		_, err := w.handleLoadJob(args)
+		return err
+	}
+	for r := 0; r < 50; r++ {
+		a, b, c := fmt.Sprint("a", r), fmt.Sprint("b", r), fmt.Sprint("c", r)
+		for _, job := range []string{a, b} {
+			if err := load(job); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.handleStartJob(StartJobArgs{Job: job, Iterations: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		var loadErr error
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_, _ = w.handleDropJob(DropJobArgs{Job: a})
+		}()
+		go func() {
+			defer wg.Done()
+			loadErr = load(c)
+		}()
+		wg.Wait()
+		if loadErr != nil {
+			t.Fatal(loadErr)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			w.mu.Lock()
+			_, loaded := w.jobs[c]
+			n := len(w.jobs)
+			w.mu.Unlock()
+			if !loaded {
+				t.Fatalf("round %d: %s was released", r, c)
+			}
+			if n == 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: %d jobs still loaded", r, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if jobs := w.psrv.Stats().Jobs; len(jobs) != 1 || jobs[0].Job != c {
+			t.Fatalf("round %d: the server holds %v, want only %s", r, jobs, c)
+		}
+		if _, err := w.handleDropJob(DropJobArgs{Job: c}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
