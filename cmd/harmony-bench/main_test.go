@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"regexp"
@@ -40,6 +41,72 @@ func runMain(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 }
 
 var timingLine = regexp.MustCompile(`(?m)^\[.* completed in .*\]\n`)
+
+// scaleLatency is the wall-clock column of scale's rows (jobs, machines,
+// Algorithm 1 latency); the pin keeps the first two.
+var scaleLatency = regexp.MustCompile(`(?m)^([0-9]+ +[0-9]+ +)[0-9][0-9a-zµ.]*s *$`)
+
+// goldenPath holds every experiment's seed-1 output except fig14's, with
+// the wall-clock cells removed. A change that moves a figure replaces it
+// with the file the failing test names, and says why.
+const goldenPath = "testdata/seed1.golden"
+
+// TestEveryFigurePinned runs every experiment but fig14 (minutes of
+// annealing Oracle) at the default seed, sequentially and at the default
+// parallelism, and compares each output byte for byte with goldenPath.
+func TestEveryFigurePinned(t *testing.T) {
+	var ids []string
+	for _, e := range experiments() {
+		if e.id != "fig14" {
+			ids = append(ids, e.id)
+		}
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parallel := range []string{"1", "0"} {
+		t.Run("parallel="+parallel, func(t *testing.T) {
+			t.Parallel()
+			out, stderr, exit := runMain(t, "-parallel", parallel, "-run", strings.Join(ids, ","))
+			if exit != 0 {
+				t.Fatalf("exit %d: %s", exit, stderr)
+			}
+			got := scaleLatency.ReplaceAllString(timingLine.ReplaceAllString(out, ""), "$1")
+			if got == string(want) {
+				return
+			}
+			f, err := os.CreateTemp("", "harmony-bench-golden-*")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.WriteString(got); err != nil {
+				t.Fatal(err)
+			}
+			t.Errorf("output differs from %s (got is in %s):\n%s", goldenPath, f.Name(), lineDiff(string(want), got))
+		})
+	}
+}
+
+// lineDiff lists the lines where want and got differ, by line number.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			fmt.Fprintf(&b, "line %d:\n- %s\n+ %s\n", i+1, wl, gl)
+		}
+	}
+	return b.String()
+}
 
 func TestListShowsFeatureComparisons(t *testing.T) {
 	out, _, exit := runMain(t, "-list")

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"harmony/internal/master"
-	"harmony/internal/metrics"
 	"harmony/internal/mlapp"
 	"harmony/internal/obs"
 	"harmony/internal/ps"
@@ -55,10 +54,7 @@ type Backend interface {
 	EventsSince(since uint64, kind string) []master.Event
 	Snapshot() (master.Snapshot, error)
 	PSStats() (ps.ClusterStats, error)
-	TracingEnabled() bool
 	CollectSpans() []obs.TaggedSpan
-	PhaseStats() (hist [obs.NumPhases]metrics.HistSnapshot, ok bool)
-	MeasuredOverlap() map[string]float64
 }
 
 var _ Backend = (*master.Master)(nil)

@@ -36,7 +36,6 @@ type fakeBackend struct {
 	traced     bool
 	spans      []obs.TaggedSpan
 	phaseHist  [obs.NumPhases]metrics.HistSnapshot
-	overlap    map[string]float64
 	lastSpec   master.JobSpec
 	lastProf   master.Profile
 	lastGroup  []string
@@ -81,7 +80,7 @@ func (f *fakeBackend) Queues() []master.QueueView  { return f.queues }
 
 func (f *fakeBackend) WorkerTotals() master.WorkerTotals {
 	return master.WorkerTotals{CPUUtil: 0.75, NetUtil: 0.5, UtilErr: f.statsErr, Comm: f.comm, Comp: f.comp,
-		LoadedJobs: 3}
+		LoadedJobs: 3, PS: f.psStats, PhaseHist: f.phaseHist, Traced: f.traced, Spans: f.spans}
 }
 
 func (f *fakeBackend) EventsSince(since uint64, kind string) []master.Event {
@@ -111,15 +110,7 @@ func (f *fakeBackend) Snapshot() (master.Snapshot, error) {
 
 func (f *fakeBackend) PSStats() (ps.ClusterStats, error) { return f.psStats, f.psErr }
 
-func (f *fakeBackend) TracingEnabled() bool { return f.traced }
-
 func (f *fakeBackend) CollectSpans() []obs.TaggedSpan { return f.spans }
-
-func (f *fakeBackend) PhaseStats() ([obs.NumPhases]metrics.HistSnapshot, bool) {
-	return f.phaseHist, f.traced
-}
-
-func (f *fakeBackend) MeasuredOverlap() map[string]float64 { return f.overlap }
 
 func doReq(t *testing.T, s *Server, method, path, body string) *httptest.ResponseRecorder {
 	t.Helper()
@@ -505,7 +496,7 @@ func TestMetricsStripeSamples(t *testing.T) {
 		}
 	}
 	// A failing scrape must not take /metrics down with it.
-	fb.psErr = errors.New("no workers")
+	fb.psStats, fb.statsErr = ps.ClusterStats{}, errors.New("no workers")
 	if w := doReq(t, New(fb), http.MethodGet, "/metrics", ""); w.Code != http.StatusOK {
 		t.Fatalf("metrics with ps error = %d", w.Code)
 	}
@@ -725,7 +716,13 @@ func TestTraceEndpoint(t *testing.T) {
 }
 
 func TestMetricsPhaseHistogramsAndOverlap(t *testing.T) {
-	f := &fakeBackend{traced: true, overlap: map[string]float64{"w0,w1": 0.4}}
+	// COMP [0, 6) ms and PULL [2, 10) ms on one machine: 4 ms of overlap
+	// in 10 ms busy.
+	const ms = 1_000_000 // ns
+	f := &fakeBackend{traced: true, spans: []obs.TaggedSpan{
+		{Span: obs.Span{Seq: 1, Phase: obs.PhaseComp, Job: "a", Start: 0, End: 6 * ms}, Machine: "w0", Group: "w0,w1"},
+		{Span: obs.Span{Seq: 2, Phase: obs.PhasePull, Job: "a", Start: 2 * ms, End: 10 * ms}, Machine: "w0", Group: "w0,w1"},
+	}}
 	var h metrics.Histogram
 	h.Observe(0.01)
 	f.phaseHist[obs.PhaseComp] = h.Snapshot()

@@ -394,15 +394,25 @@ func TestTracedClusterOverHTTP(t *testing.T) {
 	}
 }
 
-// TestMetricsScrapesEachWorkerOnce: one GET /metrics costs every worker one
-// worker.stats and one ps.stats call. Utilization, COMM and COMP totals
-// come out of the same pass; three separate fan-outs made it three calls.
+// TestMetricsScrapesEachWorkerOnce: one GET /metrics costs every worker
+// one worker.stats call, traced or not. Utilization, COMM and COMP totals,
+// the PS stripes, the phase histograms and the spans all come out of that
+// pass, and a /v1/ps, /v1/trace or /v1/snapshot read is one pass too.
 func TestMetricsScrapesEachWorkerOnce(t *testing.T) {
+	for _, mode := range []string{"untraced", "traced"} {
+		t.Run(mode, func(t *testing.T) { testScrapesEachWorkerOnce(t, mode == "traced") })
+	}
+}
+
+func testScrapesEachWorkerOnce(t *testing.T, traced bool) {
 	m, err := master.New("127.0.0.1:0", core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
+	if traced {
+		m.EnableTracing(0)
+	}
 	const workers = 3
 	var workerStats, psStats [workers]atomic.Int32
 	mc, err := rpc.Dial(m.Addr(), time.Second)
@@ -437,20 +447,40 @@ func TestMetricsScrapesEachWorkerOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
+	base := "http://" + s.Addr()
+	check := func(what string, want int32) {
+		t.Helper()
+		for i := 0; i < workers; i++ {
+			if ws, pss := workerStats[i].Load(), psStats[i].Load(); ws != want || pss != 0 {
+				t.Errorf("after %s worker %d served %d worker.stats and %d ps.stats calls, want %d and 0",
+					what, i, ws, pss, want)
+			}
+		}
+	}
 
-	for scrape := int32(1); scrape <= 2; scrape++ {
-		body := fetchMetrics(t, "http://"+s.Addr())
+	const scrapes = 2
+	for scrape := int32(1); scrape <= scrapes; scrape++ {
+		body := fetchMetrics(t, base)
 		for _, want := range []string{`harmony_utilization{resource="cpu"} 0.5`, `harmony_utilization{resource="network"} 0.25`} {
 			if !strings.Contains(body, want) {
 				t.Errorf("scrape %d: /metrics lacks %q", scrape, want)
 			}
 		}
-		for i := 0; i < workers; i++ {
-			if ws, pss := workerStats[i].Load(), psStats[i].Load(); ws != scrape || pss != scrape {
-				t.Errorf("after %d scrapes worker %d served %d worker.stats and %d ps.stats calls, want %d of each",
-					scrape, i, ws, pss, scrape)
-			}
+		if got := strings.Contains(body, "harmony_phase_seconds"); got != traced {
+			t.Errorf("scrape %d: phase histograms present = %v, want %v", scrape, got, traced)
 		}
+		check(fmt.Sprintf("%d scrapes", scrape), scrape)
+	}
+	for i, path := range []string{"/v1/ps", "/v1/trace", "/v1/snapshot"} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		check("GET "+path, scrapes+int32(i)+1)
 	}
 }
 
@@ -467,10 +497,9 @@ func TestOverlapGaugeOmitsUnmeasuredGroup(t *testing.T) {
 	stub := rpc.NewServer()
 	stub.Handle(worker.MethodLoadJob, rpc.Typed(func(worker.LoadJobArgs) (worker.Ack, error) { return worker.Ack{}, nil }))
 	stub.Handle(worker.MethodStartJob, rpc.Typed(func(worker.StartJobArgs) (worker.Ack, error) { return worker.Ack{}, nil }))
-	stub.Handle(ps.MethodStats, rpc.Typed(func(ps.StatsArgs) (ps.StatsReply, error) { return ps.StatsReply{}, nil }))
 	stub.Handle(worker.MethodStats, rpc.Typed(func(a worker.StatsArgs) (worker.StatsReply, error) {
 		var r worker.StatsReply
-		if a.SpanAfter == 0 { // the first span collection; utilization polls skip spans
+		if a.SpanAfter == 0 { // the first pass; later ones ask past seq 1
 			r.Spans = []obs.Span{{Seq: 1, Phase: obs.PhaseComp, Job: "j", End: int64(time.Millisecond)}}
 		}
 		return r, nil

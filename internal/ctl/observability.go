@@ -181,9 +181,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				Type: metrics.PromCounter, Value: float64(q.Preempted)},
 		)
 	}
-	// One pass over the workers feeds four families. Per-resource executor
-	// utilization is best effort: a scrape must not fail because a worker
-	// is mid-restart.
+	// One pass over the workers feeds every worker-side family below.
+	// It is best effort: a scrape must not fail because a worker is
+	// mid-restart.
 	totals := s.b.WorkerTotals()
 	samples = append(samples, metrics.Sample{Name: "harmony_worker_loaded_jobs",
 		Help: "Jobs loaded on the workers that answered, counted once per member.",
@@ -204,11 +204,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// across the cluster: this process plus every worker process.
 	samples = append(samples, metrics.CommSamples(totals.Comm)...)
 	samples = append(samples, metrics.CompSamples(totals.Comp)...)
-	// Per-stripe PS load, bounded to the hottest stripes plus per-server
-	// aggregates; best effort like the other worker scrapes.
-	if cs, err := s.b.PSStats(); err == nil {
-		samples = append(samples, ps.StripeSamples(cs, psStripeTopK)...)
-	}
+	// Per-stripe PS load of the servers that answered, bounded to the
+	// hottest stripes plus per-server aggregates.
+	samples = append(samples, ps.StripeSamples(totals.PS, psStripeTopK)...)
 	samples = append(samples,
 		metrics.Sample{Name: `harmony_build_info{version="` + obs.Version + `"}`,
 			Help: "Build metadata; the value is always 1.",
@@ -219,13 +217,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	)
 	// Phase latency histograms and measured COMP/COMM overlap, present
 	// only when the master collects traces (-trace).
-	if hist, ok := s.b.PhaseStats(); ok {
+	if totals.Traced {
 		for p := obs.Phase(0); p < obs.NumPhases; p++ {
 			samples = metrics.AppendHistogram(samples, "harmony_phase_seconds",
 				"Latency of worker subtask phases, by phase.",
-				`phase="`+p.String()+`"`, hist[p])
+				`phase="`+p.String()+`"`, totals.PhaseHist[p])
 		}
-		overlap := s.b.MeasuredOverlap()
+		overlap := obs.OverlapByGroup(totals.Spans)
 		groups := make([]string, 0, len(overlap))
 		for g := range overlap {
 			groups = append(groups, g)

@@ -17,7 +17,9 @@ import (
 	"harmony/internal/fair"
 	"harmony/internal/metrics"
 	"harmony/internal/mlapp"
+	"harmony/internal/obs"
 	"harmony/internal/profile"
+	"harmony/internal/ps"
 	"harmony/internal/rpc"
 	"harmony/internal/worker"
 )
@@ -747,38 +749,56 @@ func (m *Master) PlanGroups() (map[string][]string, error) {
 	return out, nil
 }
 
-// WorkerTotals is one pass of worker.stats over the cluster. CPUUtil and
-// NetUtil are mean executor busy fractions, valid when UtilErr is nil (there
-// are workers and all answered). Comm and Comp sum data-plane traffic and
-// compute-path health over this process — checkpoints ride the same data
-// plane — and every worker that answered, counted once per owning process
-// (in-process workers share this process's counters); best effort, a worker
+// WorkerTotals is one pass of worker.stats over the cluster, the only way
+// the master reads its workers. CPUUtil and NetUtil are mean executor busy
+// fractions, valid when UtilErr is nil (there are workers and all
+// answered). Comm and Comp sum data-plane traffic and compute-path health
+// over this process — checkpoints ride the same data plane — and every
+// worker that answered, counted once per owning process (in-process
+// workers share this process's counters); best effort, a worker
 // mid-restart is skipped. LoadedJobs sums the jobs the answering workers
-// hold: a job counts once per member until its members release it.
+// hold: a job counts once per member until its members release it. PS
+// holds the co-hosted parameter server of every worker that answered, and
+// PhaseHist sums their per-phase latency histograms. Traced reports that
+// this master collects traces; then the pass also collects each worker's
+// new spans, and Spans is every span retained after it.
 type WorkerTotals struct {
 	CPUUtil, NetUtil float64
 	UtilErr          error
 	Comm             metrics.CommSnapshot
 	Comp             metrics.CompSnapshot
 	LoadedJobs       int
+	PS               ps.ClusterStats
+	PhaseHist        [obs.NumPhases]metrics.HistSnapshot
+	Traced           bool
+	Spans            []obs.TaggedSpan
 }
 
-// WorkerTotals scrapes every worker once; WorkerStats and CommStats are
-// views of it for callers that want one part.
+// WorkerTotals scrapes every worker once. WorkerStats, CommStats, PSStats,
+// PhaseStats, CollectSpans and MeasuredOverlap are views of it for callers
+// that want one part.
 func (m *Master) WorkerTotals() WorkerTotals {
 	m.mu.RLock()
 	refs := append([]workerRef(nil), m.workers...)
+	tr := m.trace
+	var groups map[string]string
+	if tr != nil {
+		groups = m.groupNamesLocked()
+	}
 	m.mu.RUnlock()
-	var t WorkerTotals
+	t := WorkerTotals{Traced: tr != nil}
 	comm := map[string]metrics.CommSnapshot{metrics.ProcessID(): metrics.Comm.Snapshot()}
 	comp := map[string]metrics.CompSnapshot{metrics.ProcessID(): metrics.Comp.Snapshot()}
 	for _, r := range refs {
+		args := worker.StatsArgs{SpanAfter: worker.SpanCursorNone}
+		if tr != nil {
+			args.SpanAfter = tr.cursor(r.name)
+		}
 		st, err := rpc.Invoke[worker.StatsArgs, worker.StatsReply](r.client,
-			worker.MethodStats, worker.StatsArgs{SpanAfter: worker.SpanCursorNone},
-			collectTimeout)
+			worker.MethodStats, args, collectTimeout)
 		if err != nil {
 			if t.UtilErr == nil {
-				t.UtilErr = err
+				t.UtilErr = fmt.Errorf("master: stats from %s (%s): %w", r.name, r.addr, err)
 			}
 			continue
 		}
@@ -786,6 +806,13 @@ func (m *Master) WorkerTotals() WorkerTotals {
 		t.NetUtil += st.NetUtil
 		t.LoadedJobs += st.Jobs
 		comm[st.CommProcess], comp[st.CommProcess] = st.Comm, st.Comp
+		t.PS.Servers = append(t.PS.Servers, ps.ServerStats{Name: r.name, Addr: r.addr, StatsReply: st.PS})
+		for p := range t.PhaseHist {
+			t.PhaseHist[p] = t.PhaseHist[p].Add(st.PhaseHist[p])
+		}
+		if tr != nil {
+			tr.ingest(r.name, st.Spans, groups)
+		}
 	}
 	if len(refs) == 0 {
 		t.UtilErr = errors.New("master: no workers")
@@ -798,6 +825,9 @@ func (m *Master) WorkerTotals() WorkerTotals {
 	}
 	for _, s := range comp {
 		t.Comp = t.Comp.Add(s)
+	}
+	if tr != nil {
+		t.Spans = tr.retained()
 	}
 	return t
 }
@@ -813,6 +843,42 @@ func (m *Master) WorkerStats() (cpu, net float64, err error) {
 
 // CommStats sums data-plane traffic across the cluster.
 func (m *Master) CommStats() metrics.CommSnapshot { return m.WorkerTotals().Comm }
+
+// PSStats merges per-stripe parameter-server statistics across workers.
+// Best effort per worker — one mid-restart worker must not blank the
+// cluster view — so it errors only when no server answered.
+func (m *Master) PSStats() (ps.ClusterStats, error) {
+	t := m.WorkerTotals()
+	if len(t.PS.Servers) == 0 {
+		return t.PS, t.UtilErr
+	}
+	return t.PS, nil
+}
+
+// PhaseStats sums per-phase latency histograms across workers. ok is
+// false when tracing is disabled on this master.
+func (m *Master) PhaseStats() (hist [obs.NumPhases]metrics.HistSnapshot, ok bool) {
+	t := m.WorkerTotals()
+	return t.PhaseHist, t.Traced
+}
+
+// CollectSpans pulls new spans from every worker into the bounded
+// retention buffer and returns a copy of all retained spans, tagged with
+// the recording machine and the job's group at collection. Returns nil
+// when tracing is disabled.
+func (m *Master) CollectSpans() []obs.TaggedSpan { return m.WorkerTotals().Spans }
+
+// MeasuredOverlap reports, per co-location group, the measured fraction
+// of machine busy time where COMP and COMM subtasks ran simultaneously —
+// the live counterpart of the model's utilization claim — over the spans
+// retained after a fresh collection; nil when tracing is disabled.
+func (m *Master) MeasuredOverlap() map[string]float64 {
+	spans := m.CollectSpans()
+	if spans == nil {
+		return nil
+	}
+	return obs.OverlapByGroup(spans)
+}
 
 // Close releases all barriers with Stop and shuts the master down.
 func (m *Master) Close() {

@@ -7,7 +7,6 @@ import (
 
 	"harmony/internal/core"
 	"harmony/internal/mlapp"
-	"harmony/internal/ps"
 	"harmony/internal/rpc"
 	"harmony/internal/worker"
 )
@@ -55,10 +54,10 @@ func TestPSStatsLive(t *testing.T) {
 	}
 }
 
-// TestTelemetryTimesOutOnAHungWorker: a worker whose stats handlers never
-// answer costs a scrape collectTimeout, not a control call's minute, and
-// the two scrapes behind /metrics run side by side instead of queueing on
-// the master's lock.
+// TestTelemetryTimesOutOnAHungWorker: a worker whose stats handler never
+// answers costs a scrape collectTimeout, not a control call's minute, and
+// two concurrent reads (a /metrics scrape and a /v1/ps read) run side by
+// side instead of queueing on the master's lock.
 func TestTelemetryTimesOutOnAHungWorker(t *testing.T) {
 	m, err := New("127.0.0.1:0", core.Options{})
 	if err != nil {
@@ -70,10 +69,6 @@ func TestTelemetryTimesOutOnAHungWorker(t *testing.T) {
 	stub.Handle(worker.MethodStats, rpc.Typed(func(worker.StatsArgs) (worker.StatsReply, error) {
 		<-hang
 		return worker.StatsReply{}, nil
-	}))
-	stub.Handle(ps.MethodStats, rpc.Typed(func(ps.StatsArgs) (ps.StatsReply, error) {
-		<-hang
-		return ps.StatsReply{}, nil
 	}))
 	addr, err := stub.Listen("127.0.0.1:0")
 	if err != nil {

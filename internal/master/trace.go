@@ -6,16 +6,13 @@ import (
 	"sync"
 	"time"
 
-	"harmony/internal/metrics"
 	"harmony/internal/obs"
-	"harmony/internal/rpc"
-	"harmony/internal/worker"
 )
 
-// collectTimeout bounds every telemetry Stats call (spans, worker totals,
-// PS stripes). It is much shorter than a control call's minute so a
-// /v1/trace, /v1/ps or /metrics scrape cannot park behind a dead worker;
-// the scrape just misses that worker.
+// collectTimeout bounds each worker.stats call of a WorkerTotals pass. It
+// is much shorter than a control call's minute so a /v1/trace, /v1/ps or
+// /metrics scrape cannot park behind a dead worker; the scrape just misses
+// that worker.
 const collectTimeout = 5 * time.Second
 
 // DefaultTraceRetention is how many tagged spans the master retains
@@ -23,8 +20,8 @@ const collectTimeout = 5 * time.Second
 const DefaultTraceRetention = 1 << 17
 
 // traceState accumulates spans pulled from workers. Per-worker cursors
-// make collection incremental: each Stats call only ships spans recorded
-// since the previous collection.
+// make collection incremental: each worker.stats call only ships spans
+// recorded since the previous collection.
 type traceState struct {
 	mu        sync.Mutex
 	cursors   map[string]uint64
@@ -46,13 +43,6 @@ func (m *Master) EnableTracing(retention int) {
 	if m.trace == nil {
 		m.trace = &traceState{cursors: make(map[string]uint64), retention: retention}
 	}
-}
-
-// TracingEnabled reports whether the master collects spans.
-func (m *Master) TracingEnabled() bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.trace != nil
 }
 
 // workerNamesLocked lists a job's current worker names.
@@ -81,96 +71,40 @@ func (m *Master) groupNamesLocked() map[string]string {
 	return out
 }
 
-// CollectSpans pulls new spans from every worker (best effort: a worker
-// mid-restart is skipped) into the bounded retention buffer and returns
-// a snapshot of all retained spans, tagged with the recording machine
-// and the job's current group. Returns nil when tracing is disabled.
-func (m *Master) CollectSpans() []obs.TaggedSpan {
-	m.mu.RLock()
-	t := m.trace
-	if t == nil {
-		m.mu.RUnlock()
-		return nil
-	}
-	refs := append([]workerRef(nil), m.workers...)
-	groups := m.groupNamesLocked()
-	m.mu.RUnlock()
-
-	type haul struct {
-		machine string
-		spans   []obs.Span
-	}
-	hauls := make([]haul, 0, len(refs))
-	for _, r := range refs {
-		t.mu.Lock()
-		cursor := t.cursors[r.name]
-		t.mu.Unlock()
-		st, err := rpc.Invoke[worker.StatsArgs, worker.StatsReply](r.client,
-			worker.MethodStats, worker.StatsArgs{SpanAfter: cursor}, collectTimeout)
-		if err != nil {
-			continue
-		}
-		hauls = append(hauls, haul{machine: r.name, spans: st.Spans})
-	}
-
+// cursor is the sequence number of the last span ingested from machine.
+func (t *traceState) cursor(machine string) uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, h := range hauls {
-		// A haul starting past the cursor's successor: the worker's ring
-		// evicted the spans in between.
-		if cur := t.cursors[h.machine]; len(h.spans) > 0 && h.spans[0].Seq > cur+1 {
-			t.lost += int64(h.spans[0].Seq - cur - 1)
+	return t.cursors[machine]
+}
+
+// ingest appends machine's spans past its cursor to the retention buffer,
+// tagging each with its job's group. A span at or below the cursor came
+// in twice: a concurrent collection asked from the same cursor and
+// ingested it first. A gap before a new span is spans the worker's ring
+// evicted before anyone collected them.
+func (t *traceState) ingest(machine string, spans []obs.Span, groups map[string]string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cur := t.cursors[machine]
+	for _, s := range spans {
+		if s.Seq <= cur {
+			continue
 		}
-		for _, s := range h.spans {
-			if s.Seq > t.cursors[h.machine] {
-				t.cursors[h.machine] = s.Seq
-			}
-			t.spans = append(t.spans, obs.TaggedSpan{
-				Span: s, Machine: h.machine, Group: groups[s.Job],
-			})
-		}
+		t.lost += int64(s.Seq - cur - 1)
+		cur = s.Seq
+		t.spans = append(t.spans, obs.TaggedSpan{Span: s, Machine: machine, Group: groups[s.Job]})
 	}
+	t.cursors[machine] = cur
 	if over := len(t.spans) - t.retention; over > 0 {
 		t.lost += int64(over)
 		t.spans = append(t.spans[:0], t.spans[over:]...)
 	}
+}
+
+// retained copies the retained spans (nil when there are none).
+func (t *traceState) retained() []obs.TaggedSpan {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return append([]obs.TaggedSpan(nil), t.spans...)
-}
-
-// PhaseStats aggregates per-phase latency histograms across workers
-// (best effort, like the other Stats aggregators). ok is false when
-// tracing is disabled on this master.
-func (m *Master) PhaseStats() (hist [obs.NumPhases]metrics.HistSnapshot, ok bool) {
-	m.mu.RLock()
-	enabled := m.trace != nil
-	refs := append([]workerRef(nil), m.workers...)
-	m.mu.RUnlock()
-	if !enabled {
-		return hist, false
-	}
-	for _, r := range refs {
-		st, err := rpc.Invoke[worker.StatsArgs, worker.StatsReply](r.client,
-			worker.MethodStats, worker.StatsArgs{SpanAfter: worker.SpanCursorNone},
-			collectTimeout)
-		if err != nil {
-			continue
-		}
-		for p := 0; p < int(obs.NumPhases); p++ {
-			hist[p] = hist[p].Add(st.PhaseHist[p])
-		}
-	}
-	return hist, true
-}
-
-// MeasuredOverlap reports, per co-location group, the measured fraction
-// of machine busy time where COMP and COMM subtasks ran simultaneously —
-// the live counterpart of the model's utilization claim. Collection runs
-// first so the measure covers the freshest spans; nil when tracing is
-// disabled.
-func (m *Master) MeasuredOverlap() map[string]float64 {
-	spans := m.CollectSpans()
-	if spans == nil {
-		return nil
-	}
-	return obs.OverlapByGroup(spans)
 }

@@ -51,7 +51,8 @@
 // stripe's own bytes (delta.go).
 //
 // init replaces a job's whole partition on the receiving server.
-// Control-plane methods (drop, stats) stay gob.
+// Those three are the whole wire: a worker drops its own partitions and
+// reports their counters in its stats reply (Server.Drop, Server.Stats).
 package ps
 
 import (
@@ -74,7 +75,8 @@ const (
 	// MethodDrop is served by no Server: each worker drops its own
 	// partition of a job it releases (Server.Drop).
 	MethodDrop = "ps.drop"
-	// MethodStats reports per-stripe load counters for every job.
+	// MethodStats is served by no Server either: each worker reports its
+	// co-hosted server's counters in its own stats reply (Server.Stats).
 	MethodStats = "ps.stats"
 )
 
@@ -93,7 +95,7 @@ type DropArgs struct {
 	Job string
 }
 
-// StatsArgs requests per-stripe load counters.
+// StatsArgs names nothing; it is the argument of a MethodStats call.
 type StatsArgs struct{}
 
 // StripeSize is the default number of float64 elements per stripe
@@ -150,7 +152,7 @@ func (l layout) span(s int) (lo, hi int) {
 // held is the stripe range [first, end) server i holds.
 func (l layout) held(i int) (first, end int) { return Partition(l.stripes, l.k, i) }
 
-// stripeStats are the per-stripe load counters behind MethodStats
+// stripeStats are the per-stripe load counters behind Server.Stats
 // (/metrics, GET /v1/ps). Atomics: pulls bump them under a read lock.
 type stripeStats struct {
 	pullOps   atomic.Int64
@@ -199,7 +201,7 @@ type Server struct {
 	mu    sync.RWMutex
 	parts map[string]partition
 	// lockWait is the server-wide distribution of per-stripe-op lock
-	// wait, exported through MethodStats.
+	// wait, exported through Server.Stats.
 	lockWait metrics.Histogram
 }
 
@@ -208,14 +210,13 @@ func NewServer() *Server {
 	return &Server{parts: make(map[string]partition)}
 }
 
-// Register installs the PS methods on the RPC server. Data-plane methods
-// are inline handlers: they never block on other RPCs and run directly on
-// the connection's read loop, keeping buffers pooled end to end.
+// Register installs the PS methods, all data plane, on the RPC server as
+// inline handlers: they never block on other RPCs and run directly on the
+// connection's read loop, keeping buffers pooled end to end.
 func (s *Server) Register(srv *rpc.Server) {
 	srv.HandleInline(MethodInit, s.handleInit)
 	srv.HandleInline(MethodPull, s.handlePull)
 	srv.HandleInline(MethodPush, s.handlePush)
-	srv.Handle(MethodStats, rpc.Typed(s.handleStats))
 }
 
 // lookup fetches a job's partition under the map lock only.
@@ -487,8 +488,9 @@ func (s *Server) Drop(job string) {
 	s.mu.Unlock()
 }
 
-// Stats snapshots this server's per-stripe load counters (the in-process
-// mirror of MethodStats).
+// Stats snapshots this server's per-stripe load counters. The hosting
+// worker returns it inside its worker.stats reply, so the master reads a
+// worker and its parameter server in one call.
 func (s *Server) Stats() StatsReply {
 	s.mu.RLock()
 	jobs := make(map[string]partition, len(s.parts))
@@ -513,10 +515,6 @@ func (s *Server) Stats() StatsReply {
 	}
 	reply.LockWait = s.lockWait.Snapshot()
 	return reply
-}
-
-func (s *Server) handleStats(StatsArgs) (StatsReply, error) {
-	return s.Stats(), nil
 }
 
 // Close drops every partition. A server starts no goroutine and holds no

@@ -7,7 +7,7 @@ import (
 	"harmony/internal/metrics"
 )
 
-// StripeStat is one stripe's load counters as reported by MethodStats.
+// StripeStat is one stripe's load counters as reported by Server.Stats.
 // Counters are cumulative since Init created the stripe block.
 type StripeStat struct {
 	Index int
@@ -30,7 +30,8 @@ type JobStats struct {
 	Stripes []StripeStat
 }
 
-// StatsReply is one server's answer to MethodStats.
+// StatsReply is one server's counters (Server.Stats), carried to the
+// master inside its hosting worker's stats reply.
 type StatsReply struct {
 	Jobs []JobStats
 	// LockWait is the server-wide distribution of per-op stripe lock

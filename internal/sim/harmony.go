@@ -8,6 +8,7 @@ import (
 	"harmony/internal/core"
 	"harmony/internal/metrics"
 	"harmony/internal/simtime"
+	"harmony/internal/workload"
 )
 
 // maxProfilingPerGroup bounds how many unprofiled jobs ride along in one
@@ -186,7 +187,7 @@ func (s *Simulator) onProfiled(id string) {
 		InputGB:       sj.run.spec.Data.InputGB,
 		ModelGB:       sj.run.spec.Data.ModelGB,
 		WorkGB:        sj.run.spec.WorkGB,
-		JVMHeapFactor: 2.2,
+		JVMHeapFactor: workload.JVMHeapFactor,
 	}
 	if e := s.cfg.MetricErrorFrac; e > 0 {
 		est.Comp *= 1 + e*(2*s.rng.Float64()-1)

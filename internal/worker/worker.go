@@ -84,9 +84,9 @@ type SetAlphaArgs struct {
 	Alpha float64
 }
 
-// SpanCursorNone asks a Stats call to skip span payloads entirely —
-// utilization aggregators poll Stats every scrape and must not drag the
-// whole span ring along each time.
+// SpanCursorNone asks a Stats call to skip span payloads entirely. A
+// master that does not collect traces sends it, so a traced worker does
+// not ship its span ring to a caller that would drop it.
 const SpanCursorNone = ^uint64(0)
 
 // StatsArgs requests executor statistics. SpanAfter is the caller's
@@ -94,7 +94,6 @@ const SpanCursorNone = ^uint64(0)
 // numbers beyond it (none when tracing is disabled on this worker, or
 // when the cursor is SpanCursorNone).
 type StatsArgs struct {
-	Unused    bool
 	SpanAfter uint64
 }
 
@@ -117,11 +116,13 @@ type StatsReply struct {
 	CommProcess string
 	// Spans are the subtask/barrier spans recorded since the caller's
 	// SpanAfter cursor, and PhaseHist the per-phase latency histograms —
-	// both empty unless this worker runs with tracing enabled. They ride
-	// the existing Stats path so trace collection needs no extra RPC
-	// surface and inherits its best-effort semantics.
+	// both empty unless this worker runs with tracing enabled.
 	Spans     []obs.Span
 	PhaseHist [obs.NumPhases]metrics.HistSnapshot
+	// PS is the co-hosted parameter server's per-stripe counters. Spans,
+	// histograms and PS counters all ride this one reply, so the master
+	// reads a worker with one call and one best-effort rule.
+	PS ps.StatsReply
 }
 
 // BarrierArgs is the per-iteration synchronization call to the master
@@ -581,7 +582,7 @@ func (w *Worker) handleStats(a StatsArgs) (StatsReply, error) {
 	w.mu.Unlock()
 	reply := StatsReply{CPUUtil: cpu, NetUtil: net, Jobs: jobs,
 		Comm: metrics.Comm.Snapshot(), Comp: metrics.Comp.Snapshot(),
-		CommProcess: metrics.ProcessID()}
+		CommProcess: metrics.ProcessID(), PS: w.psrv.Stats()}
 	if rec := w.rec.Load(); rec != nil {
 		if a.SpanAfter != SpanCursorNone {
 			reply.Spans = rec.SpansAfter(a.SpanAfter, nil)

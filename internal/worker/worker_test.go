@@ -210,6 +210,26 @@ func TestSetAlphaAndDrop(t *testing.T) {
 	}
 }
 
+// TestStatsCarriesPSCounters: worker.stats reports the co-hosted server's
+// stripes, and the server no longer answers a stats call of its own.
+func TestStatsCarriesPSCounters(t *testing.T) {
+	w, ctl := startWorker(t)
+	if _, err := rpc.Invoke[LoadJobArgs, Ack](ctl, MethodLoadJob, loadArgs(w, []string{w.srv.Addr()}), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	st, err := rpc.Invoke[StatsArgs, StatsReply](ctl, MethodStats, StatsArgs{SpanAfter: SpanCursorNone}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.PS.Jobs) != 1 || st.PS.Jobs[0].Job != "j1" || len(st.PS.Jobs[0].Stripes) == 0 {
+		t.Errorf("stats reply's PS part = %+v, want j1's stripes", st.PS)
+	}
+	_, err = rpc.Invoke[ps.StatsArgs, ps.StatsReply](ctl, ps.MethodStats, ps.StatsArgs{}, time.Second)
+	if err == nil || !strings.Contains(err.Error(), "unknown method") {
+		t.Errorf("ps.stats on a worker: err = %v, want unknown method", err)
+	}
+}
+
 // scriptedMaster is a master endpoint that records every barrier's loss
 // and answers Pause once, at iteration pauseAt (-1: never). ended
 // receives a value when a run stops: at the pause, or when the worker
