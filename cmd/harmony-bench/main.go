@@ -58,7 +58,7 @@ func experiments() []experiment {
 			return exp.Fig13b(s)
 		}},
 		{"fig14", "Fig. 14 / §V-F: Harmony vs Oracle", func(s int64) (fmt.Stringer, error) {
-			return exp.Fig14(s)
+			return exp.Fig14(), nil
 		}},
 		{"scale", "§V-F: scheduling scalability", func(s int64) (fmt.Stringer, error) {
 			return exp.ScaleSched(s), nil

@@ -2,11 +2,13 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
 	"harmony/internal/core"
 	"harmony/internal/metrics"
+	"harmony/internal/parallel"
 	"harmony/internal/sim"
 	"harmony/internal/workload"
 )
@@ -115,69 +117,71 @@ func scale100(vs []float64) []float64 {
 	return out
 }
 
-// Fig14Result reproduces Fig. 14 and §V-F: full executions under
-// Harmony's scheduler vs the exhaustive-search Oracle, plus the
-// scheduling-latency comparison.
+// Fig14Result reproduces Fig. 14 and §V-F as a one-shot comparison of
+// Eq. 4 scores: on each input, Algorithm 1's plan against the plan of the
+// exhaustive-search Oracle. The Oracle searches the same space, a prefix
+// of the jobs in priority order, so Algorithm 1's score over the
+// Oracle's is an optimality gap of at most 1.
 type Fig14Result struct {
-	Harmony ModeOutcome
-	Oracle  ModeOutcome
-	// Mean wall-clock per scheduling decision during the runs.
-	HarmonyMeanSched time.Duration
-	OracleMeanSched  time.Duration
-	// One-shot planning latency over the full 80-job/100-machine input.
-	HarmonyPlan80 time.Duration
-	OraclePlan80  time.Duration
+	// Per input, in grid order and indexed alike: the jobs and machines
+	// both planners were given, and each planner's plan and score.
+	Jobs                      [][]core.JobInfo
+	Machines                  []int
+	Harmony, Oracle           []core.Plan
+	HarmonyScore, OracleScore []float64
+	// HarmonyTime and OracleTime are the mean wall-clock planning times
+	// per input at the grid's largest job count.
+	HarmonyTime, OracleTime time.Duration
 }
 
-// Fig14Jobs and Fig14Machines scale the oracle execution comparison down
-// from the paper's 80/100 so the annealing Oracle (which replaces the
-// "about 10 hours" exhaustive search) keeps the benchmark runnable.
-const (
-	Fig14Jobs     = 24
-	Fig14Machines = 40
-)
+// fig14Opts are the one-shot planning options of every Fig. 14 input.
+var fig14Opts = core.Options{MemoryCapGB: 25, MaxJobsPerGroup: 3}
 
-// Fig14 runs the comparison.
-func Fig14(seed int64) (*Fig14Result, error) {
-	specs := workload.Small(Fig14Jobs)
-	jobs := sim.Jobs(specs, nil)
-	har, err := sim.Run(sim.Config{Machines: Fig14Machines, Mode: sim.ModeHarmony, Seed: seed}, jobs)
-	if err != nil {
-		return nil, fmt.Errorf("fig14 harmony: %w", err)
-	}
-	ora, err := sim.Run(sim.Config{Machines: Fig14Machines, Mode: sim.ModeHarmony, Seed: seed,
-		OraclePlanner: true}, jobs)
-	if err != nil {
-		return nil, fmt.Errorf("fig14 oracle: %w", err)
-	}
-	out := &Fig14Result{
-		Harmony:          outcomeOf(sim.ModeHarmony, har),
-		Oracle:           outcomeOf(sim.ModeHarmony, ora),
-		HarmonyMeanSched: meanDuration(har.SchedulingTimes),
-		OracleMeanSched:  meanDuration(ora.SchedulingTimes),
-	}
+// Fig. 14's grid: each job count n in fig14Sizes takes the first
+// fig14Windows disjoint n-job windows of the base workload, in its order,
+// on n/2, n and 2n machines.
+var fig14Sizes = []int{6, 8, 10}
 
-	// One-shot planning latency on the full-size input.
+const fig14Windows = 8
+
+// Fig14 plans every input of the grid with both planners. Each input is
+// independent, so they fan out across the experiment worker pool into
+// index-ordered slots.
+func Fig14() *Fig14Result {
 	est := estimatesOf(workload.Base())
-	opts := core.Options{MemoryCapGB: 25, MaxJobsPerGroup: 3}
-	start := time.Now()
-	core.Schedule(est, Machines, opts)
-	out.HarmonyPlan80 = time.Since(start)
-	start = time.Now()
-	oraclePlan(est, Machines, opts)
-	out.OraclePlan80 = time.Since(start)
-	return out, nil
-}
-
-func meanDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
+	out := &Fig14Result{}
+	for _, n := range fig14Sizes {
+		for _, m := range []int{n / 2, n, 2 * n} {
+			for k := range fig14Windows {
+				out.Jobs = append(out.Jobs, est[k*n:(k+1)*n])
+				out.Machines = append(out.Machines, m)
+			}
+		}
 	}
-	var sum time.Duration
-	for _, d := range ds {
-		sum += d
+	in := len(out.Jobs)
+	out.Harmony, out.Oracle = make([]core.Plan, in), make([]core.Plan, in)
+	out.HarmonyScore, out.OracleScore = make([]float64, in), make([]float64, in)
+	harmonyTime, oracleTime := make([]time.Duration, in), make([]time.Duration, in)
+	parallel.Run(in, concurrency, func(i int) {
+		start := time.Now()
+		out.Harmony[i] = core.Schedule(out.Jobs[i], out.Machines[i], fig14Opts)
+		mid := time.Now()
+		out.Oracle[i] = core.Oracle(out.Jobs[i], out.Machines[i], fig14Opts)
+		harmonyTime[i], oracleTime[i] = mid.Sub(start), time.Since(mid)
+		out.HarmonyScore[i] = fig14Opts.Score(out.Harmony[i])
+		out.OracleScore[i] = fig14Opts.Score(out.Oracle[i])
+	})
+	var timed time.Duration
+	for i, jobs := range out.Jobs {
+		if len(jobs) == fig14Sizes[len(fig14Sizes)-1] {
+			out.HarmonyTime += harmonyTime[i]
+			out.OracleTime += oracleTime[i]
+			timed++
+		}
 	}
-	return sum / time.Duration(len(ds))
+	out.HarmonyTime /= timed
+	out.OracleTime /= timed
+	return out
 }
 
 func estimatesOf(specs []workload.Spec) []core.JobInfo {
@@ -193,25 +197,28 @@ func estimatesOf(specs []workload.Spec) []core.JobInfo {
 }
 
 func (r *Fig14Result) String() string {
-	rows := [][]string{
-		{"oracle", minutes(r.Oracle.MeanJCT), minutes(r.Oracle.Makespan),
-			pct(r.Oracle.CPUUtil), pct(r.Oracle.NetUtil), r.OracleMeanSched.Round(time.Millisecond).String()},
-		{"harmony", minutes(r.Harmony.MeanJCT), minutes(r.Harmony.Makespan),
-			pct(r.Harmony.CPUUtil), pct(r.Harmony.NetUtil), r.HarmonyMeanSched.Round(time.Microsecond).String()},
+	var rows [][]string
+	for i := 0; i < len(r.Jobs); i += fig14Windows {
+		sum, worst := 0.0, math.Inf(1)
+		var placedH, placedO int
+		for k := i; k < i+fig14Windows; k++ {
+			ratio := r.HarmonyScore[k] / r.OracleScore[k]
+			sum += ratio
+			worst = math.Min(worst, ratio)
+			placedH += r.Harmony[k].NumJobs()
+			placedO += r.Oracle[k].NumJobs()
+		}
+		rows = append(rows, []string{
+			fmt.Sprint(len(r.Jobs[i])), fmt.Sprint(r.Machines[i]),
+			fmt.Sprintf("%.4f", sum/fig14Windows), fmt.Sprintf("%.4f", worst),
+			fmt.Sprintf("%d / %d of %d", placedH, placedO, fig14Windows*len(r.Jobs[i])),
+		})
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 14 — Harmony vs exhaustive-search Oracle (%d jobs, %d machines)\n",
-		Fig14Jobs, Fig14Machines)
-	b.WriteString(table([]string{"scheduler", "mean JCT", "makespan", "CPU util", "net util", "mean sched time"}, rows))
-	fmt.Fprintf(&b, "one-shot planning, 80 jobs / 100 machines: harmony %s, oracle %s (%.0fx slower)\n",
-		r.HarmonyPlan80.Round(time.Microsecond), r.OraclePlan80.Round(time.Millisecond),
-		float64(r.OraclePlan80)/float64(maxDuration(r.HarmonyPlan80, time.Microsecond)))
+	fmt.Fprintf(&b, "Fig. 14 — Algorithm 1 vs exhaustive-search Oracle, Eq. 4 score ratio over %d inputs per row (paper: within ~2%%)\n",
+		fig14Windows)
+	b.WriteString(table([]string{"jobs", "machines", "mean ratio", "worst ratio", "placed (Alg. 1 / Oracle)"}, rows))
+	fmt.Fprintf(&b, "planning time per %d-job input: Algorithm 1 %s, Oracle %s\n",
+		fig14Sizes[len(fig14Sizes)-1], r.HarmonyTime.Round(time.Microsecond), r.OracleTime.Round(time.Millisecond))
 	return b.String()
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

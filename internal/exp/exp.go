@@ -89,8 +89,6 @@ func table(header []string, rows [][]string) string {
 
 func pct(v float64) string { return fmt.Sprintf("%5.1f%%", v*100) }
 
-func minutes(d simtime.Duration) string { return fmt.Sprintf("%.0f min", d.Minutes()) }
-
 // cdfSummary formats a distribution as P10/P50/P90 plus min and max.
 func cdfSummary(values []float64, unit string) string {
 	if len(values) == 0 {

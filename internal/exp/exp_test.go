@@ -148,6 +148,29 @@ func TestScaleSchedFast(t *testing.T) {
 	}
 }
 
+// TestOracleSearchesPrefixes checks that Fig. 14 compares like with like:
+// on every input the Oracle, as Algorithm 1 does, places a prefix of the
+// jobs and leaves the rest waiting, and it scores no lower than Algorithm
+// 1. The tolerance covers one partition whose groups come in a different
+// order, which can round differently.
+func TestOracleSearchesPrefixes(t *testing.T) {
+	r := Fig14()
+	for i, jobs := range r.Jobs {
+		oracle := r.Oracle[i]
+		for _, j := range jobs[:oracle.NumJobs()] {
+			if _, ok := oracle.FindJob(j.ID); !ok {
+				t.Errorf("input %d (%d jobs, %d machines): oracle plan %s skips %s, not a prefix",
+					i, len(jobs), r.Machines[i], oracle, j.ID)
+				break
+			}
+		}
+		if r.OracleScore[i] < r.HarmonyScore[i]-1e-9 {
+			t.Errorf("input %d (%d jobs, %d machines): oracle %.6f < Algorithm 1 %.6f",
+				i, len(jobs), r.Machines[i], r.OracleScore[i], r.HarmonyScore[i])
+		}
+	}
+}
+
 func TestTab1(t *testing.T) {
 	r := Tab1()
 	if len(r.Specs) != 8 {

@@ -6,14 +6,8 @@ import (
 	"strings"
 	"time"
 
-	"harmony/internal/baseline"
 	"harmony/internal/core"
 )
-
-// oraclePlan wraps the exhaustive-search Oracle for latency measurements.
-func oraclePlan(jobs []core.JobInfo, machines int, opts core.Options) core.Plan {
-	return baseline.Oracle(jobs, machines, opts)
-}
 
 // ScalePoint is one row of the §V-F scalability emulation.
 type ScalePoint struct {

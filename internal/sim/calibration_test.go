@@ -23,7 +23,7 @@ func TestCalibration(t *testing.T) {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		fmt.Printf("%-9s meanJCT=%8.1fmin makespan=%8.1fmin cpu=%.3f net=%.3f finished=%d failed=%d concJobs=%.1f groups=%.1f gc=%.0fs paused=%.0fs poolWait=%.0fs\n",
-			mode, res.Summary.MeanJCT.Minutes(), res.Summary.Makespan.Minutes(),
+			mode, res.Summary.MeanJCT.Seconds()/60, res.Summary.Makespan.Seconds()/60,
 			res.Summary.CPUUtil, res.Summary.NetUtil, len(res.Records), len(res.Failed),
 			res.MeanConcurrentJobs, res.MeanGroups, res.GCSeconds, res.PausedSeconds, res.PoolWaitSeconds)
 	}

@@ -126,11 +126,6 @@ type Config struct {
 	// existing runs are bit-identical.
 	LinkContention bool
 
-	// OraclePlanner replaces Algorithm 1 with the exhaustive-search
-	// Oracle of §V-F (simulated annealing beyond its exact range): every
-	// scheduling trigger re-plans the whole running and waiting pool.
-	OraclePlanner bool
-
 	// NaiveGroupSize is the number of jobs per group in ModeNaive
 	// (default 2).
 	NaiveGroupSize int

@@ -85,18 +85,6 @@ func TestMetricErrorInjectionDegrades(t *testing.T) {
 	}
 }
 
-func TestOraclePlannerMode(t *testing.T) {
-	jobs := midJobs(6, 8)
-	res := mustRun(t, Config{Machines: 16, Mode: ModeHarmony, Seed: 5,
-		OraclePlanner: true}, jobs)
-	if len(res.Records) != 6 {
-		t.Fatalf("oracle-planner run failed jobs: %v", res.Failed)
-	}
-	if len(res.SchedulingTimes) == 0 {
-		t.Error("no oracle scheduling latencies recorded")
-	}
-}
-
 func TestAdaptiveAlphaStaysUnderMemoryCeiling(t *testing.T) {
 	specs := workload.ReloadJobs()
 	for i := range specs {

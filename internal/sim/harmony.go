@@ -2,9 +2,7 @@ package sim
 
 import (
 	"sort"
-	"time"
 
-	"harmony/internal/baseline"
 	"harmony/internal/core"
 	"harmony/internal/metrics"
 	"harmony/internal/simtime"
@@ -215,7 +213,7 @@ func (s *Simulator) onProfiled(id string) {
 		}
 		// Arrival rule: place the job into the group that maximizes U,
 		// or let it wait if no placement improves U (§IV-B4).
-		if newPlan, ok := s.timedTryAdd(est); ok {
+		if newPlan, ok := s.tryAdd(est); ok {
 			s.installSingleAddition(id, newPlan)
 			s.absorbWaiting()
 			return
@@ -424,7 +422,6 @@ func (s *Simulator) absorbPick() (gi int, job core.JobInfo, ok bool) {
 		if !known {
 			continue
 		}
-		start := time.Now()
 		var g int
 		var score float64
 		placed := true
@@ -434,7 +431,6 @@ func (s *Simulator) absorbPick() (gi int, job core.JobInfo, ok bool) {
 		} else if g, _, placed = sc.BestAddition(est); placed {
 			score, _, _ = sc.ScoreDelta(est, g)
 		}
-		s.schedTimes = append(s.schedTimes, time.Since(start))
 		if placed && score > best {
 			best, gi, job = score, g, est
 		}
@@ -488,40 +484,16 @@ func (s *Simulator) harmonyFinish(id string) {
 		return
 	}
 	waiting := s.waitingEstimates()
-	start := time.Now()
 	var next core.Plan
-	switch {
-	case s.cfg.DisableSmartGrouping:
+	if s.cfg.DisableSmartGrouping {
 		next = s.shrinkPlanNaive(id, waiting)
-	case s.cfg.OraclePlanner:
-		next = s.oraclePlanAll(id)
-	default:
+	} else {
 		next = core.RegroupAfterFinish(s.plan, id, waiting, s.cfg.SchedOpts).Plan
 	}
-	s.schedTimes = append(s.schedTimes, time.Since(start))
 	s.recordDecision(next)
 	s.applyPlan(next)
 	s.absorbWaiting()
 	s.ensureProgress()
-}
-
-// oraclePlanAll re-plans the entire pool (running minus the finished job,
-// plus the waiting pool) with the exhaustive-search Oracle.
-func (s *Simulator) oraclePlanAll(finishedID string) core.Plan {
-	var jobs []core.JobInfo
-	for _, id := range s.plan.JobIDs() {
-		if id == finishedID {
-			continue
-		}
-		if est, ok := s.estimates[id]; ok {
-			jobs = append(jobs, est)
-		}
-	}
-	jobs = append(jobs, s.waitingEstimates()...)
-	if len(jobs) == 0 {
-		return core.Plan{}
-	}
-	return baseline.Oracle(jobs, s.cfg.Machines, s.cfg.SchedOpts)
 }
 
 // waitingEstimates collects scheduler views of the waiting profiled jobs.
@@ -573,17 +545,12 @@ func (s *Simulator) fullReschedule() {
 	if len(jobs) == 0 {
 		return
 	}
-	start := time.Now()
 	var plan core.Plan
-	switch {
-	case s.cfg.DisableSmartGrouping:
+	if s.cfg.DisableSmartGrouping {
 		plan = s.naivePlan(jobs, s.cfg.Machines)
-	case s.cfg.OraclePlanner:
-		plan = baseline.Oracle(jobs, s.cfg.Machines, s.cfg.SchedOpts)
-	default:
+	} else {
 		plan = core.Schedule(jobs, s.cfg.Machines, s.cfg.SchedOpts)
 	}
-	s.schedTimes = append(s.schedTimes, time.Since(start))
 	if len(plan.Groups) == 0 {
 		return
 	}
@@ -591,11 +558,9 @@ func (s *Simulator) fullReschedule() {
 	s.applyPlan(plan)
 }
 
-// timedTryAdd wraps the arrival rule with scheduling-latency accounting.
-// With smart grouping disabled it degrades to "join the smallest group".
-func (s *Simulator) timedTryAdd(job core.JobInfo) (core.Plan, bool) {
-	start := time.Now()
-	defer func() { s.schedTimes = append(s.schedTimes, time.Since(start)) }()
+// tryAdd is the arrival rule. With smart grouping disabled it degrades
+// to "join the smallest group".
+func (s *Simulator) tryAdd(job core.JobInfo) (core.Plan, bool) {
 	if s.cfg.DisableSmartGrouping {
 		return s.planWith(smallestGroup(s.plan), job), true
 	}

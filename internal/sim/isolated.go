@@ -2,6 +2,11 @@ package sim
 
 import "math"
 
+// isolatedMemoryCap is the share of a machine's memory the isolated
+// baseline lets one job's input and model fill: the dedicated allocation
+// has no spill.
+const isolatedMemoryCap = 0.9 * machineMemoryGB
+
 // isolatedDoP sizes the dedicated allocation for one job: the largest DoP
 // that keeps predicted CPU utilization at or above the target, because
 // "in the isolated approach, we try to maximize the CPU utilization
@@ -12,16 +17,10 @@ func (s *Simulator) isolatedDoP(j *jobRun) int {
 	// Tcpu(m)/(Tcpu(m)+Tnet) >= t  =>  m <= Comp*(1-t)/(t*Net).
 	net := j.spec.NetSeconds
 	m := int(math.Floor(j.spec.CompMachineSeconds * (1 - t) / (t * net)))
-	if m < 1 {
-		m = 1
-	}
-	// The dedicated baseline has no spill: the job's input and model must
-	// fit in memory, which puts a floor on the machine count.
-	capGB := 0.9 * machineMemoryGB
-	for m < s.cfg.Machines && j.spec.MemoryGB(m, 0) > capGB {
-		m++
-	}
-	if m > s.cfg.IsolatedMaxDoP && j.spec.MemoryGB(s.cfg.IsolatedMaxDoP, 0) <= capGB {
+	// At least one machine, and enough that the job's input and model fit
+	// in memory.
+	m = max(m, s.memFloor(j))
+	if m > s.cfg.IsolatedMaxDoP && j.spec.MemoryGB(s.cfg.IsolatedMaxDoP, 0) <= isolatedMemoryCap {
 		m = s.cfg.IsolatedMaxDoP
 	}
 	if m > s.cfg.Machines {
@@ -46,9 +45,8 @@ func (s *Simulator) isolatedFinish(g *groupRun) {
 // memFloor is the smallest DoP at which a job's full working set fits in
 // memory without spill.
 func (s *Simulator) memFloor(j *jobRun) int {
-	capGB := 0.9 * machineMemoryGB
 	m := 1
-	for m < s.cfg.Machines && j.spec.MemoryGB(m, 0) > capGB {
+	for m < s.cfg.Machines && j.spec.MemoryGB(m, 0) > isolatedMemoryCap {
 		m++
 	}
 	return m

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"time"
 
 	"harmony/internal/core"
 	"harmony/internal/metrics"
@@ -95,10 +94,6 @@ type Result struct {
 	// values (Fig. 13b).
 	IterPred []PredPair
 	UPred    []PredPair
-	// SchedulingTimes are the wall-clock durations of scheduler
-	// invocations (§V-F): one per plan computation and one per
-	// arrival-rule evaluation of a job.
-	SchedulingTimes []time.Duration
 
 	// GCSeconds is total simulated garbage-collection time (§V-B uses GC
 	// time as the memory-pressure metric).
@@ -175,7 +170,6 @@ type Simulator struct {
 	decisions   []GroupDecision
 	iterPred    []PredPair
 	uPred       []PredPair
-	schedTimes  []time.Duration
 	gcSeconds   float64
 	modelSpills int
 
@@ -512,7 +506,6 @@ func (s *Simulator) buildResult() *Result {
 		Decisions:       s.decisions,
 		IterPred:        s.iterPred,
 		UPred:           s.uPred,
-		SchedulingTimes: s.schedTimes,
 		GCSeconds:       s.gcSeconds,
 		ModelSpills:     s.modelSpills,
 		PausedSeconds:   s.pausedTotal,

@@ -131,9 +131,6 @@ func TestHarmonySmallBatchCompletes(t *testing.T) {
 	if len(res.Decisions) == 0 {
 		t.Error("no scheduling decisions recorded")
 	}
-	if len(res.SchedulingTimes) == 0 {
-		t.Error("no scheduling latencies recorded")
-	}
 }
 
 func TestHarmonyBeatsIsolatedOnComplementaryMix(t *testing.T) {

@@ -52,9 +52,6 @@ func FromStd(d time.Duration) Duration {
 // Seconds reports the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / 1e6 }
 
-// Minutes reports the duration as a floating-point number of minutes.
-func (d Duration) Minutes() float64 { return float64(d) / (60 * 1e6) }
-
 // Std converts the virtual duration to a time.Duration.
 func (d Duration) Std() time.Duration { return time.Duration(d) * time.Microsecond }
 
