@@ -45,8 +45,9 @@ const (
 	// HoldQuota: the job's queue is at or over its quota while an
 	// under-quota queue has held jobs; borrowing is gated.
 	HoldQuota = "quota_exhausted"
-	// HoldPreempted: the job was reclaimed from a running placement and
-	// holds a checkpoint; it resumes from it on re-admission.
+	// HoldPreempted: the job was reclaimed from a running placement, or
+	// requeued after a failure, and holds a checkpoint; it resumes from it
+	// on re-admission.
 	HoldPreempted = "preempted"
 )
 

@@ -71,9 +71,9 @@ type pendingJob struct {
 	seq      uint64
 	// holdReason classifies why the job waits (fair.Hold*).
 	holdReason string
-	// resume carries a preempted job's checkpoint frame; on re-admission
+	// resume carries a requeued job's checkpoint frame; on re-admission
 	// the job restores it and continues from resumeIter. finishedCh and
-	// epoch survive the preemption so WaitJob callers stay parked and
+	// epoch survive the requeue so WaitJob callers stay parked and
 	// stragglers of the suspended placement stay stale.
 	resume     []float64
 	resumeIter int
@@ -117,7 +117,8 @@ type Counters struct {
 	Preempted int64
 	// Migrations counts pause/resume group moves.
 	Migrations int64
-	// Recoveries counts failure-triggered job restarts.
+	// Recoveries counts jobs requeued after a failure: a lost member
+	// worker or a member whose loop failed (recover events).
 	Recoveries int64
 	// CheckpointFailures counts background model snapshots that failed
 	// and were dropped.
@@ -511,7 +512,7 @@ type JobView struct {
 	// order (0 for deployed jobs) — a held job is distinguishable from a
 	// stuck one by reason and place in line.
 	QueuePosition int
-	// Resumable marks a preempted job holding a checkpoint; ResumeIter
+	// Resumable marks a requeued job holding a checkpoint; ResumeIter
 	// is the iteration it will continue from on re-admission.
 	Resumable  bool
 	ResumeIter int

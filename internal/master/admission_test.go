@@ -198,10 +198,7 @@ func TestShutdownCheckpointsRunningJobs(t *testing.T) {
 	if !found {
 		t.Fatalf("Shutdown checkpointed %v, want [a]", saved)
 	}
-	snap, iter, err := m.Checkpoint("a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap, iter := checkpointOf(t, m, "a")
 	if len(snap) == 0 || iter < 2 {
 		t.Errorf("final checkpoint: %d values at iteration %d", len(snap), iter)
 	}
@@ -467,10 +464,12 @@ func TestFailedDeployReleasesParkedBarrier(t *testing.T) {
 	}
 }
 
-// TestRecoverJobReleasesParkedSurvivor: a survivor that was mid-iteration
-// when its group-mate's machine was removed reaches the next barrier
-// alone. The restart must release it rather than strand it there.
-func TestRecoverJobReleasesParkedSurvivor(t *testing.T) {
+// TestLostWorkerReleasesParkedSurvivor: a survivor that is parked at the
+// barrier when its group-mate's worker is lost waits for a member that
+// will never arrive. The loss step must release it with Stop and requeue
+// the job through a recover row. The stub workers share one server, so
+// the test runs the step for one name instead of closing a connection.
+func TestLostWorkerReleasesParkedSurvivor(t *testing.T) {
 	m, err := New("127.0.0.1:0", core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -480,87 +479,84 @@ func TestRecoverJobReleasesParkedSurvivor(t *testing.T) {
 	if err := m.Submit(spec("j", mlapp.MLR, 10), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.RemoveWorker("w2"); err != nil {
-		t.Fatal(err)
-	}
 	reply := make(chan worker.BarrierReply, 1)
 	go func() {
 		r, _ := m.handleBarrier(worker.BarrierArgs{Job: "j", Worker: "w0", Iteration: 0, Epoch: 1})
 		reply <- r
 	}()
 	waitParked(m, "j", 0)
-	if err := m.RecoverJob("j", nil); err != nil {
-		t.Fatal(err)
-	}
+	m.workerLost("w2")
 	select {
 	case r := <-reply:
 		if r.Directive != worker.Stop {
 			t.Errorf("parked survivor got directive %v, want Stop", r.Directive)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("parked survivor was not released by the restart")
+		t.Fatal("parked survivor was not released by the loss")
+	}
+	if got := m.Workers(); slices.Contains(got, "w2") {
+		t.Errorf("workers after the loss = %v, want w2 gone", got)
+	}
+	var recovered bool
+	for _, e := range m.Events() {
+		recovered = recovered || (e.Kind == EventRecover && e.Job == "j" && strings.Contains(e.Note, "worker w2 lost"))
+	}
+	if !recovered || m.Counters().Recoveries != 1 {
+		t.Errorf("no single recover row naming w2: %d recoveries, journal %+v", m.Counters().Recoveries, m.Events())
 	}
 }
 
-// TestFailedReplacementLeavesJobPaused: a Resume or RecoverJob whose
-// deploy fails must not leave a running record no worker runs, holding
-// its workers in the live plan. The job goes back to paused holding no
-// workers, and a retry onto healthy workers deploys it.
+// TestFailedReplacementLeavesJobPaused: a Resume whose deploy fails must
+// not leave a running record no worker runs, holding its workers in the
+// live plan. The job goes back to paused holding no workers, and a retry
+// onto healthy workers deploys it.
 func TestFailedReplacementLeavesJobPaused(t *testing.T) {
-	for _, replace := range []struct {
-		name string
-		call func(m *Master, group []string) error
-	}{
-		{"Resume", func(m *Master, group []string) error { return m.Resume("j", group, nil) }},
-		{"RecoverJob", func(m *Master, group []string) error { return m.RecoverJob("j", group) }},
-	} {
-		t.Run(replace.name, func(t *testing.T) {
-			m, err := New("127.0.0.1:0", core.Options{})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("Resume", func(t *testing.T) {
+		m, err := New("127.0.0.1:0", core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		var failNext atomic.Bool
+		stubWorkers(t, m, 3, func(worker.LoadJobArgs) error {
+			if failNext.CompareAndSwap(true, false) {
+				return errors.New("stub: load failed")
 			}
-			t.Cleanup(m.Close)
-			var failNext atomic.Bool
-			stubWorkers(t, m, 3, func(worker.LoadJobArgs) error {
-				if failNext.CompareAndSwap(true, false) {
-					return errors.New("stub: load failed")
+			return nil
+		}, nil)
+		if err := m.Submit(spec("j", mlapp.MLR, 10), []string{"w0", "w1"}); err != nil {
+			t.Fatal(err)
+		}
+		m.mu.Lock()
+		m.jobs["j"].status = StatusPaused // as the barrier that answers a Pause leaves it
+		m.mu.Unlock()
+		placed := func() bool {
+			for _, g := range m.Cluster().Groups {
+				if slices.Contains(g.Jobs, "j") {
+					return true
 				}
-				return nil
-			}, nil)
-			if err := m.Submit(spec("j", mlapp.MLR, 10), []string{"w0", "w1"}); err != nil {
-				t.Fatal(err)
 			}
-			if _, err := m.RemoveWorker("w1"); err != nil { // pauses j
-				t.Fatal(err)
-			}
-			placed := func() bool {
-				for _, g := range m.Cluster().Groups {
-					if slices.Contains(g.Jobs, "j") {
-						return true
-					}
-				}
-				return false
-			}
+			return false
+		}
 
-			failNext.Store(true)
-			if err := replace.call(m, []string{"w0"}); err == nil {
-				t.Fatal("re-placement succeeded although its load failed")
-			}
-			if status, _, _, _ := m.Status("j"); status != StatusPaused {
-				t.Errorf("status after a failed re-placement = %v, want paused", status)
-			}
-			if placed() {
-				t.Errorf("live plan %+v still places j after its deploy failed", m.Cluster().Groups)
-			}
-			if err := replace.call(m, []string{"w0", "w2"}); err != nil {
-				t.Fatalf("retry: %v", err)
-			}
-			if status, _, _, _ := m.Status("j"); status != StatusRunning || !placed() {
-				t.Errorf("after the retry: status %v, live plan %+v; want j running and placed",
-					status, m.Cluster().Groups)
-			}
-		})
-	}
+		failNext.Store(true)
+		if err := m.Resume("j", []string{"w0"}, nil); err == nil {
+			t.Fatal("re-placement succeeded although its load failed")
+		}
+		if status, _, _, _ := m.Status("j"); status != StatusPaused {
+			t.Errorf("status after a failed re-placement = %v, want paused", status)
+		}
+		if placed() {
+			t.Errorf("live plan %+v still places j after its deploy failed", m.Cluster().Groups)
+		}
+		if err := m.Resume("j", []string{"w0", "w2"}, nil); err != nil {
+			t.Fatalf("retry: %v", err)
+		}
+		if status, _, _, _ := m.Status("j"); status != StatusRunning || !placed() {
+			t.Errorf("after the retry: status %v, live plan %+v; want j running and placed",
+				status, m.Cluster().Groups)
+		}
+	})
 }
 
 // waitParked returns once one worker is parked at the job's barrier for

@@ -262,26 +262,13 @@ func (m *Master) preemptJob(name, beneficiary string) bool {
 		m.mu.Unlock()
 		return false
 	}
-	refs := m.workerRefsLocked(j)
-	p := &pendingJob{
-		spec: j.spec, info: m.jobInfoLocked(name, j),
-		queue: j.queue, priority: j.priority, seq: j.arrival,
-		holdReason: fair.HoldPreempted,
-		resume:     ckpt, resumeIter: j.iter + 1,
-		finishedCh: j.finishedCh, epoch: j.epoch,
+	suspended := m.requeueLocked(j, ckpt, j.iter+1)
+	if suspended {
+		m.counters.Preempted++
+		m.qcLocked(j.queue).preempted++
 	}
-	delete(m.jobs, name)
-	j.ckpt.close()
-	m.invalidatePlanLocked()
-	m.addPendingLocked(p)
-	m.counters.Preempted++
-	m.qcLocked(j.queue).preempted++
 	m.mu.Unlock()
-
-	// Shards and model partitions rebuild from the checkpoint on
-	// re-admission.
-	dropJob(refs, name)
-	return true
+	return suspended
 }
 
 // QueueView is the per-queue status surface for GET /v1/queues and the

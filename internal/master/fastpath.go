@@ -24,8 +24,8 @@ type livePlanCache struct {
 
 // invalidatePlanLocked drops the cached live plan and advances both
 // epochs. Callers hold mu's write side and invoke it after any mutation
-// that changes the derived plan: deploy, migrate, recover, completion,
-// cancel of a running job, preemption, worker removal, or a profile
+// that changes the derived plan: deploy, migrate, requeue, completion,
+// cancel of a running job, a lost worker, or a profile
 // observation (profiled metrics feed jobInfoLocked).
 func (m *Master) invalidatePlanLocked() {
 	m.planMu.Lock()

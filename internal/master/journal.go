@@ -15,8 +15,10 @@ const (
 	EventQueueDrain   = "queue_drain"
 	EventCancel       = "cancel"
 	EventMigrate      = "migrate"
-	EventRecover      = "recover"
-	EventComplete     = "complete"
+	// EventRecover requeues a job whose member was lost or failed, noting
+	// the cause and the checkpoint iteration the job restarts from.
+	EventRecover  = "recover"
+	EventComplete = "complete"
 	// EventPreempt and EventResume bracket a fair-scheduler reclaim
 	// (DESIGN.md §13): preempt freezes the victim's measured T_itr/U at
 	// suspension, resume stamps the model's prediction for the placement
@@ -143,7 +145,7 @@ func (l *journal) snapshotSince(since uint64, kind string) []Event {
 }
 
 // predictedEvent is the one stamping helper shared by every decision
-// path that journals a placement (admit, queue drain, migrate, recover):
+// path that journals a placement (admit, queue drain, resume, migrate):
 // it fills the Eq. 1/Eq. 3 predictions and,
 // under the net model, the group's predicted link compatibility. The
 // prediction comes from the admission path's Scorer cache (or
@@ -190,10 +192,10 @@ func (m *Master) measuredLocked(name string, j *job) (iter, ucpu, unet float64) 
 }
 
 // removalEventLocked is the journal entry for a job leaving the live plan
-// (complete, cancel, preempt). It must be built while the job still counts
-// as running: it freezes the group the job ran on, which labels the row in
-// replay, and the final measured values, which livePlanLocked can no longer
-// produce once the status flips.
+// (complete, cancel, preempt, recover). It must be built while the job
+// still counts as running: it freezes the group the job ran on, which
+// labels the row in replay, and the final measured values, which
+// livePlanLocked can no longer produce once the status flips.
 func (m *Master) removalEventLocked(kind, name string, j *job) Event {
 	iter, ucpu, unet := m.measuredLocked(name, j)
 	return Event{Kind: kind, Job: name, Group: m.workerNamesLocked(j),

@@ -139,10 +139,7 @@ func TestCheckpointsFollowTheJob(t *testing.T) {
 	}
 	var iter int
 	pollUntil(t, "the checkpoint is released", func() bool {
-		vals, at, err := m.Checkpoint("j")
-		if err != nil {
-			t.Fatal(err)
-		}
+		vals, at := checkpointOf(t, m, "j")
 		iter = at
 		return vals == nil
 	})

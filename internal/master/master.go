@@ -135,7 +135,7 @@ type job struct {
 	// profiled metrics supersede it once MinSamples have accumulated.
 	prof core.JobInfo
 
-	// epoch counts deployments of this job. Recovery and migration tear
+	// epoch counts deployments of this job. A restart and a migration tear
 	// a placement down while its stragglers may still have barrier or
 	// done RPCs in flight; those echo the old epoch and are discarded so
 	// they cannot pollute the new placement's barrier counts.
@@ -279,6 +279,8 @@ func (m *Master) handleRegister(a registerArgs) (worker.Ack, error) {
 		}
 	}
 	m.workers = append(m.workers, workerRef{name: a.Name, addr: a.Addr, client: client})
+	// The failure detector: the connection closes when the worker dies.
+	go func() { <-client.Done(); m.workerLost(a.Name) }()
 	// A new worker extends the free list: cached admission inputs (and
 	// reject verdicts) are stale. Appending leaves existing worker
 	// indexes — and so the live plan — intact. Held jobs may fit now.
@@ -381,11 +383,11 @@ func (m *Master) installLocked(p *pendingJob, group []string) (*job, error) {
 }
 
 // withdrawLocked takes a job whose deployment failed back out of m.jobs
-// and reports true — unless a Cancel caught the job mid-deployment and
-// owns the record now (counted, journaled, workers told to drop it): then
-// the job is gone, not failed, and must not be requeued.
+// and reports true — unless a Cancel or a restart caught the job
+// mid-deployment and owns it now: then it is not failed, and must not be
+// requeued.
 func (m *Master) withdrawLocked(j *job) bool {
-	if j.status == StatusCanceled {
+	if j.status != StatusRunning || m.jobs[j.spec.Name] != j {
 		return false
 	}
 	// Members that did start may already be parked at the first
@@ -429,9 +431,9 @@ func (m *Master) workerIndexesLocked(group []string) ([]int, error) {
 
 // deploy loads a job onto its worker group and starts iterating; restore
 // carries checkpointed model parameters for migrations. A deployment that
-// fails, or finds the job canceled once its loads are in (a Cancel's own
-// drop may have overtaken a load still generating its data), tells every
-// member to drop the job: member 0's load seeds a model partition on
+// fails, or finds the job canceled or requeued once its loads are in (the
+// teardown's own drop may have overtaken a load), tells every member to
+// drop the job: member 0's load seeds a model partition on
 // every member's server, and the members that did load would keep a shard
 // store and a PS client until the process exits. The loads go out one
 // member at a time: sent together they finish
@@ -466,8 +468,8 @@ func (m *Master) deploy(j *job, restore []float64, fromIter int) error {
 		}
 	}
 	m.mu.RLock()
-	if err == nil && j.status == StatusCanceled {
-		err = fmt.Errorf("master: %s was canceled while it loaded", j.spec.Name)
+	if err == nil && j.status != StatusRunning {
+		err = fmt.Errorf("master: %s was canceled or requeued while it loaded", j.spec.Name)
 	}
 	m.mu.RUnlock()
 	for i := 0; err == nil && i < len(refs); i++ {
@@ -501,7 +503,7 @@ func (m *Master) handleBarrier(a worker.BarrierArgs) (worker.BarrierReply, error
 		return worker.BarrierReply{Directive: worker.Stop}, nil
 	}
 	if a.Epoch != j.epoch {
-		// Straggler from a placement that recovery or migration already
+		// Straggler from a placement that a restart or migration already
 		// tore down; counting it would desync the new group's barrier.
 		m.mu.Unlock()
 		return worker.BarrierReply{Directive: worker.Stop}, nil
@@ -561,7 +563,7 @@ func (m *Master) handleBarrier(a worker.BarrierArgs) (worker.BarrierReply, error
 		close(j.pausedCh)
 	}
 	// The barrier entry is deleted under the lock BEFORE the release
-	// below: once gone, Close and RemoveWorker can no longer see these
+	// below: once gone, Close and workerLost can no longer see these
 	// waiters, so the sends after the unlock are the only sends.
 	delete(j.barriers, a.Iteration)
 	if d == worker.Continue {
@@ -577,12 +579,18 @@ func (m *Master) handleBarrier(a worker.BarrierArgs) (worker.BarrierReply, error
 
 // handleJobDone counts a member's completion; each member then releases
 // the job's state on its own, so the last one here only has the master's
-// checkpoint to release.
+// checkpoint to release. A member whose loop failed (a.Err) keeps its
+// state, and the job restarts.
 func (m *Master) handleJobDone(a worker.JobDoneArgs) (worker.Ack, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[a.Job]
 	if !ok || a.Epoch != j.epoch {
 		m.mu.Unlock()
+		return worker.Ack{}, nil
+	}
+	if a.Err != "" {
+		m.mu.Unlock()
+		go m.restart(j, a.Epoch, "member failed: "+a.Err)
 		return worker.Ack{}, nil
 	}
 	j.doneFrom[a.Worker] = true
@@ -669,7 +677,9 @@ func (m *Master) Pause(name string, timeout time.Duration) ([]float64, error) {
 
 // Resume migrates a paused job onto a (possibly different) worker group,
 // restoring the checkpointed model; input shards are regenerated, not
-// migrated (§IV-B4).
+// migrated (§IV-B4). A deploy that fails leaves the job paused holding no
+// workers, with the failure in the migrate event's note, for a later
+// Resume to retry.
 func (m *Master) Resume(name string, group []string, checkpoint []float64) error {
 	m.mu.Lock()
 	j, ok := m.jobs[name]
@@ -677,7 +687,48 @@ func (m *Master) Resume(name string, group []string, checkpoint []float64) error
 		m.mu.Unlock()
 		return fmt.Errorf("master: job %q not paused", name)
 	}
-	return m.replaceJob(j, group, checkpoint, j.iter+1, Event{Kind: EventMigrate, Job: name})
+	idxs, err := m.workerIndexesLocked(group)
+	if err != nil {
+		m.mu.Unlock()
+		return err
+	}
+	oldRefs := m.workerRefsLocked(j)
+	j.workers = idxs
+	j.status = StatusRunning
+	j.pausedCh = make(chan struct{})
+	j.doneFrom = make(map[string]bool)
+	j.epoch++
+	epoch, fromIter := j.epoch, j.iter+1
+	m.counters.Migrations++
+	// The stamp must see the new placement, not the cached plan.
+	m.invalidatePlanLocked()
+	ev := m.stampJobPlacementLocked(Event{Kind: EventMigrate, Job: name, Group: m.workerNamesLocked(j)})
+	j.measIter = 0
+	j.lastRelease = time.Time{}
+	m.mu.Unlock()
+
+	// Shards and model partitions are rebuilt on the new group.
+	dropJob(oldRefs, name)
+	// Journal after the deploy attempt so a failed one is auditable in
+	// place: the PS client stamps the failing server's address into its
+	// fan-out errors, and that identity surfaces here.
+	if err = m.deploy(j, checkpoint, fromIter); err != nil {
+		ev.Note = "deploy failed: " + err.Error()
+		m.mu.Lock()
+		if j.status == StatusRunning && j.epoch == epoch { // not canceled or re-placed meanwhile
+			j.status = StatusPaused
+			j.workers = nil
+			j.stopBarriers()
+			j.epoch++ // what the failed deploy started is stale too
+			m.invalidatePlanLocked()
+		}
+		m.mu.Unlock()
+	}
+	m.journal.append(ev)
+	// A regroup reshapes the plan and a failed one frees its workers:
+	// retry held jobs (§IV-B4).
+	m.wakeDrainer()
+	return err
 }
 
 // workerRefsLocked resolves a job's current worker set to its RPC

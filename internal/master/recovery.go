@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"harmony/internal/fair"
 	"harmony/internal/ps"
 )
 
@@ -25,7 +26,7 @@ type checkpointer struct {
 	mu      sync.Mutex
 	mirror  *ps.Mirror
 	servers []string // what client is connected to
-	// vals is the checkpoint: the frame a preempted job resumed from, then
+	// vals is the checkpoint: the frame a requeued job resumed from, then
 	// the mirror's buffer from the first successful Sync on.
 	vals []float64
 	// client is atomic so that close can abort a Sync stuck on a dead server
@@ -33,8 +34,8 @@ type checkpointer struct {
 	client atomic.Pointer[ps.Client]
 }
 
-// close drops the connections (the job was preempted or recovered, or the
-// master is closing); the last checkpoint stays readable.
+// close drops the connections (the job was requeued, or the master is
+// closing); the last checkpoint stays readable.
 func (c *checkpointer) close() {
 	if cl := c.client.Swap(nil); cl != nil {
 		cl.Close()
@@ -52,7 +53,7 @@ func (c *checkpointer) release() {
 }
 
 // checkpoint syncs the job's mirror with its servers — dialing them first,
-// and afresh when the set changed (migration, recovery: the set is part of
+// and afresh when the set changed (migration, a lost member: the set is part of
 // the job's stripe layout) — and on success labels it the state after
 // iteration (negative: the job's last completed one); withCopy also
 // returns a copy of the model (Pause). A Sync that fails
@@ -61,9 +62,10 @@ func (c *checkpointer) release() {
 // the label where it was, so readers still restore a state the job passed
 // through, no older than its label; the loss is counted
 // (harmony_checkpoint_failures_total) unless the job's members are
-// releasing its partitions (job.releasing). A job that was releasing when
-// this took the checkpointer's lock is not checkpointed: the model is
-// about to go, and the master's release has run or waits for the lock.
+// releasing its partitions (job.releasing). A job that was releasing, or
+// requeued, when this took the checkpointer's lock is not checkpointed:
+// the model is about to go, and the master's release has run or waits for
+// the lock.
 // Called without Master.mu held.
 func (m *Master) checkpoint(j *job, iteration int, withCopy bool) ([]float64, error) {
 	c := &j.ckpt
@@ -74,7 +76,7 @@ func (m *Master) checkpoint(j *job, iteration int, withCopy bool) ([]float64, er
 	if iteration < 0 {
 		iteration = j.iter
 	}
-	releasing := j.releasing()
+	releasing := j.releasing() || m.jobs[j.spec.Name] != j
 	m.mu.RUnlock()
 	if releasing {
 		return nil, fmt.Errorf("master: checkpoint of %s: the job is released", j.spec.Name)
@@ -140,163 +142,115 @@ func (m *Master) readCheckpoint(j *job) ([]float64, int) {
 	return slices.Clone(j.ckpt.vals), j.checkpointIter
 }
 
-// Checkpoint reports the job's most recent background snapshot and the
-// iteration it covers (nil before the first CheckpointEvery iterations).
-func (m *Master) Checkpoint(name string) ([]float64, int, error) {
-	m.mu.RLock()
-	j, ok := m.jobs[name]
-	m.mu.RUnlock()
-	if !ok {
-		return nil, 0, fmt.Errorf("master: unknown job %q", name)
-	}
-	vals, iter := m.readCheckpoint(j)
-	return vals, iter, nil
-}
-
-// RemoveWorker unregisters a failed worker. Jobs whose groups included it
-// are marked paused (their barriers are released with Stop so surviving
-// workers park the job); callers then RecoverJob each one. A machine
-// failure "may have an impact on all co-located jobs" (§VI) — every job
-// on the worker is affected.
-func (m *Master) RemoveWorker(name string) ([]string, error) {
-	m.mu.Lock()
-	idx := -1
-	for i, w := range m.workers {
-		if w.name == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("master: unknown worker %q", name)
-	}
-	dead := m.workers[idx]
-	m.workers = append(m.workers[:idx], m.workers[idx+1:]...)
-
-	var affected []string
-	for jobName, j := range m.jobs {
-		uses := false
-		members := make([]int, 0, len(j.workers))
-		for _, wi := range j.workers {
-			switch {
-			case wi == idx:
-				uses = true
-			case wi > idx:
-				members = append(members, wi-1) // indexes shift left
-			default:
-				members = append(members, wi)
-			}
-		}
-		j.workers = members
-		if !uses || j.status == StatusFinished {
-			continue
-		}
-		affected = append(affected, jobName)
-		j.status = StatusPaused
-		j.pauseRequested = false
-		// Release any workers blocked at this job's barrier so they stop.
-		j.stopBarriers()
-		j.pausedCh = make(chan struct{})
-	}
-	// Worker indexes shifted and affected jobs left the running set: the
-	// derived plan is stale in both group membership and shape.
-	m.invalidatePlanLocked()
+// requeueLocked takes the paused j off its placement and back to the held
+// queue; when the drainer re-places it with Decide it restores resume and
+// continues from iteration resumeIter (nil: from the first iteration). It
+// is the one way a job leaves a placement it cannot keep, after a reclaim
+// (preemptJob) or a failure (restart). Its old members drop its shards and
+// model partitions first, so the drainer cannot place it back onto a
+// member whose drop is still on its way. It reports false, leaving j where
+// it is, when j was canceled, resumed or restarted meanwhile, or the
+// master winds down. Caller holds mu's write side, which requeueLocked
+// releases for the drop and takes back.
+func (m *Master) requeueLocked(j *job, resume []float64, resumeIter int) bool {
+	name, epoch := j.spec.Name, j.epoch
+	refs := m.workerRefsLocked(j)
 	m.mu.Unlock()
-	dead.client.Close()
-	return affected, nil
+	dropJob(refs, name)
+	m.mu.Lock()
+	if m.closed || m.draining || m.jobs[name] != j || j.status != StatusPaused || j.epoch != epoch {
+		return false
+	}
+	p := &pendingJob{
+		spec: j.spec, info: m.jobInfoLocked(name, j),
+		queue: j.queue, priority: j.priority, seq: j.arrival,
+		resume: resume, resumeIter: resumeIter,
+		finishedCh: j.finishedCh, epoch: j.epoch,
+	}
+	if resume != nil {
+		p.holdReason = fair.HoldPreempted
+	}
+	delete(m.jobs, name)
+	j.workers = nil // the dropped record's indexes would go stale
+	j.ckpt.close()
+	m.invalidatePlanLocked()
+	m.addPendingLocked(p)
+	return true
 }
 
-// RecoverJob restarts an affected job on the given worker group (nil =
-// every surviving worker), restoring the latest background checkpoint —
-// progress since that checkpoint is recomputed, as with any
-// checkpoint/restart scheme.
-func (m *Master) RecoverJob(name string, group []string) error {
-	m.mu.RLock()
-	j, ok := m.jobs[name]
-	m.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("master: unknown job %q", name)
-	}
-	// The old placement's connections are no use to anyone, and closing
-	// them fails a Sync stuck on the dead server so the read need not wait.
+// restart is the failure side of the requeue: j, whose placement broke at
+// epoch, goes back to the queue resumable from the master's background
+// checkpoint, and the progress since it is recomputed. A job that ended
+// or moved on since, or a master that is closing or draining (its own
+// teardown is not a failure), is left alone. Called without Master.mu
+// held.
+func (m *Master) restart(j *job, epoch int, cause string) {
+	// The broken placement's connections are no use to anyone, and closing
+	// them fails a Sync stuck on a dead server so the read need not wait.
 	j.ckpt.close()
 	restore, ckptIter := m.readCheckpoint(j)
 	m.mu.Lock()
-	if j.ended() {
+	if m.closed || m.draining || m.jobs[j.spec.Name] != j || j.ended() || j.epoch != epoch {
 		m.mu.Unlock()
-		return nil
+		return
 	}
-	fromIter := 0
+	resumeIter, from := 0, "the first iteration"
 	if restore != nil {
-		fromIter = ckptIter + 1
+		resumeIter, from = ckptIter+1, fmt.Sprintf("checkpoint iteration %d", ckptIter)
 	}
-	return m.replaceJob(j, group, restore, fromIter, Event{Kind: EventRecover, Job: name,
-		Note: fmt.Sprintf("restart from checkpoint iteration %d", ckptIter)})
+	ev := m.removalEventLocked(EventRecover, j.spec.Name, j)
+	ev.Note = cause + "; restart from " + from
+	m.journal.append(ev)
+	m.counters.Recoveries++
+	if j.pauseRequested { // unpark the Pause waiting on this placement
+		close(j.pausedCh)
+		j.pauseRequested = false
+	}
+	j.status = StatusPaused
+	j.stopBarriers()
+	j.epoch++ // the survivors' barrier calls stop
+	requeued := m.requeueLocked(j, restore, resumeIter)
+	m.mu.Unlock()
+	if requeued {
+		m.wakeDrainer()
+	}
 }
 
-// replaceJob is the one re-placement step behind Resume (migration,
-// §IV-B4) and RecoverJob (restart, §VI): it moves j onto group (nil: every
-// worker) and deploys it there from iteration fromIter, restoring restore.
-// Every worker parked at one of the old placement's barriers is released
-// (a survivor of a failure may have parked at the next one, where nobody
-// else will arrive), the epoch bump makes the old placement's stragglers
-// stale, the measured EWMA restarts, and ev is journaled stamped with the
-// new placement's prediction. A deploy that fails leaves the job paused
-// holding no workers, with the failure in ev's note, so a later Resume or
-// RecoverJob can retry. Caller holds mu's write side; replaceJob
-// releases it.
-func (m *Master) replaceJob(j *job, group []string, restore []float64, fromIter int, ev Event) error {
-	idxs, err := m.workerIndexesLocked(group)
-	if err != nil {
+// workerLost is the detector's step for a worker whose connection closed
+// (handleRegister watches it): the worker leaves m.workers and every job
+// it was a member of restarts, because a machine failure "may have an
+// impact on all co-located jobs" (§VI). While the master closes or
+// drains, a closed connection is teardown and nothing happens.
+func (m *Master) workerLost(name string) {
+	m.mu.Lock()
+	idx := slices.IndexFunc(m.workers, func(w workerRef) bool { return w.name == name })
+	if idx < 0 || m.closed || m.draining {
 		m.mu.Unlock()
-		return err
+		return
 	}
-	oldRefs := m.workerRefsLocked(j)
-	j.workers = idxs
-	j.status = StatusRunning
-	j.pausedCh = make(chan struct{})
-	j.stopBarriers()
-	j.doneFrom = make(map[string]bool)
-	j.epoch++
-	epoch := j.epoch
-	if ev.Kind == EventMigrate {
-		m.counters.Migrations++
-	} else {
-		m.counters.Recoveries++
-	}
-	// The stamp must see the new placement, not the cached plan.
-	m.invalidatePlanLocked()
-	ev.Group = m.workerNamesLocked(j)
-	ev = m.stampJobPlacementLocked(ev)
-	j.measIter = 0
-	j.lastRelease = time.Time{}
-	m.mu.Unlock()
-
-	// Shards and model partitions are rebuilt on the new group.
-	dropJob(oldRefs, j.spec.Name)
-	// Journal after the deploy attempt so a failed one is auditable in
-	// place: the PS client stamps the failing server's address into its
-	// fan-out errors, and that identity surfaces here.
-	err = m.deploy(j, restore, fromIter)
-	if err != nil {
-		if ev.Note != "" {
-			ev.Note += "; "
+	dead := m.workers[idx]
+	m.workers = slices.Delete(m.workers, idx, idx+1)
+	hit := make(map[*job]int)
+	for _, j := range m.jobs {
+		n := len(j.workers)
+		j.workers = slices.DeleteFunc(j.workers, func(wi int) bool { return wi == idx })
+		for k, wi := range j.workers {
+			if wi > idx {
+				j.workers[k] = wi - 1 // indexes shift left
+			}
 		}
-		ev.Note += "deploy failed: " + err.Error()
-		m.mu.Lock()
-		if j.status == StatusRunning && j.epoch == epoch { // not canceled or re-placed meanwhile
-			j.status = StatusPaused
-			j.workers = nil
+		if len(j.workers) < n && !j.ended() {
+			// The survivors' barrier calls, parked or still to come, stop.
+			j.epoch++
 			j.stopBarriers()
-			j.epoch++ // what the failed deploy started is stale too
-			m.invalidatePlanLocked()
+			hit[j] = j.epoch
 		}
-		m.mu.Unlock()
 	}
-	m.journal.append(ev)
-	// A regroup reshapes the plan and a failed one frees its workers:
-	// retry held jobs (§IV-B4).
-	m.wakeDrainer()
-	return err
+	// Worker indexes shifted: the live plan and the free list are stale.
+	m.invalidatePlanLocked()
+	m.mu.Unlock()
+	dead.client.Close()
+	for j, epoch := range hit {
+		m.restart(j, epoch, fmt.Sprintf("worker %s lost", name))
+	}
 }

@@ -1,6 +1,11 @@
 package master
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,151 +16,214 @@ import (
 	"harmony/internal/worker"
 )
 
-// TestWorkerFailureRecovery kills a worker mid-training and recovers the
-// job on the survivors from the latest background checkpoint (§VI).
+// checkpointOf reads the named job's record's checkpoint and the iteration
+// it covers.
+func checkpointOf(t testing.TB, m *Master, name string) ([]float64, int) {
+	t.Helper()
+	m.mu.RLock()
+	j := m.jobs[name]
+	m.mu.RUnlock()
+	if j == nil {
+		t.Fatalf("no record of job %q", name)
+	}
+	return m.readCheckpoint(j)
+}
+
+// liveWorkers starts n in-process workers named w0, w1, … against m, each
+// spilling under its own directory, and returns them by name with those
+// directories.
+func liveWorkers(t *testing.T, m *Master, n int) (map[string]*worker.Worker, map[string]string) {
+	t.Helper()
+	workers, spill := make(map[string]*worker.Worker), make(map[string]string)
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("w%d", i)
+		spill[name] = t.TempDir()
+		w, _, err := worker.New(name, "127.0.0.1:0", m.Addr(), spill[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers[name] = w
+		t.Cleanup(w.Close)
+	}
+	if err := m.WaitForWorkers(n, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return workers, spill
+}
+
+// requeuedRows returns the job's recover row and the resume row after it,
+// or nil for either that the journal does not hold yet.
+func requeuedRows(m *Master, job string) (recoverRow, resumeRow *Event) {
+	for _, e := range m.Events() {
+		switch {
+		case e.Job != job:
+		case e.Kind == EventRecover && recoverRow == nil:
+			recoverRow = &e
+		case e.Kind == EventResume && recoverRow != nil && resumeRow == nil:
+			resumeRow = &e
+		}
+	}
+	return recoverRow, resumeRow
+}
+
+// TestWorkerFailureRecovery closes one worker of a two-member gang after
+// a background checkpoint landed. The master notices on its own (§VI):
+// within seconds the worker is gone from the cluster, the journal holds a
+// recover row naming it and the checkpoint iteration followed by a resume
+// row, and the job finishes from that checkpoint on the survivors.
 func TestWorkerFailureRecovery(t *testing.T) {
 	m, err := New("127.0.0.1:0", core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	workers := make([]*worker.Worker, 3)
-	for i := range workers {
-		w, _, err := worker.New("w"+string(rune('0'+i)), "127.0.0.1:0", m.Addr(), t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers[i] = w
+	t.Cleanup(m.Close)
+	workers, _ := liveWorkers(t, m, 3)
+	s := spec("mlr", mlapp.MLR, 400)
+	s.MinWorkers, s.MaxWorkers = 2, 2
+	adm, err := m.Enqueue(s, Profile{})
+	if err != nil || !adm.Admitted || len(adm.Workers) != 2 {
+		t.Fatalf("admission = %+v, %v; want a two-worker gang", adm, err)
 	}
-	defer func() {
-		for _, w := range workers[1:] {
-			w.Close()
-		}
-	}()
-	if err := m.WaitForWorkers(3, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := m.Submit(JobSpec{
-		Name:       "mlr",
-		Config:     mlapp.Config{Kind: mlapp.MLR, Features: 12, Classes: 3, Rows: 96, LearningRate: 0.2},
-		Iterations: 60,
-		Seed:       5,
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Wait for a background checkpoint to land.
-	deadline := time.Now().Add(20 * time.Second)
 	var ckIter int
-	for time.Now().Before(deadline) {
-		snap, iter, err := m.Checkpoint("mlr")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap != nil {
-			ckIter = iter
+	pollUntil(t, "a background checkpoint", func() bool {
+		vals, at := checkpointOf(t, m, "mlr")
+		ckIter = at
+		return vals != nil
+	})
+
+	lost := adm.Workers[0]
+	workers[lost].Close()
+	deadline := time.Now().Add(10 * time.Second)
+	var rec, res *Event
+	for {
+		rec, res = requeuedRows(m, "mlr")
+		if res != nil && !slices.Contains(m.Cluster().Workers, lost) {
 			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("10 s after closing %s: recover row %+v, resume row %+v, cluster %v",
+				lost, rec, res, m.Cluster().Workers)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if ckIter == 0 {
-		t.Fatal("no background checkpoint within deadline")
+	var at int
+	if _, err := fmt.Sscanf(rec.Note, "worker "+lost+" lost; restart from checkpoint iteration %d", &at); err != nil || at < ckIter {
+		t.Errorf("recover row note %q: want worker %s lost and a checkpoint at or after iteration %d", rec.Note, lost, ckIter)
 	}
-
-	// Kill worker 0 and recover on the survivors.
-	workers[0].Close()
-	affected, err := m.RemoveWorker("w0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(affected) != 1 || affected[0] != "mlr" {
-		t.Fatalf("affected jobs = %v, want [mlr]", affected)
-	}
-	// Cut the remaining run short so the test stays fast.
-	m.mu.Lock()
-	m.jobs["mlr"].spec.Iterations = ckIter + 4
-	m.mu.Unlock()
-	if err := m.RecoverJob("mlr", nil); err != nil {
-		t.Fatal(err)
+	if slices.Contains(res.Group, lost) {
+		t.Errorf("resumed on %v, which includes the lost worker", res.Group)
 	}
 	if err := m.WaitJob("mlr", 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	status, iter, loss, err := m.Status("mlr")
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || status != StatusFinished || iter < at || loss <= 0 {
+		t.Errorf("after the restart: status %v at iteration %d, loss %v, err %v", status, iter, loss, err)
 	}
-	if status != StatusFinished {
-		t.Errorf("status = %v after recovery", status)
-	}
-	if iter < ckIter {
-		t.Errorf("final iteration %d below checkpoint %d", iter, ckIter)
-	}
-	if loss <= 0 {
-		t.Errorf("loss = %v after recovery", loss)
+	if n := m.Counters().Recoveries; n != 1 {
+		t.Errorf("%d recoveries, want 1", n)
 	}
 }
 
-func TestRemoveWorkerUnknown(t *testing.T) {
+// TestMemberFailureRequeues fails COMP on one member: its shard store's
+// spill directory moves away, so the next reload of a spilled block fails.
+// The member reports the error, and the job is requeued through a recover
+// row and finishes, instead of staying running with no loop behind it.
+func TestMemberFailureRequeues(t *testing.T) {
 	m, err := New("127.0.0.1:0", core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	if _, err := m.RemoveWorker("ghost"); err == nil {
-		t.Error("RemoveWorker on unknown worker succeeded")
-	}
-}
-
-func TestCheckpointUnknownJob(t *testing.T) {
-	m, err := New("127.0.0.1:0", core.Options{})
-	if err != nil {
+	t.Cleanup(m.Close)
+	_, spill := liveWorkers(t, m, 2)
+	s := spec("j", mlapp.MLR, 200)
+	s.Alpha = 1 // every block lives on disk and is reloaded each iteration
+	if err := m.Submit(s, nil); err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	if _, _, err := m.Checkpoint("ghost"); err == nil {
-		t.Error("Checkpoint on unknown job succeeded")
+	pollUntil(t, "the first iteration", func() bool {
+		_, iter, _, _ := m.Status("j")
+		return iter > 0
+	})
+	dir := filepath.Join(spill["w0"], "w0-j")
+	if err := os.Rename(dir, dir+"-gone"); err != nil {
+		t.Fatal(err)
 	}
-	if err := m.RecoverJob("ghost", nil); err == nil {
-		t.Error("RecoverJob on unknown job succeeded")
+	var rec *Event
+	pollUntil(t, "a recover row", func() bool {
+		rec, _ = requeuedRows(m, "j")
+		return rec != nil
+	})
+	if !strings.Contains(rec.Note, "member failed: worker w0: COMP") {
+		t.Errorf("recover row note %q does not name w0's COMP failure", rec.Note)
+	}
+	if err := m.WaitJob("j", 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if status, _, _, _ := m.Status("j"); status != StatusFinished {
+		t.Errorf("status after the restart = %v, want finished", status)
 	}
 }
 
-// TestCheckpointsRaceReadersAndServerLoss hammers one job's checkpointer:
-// a checkpoint is requested as fast as they complete (not every fifth
-// iteration) while another goroutine polls Checkpoint, and in the middle
-// one of the job's servers is killed, so Syncs fail midway. Under -race
-// no reader may see a buffer a Sync is writing; every read must be a whole
-// model whose label never goes backwards; the failed Syncs must leave the
-// last good label in place; and after RecoverJob moves the job to the
-// survivors the same checkpointer must dial the new server set and land
-// newer checkpoints.
+// TestTeardownIsNotAFailure: closing or shutting down the master closes
+// its connection to every worker, and the workers' loops then fail. None
+// of that restarts a job.
+func TestTeardownIsNotAFailure(t *testing.T) {
+	for name, stop := range map[string]func(*Master){
+		"Shutdown": func(m *Master) { m.Shutdown(10 * time.Second) },
+		"Close":    (*Master).Close,
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, err := New("127.0.0.1:0", core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(m.Close)
+			workers, _ := liveWorkers(t, m, 2)
+			if err := m.Submit(spec("j", mlapp.MLR, 1<<20), nil); err != nil {
+				t.Fatal(err)
+			}
+			pollUntil(t, "the first iteration", func() bool {
+				_, iter, _, _ := m.Status("j")
+				return iter > 0
+			})
+			stop(m)
+			for _, w := range workers {
+				w.Close()
+			}
+			time.Sleep(50 * time.Millisecond) // let every detector and report land
+			if rec, _ := requeuedRows(m, "j"); rec != nil || m.Counters().Recoveries != 0 {
+				t.Errorf("teardown restarted the job: recover row %+v, %d recoveries", rec, m.Counters().Recoveries)
+			}
+		})
+	}
+}
+
+// TestCheckpointsRaceReadersAndServerLoss hammers one job's checkpoints:
+// one is requested as fast as they complete (not every fifth iteration)
+// while another goroutine reads them, across a server loss and the
+// restart it causes. Under -race no reader may see a buffer a Sync is
+// writing; every read must be a whole model whose label never goes
+// backwards, from one record to the next; Syncs that fail midway (a third
+// of the paused job's model is dropped) must leave the last good label in
+// place; and once the detector has requeued the job from that label, the
+// re-admitted record must land newer checkpoints.
 func TestCheckpointsRaceReadersAndServerLoss(t *testing.T) {
 	m, err := New("127.0.0.1:0", core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	workers := make([]*worker.Worker, 3)
-	for i := range workers {
-		w, _, err := worker.New("w"+string(rune('0'+i)), "127.0.0.1:0", m.Addr(), t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers[i] = w
-		defer w.Close()
-	}
-	if err := m.WaitForWorkers(3, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(m.Close)
+	workers, _ := liveWorkers(t, m, 3)
 	cfg := mlapp.Config{Kind: mlapp.LDA, Features: 2048, Classes: 8, Rows: 96}
 	if err := m.Submit(JobSpec{Name: "lda", Config: cfg, Iterations: 1 << 20, Seed: 5}, nil); err != nil {
 		t.Fatal(err)
 	}
-	m.mu.RLock()
-	j := m.jobs["lda"]
-	m.mu.RUnlock()
+	record := func() *job {
+		m.mu.RLock()
+		defer m.mu.RUnlock()
+		return m.jobs["lda"]
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -168,7 +236,9 @@ func TestCheckpointsRaceReadersAndServerLoss(t *testing.T) {
 				return
 			default:
 			}
-			_, _ = m.checkpoint(j, -1, false)
+			if j := record(); j != nil {
+				_, _ = m.checkpoint(j, -1, false)
+			}
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
@@ -181,11 +251,11 @@ func TestCheckpointsRaceReadersAndServerLoss(t *testing.T) {
 				return
 			default:
 			}
-			vals, iter, err := m.Checkpoint("lda")
-			if err != nil {
-				t.Error(err)
-				return
+			j := record()
+			if j == nil {
+				continue // held between the requeue and the re-admission
 			}
+			vals, iter := m.readCheckpoint(j)
 			if len(vals) != 0 && len(vals) != cfg.ModelSize() {
 				t.Errorf("checkpoint of %d values, want %d", len(vals), cfg.ModelSize())
 				return
@@ -211,30 +281,39 @@ func TestCheckpointsRaceReadersAndServerLoss(t *testing.T) {
 	}
 	waitLabel(3)
 
-	workers[0].Close()
-	if _, err := m.RemoveWorker("w0"); err != nil {
+	// Park the job and drop w0's third of its model: every Sync now fails,
+	// some of them after other servers already answered.
+	if _, err := m.Pause("lda", 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// The job is parked and a third of its model is gone: every Sync now
-	// fails, some of them after other servers already answered.
+	j := record()
+	m.mu.RLock()
+	refs := m.workerRefsLocked(j)
+	m.mu.RUnlock()
+	dropJob(refs[:1], "lda")
 	failed := m.Counters().CheckpointFailures
-	deadline := time.Now().Add(30 * time.Second)
-	for m.Counters().CheckpointFailures < failed+3 {
-		if time.Now().After(deadline) {
-			t.Fatal("checkpoints against a dead server did not fail")
-		}
-		time.Sleep(time.Millisecond)
+	pollUntil(t, "failed checkpoints against the dropped partition", func() bool {
+		return m.Counters().CheckpointFailures >= failed+3
+	})
+	vals, atLoss := m.readCheckpoint(j)
+	if len(vals) != cfg.ModelSize() || atLoss < 3 {
+		t.Fatalf("after failed checkpoints: %d values at iteration %d", len(vals), atLoss)
 	}
-	vals, atLoss, err := m.Checkpoint("lda")
-	if err != nil || len(vals) != cfg.ModelSize() || atLoss < 3 {
-		t.Fatalf("after failed checkpoints: %d values at iteration %d, err %v", len(vals), atLoss, err)
-	}
-	if err := m.RecoverJob("lda", nil); err != nil {
-		t.Fatal(err)
+
+	// Losing w0 requeues the job from that label.
+	workers[refs[0].name].Close()
+	pollUntil(t, "the re-admission", func() bool {
+		_, res := requeuedRows(m, "lda")
+		return res != nil
+	})
+	rec, _ := requeuedRows(m, "lda")
+	if want := fmt.Sprintf("worker %s lost; restart from checkpoint iteration %d", refs[0].name, atLoss); rec.Note != want {
+		t.Errorf("recover row note %q, want %q", rec.Note, want)
 	}
 	waitLabel(int64(atLoss))
 	close(stop)
 	wg.Wait()
+	j = record()
 	if err := m.Cancel("lda"); err != nil {
 		t.Fatal(err)
 	}

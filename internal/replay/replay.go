@@ -170,15 +170,16 @@ var placementKinds = map[string]bool{
 	master.EventAdmitArrival: true,
 	master.EventQueueDrain:   true,
 	master.EventMigrate:      true,
-	master.EventRecover:      true,
 	master.EventResume:       true,
 }
 
-// removalKinds clear the job's placement.
+// removalKinds clear the job's placement; preempt and recover also put it
+// back in the held queue.
 var removalKinds = map[string]bool{
 	master.EventCancel:   true,
 	master.EventComplete: true,
 	master.EventPreempt:  true,
+	master.EventRecover:  true,
 }
 
 // Run replays the snapshot's journal and produces the calibration
@@ -292,7 +293,7 @@ func Run(s *master.Snapshot, ov Overrides) (*Report, error) {
 			delete(held, e.Job)
 		case removalKinds[e.Kind]:
 			delete(placed, e.Job)
-			if e.Kind == master.EventPreempt {
+			if e.Kind == master.EventPreempt || e.Kind == master.EventRecover {
 				held[e.Job] = true
 			}
 		}

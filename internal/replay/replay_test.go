@@ -280,7 +280,7 @@ func TestReplayFailedDeployClearsPlacement(t *testing.T) {
 			Group: []string{"w0", "w1"}},
 		master.Event{Seq: 6, Time: at, Kind: master.EventHold, Job: "dev-c",
 			Note: master.NoteDeployFailed + "stub"},
-		master.Event{Seq: 7, Time: at, Kind: master.EventRecover, Job: "prod-b",
+		master.Event{Seq: 7, Time: at, Kind: master.EventMigrate, Job: "prod-b",
 			Group: []string{"w0", "w1"}},
 	)
 	rep, err := Run(snap, Overrides{})
@@ -310,7 +310,7 @@ func TestReplayOrdinaryHoldKeepsPlacement(t *testing.T) {
 			Group: []string{"w0", "w1"}},
 		master.Event{Seq: 6, Time: at, Kind: master.EventHold, Job: "dev-c",
 			Note: "held: " + fair.HoldSlowdown},
-		master.Event{Seq: 7, Time: at, Kind: master.EventRecover, Job: "prod-b",
+		master.Event{Seq: 7, Time: at, Kind: master.EventMigrate, Job: "prod-b",
 			Group: []string{"w0", "w1"}},
 	)
 	rep, err := Run(snap, Overrides{})
@@ -327,9 +327,11 @@ func TestReplayOrdinaryHoldKeepsPlacement(t *testing.T) {
 	}
 }
 
-// TestReplayLabelsRemovalRows: cancel and preempt rows, like complete,
-// take their aggregate label from the group the master stamped on the
-// event — the placement itself is gone by the time the row is built.
+// TestReplayLabelsRemovalRows: cancel, preempt and recover rows, like
+// complete, take their aggregate label from the group the master stamped
+// on the event — the placement itself is gone by the time the row is
+// built. A recover row takes the job off its group like a preempt rather
+// than placing it there again.
 func TestReplayLabelsRemovalRows(t *testing.T) {
 	snap := testSnapshot()
 	snap.Journal = append(snap.Journal,
@@ -337,16 +339,23 @@ func TestReplayLabelsRemovalRows(t *testing.T) {
 			Group: []string{"w1", "w0"}, MeasuredIterSeconds: 5.4},
 		master.Event{Seq: 6, Time: snap.CapturedAt, Kind: master.EventCancel, Job: "prod-a",
 			Group: []string{"w0", "w1"}, MeasuredIterSeconds: 5.2},
+		master.Event{Seq: 7, Time: snap.CapturedAt, Kind: master.EventResume, Job: "prod-b",
+			Group: []string{"w0", "w1"}},
+		master.Event{Seq: 8, Time: snap.CapturedAt, Kind: master.EventRecover, Job: "prod-b",
+			Group: []string{"w0", "w1"}, MeasuredIterSeconds: 5.3},
 	)
 	rep, err := Run(snap, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if d := rep.Decisions[len(rep.Decisions)-1]; d.ReplayIterSeconds != 0 {
+		t.Errorf("recover row modeled as a placement: %+v", d)
+	}
 	rows := make(map[string]bool)
 	for _, g := range rep.Groups {
 		rows[g.Group+" "+g.Kind] = true
 	}
-	for _, want := range []string{"w0,w1 preempt", "w0,w1 cancel", "w2,w3 complete"} {
+	for _, want := range []string{"w0,w1 preempt", "w0,w1 cancel", "w0,w1 recover", "w2,w3 complete"} {
 		if !rows[want] {
 			t.Errorf("Groups has no %q row: %+v", want, rep.Groups)
 		}

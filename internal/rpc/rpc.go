@@ -492,6 +492,10 @@ func (c *Client) Call(method string, arg []byte, timeout time.Duration) ([]byte,
 	}
 }
 
+// Done is closed once the connection is gone: the peer closed it, a read
+// failed, or Close was called.
+func (c *Client) Done() <-chan struct{} { return c.done }
+
 // Close tears the connection down; outstanding calls fail with ErrClosed.
 func (c *Client) Close() error {
 	c.mu.Lock()

@@ -190,6 +190,38 @@ func TestClientCloseFailsPendingCalls(t *testing.T) {
 	}
 }
 
+// TestClientDoneOnEitherClose: Done closes when the peer closes the
+// connection, with no call in flight to notice, and when the client
+// closes it.
+func TestClientDoneOnEitherClose(t *testing.T) {
+	srv, addr := startServer(t)
+	byPeer, byClient := dial(t, addr), dial(t, addr)
+	for _, c := range []*Client{byPeer, byClient} {
+		select {
+		case <-c.Done():
+			t.Fatal("Done closed on a live connection")
+		default:
+		}
+	}
+	byClient.Close()
+	select {
+	case <-byClient.Done():
+	default:
+		t.Error("Done still open after the client's Close returned")
+	}
+	select {
+	case <-byPeer.Done():
+		t.Fatal("one client's Close closed another's Done")
+	default:
+	}
+	srv.Close()
+	select {
+	case <-byPeer.Done():
+	case <-time.After(2 * time.Second):
+		t.Error("Done still open after the server closed the connection")
+	}
+}
+
 func TestDialFailure(t *testing.T) {
 	if _, err := Dial("127.0.0.1:1", 200*time.Millisecond); err == nil {
 		t.Error("Dial to closed port succeeded")

@@ -177,9 +177,12 @@ func TestMaterializeShardErrorPropagates(t *testing.T) {
 
 // TestCompTeardownOnCorruptBlock verifies the drive loop treats a COMP
 // data failure like a PULL/PUSH failure: the job stops instead of
-// training on a truncated shard.
+// training on a truncated shard, tells the master why under its epoch,
+// and stays loaded until the master's dropJob.
 func TestCompTeardownOnCorruptBlock(t *testing.T) {
-	w, ctl := startWorker(t)
+	reported := make(chan JobDoneArgs, 1)
+	w, ctl := startWorkerAt(t, fakeMasterWith(t, func(BarrierArgs) Directive { return Continue },
+		func(a JobDoneArgs) { reported <- a }))
 	self := w.srv.Addr()
 	if _, err := rpc.Invoke[LoadJobArgs, Ack](ctl, MethodLoadJob, loadArgs(w, []string{self}), 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -192,23 +195,38 @@ func TestCompTeardownOnCorruptBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := rpc.Invoke[StartJobArgs, Ack](ctl, MethodStartJob,
-		StartJobArgs{Job: "j1", Iterations: 50}, time.Second); err != nil {
+		StartJobArgs{Job: "j1", Iterations: 50, Epoch: 3}, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		w.mu.Lock()
-		running, last := st.running, st.lastIter
-		w.mu.Unlock()
-		if !running {
-			if last != 0 {
-				t.Fatalf("job advanced to iteration %d on corrupt data", last)
-			}
-			return
+	select {
+	case a := <-reported:
+		if a.Err == "" || a.Epoch != 3 {
+			t.Errorf("jobDone = %+v, want a failure under epoch 3", a)
 		}
-		time.Sleep(5 * time.Millisecond)
+	case <-time.After(10 * time.Second):
+		t.Fatal("job kept running with a corrupt input block")
 	}
-	t.Fatal("job kept running with a corrupt input block")
+	var loaded bool
+	for running, last := true, 0; running; time.Sleep(time.Millisecond) {
+		w.mu.Lock()
+		running, last, loaded = st.running, st.lastIter, w.jobs["j1"] == st
+		w.mu.Unlock()
+		if last != 0 {
+			t.Fatalf("job advanced to iteration %d on corrupt data", last)
+		}
+	}
+	if !loaded {
+		t.Fatal("the failed member released the job before the master dropped it")
+	}
+	if _, err := rpc.Invoke[DropJobArgs, Ack](ctl, MethodDropJob, DropJobArgs{Job: "j1"}, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	w.mu.Lock()
+	_, loaded = w.jobs["j1"]
+	w.mu.Unlock()
+	if loaded {
+		t.Fatal("job still loaded after dropJob")
+	}
 }
 
 // TestRestoreFrameRoundTrip checks that checkpointed parameters carried

@@ -156,11 +156,13 @@ const (
 	Stop
 )
 
-// JobDoneArgs reports that this worker finished all iterations.
+// JobDoneArgs reports that this worker's loop ended: it ran every
+// iteration, or, when Err is set, a PULL, COMP, PUSH or barrier failed.
 type JobDoneArgs struct {
 	Job    string
 	Worker string
 	Epoch  int
+	Err    string
 }
 
 // Ack is an empty reply.
@@ -368,9 +370,9 @@ func (w *Worker) handleStartJob(a StartJobArgs) (Ack, error) {
 	}
 	st.running = true
 	st.stopCh = make(chan struct{})
+	w.wg.Add(1) // under mu: a Close that follows waits for this loop
 	w.mu.Unlock()
 
-	w.wg.Add(1)
 	go w.drive(a.Job, st, a.FromIteration, a.Iterations, a.Epoch)
 	return Ack{}, nil
 }
@@ -388,7 +390,8 @@ func (w *Worker) drive(job string, st *jobState, from, iterations, epoch int) {
 		st.mirror = ps.NewMirror(job, st.cfg.ModelSize())
 	}
 	model := st.mirror.Values()
-	for iter := from; iter < iterations; iter++ {
+	var failed error
+	for iter := from; iter < iterations && failed == nil; iter++ {
 		select {
 		case <-st.stopCh:
 			return
@@ -404,12 +407,13 @@ func (w *Worker) drive(job string, st *jobState, from, iterations, epoch int) {
 		if err := w.exec.SubmitAt(subtask.Pull, job, iter, func() {
 			pullErr = st.client.Sync(st.mirror)
 		}, func() { close(stepDone) }); err != nil {
-			return
+			return // the executor closed: the worker is closing
 		}
 		<-stepDone
 		netSecs += time.Since(start).Seconds()
 		if pullErr != nil {
-			return // servers gone: the master is tearing the job down
+			failed = fmt.Errorf("PULL of iteration %d: %w", iter, pullErr)
+			break
 		}
 
 		// COMP subtask: reload-gated data access plus real computation.
@@ -430,16 +434,16 @@ func (w *Worker) drive(job string, st *jobState, from, iterations, epoch int) {
 			st.delta, loss = mlapp.ComputeFused(st.algo, st.delta, model, shard,
 				st.rng, int(w.compWorkers.Load()), &st.scratch)
 		}, func() { close(stepDone) }); err != nil {
-			return
+			return // the executor closed: the worker is closing
 		}
 		<-stepDone
 		compSecs = time.Since(start).Seconds()
 		if compErr != nil {
 			// Input data unavailable or corrupt: training on a truncated
-			// shard would silently skew the model and its loss. Tear the
-			// job down exactly like a PULL/PUSH failure — the master's
-			// recovery path restarts it from the last checkpoint.
-			return
+			// shard would silently skew the model and its loss. Fail like
+			// PULL and PUSH: the master restarts the job from a checkpoint.
+			failed = fmt.Errorf("COMP of iteration %d: %w", iter, compErr)
+			break
 		}
 
 		// PUSH subtask.
@@ -449,12 +453,13 @@ func (w *Worker) drive(job string, st *jobState, from, iterations, epoch int) {
 		if err := w.exec.SubmitAt(subtask.Push, job, iter, func() {
 			pushErr = st.client.PushTouched(job, st.delta, st.scratch.Touched())
 		}, func() { close(stepDone) }); err != nil {
-			return
+			return // the executor closed: the worker is closing
 		}
 		<-stepDone
 		netSecs += time.Since(start).Seconds()
 		if pushErr != nil {
-			return
+			failed = fmt.Errorf("PUSH of iteration %d: %w", iter, pushErr)
+			break
 		}
 
 		st.lastIter = iter
@@ -475,18 +480,28 @@ func (w *Worker) drive(job string, st *jobState, from, iterations, epoch int) {
 			rec.Record(obs.PhaseBarrier, job, iter, barrierStart, time.Now())
 		}
 		if err != nil {
-			return
-		}
-		switch reply.Directive {
-		case Pause, Stop:
+			failed = fmt.Errorf("barrier of iteration %d: %w", iter, err)
+		} else if reply.Directive == Pause || reply.Directive == Stop {
 			return
 		}
 	}
-	_, _ = rpc.Invoke[JobDoneArgs, Ack](w.master, MethodJobDone,
-		JobDoneArgs{Job: job, Worker: w.name, Epoch: epoch}, time.Minute)
-	// The last barrier let the group through only after every member
-	// pushed, so no member reads this job's partitions any more.
-	w.release(job, st)
+	done := JobDoneArgs{Job: job, Worker: w.name, Epoch: epoch}
+	if failed != nil {
+		select {
+		case <-st.stopCh:
+			return // dropped or closing: the error is the teardown's own
+		default:
+		}
+		done.Err = fmt.Sprintf("worker %s: %v", w.name, failed)
+	}
+	_, _ = rpc.Invoke[JobDoneArgs, Ack](w.master, MethodJobDone, done, time.Minute)
+	// A failed member keeps its state: the master requeues the job and its
+	// dropJob releases it. A completed one releases its own: the last
+	// barrier let the group through only after every member pushed, so no
+	// member reads this job's partitions any more.
+	if failed == nil {
+		w.release(job, st)
+	}
 }
 
 // materializeShard assembles the shard view for one COMP subtask, paying

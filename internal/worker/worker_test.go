@@ -51,7 +51,13 @@ func fakeMasterWith(t *testing.T, barrier func(BarrierArgs) Directive, done func
 
 func startWorker(t *testing.T) (*Worker, *rpc.Client) {
 	t.Helper()
-	w, addr, err := New("unit", "127.0.0.1:0", fakeMaster(t), t.TempDir())
+	return startWorkerAt(t, fakeMaster(t))
+}
+
+// startWorkerAt is startWorker registered with the given master.
+func startWorkerAt(t *testing.T, master string) (*Worker, *rpc.Client) {
+	t.Helper()
+	w, addr, err := New("unit", "127.0.0.1:0", master, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -289,22 +289,3 @@ func (w *Worker) EnableTracing() { w.w.EnableTracing(0) }
 
 // Close stops the worker's jobs and servers.
 func (w *Worker) Close() { w.w.Close() }
-
-// Checkpoint returns the job's most recent background model snapshot and
-// the iteration it covers. The master snapshots models periodically for
-// fault tolerance (§VI); nil means no checkpoint has landed yet.
-func (m *Master) Checkpoint(name string) ([]float64, int, error) {
-	return m.m.Checkpoint(name)
-}
-
-// RemoveWorker unregisters a failed worker and returns the names of jobs
-// whose groups included it; recover each with RecoverJob.
-func (m *Master) RemoveWorker(name string) ([]string, error) {
-	return m.m.RemoveWorker(name)
-}
-
-// RecoverJob restarts an affected job on the given worker group (nil =
-// all surviving workers) from its latest background checkpoint.
-func (m *Master) RecoverJob(name string, group []string) error {
-	return m.m.RecoverJob(name, group)
-}

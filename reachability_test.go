@@ -21,13 +21,6 @@ import (
 // reaches and that stays anyway, with the reason. A function only a test
 // calls is otherwise deleted with its test.
 var testOnly = map[string]string{
-	// The fault-recovery API: safety code, its drivers are failures.
-	"(*harmony/internal/master.Master).Checkpoint":   "fault recovery",
-	"(*harmony/internal/master.Master).RecoverJob":   "fault recovery",
-	"(*harmony/internal/master.Master).RemoveWorker": "fault recovery",
-	"(*harmony.Master).Checkpoint":                   "fault recovery (facade)",
-	"(*harmony.Master).RecoverJob":                   "fault recovery (facade)",
-	"(*harmony.Master).RemoveWorker":                 "fault recovery (facade)",
 	// The facade's online-admission pair: the library's callers drive it,
 	// the commands reach the same master methods through internal/ctl.
 	"(*harmony.Master).Enqueue": "public API",
