@@ -1,8 +1,11 @@
 package harmony
 
 import (
+	"errors"
 	"testing"
 	"time"
+
+	"harmony/internal/master"
 )
 
 func TestScheduleFacade(t *testing.T) {
@@ -118,6 +121,31 @@ func TestLiveRuntimeEndToEnd(t *testing.T) {
 	cpu, net, err := m.Utilization()
 	if err != nil || cpu <= 0 || net <= 0 {
 		t.Errorf("utilization = (%v, %v), err %v", cpu, net, err)
+	}
+}
+
+// TestProgressOfHeldJob: a job waiting in the admission queue is known
+// work, so Progress reports it instead of an error; an unknown name's
+// error wraps the master's ErrUnknownJob.
+func TestProgressOfHeldJob(t *testing.T) {
+	m, err := StartMaster("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	adm, err := m.Enqueue(Training{
+		Name:       "held",
+		Config:     TrainingConfig{Algorithm: "mlr", Features: 10, Classes: 3, Rows: 64},
+		Iterations: 5,
+	}, Job{})
+	if err != nil || adm.Admitted {
+		t.Fatalf("enqueue with no workers = %+v, %v; want held", adm, err)
+	}
+	if iter, _, finished, err := m.Progress("held"); err != nil || iter != 0 || finished {
+		t.Errorf("Progress(held) = %d, finished %v, %v; want iteration 0, not finished", iter, finished, err)
+	}
+	if _, _, _, err := m.Progress("nope"); !errors.Is(err, master.ErrUnknownJob) {
+		t.Errorf("Progress(nope) = %v, want ErrUnknownJob", err)
 	}
 }
 

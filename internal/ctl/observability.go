@@ -134,7 +134,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Help: "Background model snapshots that failed and were dropped.",
 			Type: metrics.PromCounter, Value: float64(c.CheckpointFailures)},
 		metrics.Sample{Name: "harmony_admission_placements_total",
-			Help: "Placement attempts the admission reject memo did not answer.",
+			Help: "Admission placement attempts: each arrival and each held job a drain pass reaches.",
 			Type: metrics.PromCounter, Value: float64(c.Placements)},
 		metrics.Sample{Name: "harmony_drain_passes_total",
 			Help: "Admission-kernel decisions the drainer made over the held queue.",

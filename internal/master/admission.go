@@ -79,15 +79,6 @@ type pendingJob struct {
 	resumeIter int
 	finishedCh chan struct{}
 	epoch      int
-	// The reject memo (DESIGN.md §15): placeLocked last refused this job at
-	// placement epoch rejectEpoch on at most rejectLimit workers, for
-	// rejectReason. Until one of the two moves the answer would be the
-	// same, so placeMemoLocked gives it without scoring. The reason is the
-	// memo's own: holdReason is whatever the last pass reported, which is
-	// quota_exhausted whenever a gate kept that pass from placing at all.
-	rejectEpoch  uint64
-	rejectLimit  int
-	rejectReason string
 }
 
 // demand is the gang size the job must place atomically.
@@ -123,8 +114,8 @@ type Counters struct {
 	// CheckpointFailures counts background model snapshots that failed
 	// and were dropped.
 	CheckpointFailures int64
-	// Placements counts placement attempts the reject memo did not answer
-	// (placeLocked runs, DESIGN.md §15).
+	// Placements counts placement attempts (placeLocked runs): the
+	// arrival rule's and every held job's a drain pass reaches.
 	Placements int64
 	// DrainPasses counts the drainer's kernel decisions over the held
 	// queue; DrainPassSeconds totals the time they held mu's write side.
@@ -200,7 +191,7 @@ func (m *Master) Enqueue(spec JobSpec, prof Profile) (Admission, error) {
 	view, free := m.viewLocked()
 	var pl placement
 	ok, reason := m.fairsched.Try(view, p.held(), func(_ fair.Held, limit int) (ok bool, reason string) {
-		pl, ok, reason = m.placeMemoLocked(p, free, limit)
+		pl, ok, reason = m.placeLocked(p, free, limit)
 		return ok, reason
 	})
 	if !ok {
@@ -306,8 +297,8 @@ func (m *Master) countAdmissionLocked(queue string, initial, drained bool, n int
 // cluster from scratch: jobs sharing a worker set form one group whose
 // DoP is the set size. The parallel slice maps each group to its worker
 // names. Group and job order are deterministic for a fixed cluster
-// state. Most callers want livePlanLocked (fastpath.go), which caches
-// the result between plan mutations.
+// state. Callers go through livePlanLocked or planScorerLocked
+// (fastpath.go), which reuse the cached plan between plan mutations.
 func (m *Master) buildLivePlanLocked() (core.Plan, [][]string) {
 	type bucket struct {
 		idxs []int
@@ -386,7 +377,7 @@ func (m *Master) drainQueue() {
 		view.Running = m.runningLocked()
 		var pl placement
 		d := m.fairsched.Decide(view, func(h fair.Held, limit int) (ok bool, reason string) {
-			pl, ok, reason = m.placeMemoLocked(m.pendingIdx[h.Job], free, limit)
+			pl, ok, reason = m.placeLocked(m.pendingIdx[h.Job], free, limit)
 			return ok, reason
 		})
 		for _, h := range d.Holds {
@@ -641,13 +632,6 @@ func (m *Master) Cluster() ClusterView {
 	return cv
 }
 
-// QueueDepth reports the number of jobs held pending.
-func (m *Master) QueueDepth() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.pending)
-}
-
 // Shutdown drains the control plane for a clean exit: it stops admitting
 // new work, snapshots every running job's model as a final checkpoint
 // (best effort, within the timeout per job), and closes the master. It
@@ -670,7 +654,7 @@ func (m *Master) Shutdown(timeout time.Duration) []string {
 	}
 	m.pending = nil
 	m.pendingIdx = make(map[string]*pendingJob)
-	m.expireVerdictsLocked()
+	m.admitEpoch++
 	var targets []*job
 	for _, j := range m.jobs {
 		if j.status == StatusRunning && j.iter != 0 {

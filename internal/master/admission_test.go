@@ -49,7 +49,7 @@ func TestEnqueueUnprofiledHeldWhileBusy(t *testing.T) {
 	if adm.Admitted {
 		t.Fatal("unprofiled job admitted into a busy cluster")
 	}
-	if d := m.QueueDepth(); d != 1 {
+	if d := len(m.Cluster().Pending); d != 1 {
 		t.Fatalf("queue depth = %d, want 1", d)
 	}
 	if v, ok := m.Job("b"); !ok || v.State != "pending" {
@@ -66,7 +66,7 @@ func TestEnqueueUnprofiledHeldWhileBusy(t *testing.T) {
 	if err := m.Cancel("b"); err != nil {
 		t.Fatal(err)
 	}
-	if d := m.QueueDepth(); d != 0 {
+	if d := len(m.Cluster().Pending); d != 0 {
 		t.Fatalf("queue depth after cancel = %d, want 0", d)
 	}
 	if err := m.Cancel("b"); !errors.Is(err, ErrUnknownJob) {
@@ -176,11 +176,11 @@ func TestShutdownCheckpointsRunningJobs(t *testing.T) {
 	}
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		_, iter, _, err := m.Status("a")
-		if err != nil {
-			t.Fatal(err)
+		v, ok := m.Job("a")
+		if !ok {
+			t.Fatal("job a unknown")
 		}
-		if iter >= 2 {
+		if v.Iteration >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -347,10 +347,10 @@ func TestCancelDuringDrainDeployStaysCanceled(t *testing.T) {
 	// Whatever wakeups the cancels queued must find nothing to do.
 	m.drainQueue()
 
-	if status, _, _, err := m.Status("victim"); err != nil || status != StatusCanceled {
-		t.Errorf("victim status = %v, %v, want canceled", status, err)
+	if v, _ := m.Job("victim"); v.State != StatusCanceled.String() {
+		t.Errorf("victim = %+v, want canceled", v)
 	}
-	if d := m.QueueDepth(); d != 0 {
+	if d := len(m.Cluster().Pending); d != 0 {
 		t.Errorf("queue depth = %d, want 0", d)
 	}
 	if n := victimLoads.Load(); n != 1 {
@@ -373,7 +373,7 @@ func TestCancelDuringDrainDeployStaysCanceled(t *testing.T) {
 // again. At every instant the name is known, held or deployed, and every
 // resubmission is a duplicate; the job ends deployed once, the queue empty.
 func TestDrainedJobStaysKnown(t *testing.T) {
-	m := memoMaster(t, 1, 1)
+	m := parkedMaster(t, 1, 1)
 	for round := 0; round < 20; round++ {
 		blocker, name := fmt.Sprintf("blocker%d", round), fmt.Sprintf("held%d", round)
 		mustEnqueue(t, m, spec(blocker, mlapp.MLR, 1000), Profile{}, true)
@@ -405,9 +405,9 @@ func TestDrainedJobStaysKnown(t *testing.T) {
 		m.drainQueue()
 		stop.Store(true)
 		wg.Wait()
-		if v, ok := m.Job(name); !ok || v.State != StatusRunning.String() || m.QueueDepth() != 0 {
+		if v, ok := m.Job(name); !ok || v.State != StatusRunning.String() || len(m.Cluster().Pending) != 0 {
 			t.Fatalf("round %d: %s = %+v, %v, queue depth %d; want it running and the queue empty",
-				round, name, v, ok, m.QueueDepth())
+				round, name, v, ok, len(m.Cluster().Pending))
 		}
 		if err := m.Cancel(name); err != nil {
 			t.Fatal(err)
@@ -543,8 +543,8 @@ func TestFailedReplacementLeavesJobPaused(t *testing.T) {
 		if err := m.Resume("j", []string{"w0"}, nil); err == nil {
 			t.Fatal("re-placement succeeded although its load failed")
 		}
-		if status, _, _, _ := m.Status("j"); status != StatusPaused {
-			t.Errorf("status after a failed re-placement = %v, want paused", status)
+		if v, _ := m.Job("j"); v.State != StatusPaused.String() {
+			t.Errorf("status after a failed re-placement = %s, want paused", v.State)
 		}
 		if placed() {
 			t.Errorf("live plan %+v still places j after its deploy failed", m.Cluster().Groups)
@@ -552,9 +552,9 @@ func TestFailedReplacementLeavesJobPaused(t *testing.T) {
 		if err := m.Resume("j", []string{"w0", "w2"}, nil); err != nil {
 			t.Fatalf("retry: %v", err)
 		}
-		if status, _, _, _ := m.Status("j"); status != StatusRunning || !placed() {
-			t.Errorf("after the retry: status %v, live plan %+v; want j running and placed",
-				status, m.Cluster().Groups)
+		if v, _ := m.Job("j"); v.State != StatusRunning.String() || !placed() {
+			t.Errorf("after the retry: status %s, live plan %+v; want j running and placed",
+				v.State, m.Cluster().Groups)
 		}
 	})
 }
@@ -618,15 +618,15 @@ func TestFailedDeployIsNotCounted(t *testing.T) {
 	// Drain path: the first pass admits "held", fails to load it and
 	// requeues it; the second deploys it.
 	m.drainQueue()
-	if c := m.Counters(); c.QueueDrained != 0 || c.AdmittedInitial != 1 || m.QueueDepth() != 1 {
+	if c := m.Counters(); c.QueueDrained != 0 || c.AdmittedInitial != 1 || len(m.Cluster().Pending) != 1 {
 		t.Errorf("after the failed drain: counters = %+v, depth %d; want only blocker counted and held requeued",
-			c, m.QueueDepth())
+			c, len(m.Cluster().Pending))
 	}
 	m.drainQueue()
 	c := m.Counters()
-	if c.QueueDrained != 1 || c.AdmittedInitial+c.AdmittedArrival != 2 || m.QueueDepth() != 0 {
+	if c.QueueDrained != 1 || c.AdmittedInitial+c.AdmittedArrival != 2 || len(m.Cluster().Pending) != 0 {
 		t.Errorf("after the retry: counters = %+v, depth %d; want blocker and held counted once each",
-			c, m.QueueDepth())
+			c, len(m.Cluster().Pending))
 	}
 	for _, q := range m.Queues() {
 		if q.Name == "default" && (q.Admitted != 2 || q.Drained != 1) {
@@ -708,9 +708,9 @@ func TestFailedGangLoadDropsLoadedMembers(t *testing.T) {
 	}
 
 	m.drainQueue()
-	if c := m.Counters(); c.QueueDrained != 0 || m.QueueDepth() != 1 {
+	if c := m.Counters(); c.QueueDrained != 0 || len(m.Cluster().Pending) != 1 {
 		t.Errorf("after the failed deployment: QueueDrained %d, depth %d; want the job requeued once and not counted",
-			c.QueueDrained, m.QueueDepth())
+			c.QueueDrained, len(m.Cluster().Pending))
 	}
 	var failure string
 	for _, e := range m.Events() {
@@ -731,8 +731,8 @@ func TestFailedGangLoadDropsLoadedMembers(t *testing.T) {
 	}
 
 	m.drainQueue()
-	if c := m.Counters(); c.QueueDrained != 1 || m.QueueDepth() != 0 {
-		t.Errorf("after the retry: QueueDrained %d, depth %d; want the job deployed", c.QueueDrained, m.QueueDepth())
+	if c := m.Counters(); c.QueueDrained != 1 || len(m.Cluster().Pending) != 0 {
+		t.Errorf("after the retry: QueueDrained %d, depth %d; want the job deployed", c.QueueDrained, len(m.Cluster().Pending))
 	}
 	if got, want := sent(), "[[load dropJob load start] [dropJob load start] [dropJob load start]]"; got != want {
 		t.Errorf("after the retry members were sent %s, want %s", got, want)
@@ -776,8 +776,8 @@ func TestCancelDuringLoadDropsAfterTheLoad(t *testing.T) {
 	if err := <-submitted; err != nil {
 		t.Errorf("Submit = %v, want nil: the job was canceled, not failed", err)
 	}
-	if status, _, _, err := m.Status("j"); err != nil || status != StatusCanceled {
-		t.Errorf("status = %v, %v, want canceled", status, err)
+	if v, _ := m.Job("j"); v.State != StatusCanceled.String() {
+		t.Errorf("j = %+v, want canceled", v)
 	}
 	mu.Lock()
 	defer mu.Unlock()

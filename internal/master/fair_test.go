@@ -111,8 +111,8 @@ func TestFairPreemptionBitIdenticalResume(t *testing.T) {
 	// carry measured values and the resume genuinely mid-flight.
 	for _, name := range []string{"b1", "b2", "b3"} {
 		pollUntil(t, name+" progress", func() bool {
-			_, iter, _, err := m.Status(name)
-			return err == nil && iter >= 3
+			v, _ := m.Job(name)
+			return v.State == StatusRunning.String() && v.Iteration >= 3
 		})
 	}
 
@@ -209,14 +209,11 @@ func TestFairPreemptionBitIdenticalResume(t *testing.T) {
 	// the single-worker gang keeps the sum order fixed.
 	var losses [3]float64
 	for i, name := range []string{"b1", "b2", "b3"} {
-		status, iter, loss, err := m.Status(name)
-		if err != nil {
-			t.Fatal(err)
+		v, _ := m.Job(name)
+		if v.State != StatusFinished.String() || v.Iteration != 1999 {
+			t.Fatalf("%s = %s at iteration %d, want finished at 1999", name, v.State, v.Iteration)
 		}
-		if status != StatusFinished || iter != 1999 {
-			t.Fatalf("%s = %v at iteration %d, want finished at 1999", name, status, iter)
-		}
-		losses[i] = loss
+		losses[i] = v.Loss
 	}
 	if losses[1] != losses[0] || losses[2] != losses[0] {
 		t.Errorf("final losses diverged after preempt/resume: %v", losses)
@@ -241,7 +238,7 @@ func checkPositions(t *testing.T, m *Master) {
 // priorities and gang sizes, cancels of held jobs, and completions with
 // and without the drain pass after them, checking positions after each.
 func TestQueuePositionMatchesListJobs(t *testing.T) {
-	m := memoMaster(t, 4, 1)
+	m := parkedMaster(t, 4, 1)
 	if err := m.ConfigureQueues(
 		fair.QueueConfig{Name: "qa", Quota: 0.5},
 		fair.QueueConfig{Name: "qb", Quota: 0.5}); err != nil {

@@ -65,9 +65,9 @@ func (m *Master) ConfigureQueues(cfgs ...fair.QueueConfig) error {
 		}
 	}
 	m.fairsched = s
-	// A new policy changes every quota and gate: expire cached reject
-	// verdicts and input snapshots, then retry held jobs against it.
-	m.expireVerdictsLocked()
+	// A new policy changes every quota and gate: the cached view is stale,
+	// and held jobs retry against it.
+	m.admitEpoch++
 	m.mu.Unlock()
 	m.wakeDrainer()
 	return nil
@@ -190,23 +190,6 @@ func (m *Master) placeLocked(p *pendingJob, free []string, limit int) (placement
 		return placement{}, false, fair.HoldNoGang
 	}
 	return placement{}, false, fair.HoldSlowdown
-}
-
-// placeMemoLocked is placeLocked behind the reject memo (DESIGN.md §15): a
-// refusal is kept on the job under what it read and repeated while that
-// holds. Everything placeLocked reads but limit moves only with placeEpoch,
-// and the held queue reaches its answer through limit alone (the kernel's
-// borrow cap), so a hold or cancel-held elsewhere in the queue re-scores
-// this job only if it moved this job's cap.
-func (m *Master) placeMemoLocked(p *pendingJob, free []string, limit int) (placement, bool, string) {
-	if p.rejectEpoch == m.placeEpoch && p.rejectLimit == limit {
-		return placement{}, false, p.rejectReason
-	}
-	pl, ok, reason := m.placeLocked(p, free, limit)
-	if !ok {
-		p.rejectEpoch, p.rejectLimit, p.rejectReason = m.placeEpoch, limit, reason
-	}
-	return pl, ok, reason
 }
 
 // removePendingLocked unlinks a held job from the queue and advances the

@@ -6,40 +6,28 @@ import (
 )
 
 // This file is the master half of the admission fast path (DESIGN.md
-// §15): the cached live plan and its Scorer, the epoch-versioned kernel
-// view, the pending-queue index, and the single
-// coalescing drainer goroutine. The core half (incremental scoring) lives
-// in internal/core/score.go.
+// §15): its two caches — the live plan with its Scorer, and the admission
+// kernel's view — the pending-queue index, and the single coalescing
+// drainer goroutine. The core half (incremental scoring) lives in
+// internal/core/score.go.
 
-// livePlanCache holds the derived scheduler view of the running cluster.
-// Guarded by Master.planMu; cleared (never mutated in place) by
-// invalidatePlanLocked. The scorer is built lazily on the first admission
-// against this plan and is only ever used under mu's write side — Scorer
-// methods mutate internal scratch space.
+// livePlanCache holds the derived scheduler view of the running cluster:
+// only planScorerLocked stores it, under mu's write side, and
+// invalidatePlanLocked drops it (never mutating it in place). Its Scorer
+// reuses scratch space, so only the write side touches it.
 type livePlanCache struct {
 	plan    core.Plan
 	members [][]string
 	scorer  *core.Scorer
 }
 
-// invalidatePlanLocked drops the cached live plan and advances both
-// epochs. Callers hold mu's write side and invoke it after any mutation
-// that changes the derived plan: deploy, migrate, requeue, completion,
-// cancel of a running job, a lost worker, or a profile
+// invalidatePlanLocked drops the cached live plan and advances the
+// admission epoch. Callers hold mu's write side and invoke it after any
+// mutation that changes the derived plan: deploy, migrate, requeue,
+// completion, cancel of a running job, a lost worker, or a profile
 // observation (profiled metrics feed jobInfoLocked).
 func (m *Master) invalidatePlanLocked() {
-	m.planMu.Lock()
 	m.planCache = nil
-	m.planMu.Unlock()
-	m.expireVerdictsLocked()
-}
-
-// expireVerdictsLocked advances placeEpoch, and admitEpoch with it: an
-// input of placeLocked other than its limit changed, so every reject memo
-// and the cached view are stale. Its callers are all that moves placeEpoch:
-// invalidatePlanLocked, a worker registration, ConfigureQueues, Shutdown.
-func (m *Master) expireVerdictsLocked() {
-	m.placeEpoch++
 	m.admitEpoch++
 }
 
@@ -58,41 +46,29 @@ func workerSetKey(idxs []int) string {
 	return string(b)
 }
 
-// planCacheLocked returns the cached live plan, rebuilding it when an
-// invalidation dropped it. Caller holds planMu and at least mu's read
-// side: builders hold ≥RLock while storing and invalidators hold the
-// write lock, so a stale build can never overwrite a newer invalidation.
-func (m *Master) planCacheLocked() *livePlanCache {
-	if m.planCache == nil {
-		plan, members := m.buildLivePlanLocked()
-		m.planCache = &livePlanCache{plan: plan, members: members}
-	}
-	return m.planCache
-}
-
 // livePlanLocked returns the scheduler's view of the running cluster:
 // jobs sharing a worker set form one group whose DoP is the set size,
-// with a parallel slice mapping each group to its worker names. Callers
-// hold at least mu's read side and must treat the returned plan and
-// members as immutable.
+// with a parallel slice mapping each group to its worker names. It is the
+// cached plan when there is one, else a fresh build it does not store, so
+// callers on mu's read side never write. Callers treat the returned plan
+// and members as immutable.
 func (m *Master) livePlanLocked() (core.Plan, [][]string) {
-	m.planMu.Lock()
-	defer m.planMu.Unlock()
-	c := m.planCacheLocked()
-	return c.plan, c.members
+	if c := m.planCache; c != nil {
+		return c.plan, c.members
+	}
+	return m.buildLivePlanLocked()
 }
 
-// planScorerLocked returns the cached plan together with its Scorer,
-// building the Scorer on first use per plan epoch. Callers hold mu's
-// WRITE side: the Scorer reuses scratch space and is not safe for
-// concurrent use, so only the serialized mutation paths (admission,
-// journal stamping) may touch it.
+// planScorerLocked returns the live plan together with its Scorer,
+// building and storing both when an invalidation dropped them. Callers
+// hold mu's WRITE side: only the serialized mutation paths (admission,
+// journal stamping) may store the cache or use the Scorer.
 func (m *Master) planScorerLocked() (core.Plan, [][]string, *core.Scorer) {
-	m.planMu.Lock()
-	defer m.planMu.Unlock()
-	c := m.planCacheLocked()
-	if c.scorer == nil {
-		c.scorer = core.NewScorer(c.plan, m.opts)
+	c := m.planCache
+	if c == nil {
+		plan, members := m.buildLivePlanLocked()
+		c = &livePlanCache{plan: plan, members: members, scorer: core.NewScorer(plan, m.opts)}
+		m.planCache = c
 	}
 	return c.plan, c.members, c.scorer
 }
@@ -129,9 +105,7 @@ func (m *Master) usageLocked() fair.Usage {
 }
 
 // addPendingLocked appends a held job to the queue, indexes it by name,
-// and advances the admission epoch. placeEpoch stays: a new hold can gate
-// another queue's borrowing, but that reaches a held job's verdict as a
-// different limit, which the reject memo is keyed on.
+// and advances the admission epoch.
 func (m *Master) addPendingLocked(p *pendingJob) {
 	m.pending = append(m.pending, p)
 	m.pendingIdx[p.spec.Name] = p

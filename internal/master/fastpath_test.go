@@ -113,7 +113,6 @@ func TestAdmitSmokeConcurrentChurn(t *testing.T) {
 				_ = m.Counters()
 				_ = m.Queues()
 				_ = m.Events()
-				_ = m.QueueDepth()
 			}
 		}()
 	}

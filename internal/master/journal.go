@@ -172,17 +172,14 @@ func (m *Master) stampJobPlacementLocked(e Event) Event {
 	return e
 }
 
-// measuredLocked reports the job's measured iteration seconds and its
-// live group's measured utilization. The EWMA tracks wall time between
-// barrier releases; utilization divides the group's profiled subtask
-// seconds (the same quantities the model predicts from) by the measured
-// iteration time, so a prediction gap shows up directly.
-func (m *Master) measuredLocked(name string, j *job) (iter, ucpu, unet float64) {
-	if j == nil || j.measIter <= 0 {
-		return 0, 0, 0
-	}
+// measured reports the job's measured iteration seconds, once it has one,
+// and its group's measured utilization in plan, the live plan. The EWMA
+// tracks wall time between barrier releases; utilization divides the
+// group's profiled subtask seconds (the same quantities the model predicts
+// from) by the measured iteration time, so a prediction gap shows up
+// directly.
+func measured(plan core.Plan, name string, j *job) (iter, ucpu, unet float64) {
 	iter = j.measIter
-	plan, _ := m.livePlanLocked()
 	if gi, ok := plan.FindJob(name); ok {
 		g := plan.Groups[gi]
 		ucpu = g.SumComp() / iter
@@ -197,7 +194,11 @@ func (m *Master) measuredLocked(name string, j *job) (iter, ucpu, unet float64) 
 // labels the row in replay, and the final measured values, which
 // livePlanLocked can no longer produce once the status flips.
 func (m *Master) removalEventLocked(kind, name string, j *job) Event {
-	iter, ucpu, unet := m.measuredLocked(name, j)
+	var iter, ucpu, unet float64
+	if j.measIter > 0 {
+		plan, _ := m.livePlanLocked()
+		iter, ucpu, unet = measured(plan, name, j)
+	}
 	return Event{Kind: kind, Job: name, Group: m.workerNamesLocked(j),
 		MeasuredIterSeconds: iter, MeasuredCPUUtil: ucpu, MeasuredNetUtil: unet}
 }
@@ -224,10 +225,12 @@ func (m *Master) EventsSince(since uint64, kind string) []Event {
 }
 
 // enrichEventsLocked fills unmeasured events with their job's current
-// measured values. Caller holds at least m.mu's read side.
+// measured values, building the live plan at most once. Caller holds at
+// least m.mu's read side.
 func (m *Master) enrichEventsLocked(evs []Event) {
 	type meas struct{ iter, ucpu, unet float64 }
 	cache := make(map[string]meas)
+	var plan *core.Plan
 	for i := range evs {
 		e := &evs[i]
 		if e.MeasuredIterSeconds != 0 {
@@ -235,8 +238,12 @@ func (m *Master) enrichEventsLocked(evs []Event) {
 		}
 		mv, ok := cache[e.Job]
 		if !ok {
-			if j, live := m.jobs[e.Job]; live {
-				mv.iter, mv.ucpu, mv.unet = m.measuredLocked(e.Job, j)
+			if j, live := m.jobs[e.Job]; live && j.measIter > 0 {
+				if plan == nil {
+					p, _ := m.livePlanLocked()
+					plan = &p
+				}
+				mv.iter, mv.ucpu, mv.unet = measured(*plan, e.Job, j)
 			}
 			cache[e.Job] = mv
 		}

@@ -185,20 +185,15 @@ type Master struct {
 	// Maintained by addPendingLocked/removePendingLocked.
 	pendingIdx map[string]*pendingJob
 
-	// Admission fast path (DESIGN.md §15): two counters, moved under mu's
-	// write side. placeEpoch versions what placeLocked reads besides its
-	// limit (live plan, free list, worker set) and, with the limit, keys a
-	// held job's reject memo; only expireVerdictsLocked bumps it. admitEpoch
-	// versions every input of a decision and keys viewLocked's cached view
-	// and free-worker list: it moves with placeEpoch and with every change
-	// of the pending queue (addPendingLocked, removePendingLocked).
-	// planMu guards the cached live plan (planCache), built lazily under
-	// mu's read side and cleared by invalidatePlanLocked (lock order:
-	// mu → planMu).
-	admitEpoch uint64
-	placeEpoch uint64
-	planMu     sync.Mutex
+	// The admission fast path's two caches (DESIGN.md §15), both under
+	// mu's write side: the live plan with its Scorer (planCache, dropped
+	// by invalidatePlanLocked), and the kernel's view with the free-worker
+	// list (viewCache, freeCache), current while inputEpoch equals
+	// admitEpoch. admitEpoch versions every input of a decision: it moves
+	// with every plan invalidation, worker registration, queue policy,
+	// shutdown, and change of the held queue.
 	planCache  *livePlanCache
+	admitEpoch uint64
 	inputEpoch uint64
 	viewCache  fair.View
 	freeCache  []string
@@ -237,7 +232,6 @@ func New(addr string, opts core.Options) (*Master, error) {
 		fairsched:  fair.Default(),
 		qcounters:  make(map[string]*queueCounters),
 		admitEpoch: 1,
-		placeEpoch: 1,
 		drainCh:    make(chan struct{}, 1),
 		drainStop:  make(chan struct{}),
 	}
@@ -281,10 +275,10 @@ func (m *Master) handleRegister(a registerArgs) (worker.Ack, error) {
 	m.workers = append(m.workers, workerRef{name: a.Name, addr: a.Addr, client: client})
 	// The failure detector: the connection closes when the worker dies.
 	go func() { <-client.Done(); m.workerLost(a.Name) }()
-	// A new worker extends the free list: cached admission inputs (and
-	// reject verdicts) are stale. Appending leaves existing worker
-	// indexes — and so the live plan — intact. Held jobs may fit now.
-	m.expireVerdictsLocked()
+	// A new worker extends the free list, so the cached view is stale.
+	// Appending leaves existing worker indexes — and so the live plan —
+	// intact. Held jobs may fit now.
+	m.admitEpoch++
 	m.wakeDrainer()
 	return worker.Ack{}, nil
 }
@@ -632,17 +626,6 @@ func (m *Master) WaitJob(name string, timeout time.Duration) error {
 	case <-time.After(timeout):
 		return fmt.Errorf("master: job %q not finished after %s", name, timeout)
 	}
-}
-
-// Status reports a job's state, last completed iteration, and loss.
-func (m *Master) Status(name string) (JobStatus, int, float64, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	j, ok := m.jobs[name]
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("master: unknown job %q", name)
-	}
-	return j.status, j.iter, j.loss, nil
 }
 
 // Metrics exposes the profiled (T_cpu, T_net) estimates for a job.

@@ -53,33 +53,30 @@ func TestSingleJobTrainsToCompletion(t *testing.T) {
 	var earlyLoss float64
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		status, iter, loss, err := m.Status("mlr-1")
-		if err != nil {
-			t.Fatal(err)
+		v, ok := m.Job("mlr-1")
+		if !ok {
+			t.Fatal("mlr-1 unknown")
 		}
-		if iter >= 1 && iter <= 3 && loss > 0 {
-			earlyLoss = loss
+		if v.Iteration >= 1 && v.Iteration <= 3 && v.Loss > 0 {
+			earlyLoss = v.Loss
 			break
 		}
-		if iter > 3 || status == StatusFinished {
+		if v.Iteration > 3 || v.State == StatusFinished.String() {
 			break // job outran the poller; skip the improvement check
 		}
 	}
 	if err := m.WaitJob("mlr-1", 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	status, iter, finalLoss, err := m.Status("mlr-1")
-	if err != nil {
-		t.Fatal(err)
+	v, _ := m.Job("mlr-1")
+	if v.State != StatusFinished.String() {
+		t.Errorf("status = %s, want finished", v.State)
 	}
-	if status != StatusFinished {
-		t.Errorf("status = %v, want finished", status)
+	if v.Iteration != 7 {
+		t.Errorf("last iteration = %d, want 7", v.Iteration)
 	}
-	if iter != 7 {
-		t.Errorf("last iteration = %d, want 7", iter)
-	}
-	if earlyLoss > 0 && finalLoss >= earlyLoss {
-		t.Errorf("loss did not improve: %.4f -> %.4f", earlyLoss, finalLoss)
+	if earlyLoss > 0 && v.Loss >= earlyLoss {
+		t.Errorf("loss did not improve: %.4f -> %.4f", earlyLoss, v.Loss)
 	}
 }
 
@@ -117,8 +114,7 @@ func TestPauseCheckpointResumeMigration(t *testing.T) {
 	// Let a few iterations pass, then pause.
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
-		_, iter, _, _ := m.Status("nmf")
-		if iter >= 2 {
+		if v, _ := m.Job("nmf"); v.Iteration >= 2 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -130,15 +126,15 @@ func TestPauseCheckpointResumeMigration(t *testing.T) {
 	if len(checkpoint) != spec("nmf", mlapp.NMF, 1).Config.ModelSize() {
 		t.Fatalf("checkpoint size %d", len(checkpoint))
 	}
-	status, pausedIter, _, _ := m.Status("nmf")
-	if status != StatusPaused {
-		t.Fatalf("status after pause = %v", status)
+	paused, _ := m.Job("nmf")
+	if paused.State != StatusPaused.String() {
+		t.Fatalf("status after pause = %s", paused.State)
 	}
 
 	// Migrate to a smaller group (§IV-B4) and cut the run short so the
 	// test finishes quickly.
 	m.mu.Lock()
-	m.jobs["nmf"].spec.Iterations = pausedIter + 3
+	m.jobs["nmf"].spec.Iterations = paused.Iteration + 3
 	m.mu.Unlock()
 	if err := m.Resume("nmf", []string{"w0", "w1"}, checkpoint); err != nil {
 		t.Fatal(err)
@@ -146,9 +142,8 @@ func TestPauseCheckpointResumeMigration(t *testing.T) {
 	if err := m.WaitJob("nmf", 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	_, finalIter, _, _ := m.Status("nmf")
-	if finalIter <= pausedIter {
-		t.Errorf("no progress after migration: %d -> %d", pausedIter, finalIter)
+	if final, _ := m.Job("nmf"); final.Iteration <= paused.Iteration {
+		t.Errorf("no progress after migration: %d -> %d", paused.Iteration, final.Iteration)
 	}
 }
 

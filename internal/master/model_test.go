@@ -1,0 +1,605 @@
+package master
+
+import (
+	"compress/gzip"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"os"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"harmony/internal/core"
+	"harmony/internal/fair"
+	"harmony/internal/ps"
+	"harmony/internal/rpc"
+	"harmony/internal/worker"
+)
+
+// The model test drives the master through seeded random sequences of the
+// operations that move its derived state — submissions, cancels,
+// completions, failed members, profile observations, drain passes with
+// preemptions, worker registrations and losses, queue reconfigurations,
+// failed deployments — and after every step checks each cache (the live
+// plan and the admission view, DESIGN.md §15) against a rebuild from
+// scratch and every read surface against itself with the caches dropped.
+// Each seed's decisions are pinned in testdata/model_seed<N>.log.gz.
+
+const (
+	modelSeeds = 8
+	modelSteps = 1250
+	// modelDepth bounds the held queue.
+	modelDepth = 10
+	// modelIterations is every job's iteration budget: the master's
+	// background checkpoints start at iteration 5 and skip the last one,
+	// so with 5 none runs and each step's outcome is the step's alone.
+	modelIterations = 5
+)
+
+func TestModelCachesMatchRecomputation(t *testing.T) {
+	steps := modelSteps
+	if raceEnabled {
+		steps /= 8
+	}
+	for seed := int64(1); seed <= modelSeeds; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			t.Parallel()
+			pinLog(t, fmt.Sprintf("testdata/model_seed%d.log.gz", seed), runModel(t, seed, steps), steps)
+		})
+	}
+}
+
+// pinLog compares the decision log of a run of steps steps with the
+// pinned log, or with its first steps steps when the run is shorter. On a
+// mismatch it writes the new log to a temporary file, names it, and shows
+// the first differing line under the step that produced it; gzip -9n of
+// that file is the new pinned log.
+func pinLog(t *testing.T, path, got string, steps int) {
+	t.Helper()
+	want, err := readGzip(path)
+	if i := strings.Index(want, fmt.Sprintf("## step %d:", steps+1)); i >= 0 {
+		want = want[:i]
+	}
+	if err == nil && want == got {
+		return
+	}
+	f, ferr := os.CreateTemp("", "harmony-model-*.log")
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	defer f.Close()
+	if _, ferr := f.WriteString(got); ferr != nil {
+		t.Fatal(ferr)
+	}
+	if err != nil {
+		t.Fatalf("%v (the log is in %s)", err, f.Name())
+	}
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	step := ""
+	for i := 0; i < len(w) && i < len(g); i++ {
+		if w[i] != g[i] {
+			t.Fatalf("decisions differ from %s (the new log is in %s), at %s\n- %s\n+ %s", path, f.Name(), step, w[i], g[i])
+		}
+		if strings.HasPrefix(w[i], "## ") {
+			step = w[i]
+		}
+	}
+	t.Fatalf("decisions differ from %s in length (the new log is in %s): %d lines, want %d", path, f.Name(), len(g), len(w))
+}
+
+func readGzip(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		return "", err
+	}
+	b, err := io.ReadAll(zr)
+	return string(b), err
+}
+
+// modelRig is one seeded run: a master with its drainer parked, stub
+// workers that each co-host a parameter server (so a preempted job's
+// pause checkpoints and its resume restores), and the decision log.
+type modelRig struct {
+	t    *testing.T
+	m    *Master
+	rng  *rand.Rand
+	log  strings.Builder
+	seq  uint64 // the last journal row logged
+	jobs int    // names handed out: j0000, j0001, ...
+	regs int    // workers registered: w00, w01, ...
+	// lastHeld is the held queue's reasons as last logged.
+	lastHeld string
+
+	failMu  sync.Mutex
+	failJob string // the next load of this job fails, once
+}
+
+func runModel(t *testing.T, seed int64, steps int) string {
+	opts := core.Options{MaxJobsPerGroup: 1 + int(seed%3), NetModel: seed%2 == 0}
+	m, err := New("127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	m.drainStopOnce.Do(func() { close(m.drainStop) })
+	r := &modelRig{t: t, m: m, rng: rand.New(rand.NewSource(seed))}
+	fmt.Fprintf(&r.log, "# seed %d, MaxJobsPerGroup %d, NetModel %v\n", seed, opts.MaxJobsPerGroup, opts.NetModel)
+	for i := 0; i < 4; i++ {
+		r.addWorker()
+	}
+	r.configure()
+	r.record()
+	type op struct {
+		weight int
+		do     func() string // "" when the op does not apply now
+	}
+	ops := []op{
+		{8, r.submit},
+		{2, r.cancelHeld},
+		{1, r.cancelRunning},
+		{3, r.complete},
+		{1, r.failMember},
+		{4, r.barrier},
+		{4, r.drain},
+		{1, r.register},
+		{1, r.loseWorker},
+		{1, r.configure},
+		{1, r.failDeploy},
+	}
+	total := 0
+	for _, o := range ops {
+		total += o.weight
+	}
+	for step := 1; step <= steps; step++ {
+		var what string
+		for what == "" {
+			n := r.rng.Intn(total)
+			for _, o := range ops {
+				if n -= o.weight; n < 0 {
+					what = o.do()
+					break
+				}
+			}
+		}
+		fmt.Fprintf(&r.log, "## step %d: %s\n", step, what)
+		r.record()
+		r.check()
+		if t.Failed() {
+			t.Fatalf("seed %d failed at step %d (%s)", seed, step, what)
+		}
+	}
+	// Closed before the stub servers, so their teardown is not a failure.
+	m.Close()
+	return r.log.String()
+}
+
+// addWorker starts a stub worker on its own server and registers it. The
+// load hook fails a deployment the test asked to fail; otherwise member 0
+// seeds the job's model on every member's parameter server, from the
+// restore frame when the job resumes, as a real worker does.
+func (r *modelRig) addWorker() string {
+	name := fmt.Sprintf("w%02d", r.regs)
+	r.regs++
+	srv, store := rpc.NewServer(), ps.NewServer()
+	store.Register(srv)
+	srv.Handle(worker.MethodLoadJob, rpc.Typed(func(a worker.LoadJobArgs) (worker.Ack, error) {
+		r.failMu.Lock()
+		fail := a.Job == r.failJob
+		if fail {
+			r.failJob = ""
+		}
+		r.failMu.Unlock()
+		if fail {
+			return worker.Ack{}, errors.New("injected load failure")
+		}
+		if !a.InitModel {
+			return worker.Ack{}, nil
+		}
+		model := make([]float64, a.Config.ModelSize())
+		if a.RestoreFrame != nil {
+			var err error
+			if model, _, err = rpc.ReadFloats(a.RestoreFrame, nil); err != nil {
+				return worker.Ack{}, err
+			}
+		}
+		cl, err := ps.NewClient(a.Servers, time.Minute)
+		if err != nil {
+			return worker.Ack{}, err
+		}
+		defer cl.Close()
+		return worker.Ack{}, cl.Init(a.Job, model)
+	}))
+	srv.Handle(worker.MethodStartJob, rpc.Typed(func(worker.StartJobArgs) (worker.Ack, error) {
+		return worker.Ack{}, nil
+	}))
+	srv.Handle(worker.MethodDropJob, rpc.Typed(func(a worker.DropJobArgs) (worker.Ack, error) {
+		store.Drop(a.Job)
+		return worker.Ack{}, nil
+	}))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.t.Cleanup(func() { srv.Close(); store.Close() })
+	if _, err := r.m.handleRegister(registerArgs{Name: name, Addr: addr}); err != nil {
+		r.t.Fatal(err)
+	}
+	return name
+}
+
+// jobsIn lists the deployed jobs in the given state, by name.
+func (r *modelRig) jobsIn(s JobStatus) []string {
+	r.m.mu.RLock()
+	defer r.m.mu.RUnlock()
+	var names []string
+	for name, j := range r.m.jobs {
+		if j.status == s {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	return names
+}
+
+// held lists the held jobs in queue order.
+func (r *modelRig) held() []string {
+	r.m.mu.RLock()
+	defer r.m.mu.RUnlock()
+	names := make([]string, len(r.m.pending))
+	for i, p := range r.m.pending {
+		names[i] = p.spec.Name
+	}
+	return names
+}
+
+func (r *modelRig) pick(names []string) string {
+	if len(names) == 0 {
+		return ""
+	}
+	return names[r.rng.Intn(len(names))]
+}
+
+// placementOf reads a deployed job's record, members and epoch.
+func (r *modelRig) placementOf(name string) (*job, []string, int) {
+	r.m.mu.RLock()
+	defer r.m.mu.RUnlock()
+	j := r.m.jobs[name]
+	return j, r.m.workerNamesLocked(j), j.epoch
+}
+
+// submit enqueues a new job while fewer than modelDepth are held: with or
+// without profile hints, a gang of one to three workers, a cap or none, a
+// random queue and priority.
+func (r *modelRig) submit() string {
+	if len(r.held()) >= modelDepth {
+		return ""
+	}
+	name := fmt.Sprintf("j%04d", r.jobs)
+	r.jobs++
+	min := 1 + r.rng.Intn(3)
+	max := 0
+	if r.rng.Intn(2) == 0 {
+		max = min + r.rng.Intn(3)
+	}
+	s := fairSpec(name, modelIterations, []string{"", "qa", "qb"}[r.rng.Intn(3)], min, max)
+	s.Priority = r.rng.Intn(3)
+	var prof Profile
+	if r.rng.Intn(3) > 0 {
+		prof = Profile{CompSeconds: float64(1+r.rng.Intn(20)) / 10, NetSeconds: float64(1+r.rng.Intn(20)) / 20}
+	}
+	adm, err := r.m.Enqueue(s, prof)
+	return fmt.Sprintf("submit %s q=%s p=%d gang=%d-%d prof=%v/%v: %v %v %v",
+		name, s.Queue, s.Priority, min, max, prof.CompSeconds, prof.NetSeconds, adm.Admitted, adm.Workers, err)
+}
+
+func (r *modelRig) cancelHeld() string {
+	name := r.pick(r.held())
+	if name == "" {
+		return ""
+	}
+	return fmt.Sprintf("cancel held %s: %v", name, r.m.Cancel(name))
+}
+
+func (r *modelRig) cancelRunning() string {
+	name := r.pick(append(r.jobsIn(StatusRunning), r.jobsIn(StatusPaused)...))
+	if name == "" {
+		return ""
+	}
+	return fmt.Sprintf("cancel %s: %v", name, r.m.Cancel(name))
+}
+
+// complete reports the job done from every member.
+func (r *modelRig) complete() string {
+	name := r.pick(r.jobsIn(StatusRunning))
+	if name == "" {
+		return ""
+	}
+	_, members, epoch := r.placementOf(name)
+	for _, w := range members {
+		if _, err := r.m.handleJobDone(worker.JobDoneArgs{Job: name, Worker: w, Epoch: epoch}); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+	return "complete " + name
+}
+
+// failMember reports one member's loop failed, then waits for the
+// restart to requeue the job.
+func (r *modelRig) failMember() string {
+	name := r.pick(r.jobsIn(StatusRunning))
+	if name == "" {
+		return ""
+	}
+	j, members, epoch := r.placementOf(name)
+	if _, err := r.m.handleJobDone(worker.JobDoneArgs{Job: name, Worker: members[0], Epoch: epoch,
+		Err: "injected failure"}); err != nil {
+		r.t.Fatal(err)
+	}
+	for {
+		r.m.mu.RLock()
+		requeued := r.m.jobs[name] != j
+		r.m.mu.RUnlock()
+		if requeued {
+			break
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+	return fmt.Sprintf("fail member %s of %s", members[0], name)
+}
+
+// barrier runs one barrier round of a running job: every member observes
+// the same subtask times, so the profile does not depend on their order.
+func (r *modelRig) barrier() string {
+	name := r.pick(r.jobsIn(StatusRunning))
+	if name == "" {
+		return ""
+	}
+	return r.barrierRound(name)
+}
+
+func (r *modelRig) barrierRound(name string) string {
+	r.m.mu.RLock()
+	j := r.m.jobs[name]
+	a := worker.BarrierArgs{Job: name, Iteration: j.iter + 1, Epoch: j.epoch,
+		CompSeconds: float64(1+r.rng.Intn(20)) / 20, NetSeconds: float64(1+r.rng.Intn(20)) / 20}
+	members := r.m.workerNamesLocked(j)
+	r.m.mu.RUnlock()
+	var wg sync.WaitGroup
+	for _, w := range members {
+		wg.Add(1)
+		go func(a worker.BarrierArgs) {
+			defer wg.Done()
+			if _, err := r.m.handleBarrier(a); err != nil {
+				r.t.Error(err)
+			}
+		}(worker.BarrierArgs{Job: a.Job, Worker: w, Iteration: a.Iteration, Epoch: a.Epoch,
+			CompSeconds: a.CompSeconds, NetSeconds: a.NetSeconds})
+	}
+	wg.Wait()
+	return fmt.Sprintf("barrier %s iteration %d comp=%v net=%v", name, a.Iteration, a.CompSeconds, a.NetSeconds)
+}
+
+// drain runs one drain pass. A victim the pass preempts pauses at its
+// next barrier, which the test runs; then the pass goes on.
+func (r *modelRig) drain() string {
+	done := make(chan struct{})
+	go func() {
+		r.m.drainQueue()
+		close(done)
+	}()
+	var rounds []string
+	for {
+		select {
+		case <-done:
+			return "drain" + strings.Join(rounds, "")
+		default:
+		}
+		if name := r.pausing(); name != "" {
+			rounds = append(rounds, "; "+r.barrierRound(name))
+			continue
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
+// pausing names a running job a preemption waits on to pause.
+func (r *modelRig) pausing() string {
+	r.m.mu.RLock()
+	defer r.m.mu.RUnlock()
+	for name, j := range r.m.jobs {
+		if j.status == StatusRunning && j.pauseRequested {
+			return name
+		}
+	}
+	return ""
+}
+
+func (r *modelRig) register() string {
+	if len(r.m.Workers()) >= 8 {
+		return ""
+	}
+	return "register " + r.addWorker()
+}
+
+func (r *modelRig) loseWorker() string {
+	workers := r.m.Workers()
+	if len(workers) <= 2 {
+		return ""
+	}
+	name := r.pick(workers)
+	r.m.workerLost(name)
+	return "lose " + name
+}
+
+// configure installs a random policy over qa and qb; dropping qb is
+// refused while a job uses it, and refuses submissions to qb after.
+func (r *modelRig) configure() string {
+	quota := []float64{0, 0.25, 0.5}
+	cfgs := []fair.QueueConfig{
+		{Name: "qa", Quota: quota[r.rng.Intn(3)], Weight: float64(1 + r.rng.Intn(2))},
+		{Name: "qb", Quota: quota[r.rng.Intn(3)], Weight: float64(1 + r.rng.Intn(2))},
+	}
+	if r.rng.Intn(4) == 0 {
+		cfgs = cfgs[:1]
+	}
+	desc := make([]string, len(cfgs))
+	for i, c := range cfgs {
+		desc[i] = fmt.Sprintf("%s quota=%v weight=%v", c.Name, c.Quota, c.Weight)
+	}
+	// The error names whichever job map order finds first.
+	return fmt.Sprintf("configure %s: refused=%v", strings.Join(desc, ", "), r.m.ConfigureQueues(cfgs...) != nil)
+}
+
+// failDeploy makes the next load of one job fail: a held job's, followed
+// by a drain pass, or a new submission's.
+func (r *modelRig) failDeploy() string {
+	name, run := fmt.Sprintf("j%04d", r.jobs), r.submit
+	if held := r.held(); len(held) > 0 && r.rng.Intn(2) == 0 {
+		name, run = r.pick(held), r.drain
+	}
+	r.setFailJob(name)
+	defer r.setFailJob("")
+	if what := run(); what != "" {
+		return "fail the next load of " + name + ": " + what
+	}
+	return ""
+}
+
+func (r *modelRig) setFailJob(name string) {
+	r.failMu.Lock()
+	r.failJob = name
+	r.failMu.Unlock()
+}
+
+// record appends the step's journal rows, without their time and measured
+// values, and every held job's reason when one changed.
+func (r *modelRig) record() {
+	for _, e := range r.m.EventsSince(r.seq, "") {
+		if e.Seq != r.seq+1 {
+			r.t.Errorf("journal seq %d follows %d", e.Seq, r.seq)
+		}
+		r.seq = e.Seq
+		fmt.Fprintf(&r.log, "%d %s %s %v %v/%v/%v/%v %q\n", e.Seq, e.Kind, e.Job, e.Group,
+			e.PredictedIterSeconds, e.PredictedCPUUtil, e.PredictedNetUtil, e.PredictedCompatibility, e.Note)
+	}
+	var b strings.Builder
+	b.WriteString("held:")
+	r.m.mu.RLock()
+	for _, p := range r.m.pending {
+		fmt.Fprintf(&b, " %s=%s", p.spec.Name, p.holdReason)
+	}
+	r.m.mu.RUnlock()
+	if held := b.String(); held != r.lastHeld {
+		r.lastHeld = held
+		r.log.WriteString(held + "\n")
+	}
+}
+
+// modelReads is every read surface the caches feed. Job is read for the
+// jobs that have not ended: an ended job's view reads no cache.
+type modelReads struct {
+	jobs    map[string]JobView
+	list    []JobView
+	queues  []QueueView
+	cluster ClusterView
+}
+
+func (r *modelRig) reads() modelReads {
+	rd := modelReads{jobs: make(map[string]JobView), list: r.m.ListJobs(),
+		queues: r.m.Queues(), cluster: r.m.Cluster()}
+	for _, v := range rd.list {
+		if v.State != StatusFinished.String() && v.State != StatusCanceled.String() {
+			rd.jobs[v.Name], _ = r.m.Job(v.Name)
+		}
+	}
+	return rd
+}
+
+// withoutCaches runs read with the cached plan and view dropped, as if no
+// decision had built them since the last change, then puts them back: the
+// run goes on with whatever the caches held.
+func (m *Master) withoutCaches(read func()) {
+	m.mu.Lock()
+	plan, view, free := m.planCache, m.viewCache, m.freeCache
+	m.planCache, m.viewCache, m.freeCache = nil, fair.View{}, nil
+	m.mu.Unlock()
+	read()
+	m.mu.Lock()
+	m.planCache, m.viewCache, m.freeCache = plan, view, free
+	m.mu.Unlock()
+}
+
+// check is the model: each cache equals its rebuild, the read surfaces
+// read the same without the caches, and the master's books balance.
+func (r *modelRig) check() {
+	t, m := r.t, r.m
+	m.mu.Lock()
+	if c := m.planCache; c != nil {
+		plan, members := m.buildLivePlanLocked()
+		if !reflect.DeepEqual(c.plan, plan) || !reflect.DeepEqual(c.members, members) {
+			t.Errorf("cached plan %+v on %v, rebuilt %+v on %v", c.plan, c.members, plan, members)
+		}
+	}
+	if m.viewCache.Usage != nil && m.inputEpoch == m.admitEpoch {
+		v, free := m.buildViewLocked()
+		c := m.viewCache
+		if c.Total != v.Total || c.Free != v.Free || !reflect.DeepEqual(c.Usage, v.Usage) ||
+			!reflect.DeepEqual(c.Held, v.Held) || !slices.Equal(m.freeCache, free) {
+			t.Errorf("cached view %+v free %v, rebuilt %+v free %v", c, m.freeCache, v, free)
+		}
+	}
+	if len(m.pendingIdx) != len(m.pending) {
+		t.Errorf("%d held jobs, %d indexed", len(m.pending), len(m.pendingIdx))
+	}
+	for _, p := range m.pending {
+		if m.pendingIdx[p.spec.Name] != p || m.jobs[p.spec.Name] != nil {
+			t.Errorf("held job %s is misindexed or deployed too", p.spec.Name)
+		}
+	}
+	m.mu.Unlock()
+
+	before := r.reads()
+	var after modelReads
+	m.withoutCaches(func() { after = r.reads() })
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("reads differ once the caches are dropped:\n%+v\n%+v", before, after)
+	}
+	usage := make(map[string]int)
+	for _, v := range before.list {
+		if v.State == StatusRunning.String() || v.State == StatusPaused.String() {
+			usage[v.Queue] += len(v.Workers)
+		}
+	}
+	for _, q := range before.queues {
+		if q.UsageWorkers != usage[q.Name] {
+			t.Errorf("queue %s uses %d workers, its running and paused gangs %d", q.Name, q.UsageWorkers, usage[q.Name])
+		}
+	}
+	checkPositions(t, m)
+
+	s, err := m.Snapshot()
+	if err == nil {
+		err = s.Validate()
+	}
+	if err != nil {
+		t.Error(err)
+	}
+	for i, e := range s.Journal {
+		if e.Seq != s.Journal[0].Seq+uint64(i) {
+			t.Errorf("snapshot journal seq %d at index %d after %d", e.Seq, i, s.Journal[0].Seq)
+		}
+	}
+	if n := len(s.Journal); n > 0 && s.Journal[n-1].Seq != r.seq {
+		t.Errorf("snapshot journal ends at seq %d, the journal at %d", s.Journal[n-1].Seq, r.seq)
+	}
+}

@@ -21,7 +21,7 @@ func TestPSStatsLive(t *testing.T) {
 	}
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, iter, _, _ := m.Status("nmf"); iter >= 2 {
+		if v, _ := m.Job("nmf"); v.Iteration >= 2 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

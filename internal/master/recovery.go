@@ -2,7 +2,9 @@ package master
 
 import (
 	"fmt"
+	"maps"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -250,7 +252,10 @@ func (m *Master) workerLost(name string) {
 	m.invalidatePlanLocked()
 	m.mu.Unlock()
 	dead.client.Close()
-	for j, epoch := range hit {
-		m.restart(j, epoch, fmt.Sprintf("worker %s lost", name))
+	// In name order, so the journal and the queue do not depend on map order.
+	for _, j := range slices.SortedFunc(maps.Keys(hit), func(a, b *job) int {
+		return strings.Compare(a.spec.Name, b.spec.Name)
+	}) {
+		m.restart(j, hit[j], fmt.Sprintf("worker %s lost", name))
 	}
 }

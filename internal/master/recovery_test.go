@@ -116,9 +116,8 @@ func TestWorkerFailureRecovery(t *testing.T) {
 	if err := m.WaitJob("mlr", 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	status, iter, loss, err := m.Status("mlr")
-	if err != nil || status != StatusFinished || iter < at || loss <= 0 {
-		t.Errorf("after the restart: status %v at iteration %d, loss %v, err %v", status, iter, loss, err)
+	if v, _ := m.Job("mlr"); v.State != StatusFinished.String() || v.Iteration < at || v.Loss <= 0 {
+		t.Errorf("after the restart: %+v", v)
 	}
 	if n := m.Counters().Recoveries; n != 1 {
 		t.Errorf("%d recoveries, want 1", n)
@@ -142,8 +141,8 @@ func TestMemberFailureRequeues(t *testing.T) {
 		t.Fatal(err)
 	}
 	pollUntil(t, "the first iteration", func() bool {
-		_, iter, _, _ := m.Status("j")
-		return iter > 0
+		v, _ := m.Job("j")
+		return v.Iteration > 0
 	})
 	dir := filepath.Join(spill["w0"], "w0-j")
 	if err := os.Rename(dir, dir+"-gone"); err != nil {
@@ -160,8 +159,8 @@ func TestMemberFailureRequeues(t *testing.T) {
 	if err := m.WaitJob("j", 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if status, _, _, _ := m.Status("j"); status != StatusFinished {
-		t.Errorf("status after the restart = %v, want finished", status)
+	if v, _ := m.Job("j"); v.State != StatusFinished.String() {
+		t.Errorf("status after the restart = %s, want finished", v.State)
 	}
 }
 
@@ -184,8 +183,8 @@ func TestTeardownIsNotAFailure(t *testing.T) {
 				t.Fatal(err)
 			}
 			pollUntil(t, "the first iteration", func() bool {
-				_, iter, _, _ := m.Status("j")
-				return iter > 0
+				v, _ := m.Job("j")
+				return v.Iteration > 0
 			})
 			stop(m)
 			for _, w := range workers {

@@ -27,11 +27,7 @@ func TestSnapshotCapture(t *testing.T) {
 	// Let a few iterations land so measured values and profiles exist.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		_, iter, _, err := m.Status("snap-a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if iter >= 3 {
+		if v, _ := m.Job("snap-a"); v.Iteration >= 3 {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)

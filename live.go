@@ -1,6 +1,7 @@
 package harmony
 
 import (
+	"fmt"
 	"time"
 
 	"harmony/internal/core"
@@ -95,13 +96,15 @@ func (m *Master) Wait(name string, timeout time.Duration) error {
 	return m.m.WaitJob(name, timeout)
 }
 
-// Progress reports a job's last completed iteration and current loss.
+// Progress reports a job's last completed iteration and current loss. A
+// job held in the admission queue, or requeued after a failure, reports
+// the iteration it will resume after.
 func (m *Master) Progress(name string) (iteration int, loss float64, finished bool, err error) {
-	status, iter, l, err := m.m.Status(name)
-	if err != nil {
-		return 0, 0, false, err
+	v, ok := m.m.Job(name)
+	if !ok {
+		return 0, 0, false, fmt.Errorf("harmony: %w %q", master.ErrUnknownJob, name)
 	}
-	return iter, l, status == master.StatusFinished, nil
+	return v.Iteration, v.Loss, v.State == master.StatusFinished.String(), nil
 }
 
 // ProfiledJob reports the runtime-profiled metrics for a job, in the
@@ -230,9 +233,6 @@ func (m *Master) Enqueue(t Training, hints Job) (Admission, error) {
 // Cancel removes a pending job from the admission queue or stops a
 // running job, dropping its state from the workers.
 func (m *Master) Cancel(name string) error { return m.m.Cancel(name) }
-
-// QueueDepth reports how many jobs are held in the admission queue.
-func (m *Master) QueueDepth() int { return m.m.QueueDepth() }
 
 // QueueConfig declares one fair-scheduler queue: its guaranteed quota
 // fraction, its weight for splitting unreserved capacity, its

@@ -26,8 +26,6 @@ var testOnly = map[string]string{
 	"(*harmony.Master).Enqueue": "public API",
 	"(*harmony.Master).Cancel":  "public API",
 	// Test probes: read-only windows on state a test must see.
-	"(*harmony/internal/master.Master).QueueDepth":     "probe",
-	"(*harmony.Master).QueueDepth":                     "probe (facade)",
 	"(*harmony/internal/simtime.Engine).Step":          "probe",
 	"(*harmony/internal/simtime.Engine).RunAll":        "probe",
 	"(*harmony/internal/simtime.Engine).Halt":          "probe",
