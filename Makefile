@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= dev
 LDFLAGS := -ldflags "-X harmony/internal/obs.Version=$(VERSION)"
 
-.PHONY: check fmt vet build test race fuzz-smoke bench-smoke bench-test golden-check loc bench
+.PHONY: check fmt vet build test race race-stress fuzz-smoke bench-smoke bench-test golden-check loc bench
 
 ## check: full local gate — gofmt, vet, build, the tests once plain and once
 ## under the race detector, a short run of the wire fuzzers, bench smoke
@@ -36,6 +36,13 @@ test:
 ## and the live runtime
 race:
 	$(GO) test -race ./...
+
+## race-stress: the master and the control plane twenty times under the
+## race detector, where a scheduling race shows as a failure now and then.
+## Not in check: it takes minutes (about 8 on a 2-vCPU box, internal/master
+## alone close to go test's 10-minute default timeout, hence -timeout).
+race-stress:
+	$(GO) test -race -count=20 -timeout 30m ./internal/master ./internal/ctl
 
 ## fuzz-smoke: ten seconds of each wire fuzzer, as package:fuzzer pairs —
 ## in internal/rpc the gob codec against a decoder built for the one

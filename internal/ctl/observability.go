@@ -137,10 +137,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Help: "Admission placement attempts: each arrival and each held job a drain pass reaches.",
 			Type: metrics.PromCounter, Value: float64(c.Placements)},
 		metrics.Sample{Name: "harmony_drain_passes_total",
-			Help: "Admission-kernel decisions the drainer made over the held queue.",
+			Help: "Admission-kernel decisions the drain passes made over the held queue.",
 			Type: metrics.PromCounter, Value: float64(c.DrainPasses)},
 		metrics.Sample{Name: "harmony_drain_pass_seconds_total",
-			Help: "Time the drainer's decisions held the master's write lock.",
+			Help: "Time the master's loop spent deciding over the held queue.",
 			Type: metrics.PromCounter, Value: c.DrainPassSeconds},
 		metrics.Sample{Name: "harmony_journal_evicted_total",
 			Help: "Decision-journal events overwritten by the bounded ring.",

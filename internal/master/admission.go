@@ -60,15 +60,13 @@ type Admission struct {
 }
 
 type pendingJob struct {
+	// spec names the resolved queue (accept): with spec.Priority and seq,
+	// the arrival sequence number (FIFO within equal priority; preserved
+	// across preemption so a reclaimed job resumes ahead of later arrivals
+	// in its queue), the job's fair-scheduler coordinates (DESIGN.md §13).
 	spec JobSpec
 	info core.JobInfo
-	// Fair-scheduler coordinates (DESIGN.md §13): the resolved queue,
-	// the job's priority, and its arrival sequence number (FIFO within
-	// equal priority; preserved across preemption so a reclaimed job
-	// resumes ahead of later arrivals in its queue).
-	queue    string
-	priority int
-	seq      uint64
+	seq  uint64
 	// holdReason classifies why the job waits (fair.Hold*).
 	holdReason string
 	// resume carries a requeued job's checkpoint frame; on re-admission
@@ -89,8 +87,8 @@ func (p *pendingJob) demand() int {
 	return 1
 }
 
-// Counters aggregates control-plane events. The master keeps one under
-// Master.mu; Master.Counters returns a copy.
+// Counters aggregates control-plane events. The loop keeps one;
+// Master.Counters returns a copy.
 type Counters struct {
 	// AdmittedInitial counts jobs started on an idle cluster.
 	AdmittedInitial int64
@@ -114,11 +112,11 @@ type Counters struct {
 	// CheckpointFailures counts background model snapshots that failed
 	// and were dropped.
 	CheckpointFailures int64
-	// Placements counts placement attempts (placeLocked runs): the
-	// arrival rule's and every held job's a drain pass reaches.
+	// Placements counts placement attempts (place runs): the arrival
+	// rule's and every held job's a drain pass reaches.
 	Placements int64
-	// DrainPasses counts the drainer's kernel decisions over the held
-	// queue; DrainPassSeconds totals the time they held mu's write side.
+	// DrainPasses counts the drain passes' kernel decisions over the held
+	// queue; DrainPassSeconds totals the time the loop spent deciding.
 	DrainPasses      int64
 	DrainPassSeconds float64
 	// JournalEvicted counts decision events the journal ring overwrote.
@@ -131,10 +129,12 @@ type Counters struct {
 
 // Counters snapshots the control-plane counters.
 func (m *Master) Counters() Counters {
-	m.mu.RLock()
-	c, t := m.counters, m.trace
-	m.mu.RUnlock()
-	c.JournalEvicted = m.journal.evicted()
+	var c Counters
+	var t *traceState
+	m.read(func() {
+		c, t = m.counters, m.trace
+		c.JournalEvicted = m.journal.evicted()
+	})
 	if t != nil {
 		t.mu.Lock()
 		c.SpansLost = t.lost
@@ -143,26 +143,26 @@ func (m *Master) Counters() Counters {
 	return c
 }
 
-// acceptLocked vets a submission — a well-formed spec, a master that still
-// takes work, a name no deployed or pending job holds — and resolves the
-// queue it counts against.
-func (m *Master) acceptLocked(spec JobSpec) (queue string, err error) {
+// accept vets a submission — a well-formed spec, a master that still takes
+// work, a name no deployed or pending job holds — and resolves the queue it
+// counts against into spec.Queue.
+func (m *Master) accept(spec *JobSpec) error {
 	if spec.Name == "" || spec.Iterations <= 0 {
-		return "", errors.New("master: job needs a name and positive iterations")
+		return errors.New("master: job needs a name and positive iterations")
 	}
-	if m.draining || m.closed {
-		return "", ErrDraining
+	if m.draining {
+		return ErrDraining
 	}
 	if m.jobs[spec.Name] != nil || m.pendingIdx[spec.Name] != nil {
-		return "", fmt.Errorf("master: duplicate job %q: %w", spec.Name, ErrDuplicateJob)
+		return fmt.Errorf("master: duplicate job %q: %w", spec.Name, ErrDuplicateJob)
 	}
-	if queue = spec.Queue; queue == "" {
-		queue = fair.DefaultQueue
+	if spec.Queue == "" {
+		spec.Queue = fair.DefaultQueue
 	}
-	if !m.fairsched.Has(queue) {
-		return "", fmt.Errorf("master: %w %q", ErrUnknownQueue, queue)
+	if !m.fairsched.Has(spec.Queue) {
+		return fmt.Errorf("master: %w %q", ErrUnknownQueue, spec.Queue)
 	}
-	return queue, nil
+	return nil
 }
 
 // Enqueue submits a job through the online admission path of §IV-B4
@@ -178,114 +178,159 @@ func (m *Master) Enqueue(spec JobSpec, prof Profile) (Admission, error) {
 			spec.Name, spec.MinWorkers, spec.MaxWorkers)
 	}
 	info := prof.info(spec.Name)
-	m.mu.Lock()
-	queue, err := m.acceptLocked(spec)
-	if err != nil {
-		m.mu.Unlock()
-		return Admission{}, err
-	}
-	m.arrivalSeq++
-	p := &pendingJob{spec: spec, info: info, queue: queue,
-		priority: spec.Priority, seq: m.arrivalSeq}
-	// The arrival rule: the new job is tried at once, ahead of the queue.
-	view, free := m.viewLocked()
-	var pl placement
-	ok, reason := m.fairsched.Try(view, p.held(), func(_ fair.Held, limit int) (ok bool, reason string) {
-		pl, ok, reason = m.placeLocked(p, free, limit)
-		return ok, reason
-	})
-	if !ok {
-		p.holdReason = reason
+	var group []string
+	var deployed <-chan error
+	err := ErrDraining
+	m.do(func() {
+		if err = m.accept(&spec); err != nil {
+			return
+		}
+		m.arrivalSeq++
 		// Held work is waitable from the moment it is accepted: WaitJob
-		// parks on this channel, which survives the pending→deployed
+		// parks on finishedCh, which survives the pending→deployed
 		// transition (and is closed by Cancel/Shutdown of a held job).
-		p.finishedCh = make(chan struct{})
-		m.addPendingLocked(p)
+		p := &pendingJob{spec: spec, info: info, seq: m.arrivalSeq, finishedCh: make(chan struct{})}
+		// The arrival rule: the new job is tried at once, ahead of the queue.
+		view, free := m.currentView()
+		var pl placement
+		ok, reason := m.fairsched.Try(view, p.held(), func(_ fair.Held, limit int) (ok bool, reason string) {
+			pl, ok, reason = m.place(p, free, limit)
+			return ok, reason
+		})
+		if ok {
+			group, deployed = m.names(pl.workers), m.admit(p, pl, fromArrival, nil)
+			return
+		}
+		p.holdReason = reason
+		m.addPending(p)
 		m.counters.HeldPending++
-		m.qcLocked(queue).held++
-		// Journaled before the lock drops: once the job is in the queue a
-		// drain may place it, and its placement must follow this hold.
-		m.journal.append(Event{Kind: EventHold, Job: spec.Name,
-			Note: "held: " + reason})
-		m.mu.Unlock()
+		m.qc(spec.Queue).held++
+		m.journal.append(Event{Kind: EventHold, Job: spec.Name, Note: "held: " + reason})
 		// A hold in an under-quota queue may be reclaimable right now:
 		// the drain pass evaluates preemption against the live plan.
 		m.wakeDrainer()
-		return Admission{}, nil
+	})
+	if err == nil && deployed != nil {
+		err = <-deployed
 	}
-	if err := m.admitAndUnlock(p, pl, false); err != nil {
+	if err != nil || deployed == nil {
 		return Admission{}, err
 	}
-	return Admission{Admitted: true, Workers: pl.group}, nil
+	return Admission{Admitted: true, Workers: group}, nil
 }
 
-// admitAndUnlock executes an admit decision, for the arrival path and
-// the drain path (drained) alike: enter the job record, count it, journal
-// the placement with the model's prediction, deploy. The caller holds mu's
-// write side, in the same hold that accepted the job or took it off the
-// queue; admitAndUnlock releases it after the journal row, because
-// deployment fans RPCs out to the gang. A failed deployment is undone in
-// full, in one hold of mu — the record comes out, the counters move back, a
-// compensating hold (NoteDeployFailed) follows the placement in the
-// journal, and a drained job returns to the queue — so neither the metrics
-// nor a replay count a job that never started, or count it twice when the
-// drain retries it.
-func (m *Master) admitAndUnlock(p *pendingJob, pl placement, drained bool) error {
-	j, err := m.installLocked(p, pl.group)
-	if err != nil {
-		if drained {
-			m.addPendingLocked(p)
-		}
-		m.mu.Unlock()
-		return err
-	}
-	m.countAdmissionLocked(p.queue, pl.initial, drained, 1)
-	e := Event{Kind: EventAdmitArrival, Job: p.spec.Name, Group: pl.group}
-	fromIter := 0
+// source is where an admission comes from. It picks the journal kind, the
+// counters, and the undo of a failed deployment.
+type source int
+
+const (
+	fromArrival source = iota // the arrival rule placed a submission
+	fromQueue                 // a drain pass placed a held job
+	fromSubmit                // Submit pinned a submission to its group
+	fromMigrate               // Resume pinned a paused job to a new group
+)
+
+// notePinned marks the placement of a job Submit pinned to the group its
+// caller named, bypassing the admission kernel.
+const notePinned = "placed on the submitter's group"
+
+// admit is the one way a job takes workers, for every source: it enters
+// the record, counts it, journals the placement with the model's
+// prediction, and deploys it off the loop once drop's members (a
+// migration's old group) have dropped the job. The channel yields the
+// deployment's outcome after the loop applied it (deployed); a failed
+// migration takes the one restart path instead, resumable from the
+// checkpoint Resume was given. A drained admission holds the drain until
+// then.
+func (m *Master) admit(p *pendingJob, pl placement, src source, drop []workerRef) <-chan error {
+	j := m.install(p, pl.workers)
+	e := Event{Kind: EventAdmitArrival, Job: p.spec.Name, Group: m.names(pl.workers)}
 	switch {
+	case src == fromMigrate:
+		e.Kind = EventMigrate
 	case p.resume != nil:
-		fromIter = p.resumeIter
 		e.Kind = EventResume
 		e.Note = fmt.Sprintf("resume from checkpoint iteration %d", p.resumeIter-1)
-	case drained:
+	case src == fromQueue:
 		e.Kind = EventQueueDrain
 	case pl.initial:
 		e.Kind = EventAdmitInitial
 	}
-	// Under the lock: a cancel of the job, which the record makes possible
-	// from here on, must not overtake its placement in the journal.
-	m.journal.append(m.predictedEvent(e, pl.predicted))
-	m.mu.Unlock()
-	if err = m.deploy(j, p.resume, fromIter); err == nil {
+	switch src {
+	case fromMigrate:
+		m.counters.Migrations++
+		e = m.stampJobPlacement(e)
+	case fromSubmit:
+		m.countAdmission(p.spec.Queue, pl.initial, false, 1)
+		e.Note = notePinned
+		e = m.stampJobPlacement(e)
+	default:
+		m.countAdmission(p.spec.Queue, pl.initial, src == fromQueue, 1)
+		e = m.predictedEvent(e, pl.predicted)
+	}
+	m.journal.append(e)
+	if src == fromQueue {
+		m.waiting = true
+	}
+	done := make(chan error, 1)
+	refs, epoch := m.workerRefs(j), j.epoch
+	go func() {
+		dropJob(drop, p.spec.Name)
+		err := m.deploy(j, refs, epoch, p.resume, p.resumeIter)
+		if err != nil && src == fromMigrate {
+			m.restart(j, epoch, "migration failed: "+err.Error())
+		} else {
+			m.do(func() { err = m.deployed(j, p, pl, src, err) })
+		}
+		done <- err
+	}()
+	return done
+}
+
+// deployed applies a deployment's outcome on the loop: a drained one lets
+// the drain pass decide again, and a migration, which reshaped the plan,
+// wakes it. A failed one is undone, unless
+// a cancel or a restart took the job meanwhile and owns it now, so that
+// neither the metrics nor a replay count a job that never started: the
+// record comes out and the admission is uncounted, with a compensating
+// hold (NoteDeployFailed) after the placement in the journal. A held job
+// goes back to the queue, and the pass ends rather than retrying it at
+// once.
+func (m *Master) deployed(j *job, p *pendingJob, pl placement, src source, err error) error {
+	if src == fromQueue {
+		m.waiting = false
+	}
+	if err == nil || m.jobs[j.spec.Name] != j || j.status != StatusRunning {
+		switch src {
+		case fromQueue:
+			m.wake = true
+		case fromMigrate:
+			m.wakeDrainer()
+		}
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.withdrawLocked(j) {
-		return nil
+	j.stopBarriers() // members that did start may be parked at the first barrier
+	j.unpark()
+	delete(m.jobs, j.spec.Name)
+	m.invalidatePlan()
+	m.countAdmission(p.spec.Queue, pl.initial, src == fromQueue, -1)
+	if src == fromQueue && !m.draining {
+		p.epoch = j.epoch // the failed placement's stragglers stay stale
+		m.addPending(p)
 	}
-	m.countAdmissionLocked(p.queue, pl.initial, drained, -1)
-	if drained && !m.closed && !m.draining {
-		// Deployment raced a worker failure; the job goes back to the
-		// queue for the next drain to retry.
-		m.addPendingLocked(p)
-	}
-	// Under the lock for the same reason as Enqueue's hold: the retry's
-	// placement must not overtake the undo of this one.
-	m.journal.append(Event{Kind: EventHold, Job: p.spec.Name,
-		Note: NoteDeployFailed + err.Error()})
+	m.journal.append(Event{Kind: EventHold, Job: p.spec.Name, Note: NoteDeployFailed + err.Error()})
 	return err
 }
 
-// countAdmissionLocked moves the admission counters and the queue's
-// ledger by n (1 to count an admission, -1 to take it back).
-func (m *Master) countAdmissionLocked(queue string, initial, drained bool, n int64) {
+// countAdmission moves the admission counters and the queue's ledger by n
+// (1 to count an admission, -1 to take it back).
+func (m *Master) countAdmission(queue string, initial, drained bool, n int64) {
 	if initial {
 		m.counters.AdmittedInitial += n
 	} else {
 		m.counters.AdmittedArrival += n
 	}
-	qc := m.qcLocked(queue)
+	qc := m.qc(queue)
 	qc.admitted += n
 	if drained {
 		m.counters.QueueDrained += n
@@ -293,13 +338,12 @@ func (m *Master) countAdmissionLocked(queue string, initial, drained bool, n int
 	}
 }
 
-// buildLivePlanLocked derives the scheduler's view of the running
-// cluster from scratch: jobs sharing a worker set form one group whose
-// DoP is the set size. The parallel slice maps each group to its worker
-// names. Group and job order are deterministic for a fixed cluster
-// state. Callers go through livePlanLocked or planScorerLocked
-// (fastpath.go), which reuse the cached plan between plan mutations.
-func (m *Master) buildLivePlanLocked() (core.Plan, [][]string) {
+// buildLivePlan derives the scheduler's view of the running cluster from
+// scratch: jobs sharing a worker set form one group whose DoP is the set
+// size. The parallel slice holds each group's worker indexes. Group and
+// job order are deterministic for a fixed cluster state. Callers go
+// through currentPlan (loop.go), which keeps the plan between mutations.
+func (m *Master) buildLivePlan() (core.Plan, [][]int) {
 	type bucket struct {
 		idxs []int
 		jobs []core.JobInfo
@@ -319,28 +363,23 @@ func (m *Master) buildLivePlanLocked() (core.Plan, [][]string) {
 			byKey[key] = b
 			keys = append(keys, key)
 		}
-		b.jobs = append(b.jobs, m.jobInfoLocked(name, j))
+		b.jobs = append(b.jobs, m.jobInfo(name, j))
 	}
 	sort.Strings(keys)
 	var plan core.Plan
-	var members [][]string
+	var members [][]int
 	for _, key := range keys {
 		b := byKey[key]
 		sort.Slice(b.jobs, func(a, c int) bool { return b.jobs[a].ID < b.jobs[c].ID })
-		names := make([]string, len(b.idxs))
-		for i, wi := range b.idxs {
-			names[i] = m.workers[wi].name
-		}
 		plan.Groups = append(plan.Groups, core.Group{Jobs: b.jobs, Machines: len(b.idxs)})
-		members = append(members, names)
+		members = append(members, b.idxs)
 	}
 	return plan, members
 }
 
-// jobInfoLocked is the scheduler's view of one deployed job: runtime
-// profiled metrics once enough samples accumulated, submission hints
-// before that.
-func (m *Master) jobInfoLocked(name string, j *job) core.JobInfo {
+// jobInfo is the scheduler's view of one deployed job: runtime profiled
+// metrics once enough samples accumulated, submission hints before that.
+func (m *Master) jobInfo(name string, j *job) core.JobInfo {
 	info := j.prof
 	info.ID = name
 	if met, ok := m.profiles.Metrics(name); ok && met.Profiled() {
@@ -358,124 +397,52 @@ func (m *Master) jobInfoLocked(name string, j *job) core.JobInfo {
 	return info
 }
 
-// drainQueue executes the admission kernel's decisions over the held
-// queue until it has none left (DESIGN.md §13): a job the kernel admits is
-// deployed where placeLocked put it; victims the kernel selects for an
-// under-quota gang are preempted through the pause/checkpoint path and the
-// queue is decided again. It runs on the single drainer goroutine
-// (fastpath.go), woken after completions, migrations, cancellations,
-// holds, and queue reconfigurations.
-func (m *Master) drainQueue() {
-	for {
-		m.mu.Lock()
-		if m.closed || m.draining || len(m.pending) == 0 {
-			m.mu.Unlock()
-			return
-		}
-		start := time.Now()
-		view, free := m.viewLocked()
-		view.Running = m.runningLocked()
-		var pl placement
-		d := m.fairsched.Decide(view, func(h fair.Held, limit int) (ok bool, reason string) {
-			pl, ok, reason = m.placeLocked(m.pendingIdx[h.Job], free, limit)
-			return ok, reason
-		})
-		for _, h := range d.Holds {
-			m.pendingIdx[h.Job].holdReason = h.Reason
-		}
-		m.counters.DrainPasses++
-		m.counters.DrainPassSeconds += time.Since(start).Seconds()
-		switch d.Action {
-		case fair.Admit:
-			p := m.pendingIdx[d.Job.Job]
-			m.removePendingLocked(p)
-			if m.admitAndUnlock(p, pl, true) != nil {
-				return // requeued; the next wakeup retries rather than spinning here
-			}
-		case fair.Preempt:
-			// The latch serializes rounds so concurrent drains never
-			// double-preempt.
-			if m.reclaiming {
-				m.mu.Unlock()
-				return
-			}
-			m.reclaiming = true
-			m.mu.Unlock()
-			suspended := false
-			for _, v := range d.Victims {
-				if m.preemptJob(v.Job, d.Job.Queue) {
-					suspended = true
-				}
-			}
-			m.mu.Lock()
-			m.reclaiming = false
-			m.mu.Unlock()
-			if !suspended {
-				// Nothing was freed, so deciding again would only repeat
-				// this round. The event that took the victims away (a
-				// completion, cancel or migration) wakes the drainer itself;
-				// a pause that timed out is retried at the next wakeup.
-				return
-			}
-		default:
-			m.mu.Unlock()
-			return
-		}
-	}
-}
-
 // Cancel removes a pending job from the queue, or stops a deployed job:
 // its barriers are released with Stop, its shards and model partitions
 // are dropped from the workers, and waiters are unblocked.
 func (m *Master) Cancel(name string) error {
-	m.mu.Lock()
-	if p := m.pendingIdx[name]; p != nil {
-		m.removePendingLocked(p)
-		m.counters.Canceled++
-		m.qcLocked(p.queue).canceled++
-		if p.finishedCh != nil {
-			// A canceled preempted job will never resume; unpark its
-			// WaitJob callers.
-			close(p.finishedCh)
+	var j *job
+	var refs []workerRef
+	err := ErrDraining
+	m.do(func() {
+		err = nil
+		if p := m.pendingIdx[name]; p != nil {
+			m.removePending(p)
+			m.counters.Canceled++
+			m.qc(p.spec.Queue).canceled++
+			close(p.finishedCh) // it will never run; unpark its WaitJob callers
+			// cancel_held is distinct from a running-job cancel so replay
+			// can reconstruct queue state: this name never held workers
+			// (or had already released them to a preemption).
+			note := "canceled while held"
+			if p.holdReason != "" {
+				note += ": " + p.holdReason
+			}
+			m.journal.append(Event{Kind: EventCancelHeld, Job: name, Note: note})
+			return
 		}
-		m.mu.Unlock()
-		// cancel_held is distinct from a running-job cancel so replay
-		// can reconstruct queue state: this name never held workers
-		// (or had already released them to a preemption).
-		note := "canceled while held"
-		if p.holdReason != "" {
-			note += ": " + p.holdReason
+		switch j = m.jobs[name]; {
+		case j == nil:
+			err = fmt.Errorf("master: %w %q", ErrUnknownJob, name)
+		case j.status == StatusFinished:
+			err = fmt.Errorf("master: cancel %q: %w", name, ErrJobFinished)
+		case j.status != StatusCanceled:
+			m.journal.append(m.removalEvent(EventCancel, name, j))
+			j.status = StatusCanceled
+			m.invalidatePlan()
+			m.counters.Canceled++
+			m.qc(j.spec.Queue).canceled++
+			j.stopBarriers()
+			close(j.finishedCh)
+			refs = m.workerRefs(j)
+			m.wakeDrainer()
 		}
-		m.journal.append(Event{Kind: EventCancelHeld, Job: name, Note: note})
-		return nil
+	})
+	if refs != nil {
+		j.ckpt.release()
+		dropJob(refs, name)
 	}
-	j, ok := m.jobs[name]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("master: %w %q", ErrUnknownJob, name)
-	}
-	switch j.status {
-	case StatusFinished:
-		m.mu.Unlock()
-		return fmt.Errorf("master: cancel %q: %w", name, ErrJobFinished)
-	case StatusCanceled:
-		m.mu.Unlock()
-		return nil
-	}
-	m.journal.append(m.removalEventLocked(EventCancel, name, j))
-	j.status = StatusCanceled
-	m.invalidatePlanLocked()
-	m.counters.Canceled++
-	m.qcLocked(j.queue).canceled++
-	j.stopBarriers()
-	close(j.finishedCh)
-	refs := m.workerRefsLocked(j)
-	m.mu.Unlock()
-
-	j.ckpt.release()
-	dropJob(refs, name)
-	m.wakeDrainer()
-	return nil
+	return err
 }
 
 // JobView is the status surface of one job for the control plane.
@@ -509,34 +476,34 @@ type JobView struct {
 	ResumeIter int
 }
 
-func (m *Master) jobViewLocked(name string, j *job) JobView {
-	info := m.jobInfoLocked(name, j)
+func (m *Master) jobView(name string, j *job) JobView {
+	info := m.jobInfo(name, j)
 	met, ok := m.profiles.Metrics(name)
 	return JobView{
 		Name:           name,
 		State:          j.status.String(),
 		Iteration:      j.iter,
 		Loss:           j.loss,
-		Workers:        m.workerNamesLocked(j),
+		Workers:        m.names(j.workers),
 		CompSeconds:    info.Comp,
 		NetSeconds:     info.Net,
 		Profiled:       ok && met.Profiled(),
 		CheckpointIter: j.checkpointIter,
-		Queue:          j.queue,
-		Priority:       j.priority,
+		Queue:          j.spec.Queue,
+		Priority:       j.spec.Priority,
 	}
 }
 
-// pendingViewLocked builds the view of one held job at the given 1-based
-// slot in the fair admission order.
-func (m *Master) pendingViewLocked(p *pendingJob, position int) JobView {
+// pendingView builds the view of one held job at the given 1-based slot in
+// the fair admission order.
+func (m *Master) pendingView(p *pendingJob, position int) JobView {
 	return JobView{
 		Name:          p.spec.Name,
 		State:         StatusPending.String(),
 		CompSeconds:   p.info.Comp,
 		NetSeconds:    p.info.Net,
-		Queue:         p.queue,
-		Priority:      p.priority,
+		Queue:         p.spec.Queue,
+		Priority:      p.spec.Priority,
 		HoldReason:    p.holdReason,
 		QueuePosition: position,
 		Resumable:     p.resume != nil,
@@ -547,43 +514,43 @@ func (m *Master) pendingViewLocked(p *pendingJob, position int) JobView {
 
 // ListJobs reports every deployed and pending job, sorted by name.
 func (m *Master) ListJobs() []JobView {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	views := make([]JobView, 0, len(m.jobs)+len(m.pending))
-	for name, j := range m.jobs {
-		views = append(views, m.jobViewLocked(name, j))
-	}
-	view, _ := m.buildViewLocked()
-	ordered := m.fairsched.Order(view.Held, view.Usage, view.Total)
-	positions := make(map[string]int, len(ordered))
-	for i, h := range ordered {
-		positions[h.Job] = i + 1
-	}
-	for _, p := range m.pending {
-		views = append(views, m.pendingViewLocked(p, positions[p.spec.Name]))
-	}
+	var views []JobView
+	m.read(func() {
+		views = make([]JobView, 0, len(m.jobs)+len(m.pending))
+		for name, j := range m.jobs {
+			views = append(views, m.jobView(name, j))
+		}
+		view, _ := m.currentView()
+		ordered := m.fairsched.Order(view.Held, view.Usage, view.Total)
+		positions := make(map[string]int, len(ordered))
+		for i, h := range ordered {
+			positions[h.Job] = i + 1
+		}
+		for _, p := range m.pending {
+			views = append(views, m.pendingView(p, positions[p.spec.Name]))
+		}
+	})
 	sort.Slice(views, func(a, b int) bool { return views[a].Name < views[b].Name })
 	return views
 }
 
 // Job reports one job's status; ok is false for unknown names.
-func (m *Master) Job(name string) (JobView, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if j, ok := m.jobs[name]; ok {
-		return m.jobViewLocked(name, j), true
-	}
-	if p := m.pendingIdx[name]; p != nil {
-		return m.pendingViewLocked(p, m.queuePositionLocked(p)), true
-	}
-	return JobView{}, false
+func (m *Master) Job(name string) (v JobView, ok bool) {
+	m.read(func() {
+		if j := m.jobs[name]; j != nil {
+			v, ok = m.jobView(name, j), true
+		} else if p := m.pendingIdx[name]; p != nil {
+			v, ok = m.pendingView(p, m.queuePosition(p)), true
+		}
+	})
+	return v, ok
 }
 
-// queuePositionLocked is a held job's 1-based slot in the fair admission
-// order, counted in one pass over the queue rather than sorted (DESIGN.md
-// §13).
-func (m *Master) queuePositionLocked(p *pendingJob) int {
-	r := m.fairsched.Rank(p.held(), m.usageLocked(), len(m.workers))
+// queuePosition is a held job's 1-based slot in the fair admission order,
+// counted in one pass over the queue rather than sorted (DESIGN.md §13).
+func (m *Master) queuePosition(p *pendingJob) int {
+	view, _ := m.currentView()
+	r := m.fairsched.Rank(p.held(), view.Usage, view.Total)
 	pos, earlier := 1, true
 	for _, q := range m.pending {
 		if q == p {
@@ -612,23 +579,21 @@ type ClusterView struct {
 
 // Cluster reports the cluster status surface.
 func (m *Master) Cluster() ClusterView {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	cv := ClusterView{Workers: make([]string, len(m.workers))}
-	for i, w := range m.workers {
-		cv.Workers[i] = w.name
-	}
-	plan, members := m.livePlanLocked()
-	for gi, g := range plan.Groups {
-		gv := GroupView{Workers: members[gi]}
-		for _, j := range g.Jobs {
-			gv.Jobs = append(gv.Jobs, j.ID)
+	var cv ClusterView
+	m.read(func() {
+		cv.Workers = m.workerNames()
+		lp := m.currentPlan()
+		for gi, g := range lp.plan.Groups {
+			gv := GroupView{Workers: m.names(lp.members[gi])}
+			for _, j := range g.Jobs {
+				gv.Jobs = append(gv.Jobs, j.ID)
+			}
+			cv.Groups = append(cv.Groups, gv)
 		}
-		cv.Groups = append(cv.Groups, gv)
-	}
-	for _, p := range m.pending {
-		cv.Pending = append(cv.Pending, p.spec.Name)
-	}
+		for _, p := range m.pending {
+			cv.Pending = append(cv.Pending, p.spec.Name)
+		}
+	})
 	return cv
 }
 
@@ -640,28 +605,23 @@ func (m *Master) Shutdown(timeout time.Duration) []string {
 	if timeout <= 0 {
 		timeout = time.Minute
 	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	var targets []*job
+	if !m.do(func() {
+		m.draining = true
+		for _, p := range m.pending {
+			close(p.finishedCh) // dropped held jobs never run; unpark WaitJob callers
+		}
+		m.pending = nil
+		m.pendingIdx = make(map[string]*pendingJob)
+		m.invalidateView()
+		for _, j := range m.jobs {
+			if j.status == StatusRunning && j.iter != 0 {
+				targets = append(targets, j)
+			}
+		}
+	}) {
 		return nil
 	}
-	m.draining = true
-	for _, p := range m.pending {
-		if p.finishedCh != nil {
-			// Dropped preempted jobs never resume; unpark WaitJob callers.
-			close(p.finishedCh)
-		}
-	}
-	m.pending = nil
-	m.pendingIdx = make(map[string]*pendingJob)
-	m.admitEpoch++
-	var targets []*job
-	for _, j := range m.jobs {
-		if j.status == StatusRunning && j.iter != 0 {
-			targets = append(targets, j)
-		}
-	}
-	m.mu.Unlock()
 	sort.Slice(targets, func(a, b int) bool { return targets[a].spec.Name < targets[b].spec.Name })
 
 	var saved []string

@@ -299,9 +299,9 @@ func TestCancelDuringDrainDeployStaysCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	// Park the background drainer so the test runs each pass itself and
+	// Park the drain so the test runs each pass itself and
 	// knows when it has ended.
-	m.drainStopOnce.Do(func() { close(m.drainStop) })
+	park(m)
 
 	// The first load of "victim" blocks until released and then fails.
 	entered, release := make(chan struct{}), make(chan struct{})
@@ -508,8 +508,11 @@ func TestLostWorkerReleasesParkedSurvivor(t *testing.T) {
 
 // TestFailedReplacementLeavesJobPaused: a Resume whose deploy fails must
 // not leave a running record no worker runs, holding its workers in the
-// live plan. The job goes back to paused holding no workers, and a retry
-// onto healthy workers deploys it.
+// live plan. The job is left stopped on no workers but not stranded: it
+// takes the one restart path, so a recover row names the deploy error, the
+// job is held, resumable from the checkpoint Resume was given, and a drain
+// pass places it. (The name predates the requeue, when the job stayed
+// paused and only a retried Resume could place it.)
 func TestFailedReplacementLeavesJobPaused(t *testing.T) {
 	t.Run("Resume", func(t *testing.T) {
 		m, err := New("127.0.0.1:0", core.Options{})
@@ -517,6 +520,7 @@ func TestFailedReplacementLeavesJobPaused(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(m.Close)
+		park(m)
 		var failNext atomic.Bool
 		stubWorkers(t, m, 3, func(worker.LoadJobArgs) error {
 			if failNext.CompareAndSwap(true, false) {
@@ -524,12 +528,11 @@ func TestFailedReplacementLeavesJobPaused(t *testing.T) {
 			}
 			return nil
 		}, nil)
-		if err := m.Submit(spec("j", mlapp.MLR, 10), []string{"w0", "w1"}); err != nil {
+		s := spec("j", mlapp.MLR, 10)
+		if err := m.Submit(s, []string{"w0", "w1"}); err != nil {
 			t.Fatal(err)
 		}
-		m.mu.Lock()
-		m.jobs["j"].status = StatusPaused // as the barrier that answers a Pause leaves it
-		m.mu.Unlock()
+		m.do(func() { m.jobs["j"].status = StatusPaused }) // as the barrier that answers a Pause leaves it
 		placed := func() bool {
 			for _, g := range m.Cluster().Groups {
 				if slices.Contains(g.Jobs, "j") {
@@ -540,33 +543,71 @@ func TestFailedReplacementLeavesJobPaused(t *testing.T) {
 		}
 
 		failNext.Store(true)
-		if err := m.Resume("j", []string{"w0"}, nil); err == nil {
+		if err := m.Resume("j", []string{"w0"}, make([]float64, s.Config.ModelSize())); err == nil {
 			t.Fatal("re-placement succeeded although its load failed")
 		}
-		if v, _ := m.Job("j"); v.State != StatusPaused.String() {
-			t.Errorf("status after a failed re-placement = %s, want paused", v.State)
+		if v, _ := m.Job("j"); v.State != StatusPending.String() || !v.Resumable || len(v.Workers) != 0 {
+			t.Errorf("after a failed re-placement: %+v, want held and resumable on no workers", v)
 		}
 		if placed() {
 			t.Errorf("live plan %+v still places j after its deploy failed", m.Cluster().Groups)
 		}
-		if err := m.Resume("j", []string{"w0", "w2"}, nil); err != nil {
-			t.Fatalf("retry: %v", err)
+		var recovered bool
+		for _, e := range m.Events() {
+			recovered = recovered || (e.Kind == EventRecover && e.Job == "j" && strings.Contains(e.Note, "stub: load failed"))
 		}
+		if !recovered || m.Counters().Recoveries != 1 {
+			t.Errorf("no recover row naming the deploy error: %d recoveries, journal %+v", m.Counters().Recoveries, m.Events())
+		}
+		m.drainQueue()
 		if v, _ := m.Job("j"); v.State != StatusRunning.String() || !placed() {
-			t.Errorf("after the retry: status %s, live plan %+v; want j running and placed",
-				v.State, m.Cluster().Groups)
+			t.Errorf("after a drain pass: %+v, live plan %+v; want j running and placed", v, m.Cluster().Groups)
 		}
 	})
+}
+
+// TestSubmitIsJournaledAndCounted: a job Submit pins to a group takes the
+// admission path, so the journal shows its placement, under a kind replay
+// folds and with a note naming the override, and its queue counts it.
+func TestSubmitIsJournaledAndCounted(t *testing.T) {
+	m, err := New("127.0.0.1:0", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	stubWorkers(t, m, 2, nil, nil)
+	if err := m.Submit(spec("j", mlapp.MLR, 1000), []string{"w0"}); err != nil {
+		t.Fatal(err)
+	}
+	var rows []Event
+	for _, e := range m.Events() {
+		if e.Job == "j" {
+			rows = append(rows, e)
+		}
+	}
+	if len(rows) != 1 || rows[0].Kind != EventAdmitInitial || !slices.Equal(rows[0].Group, []string{"w0"}) ||
+		rows[0].Note != notePinned {
+		t.Errorf("journal rows of j = %+v, want one admit_initial on [w0] noting the pinned group", rows)
+	}
+	for _, q := range m.Queues() {
+		if q.Name == fair.DefaultQueue && q.Admitted != 1 {
+			t.Errorf("default queue admitted_total = %d, want 1", q.Admitted)
+		}
+	}
+	if c := m.Counters(); c.AdmittedInitial != 1 {
+		t.Errorf("AdmittedInitial = %d, want 1", c.AdmittedInitial)
+	}
 }
 
 // waitParked returns once one worker is parked at the job's barrier for
 // the iteration.
 func waitParked(m *Master, job string, iter int) {
 	for {
-		m.mu.RLock()
-		bs := m.jobs[job].barriers[iter]
-		parked := bs != nil && len(bs.waiters) == 1
-		m.mu.RUnlock()
+		parked := false
+		m.read(func() {
+			bs := m.jobs[job].barriers[iter]
+			parked = bs != nil && len(bs.waiters) == 1
+		})
 		if parked {
 			return
 		}
@@ -585,8 +626,8 @@ func TestFailedDeployIsNotCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	// Park the background drainer; the test runs each pass itself.
-	m.drainStopOnce.Do(func() { close(m.drainStop) })
+	// Park the drain; the test runs each pass itself.
+	park(m)
 
 	// The first load of "held" and every load of "doomed" fail.
 	var heldLoads atomic.Int32
@@ -675,8 +716,8 @@ func TestFailedGangLoadDropsLoadedMembers(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	// Park the background drainer; the test runs each pass itself.
-	m.drainStopOnce.Do(func() { close(m.drainStop) })
+	// Park the drain; the test runs each pass itself.
+	park(m)
 
 	const gang = 3
 	var mu sync.Mutex
@@ -787,9 +828,9 @@ func TestCancelDuringLoadDropsAfterTheLoad(t *testing.T) {
 }
 
 // TestReclaimSkipsPausedVictim: reclaim chooses its victims from job
-// status as it is at the decision, never from the epoch-cached view. x2 is
-// paused (mid-migration, still claiming its worker) by a flip no epoch bump
-// accompanies; a victim list cached before the flip would name x2 — the
+// status as it is at the decision, never from the kept view. x2 is paused
+// (mid-migration, still claiming its worker) by a flip that leaves the view
+// current; a victim list kept from before the flip would name x2 — the
 // most recently started over-quota job — whose preemption is a no-op, and
 // the drain would decide the same round again forever instead of reaching
 // x1. The second half pins the stop rule: a round that suspends no victim
@@ -800,8 +841,8 @@ func TestReclaimSkipsPausedVictim(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	// Park the background drainer; the test runs each pass itself.
-	m.drainStopOnce.Do(func() { close(m.drainStop) })
+	// Park the drain; the test runs each pass itself.
+	park(m)
 	stubWorkers(t, m, 2, nil, nil)
 	if err := m.ConfigureQueues(
 		fair.QueueConfig{Name: "a", Quota: 0.5},
@@ -814,10 +855,10 @@ func TestReclaimSkipsPausedVictim(t *testing.T) {
 			t.Fatalf("%s: %+v, %v", name, adm, err)
 		}
 	}
-	m.mu.Lock()
-	m.viewLocked() // the cached view predates the flip
-	m.jobs["x2"].status = StatusPaused
-	m.mu.Unlock()
+	m.do(func() {
+		m.currentView() // the view predates the flip
+		m.jobs["x2"].status = StatusPaused
+	})
 	if adm, err := m.Enqueue(fairSpec("y", 1000, "a", 1, 1), Profile{}); err != nil || adm.Admitted {
 		t.Fatalf("y: %+v, %v, want held", adm, err)
 	}

@@ -264,9 +264,8 @@ func TestQueuePositionMatchesListJobs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("run%d", i)
 		v, _ := m.Job(name)
-		m.mu.RLock()
-		epoch := m.jobs[name].epoch
-		m.mu.RUnlock()
+		var epoch int
+		m.read(func() { epoch = m.jobs[name].epoch })
 		if _, err := m.handleJobDone(worker.JobDoneArgs{Job: name, Worker: v.Workers[0], Epoch: epoch}); err != nil {
 			t.Fatal(err)
 		}

@@ -15,15 +15,16 @@ import (
 // This file is the live driver's side of the admission kernel
 // (fair.Scheduler.Decide, DESIGN.md §13): queue configuration, the View
 // the kernel decides on, gang placement against the live plan (the
-// kernel's Place), and the execution of a preemption through the
-// pause/checkpoint machinery. No admit/hold/preempt policy lives here.
+// kernel's Place), and the execution of a preemption: its victims pause
+// together and each is requeued, resumable from its checkpoint. No
+// admit/hold/preempt policy lives here.
 
 // ErrUnknownQueue marks a submission naming a queue that was never
 // configured.
 var ErrUnknownQueue = errors.New("unknown queue")
 
 // queueCounters is the per-queue ledger behind the labeled
-// harmony_queue_* metric families; guarded by Master.mu.
+// harmony_queue_* metric families; the loop owns it.
 type queueCounters struct {
 	admitted  int64
 	held      int64
@@ -32,8 +33,8 @@ type queueCounters struct {
 	canceled  int64
 }
 
-// qcLocked returns the queue's counter ledger, creating it on first use.
-func (m *Master) qcLocked(queue string) *queueCounters {
+// qc returns the queue's counter ledger, creating it on first use.
+func (m *Master) qc(queue string) *queueCounters {
 	qc := m.qcounters[queue]
 	if qc == nil {
 		qc = &queueCounters{}
@@ -51,45 +52,45 @@ func (m *Master) ConfigureQueues(cfgs ...fair.QueueConfig) error {
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
-	for name, j := range m.jobs {
-		if !s.Has(j.queue) {
-			m.mu.Unlock()
-			return fmt.Errorf("master: job %q uses queue %q absent from the new configuration", name, j.queue)
+	err = ErrDraining
+	m.do(func() {
+		for name, j := range m.jobs {
+			if !s.Has(j.spec.Queue) {
+				err = fmt.Errorf("master: job %q uses queue %q absent from the new configuration", name, j.spec.Queue)
+				return
+			}
 		}
-	}
-	for _, p := range m.pending {
-		if !s.Has(p.queue) {
-			m.mu.Unlock()
-			return fmt.Errorf("master: held job %q uses queue %q absent from the new configuration", p.spec.Name, p.queue)
+		for _, p := range m.pending {
+			if !s.Has(p.spec.Queue) {
+				err = fmt.Errorf("master: held job %q uses queue %q absent from the new configuration", p.spec.Name, p.spec.Queue)
+				return
+			}
 		}
-	}
-	m.fairsched = s
-	// A new policy changes every quota and gate: the cached view is stale,
-	// and held jobs retry against it.
-	m.admitEpoch++
-	m.mu.Unlock()
-	m.wakeDrainer()
-	return nil
+		m.fairsched, err = s, nil
+		// A new policy changes every quota and gate: held jobs retry
+		// against it.
+		m.invalidateView()
+		m.wakeDrainer()
+	})
+	return err
 }
 
 // held is the policy's view of one pending job.
 func (p *pendingJob) held() fair.Held {
 	return fair.Held{
-		Job: p.spec.Name, Queue: p.queue, Priority: p.priority,
+		Job: p.spec.Name, Queue: p.spec.Queue, Priority: p.spec.Priority,
 		Seq: p.seq, Demand: p.demand(), Resumable: p.resume != nil,
 	}
 }
 
-// buildViewLocked derives the admission kernel's input from the master's
-// state — everything but View.Running (runningLocked) — plus the names of
-// the free workers in registration order (deterministic for a fixed cluster
-// state), which placeLocked draws from. Paused jobs keep their claim on
-// usage and workers: their workers still hold job state mid-migration, so a
-// Running↔Paused flip changes nothing here. The admission paths go through
-// viewLocked (fastpath.go), which caches the result per admission epoch;
-// the status surfaces build it fresh under mu's read side.
-func (m *Master) buildViewLocked() (fair.View, []string) {
+// buildView derives the admission kernel's input from the master's state —
+// everything but View.Running (running) — plus the indexes of the free
+// workers in registration order (deterministic for a fixed cluster state),
+// which place draws from. Paused jobs keep their claim on usage and
+// workers: their workers still hold job state mid-migration, so a
+// Running↔Paused flip changes nothing here. Callers go through currentView
+// (loop.go), which keeps the view between mutations.
+func (m *Master) buildView() (fair.View, []int) {
 	v := fair.View{
 		Total: len(m.workers), Usage: make(fair.Usage),
 		Held: make([]fair.Held, len(m.pending)),
@@ -99,17 +100,15 @@ func (m *Master) buildViewLocked() (fair.View, []string) {
 		if j.status != StatusRunning && j.status != StatusPaused {
 			continue
 		}
-		v.Usage[j.queue] += len(j.workers)
+		v.Usage[j.spec.Queue] += len(j.workers)
 		for _, wi := range j.workers {
-			if wi < len(busy) {
-				busy[wi] = true
-			}
+			busy[wi] = true
 		}
 	}
-	var free []string
-	for i, w := range m.workers {
+	var free []int
+	for i := range m.workers {
 		if !busy[i] {
-			free = append(free, w.name)
+			free = append(free, i)
 		}
 	}
 	v.Free = len(free)
@@ -119,16 +118,16 @@ func (m *Master) buildViewLocked() (fair.View, []string) {
 	return v, free
 }
 
-// runningLocked lists the jobs reclaim may suspend: running ones only — a
-// paused job is mid-migration and cannot be paused again. It is derived
-// from job status at each decision and never cached, so a victim choice
-// cannot outlive the status it was made on.
-func (m *Master) runningLocked() []fair.Running {
+// running lists the jobs reclaim may suspend: running ones only — a paused
+// job is mid-migration or already suspending and cannot be paused again.
+// It is derived from job status at each decision and never kept, so a
+// victim choice cannot outlive the status it was made on.
+func (m *Master) running() []fair.Running {
 	var out []fair.Running
 	for name, j := range m.jobs {
 		if j.status == StatusRunning {
 			out = append(out, fair.Running{
-				Job: name, Queue: j.queue, Priority: j.priority,
+				Job: name, Queue: j.spec.Queue, Priority: j.spec.Priority,
 				StartSeq: j.startSeq, Workers: len(j.workers),
 			})
 		}
@@ -136,38 +135,37 @@ func (m *Master) runningLocked() []fair.Running {
 	return out
 }
 
-// placement is where placeLocked would put a job.
+// placement is where place would put a job.
 type placement struct {
-	group     []string
+	workers   []int
 	predicted core.GroupPrediction
 	// initial marks a new group on an otherwise idle cluster.
 	initial bool
 }
 
-// placeLocked is the master's half of an admission decision, the only
-// part the kernel does not own: where the job would go on at most limit
-// workers (the kernel's borrow cap). The gang rule is atomic: the returned
-// group satisfies the spec's MinWorkers/MaxWorkers band in full, or the
-// job holds with a reason.
+// place is the master's half of an admission decision, the only part the
+// kernel does not own: where the job would go on at most limit workers
+// (the kernel's borrow cap). The gang rule is atomic: the returned group
+// satisfies the spec's MinWorkers/MaxWorkers band in full, or the job
+// holds with a reason.
 //
 // Placement tries, in order: the §IV-B4 arrival rule (the Scorer's
 // incremental BestAddition into a running group that improves the
 // scheduling score), then a new group on free workers (the idle cluster
-// is the degenerate case where every worker is free). Caller holds mu's
-// write side.
-func (m *Master) placeLocked(p *pendingJob, free []string, limit int) (placement, bool, string) {
+// is the degenerate case where every worker is free).
+func (m *Master) place(p *pendingJob, free []int, limit int) (placement, bool, string) {
 	m.counters.Placements++
 	if len(m.workers) == 0 {
 		return placement{}, false, fair.HoldNoGang
 	}
 	min, max, info := p.demand(), p.spec.MaxWorkers, p.info
 
-	plan, members, sc := m.planScorerLocked()
-	if len(plan.Groups) > 0 {
-		if gi, pred, placed := sc.BestAddition(info); placed && gi < len(members) {
-			g := members[gi]
+	lp := m.currentPlan()
+	if len(lp.plan.Groups) > 0 {
+		if gi, pred, placed := lp.scorer.BestAddition(info); placed && gi < len(lp.members) {
+			g := lp.members[gi]
 			if len(g) >= min && (max <= 0 || len(g) <= max) && len(g) <= limit {
-				return placement{group: append([]string(nil), g...), predicted: pred}, true, ""
+				return placement{workers: append([]int(nil), g...), predicted: pred}, true, ""
 			}
 		}
 	}
@@ -181,9 +179,9 @@ func (m *Master) placeLocked(p *pendingJob, free []string, limit int) (placement
 	if want >= min {
 		pg := core.Group{Jobs: []core.JobInfo{info}, Machines: want}
 		return placement{
-			group:     append([]string(nil), free[:want]...),
+			workers:   append([]int(nil), free[:want]...),
 			predicted: core.PredictGroup(pg, m.opts.NetModel),
-			initial:   len(plan.Groups) == 0,
+			initial:   len(lp.plan.Groups) == 0,
 		}, true, ""
 	}
 	if len(free) < min && min > 1 {
@@ -192,14 +190,20 @@ func (m *Master) placeLocked(p *pendingJob, free []string, limit int) (placement
 	return placement{}, false, fair.HoldSlowdown
 }
 
-// removePendingLocked unlinks a held job from the queue and advances the
-// admission epoch (the held view feeds the kernel's borrow gate).
-func (m *Master) removePendingLocked(p *pendingJob) {
+// addPending appends a held job to the queue and indexes it by name.
+func (m *Master) addPending(p *pendingJob) {
+	m.pending = append(m.pending, p)
+	m.pendingIdx[p.spec.Name] = p
+	m.invalidateView()
+}
+
+// removePending unlinks a held job from the queue.
+func (m *Master) removePending(p *pendingJob) {
 	for i, q := range m.pending {
 		if q == p {
 			m.pending = append(m.pending[:i], m.pending[i+1:]...)
 			delete(m.pendingIdx, p.spec.Name)
-			m.admitEpoch++
+			m.invalidateView()
 			return
 		}
 	}
@@ -216,42 +220,62 @@ func dropJob(refs []workerRef, name string) {
 	}
 }
 
-// preemptJob suspends one running victim through the §IV-B4
-// drain-and-checkpoint path and requeues it as a resumable held job: the
-// next admission of the name restores the checkpoint frame and continues
-// from the iteration after it. It reports whether the victim was suspended
-// (false: it finished, was canceled or paused while the drain decided, or
-// the pause timed out). Called without Master.mu held.
-func (m *Master) preemptJob(name, beneficiary string) bool {
-	m.mu.Lock()
-	j, ok := m.jobs[name]
-	if !ok || j.status != StatusRunning {
-		m.mu.Unlock()
-		return false
+// preempt executes a Preempt decision on the loop: it journals every
+// victim's preemption, while the victim still counts as running, asks all
+// of them to pause at their next barrier at once, and holds the drain
+// pass until reclaim has settled each of them.
+func (m *Master) preempt(d fair.Decision) {
+	victims := make([]*job, len(d.Victims))
+	epochs := make([]int, len(d.Victims))
+	refs := make([][]workerRef, len(d.Victims))
+	for i, v := range d.Victims {
+		j := m.jobs[v.Job]
+		ev := m.removalEvent(EventPreempt, v.Job, j)
+		ev.Note = fmt.Sprintf("reclaimed for queue %q", d.Job.Queue)
+		m.journal.append(ev)
+		j.pauseRequested = true
+		victims[i], epochs[i], refs[i] = j, j.epoch, m.workerRefs(j)
 	}
-	ev := m.removalEventLocked(EventPreempt, name, j)
-	ev.Note = fmt.Sprintf("reclaimed for queue %q", beneficiary)
-	m.mu.Unlock()
-	m.journal.append(ev)
-	ckpt, err := m.Pause(name, time.Minute)
-	if err != nil {
-		// The victim finished or was canceled while we decided; whatever
-		// changed its state wakes the drainer to decide on the new plan.
-		return false
+	m.waiting = true
+	go m.reclaim(victims, epochs, refs)
+}
+
+// reclaim suspends a preemption's victims off the loop, in the kernel's
+// order: as each one's pause lands at its barrier (§IV-B4's
+// drain-and-checkpoint), it checkpoints the model and requeues the victim
+// as a held job resumable from it; the next admission of the name restores
+// the checkpoint and continues from the iteration after it. A victim that
+// finished, was canceled or restarted meanwhile is left to that path, and
+// one that reaches no barrier within a minute keeps running. The drain
+// pass goes on once every victim is settled, unless none was suspended:
+// then nothing was freed, and the event that took the victims away wakes a
+// new pass itself.
+func (m *Master) reclaim(victims []*job, epochs []int, refs [][]workerRef) {
+	suspended := false
+	deadline := time.Now().Add(time.Minute)
+	for i, j := range victims {
+		select {
+		case <-j.pausedCh:
+		case <-j.finishedCh:
+			continue
+		case <-time.After(time.Until(deadline)):
+			pending := false // still pending, the pause is withdrawn; else it landed
+			m.do(func() { pending, j.pauseRequested = j.pauseRequested, false })
+			if pending {
+				continue
+			}
+		case <-m.stopped:
+			return
+		}
+		_, _ = m.checkpoint(j, -1, false)
+		if m.requeue(j, epochs[i], refs[i], func(string) {
+			m.counters.Preempted++
+			m.qc(j.spec.Queue).preempted++
+		}) {
+			suspended = true
+		}
 	}
-	m.mu.Lock()
-	j, ok = m.jobs[name]
-	if !ok || j.status != StatusPaused {
-		m.mu.Unlock()
-		return false
-	}
-	suspended := m.requeueLocked(j, ckpt, j.iter+1)
-	if suspended {
-		m.counters.Preempted++
-		m.qcLocked(j.queue).preempted++
-	}
-	m.mu.Unlock()
-	return suspended
+	m.do(func() { m.waiting, m.wake = false, m.wake || suspended })
 }
 
 // QueueView is the per-queue status surface for GET /v1/queues and the
@@ -282,26 +306,25 @@ type QueueView struct {
 // Queues reports every configured queue's share, live usage, queue
 // depth, and cumulative counters, sorted by name.
 func (m *Master) Queues() []QueueView {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.queuesLocked()
+	var views []QueueView
+	m.read(func() { views = m.queues() })
+	return views
 }
 
-// queuesLocked builds the per-queue views under a lock the caller
-// already holds, so Snapshot can capture queues in the same consistent
-// section as the plan and job state.
-func (m *Master) queuesLocked() []QueueView {
+// queues builds the per-queue views, so Snapshot can capture them in the
+// same op as the plan and job state.
+func (m *Master) queues() []QueueView {
 	total := len(m.workers)
-	view, _ := m.buildViewLocked()
+	view, _ := m.currentView()
 	running := make(map[string]int)
 	for _, j := range m.jobs {
 		if j.status == StatusRunning || j.status == StatusPaused {
-			running[j.queue]++
+			running[j.spec.Queue]++
 		}
 	}
 	depth := make(map[string]int)
 	for _, p := range m.pending {
-		depth[p.queue]++
+		depth[p.spec.Queue]++
 	}
 	views := make([]QueueView, 0, len(m.fairsched.Names()))
 	for _, name := range m.fairsched.Names() {

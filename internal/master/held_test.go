@@ -3,18 +3,35 @@ package master
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"harmony/internal/core"
 	"harmony/internal/fair"
 )
 
-// The tests in this file cover held jobs on a master whose drainer is
+// The tests in this file cover held jobs on a master whose drain is
 // parked (parkedMaster), so each drain pass is the test's own: hold
 // reasons, the registration that drains them, and the status read and
 // hold-plus-drain cost at the ctl_churn workload's shape.
 
-// parkedMaster is a master whose background drainer is parked, with n stub
-// workers that ack every deployment call.
+// park keeps a master's drain passes to the ones the test runs itself
+// (drainQueue): an op's wake does not start one.
+func park(m *Master) { m.do(func() { m.parked = true }) }
+
+// drainQueue runs one drain pass and returns once it has ended: its
+// deployments applied, its reclaims settled.
+func (m *Master) drainQueue() {
+	m.do(func() { m.wake = true })
+	for on := true; on; {
+		m.read(func() { on = m.wake || m.waiting })
+		if on {
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
+}
+
+// parkedMaster is a parked master (park) with n stub workers that ack
+// every deployment call.
 func parkedMaster(t testing.TB, n, maxJobsPerGroup int) *Master {
 	t.Helper()
 	m, err := New("127.0.0.1:0", core.Options{MaxJobsPerGroup: maxJobsPerGroup})
@@ -22,7 +39,7 @@ func parkedMaster(t testing.TB, n, maxJobsPerGroup int) *Master {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	m.drainStopOnce.Do(func() { close(m.drainStop) })
+	park(m)
 	stubWorkers(t, m, n, nil, nil)
 	return m
 }

@@ -1,7 +1,6 @@
 package master
 
 import (
-	"sync"
 	"time"
 
 	"harmony/internal/core"
@@ -79,10 +78,8 @@ type Event struct {
 const DefaultJournalCapacity = 512
 
 // journal is a bounded ring of decision events with monotone sequence
-// numbers. It has its own lock so appends work both under and outside
-// Master.mu.
+// numbers. The loop owns it.
 type journal struct {
-	mu   sync.Mutex
 	buf  []Event
 	next uint64
 }
@@ -97,8 +94,6 @@ func newJournal(capacity int) *journal {
 // append stamps the event with the next sequence number and the current
 // time, evicting the oldest entry when the ring is full.
 func (l *journal) append(e Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.next++
 	e.Seq = l.next
 	if e.Time.IsZero() {
@@ -109,19 +104,14 @@ func (l *journal) append(e Event) {
 
 // evicted is how many events the full ring has overwritten.
 func (l *journal) evicted() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return max(0, int64(l.next)-int64(len(l.buf)))
 }
 
 // snapshotSince returns retained events with Seq > since matching kind
-// (every kind when empty), in sequence order. Filtering happens under
-// the journal's own lock — never the master's — and bounds the copy to
-// the slice actually requested, so an incremental poller pays for its
-// delta, not the whole ring.
+// (every kind when empty), in sequence order. The copy is bounded to the
+// slice actually requested, so an incremental poller pays for its delta,
+// not the whole ring.
 func (l *journal) snapshotSince(since uint64, kind string) []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	n := uint64(len(l.buf))
 	lo := uint64(1)
 	if l.next > n {
@@ -148,9 +138,8 @@ func (l *journal) snapshotSince(since uint64, kind string) []Event {
 // path that journals a placement (admit, queue drain, resume, migrate):
 // it fills the Eq. 1/Eq. 3 predictions and,
 // under the net model, the group's predicted link compatibility. The
-// prediction comes from the admission path's Scorer cache (or
-// core.PredictGroup on paths with no cached plan) — the stamp never
-// triggers a model recomputation of its own.
+// prediction comes from the live plan's Scorer (or core.PredictGroup for a
+// new group) — the stamp never triggers a model recomputation of its own.
 func (m *Master) predictedEvent(e Event, p core.GroupPrediction) Event {
 	e.PredictedIterSeconds = p.IterSeconds
 	e.PredictedCPUUtil, e.PredictedNetUtil = p.CPUUtil, p.NetUtil
@@ -160,14 +149,13 @@ func (m *Master) predictedEvent(e Event, p core.GroupPrediction) Event {
 	return e
 }
 
-// stampJobPlacementLocked fills the event's predicted fields for the
-// group e.Job currently occupies in the live plan, returning e unchanged
-// when the job has no placement. Caller holds mu's write side (the
-// Scorer cache is not concurrency-safe).
-func (m *Master) stampJobPlacementLocked(e Event) Event {
-	plan, _, sc := m.planScorerLocked()
-	if gi, ok := plan.FindJob(e.Job); ok {
-		e = m.predictedEvent(e, sc.Prediction(gi))
+// stampJobPlacement fills the event's predicted fields for the group e.Job
+// currently occupies in the live plan, returning e unchanged when the job
+// has no placement.
+func (m *Master) stampJobPlacement(e Event) Event {
+	lp := m.currentPlan()
+	if gi, ok := lp.plan.FindJob(e.Job); ok {
+		e = m.predictedEvent(e, lp.scorer.Prediction(gi))
 	}
 	return e
 }
@@ -188,18 +176,17 @@ func measured(plan core.Plan, name string, j *job) (iter, ucpu, unet float64) {
 	return iter, ucpu, unet
 }
 
-// removalEventLocked is the journal entry for a job leaving the live plan
+// removalEvent is the journal entry for a job leaving the live plan
 // (complete, cancel, preempt, recover). It must be built while the job
 // still counts as running: it freezes the group the job ran on, which
-// labels the row in replay, and the final measured values, which
-// livePlanLocked can no longer produce once the status flips.
-func (m *Master) removalEventLocked(kind, name string, j *job) Event {
+// labels the row in replay, and the final measured values, which the live
+// plan can no longer produce once the status flips.
+func (m *Master) removalEvent(kind, name string, j *job) Event {
 	var iter, ucpu, unet float64
 	if j.measIter > 0 {
-		plan, _ := m.livePlanLocked()
-		iter, ucpu, unet = measured(plan, name, j)
+		iter, ucpu, unet = measured(m.currentPlan().plan, name, j)
 	}
-	return Event{Kind: kind, Job: name, Group: m.workerNamesLocked(j),
+	return Event{Kind: kind, Job: name, Group: m.names(j.workers),
 		MeasuredIterSeconds: iter, MeasuredCPUUtil: ucpu, MeasuredNetUtil: unet}
 }
 
@@ -211,26 +198,21 @@ func (m *Master) Events() []Event {
 }
 
 // EventsSince returns journal events with Seq > since matching kind
-// (every kind when empty), oldest first, enriched like Events. The ring
-// copy happens under the journal's own lock before m.mu is touched, so
-// a polling /v1/events client never serializes the copy against the
-// admission path; the master lock is held (read side) only for the
-// measured-value lookups on live jobs.
+// (every kind when empty), oldest first, enriched like Events.
 func (m *Master) EventsSince(since uint64, kind string) []Event {
-	evs := m.journal.snapshotSince(since, kind)
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	m.enrichEventsLocked(evs)
+	var evs []Event
+	m.read(func() {
+		evs = m.journal.snapshotSince(since, kind)
+		m.enrichEvents(evs)
+	})
 	return evs
 }
 
-// enrichEventsLocked fills unmeasured events with their job's current
-// measured values, building the live plan at most once. Caller holds at
-// least m.mu's read side.
-func (m *Master) enrichEventsLocked(evs []Event) {
+// enrichEvents fills unmeasured events with their job's current measured
+// values.
+func (m *Master) enrichEvents(evs []Event) {
 	type meas struct{ iter, ucpu, unet float64 }
 	cache := make(map[string]meas)
-	var plan *core.Plan
 	for i := range evs {
 		e := &evs[i]
 		if e.MeasuredIterSeconds != 0 {
@@ -239,11 +221,7 @@ func (m *Master) enrichEventsLocked(evs []Event) {
 		mv, ok := cache[e.Job]
 		if !ok {
 			if j, live := m.jobs[e.Job]; live && j.measIter > 0 {
-				if plan == nil {
-					p, _ := m.livePlanLocked()
-					plan = &p
-				}
-				mv.iter, mv.ucpu, mv.unet = measured(*plan, e.Job, j)
+				mv.iter, mv.ucpu, mv.unet = measured(m.currentPlan().plan, e.Job, j)
 			}
 			cache[e.Job] = mv
 		}

@@ -9,8 +9,8 @@ package master
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"harmony/internal/core"
@@ -92,8 +92,7 @@ type barrierState struct {
 }
 
 // stopBarriers releases every worker parked at one of the job's
-// barriers with Stop and forgets the barriers. Caller holds Master.mu's
-// write side.
+// barriers with Stop and forgets the barriers.
 func (j *job) stopBarriers() {
 	for _, bs := range j.barriers {
 		for _, ch := range bs.waiters {
@@ -103,15 +102,23 @@ func (j *job) stopBarriers() {
 	j.barriers = make(map[int]*barrierState)
 }
 
-// ended reports whether the job finished or was canceled. Caller holds
-// Master.mu.
+// unpark releases a Pause or a reclaim waiting for the job to pause at a
+// barrier, when its placement goes and the pause will not come.
+func (j *job) unpark() {
+	if j.pauseRequested {
+		close(j.pausedCh)
+		j.pauseRequested = false
+	}
+}
+
+// ended reports whether the job finished or was canceled.
 func (j *job) ended() bool {
 	return j.status == StatusFinished || j.status == StatusCanceled
 }
 
 // releasing reports whether the job's members drop, or have dropped, what
 // they hold of it: it ended, or a member completed its loop and released
-// its own share. Caller holds Master.mu.
+// its own share.
 func (j *job) releasing() bool {
 	return j.ended() || len(j.doneFrom) > 0
 }
@@ -122,12 +129,11 @@ type job struct {
 	status  JobStatus
 	iter    int // last completed iteration (max over barriers)
 
-	// queue and priority are the fair-scheduler coordinates (§13);
-	// arrival is the submission sequence number (kept across preemption
-	// so a reclaimed job resumes ahead of later arrivals in its queue),
-	// startSeq the deployment sequence (recency for victim selection).
-	queue    string
-	priority int
+	// spec.Queue and spec.Priority are the fair-scheduler coordinates
+	// (§13); arrival is the submission sequence number (kept across
+	// preemption so a reclaimed job resumes ahead of later arrivals in its
+	// queue), startSeq the deployment sequence (recency for victim
+	// selection).
 	arrival  uint64
 	startSeq uint64
 
@@ -166,11 +172,12 @@ type Master struct {
 	srv  *rpc.Server
 	addr string
 
-	// mu is a read/write split (DESIGN.md §15): status surfaces
-	// (ListJobs, Job, Cluster, Counters, Queues, queue views, /metrics
-	// scrapes) take the read side and do not contend with admission,
-	// which — like every state mutation — holds the write side.
-	mu       sync.RWMutex
+	// The loop (loop.go) is the master's one writer: it runs every op
+	// posted on ops, and every field below it is the loop's alone. stopped
+	// closes when Close has stopped it.
+	ops     chan func()
+	stopped chan struct{}
+
 	workers  []workerRef
 	jobs     map[string]*job
 	pending  []*pendingJob
@@ -182,37 +189,26 @@ type Master struct {
 
 	// pendingIdx indexes m.pending by job name so duplicate checks and
 	// drain lookups are O(1) instead of scans of a 10K-deep queue.
-	// Maintained by addPendingLocked/removePendingLocked.
+	// Maintained by addPending/removePending.
 	pendingIdx map[string]*pendingJob
 
-	// The admission fast path's two caches (DESIGN.md §15), both under
-	// mu's write side: the live plan with its Scorer (planCache, dropped
-	// by invalidatePlanLocked), and the kernel's view with the free-worker
-	// list (viewCache, freeCache), current while inputEpoch equals
-	// admitEpoch. admitEpoch versions every input of a decision: it moves
-	// with every plan invalidation, worker registration, queue policy,
-	// shutdown, and change of the held queue.
-	planCache  *livePlanCache
-	admitEpoch uint64
-	inputEpoch uint64
-	viewCache  fair.View
-	freeCache  []string
+	// The two derived values (DESIGN.md §15), nil while stale: the live
+	// plan with its Scorer, which invalidatePlan drops, and the kernel's
+	// view with the free workers, which invalidateView drops too.
+	plan *livePlan
+	view *kernelView
 
-	// The single drainer goroutine (drainLoop): wakeups coalesce through
-	// the 1-buffered drainCh, so a burst of holds and completions
-	// triggers one batched pass.
-	drainCh       chan struct{}
-	drainStop     chan struct{}
-	drainStopOnce sync.Once
+	// The drain (decide): wake asks for a decision, and waiting holds it
+	// while the last one's deployment or reclaim is out. parked keeps ops
+	// from waking it, so that tests run each pass themselves.
+	wake, waiting, parked bool
 
 	// Fair-scheduler state (fairsched.go): the active queue policy, a
-	// per-queue counter ledger, the arrival/deployment sequence clocks,
-	// and the reclaim latch that serializes preemption rounds.
+	// per-queue counter ledger, and the arrival/deployment sequence clocks.
 	fairsched  *fair.Scheduler
 	qcounters  map[string]*queueCounters
 	arrivalSeq uint64
 	deploySeq  uint64
-	reclaiming bool
 
 	// journal records scheduler decisions (always on; bounded ring).
 	// trace, when non-nil, collects worker spans for /v1/trace.
@@ -224,6 +220,8 @@ type Master struct {
 func New(addr string, opts core.Options) (*Master, error) {
 	m := &Master{
 		srv:        rpc.NewServer(),
+		ops:        make(chan func()),
+		stopped:    make(chan struct{}),
 		jobs:       make(map[string]*job),
 		pendingIdx: make(map[string]*pendingJob),
 		profiles:   profile.NewStore(profile.DefaultEWMAAlpha),
@@ -231,16 +229,14 @@ func New(addr string, opts core.Options) (*Master, error) {
 		journal:    newJournal(DefaultJournalCapacity),
 		fairsched:  fair.Default(),
 		qcounters:  make(map[string]*queueCounters),
-		admitEpoch: 1,
-		drainCh:    make(chan struct{}, 1),
-		drainStop:  make(chan struct{}),
 	}
-	go m.drainLoop()
+	go m.loop()
 	m.srv.Handle("master.register", rpc.Typed(m.handleRegister))
 	m.srv.Handle(worker.MethodBarrier, rpc.Typed(m.handleBarrier))
 	m.srv.Handle(worker.MethodJobDone, rpc.Typed(m.handleJobDone))
 	bound, err := m.srv.Listen(addr)
 	if err != nil {
+		m.Close()
 		return nil, err
 	}
 	m.addr = bound
@@ -260,36 +256,32 @@ func (m *Master) handleRegister(a registerArgs) (worker.Ack, error) {
 	if err != nil {
 		return worker.Ack{}, fmt.Errorf("master: dial back worker %s: %w", a.Name, err)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		client.Close()
-		return worker.Ack{}, rpc.ErrClosed
-	}
-	for _, w := range m.workers {
-		if w.name == a.Name {
-			client.Close()
-			return worker.Ack{}, fmt.Errorf("master: duplicate worker name %q", a.Name)
+	err = rpc.ErrClosed
+	m.do(func() {
+		if slices.ContainsFunc(m.workers, func(w workerRef) bool { return w.name == a.Name }) {
+			err = fmt.Errorf("master: duplicate worker name %q", a.Name)
+			return
 		}
+		err = nil
+		m.workers = append(m.workers, workerRef{name: a.Name, addr: a.Addr, client: client})
+		// The failure detector: the connection closes when the worker dies.
+		go func() { <-client.Done(); m.workerLost(a.Name) }()
+		// Appending leaves existing worker indexes — and so the live plan —
+		// intact, but the free list grows: held jobs may fit now.
+		m.invalidateView()
+		m.wakeDrainer()
+	})
+	if err != nil {
+		client.Close()
 	}
-	m.workers = append(m.workers, workerRef{name: a.Name, addr: a.Addr, client: client})
-	// The failure detector: the connection closes when the worker dies.
-	go func() { <-client.Done(); m.workerLost(a.Name) }()
-	// A new worker extends the free list, so the cached view is stale.
-	// Appending leaves existing worker indexes — and so the live plan —
-	// intact. Held jobs may fit now.
-	m.admitEpoch++
-	m.wakeDrainer()
-	return worker.Ack{}, nil
+	return worker.Ack{}, err
 }
 
 // WaitForWorkers blocks until n workers have registered.
 func (m *Master) WaitForWorkers(n int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		m.mu.RLock()
-		got := len(m.workers)
-		m.mu.RUnlock()
+		got := len(m.Workers())
 		if got >= n {
 			return nil
 		}
@@ -302,8 +294,13 @@ func (m *Master) WaitForWorkers(n int, timeout time.Duration) error {
 
 // Workers reports registered worker names.
 func (m *Master) Workers() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	var names []string
+	m.read(func() { names = m.workerNames() })
+	return names
+}
+
+// workerNames lists every registered worker's name, in registration order.
+func (m *Master) workerNames() []string {
 	names := make([]string, len(m.workers))
 	for i, w := range m.workers {
 		names[i] = w.name
@@ -311,134 +308,102 @@ func (m *Master) Workers() []string {
 	return names
 }
 
-// Submit loads and starts a job across the given workers (all registered
-// workers when group is nil), bypassing the admission queue.
-func (m *Master) Submit(spec JobSpec, group []string) error {
-	p := &pendingJob{spec: spec, info: core.JobInfo{ID: spec.Name}}
-	m.mu.Lock()
-	var j *job
-	var err error
-	if p.queue, err = m.acceptLocked(spec); err == nil {
-		j, err = m.installLocked(p, group)
+// names maps worker indexes to their names.
+func (m *Master) names(idxs []int) []string {
+	names := make([]string, len(idxs))
+	for i, wi := range idxs {
+		names[i] = m.workers[wi].name
 	}
-	m.mu.Unlock()
+	return names
+}
+
+// Submit loads and starts a job across the given workers (all registered
+// workers when group is nil), bypassing the admission kernel: the job is
+// pinned there through the same path as an admission (admit), counted in
+// its queue and journaled with notePinned.
+func (m *Master) Submit(spec JobSpec, group []string) error {
+	var deployed <-chan error
+	err := ErrDraining
+	m.do(func() {
+		if err = m.accept(&spec); err != nil {
+			return
+		}
+		var idxs []int
+		if idxs, err = m.workerIndexes(group); err != nil {
+			return
+		}
+		m.arrivalSeq++
+		p := &pendingJob{spec: spec, info: core.JobInfo{ID: spec.Name}, seq: m.arrivalSeq,
+			finishedCh: make(chan struct{})}
+		initial := len(m.currentPlan().plan.Groups) == 0
+		deployed = m.admit(p, placement{workers: idxs, initial: initial}, fromSubmit, nil)
+	})
 	if err != nil {
 		return err
 	}
-	if err := m.deploy(j, nil, 0); err != nil {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if m.withdrawLocked(j) {
-			return err
-		}
-	}
-	return nil
+	return <-deployed
 }
 
-// installLocked enters the record of a (possibly previously preempted)
-// job, deployed on the named workers, in m.jobs. The pendingJob carries
-// the admission path's profile hints, the queue coordinates, and — after
-// a preemption — the checkpoint frame to restore from. The caller holds
-// mu's write side and has vetted the name, by acceptLocked or by taking
-// the job off the queue in the same hold: so no status read, cancel or
-// same-name submission finds the name unknown while the job moves from
-// the queue onto its workers.
-func (m *Master) installLocked(p *pendingJob, group []string) (*job, error) {
-	idxs, err := m.workerIndexesLocked(group)
-	if err != nil {
-		return nil, err
-	}
-	if p.seq == 0 {
-		m.arrivalSeq++
-		p.seq = m.arrivalSeq
-	}
+// install enters the record of a (possibly previously preempted) job,
+// deployed on the given workers, in m.jobs. The pendingJob carries the
+// admission path's profile hints, the queue coordinates, and — after a
+// requeue or for a migration — the checkpoint frame to restore from and
+// the iteration to continue from. The caller vetted the name, by accept or
+// by taking the job off the queue in the same op: so no status read,
+// cancel or same-name submission finds the name unknown while the job
+// moves from the queue onto its workers.
+func (m *Master) install(p *pendingJob, workers []int) *job {
 	m.deploySeq++
 	j := &job{
 		// epoch advances past every prior deployment of this name, so a
 		// preempted placement's stragglers stay stale after the resume.
-		spec: p.spec, workers: idxs, status: StatusRunning, prof: p.info, epoch: p.epoch + 1,
-		queue: p.queue, priority: p.spec.Priority, arrival: p.seq, startSeq: m.deploySeq,
+		spec: p.spec, workers: workers, status: StatusRunning, prof: p.info, epoch: p.epoch + 1,
+		arrival: p.seq, startSeq: m.deploySeq,
+		iter:       max(p.resumeIter-1, 0),
 		barriers:   make(map[int]*barrierState),
 		doneFrom:   make(map[string]bool),
 		pausedCh:   make(chan struct{}),
 		finishedCh: p.finishedCh,
 	}
-	if j.finishedCh == nil {
-		j.finishedCh = make(chan struct{})
-	}
 	if p.resume != nil {
-		j.iter = p.resumeIter - 1
-		j.ckpt.vals = p.resume
-		j.checkpointIter = p.resumeIter - 1
+		j.ckpt.vals, j.checkpointIter = p.resume, j.iter
 	}
 	m.jobs[p.spec.Name] = j
-	m.invalidatePlanLocked()
-	return j, nil
+	m.invalidatePlan()
+	return j
 }
 
-// withdrawLocked takes a job whose deployment failed back out of m.jobs
-// and reports true — unless a Cancel or a restart caught the job
-// mid-deployment and owns it now: then it is not failed, and must not be
-// requeued.
-func (m *Master) withdrawLocked(j *job) bool {
-	if j.status != StatusRunning || m.jobs[j.spec.Name] != j {
-		return false
-	}
-	// Members that did start may already be parked at the first
-	// barrier; once the record is gone nothing else would release them.
-	j.stopBarriers()
-	delete(m.jobs, j.spec.Name)
-	m.invalidatePlanLocked()
-	return true
-}
-
-func (m *Master) workerIndexesLocked(group []string) ([]int, error) {
-	if len(m.workers) == 0 {
-		return nil, errors.New("master: no workers registered")
-	}
+// workerIndexes resolves a group of worker names (every registered worker
+// when nil) to their indexes.
+func (m *Master) workerIndexes(group []string) ([]int, error) {
 	if group == nil {
-		idxs := make([]int, len(m.workers))
-		for i := range idxs {
-			idxs[i] = i
-		}
-		return idxs, nil
+		group = m.workerNames()
 	}
-	var idxs []int
-	for _, name := range group {
-		found := -1
-		for i, w := range m.workers {
-			if w.name == name {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
+	if len(group) == 0 {
+		return nil, errors.New("master: no workers to place on")
+	}
+	idxs := make([]int, len(group))
+	for i, name := range group {
+		if idxs[i] = slices.IndexFunc(m.workers, func(w workerRef) bool { return w.name == name }); idxs[i] < 0 {
 			return nil, fmt.Errorf("master: %w %q", ErrUnknownWorker, name)
 		}
-		idxs = append(idxs, found)
-	}
-	if len(idxs) == 0 {
-		return nil, errors.New("master: empty worker group")
 	}
 	return idxs, nil
 }
 
-// deploy loads a job onto its worker group and starts iterating; restore
-// carries checkpointed model parameters for migrations. A deployment that
-// fails, or finds the job canceled or requeued once its loads are in (the
-// teardown's own drop may have overtaken a load), tells every member to
-// drop the job: member 0's load seeds a model partition on
-// every member's server, and the members that did load would keep a shard
-// store and a PS client until the process exits. The loads go out one
-// member at a time: sent together they finish
+// deploy loads a job onto its worker group (refs, the placement of epoch)
+// and starts iterating from fromIter; restore carries checkpointed model
+// parameters for resumes and migrations. It runs off the loop. A deployment
+// that fails, or finds its placement gone once its loads are in (a cancel
+// or a restart took the job, and the teardown's own drop may have
+// overtaken a load), tells every member to drop the job: member 0's load
+// seeds a model partition on every member's server, and the members that
+// did load would keep a shard store and a PS client until the process
+// exits. The loads go out one member at a time: sent together they finish
 // sooner when a load is real work, but against workers that answer at once
 // the burst only delays whatever else the master is serving (CHANGES.md,
 // PR 18).
-func (m *Master) deploy(j *job, restore []float64, fromIter int) error {
-	m.mu.Lock()
-	epoch := j.epoch
-	refs := m.workerRefsLocked(j)
-	m.mu.Unlock()
+func (m *Master) deploy(j *job, refs []workerRef, epoch int, restore []float64, fromIter int) error {
 	servers := make([]string, len(refs))
 	for i, r := range refs {
 		servers[i] = r.addr
@@ -461,11 +426,13 @@ func (m *Master) deploy(j *job, restore []float64, fromIter int) error {
 			break
 		}
 	}
-	m.mu.RLock()
-	if err == nil && j.status != StatusRunning {
-		err = fmt.Errorf("master: %s was canceled or requeued while it loaded", j.spec.Name)
+	if err == nil {
+		stands := false
+		m.read(func() { stands = m.jobs[j.spec.Name] == j && j.status == StatusRunning && j.epoch == epoch })
+		if !stands {
+			err = fmt.Errorf("master: %s was canceled or requeued while it loaded", j.spec.Name)
+		}
 	}
-	m.mu.RUnlock()
 	for i := 0; err == nil && i < len(refs); i++ {
 		if _, e := rpc.Invoke[worker.StartJobArgs, worker.Ack](refs[i].client,
 			worker.MethodStartJob, worker.StartJobArgs{
@@ -484,91 +451,76 @@ func (m *Master) deploy(j *job, restore []float64, fromIter int) error {
 // handleBarrier blocks each worker until the whole group reaches the
 // iteration boundary, then releases them with the pending directive.
 func (m *Master) handleBarrier(a worker.BarrierArgs) (worker.BarrierReply, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[a.Job]
-	if !ok {
-		m.mu.Unlock()
-		return worker.BarrierReply{Directive: worker.Stop}, nil
-	}
-	if j.ended() {
+	d := worker.Stop
+	var wait chan worker.Directive
+	m.do(func() {
+		j := m.jobs[a.Job]
 		// A canceled job's stragglers must not park at a barrier no
-		// group-mate will ever reach.
-		m.mu.Unlock()
-		return worker.BarrierReply{Directive: worker.Stop}, nil
-	}
-	if a.Epoch != j.epoch {
-		// Straggler from a placement that a restart or migration already
-		// tore down; counting it would desync the new group's barrier.
-		m.mu.Unlock()
-		return worker.BarrierReply{Directive: worker.Stop}, nil
-	}
-	if m.draining || m.closed {
-		// Wind-down: a barrier call that parked here after Close released
-		// the existing waiters would pin the RPC server's handler wait
-		// group until the barrier timeout.
-		m.mu.Unlock()
-		return worker.BarrierReply{Directive: worker.Stop}, nil
-	}
-	// Every observation can move the scheduler-visible profile (the EWMA
-	// supersedes submission hints once MinSamples accumulate), so the
-	// cached plan is stale; the same bump covers the pause flip below.
-	_ = m.profiles.Observe(a.Job, len(j.workers), a.CompSeconds, a.NetSeconds)
-	m.invalidatePlanLocked()
-	j.loss = a.Loss
-	if a.Iteration > j.iter {
-		j.iter = a.Iteration
-	}
-	bs := j.barriers[a.Iteration]
-	if bs == nil {
-		bs = &barrierState{}
-		j.barriers[a.Iteration] = bs
-	}
-	bs.arrived++
-	if bs.arrived < len(j.workers) {
-		ch := make(chan worker.Directive, 1)
-		bs.waiters = append(bs.waiters, ch)
-		m.mu.Unlock()
-		select {
-		case d := <-ch:
-			return worker.BarrierReply{Directive: d}, nil
-		case <-time.After(5 * time.Minute):
-			return worker.BarrierReply{Directive: worker.Stop},
-				errors.New("master: barrier timed out")
+		// group-mate will ever reach; a straggler from a placement a
+		// restart or migration tore down would desync the new group's
+		// barrier; and one that parked while the master winds down would
+		// pin the RPC server's handler wait group until the barrier timeout.
+		if j == nil || j.ended() || a.Epoch != j.epoch || m.draining {
+			return
 		}
-	}
-	// Last arrival: release the whole group. The wall time between
-	// releases is the measured group iteration time the journal compares
-	// against the model's prediction.
-	now := time.Now()
-	if !j.lastRelease.IsZero() {
-		dt := now.Sub(j.lastRelease).Seconds()
-		if j.measIter <= 0 {
-			j.measIter = dt
-		} else {
-			j.measIter = 0.3*dt + 0.7*j.measIter
+		// Every observation can move the scheduler-visible profile (the EWMA
+		// supersedes submission hints once MinSamples accumulate), so the
+		// live plan is stale; the same mark covers the pause flip below.
+		_ = m.profiles.Observe(a.Job, len(j.workers), a.CompSeconds, a.NetSeconds)
+		m.invalidatePlan()
+		j.loss = a.Loss
+		if a.Iteration > j.iter {
+			j.iter = a.Iteration
 		}
+		bs := j.barriers[a.Iteration]
+		if bs == nil {
+			bs = &barrierState{}
+			j.barriers[a.Iteration] = bs
+		}
+		bs.arrived++
+		if bs.arrived < len(j.workers) {
+			wait = make(chan worker.Directive, 1)
+			bs.waiters = append(bs.waiters, wait)
+			return
+		}
+		// Last arrival: release the whole group. The wall time between
+		// releases is the measured group iteration time the journal compares
+		// against the model's prediction.
+		now := time.Now()
+		if !j.lastRelease.IsZero() {
+			dt := now.Sub(j.lastRelease).Seconds()
+			if j.measIter <= 0 {
+				j.measIter = dt
+			} else {
+				j.measIter = 0.3*dt + 0.7*j.measIter
+			}
+		}
+		j.lastRelease = now
+		d = worker.Continue
+		if j.pauseRequested {
+			d = worker.Pause
+			j.status = StatusPaused
+			j.pauseRequested = false
+			close(j.pausedCh)
+		}
+		delete(j.barriers, a.Iteration)
+		if d == worker.Continue {
+			m.maybeCheckpoint(j, a.Iteration)
+		}
+		for _, ch := range bs.waiters {
+			ch <- d
+		}
+	})
+	if wait == nil {
+		return worker.BarrierReply{Directive: d}, nil
 	}
-	j.lastRelease = now
-	d := worker.Continue
-	if j.pauseRequested {
-		d = worker.Pause
-		j.status = StatusPaused
-		j.pauseRequested = false
-		close(j.pausedCh)
+	select {
+	case d := <-wait:
+		return worker.BarrierReply{Directive: d}, nil
+	case <-time.After(5 * time.Minute):
+		return worker.BarrierReply{Directive: worker.Stop},
+			errors.New("master: barrier timed out")
 	}
-	// The barrier entry is deleted under the lock BEFORE the release
-	// below: once gone, Close and workerLost can no longer see these
-	// waiters, so the sends after the unlock are the only sends.
-	delete(j.barriers, a.Iteration)
-	if d == worker.Continue {
-		m.maybeCheckpoint(j, a.Iteration)
-	}
-	waiters := bs.waiters
-	m.mu.Unlock()
-	for _, ch := range waiters {
-		ch <- d
-	}
-	return worker.BarrierReply{Directive: d}, nil
 }
 
 // handleJobDone counts a member's completion; each member then releases
@@ -576,29 +528,29 @@ func (m *Master) handleBarrier(a worker.BarrierArgs) (worker.BarrierReply, error
 // checkpoint to release. A member whose loop failed (a.Err) keeps its
 // state, and the job restarts.
 func (m *Master) handleJobDone(a worker.JobDoneArgs) (worker.Ack, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[a.Job]
-	if !ok || a.Epoch != j.epoch {
-		m.mu.Unlock()
-		return worker.Ack{}, nil
-	}
-	if a.Err != "" {
-		m.mu.Unlock()
+	var j *job
+	var finished, failed bool
+	m.do(func() {
+		if j = m.jobs[a.Job]; j == nil || a.Epoch != j.epoch {
+			return
+		}
+		if failed = a.Err != ""; failed {
+			return
+		}
+		j.doneFrom[a.Worker] = true
+		if finished = len(j.doneFrom) >= len(j.workers) && !j.ended(); finished {
+			m.journal.append(m.removalEvent(EventComplete, a.Job, j))
+			j.status = StatusFinished
+			m.invalidatePlan()
+			close(j.finishedCh)
+			// A completion frees capacity: drain the admission queue (§IV-B4).
+			m.wakeDrainer()
+		}
+	})
+	switch {
+	case failed:
 		go m.restart(j, a.Epoch, "member failed: "+a.Err)
-		return worker.Ack{}, nil
-	}
-	j.doneFrom[a.Worker] = true
-	finished := len(j.doneFrom) >= len(j.workers) && !j.ended()
-	if finished {
-		m.journal.append(m.removalEventLocked(EventComplete, a.Job, j))
-		j.status = StatusFinished
-		m.invalidatePlanLocked()
-		close(j.finishedCh)
-		// A completion frees capacity: drain the admission queue (§IV-B4).
-		m.wakeDrainer()
-	}
-	m.mu.Unlock()
-	if finished {
+	case finished:
 		j.ckpt.release()
 	}
 	return worker.Ack{}, nil
@@ -606,17 +558,17 @@ func (m *Master) handleJobDone(a worker.JobDoneArgs) (worker.Ack, error) {
 
 // WaitJob blocks until the job completes.
 func (m *Master) WaitJob(name string, timeout time.Duration) error {
-	m.mu.RLock()
 	var ch chan struct{}
-	if j, ok := m.jobs[name]; ok {
-		ch = j.finishedCh
-	} else if p := m.pendingIdx[name]; p != nil {
-		// A held job is known work: it completes after a drain (or a
-		// resume from preemption) eventually deploys it. The channel
-		// survives the pending→deployed transition.
-		ch = p.finishedCh
-	}
-	m.mu.RUnlock()
+	m.read(func() {
+		if j := m.jobs[name]; j != nil {
+			ch = j.finishedCh
+		} else if p := m.pendingIdx[name]; p != nil {
+			// A held job is known work: it completes after a drain (or a
+			// resume from preemption) eventually deploys it. The channel
+			// survives the pending→deployed transition.
+			ch = p.finishedCh
+		}
+	})
 	if ch == nil {
 		return fmt.Errorf("master: %w %q", ErrUnknownJob, name)
 	}
@@ -637,20 +589,20 @@ func (m *Master) Metrics(name string) (profile.Metrics, bool) {
 // checkpoint (§IV-B4: "waits until ongoing iteration ends, stops the
 // subtasks of the job, and checkpoints the model parameters").
 func (m *Master) Pause(name string, timeout time.Duration) ([]float64, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[name]
-	if !ok || j.status != StatusRunning {
-		m.mu.Unlock()
+	var j *job
+	m.do(func() {
+		if j = m.jobs[name]; j != nil && j.status == StatusRunning {
+			j.pauseRequested = true
+		} else {
+			j = nil
+		}
+	})
+	if j == nil {
 		return nil, fmt.Errorf("master: job %q not running", name)
 	}
-	j.pauseRequested = true
-	pausedCh := j.pausedCh
-	finishedCh := j.finishedCh
-	m.mu.Unlock()
-
 	select {
-	case <-pausedCh:
-	case <-finishedCh:
+	case <-j.pausedCh:
+	case <-j.finishedCh:
 		return nil, fmt.Errorf("master: job %q finished before pausing", name)
 	case <-time.After(timeout):
 		return nil, fmt.Errorf("master: pause of %q timed out", name)
@@ -660,63 +612,38 @@ func (m *Master) Pause(name string, timeout time.Duration) ([]float64, error) {
 
 // Resume migrates a paused job onto a (possibly different) worker group,
 // restoring the checkpointed model; input shards are regenerated, not
-// migrated (§IV-B4). A deploy that fails leaves the job paused holding no
-// workers, with the failure in the migrate event's note, for a later
-// Resume to retry.
+// migrated (§IV-B4). The job is pinned to the group through the same path
+// as an admission (admit), journaled as a migration, after its old group
+// dropped it. A deploy that fails requeues the job through a recover row,
+// held and resumable from checkpoint, for a drain pass to place.
 func (m *Master) Resume(name string, group []string, checkpoint []float64) error {
-	m.mu.Lock()
-	j, ok := m.jobs[name]
-	if !ok || j.status != StatusPaused {
-		m.mu.Unlock()
-		return fmt.Errorf("master: job %q not paused", name)
-	}
-	idxs, err := m.workerIndexesLocked(group)
+	var deployed <-chan error
+	err := ErrDraining
+	m.do(func() {
+		j := m.jobs[name]
+		if j == nil || j.status != StatusPaused {
+			err = fmt.Errorf("master: job %q not paused", name)
+			return
+		}
+		var idxs []int
+		if idxs, err = m.workerIndexes(group); err != nil {
+			return
+		}
+		// Shards and model partitions are rebuilt on the new group.
+		old := m.workerRefs(j)
+		j.measIter = 0
+		p := m.retire(j, checkpoint, j.iter+1)
+		deployed = m.admit(p, placement{workers: idxs}, fromMigrate, old)
+	})
 	if err != nil {
-		m.mu.Unlock()
 		return err
 	}
-	oldRefs := m.workerRefsLocked(j)
-	j.workers = idxs
-	j.status = StatusRunning
-	j.pausedCh = make(chan struct{})
-	j.doneFrom = make(map[string]bool)
-	j.epoch++
-	epoch, fromIter := j.epoch, j.iter+1
-	m.counters.Migrations++
-	// The stamp must see the new placement, not the cached plan.
-	m.invalidatePlanLocked()
-	ev := m.stampJobPlacementLocked(Event{Kind: EventMigrate, Job: name, Group: m.workerNamesLocked(j)})
-	j.measIter = 0
-	j.lastRelease = time.Time{}
-	m.mu.Unlock()
-
-	// Shards and model partitions are rebuilt on the new group.
-	dropJob(oldRefs, name)
-	// Journal after the deploy attempt so a failed one is auditable in
-	// place: the PS client stamps the failing server's address into its
-	// fan-out errors, and that identity surfaces here.
-	if err = m.deploy(j, checkpoint, fromIter); err != nil {
-		ev.Note = "deploy failed: " + err.Error()
-		m.mu.Lock()
-		if j.status == StatusRunning && j.epoch == epoch { // not canceled or re-placed meanwhile
-			j.status = StatusPaused
-			j.workers = nil
-			j.stopBarriers()
-			j.epoch++ // what the failed deploy started is stale too
-			m.invalidatePlanLocked()
-		}
-		m.mu.Unlock()
-	}
-	m.journal.append(ev)
-	// A regroup reshapes the plan and a failed one frees its workers:
-	// retry held jobs (§IV-B4).
-	m.wakeDrainer()
-	return err
+	return <-deployed
 }
 
-// workerRefsLocked resolves a job's current worker set to its RPC
-// handles, for fan-out after the lock is released.
-func (m *Master) workerRefsLocked(j *job) []workerRef {
+// workerRefs resolves a job's current worker set to its RPC handles, for
+// fan-out off the loop.
+func (m *Master) workerRefs(j *job) []workerRef {
 	refs := make([]workerRef, len(j.workers))
 	for i, wi := range j.workers {
 		refs[i] = m.workers[wi]
@@ -724,9 +651,9 @@ func (m *Master) workerRefsLocked(j *job) []workerRef {
 	return refs
 }
 
-// serverAddrsLocked lists the PS addresses of a job's current group (each
-// worker co-hosts a server).
-func (m *Master) serverAddrsLocked(j *job) []string {
+// serverAddrs lists the PS addresses of a job's current group (each worker
+// co-hosts a server).
+func (m *Master) serverAddrs(j *job) []string {
 	addrs := make([]string, len(j.workers))
 	for i, wi := range j.workers {
 		addrs[i] = m.workers[wi].addr
@@ -739,22 +666,20 @@ func (m *Master) serverAddrsLocked(j *job) []string {
 // subsets. It returns job→workers assignments without applying them;
 // callers migrate via Pause/Resume.
 func (m *Master) PlanGroups() (map[string][]string, error) {
-	m.mu.RLock()
 	var infos []core.JobInfo
-	for name, j := range m.jobs {
-		if j.status != StatusRunning && j.status != StatusPaused {
-			continue
+	var names []string
+	m.read(func() {
+		for name, j := range m.jobs {
+			if j.status != StatusRunning && j.status != StatusPaused {
+				continue
+			}
+			if met, ok := m.profiles.Metrics(name); ok && met.Profiled() {
+				infos = append(infos, m.jobInfo(name, j))
+			}
 		}
-		if met, ok := m.profiles.Metrics(name); ok && met.Profiled() {
-			infos = append(infos, m.jobInfoLocked(name, j))
-		}
-	}
-	total := len(m.workers)
-	names := make([]string, len(m.workers))
-	for i, w := range m.workers {
-		names[i] = w.name
-	}
-	m.mu.RUnlock()
+		names = m.workerNames()
+	})
+	total := len(names)
 	if len(infos) == 0 {
 		return nil, errors.New("master: no profiled jobs to plan")
 	}
@@ -812,14 +737,15 @@ type WorkerTotals struct {
 // PhaseStats, CollectSpans and MeasuredOverlap are views of it for callers
 // that want one part.
 func (m *Master) WorkerTotals() WorkerTotals {
-	m.mu.RLock()
-	refs := append([]workerRef(nil), m.workers...)
-	tr := m.trace
+	var refs []workerRef
+	var tr *traceState
 	var groups map[string]string
-	if tr != nil {
-		groups = m.groupNamesLocked()
-	}
-	m.mu.RUnlock()
+	m.read(func() {
+		refs, tr = slices.Clone(m.workers), m.trace
+		if tr != nil {
+			groups = m.groupNames()
+		}
+	})
 	t := WorkerTotals{Traced: tr != nil}
 	comm := map[string]metrics.CommSnapshot{metrics.ProcessID(): metrics.Comm.Snapshot()}
 	comp := map[string]metrics.CompSnapshot{metrics.ProcessID(): metrics.Comp.Snapshot()}
@@ -916,26 +842,24 @@ func (m *Master) MeasuredOverlap() map[string]float64 {
 
 // Close releases all barriers with Stop and shuts the master down.
 func (m *Master) Close() {
-	// Signal the drainer first; it exits after at most one more round
-	// (each round re-checks m.closed under the lock).
-	m.drainStopOnce.Do(func() { close(m.drainStop) })
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	var clients []*rpc.Client
+	if !m.do(func() {
+		m.closed = true // the loop stops after this op
+		for _, j := range m.jobs {
+			j.stopBarriers()
+			j.ckpt.close()
+		}
+		for _, w := range m.workers {
+			clients = append(clients, w.client)
+		}
+		// Reads after the loop stops run on their callers (read), so the
+		// derived values they use must already be built.
+		m.currentPlan()
+		m.currentView()
+	}) {
 		return
 	}
-	m.closed = true
-	for _, j := range m.jobs {
-		j.stopBarriers()
-	}
-	clients := make([]*rpc.Client, 0, len(m.workers))
-	for _, w := range m.workers {
-		clients = append(clients, w.client)
-	}
-	for _, j := range m.jobs {
-		j.ckpt.close()
-	}
-	m.mu.Unlock()
+	<-m.stopped
 	for _, c := range clients {
 		c.Close()
 	}

@@ -133,9 +133,7 @@ func TestPauseCheckpointResumeMigration(t *testing.T) {
 
 	// Migrate to a smaller group (§IV-B4) and cut the run short so the
 	// test finishes quickly.
-	m.mu.Lock()
-	m.jobs["nmf"].spec.Iterations = paused.Iteration + 3
-	m.mu.Unlock()
+	m.do(func() { m.jobs["nmf"].spec.Iterations = paused.Iteration + 3 })
 	if err := m.Resume("nmf", []string{"w0", "w1"}, checkpoint); err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,13 @@ import (
 // operations that move its derived state — submissions, cancels,
 // completions, failed members, profile observations, drain passes with
 // preemptions, worker registrations and losses, queue reconfigurations,
-// failed deployments — and after every step checks each cache (the live
-// plan and the admission view, DESIGN.md §15) against a rebuild from
-// scratch and every read surface against itself with the caches dropped.
-// Each seed's decisions are pinned in testdata/model_seed<N>.log.gz.
+// failed deployments — and after every step checks each value the loop
+// keeps (the live plan and the admission view, DESIGN.md §15) against a
+// rebuild from scratch and every read surface against itself with them
+// dropped. Each seed's decisions are pinned in
+// testdata/model_seed<N>.log.gz. Its concurrent variant runs the same
+// operations from several goroutines against the running loop and checks
+// the same once the master is quiet.
 
 const (
 	modelSeeds = 8
@@ -106,22 +109,105 @@ func readGzip(path string) (string, error) {
 	return string(b), err
 }
 
-// modelRig is one seeded run: a master with its drainer parked, stub
-// workers that each co-host a parameter server (so a preempted job's
-// pause checkpoints and its resume restores), and the decision log.
+// modelRig is one goroutine of a seeded run: its random source and the
+// run it drives.
 type modelRig struct {
-	t    *testing.T
-	m    *Master
-	rng  *rand.Rand
-	log  strings.Builder
-	seq  uint64 // the last journal row logged
-	jobs int    // names handed out: j0000, j0001, ...
-	regs int    // workers registered: w00, w01, ...
+	*modelRun
+	rng *rand.Rand
+}
+
+// modelRun is one seeded run: a master, stub workers that each co-host a
+// parameter server (so a preempted job's pause checkpoints and its resume
+// restores), and the decision log. A sequential run parks the master's
+// drain and runs each pass as a step; a concurrent one leaves it to the
+// loop.
+type modelRun struct {
+	t          *testing.T
+	m          *Master
+	concurrent bool
+	log        strings.Builder
+	seq        uint64 // the last journal row logged
 	// lastHeld is the held queue's reasons as last logged.
 	lastHeld string
 
-	failMu  sync.Mutex
-	failJob string // the next load of this job fails, once
+	mu      sync.Mutex
+	jobs    int             // names handed out: j0000, j0001, ...
+	regs    int             // workers registered: w00, w01, ...
+	failJob string          // the next load of this job fails, once
+	driving map[string]bool // jobs a barrier round or a completion drives
+}
+
+func (r *modelRun) nextJob() string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.jobs++
+	return fmt.Sprintf("j%04d", r.jobs-1)
+}
+
+// drive claims a job for one barrier round or completion: two of them on
+// one job at once would mix their arrivals. It reports false when another
+// goroutine holds the job; release gives it back.
+func (r *modelRun) drive(name string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.driving[name] {
+		return false
+	}
+	r.driving[name] = true
+	return true
+}
+
+func (r *modelRun) release(name string) {
+	r.mu.Lock()
+	delete(r.driving, name)
+	r.mu.Unlock()
+}
+
+// modelOp is one kind of step, drawn with its weight.
+type modelOp struct {
+	weight int
+	do     func() string // "" when the op does not apply now
+}
+
+// ops is the op generator. A sequential run drains as a step of its own; a
+// concurrent one never draws a drain, which the loop runs by itself.
+func (r *modelRig) ops() []modelOp {
+	drains := 4
+	if r.concurrent {
+		drains = 0
+	}
+	return []modelOp{
+		{8, r.submit},
+		{2, r.cancelHeld},
+		{1, r.cancelRunning},
+		{3, r.complete},
+		{1, r.failMember},
+		{4, r.barrier},
+		{drains, r.drain},
+		{1, r.register},
+		{1, r.loseWorker},
+		{1, r.configure},
+		{1, r.failDeploy},
+	}
+}
+
+// step draws ops until one applies and returns what it did.
+func (r *modelRig) step(ops []modelOp) string {
+	total := 0
+	for _, o := range ops {
+		total += o.weight
+	}
+	for {
+		n := r.rng.Intn(total)
+		for _, o := range ops {
+			if n -= o.weight; n < 0 {
+				if what := o.do(); what != "" {
+					return what
+				}
+				break
+			}
+		}
+	}
 }
 
 func runModel(t *testing.T, seed int64, steps int) string {
@@ -131,46 +217,11 @@ func runModel(t *testing.T, seed int64, steps int) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	m.drainStopOnce.Do(func() { close(m.drainStop) })
-	r := &modelRig{t: t, m: m, rng: rand.New(rand.NewSource(seed))}
-	fmt.Fprintf(&r.log, "# seed %d, MaxJobsPerGroup %d, NetModel %v\n", seed, opts.MaxJobsPerGroup, opts.NetModel)
-	for i := 0; i < 4; i++ {
-		r.addWorker()
-	}
-	r.configure()
-	r.record()
-	type op struct {
-		weight int
-		do     func() string // "" when the op does not apply now
-	}
-	ops := []op{
-		{8, r.submit},
-		{2, r.cancelHeld},
-		{1, r.cancelRunning},
-		{3, r.complete},
-		{1, r.failMember},
-		{4, r.barrier},
-		{4, r.drain},
-		{1, r.register},
-		{1, r.loseWorker},
-		{1, r.configure},
-		{1, r.failDeploy},
-	}
-	total := 0
-	for _, o := range ops {
-		total += o.weight
-	}
+	park(m)
+	r := newModelRig(t, m, seed, false)
+	ops := r.ops()
 	for step := 1; step <= steps; step++ {
-		var what string
-		for what == "" {
-			n := r.rng.Intn(total)
-			for _, o := range ops {
-				if n -= o.weight; n < 0 {
-					what = o.do()
-					break
-				}
-			}
-		}
+		what := r.step(ops)
 		fmt.Fprintf(&r.log, "## step %d: %s\n", step, what)
 		r.record()
 		r.check()
@@ -183,22 +234,99 @@ func runModel(t *testing.T, seed int64, steps int) string {
 	return r.log.String()
 }
 
+// newModelRig starts a run on m: four workers, a queue policy, and the
+// journal rows so far logged.
+func newModelRig(t *testing.T, m *Master, seed int64, concurrent bool) *modelRig {
+	r := &modelRig{modelRun: &modelRun{t: t, m: m, concurrent: concurrent, driving: make(map[string]bool)},
+		rng: rand.New(rand.NewSource(seed))}
+	fmt.Fprintf(&r.log, "# seed %d, MaxJobsPerGroup %d, NetModel %v\n", seed, m.opts.MaxJobsPerGroup, m.opts.NetModel)
+	for i := 0; i < 4; i++ {
+		r.addWorker()
+	}
+	r.configure()
+	r.record()
+	return r
+}
+
+// TestModelConcurrent is the model test's concurrent variant: four
+// goroutines draw from the same op generator against the running loop,
+// which drains by itself. Once they are done and the master is quiet, the
+// run is checked as the sequential test checks each step. Run it under
+// -race too.
+func TestModelConcurrent(t *testing.T) {
+	steps := 400
+	if raceEnabled {
+		steps = 100
+	}
+	for seed := int64(1); seed <= modelSeeds; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			t.Parallel()
+			opts := core.Options{MaxJobsPerGroup: 1 + int(seed%3), NetModel: seed%2 == 0}
+			m, err := New("127.0.0.1:0", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(m.Close)
+			r := newModelRig(t, m, seed, true)
+			var wg sync.WaitGroup
+			for g := int64(0); g < 4; g++ {
+				wg.Add(1)
+				go func(rig *modelRig) {
+					defer wg.Done()
+					ops := rig.ops()
+					for i := 0; i < steps && !t.Failed(); i++ {
+						rig.step(ops)
+					}
+				}(&modelRig{modelRun: r.modelRun, rng: rand.New(rand.NewSource(seed*10 + g))})
+			}
+			wg.Wait()
+			r.quiesce()
+			if evs := m.Events(); len(evs) > 0 {
+				r.seq = evs[0].Seq - 1 // the ring has evicted the rows before
+			}
+			r.record()
+			r.check()
+			m.Close()
+		})
+	}
+}
+
+// quiesce waits until the master is quiet: no drain decision pending or
+// waiting on a deployment or a reclaim. A victim a reclaim waits on pauses
+// at the barrier round this runs for it.
+func (r *modelRig) quiesce() {
+	for {
+		if name := r.pausing(); name != "" {
+			r.barrierRound(name)
+			continue
+		}
+		busy := false
+		r.m.read(func() { busy = r.m.wake || r.m.waiting })
+		if !busy {
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // addWorker starts a stub worker on its own server and registers it. The
 // load hook fails a deployment the test asked to fail; otherwise member 0
 // seeds the job's model on every member's parameter server, from the
 // restore frame when the job resumes, as a real worker does.
 func (r *modelRig) addWorker() string {
+	r.mu.Lock()
 	name := fmt.Sprintf("w%02d", r.regs)
 	r.regs++
+	r.mu.Unlock()
 	srv, store := rpc.NewServer(), ps.NewServer()
 	store.Register(srv)
 	srv.Handle(worker.MethodLoadJob, rpc.Typed(func(a worker.LoadJobArgs) (worker.Ack, error) {
-		r.failMu.Lock()
+		r.mu.Lock()
 		fail := a.Job == r.failJob
 		if fail {
 			r.failJob = ""
 		}
-		r.failMu.Unlock()
+		r.mu.Unlock()
 		if fail {
 			return worker.Ack{}, errors.New("injected load failure")
 		}
@@ -228,37 +356,38 @@ func (r *modelRig) addWorker() string {
 	}))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
-		r.t.Fatal(err)
+		r.t.Error(err)
+		return name
 	}
 	r.t.Cleanup(func() { srv.Close(); store.Close() })
 	if _, err := r.m.handleRegister(registerArgs{Name: name, Addr: addr}); err != nil {
-		r.t.Fatal(err)
+		r.t.Error(err)
+		return name
 	}
 	return name
 }
 
 // jobsIn lists the deployed jobs in the given state, by name.
 func (r *modelRig) jobsIn(s JobStatus) []string {
-	r.m.mu.RLock()
-	defer r.m.mu.RUnlock()
 	var names []string
-	for name, j := range r.m.jobs {
-		if j.status == s {
-			names = append(names, name)
+	r.m.read(func() {
+		for name, j := range r.m.jobs {
+			if j.status == s {
+				names = append(names, name)
+			}
 		}
-	}
+	})
 	slices.Sort(names)
 	return names
 }
 
 // held lists the held jobs in queue order.
-func (r *modelRig) held() []string {
-	r.m.mu.RLock()
-	defer r.m.mu.RUnlock()
-	names := make([]string, len(r.m.pending))
-	for i, p := range r.m.pending {
-		names[i] = p.spec.Name
-	}
+func (r *modelRig) held() (names []string) {
+	r.m.read(func() {
+		for _, p := range r.m.pending {
+			names = append(names, p.spec.Name)
+		}
+	})
 	return names
 }
 
@@ -270,11 +399,14 @@ func (r *modelRig) pick(names []string) string {
 }
 
 // placementOf reads a deployed job's record, members and epoch.
-func (r *modelRig) placementOf(name string) (*job, []string, int) {
-	r.m.mu.RLock()
-	defer r.m.mu.RUnlock()
-	j := r.m.jobs[name]
-	return j, r.m.workerNamesLocked(j), j.epoch
+// It reads no members of a job that is gone.
+func (r *modelRig) placementOf(name string) (j *job, members []string, epoch int) {
+	r.m.read(func() {
+		if j = r.m.jobs[name]; j != nil {
+			members, epoch = r.m.names(j.workers), j.epoch
+		}
+	})
+	return j, members, epoch
 }
 
 // submit enqueues a new job while fewer than modelDepth are held: with or
@@ -284,8 +416,7 @@ func (r *modelRig) submit() string {
 	if len(r.held()) >= modelDepth {
 		return ""
 	}
-	name := fmt.Sprintf("j%04d", r.jobs)
-	r.jobs++
+	name := r.nextJob()
 	min := 1 + r.rng.Intn(3)
 	max := 0
 	if r.rng.Intn(2) == 0 {
@@ -321,38 +452,40 @@ func (r *modelRig) cancelRunning() string {
 // complete reports the job done from every member.
 func (r *modelRig) complete() string {
 	name := r.pick(r.jobsIn(StatusRunning))
-	if name == "" {
+	if name == "" || !r.drive(name) {
 		return ""
 	}
+	defer r.release(name)
 	_, members, epoch := r.placementOf(name)
 	for _, w := range members {
 		if _, err := r.m.handleJobDone(worker.JobDoneArgs{Job: name, Worker: w, Epoch: epoch}); err != nil {
-			r.t.Fatal(err)
+			r.t.Error(err)
 		}
 	}
 	return "complete " + name
 }
 
 // failMember reports one member's loop failed, then waits for the
-// restart to requeue the job.
+// restart to requeue the job (or, in a concurrent run, for whatever else
+// ended it first).
 func (r *modelRig) failMember() string {
 	name := r.pick(r.jobsIn(StatusRunning))
 	if name == "" {
 		return ""
 	}
 	j, members, epoch := r.placementOf(name)
+	if len(members) == 0 {
+		return ""
+	}
 	if _, err := r.m.handleJobDone(worker.JobDoneArgs{Job: name, Worker: members[0], Epoch: epoch,
 		Err: "injected failure"}); err != nil {
-		r.t.Fatal(err)
+		r.t.Error(err)
 	}
-	for {
-		r.m.mu.RLock()
-		requeued := r.m.jobs[name] != j
-		r.m.mu.RUnlock()
-		if requeued {
-			break
+	for requeued := false; !requeued; {
+		r.m.read(func() { requeued = r.m.jobs[name] != j || j.ended() })
+		if !requeued {
+			time.Sleep(20 * time.Microsecond)
 		}
-		time.Sleep(20 * time.Microsecond)
 	}
 	return fmt.Sprintf("fail member %s of %s", members[0], name)
 }
@@ -367,13 +500,25 @@ func (r *modelRig) barrier() string {
 	return r.barrierRound(name)
 }
 
+// It claims the job first (drive): a round on a job another goroutine
+// drives, or on a job that is gone, does not apply.
 func (r *modelRig) barrierRound(name string) string {
-	r.m.mu.RLock()
-	j := r.m.jobs[name]
-	a := worker.BarrierArgs{Job: name, Iteration: j.iter + 1, Epoch: j.epoch,
-		CompSeconds: float64(1+r.rng.Intn(20)) / 20, NetSeconds: float64(1+r.rng.Intn(20)) / 20}
-	members := r.m.workerNamesLocked(j)
-	r.m.mu.RUnlock()
+	if !r.drive(name) {
+		return ""
+	}
+	defer r.release(name)
+	var a worker.BarrierArgs
+	var members []string
+	r.m.read(func() {
+		if j := r.m.jobs[name]; j != nil {
+			a = worker.BarrierArgs{Job: name, Iteration: j.iter + 1, Epoch: j.epoch}
+			members = r.m.names(j.workers)
+		}
+	})
+	if members == nil {
+		return ""
+	}
+	a.CompSeconds, a.NetSeconds = float64(1+r.rng.Intn(20))/20, float64(1+r.rng.Intn(20))/20
 	var wg sync.WaitGroup
 	for _, w := range members {
 		wg.Add(1)
@@ -412,16 +557,19 @@ func (r *modelRig) drain() string {
 	}
 }
 
-// pausing names a running job a preemption waits on to pause.
-func (r *modelRig) pausing() string {
-	r.m.mu.RLock()
-	defer r.m.mu.RUnlock()
-	for name, j := range r.m.jobs {
-		if j.status == StatusRunning && j.pauseRequested {
-			return name
+// pausing names a running job a preemption waits on to pause, the first
+// in the order the preemption journaled its victims.
+func (r *modelRig) pausing() (name string) {
+	evs := r.m.EventsSince(r.seq, EventPreempt)
+	r.m.read(func() {
+		for _, e := range evs {
+			if j := r.m.jobs[e.Job]; j != nil && j.status == StatusRunning && j.pauseRequested {
+				name = e.Job
+				return
+			}
 		}
-	}
-	return ""
+	})
+	return name
 }
 
 func (r *modelRig) register() string {
@@ -463,8 +611,10 @@ func (r *modelRig) configure() string {
 // failDeploy makes the next load of one job fail: a held job's, followed
 // by a drain pass, or a new submission's.
 func (r *modelRig) failDeploy() string {
+	r.mu.Lock()
 	name, run := fmt.Sprintf("j%04d", r.jobs), r.submit
-	if held := r.held(); len(held) > 0 && r.rng.Intn(2) == 0 {
+	r.mu.Unlock()
+	if held := r.held(); !r.concurrent && len(held) > 0 && r.rng.Intn(2) == 0 {
 		name, run = r.pick(held), r.drain
 	}
 	r.setFailJob(name)
@@ -476,9 +626,9 @@ func (r *modelRig) failDeploy() string {
 }
 
 func (r *modelRig) setFailJob(name string) {
-	r.failMu.Lock()
+	r.mu.Lock()
 	r.failJob = name
-	r.failMu.Unlock()
+	r.mu.Unlock()
 }
 
 // record appends the step's journal rows, without their time and measured
@@ -494,11 +644,11 @@ func (r *modelRig) record() {
 	}
 	var b strings.Builder
 	b.WriteString("held:")
-	r.m.mu.RLock()
-	for _, p := range r.m.pending {
-		fmt.Fprintf(&b, " %s=%s", p.spec.Name, p.holdReason)
-	}
-	r.m.mu.RUnlock()
+	r.m.read(func() {
+		for _, p := range r.m.pending {
+			fmt.Fprintf(&b, " %s=%s", p.spec.Name, p.holdReason)
+		}
+	})
 	if held := b.String(); held != r.lastHeld {
 		r.lastHeld = held
 		r.log.WriteString(held + "\n")
@@ -525,48 +675,44 @@ func (r *modelRig) reads() modelReads {
 	return rd
 }
 
-// withoutCaches runs read with the cached plan and view dropped, as if no
-// decision had built them since the last change, then puts them back: the
-// run goes on with whatever the caches held.
+// withoutCaches runs read with the loop's derived values dropped, so that
+// the reads rebuild them, then puts the old ones back: the run goes on
+// with whatever the loop kept.
 func (m *Master) withoutCaches(read func()) {
-	m.mu.Lock()
-	plan, view, free := m.planCache, m.viewCache, m.freeCache
-	m.planCache, m.viewCache, m.freeCache = nil, fair.View{}, nil
-	m.mu.Unlock()
+	var plan *livePlan
+	var view *kernelView
+	m.do(func() { plan, view, m.plan, m.view = m.plan, m.view, nil, nil })
 	read()
-	m.mu.Lock()
-	m.planCache, m.viewCache, m.freeCache = plan, view, free
-	m.mu.Unlock()
+	m.do(func() { m.plan, m.view = plan, view })
 }
 
 // check is the model: each cache equals its rebuild, the read surfaces
 // read the same without the caches, and the master's books balance.
 func (r *modelRig) check() {
 	t, m := r.t, r.m
-	m.mu.Lock()
-	if c := m.planCache; c != nil {
-		plan, members := m.buildLivePlanLocked()
-		if !reflect.DeepEqual(c.plan, plan) || !reflect.DeepEqual(c.members, members) {
-			t.Errorf("cached plan %+v on %v, rebuilt %+v on %v", c.plan, c.members, plan, members)
+	m.do(func() {
+		if c := m.plan; c != nil {
+			plan, members := m.buildLivePlan()
+			if !reflect.DeepEqual(c.plan, plan) || !reflect.DeepEqual(c.members, members) {
+				t.Errorf("kept plan %+v on %v, rebuilt %+v on %v", c.plan, c.members, plan, members)
+			}
 		}
-	}
-	if m.viewCache.Usage != nil && m.inputEpoch == m.admitEpoch {
-		v, free := m.buildViewLocked()
-		c := m.viewCache
-		if c.Total != v.Total || c.Free != v.Free || !reflect.DeepEqual(c.Usage, v.Usage) ||
-			!reflect.DeepEqual(c.Held, v.Held) || !slices.Equal(m.freeCache, free) {
-			t.Errorf("cached view %+v free %v, rebuilt %+v free %v", c, m.freeCache, v, free)
+		if c := m.view; c != nil {
+			v, free := m.buildView()
+			if c.view.Total != v.Total || c.view.Free != v.Free || !reflect.DeepEqual(c.view.Usage, v.Usage) ||
+				!reflect.DeepEqual(c.view.Held, v.Held) || !slices.Equal(c.free, free) {
+				t.Errorf("kept view %+v free %v, rebuilt %+v free %v", c.view, c.free, v, free)
+			}
 		}
-	}
-	if len(m.pendingIdx) != len(m.pending) {
-		t.Errorf("%d held jobs, %d indexed", len(m.pending), len(m.pendingIdx))
-	}
-	for _, p := range m.pending {
-		if m.pendingIdx[p.spec.Name] != p || m.jobs[p.spec.Name] != nil {
-			t.Errorf("held job %s is misindexed or deployed too", p.spec.Name)
+		if len(m.pendingIdx) != len(m.pending) {
+			t.Errorf("%d held jobs, %d indexed", len(m.pending), len(m.pendingIdx))
 		}
-	}
-	m.mu.Unlock()
+		for _, p := range m.pending {
+			if m.pendingIdx[p.spec.Name] != p || m.jobs[p.spec.Name] != nil {
+				t.Errorf("held job %s is misindexed or deployed too", p.spec.Name)
+			}
+		}
+	})
 
 	before := r.reads()
 	var after modelReads

@@ -22,8 +22,8 @@ const CheckpointEvery = 5
 // client and a mirror (ps.Mirror) that every checkpoint brings up to date
 // with one Sync, so a checkpoint moves what the job pushed since the last
 // one, not the model. mu serializes the Syncs and keeps readers off a
-// buffer a Sync is writing; it is taken before Master.mu, never under it
-// (a Sync waits on the network).
+// buffer a Sync is writing; the loop never takes it (a Sync waits on the
+// network), so its holder may wait on the loop.
 type checkpointer struct {
 	mu      sync.Mutex
 	mirror  *ps.Mirror
@@ -46,7 +46,7 @@ func (c *checkpointer) close() {
 
 // release drops the connections and the checkpoint with them: the job
 // finished or was canceled, so nothing will restore from it. Closing
-// first aborts a Sync that holds mu. Called without Master.mu held.
+// first aborts a Sync that holds mu. Called off the loop.
 func (c *checkpointer) release() {
 	c.close()
 	c.mu.Lock()
@@ -67,19 +67,23 @@ func (c *checkpointer) release() {
 // releasing its partitions (job.releasing). A job that was releasing, or
 // requeued, when this took the checkpointer's lock is not checkpointed:
 // the model is about to go, and the master's release has run or waits for
-// the lock.
-// Called without Master.mu held.
+// the lock. It runs off the loop, which it asks for the servers before the
+// Sync and hands the outcome after it.
 func (m *Master) checkpoint(j *job, iteration int, withCopy bool) ([]float64, error) {
 	c := &j.ckpt
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m.mu.RLock()
-	servers := m.serverAddrsLocked(j)
-	if iteration < 0 {
-		iteration = j.iter
-	}
-	releasing := j.releasing() || m.jobs[j.spec.Name] != j
-	m.mu.RUnlock()
+	var servers []string
+	releasing := true
+	m.read(func() {
+		// A record out of m.jobs keeps worker indexes that have gone stale.
+		if releasing = j.releasing() || m.jobs[j.spec.Name] != j; !releasing {
+			servers = m.serverAddrs(j)
+			if iteration < 0 {
+				iteration = j.iter
+			}
+		}
+	})
 	if releasing {
 		return nil, fmt.Errorf("master: checkpoint of %s: the job is released", j.spec.Name)
 	}
@@ -105,15 +109,16 @@ func (m *Master) checkpoint(j *job, iteration int, withCopy bool) ([]float64, er
 			cl.Close()
 		}
 	}
-	m.mu.Lock()
-	releasing = j.releasing()
-	if err != nil && !releasing {
-		m.counters.CheckpointFailures++
-	} else if err == nil && iteration > j.checkpointIter {
-		j.checkpointIter = iteration
-	}
-	gone := releasing || m.closed || m.jobs[j.spec.Name] != j
-	m.mu.Unlock()
+	gone := true // the loop has stopped
+	m.do(func() {
+		releasing := j.releasing()
+		if err != nil && !releasing {
+			m.counters.CheckpointFailures++
+		} else if err == nil && iteration > j.checkpointIter {
+			j.checkpointIter = iteration
+		}
+		gone = releasing || m.jobs[j.spec.Name] != j
+	})
 	if gone { // this checkpoint outlived its job's teardown, and may have redialed
 		c.close()
 	}
@@ -124,7 +129,7 @@ func (m *Master) checkpoint(j *job, iteration int, withCopy bool) ([]float64, er
 }
 
 // maybeCheckpoint is called from the barrier handler when a group
-// iteration completes; it checkpoints asynchronously so the release is not
+// iteration completes; it checkpoints off the loop so the release is not
 // delayed. The last iteration is skipped: its model is released, not
 // restored.
 func (m *Master) maybeCheckpoint(j *job, iteration int) {
@@ -136,85 +141,94 @@ func (m *Master) maybeCheckpoint(j *job, iteration int) {
 // readCheckpoint copies the job's latest checkpoint, nil before the first,
 // with the iteration it covers. Both change only under the checkpointer's
 // lock, so the pair is consistent and no Sync is writing the values.
-func (m *Master) readCheckpoint(j *job) ([]float64, int) {
+func (m *Master) readCheckpoint(j *job) (vals []float64, iter int) {
 	j.ckpt.mu.Lock()
 	defer j.ckpt.mu.Unlock()
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return slices.Clone(j.ckpt.vals), j.checkpointIter
+	m.read(func() { iter = j.checkpointIter })
+	return slices.Clone(j.ckpt.vals), iter
 }
 
-// requeueLocked takes the paused j off its placement and back to the held
-// queue; when the drainer re-places it with Decide it restores resume and
-// continues from iteration resumeIter (nil: from the first iteration). It
-// is the one way a job leaves a placement it cannot keep, after a reclaim
-// (preemptJob) or a failure (restart). Its old members drop its shards and
-// model partitions first, so the drainer cannot place it back onto a
-// member whose drop is still on its way. It reports false, leaving j where
-// it is, when j was canceled, resumed or restarted meanwhile, or the
-// master winds down. Caller holds mu's write side, which requeueLocked
-// releases for the drop and takes back.
-func (m *Master) requeueLocked(j *job, resume []float64, resumeIter int) bool {
-	name, epoch := j.spec.Name, j.epoch
-	refs := m.workerRefsLocked(j)
-	m.mu.Unlock()
-	dropJob(refs, name)
-	m.mu.Lock()
-	if m.closed || m.draining || m.jobs[name] != j || j.status != StatusPaused || j.epoch != epoch {
-		return false
-	}
+// retire takes j's record off its placement and out of m.jobs, and returns
+// the held job it becomes (requeue), or the job Resume migrates: resumable
+// from resume at resumeIter (nil: from the first iteration), with the
+// arrival number, the WaitJob channel and the epoch of the record, so it
+// keeps its place among its queue's arrivals and its old placement's
+// stragglers stay stale.
+func (m *Master) retire(j *job, resume []float64, resumeIter int) *pendingJob {
 	p := &pendingJob{
-		spec: j.spec, info: m.jobInfoLocked(name, j),
-		queue: j.queue, priority: j.priority, seq: j.arrival,
+		spec: j.spec, info: m.jobInfo(j.spec.Name, j),
+		seq:    j.arrival,
 		resume: resume, resumeIter: resumeIter,
 		finishedCh: j.finishedCh, epoch: j.epoch,
 	}
 	if resume != nil {
 		p.holdReason = fair.HoldPreempted
 	}
-	delete(m.jobs, name)
+	delete(m.jobs, j.spec.Name)
 	j.workers = nil // the dropped record's indexes would go stale
+	j.stopBarriers()
 	j.ckpt.close()
-	m.invalidatePlanLocked()
-	m.addPendingLocked(p)
-	return true
+	m.invalidatePlan()
+	return p
+}
+
+// requeue is the one way a job leaves a placement it cannot keep — a
+// reclaim, or a failure (restart) — from off the loop: it reads the
+// checkpoint of j, paused at epoch; the members in refs drop the job's
+// shards and model partitions, so that no drain can place it back onto a
+// member whose drop is still on its way; then the loop moves the record
+// to the held queue, resumable from the checkpoint, and runs landed with
+// where it resumes from — unless j was canceled, resumed or restarted
+// meanwhile, or the master drains. It reports whether j was requeued.
+func (m *Master) requeue(j *job, epoch int, refs []workerRef, landed func(from string)) bool {
+	restore, label := m.readCheckpoint(j)
+	resumeIter, from := 0, "the first iteration"
+	if restore != nil {
+		resumeIter, from = label+1, fmt.Sprintf("checkpoint iteration %d", label)
+	}
+	dropJob(refs, j.spec.Name)
+	requeued := false
+	m.do(func() {
+		if m.draining || m.jobs[j.spec.Name] != j || j.status != StatusPaused || j.epoch != epoch {
+			return
+		}
+		m.addPending(m.retire(j, restore, resumeIter))
+		landed(from)
+		requeued = true
+	})
+	return requeued
 }
 
 // restart is the failure side of the requeue: j, whose placement broke at
-// epoch, goes back to the queue resumable from the master's background
-// checkpoint, and the progress since it is recomputed. A job that ended
-// or moved on since, or a master that is closing or draining (its own
-// teardown is not a failure), is left alone. Called without Master.mu
-// held.
+// epoch, goes back to the queue through a recover row, resumable from the
+// master's latest checkpoint, and the progress since it is recomputed. A
+// job that ended or moved on since, or a master that is draining (its own
+// teardown is not a failure), is left alone. It runs off the loop.
 func (m *Master) restart(j *job, epoch int, cause string) {
 	// The broken placement's connections are no use to anyone, and closing
 	// them fails a Sync stuck on a dead server so the read need not wait.
 	j.ckpt.close()
-	restore, ckptIter := m.readCheckpoint(j)
-	m.mu.Lock()
-	if m.closed || m.draining || m.jobs[j.spec.Name] != j || j.ended() || j.epoch != epoch {
-		m.mu.Unlock()
-		return
-	}
-	resumeIter, from := 0, "the first iteration"
-	if restore != nil {
-		resumeIter, from = ckptIter+1, fmt.Sprintf("checkpoint iteration %d", ckptIter)
-	}
-	ev := m.removalEventLocked(EventRecover, j.spec.Name, j)
-	ev.Note = cause + "; restart from " + from
-	m.journal.append(ev)
-	m.counters.Recoveries++
-	if j.pauseRequested { // unpark the Pause waiting on this placement
-		close(j.pausedCh)
-		j.pauseRequested = false
-	}
-	j.status = StatusPaused
-	j.stopBarriers()
-	j.epoch++ // the survivors' barrier calls stop
-	requeued := m.requeueLocked(j, restore, resumeIter)
-	m.mu.Unlock()
-	if requeued {
-		m.wakeDrainer()
+	var ev Event
+	var refs []workerRef
+	m.do(func() {
+		if m.draining || m.jobs[j.spec.Name] != j || j.ended() || j.epoch != epoch {
+			return
+		}
+		ev = m.removalEvent(EventRecover, j.spec.Name, j)
+		j.unpark()
+		j.status = StatusPaused
+		j.stopBarriers()
+		j.epoch++ // the survivors' barrier calls stop
+		m.invalidatePlan()
+		refs = m.workerRefs(j)
+	})
+	if refs != nil {
+		m.requeue(j, epoch+1, refs, func(from string) {
+			ev.Note = cause + "; restart from " + from
+			m.journal.append(ev)
+			m.counters.Recoveries++
+			m.wakeDrainer()
+		})
 	}
 }
 
@@ -224,33 +238,36 @@ func (m *Master) restart(j *job, epoch int, cause string) {
 // impact on all co-located jobs" (§VI). While the master closes or
 // drains, a closed connection is teardown and nothing happens.
 func (m *Master) workerLost(name string) {
-	m.mu.Lock()
-	idx := slices.IndexFunc(m.workers, func(w workerRef) bool { return w.name == name })
-	if idx < 0 || m.closed || m.draining {
-		m.mu.Unlock()
-		return
-	}
-	dead := m.workers[idx]
-	m.workers = slices.Delete(m.workers, idx, idx+1)
+	var dead workerRef
 	hit := make(map[*job]int)
-	for _, j := range m.jobs {
-		n := len(j.workers)
-		j.workers = slices.DeleteFunc(j.workers, func(wi int) bool { return wi == idx })
-		for k, wi := range j.workers {
-			if wi > idx {
-				j.workers[k] = wi - 1 // indexes shift left
+	m.do(func() {
+		idx := slices.IndexFunc(m.workers, func(w workerRef) bool { return w.name == name })
+		if idx < 0 || m.draining {
+			return
+		}
+		dead = m.workers[idx]
+		m.workers = slices.Delete(m.workers, idx, idx+1)
+		for _, j := range m.jobs {
+			n := len(j.workers)
+			j.workers = slices.DeleteFunc(j.workers, func(wi int) bool { return wi == idx })
+			for k, wi := range j.workers {
+				if wi > idx {
+					j.workers[k] = wi - 1 // indexes shift left
+				}
+			}
+			if len(j.workers) < n && !j.ended() {
+				// The survivors' barrier calls, parked or still to come, stop.
+				j.epoch++
+				j.stopBarriers()
+				hit[j] = j.epoch
 			}
 		}
-		if len(j.workers) < n && !j.ended() {
-			// The survivors' barrier calls, parked or still to come, stop.
-			j.epoch++
-			j.stopBarriers()
-			hit[j] = j.epoch
-		}
+		// Worker indexes shifted: the live plan and the free list are stale.
+		m.invalidatePlan()
+	})
+	if dead.client == nil {
+		return
 	}
-	// Worker indexes shifted: the live plan and the free list are stale.
-	m.invalidatePlanLocked()
-	m.mu.Unlock()
 	dead.client.Close()
 	// In name order, so the journal and the queue do not depend on map order.
 	for _, j := range slices.SortedFunc(maps.Keys(hit), func(a, b *job) int {

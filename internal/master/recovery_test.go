@@ -20,9 +20,8 @@ import (
 // it covers.
 func checkpointOf(t testing.TB, m *Master, name string) ([]float64, int) {
 	t.Helper()
-	m.mu.RLock()
-	j := m.jobs[name]
-	m.mu.RUnlock()
+	var j *job
+	m.read(func() { j = m.jobs[name] })
 	if j == nil {
 		t.Fatalf("no record of job %q", name)
 	}
@@ -218,10 +217,9 @@ func TestCheckpointsRaceReadersAndServerLoss(t *testing.T) {
 	if err := m.Submit(JobSpec{Name: "lda", Config: cfg, Iterations: 1 << 20, Seed: 5}, nil); err != nil {
 		t.Fatal(err)
 	}
-	record := func() *job {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-		return m.jobs["lda"]
+	record := func() (j *job) {
+		m.read(func() { j = m.jobs["lda"] })
+		return j
 	}
 
 	stop := make(chan struct{})
@@ -286,9 +284,8 @@ func TestCheckpointsRaceReadersAndServerLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := record()
-	m.mu.RLock()
-	refs := m.workerRefsLocked(j)
-	m.mu.RUnlock()
+	var refs []workerRef
+	m.read(func() { refs = m.workerRefs(j) })
 	dropJob(refs[:1], "lda")
 	failed := m.Counters().CheckpointFailures
 	pollUntil(t, "failed checkpoints against the dropped partition", func() bool {

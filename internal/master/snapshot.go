@@ -95,7 +95,7 @@ type SnapshotJob struct {
 	// Scheduler cost view (§IV-B1 units). CompFloorSeconds is the fitted
 	// serial floor recorded whenever the sensitivity fit converged,
 	// regardless of Options.NetModel; replay applies the same gate
-	// jobInfoLocked does.
+	// jobInfo does.
 	CompSeconds      float64 `json:"comp_seconds,omitempty"`
 	NetSeconds       float64 `json:"net_seconds,omitempty"`
 	InputGB          float64 `json:"input_gb,omitempty"`
@@ -120,9 +120,9 @@ type SnapshotJob struct {
 }
 
 // Snapshot captures the master's state. The PS stripe scrape runs first
-// (it fans out RPCs and must not hold m.mu); everything else — workers,
-// plan, jobs, queues, journal — is captured under one read lock, so the
-// core scheduler state is internally consistent.
+// (it fans out RPCs, off the loop); everything else — workers, plan, jobs,
+// queues, journal — is captured in one read on the loop, so the core
+// scheduler state is internally consistent.
 func (m *Master) Snapshot() (Snapshot, error) {
 	s := Snapshot{
 		SchemaVersion: SnapshotSchemaVersion,
@@ -132,8 +132,12 @@ func (m *Master) Snapshot() (Snapshot, error) {
 		s.PS = &cs
 	}
 
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.read(func() { m.capture(&s) })
+	return s, nil
+}
+
+// capture fills s with everything but the PS scrape.
+func (m *Master) capture(s *Snapshot) {
 	s.Options = SnapshotOptions{
 		CPUWeight:         m.opts.CPUWeight,
 		MemoryCapGB:       m.opts.MemoryCapGB,
@@ -142,14 +146,11 @@ func (m *Master) Snapshot() (Snapshot, error) {
 		DisableSwapTuning: m.opts.DisableSwapTuning,
 		NetModel:          m.opts.NetModel,
 	}
-	s.Workers = make([]string, len(m.workers))
-	for i, w := range m.workers {
-		s.Workers[i] = w.name
-	}
+	s.Workers = m.workerNames()
 
-	plan, members := m.livePlanLocked()
-	for gi, g := range plan.Groups {
-		sg := SnapshotGroup{Workers: append([]string(nil), members[gi]...)}
+	lp := m.currentPlan()
+	for gi, g := range lp.plan.Groups {
+		sg := SnapshotGroup{Workers: m.names(lp.members[gi])}
 		for _, j := range g.Jobs {
 			sg.Jobs = append(sg.Jobs, j.ID)
 		}
@@ -162,24 +163,22 @@ func (m *Master) Snapshot() (Snapshot, error) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		s.Jobs = append(s.Jobs, m.snapshotJobLocked(name, m.jobs[name]))
+		s.Jobs = append(s.Jobs, m.snapshotJob(name, m.jobs[name]))
 	}
 	for _, p := range m.pending {
-		s.Jobs = append(s.Jobs, m.snapshotPendingLocked(p))
+		s.Jobs = append(s.Jobs, m.snapshotPending(p))
 	}
 	sort.Slice(s.Jobs, func(a, b int) bool { return s.Jobs[a].Name < s.Jobs[b].Name })
 
-	s.Queues = m.queuesLocked()
+	s.Queues = m.queues()
 
-	evs := m.journal.snapshotSince(0, "")
-	m.enrichEventsLocked(evs)
-	s.Journal = evs
-	return s, nil
+	s.Journal = m.journal.snapshotSince(0, "")
+	m.enrichEvents(s.Journal)
 }
 
-// snapshotJobLocked serializes one deployed (or finished/canceled) job.
-func (m *Master) snapshotJobLocked(name string, j *job) SnapshotJob {
-	info := m.jobInfoLocked(name, j)
+// snapshotJob serializes one deployed (or finished/canceled) job.
+func (m *Master) snapshotJob(name string, j *job) SnapshotJob {
+	info := m.jobInfo(name, j)
 	sj := SnapshotJob{
 		Name:      name,
 		State:     j.status.String(),
@@ -187,9 +186,9 @@ func (m *Master) snapshotJobLocked(name string, j *job) SnapshotJob {
 		Seed:      j.spec.Seed, Alpha: j.spec.Alpha,
 		Iterations: j.spec.Iterations,
 		MinWorkers: j.spec.MinWorkers, MaxWorkers: j.spec.MaxWorkers,
-		Queue: j.queue, Priority: j.priority,
+		Queue: j.spec.Queue, Priority: j.spec.Priority,
 		ArrivalSeq: j.arrival, StartSeq: j.startSeq,
-		Iteration: j.iter, Workers: m.workerNamesLocked(j),
+		Iteration: j.iter, Workers: m.names(j.workers),
 		CheckpointIteration: j.checkpointIter,
 		CompSeconds:         info.Comp, NetSeconds: info.Net,
 		InputGB: info.InputGB, ModelGB: info.ModelGB, WorkGB: info.WorkGB,
@@ -208,8 +207,8 @@ func (m *Master) snapshotJobLocked(name string, j *job) SnapshotJob {
 	return sj
 }
 
-// snapshotPendingLocked serializes one held job.
-func (m *Master) snapshotPendingLocked(p *pendingJob) SnapshotJob {
+// snapshotPending serializes one held job.
+func (m *Master) snapshotPending(p *pendingJob) SnapshotJob {
 	return SnapshotJob{
 		Name:      p.spec.Name,
 		State:     StatusPending.String(),
@@ -217,19 +216,14 @@ func (m *Master) snapshotPendingLocked(p *pendingJob) SnapshotJob {
 		Seed:      p.spec.Seed, Alpha: p.spec.Alpha,
 		Iterations: p.spec.Iterations,
 		MinWorkers: p.spec.MinWorkers, MaxWorkers: p.spec.MaxWorkers,
-		Queue: p.queue, Priority: p.priority,
+		Queue: p.spec.Queue, Priority: p.spec.Priority,
 		ArrivalSeq:  p.seq,
 		CompSeconds: p.info.Comp, NetSeconds: p.info.Net,
 		InputGB: p.info.InputGB, ModelGB: p.info.ModelGB, WorkGB: p.info.WorkGB,
 		JVMHeapFactor: p.info.JVMHeapFactor, PullFrac: p.info.PullFrac,
-		HoldReason: p.holdReason,
-		Resumable:  p.resume != nil,
-		ResumeIteration: func() int {
-			if p.resume != nil {
-				return p.resumeIter
-			}
-			return 0
-		}(),
+		HoldReason:      p.holdReason,
+		Resumable:       p.resume != nil,
+		ResumeIteration: p.resumeIter,
 	}
 }
 

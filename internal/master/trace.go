@@ -38,35 +38,21 @@ func (m *Master) EnableTracing(retention int) {
 	if retention <= 0 {
 		retention = DefaultTraceRetention
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.trace == nil {
-		m.trace = &traceState{cursors: make(map[string]uint64), retention: retention}
-	}
+	m.do(func() {
+		if m.trace == nil {
+			m.trace = &traceState{cursors: make(map[string]uint64), retention: retention}
+		}
+	})
 }
 
-// workerNamesLocked lists a job's current worker names.
-func (m *Master) workerNamesLocked(j *job) []string {
-	names := make([]string, len(j.workers))
-	for i, wi := range j.workers {
-		names[i] = m.workers[wi].name
-	}
-	return names
-}
-
-// groupLabelLocked is the group key for a job's current worker set: the
-// comma-joined sorted worker names.
-func (m *Master) groupLabelLocked(j *job) string {
-	names := m.workerNamesLocked(j)
-	sort.Strings(names)
-	return strings.Join(names, ",")
-}
-
-// groupNamesLocked maps every deployed job to its group label.
-func (m *Master) groupNamesLocked() map[string]string {
+// groupNames maps every deployed job to its group label: the comma-joined
+// sorted names of its current workers.
+func (m *Master) groupNames() map[string]string {
 	out := make(map[string]string, len(m.jobs))
 	for name, j := range m.jobs {
-		out[name] = m.groupLabelLocked(j)
+		names := m.names(j.workers)
+		sort.Strings(names)
+		out[name] = strings.Join(names, ",")
 	}
 	return out
 }
