@@ -84,9 +84,14 @@ golden-check:
 	bash benchmarks/run.sh -workload sim_paper -seconds 1 -seed 1
 
 ## loc: the non-test Go line count ROADMAP.md tracks (benchmarks/ and
-## its build cache excluded)
+## its build cache excluded): one line per top-level directory, each
+## package of internal/ on its own and the root package as ".", then the
+## repository total as the last line
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' -not -path './.bench_build/*' | xargs cat | wc -l
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' -not -path './.bench_build/*' | sort | \
+		awk '{ n = split($$0, p, "/"); d = n == 2 ? "." : p[2] == "internal" ? p[2] "/" p[3] : p[2]; \
+			while ((getline line < $$0) > 0) { c[d]++; t++ }; close($$0) } \
+			END { for (d in c) printf "%-22s %6d\n", d, c[d] | "sort"; close("sort"); print t }'
 
 ## bench: the repository benchmark (BENCHMARK.json) — all four workloads
 ## untraced for the end-to-end metrics, then traced for the per-layer

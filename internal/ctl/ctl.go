@@ -29,6 +29,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"regexp"
+	"slices"
 	"sync"
 	"time"
 
@@ -359,6 +360,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Workers) > 0 {
+		if ws := slices.Sorted(slices.Values(req.Workers)); len(slices.Compact(ws)) < len(req.Workers) {
+			writeError(w, http.StatusBadRequest, CodeInvalidRequest, "workers must name each worker once")
+			return
+		}
 		// An explicit group is an operator override: deploy directly.
 		if err := s.b.Submit(spec, req.Workers); err != nil {
 			writeBackendError(w, err)

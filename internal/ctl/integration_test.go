@@ -244,6 +244,24 @@ func TestHTTPDuplicateAndUnknown(t *testing.T) {
 	}
 }
 
+// TestHTTPRefusesRepeatedWorker: a submission whose explicit group names
+// a worker twice is a bad request, and the master journals nothing for it.
+func TestHTTPRefusesRepeatedWorker(t *testing.T) {
+	base := startCluster(t, 2, core.Options{})
+	req := submitBody("x", "mlr", 5, nil)
+	req.Workers = []string{"w0", "w0"}
+	if code := httpJSON(t, http.MethodPost, base+"/v1/jobs", req, nil); code != http.StatusBadRequest {
+		t.Errorf("group naming w0 twice: code %d, want 400", code)
+	}
+	var evs ctl.EventsResponse
+	if code := httpJSON(t, http.MethodGet, base+"/v1/events", nil, &evs); code != http.StatusOK || len(evs.Events) != 0 {
+		t.Errorf("events after a refused submission: code %d, %+v", code, evs.Events)
+	}
+	if code := httpJSON(t, http.MethodGet, base+"/v1/jobs/x", nil, nil); code != http.StatusNotFound {
+		t.Errorf("refused job: code %d, want 404", code)
+	}
+}
+
 // TestTracedClusterOverHTTP drives a live 2-job cluster with tracing on
 // and checks the whole telemetry surface: /v1/trace yields Chrome
 // trace-event JSON with COMP and COMM spans from both jobs sharing a

@@ -599,6 +599,76 @@ func TestSubmitIsJournaledAndCounted(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesRepeatedWorker: a pinned group that names a worker
+// twice is refused before any load is sent, and leaves no journal row and
+// no record.
+func TestSubmitRefusesRepeatedWorker(t *testing.T) {
+	m, err := New("127.0.0.1:0", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	var loads atomic.Int32
+	stubWorkers(t, m, 2, func(worker.LoadJobArgs) error { loads.Add(1); return nil }, nil)
+	if err := m.Submit(spec("j", mlapp.MLR, 1000), []string{"w0", "w0"}); err == nil {
+		t.Fatal("a group naming w0 twice was accepted")
+	}
+	if n := loads.Load(); n != 0 {
+		t.Errorf("%d loads sent for a refused group", n)
+	}
+	if evs := m.Events(); len(evs) != 0 {
+		t.Errorf("journal rows for a refused group: %+v", evs)
+	}
+	if v, ok := m.Job("j"); ok {
+		t.Errorf("refused job reads %+v", v)
+	}
+}
+
+// TestTimedOutPauseIsWithdrawn: a Pause that times out withdraws its
+// request, so the job's next barrier lets it go on instead of parking it
+// paused for good, and the job completes.
+func TestTimedOutPauseIsWithdrawn(t *testing.T) {
+	m, err := New("127.0.0.1:0", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	stubWorkers(t, m, 2, nil, nil)
+	if err := m.Submit(spec("j", mlapp.MLR, 400), nil); err != nil {
+		t.Fatal(err)
+	}
+	// The stub members never reach a barrier by themselves, so the pause
+	// cannot land before the timeout.
+	if _, err := m.Pause("j", time.Nanosecond); err == nil {
+		t.Fatal("Pause landed without a barrier")
+	}
+	var epoch int
+	m.read(func() { epoch = m.jobs["j"].epoch })
+	directives := make(chan worker.Directive, 2)
+	for _, w := range []string{"w0", "w1"} {
+		go func() {
+			r, err := m.handleBarrier(worker.BarrierArgs{Job: "j", Worker: w, Iteration: 1, Epoch: epoch})
+			if err != nil {
+				t.Error(err)
+			}
+			directives <- r.Directive
+		}()
+	}
+	for range 2 {
+		if d := <-directives; d != worker.Continue {
+			t.Fatalf("barrier after a timed-out Pause answers %v, want Continue", d)
+		}
+	}
+	for _, w := range []string{"w0", "w1"} {
+		if _, err := m.handleJobDone(worker.JobDoneArgs{Job: "j", Worker: w, Epoch: epoch}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.WaitJob("j", 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // waitParked returns once one worker is parked at the job's barrier for
 // the iteration.
 func waitParked(m *Master, job string, iter int) {

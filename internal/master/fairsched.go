@@ -3,6 +3,7 @@ package master
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -44,7 +45,7 @@ func (m *Master) qc(queue string) *queueCounters {
 }
 
 // ConfigureQueues replaces the queue policy. Every queue referenced by a
-// deployed or held job must exist in the new configuration; shares and
+// job the master knows must exist in the new configuration; shares and
 // quotas take effect immediately and a drain pass retries held jobs
 // against them.
 func (m *Master) ConfigureQueues(cfgs ...fair.QueueConfig) error {
@@ -60,74 +61,63 @@ func (m *Master) ConfigureQueues(cfgs ...fair.QueueConfig) error {
 				return
 			}
 		}
-		for _, p := range m.pending {
-			if !s.Has(p.spec.Queue) {
-				err = fmt.Errorf("master: held job %q uses queue %q absent from the new configuration", p.spec.Name, p.spec.Queue)
-				return
-			}
-		}
 		m.fairsched, err = s, nil
 		// A new policy changes every quota and gate: held jobs retry
 		// against it.
-		m.invalidateView()
 		m.wakeDrainer()
 	})
 	return err
 }
 
-// held is the policy's view of one pending job.
-func (p *pendingJob) held() fair.Held {
+// held is the policy's view of one held job.
+func (j *job) held() fair.Held {
 	return fair.Held{
-		Job: p.spec.Name, Queue: p.spec.Queue, Priority: p.spec.Priority,
-		Seq: p.seq, Demand: p.demand(), Resumable: p.resume != nil,
+		Job: j.spec.Name, Queue: j.spec.Queue, Priority: j.spec.Priority,
+		Seq: j.arrival, Demand: j.demand(), Resumable: j.resume != nil,
 	}
 }
 
-// buildView derives the admission kernel's input from the master's state —
-// everything but View.Running (running) — plus the indexes of the free
-// workers in registration order (deterministic for a fixed cluster state),
-// which place draws from. Paused jobs keep their claim on usage and
+// buildView derives the admission kernel's view of the placements —
+// everything but View.Held and View.Running — plus the free workers in
+// registration order (deterministic for a fixed cluster state), which
+// place draws from. Paused jobs keep their claim on usage and
 // workers: their workers still hold job state mid-migration, so a
 // Running↔Paused flip changes nothing here. Callers go through currentView
 // (loop.go), which keeps the view between mutations.
-func (m *Master) buildView() (fair.View, []int) {
-	v := fair.View{
-		Total: len(m.workers), Usage: make(fair.Usage),
-		Held: make([]fair.Held, len(m.pending)),
-	}
-	busy := make([]bool, len(m.workers))
+func (m *Master) buildView() (fair.View, []*workerRef) {
+	v := fair.View{Total: len(m.workers), Usage: make(fair.Usage)}
 	for _, j := range m.jobs {
 		if j.status != StatusRunning && j.status != StatusPaused {
 			continue
 		}
 		v.Usage[j.spec.Queue] += len(j.workers)
-		for _, wi := range j.workers {
-			busy[wi] = true
+		for _, w := range j.workers {
+			w.busy = true
 		}
 	}
-	var free []int
-	for i := range m.workers {
-		if !busy[i] {
-			free = append(free, i)
+	var free []*workerRef
+	for _, w := range m.workers {
+		if !w.busy {
+			free = append(free, w)
 		}
+		w.busy = false
 	}
 	v.Free = len(free)
-	for i, p := range m.pending {
-		v.Held[i] = p.held()
-	}
 	return v, free
 }
 
-// running lists the jobs reclaim may suspend: running ones only — a paused
-// job is mid-migration or already suspending and cannot be paused again.
-// It is derived from job status at each decision and never kept, so a
-// victim choice cannot outlive the status it was made on.
+// running lists the jobs reclaim may suspend: the live plan's, which are
+// the running ones only — a paused job is mid-migration or already
+// suspending and cannot be paused again. It is derived at each decision
+// and never kept, so a victim choice cannot outlive the status it was made
+// on.
 func (m *Master) running() []fair.Running {
 	var out []fair.Running
-	for name, j := range m.jobs {
-		if j.status == StatusRunning {
+	for _, g := range m.currentPlan().plan.Groups {
+		for _, info := range g.Jobs {
+			j := m.jobs[info.ID]
 			out = append(out, fair.Running{
-				Job: name, Queue: j.spec.Queue, Priority: j.spec.Priority,
+				Job: info.ID, Queue: j.spec.Queue, Priority: j.spec.Priority,
 				StartSeq: j.startSeq, Workers: len(j.workers),
 			})
 		}
@@ -137,7 +127,7 @@ func (m *Master) running() []fair.Running {
 
 // placement is where place would put a job.
 type placement struct {
-	workers   []int
+	workers   []*workerRef
 	predicted core.GroupPrediction
 	// initial marks a new group on an otherwise idle cluster.
 	initial bool
@@ -153,59 +143,48 @@ type placement struct {
 // incremental BestAddition into a running group that improves the
 // scheduling score), then a new group on free workers (the idle cluster
 // is the degenerate case where every worker is free).
-func (m *Master) place(p *pendingJob, free []int, limit int) (placement, bool, string) {
+func (m *Master) place(j *job, free []*workerRef, limit int) (placement, bool, string) {
 	m.counters.Placements++
 	if len(m.workers) == 0 {
 		return placement{}, false, fair.HoldNoGang
 	}
-	min, max, info := p.demand(), p.spec.MaxWorkers, p.info
+	lo, hi, info := j.demand(), j.spec.MaxWorkers, j.prof
+	if hi <= 0 {
+		hi = len(m.workers)
+	}
+	hi = min(hi, limit)
 
 	lp := m.currentPlan()
 	if len(lp.plan.Groups) > 0 {
 		if gi, pred, placed := lp.scorer.BestAddition(info); placed && gi < len(lp.members) {
-			g := lp.members[gi]
-			if len(g) >= min && (max <= 0 || len(g) <= max) && len(g) <= limit {
-				return placement{workers: append([]int(nil), g...), predicted: pred}, true, ""
+			if g := lp.members[gi]; len(g) >= lo && len(g) <= hi {
+				return placement{workers: slices.Clone(g), predicted: pred}, true, ""
 			}
 		}
 	}
-	want := len(free)
-	if max > 0 && want > max {
-		want = max
-	}
-	if want > limit {
-		want = limit
-	}
-	if want >= min {
+	if want := min(len(free), hi); want >= lo {
 		pg := core.Group{Jobs: []core.JobInfo{info}, Machines: want}
 		return placement{
-			workers:   append([]int(nil), free[:want]...),
+			workers:   slices.Clone(free[:want]),
 			predicted: core.PredictGroup(pg, m.opts.NetModel),
 			initial:   len(lp.plan.Groups) == 0,
 		}, true, ""
 	}
-	if len(free) < min && min > 1 {
+	if len(free) < lo && lo > 1 {
 		return placement{}, false, fair.HoldNoGang
 	}
 	return placement{}, false, fair.HoldSlowdown
 }
 
-// addPending appends a held job to the queue and indexes it by name.
-func (m *Master) addPending(p *pendingJob) {
-	m.pending = append(m.pending, p)
-	m.pendingIdx[p.spec.Name] = p
-	m.invalidateView()
+// addPending appends a held job to the queue.
+func (m *Master) addPending(j *job) {
+	m.pending, m.held = append(m.pending, j), nil
 }
 
 // removePending unlinks a held job from the queue.
-func (m *Master) removePending(p *pendingJob) {
-	for i, q := range m.pending {
-		if q == p {
-			m.pending = append(m.pending[:i], m.pending[i+1:]...)
-			delete(m.pendingIdx, p.spec.Name)
-			m.invalidateView()
-			return
-		}
+func (m *Master) removePending(j *job) {
+	if i := slices.Index(m.pending, j); i >= 0 {
+		m.pending, m.held = slices.Delete(m.pending, i, i+1), nil
 	}
 }
 
@@ -213,7 +192,7 @@ func (m *Master) removePending(p *pendingJob) {
 // hosted the job drops its shards and its own model partition.
 // Errors are ignored — a worker that is gone has nothing left to drop, and
 // whatever replaces the placement rebuilds its state from a checkpoint.
-func dropJob(refs []workerRef, name string) {
+func dropJob(refs []*workerRef, name string) {
 	for _, r := range refs {
 		_, _ = rpc.Invoke[worker.DropJobArgs, worker.Ack](r.client,
 			worker.MethodDropJob, worker.DropJobArgs{Job: name}, time.Minute)
@@ -225,19 +204,17 @@ func dropJob(refs []workerRef, name string) {
 // of them to pause at their next barrier at once, and holds the drain
 // pass until reclaim has settled each of them.
 func (m *Master) preempt(d fair.Decision) {
-	victims := make([]*job, len(d.Victims))
-	epochs := make([]int, len(d.Victims))
-	refs := make([][]workerRef, len(d.Victims))
+	victims := make([]deployment, len(d.Victims))
 	for i, v := range d.Victims {
 		j := m.jobs[v.Job]
 		ev := m.removalEvent(EventPreempt, v.Job, j)
 		ev.Note = fmt.Sprintf("reclaimed for queue %q", d.Job.Queue)
 		m.journal.append(ev)
 		j.pauseRequested = true
-		victims[i], epochs[i], refs[i] = j, j.epoch, m.workerRefs(j)
+		victims[i] = j.deployment()
 	}
 	m.waiting = true
-	go m.reclaim(victims, epochs, refs)
+	go m.reclaim(victims)
 }
 
 // reclaim suspends a preemption's victims off the loop, in the kernel's
@@ -250,32 +227,42 @@ func (m *Master) preempt(d fair.Decision) {
 // pass goes on once every victim is settled, unless none was suspended:
 // then nothing was freed, and the event that took the victims away wakes a
 // new pass itself.
-func (m *Master) reclaim(victims []*job, epochs []int, refs [][]workerRef) {
+func (m *Master) reclaim(victims []deployment) {
 	suspended := false
 	deadline := time.Now().Add(time.Minute)
-	for i, j := range victims {
+	for _, v := range victims {
 		select {
-		case <-j.pausedCh:
-		case <-j.finishedCh:
+		case <-v.paused:
+		case <-v.j.finishedCh:
 			continue
 		case <-time.After(time.Until(deadline)):
-			pending := false // still pending, the pause is withdrawn; else it landed
-			m.do(func() { pending, j.pauseRequested = j.pauseRequested, false })
-			if pending {
+			if m.withdrawPause(v) {
 				continue
 			}
 		case <-m.stopped:
 			return
 		}
-		_, _ = m.checkpoint(j, -1, false)
-		if m.requeue(j, epochs[i], refs[i], func(string) {
+		_, _ = m.checkpoint(v, -1, false)
+		if m.requeue(v, func(string) {
 			m.counters.Preempted++
-			m.qc(j.spec.Queue).preempted++
+			m.qc(v.j.spec.Queue).preempted++
 		}) {
 			suspended = true
 		}
 	}
 	m.do(func() { m.waiting, m.wake = false, m.wake || suspended })
+}
+
+// withdrawPause takes back the pause request of d that has not landed, and
+// reports whether one was pending; once it landed, the job is paused.
+func (m *Master) withdrawPause(d deployment) bool {
+	withdrawn := true
+	m.do(func() {
+		if withdrawn = d.j.pauseRequested && d.j.epoch == d.epoch; withdrawn {
+			d.j.pauseRequested = false
+		}
+	})
+	return withdrawn
 }
 
 // QueueView is the per-queue status surface for GET /v1/queues and the
@@ -316,15 +303,14 @@ func (m *Master) Queues() []QueueView {
 func (m *Master) queues() []QueueView {
 	total := len(m.workers)
 	view, _ := m.currentView()
-	running := make(map[string]int)
+	running, depth := make(map[string]int), make(map[string]int)
 	for _, j := range m.jobs {
-		if j.status == StatusRunning || j.status == StatusPaused {
+		switch j.status {
+		case StatusRunning, StatusPaused:
 			running[j.spec.Queue]++
+		case StatusPending:
+			depth[j.spec.Queue]++
 		}
-	}
-	depth := make(map[string]int)
-	for _, p := range m.pending {
-		depth[p.spec.Queue]++
 	}
 	views := make([]QueueView, 0, len(m.fairsched.Names()))
 	for _, name := range m.fairsched.Names() {

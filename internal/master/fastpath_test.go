@@ -2,7 +2,8 @@ package master
 
 import (
 	"fmt"
-	"sort"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -66,23 +67,27 @@ func TestWakeDrainerCoalesces(t *testing.T) {
 	}
 }
 
-// TestWorkerSetKeyOrder pins that the compact group key sorts in numeric
-// index order (a decimal-string key would put "10" before "9").
-func TestWorkerSetKeyOrder(t *testing.T) {
-	sets := [][]int{{9}, {10}, {2, 3}, {1, 10}, {1, 9}, {0, 1, 2}, {256}, {129}}
-	keys := make([]string, len(sets))
-	for i, s := range sets {
-		keys[i] = workerSetKey(s)
+// TestWorkerSetOrder pins that groups sort in numeric registration order
+// (a decimal-string key would put "10" before "9"), a prefix first.
+func TestWorkerSetOrder(t *testing.T) {
+	set := func(seqs ...int) []*workerRef {
+		ws := make([]*workerRef, len(seqs))
+		for i, s := range seqs {
+			ws[i] = &workerRef{seq: s}
+		}
+		return ws
 	}
-	sort.Strings(keys)
-	wantOrder := [][]int{{0, 1, 2}, {1, 9}, {1, 10}, {2, 3}, {9}, {10}, {129}, {256}}
-	for i, want := range wantOrder {
-		if keys[i] != workerSetKey(want) {
-			t.Fatalf("sorted key %d is not for %v", i, want)
+	want := [][]*workerRef{set(0, 1), set(0, 1, 2), set(1, 9), set(1, 10), set(2, 3), set(9), set(10), set(129), set(256)}
+	got := slices.Clone(want)
+	rand.New(rand.NewSource(1)).Shuffle(len(got), func(i, k int) { got[i], got[k] = got[k], got[i] })
+	slices.SortFunc(got, compareWorkerSets)
+	for i := range want {
+		if compareWorkerSets(got[i], want[i]) != 0 {
+			t.Fatalf("sorted set %d is out of order", i)
 		}
 	}
-	if workerSetKey([]int{1, 2}) == workerSetKey([]int{1, 3}) {
-		t.Fatal("distinct sets share a key")
+	if compareWorkerSets(set(1, 2), set(1, 3)) == 0 {
+		t.Fatal("distinct sets compare equal")
 	}
 }
 

@@ -186,7 +186,7 @@ func (m *Master) removalEvent(kind, name string, j *job) Event {
 	if j.measIter > 0 {
 		iter, ucpu, unet = measured(m.currentPlan().plan, name, j)
 	}
-	return Event{Kind: kind, Job: name, Group: m.names(j.workers),
+	return Event{Kind: kind, Job: name, Group: names(j.workers),
 		MeasuredIterSeconds: iter, MeasuredCPUUtil: ucpu, MeasuredNetUtil: unet}
 }
 

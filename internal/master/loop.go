@@ -1,6 +1,7 @@
 package master
 
 import (
+	"slices"
 	"time"
 
 	"harmony/internal/core"
@@ -52,11 +53,11 @@ func (m *Master) loop() {
 
 // livePlan is the scheduler's view of the running cluster: jobs sharing a
 // worker set form one group whose DoP is the set size, members maps each
-// group to its worker indexes, and scorer reuses scratch space between the
-// loop's placement decisions.
+// group to its workers, and scorer reuses scratch space between the loop's
+// placement decisions.
 type livePlan struct {
 	plan    core.Plan
-	members [][]int
+	members [][]*workerRef
 	scorer  *core.Scorer
 }
 
@@ -64,18 +65,18 @@ type livePlan struct {
 // workers place draws from.
 type kernelView struct {
 	view fair.View
-	free []int
+	free []*workerRef
 }
 
-// invalidatePlan marks the live plan and the view stale. Every mutation of
-// the running set, of a running job's profile or of the worker indexes
-// calls it.
+// invalidatePlan marks the live plan and the view of the placements stale.
+// Every mutation of the running set, of a running job's profile or of a
+// placement calls it.
 func (m *Master) invalidatePlan() {
 	m.plan, m.view = nil, nil
 }
 
-// invalidateView marks the view stale: the held queue, the worker list or
-// the queue policy changed, but no running group did.
+// invalidateView marks the view of the placements stale: the worker list
+// changed, but no running group did.
 func (m *Master) invalidateView() {
 	m.view = nil
 }
@@ -91,30 +92,29 @@ func (m *Master) currentPlan() *livePlan {
 }
 
 // currentView returns the kernel's view and the free workers, building
-// them when a mutation marked them stale. View.Running is not part of it:
-// decide fills it fresh for each decision (running). Callers treat both as
-// read-only.
-func (m *Master) currentView() (fair.View, []int) {
+// the view of the placements and the held list each when a mutation
+// marked it stale. View.Running is not part of it: decide fills it fresh
+// for each decision (running). Callers treat both as read-only.
+func (m *Master) currentView() (fair.View, []*workerRef) {
 	if m.view == nil {
 		v, free := m.buildView()
 		m.view = &kernelView{view: v, free: free}
 	}
-	return m.view.view, m.view.free
+	if m.held == nil {
+		m.held = make([]fair.Held, len(m.pending))
+		for i, j := range m.pending {
+			m.held[i] = j.held()
+		}
+	}
+	v := m.view.view
+	v.Held = m.held
+	return v, m.view.free
 }
 
-// workerSetKey packs sorted worker indexes into a compact fixed-width
-// big-endian byte string. Lexicographic order over these keys equals
-// numeric order over the index tuples, so the group order derived from
-// sorting them is deterministic for a fixed cluster state.
-func workerSetKey(idxs []int) string {
-	b := make([]byte, 4*len(idxs))
-	for i, wi := range idxs {
-		b[4*i] = byte(wi >> 24)
-		b[4*i+1] = byte(wi >> 16)
-		b[4*i+2] = byte(wi >> 8)
-		b[4*i+3] = byte(wi)
-	}
-	return string(b)
+// compareWorkerSets orders worker sets sorted by registration number
+// lexicographically by those numbers, a prefix first.
+func compareWorkerSets(a, b []*workerRef) int {
+	return slices.CompareFunc(a, b, func(x, y *workerRef) int { return x.seq - y.seq })
 }
 
 // wakeDrainer asks for a drain pass: an op that may have let a held job in
@@ -145,19 +145,19 @@ func (m *Master) decide() {
 	view.Running = m.running()
 	var pl placement
 	d := m.fairsched.Decide(view, func(h fair.Held, limit int) (ok bool, reason string) {
-		pl, ok, reason = m.place(m.pendingIdx[h.Job], free, limit)
+		pl, ok, reason = m.place(m.jobs[h.Job], free, limit)
 		return ok, reason
 	})
 	for _, h := range d.Holds {
-		m.pendingIdx[h.Job].holdReason = h.Reason
+		m.jobs[h.Job].holdReason = h.Reason
 	}
 	m.counters.DrainPasses++
 	m.counters.DrainPassSeconds += time.Since(start).Seconds()
 	switch d.Action {
 	case fair.Admit:
-		p := m.pendingIdx[d.Job.Job]
-		m.removePending(p)
-		m.admit(p, pl, fromQueue, nil)
+		j := m.jobs[d.Job.Job]
+		m.removePending(j)
+		m.admit(j, pl, fromQueue, nil)
 	case fair.Preempt:
 		m.preempt(d)
 	}

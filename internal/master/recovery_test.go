@@ -16,16 +16,20 @@ import (
 	"harmony/internal/worker"
 )
 
-// checkpointOf reads the named job's record's checkpoint and the iteration
-// it covers.
+// checkpointOf reads the checkpoint of the named job's placement and the
+// iteration it covers.
 func checkpointOf(t testing.TB, m *Master, name string) ([]float64, int) {
 	t.Helper()
-	var j *job
-	m.read(func() { j = m.jobs[name] })
-	if j == nil {
-		t.Fatalf("no record of job %q", name)
+	var d deployment
+	m.read(func() {
+		if j := m.jobs[name]; j != nil && j.ckpt != nil {
+			d = j.deployment()
+		}
+	})
+	if d.j == nil {
+		t.Fatalf("job %q was never placed", name)
 	}
-	return m.readCheckpoint(j)
+	return m.readCheckpoint(d)
 }
 
 // liveWorkers starts n in-process workers named w0, w1, … against m, each
@@ -217,9 +221,13 @@ func TestCheckpointsRaceReadersAndServerLoss(t *testing.T) {
 	if err := m.Submit(JobSpec{Name: "lda", Config: cfg, Iterations: 1 << 20, Seed: 5}, nil); err != nil {
 		t.Fatal(err)
 	}
-	record := func() (j *job) {
-		m.read(func() { j = m.jobs["lda"] })
-		return j
+	placed := func() (d deployment, ok bool) {
+		m.read(func() {
+			if j := m.jobs["lda"]; j != nil && j.status != StatusPending {
+				d, ok = j.deployment(), true
+			}
+		})
+		return d, ok
 	}
 
 	stop := make(chan struct{})
@@ -233,8 +241,8 @@ func TestCheckpointsRaceReadersAndServerLoss(t *testing.T) {
 				return
 			default:
 			}
-			if j := record(); j != nil {
-				_, _ = m.checkpoint(j, -1, false)
+			if d, ok := placed(); ok {
+				_, _ = m.checkpoint(d, -1, false)
 			}
 			time.Sleep(200 * time.Microsecond)
 		}
@@ -248,11 +256,11 @@ func TestCheckpointsRaceReadersAndServerLoss(t *testing.T) {
 				return
 			default:
 			}
-			j := record()
-			if j == nil {
+			d, ok := placed()
+			if !ok {
 				continue // held between the requeue and the re-admission
 			}
-			vals, iter := m.readCheckpoint(j)
+			vals, iter := m.readCheckpoint(d)
 			if len(vals) != 0 && len(vals) != cfg.ModelSize() {
 				t.Errorf("checkpoint of %d values, want %d", len(vals), cfg.ModelSize())
 				return
@@ -283,15 +291,14 @@ func TestCheckpointsRaceReadersAndServerLoss(t *testing.T) {
 	if _, err := m.Pause("lda", 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	j := record()
-	var refs []workerRef
-	m.read(func() { refs = m.workerRefs(j) })
+	d, _ := placed()
+	refs := d.workers
 	dropJob(refs[:1], "lda")
 	failed := m.Counters().CheckpointFailures
 	pollUntil(t, "failed checkpoints against the dropped partition", func() bool {
 		return m.Counters().CheckpointFailures >= failed+3
 	})
-	vals, atLoss := m.readCheckpoint(j)
+	vals, atLoss := m.readCheckpoint(d)
 	if len(vals) != cfg.ModelSize() || atLoss < 3 {
 		t.Fatalf("after failed checkpoints: %d values at iteration %d", len(vals), atLoss)
 	}
@@ -309,11 +316,11 @@ func TestCheckpointsRaceReadersAndServerLoss(t *testing.T) {
 	waitLabel(int64(atLoss))
 	close(stop)
 	wg.Wait()
-	j = record()
+	d, _ = placed()
 	if err := m.Cancel("lda"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.checkpoint(j, 1<<30, false); err == nil || j.ckpt.client.Load() != nil {
-		t.Errorf("a checkpoint of a canceled job: err %v, and it kept its connections: %v", err, j.ckpt.client.Load() != nil)
+	if _, err := m.checkpoint(d, 1<<30, false); err == nil || d.ckpt.client.Load() != nil {
+		t.Errorf("a checkpoint of a canceled job: err %v, and it kept its connections: %v", err, d.ckpt.client.Load() != nil)
 	}
 }

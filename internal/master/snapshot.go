@@ -2,7 +2,8 @@ package master
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"harmony/internal/profile"
@@ -146,29 +147,15 @@ func (m *Master) capture(s *Snapshot) {
 		DisableSwapTuning: m.opts.DisableSwapTuning,
 		NetModel:          m.opts.NetModel,
 	}
-	s.Workers = m.workerNames()
-
-	lp := m.currentPlan()
-	for gi, g := range lp.plan.Groups {
-		sg := SnapshotGroup{Workers: m.names(lp.members[gi])}
-		for _, j := range g.Jobs {
-			sg.Jobs = append(sg.Jobs, j.ID)
-		}
-		s.Groups = append(s.Groups, sg)
+	cv := m.cluster()
+	s.Workers = cv.Workers
+	for _, g := range cv.Groups {
+		s.Groups = append(s.Groups, SnapshotGroup(g))
 	}
 
-	names := make([]string, 0, len(m.jobs))
-	for name := range m.jobs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(m.jobs)) {
 		s.Jobs = append(s.Jobs, m.snapshotJob(name, m.jobs[name]))
 	}
-	for _, p := range m.pending {
-		s.Jobs = append(s.Jobs, m.snapshotPending(p))
-	}
-	sort.Slice(s.Jobs, func(a, b int) bool { return s.Jobs[a].Name < s.Jobs[b].Name })
 
 	s.Queues = m.queues()
 
@@ -176,9 +163,10 @@ func (m *Master) capture(s *Snapshot) {
 	m.enrichEvents(s.Journal)
 }
 
-// snapshotJob serializes one deployed (or finished/canceled) job.
+// snapshotJob serializes one job: a held one with the scheduler's view it
+// is placed on and its hold state, a placed or ended one with its
+// placement, progress and profile.
 func (m *Master) snapshotJob(name string, j *job) SnapshotJob {
-	info := m.jobInfo(name, j)
 	sj := SnapshotJob{
 		Name:      name,
 		State:     j.status.String(),
@@ -187,44 +175,29 @@ func (m *Master) snapshotJob(name string, j *job) SnapshotJob {
 		Iterations: j.spec.Iterations,
 		MinWorkers: j.spec.MinWorkers, MaxWorkers: j.spec.MaxWorkers,
 		Queue: j.spec.Queue, Priority: j.spec.Priority,
-		ArrivalSeq: j.arrival, StartSeq: j.startSeq,
-		Iteration: j.iter, Workers: m.names(j.workers),
-		CheckpointIteration: j.checkpointIter,
-		CompSeconds:         info.Comp, NetSeconds: info.Net,
-		InputGB: info.InputGB, ModelGB: info.ModelGB, WorkGB: info.WorkGB,
-		JVMHeapFactor: info.JVMHeapFactor, PullFrac: info.PullFrac,
-		MeasuredIterSeconds: j.measIter,
+		ArrivalSeq: j.arrival,
 	}
-	if met, ok := m.profiles.Metrics(name); ok {
-		sj.Profiled = met.Profiled()
-		sj.ProfileSamples = met.Samples
-		sj.ProfilePoints = m.profiles.Points(name)
+	info := j.prof
+	if j.status == StatusPending {
+		sj.HoldReason, sj.Resumable, sj.ResumeIteration = j.holdReason, j.resume != nil, j.resumeIter
+	} else {
+		info = m.jobInfo(name, j)
+		sj.StartSeq, sj.Iteration, sj.Workers = j.startSeq, j.iter, names(j.workers)
+		sj.CheckpointIteration, sj.MeasuredIterSeconds = j.checkpointIter, j.measIter
+		if met, ok := m.profiles.Metrics(name); ok {
+			sj.Profiled = met.Profiled()
+			sj.ProfileSamples = met.Samples
+			sj.ProfilePoints = m.profiles.Points(name)
+		}
+		if sens, ok := m.profiles.Sensitivity(name); ok && sens.Fitted() {
+			sj.CompFloorSeconds = sens.CompFloorSeconds
+			sj.SensitivityDoPs = sens.DoPs
+		}
 	}
-	if sens, ok := m.profiles.Sensitivity(name); ok && sens.Fitted() {
-		sj.CompFloorSeconds = sens.CompFloorSeconds
-		sj.SensitivityDoPs = sens.DoPs
-	}
+	sj.CompSeconds, sj.NetSeconds = info.Comp, info.Net
+	sj.InputGB, sj.ModelGB, sj.WorkGB = info.InputGB, info.ModelGB, info.WorkGB
+	sj.JVMHeapFactor, sj.PullFrac = info.JVMHeapFactor, info.PullFrac
 	return sj
-}
-
-// snapshotPending serializes one held job.
-func (m *Master) snapshotPending(p *pendingJob) SnapshotJob {
-	return SnapshotJob{
-		Name:      p.spec.Name,
-		State:     StatusPending.String(),
-		Algorithm: p.spec.Config.Kind.String(),
-		Seed:      p.spec.Seed, Alpha: p.spec.Alpha,
-		Iterations: p.spec.Iterations,
-		MinWorkers: p.spec.MinWorkers, MaxWorkers: p.spec.MaxWorkers,
-		Queue: p.spec.Queue, Priority: p.spec.Priority,
-		ArrivalSeq:  p.seq,
-		CompSeconds: p.info.Comp, NetSeconds: p.info.Net,
-		InputGB: p.info.InputGB, ModelGB: p.info.ModelGB, WorkGB: p.info.WorkGB,
-		JVMHeapFactor: p.info.JVMHeapFactor, PullFrac: p.info.PullFrac,
-		HoldReason:      p.holdReason,
-		Resumable:       p.resume != nil,
-		ResumeIteration: p.resumeIter,
-	}
 }
 
 // Validate schema-checks a decoded snapshot: the version must match this

@@ -50,9 +50,9 @@ func (m *Master) EnableTracing(retention int) {
 func (m *Master) groupNames() map[string]string {
 	out := make(map[string]string, len(m.jobs))
 	for name, j := range m.jobs {
-		names := m.names(j.workers)
-		sort.Strings(names)
-		out[name] = strings.Join(names, ",")
+		ns := names(j.workers)
+		sort.Strings(ns)
+		out[name] = strings.Join(ns, ",")
 	}
 	return out
 }
