@@ -7,6 +7,7 @@ import (
 
 	"harmony/internal/core"
 	"harmony/internal/fair"
+	"harmony/internal/worker"
 )
 
 // The tests in this file cover held jobs on a master whose drain is
@@ -142,6 +143,30 @@ func TestRegisterDrainsHeldJobs(t *testing.T) {
 	})
 	if c, d := m.Counters(), len(m.Cluster().Pending); c.QueueDrained != 1 || d != 0 {
 		t.Errorf("counters = %+v, depth %d; want one drained admission and an empty queue", c, d)
+	}
+}
+
+// TestHeldJobIgnoresWorkerCalls: a held job is known to the master but
+// placed nowhere, so a barrier or a completion naming it, at any epoch,
+// changes nothing.
+func TestHeldJobIgnoresWorkerCalls(t *testing.T) {
+	m := parkedMaster(t, 1, 1)
+	mustEnqueue(t, m, fairSpec("gang", 1000, "", 2, 2), Profile{}, false)
+	for epoch := 0; epoch < 3; epoch++ {
+		if r, err := m.handleBarrier(worker.BarrierArgs{Job: "gang", Worker: "w0", Epoch: epoch}); err != nil || r.Directive != worker.Stop {
+			t.Errorf("barrier at epoch %d: %v, %v; want Stop", epoch, r.Directive, err)
+		}
+		for _, e := range []string{"", "failed"} {
+			if _, err := m.handleJobDone(worker.JobDoneArgs{Job: "gang", Worker: "w0", Epoch: epoch, Err: e}); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	if v, ok := m.Job("gang"); !ok || v.State != StatusPending.String() || v.Iteration != 0 {
+		t.Errorf("held job reads %+v, %v after worker calls", v, ok)
+	}
+	if n := len(m.Events()); n != 1 {
+		t.Errorf("%d journal rows, want the hold alone", n)
 	}
 }
 
