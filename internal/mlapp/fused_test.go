@@ -322,12 +322,13 @@ func fusedDigest(t *testing.T, cfg Config, step func(algo Algorithm, model []flo
 }
 
 // TestComputeFusedMatchesParent pins the kernels themselves by digest.
-// parent is the digest of the commit before the touched set existed (dense
-// driver, per-call buffers, per-element kernels). LDA still has it: its
-// kernel and the driver have not moved a bit since. MLR, Lasso and NMF have
-// it through the per-element oracle only — which proves the oracle in this
-// file is that commit's arithmetic — and the kernels ComputeFused runs are
-// pinned by now, moved for these reasons:
+// parent is the digest of the arithmetic of the commit before the touched
+// set existed (dense driver, per-call buffers, per-element kernels). LDA
+// still has it: its kernel and the driver have not moved a bit since. MLR,
+// Lasso and NMF have it through the per-element oracle only — the oracle
+// reproduced that commit's digests, which proves it is that commit's
+// arithmetic — and the kernels ComputeFused runs are pinned by now, moved
+// for these reasons:
 //
 //	MLR   the step lr·coef/n is rounded once per (example, class) and then
 //	      multiplied by x, where the parent rounded lr·coef·x and then
@@ -339,14 +340,18 @@ func fusedDigest(t *testing.T, cfg Config, step func(algo Algorithm, model []flo
 //	      parent summed F products of predictions, the same real number
 //	      rounded along another path (numerators and predictions kept
 //	      their bits).
+//
+// Both columns were re-taken, with the kernels and the oracle untouched,
+// when the generator moved to one stream per row: the data they train on
+// changed then, and with it every digest.
 func TestComputeFusedMatchesParent(t *testing.T) {
 	golden := []struct{ parent, now uint64 }{
-		{0x72f70a10b45ba60f, 0xb165fb94cf900c23},
-		{0xbc75242aeaaace2f, 0xd8d81d92c2d871de},
-		{0x54970730caf495cb, 0x4581758fc95d6c06},
-		{0xf215ff1783ef3ef, 0xf215ff1783ef3ef},
-		{0x6911bc7c59595c1e, 0x6911bc7c59595c1e},
-		{0xbd3dd5a4e239a441, 0xbd3dd5a4e239a441},
+		{0xd0e024b84921cbef, 0xc942d1795f1eaee7},
+		{0x7c469b442f912e09, 0xd33f3584f95d3bac},
+		{0x62296cdd799a68cd, 0xd9b6ced57d8133d9},
+		{0xed5ba1fca879d47c, 0xed5ba1fca879d47c},
+		{0xa1aac93716dec7d, 0xa1aac93716dec7d},
+		{0x29eba6d87badd2dd, 0x29eba6d87badd2dd},
 	}
 	for c, cfg := range fusedCases[:len(golden)] {
 		for _, workers := range []int{1, 4} {
