@@ -1,6 +1,7 @@
 package master
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -142,6 +143,44 @@ func TestPauseCheckpointResumeMigration(t *testing.T) {
 	}
 	if final, _ := m.Job("nmf"); final.Iteration <= paused.Iteration {
 		t.Errorf("no progress after migration: %d -> %d", paused.Iteration, final.Iteration)
+	}
+}
+
+// TestLDAResumeBitIdentical: a one-worker LDA job paused mid-run and
+// resumed from its checkpoint ends on the final loss of an uninterrupted
+// run of the same spec, bit for bit. Its Gibbs sweeps draw at iteration k
+// what the uninterrupted run drew at k, not what iteration 0 drew.
+func TestLDAResumeBitIdentical(t *testing.T) {
+	m := cluster(t, 1)
+	const iters = 300
+	if err := m.Submit(spec("control", mlapp.LDA, iters), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WaitJob("control", time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Submit(spec("resumed", mlapp.LDA, iters), nil); err != nil {
+		t.Fatal(err)
+	}
+	pollUntil(t, "progress", func() bool { v, _ := m.Job("resumed"); return v.Iteration >= 3 })
+	ckpt, err := m.Pause("resumed", 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := m.Job("resumed"); v.Iteration >= iters-1 {
+		t.Fatalf("paused at iteration %d of %d: nothing left to resume", v.Iteration, iters)
+	}
+	if err := m.Resume("resumed", []string{"w0"}, ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WaitJob("resumed", time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	control, _ := m.Job("control")
+	resumed, _ := m.Job("resumed")
+	if resumed.Iteration != iters-1 || math.Float64bits(resumed.Loss) != math.Float64bits(control.Loss) {
+		t.Errorf("resumed run ends at iteration %d with loss %v, the uninterrupted one at %d with %v",
+			resumed.Iteration, resumed.Loss, control.Iteration, control.Loss)
 	}
 }
 

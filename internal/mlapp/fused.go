@@ -176,10 +176,7 @@ func (s *fusedSource) Seed(seed int64) { s.state = uint64(seed) }
 
 func (s *fusedSource) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return mix64(s.state)
 }
 
 func (s *fusedSource) Int63() int64 { return int64(s.Uint64() >> 1) }

@@ -361,8 +361,8 @@ func BenchmarkComp(b *testing.B) {
 		"mlr-128x16", "lasso-2048", "nmf-128x16", "lda-512x8"} {
 		b.Run(name, func(b *testing.B) {
 			st := newCompState(b, cases[name], 32)
-			rng := rand.New(rand.NewSource(7))
-			model := st.algo.InitModel(rng)
+			model := st.algo.InitModel(rand.New(rand.NewSource(7)))
+			rng := rand.New(&st.src)
 			unchanged := new(touched.List).Take(len(model))
 			b.ReportAllocs()
 			for i := -2; i < b.N; i++ { // two untimed passes size the arena: one dense, one sparse
@@ -373,6 +373,7 @@ func BenchmarkComp(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				st.src.PCG.Seed(7, uint64(i)) // as the drive loop does
 				st.scratch.Changed(unchanged)
 				st.delta, _ = mlapp.ComputeFused(st.algo, st.delta, model, shard, rng, 0, &st.scratch)
 			}

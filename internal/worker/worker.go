@@ -7,6 +7,7 @@ package worker
 import (
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,8 +178,14 @@ type jobState struct {
 	// shard is the input partition's header (kind, first row). Its examples
 	// live in store as encoded blocks and, decoded, in cache; a third copy
 	// kept here would be read by nothing.
-	shard    *mlapp.Shard
+	shard *mlapp.Shard
+	// rng draws COMP's chunk seeds from src, which each COMP first reseeds
+	// in place from the job's seed, the shard's index and the iteration: a
+	// restart from a checkpoint draws what an uninterrupted run drew.
 	rng      *rand.Rand
+	src      compSource
+	seed     int64
+	index    int
 	stopCh   chan struct{}
 	running  bool
 	lastIter int
@@ -271,17 +278,17 @@ func New(name, addr, masterAddr, spillDir string) (*Worker, string, error) {
 }
 
 func (w *Worker) handleLoadJob(a LoadJobArgs) (Ack, error) {
+	idx := a.ShardIndex
+	if a.ShardCount < 1 || idx < 0 || idx >= a.ShardCount {
+		return Ack{}, fmt.Errorf("worker %s: shard index %d of %d", w.name, idx, a.ShardCount)
+	}
 	algo, err := mlapp.New(a.Config)
 	if err != nil {
 		return Ack{}, err
 	}
-	shards, err := mlapp.GenerateShards(a.Config, maxInt(a.ShardCount, 1), a.Seed)
+	shard, err := mlapp.GenerateShard(a.Config, a.ShardCount, idx, a.Seed)
 	if err != nil {
 		return Ack{}, err
-	}
-	idx := a.ShardIndex
-	if idx < 0 || idx >= len(shards) {
-		return Ack{}, fmt.Errorf("worker %s: shard index %d of %d", w.name, idx, len(shards))
 	}
 	client, err := ps.NewClient(a.Servers, 30*time.Second)
 	if err != nil {
@@ -296,7 +303,6 @@ func (w *Worker) handleLoadJob(a LoadJobArgs) (Ack, error) {
 	// governs its residency (§IV-C): one block per bundle of examples,
 	// encoded in the columnar binary layout the fast COMP path decodes
 	// once per residency period.
-	shard := shards[idx]
 	const rowsPerBlock = 32
 	cache := newBlockCache()
 	store.SetNotify(cache.onEvent)
@@ -316,13 +322,13 @@ func (w *Worker) handleLoadJob(a LoadJobArgs) (Ack, error) {
 		return Ack{}, err
 	}
 
-	rng := rand.New(rand.NewSource(a.Seed ^ int64(idx+1)))
 	st := &jobState{
 		cfg: a.Config, algo: algo, client: client, store: store,
 		shard: &mlapp.Shard{Kind: shard.Kind, RowOffset: shard.RowOffset},
-		rng:   rng, stopCh: make(chan struct{}),
+		seed:  a.Seed, index: idx, stopCh: make(chan struct{}),
 		cache: cache,
 	}
+	st.rng = rand.New(&st.src)
 	if a.InitModel {
 		var model []float64
 		if a.RestoreFrame != nil {
@@ -333,7 +339,7 @@ func (w *Worker) handleLoadJob(a LoadJobArgs) (Ack, error) {
 				return Ack{}, fmt.Errorf("worker %s: restore frame: %w", w.name, err)
 			}
 		} else {
-			model = algo.InitModel(rng)
+			model = algo.InitModel(rand.New(rand.NewSource(a.Seed ^ int64(idx+1))))
 		}
 		if err := client.Init(a.Job, model); err != nil {
 			client.Close()
@@ -430,6 +436,7 @@ func (w *Worker) drive(job string, st *jobState, from, iterations, epoch int) {
 				compErr = err
 				return
 			}
+			st.src.PCG.Seed(uint64(st.seed), uint64(st.index)<<32|uint64(iter))
 			st.scratch.Changed(st.mirror.Changed())
 			st.delta, loss = mlapp.ComputeFused(st.algo, st.delta, model, shard,
 				st.rng, int(w.compWorkers.Load()), &st.scratch)
@@ -656,12 +663,12 @@ func (w *Worker) Close() {
 	w.srv.Close()
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+// compSource is the source of a job's COMP draws: a PCG, which reseeds in
+// place at no cost, where math/rand's own source refills a 607-word table.
+type compSource struct{ randv2.PCG }
+
+func (s *compSource) Int63() int64    { return int64(s.Uint64() >> 1) }
+func (s *compSource) Seed(seed int64) { s.PCG.Seed(uint64(seed), 0) }
 
 func minInt(a, b int) int {
 	if a < b {

@@ -90,12 +90,15 @@ func TestLoadJobValidation(t *testing.T) {
 		t.Error("unknown algorithm accepted")
 	}
 
-	// Shard index out of range.
-	bad = loadArgs(w, []string{self})
-	bad.ShardIndex = 5
-	if _, err := rpc.Invoke[LoadJobArgs, Ack](ctl, MethodLoadJob, bad, time.Second); err == nil ||
-		!strings.Contains(err.Error(), "shard index") {
-		t.Errorf("bad shard index: err = %v", err)
+	// Shard index out of range, or no shards at all: refused before any
+	// data is generated.
+	for _, c := range [][2]int{{5, 1}, {-1, 1}, {0, 0}, {0, -1}} {
+		bad = loadArgs(w, []string{self})
+		bad.ShardIndex, bad.ShardCount = c[0], c[1]
+		if _, err := rpc.Invoke[LoadJobArgs, Ack](ctl, MethodLoadJob, bad, time.Second); err == nil ||
+			!strings.Contains(err.Error(), "shard index") {
+			t.Errorf("shard %d of %d: err = %v", c[0], c[1], err)
+		}
 	}
 
 	// No parameter servers.
