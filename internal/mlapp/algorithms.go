@@ -182,7 +182,8 @@ func (n *nmf) Loss(model []float64, shard *Shard) float64 {
 }
 
 // lda is latent Dirichlet allocation trained by one collapsed-Gibbs sweep
-// per COMP subtask; the global topic-word counts are the PS model.
+// per COMP subtask; the global word-topic counts are the PS model, word by
+// word (Config.ModelSize).
 type lda struct {
 	cfg Config
 }
@@ -201,18 +202,14 @@ func (l *lda) InitModel(rng *rand.Rand) []float64 {
 func (l *lda) Loss(model []float64, shard *Shard) float64 {
 	c := l.cfg.withDefaults()
 	topicTotals := make([]float64, c.Classes)
-	for k := 0; k < c.Classes; k++ {
-		for f := 0; f < c.Features; f++ {
-			topicTotals[k] += model[k*c.Features+f]
-		}
-	}
+	sumRows(model, topicTotals)
 	var ll float64
 	var tokens int
 	for _, doc := range shard.Examples {
 		for _, w := range doc.Tokens {
 			var p float64
-			for k := 0; k < c.Classes; k++ {
-				p += (model[k*c.Features+w] / (topicTotals[k] + 1)) / float64(c.Classes)
+			for k, m := range model[w*c.Classes : (w+1)*c.Classes] {
+				p += (m / (topicTotals[k] + 1)) / float64(c.Classes)
 			}
 			ll -= math.Log(math.Max(p, 1e-12))
 			tokens++

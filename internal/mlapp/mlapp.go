@@ -122,7 +122,9 @@ func (c Config) withDefaults() Config {
 //	Lasso: Features weights
 //	NMF:   Classes × Features item-factor matrix (row-major); per-row
 //	       user factors are worker-local state
-//	LDA:   Classes × Features topic-word counts (row-major)
+//	LDA:   Features × Classes word-topic counts (row-major): word w's
+//	       Classes counts sit together at [w·Classes, (w+1)·Classes), so
+//	       a token's walk reads them at unit stride
 func (c Config) ModelSize() int {
 	c = c.withDefaults()
 	switch c.Kind {
