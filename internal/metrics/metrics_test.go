@@ -81,6 +81,33 @@ func TestUtilMean(t *testing.T) {
 	}
 }
 
+// TestUtilWindowMean: the mean over a window is the mean of the Series
+// values of the intervals it overlaps, to the bit, and stops at the last
+// recorded interval.
+func TestUtilWindowMean(t *testing.T) {
+	u := NewUtilRecorder(3, simtime.Minute)
+	u.AddBusy(CPU, 0, simtime.Time(150*simtime.Second), 2)
+	u.AddBusyWeighted(CPU, simtime.Time(70*simtime.Second), simtime.Time(200*simtime.Second), 0.7)
+	series := u.Series(CPU)
+	at := func(sec int) simtime.Time { return simtime.Time(simtime.Duration(sec) * simtime.Second) }
+	for _, w := range []struct {
+		from, to    int
+		first, last int // the intervals averaged
+	}{{0, 60, 0, 0}, {30, 61, 0, 1}, {61, 200, 1, 3}, {0, 3600, 0, 3}, {130, 140, 2, 2}} {
+		var want float64
+		for _, v := range series[w.first : w.last+1] {
+			want += v
+		}
+		want /= float64(w.last - w.first + 1)
+		if got := u.WindowMean(CPU, at(w.from), at(w.to)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("[%ds, %ds): %v, want %v", w.from, w.to, got, want)
+		}
+	}
+	if u.WindowMean(CPU, at(60), at(60)) != 0 || u.WindowMean(CPU, at(600), at(700)) != 0 || u.WindowMean(Net, 0, at(60)) != 0 {
+		t.Error("an empty window, one past the record or an unrecorded resource must be 0")
+	}
+}
+
 // TestUtilConservation checks by property that total recorded busy time is
 // preserved across bucket boundaries.
 func TestUtilConservation(t *testing.T) {

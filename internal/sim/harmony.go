@@ -797,8 +797,8 @@ func (s *Simulator) samplePlanPrediction(newPlan core.Plan) {
 	// them would measure migration transients, not the model.
 	const minWindow = 20 * simtime.Minute
 	if s.planPredValid && now.Sub(s.planStart) >= minWindow {
-		actCPU := s.utilWindowMean(metrics.CPU, s.planStart, now)
-		actNet := s.utilWindowMean(metrics.Net, s.planStart, now)
+		actCPU := s.util.WindowMean(metrics.CPU, s.planStart, now)
+		actNet := s.util.WindowMean(metrics.Net, s.planStart, now)
 		predU := 0.7*s.planPredCPU + 0.3*s.planPredNet
 		actU := 0.7*actCPU + 0.3*actNet
 		if actU > 0 {
@@ -835,25 +835,4 @@ func (s *Simulator) samplePlanPrediction(newPlan core.Plan) {
 		sig := groupSignature(jobIDsOf(g), g.Machines)
 		s.groupPredIter[sig] = g.IterSeconds()
 	}
-}
-
-// utilWindowMean averages recorded utilization over [from, to).
-func (s *Simulator) utilWindowMean(r metrics.Resource, from, to simtime.Time) float64 {
-	series := s.util.Series(r)
-	interval := s.util.Interval()
-	if len(series) == 0 || to <= from {
-		return 0
-	}
-	first := int(int64(from) / int64(interval))
-	last := int(int64(to-1) / int64(interval))
-	var sum float64
-	n := 0
-	for b := first; b <= last && b < len(series); b++ {
-		sum += series[b]
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
