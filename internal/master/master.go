@@ -208,7 +208,7 @@ type Master struct {
 	// The derived values (DESIGN.md §15), nil while stale: the live plan
 	// with its Scorer, which invalidatePlan drops; the kernel's view of the
 	// placements with the free workers, which invalidateView drops too; and
-	// the view's held list, which a change of the held queue drops.
+	// the view's held list, which a change of the held queue edits in place.
 	plan *livePlan
 	view *kernelView
 	held []fair.Held
