@@ -63,7 +63,7 @@ bench-smoke:
 	$(GO) test ./internal/core/ -run XXX -bench 'BenchmarkSchedule(Large|Paper)' -benchmem -benchtime 3x -cpu 1,2
 	$(GO) test ./internal/sim/ -run XXX -bench 'BenchmarkRunHarmonyBase|BenchmarkRunPaper' -benchmem -benchtime 3x
 	$(GO) test ./internal/ps/ -run XXX -bench 'BenchmarkPullPush(Sparse)?$$|BenchmarkCheckpoint' -benchmem -benchtime 3x
-	$(GO) test ./internal/worker/ -run XXX -bench 'BenchmarkComp/(lda-512k|mlr-128x16|lasso-2048|nmf-128x16|lda-512x8)' -benchmem -benchtime 20x
+	$(GO) test ./internal/worker/ -run XXX -bench 'BenchmarkComp/(lda-512k|lda-512k-moving|mlr-128x16|lasso-2048|nmf-128x16|lda-512x8)' -benchmem -benchtime 20x
 	$(GO) test ./internal/mlapp/ -run XXX -bench 'BenchmarkGenerateShards?$$' -benchmem -benchtime 5x
 	$(GO) test ./internal/rpc/ -run XXX -bench 'BenchmarkCodecRoundTrip|BenchmarkInvokeTyped' -benchmem -benchtime 1000x
 	$(GO) test ./internal/master/ -run XXX -bench 'BenchmarkHoldAtDepth256|BenchmarkJobStatusHeld' -benchmem -benchtime 20x

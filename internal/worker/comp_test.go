@@ -343,27 +343,30 @@ func TestCompNeverWritesModel(t *testing.T) {
 // live_comm worker's shard (its half of 64 documents over a 65536-word,
 // 8-topic model): a few thousand touched elements of 512K. The four cases
 // named by shape are a live_mix worker's shards (benchmarks/live.go: its
-// half of each job's rows); the rest are toys. The benchmark's model stands
-// still, so each pass is told, truthfully, that nothing changed — where the
-// drive loop passes on what its sync rewrote.
+// half of each job's rows); the rest are toys. Their model stands still,
+// so each pass is told, truthfully, that nothing changed — the best case
+// for a sparse pass. lda-512k-moving is the same shard on a model that
+// moves as in the drive loop: each pass's update is applied (walking the
+// touched set) and the next pass is told exactly the elements it moved.
 func BenchmarkComp(b *testing.B) {
 	cases := map[string]mlapp.Config{
-		"lda-512k":   {Kind: mlapp.LDA, Features: 65536, Classes: 8, Rows: 32},
-		"mlr-128x16": {Kind: mlapp.MLR, Features: 128, Classes: 16, Rows: 1024},
-		"lasso-2048": {Kind: mlapp.Lasso, Features: 2048, Rows: 512},
-		"nmf-128x16": {Kind: mlapp.NMF, Features: 128, Classes: 16, Rows: 256},
-		"lda-512x8":  {Kind: mlapp.LDA, Features: 512, Classes: 8, Rows: 384},
+		"lda-512k":        {Kind: mlapp.LDA, Features: 65536, Classes: 8, Rows: 32},
+		"lda-512k-moving": {Kind: mlapp.LDA, Features: 65536, Classes: 8, Rows: 32},
+		"mlr-128x16":      {Kind: mlapp.MLR, Features: 128, Classes: 16, Rows: 1024},
+		"lasso-2048":      {Kind: mlapp.Lasso, Features: 2048, Rows: 512},
+		"nmf-128x16":      {Kind: mlapp.NMF, Features: 128, Classes: 16, Rows: 256},
+		"lda-512x8":       {Kind: mlapp.LDA, Features: 512, Classes: 8, Rows: 384},
 	}
 	for _, kind := range []mlapp.Kind{mlapp.MLR, mlapp.Lasso, mlapp.NMF, mlapp.LDA} {
 		cases[kind.String()] = mlapp.Config{Kind: kind, Features: 32, Classes: 8, Rows: 512}
 	}
-	for _, name := range []string{"MLR", "Lasso", "NMF", "LDA", "lda-512k",
+	for _, name := range []string{"MLR", "Lasso", "NMF", "LDA", "lda-512k", "lda-512k-moving",
 		"mlr-128x16", "lasso-2048", "nmf-128x16", "lda-512x8"} {
 		b.Run(name, func(b *testing.B) {
 			st := newCompState(b, cases[name], 32)
 			model := st.algo.InitModel(rand.New(rand.NewSource(7)))
 			rng := rand.New(&st.src)
-			unchanged := new(touched.List).Take(len(model))
+			var moved touched.List
 			b.ReportAllocs()
 			for i := -2; i < b.N; i++ { // two untimed passes size the arena: one dense, one sparse
 				if i == 0 {
@@ -374,8 +377,25 @@ func BenchmarkComp(b *testing.B) {
 					b.Fatal(err)
 				}
 				st.src.PCG.Seed(7, uint64(i)) // as the drive loop does
-				st.scratch.Changed(unchanged)
+				st.scratch.Changed(moved.Take(len(model)))
 				st.delta, _ = mlapp.ComputeFused(st.algo, st.delta, model, shard, rng, 0, &st.scratch)
+				if name != "lda-512k-moving" {
+					continue
+				}
+				set := st.scratch.Touched()
+				if set.All() {
+					moved.AddAll()
+					for j, d := range st.delta {
+						model[j] += d
+					}
+					continue
+				}
+				for _, j := range set.Indices() {
+					if d := st.delta[j]; d != 0 {
+						model[j] += d
+						moved.Add(j)
+					}
+				}
 			}
 		})
 	}
