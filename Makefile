@@ -45,12 +45,11 @@ race-stress:
 	$(GO) test -race -count=20 -timeout 30m ./internal/master ./internal/ctl
 
 ## fuzz-smoke: ten seconds of each wire fuzzer, as package:fuzzer pairs —
-## in internal/rpc the gob codec against a decoder built for the one
-## message, the split of a body into definitions and value, and the float
+## in internal/rpc the JSON decode of every control message and the float
 ## frames; in internal/ps the push request and the pull reply. go test
 ## takes one fuzz target per run; two workers each keep the run small.
-FUZZ_TARGETS := rpc:FuzzDecodeMatchesFreshGob rpc:FuzzTypedefLen rpc:FuzzFloatFrame \
-	rpc:FuzzFloatsRoundTrip ps:FuzzPushEntry ps:FuzzPullReply
+FUZZ_TARGETS := rpc:FuzzDecode rpc:FuzzFloatFrame rpc:FuzzFloatsRoundTrip \
+	ps:FuzzPushEntry ps:FuzzPullReply
 fuzz-smoke:
 	for t in $(FUZZ_TARGETS); do \
 		$(GO) test ./internal/$${t%%:*}/ -run XXX -fuzz "^$${t#*:}$$" -fuzztime 10s -parallel 2 || exit 1; \

@@ -14,6 +14,7 @@ import (
 	"harmony/internal/core"
 	"harmony/internal/fair"
 	"harmony/internal/mlapp"
+	"harmony/internal/ps"
 	"harmony/internal/rpc"
 	"harmony/internal/worker"
 )
@@ -238,14 +239,16 @@ func TestListJobsIncludesPending(t *testing.T) {
 // stubServer starts an RPC server that acks every deployment and teardown
 // call a worker gets, after asking load and start whether the call should
 // fail, and tells note each call as its reply leaves ("load", "start",
-// "dropJob"). Any of the three may be nil.
+// "dropJob"). Any of the three may be nil. Like a worker it hosts a
+// parameter server, which the master seeds when a job resumes.
 func stubServer(t testing.TB, load func(worker.LoadJobArgs) error, start func(worker.StartJobArgs) error,
 	note func(call, job string)) string {
 	t.Helper()
 	if note == nil {
 		note = func(string, string) {}
 	}
-	stub := rpc.NewServer()
+	stub, store := rpc.NewServer(), ps.NewServer()
+	store.Register(stub)
 	stub.Handle(worker.MethodLoadJob, rpc.Typed(func(a worker.LoadJobArgs) (worker.Ack, error) {
 		if load != nil {
 			if err := load(a); err != nil {
@@ -272,7 +275,7 @@ func stubServer(t testing.TB, load func(worker.LoadJobArgs) error, start func(wo
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { stub.Close() })
+	t.Cleanup(func() { stub.Close(); store.Close() })
 	return addr
 }
 

@@ -312,9 +312,10 @@ func (r *modelRig) quiesce() {
 }
 
 // addWorker starts a stub worker on its own server and registers it. The
-// load hook fails a deployment the test asked to fail; otherwise member 0
-// seeds the job's model on every member's parameter server, from the
-// restore frame when the job resumes, as a real worker does.
+// load hook fails a deployment the test asked to fail; otherwise the
+// member told to (member 0 of a fresh job) seeds the job's model on every
+// member's parameter server, as a real worker does. A resumed job's
+// servers the master has seeded itself.
 func (r *modelRig) addWorker() string {
 	r.mu.Lock()
 	name := fmt.Sprintf("w%02d", r.regs)
@@ -336,12 +337,6 @@ func (r *modelRig) addWorker() string {
 			return worker.Ack{}, nil
 		}
 		model := make([]float64, a.Config.ModelSize())
-		if a.RestoreFrame != nil {
-			var err error
-			if model, _, err = rpc.ReadFloats(a.RestoreFrame, nil); err != nil {
-				return worker.Ack{}, err
-			}
-		}
 		cl, err := ps.NewClient(a.Servers, time.Minute)
 		if err != nil {
 			return worker.Ack{}, err

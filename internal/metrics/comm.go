@@ -71,8 +71,8 @@ type CommSnapshot struct {
 	PushBytes   int64
 	PullSeconds float64
 	PushSeconds float64
-	// Per-stripe pull outcomes (gob: fields a peer does not know decode
-	// as zero).
+	// Per-stripe pull outcomes (fields a peer does not know decode as
+	// zero).
 	FullReplies        int64
 	DeltaReplies       int64
 	NotModifiedReplies int64

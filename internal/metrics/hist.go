@@ -51,8 +51,8 @@ func (h *Histogram) Observe(seconds float64) {
 	h.sumNanos.Add(int64(ns))
 }
 
-// HistSnapshot is a point-in-time copy of a Histogram, safe to ship over
-// gob and to aggregate across workers.
+// HistSnapshot is a point-in-time copy of a Histogram, safe to ship in a
+// control body and to aggregate across workers.
 type HistSnapshot struct {
 	// Counts are per-bucket (non-cumulative) observation counts; Inf
 	// holds observations above the last finite bound.

@@ -15,7 +15,7 @@ import (
 // §8) — bulk float columns are plain IEEE-754 frames, headers are
 // little-endian fixed-width integers — so NaN payloads and infinities
 // round-trip bit-exactly and decoding is a straight memory walk instead
-// of gob's reflective per-field stream.
+// of a reflective per-field walk.
 //
 // Block layout (little-endian):
 //

@@ -17,11 +17,9 @@
 //	request:  u16 methodLen, method, body
 //	response: u8 status (0 ok, 1 err), body (error text when status=1)
 //
-// Bodies are opaque to the transport. Control-plane methods gob-encode
-// their bodies through Typed/Invoke — each body a self-contained gob
-// stream, its encoder and decoder state kept per message type rather than
-// rebuilt per message (codec.go); bulk data-plane methods carry the
-// binary float frames of frame.go and skip gob entirely. The framing
+// Bodies are opaque to the transport. Control-plane methods JSON-encode
+// their bodies through Typed/Invoke (codec.go) and carry no model; bulk
+// data-plane methods carry the binary float frames of frame.go. The framing
 // itself never reflects or copies per element, so a megabyte body costs
 // one buffered write on the way out and one ReadFull into a pooled
 // buffer on the way in.
@@ -60,7 +58,7 @@ const (
 )
 
 // Handler processes the raw argument bytes of a method and returns reply
-// bytes. Encoding helpers are in codec.go (gob) and frame.go (binary).
+// bytes. Encoding helpers are in codec.go (JSON) and frame.go (binary).
 //
 // Ownership contract: the argument slice is only valid for the duration
 // of the call and is recycled afterwards — handlers must not retain it or

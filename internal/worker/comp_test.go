@@ -10,7 +10,6 @@ import (
 
 	"harmony/internal/memstore"
 	"harmony/internal/mlapp"
-	"harmony/internal/ps"
 	"harmony/internal/rpc"
 	"harmony/internal/touched"
 )
@@ -226,45 +225,6 @@ func TestCompTeardownOnCorruptBlock(t *testing.T) {
 	w.mu.Unlock()
 	if loaded {
 		t.Fatal("job still loaded after dropJob")
-	}
-}
-
-// TestRestoreFrameRoundTrip checks that checkpointed parameters carried
-// in the float-frame codec seed the parameter servers bit-exactly.
-func TestRestoreFrameRoundTrip(t *testing.T) {
-	w, ctl := startWorker(t)
-	self := w.srv.Addr()
-	restore := make([]float64, 16) // MLR 8×2 model
-	for i := range restore {
-		restore[i] = float64(i) * 1.25
-	}
-	restore[3] = math.Copysign(0, -1)
-	restore[7] = 1e-308
-	args := loadArgs(w, []string{self})
-	args.RestoreFrame = rpc.AppendFloats(nil, restore)
-	if _, err := rpc.Invoke[LoadJobArgs, Ack](ctl, MethodLoadJob, args, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	c, err := ps.NewClient([]string{self}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	got := make([]float64, len(restore))
-	if err := c.PullInto("j1", got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(restore[i]) {
-			t.Fatalf("param %d = %v, want %v", i, got[i], restore[i])
-		}
-	}
-
-	// A truncated frame must fail the load, not silently seed garbage.
-	args.RestoreFrame = args.RestoreFrame[:len(args.RestoreFrame)-3]
-	if _, err := rpc.Invoke[LoadJobArgs, Ack](ctl, MethodLoadJob, args, 5*time.Second); err == nil ||
-		!strings.Contains(err.Error(), "restore frame") {
-		t.Fatalf("truncated restore frame: err = %v", err)
 	}
 }
 

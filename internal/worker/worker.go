@@ -49,14 +49,10 @@ type LoadJobArgs struct {
 	ShardIndex int
 	ShardCount int
 	Seed       int64
-	// InitModel is set on exactly one worker per group to seed the
-	// parameter servers. RestoreFrame carries checkpointed parameters
-	// instead when a migrated job resumes (§IV-B4), encoded as one
-	// data-plane float frame (rpc.AppendFloats) so large-model
-	// migrations ride the binary codec rather than gob's reflective
-	// per-element walk.
-	InitModel    bool
-	RestoreFrame []byte
+	// InitModel is set on one worker of a fresh job's group to seed the
+	// parameter servers with the initial model. A resumed job's are
+	// seeded by the master with its checkpoint before any load (§IV-B4).
+	InitModel bool
 	// Alpha is the initial disk-block ratio for the shard store.
 	Alpha float64
 }
@@ -117,9 +113,10 @@ type StatsReply struct {
 	CommProcess string
 	// Spans are the subtask/barrier spans recorded since the caller's
 	// SpanAfter cursor, and PhaseHist the per-phase latency histograms —
-	// both empty unless this worker runs with tracing enabled.
+	// both empty unless this worker runs with tracing enabled, when the
+	// histograms are left out of the body altogether.
 	Spans     []obs.Span
-	PhaseHist [obs.NumPhases]metrics.HistSnapshot
+	PhaseHist *[obs.NumPhases]metrics.HistSnapshot `json:",omitempty"`
 	// PS is the co-hosted parameter server's per-stripe counters. Spans,
 	// histograms and PS counters all ride this one reply, so the master
 	// reads a worker with one call and one best-effort rule.
@@ -138,8 +135,9 @@ type BarrierArgs struct {
 	// Measured subtask seconds for profiling (§IV-B1).
 	CompSeconds float64
 	NetSeconds  float64
-	// Loss lets the master track convergence.
-	Loss float64
+	// Loss lets the master track convergence; a diverged job's is NaN or
+	// infinite, which rpc.Float carries.
+	Loss rpc.Float
 }
 
 // BarrierReply tells the worker how to continue.
@@ -330,17 +328,7 @@ func (w *Worker) handleLoadJob(a LoadJobArgs) (Ack, error) {
 	}
 	st.rng = rand.New(&st.src)
 	if a.InitModel {
-		var model []float64
-		if a.RestoreFrame != nil {
-			model, _, err = rpc.ReadFloats(a.RestoreFrame, nil)
-			if err != nil {
-				client.Close()
-				store.Close()
-				return Ack{}, fmt.Errorf("worker %s: restore frame: %w", w.name, err)
-			}
-		} else {
-			model = algo.InitModel(rand.New(rand.NewSource(a.Seed ^ int64(idx+1))))
-		}
+		model := algo.InitModel(rand.New(rand.NewSource(a.Seed ^ int64(idx+1))))
 		if err := client.Init(a.Job, model); err != nil {
 			client.Close()
 			store.Close()
@@ -481,7 +469,7 @@ func (w *Worker) drive(job string, st *jobState, from, iterations, epoch int) {
 		}
 		reply, err := rpc.Invoke[BarrierArgs, BarrierReply](w.master, MethodBarrier, BarrierArgs{
 			Job: job, Worker: w.name, Iteration: iter, Epoch: epoch,
-			CompSeconds: compSecs, NetSeconds: netSecs, Loss: loss,
+			CompSeconds: compSecs, NetSeconds: netSecs, Loss: rpc.Float(loss),
 		}, time.Minute)
 		if rec != nil {
 			rec.Record(obs.PhaseBarrier, job, iter, barrierStart, time.Now())
@@ -609,7 +597,8 @@ func (w *Worker) handleStats(a StatsArgs) (StatsReply, error) {
 		if a.SpanAfter != SpanCursorNone {
 			reply.Spans = rec.SpansAfter(a.SpanAfter, nil)
 		}
-		reply.PhaseHist = rec.HistSnapshots()
+		hist := rec.HistSnapshots()
+		reply.PhaseHist = &hist
 	}
 	return reply, nil
 }
