@@ -38,6 +38,7 @@ import (
 	"harmony/internal/obs"
 	"harmony/internal/ps"
 	"harmony/internal/replay"
+	"harmony/internal/rpc"
 )
 
 // Backend is what the control plane needs from the live master;
@@ -219,17 +220,17 @@ type SubmitResponse struct {
 
 // JobResponse is one job's status.
 type JobResponse struct {
-	Name                string   `json:"name"`
-	State               string   `json:"state"`
-	Iteration           int      `json:"iteration"`
-	Loss                float64  `json:"loss"`
-	Workers             []string `json:"workers,omitempty"`
-	CompSeconds         float64  `json:"comp_seconds"`
-	NetSeconds          float64  `json:"net_seconds"`
-	Profiled            bool     `json:"profiled"`
-	CheckpointIteration int      `json:"checkpoint_iteration"`
-	Queue               string   `json:"queue,omitempty"`
-	Priority            int      `json:"priority,omitempty"`
+	Name                string    `json:"name"`
+	State               string    `json:"state"`
+	Iteration           int       `json:"iteration"`
+	Loss                rpc.Float `json:"loss"`
+	Workers             []string  `json:"workers,omitempty"`
+	CompSeconds         float64   `json:"comp_seconds"`
+	NetSeconds          float64   `json:"net_seconds"`
+	Profiled            bool      `json:"profiled"`
+	CheckpointIteration int       `json:"checkpoint_iteration"`
+	Queue               string    `json:"queue,omitempty"`
+	Priority            int       `json:"priority,omitempty"`
 	// HoldReason and QueuePosition distinguish a held job from a stuck
 	// one: why it waits (slowdown_bound, no_gang_capacity,
 	// quota_exhausted, preempted) and its slot in the fair order.
@@ -440,7 +441,7 @@ func toJobResponse(v master.JobView) JobResponse {
 		Name:                v.Name,
 		State:               v.State,
 		Iteration:           v.Iteration,
-		Loss:                v.Loss,
+		Loss:                rpc.Float(v.Loss),
 		Workers:             v.Workers,
 		CompSeconds:         v.CompSeconds,
 		NetSeconds:          v.NetSeconds,
@@ -465,10 +466,17 @@ func (s *Server) handleQueues(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, QueuesResponse{Queues: qs})
 }
 
+// writeJSON encodes body before it commits the status, so a body that
+// does not encode answers 500 rather than an empty 200.
 func writeJSON(w http.ResponseWriter, status int, body any) {
+	raw, err := json.Marshal(body)
+	if err != nil {
+		status = http.StatusInternalServerError
+		raw, _ = json.Marshal(ErrorResponse{Error: ErrorInfo{Code: CodeInternal, Message: err.Error()}})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+	_, _ = w.Write(append(raw, '\n'))
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {

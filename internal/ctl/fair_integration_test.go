@@ -162,7 +162,7 @@ func TestFairMultiTenantOverHTTP(t *testing.T) {
 		j := pollJob(t, base, name, 120*time.Second, func(j ctl.JobResponse) bool {
 			return j.State == "finished"
 		})
-		losses[i] = j.Loss
+		losses[i] = float64(j.Loss)
 	}
 	// Same spec, same seed, same 1-worker shard count: the preempted
 	// and resumed b2/b3 must match the never-preempted b1 exactly.

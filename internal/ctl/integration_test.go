@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -241,6 +242,28 @@ func TestHTTPDuplicateAndUnknown(t *testing.T) {
 	}
 	if code := httpJSON(t, http.MethodDelete, base+"/v1/jobs/a", nil, nil); code != http.StatusOK {
 		t.Fatalf("cancel a: code %d", code)
+	}
+}
+
+// TestHTTPDivergedJob: a job whose loss overflows (lasso at an absurd
+// learning rate) still reads over the API, on its own and in the list,
+// with its loss the non-finite value it is.
+func TestHTTPDivergedJob(t *testing.T) {
+	base := startCluster(t, 1, core.Options{})
+	req := submitBody("div", "lasso", 100000, nil)
+	req.LearningRate = 1e12
+	if code := httpJSON(t, http.MethodPost, base+"/v1/jobs", req, nil); code != http.StatusCreated {
+		t.Fatalf("submit div: code %d", code)
+	}
+	nonFinite := func(loss float64) bool { return math.IsNaN(loss) || math.IsInf(loss, 0) }
+	pollJob(t, base, "div", 20*time.Second, func(j ctl.JobResponse) bool { return nonFinite(float64(j.Loss)) })
+	var list ctl.JobListResponse
+	code := httpJSON(t, http.MethodGet, base+"/v1/jobs", nil, &list)
+	if code != http.StatusOK || len(list.Jobs) != 1 || !nonFinite(float64(list.Jobs[0].Loss)) {
+		t.Fatalf("GET /v1/jobs: code %d, %+v", code, list)
+	}
+	if code := httpJSON(t, http.MethodDelete, base+"/v1/jobs/div", nil, nil); code != http.StatusOK {
+		t.Fatalf("cancel div: code %d", code)
 	}
 }
 
