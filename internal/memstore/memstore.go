@@ -6,7 +6,6 @@
 package memstore
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -56,8 +55,8 @@ type Event struct {
 type Block struct {
 	// ID is unique within the store.
 	ID int
-	// Payload is arbitrary gob-encodable content (the live runtime
-	// stores mlapp shards).
+	// Payload is opaque bytes, written to disk as they are when the block
+	// spills (the live runtime stores encoded mlapp examples).
 	Payload []byte
 }
 
@@ -188,16 +187,8 @@ func (s *Store) rebalanceLocked() error {
 }
 
 func (s *Store) spillLocked(b *Block) error {
-	path := filepath.Join(s.dir, fmt.Sprintf("block-%d.gob", b.ID))
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("memstore: spill block %d: %w", b.ID, err)
-	}
-	if err := gob.NewEncoder(f).Encode(b); err != nil {
-		f.Close()
-		return fmt.Errorf("memstore: spill block %d: %w", b.ID, err)
-	}
-	if err := f.Close(); err != nil {
+	path := filepath.Join(s.dir, fmt.Sprintf("block-%d", b.ID))
+	if err := os.WriteFile(path, b.Payload, 0o644); err != nil {
 		return fmt.Errorf("memstore: spill block %d: %w", b.ID, err)
 	}
 	delete(s.resident, b.ID)
@@ -238,16 +229,11 @@ func (s *Store) Get(id int) (*Block, error) {
 }
 
 func (s *Store) loadLocked(id int) (*Block, error) {
-	path := s.onDisk[id]
-	f, err := os.Open(path)
+	payload, err := os.ReadFile(s.onDisk[id])
 	if err != nil {
 		return nil, fmt.Errorf("memstore: reload block %d: %w", id, err)
 	}
-	defer f.Close()
-	var b Block
-	if err := gob.NewDecoder(f).Decode(&b); err != nil {
-		return nil, fmt.Errorf("memstore: reload block %d: %w", id, err)
-	}
+	b := Block{ID: id, Payload: payload}
 	delete(s.onDisk, id)
 	s.resident[id] = &b
 	s.reloads++
