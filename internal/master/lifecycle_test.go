@@ -69,6 +69,10 @@ func TestFinishedJobsLeaveNothingBehind(t *testing.T) {
 	m, dirs := liveCluster(t, "a", "b")
 	cfg := mlapp.Config{Kind: mlapp.LDA, Features: 16384, Classes: 8, Rows: 64}
 	modelBytes := uint64(8 * cfg.ModelSize())
+	// A worker may accept the master's connection after its registration
+	// returned; a stats pass waits until every worker serves it, so the
+	// baseline counts each connection's goroutine.
+	m.WorkerTotals()
 	baseline := runtime.NumGoroutine()
 	var heap [4]uint64
 	for i := range heap {
